@@ -35,6 +35,8 @@ AUDITED = {
     # on every inner solve; StepPlan is created once per iteration
     "repro.compute.plane": ["ComputePlane", "Cohort", "CohortMember"],
     "repro.p2p.task": ["StepPlan"],
+    # one per (agent, known peer): 32 per Daemon with gossip on
+    "repro.gossip.peers": ["PeerRecord"],
 }
 
 

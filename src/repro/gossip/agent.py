@@ -22,14 +22,18 @@ traffic bit for bit.
 
 from __future__ import annotations
 
-from typing import Any, Callable
+from typing import TYPE_CHECKING, Any, Callable
 
 from repro.errors import RemoteError
 from repro.gossip.peers import PeerStore
 from repro.net.address import Address
-from repro.p2p.config import P2PConfig
 from repro.rmi import RemoteObject, RmiRuntime, Stub, remote
+from repro.rmi.invocation import OnewayMessage
 from repro.util.rng import RngTree
+from repro.util.serialization import measured_size, payload_size
+
+if TYPE_CHECKING:  # repro.p2p imports this package: annotation only
+    from repro.p2p.config import P2PConfig
 
 __all__ = ["GOSSIP_OBJECT", "GossipAgent"]
 
@@ -40,6 +44,12 @@ GOSSIP_OBJECT = "gossip"
 #: control-plane sinks (the Spawner's epidemic convergence array, the
 #: standby's failure detector) must hear every round, not eventually
 PRIORITY_ROLES = ("spawner", "standby")
+
+#: how deep a push argument sits in its envelope (message -> args -> argument)
+#: and an entry of the peer sample one below it: the depths at which
+#: ``measured_size`` walks them
+_ARG_DEPTH = 2
+_ENTRY_DEPTH = 3
 
 
 class GossipAgent(RemoteObject):
@@ -78,6 +88,12 @@ class GossipAgent(RemoteObject):
         self.pushes_received = 0
         self.rumors_merged = 0
         self.hellos_received = 0
+        self._counters: dict[str, Any] = {}
+        #: the push envelope around an empty peer sample, without the rumor
+        #: map: constant, because the agent's identity is
+        self._push_base = measured_size(OnewayMessage(
+            GOSSIP_OBJECT, "push", (peer_id, role, self.address, [], {}), {},
+        )) - payload_size({}, _ARG_DEPTH)
         self.stub = runtime.serve(self, GOSSIP_OBJECT)
         self._round_no = 0
         self.host.spawn(self._rounds(), label=f"gossip:{peer_id}")
@@ -95,9 +111,7 @@ class GossipAgent(RemoteObject):
     @remote
     def get_peers(self, max_n: int) -> list[tuple[str, str, Address]]:
         """PEERS_LIST: a bounded dump of this agent's membership view."""
-        records = self.store.records()
-        records.sort(key=lambda r: str(r.address))
-        out = [r.entry() for r in records[: max(0, int(max_n))]]
+        out = [r.entry() for r in self.store.ordered()[: max(0, int(max_n))]]
         self._trace("peers_list", served=len(out))
         return out
 
@@ -219,17 +233,23 @@ class GossipAgent(RemoteObject):
                 chosen.add(record.address)
         if not targets:
             return
-        sample = [
-            r.entry()
-            for r in self.store.sample(rng.child("exchange"),
-                                       self.config.gossip_exchange)
-        ]
+        # every target gets the same arguments, so the envelope is sized
+        # once per round and from parts: the constant base, each sampled
+        # record's memoized entry, one walk of the rumor map
         rumors = dict(self.rumors)
+        size = self._push_base + payload_size(rumors, _ARG_DEPTH)
+        sample = []
+        for record in self.store.sample(rng.child("exchange"),
+                                        self.config.gossip_exchange):
+            entry = record.entry()
+            if not record.entry_bytes:
+                record.entry_bytes = payload_size(entry, _ENTRY_DEPTH)
+            size += record.entry_bytes
+            sample.append(entry)
+        args = (self.peer_id, self.role, self.address, sample, rumors)
         for record in targets:
-            self.runtime.oneway(
-                Stub(GOSSIP_OBJECT, record.address), "push",
-                self.peer_id, self.role, self.address, sample, rumors,
-            )
+            self.runtime.oneway(Stub(GOSSIP_OBJECT, record.address), "push",
+                                *args, size=size)
             self.pushes_sent += 1
         self._count("gossip_pushes_sent", n=len(targets))
         self._trace("push", targets=len(targets), rumors=len(rumors))
@@ -259,7 +279,11 @@ class GossipAgent(RemoteObject):
 
     def _count(self, name: str, n: int = 1, **labels) -> None:
         if self.registry is not None:
-            self.registry.counter(name, GOSSIP_METRIC_HELP[name]).inc(n, **labels)
+            counter = self._counters.get(name)
+            if counter is None:
+                counter = self._counters[name] = self.registry.counter(
+                    name, GOSSIP_METRIC_HELP[name])
+            counter.inc(n, **labels)
 
     def _trace(self, kind: str, **attrs) -> None:
         tr = self.sim.tracer

@@ -32,9 +32,9 @@ import numpy as np
 
 from repro.util.hotpath import HOTPATH, register_cache
 
-__all__ = ["measured_size", "clone_state", "prime_payload_cache",
-           "memoized_payload_size", "NDARRAY_HEADER_BYTES", "freeze_state",
-           "frozen_view"]
+__all__ = ["measured_size", "payload_size", "clone_state",
+           "prime_payload_cache", "memoized_payload_size",
+           "NDARRAY_HEADER_BYTES", "freeze_state", "frozen_view"]
 
 # Fixed protocol overhead charged per message, in bytes.  Roughly a TCP/IP +
 # RMI envelope; the exact constant only shifts latency curves uniformly.
@@ -72,6 +72,17 @@ def measured_size(obj: Any) -> int:
     if HOTPATH.size_memo:
         return ENVELOPE_BYTES + _payload_size_fast(obj, 0)
     return ENVELOPE_BYTES + _payload_size(obj, depth=0)
+
+
+def payload_size(obj: Any, depth: int) -> int:
+    """What ``obj`` adds to :func:`measured_size` of an envelope that holds
+    it ``depth`` containers deep (the walk falls back to pickling past
+    depth 6, so the charge for a nested container depends on where it
+    sits).  For senders that assemble an envelope's size from parts they
+    measured earlier."""
+    if HOTPATH.size_memo:
+        return _payload_size_fast(obj, depth)
+    return _payload_size(obj, depth)
 
 
 def _payload_size(obj: Any, depth: int) -> int:

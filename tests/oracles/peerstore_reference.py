@@ -1,4 +1,11 @@
-"""A bounded peer store with deterministic eviction scoring.
+"""Reference oracle: the scan-based peer store, verbatim as it stood in
+``repro/gossip/peers.py`` before the indexed store replaced it.  Every
+decision rescans the whole view, so it is obviously right and too slow to
+ship; ``tests/test_gossip_hotpath.py`` drives both stores in lockstep.
+
+Its original docstring:
+
+A bounded peer store with deterministic eviction scoring.
 
 The store is the agent's whole view of the overlay: at most ``limit``
 entries, each remembering a peer's id, role, address, the last time it was
@@ -9,31 +16,19 @@ evicted only if it has actually misbehaved (failed a probe, or gone stale
 past ``stale_after``); a store full of healthy peers rejects the newcomer
 instead.  Scoring never draws randomness, so two runs with the same message
 history hold bit-identical views.
-
-Bookkeeping per learned entry is O(1) (docs/gossip.md, "Cost model"): the
-address-ordered view is rebuilt only when membership changes, and a full
-healthy store rejects a newcomer without looking at a single record.  The
-scan-based store this replaces is the differential oracle in
-``tests/oracles/peerstore_reference.py``.
 """
 
 from __future__ import annotations
 
-import sys
-from dataclasses import dataclass, field
-from operator import attrgetter
+from dataclasses import dataclass
 
 from repro.net.address import Address
 from repro.util.rng import RngTree
 
 __all__ = ["PeerRecord", "PeerStore"]
 
-_KEY = attrgetter("key")
-_FAILS = attrgetter("fails")
-_LAST_SEEN = attrgetter("last_seen")
 
-
-@dataclass(slots=True)
+@dataclass
 class PeerRecord:
     """One membership entry."""
 
@@ -42,16 +37,6 @@ class PeerRecord:
     address: Address
     last_seen: float
     fails: int = 0
-    #: ``"host:port"``: the view's sort key and the eviction tie-break,
-    #: formatted once per record and interned, so the many stores that know
-    #: one address share one string
-    key: str = field(init=False, repr=False, compare=False)
-    #: what :meth:`entry` weighs inside a push envelope — the sender's memo
-    #: (0 = not measured); cleared when the id or role changes
-    entry_bytes: int = field(default=0, init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        self.key = sys.intern(str(self.address))
 
     def entry(self) -> tuple[str, str, Address]:
         """The wire form shipped in PEERS_LIST replies and push samples."""
@@ -65,15 +50,6 @@ class PeerStore:
         self.limit = limit
         self.stale_after = stale_after
         self._peers: dict[Address, PeerRecord] = {}
-        #: the records in ``"host:port"`` order; None after a membership
-        #: change, rebuilt on the next read
-        self._ordered: list[PeerRecord] | None = None
-        #: how many records have ``fails > 0``
-        self._failing = 0
-        #: a lower bound on every record's ``last_seen``: every stamp a
-        #: record is given is folded in, and a departure can only raise the
-        #: true minimum, so the bound can go stale (too low) but not wrong
-        self._oldest_seen = float("inf")
         self.evictions = 0
         self.rejections = 0
 
@@ -85,14 +61,6 @@ class PeerStore:
 
     def records(self) -> list[PeerRecord]:
         return list(self._peers.values())
-
-    def ordered(self) -> list[PeerRecord]:
-        """The records sorted by ``"host:port"`` (the string order, not
-        ``Address``'s tuple order).  The store's own list: do not mutate."""
-        ordered = self._ordered
-        if ordered is None:
-            ordered = self._ordered = sorted(self._peers.values(), key=_KEY)
-        return ordered
 
     def get(self, address: Address) -> PeerRecord | None:
         return self._peers.get(address)
@@ -111,12 +79,11 @@ class PeerStore:
         """
         record = self._peers.get(address)
         if record is not None:
-            if record.peer_id != peer_id or record.role != role:
-                record.peer_id = peer_id
-                record.role = role
-                record.entry_bytes = 0
+            record.peer_id = peer_id
+            record.role = role
             if heard:
-                self._refresh(record, now)
+                record.last_seen = now
+                record.fails = 0
             return None
         evicted = None
         if len(self._peers) >= self.limit:
@@ -124,71 +91,40 @@ class PeerStore:
             if evicted is None:
                 self.rejections += 1
                 return None
-            self._remove(evicted)
+            del self._peers[evicted.address]
             self.evictions += 1
-        record = PeerRecord(
+        self._peers[address] = PeerRecord(
             peer_id=peer_id, role=role, address=address,
             last_seen=now if heard else now - self.stale_after / 2,
         )
-        self._peers[address] = record
-        self._ordered = None
-        if record.last_seen < self._oldest_seen:
-            self._oldest_seen = record.last_seen
         return evicted
 
     def _evict_candidate(self, now: float) -> PeerRecord | None:
         """The worst incumbent, by ``(fails, staleness, address)`` — or
         None when every incumbent is healthy (newcomer rejected)."""
-        if not self._failing and now - self._oldest_seen <= self.stale_after:
-            return None  # nobody failing, nobody can be stale: no scan
-        # the lexicographic maximum, one component at a time
-        tied = self._peers.values()
-        failing = self._failing
-        if failing:
-            most = max(map(_FAILS, tied))
-            tied = [r for r in tied if r.fails == most]
-        oldest = min(map(_LAST_SEEN, tied))
-        staleness = now - oldest
-        if not failing:
-            self._oldest_seen = oldest  # the exact minimum: tighten the bound
-            if staleness <= self.stale_after:
-                return None
-        # records whose staleness rounds to the same float tie on the key
-        return max((r for r in tied if now - r.last_seen == staleness),
-                   key=_KEY)
-
-    def _remove(self, record: PeerRecord) -> None:
-        del self._peers[record.address]
-        self._ordered = None
-        if record.fails:
-            self._failing -= 1
+        worst = max(
+            self._peers.values(),
+            key=lambda r: (r.fails, now - r.last_seen, str(r.address)),
+        )
+        if worst.fails > 0 or (now - worst.last_seen) > self.stale_after:
+            return worst
+        return None
 
     # -- liveness feedback -----------------------------------------------------
-
-    def _refresh(self, record: PeerRecord, now: float) -> None:
-        record.last_seen = now
-        if now < self._oldest_seen:
-            self._oldest_seen = now
-        if record.fails:
-            record.fails = 0
-            self._failing -= 1
 
     def mark_alive(self, address: Address, now: float) -> None:
         record = self._peers.get(address)
         if record is not None:
-            self._refresh(record, now)
+            record.last_seen = now
+            record.fails = 0
 
     def mark_failed(self, address: Address) -> None:
         record = self._peers.get(address)
         if record is not None:
-            if not record.fails:
-                self._failing += 1
             record.fails += 1
 
     def drop(self, address: Address) -> None:
-        record = self._peers.get(address)
-        if record is not None:
-            self._remove(record)
+        self._peers.pop(address, None)
 
     # -- deterministic sampling ------------------------------------------------
 
@@ -200,16 +136,22 @@ class PeerStore:
         a pure function of (seed, membership) — dict insertion order never
         leaks into the overlay's fanout pattern.
         """
-        candidates = self.ordered()
-        if exclude is not None:
-            candidates = [r for r in candidates if r.address != exclude]
+        candidates = sorted(
+            (r for r in self._peers.values() if r.address != exclude),
+            key=lambda r: str(r.address),
+        )
+        if not candidates:
+            return []
         if len(candidates) <= k:
-            return list(candidates)
+            return candidates
         return rng.shuffled(candidates)[:k]
 
     def addresses_of_role(self, role: str) -> list[Address]:
         """Known addresses for a role, sorted for deterministic iteration."""
-        return [r.address for r in self.ordered() if r.role == role]
+        return sorted(
+            (r.address for r in self._peers.values() if r.role == role),
+            key=str,
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<PeerStore {len(self._peers)}/{self.limit}>"
