@@ -32,6 +32,7 @@ import os
 import time
 
 from repro.apps import make_poisson_app
+from repro.checkpoint import FixedPolicy
 from repro.experiments.config import EXPERIMENT_LINK_SCALE, optimal_overlap
 from repro.p2p import P2PConfig, build_cluster, launch_application
 from repro.util.hotpath import clear_caches, hotpath_disabled
@@ -43,15 +44,15 @@ MIN_SPEEDUP = 1.8
 REPS = 2
 
 #: quiet protocol layer (as bench_hotpath): the run measures inner-solve
-#: and payload hot paths, not failure detection
+#: and payload hot paths, not failure detection or checkpoint traffic
 QUIET_CONFIG = P2PConfig(
     heartbeat_period=30.0,
     heartbeat_timeout=95.0,
     monitor_period=30.0,
     standby_takeover_timeout=95.0,
-    checkpoint_frequency=10_000,
     stability_window=3,
 )
+QUIET_CHECKPOINT = FixedPolicy(count=20, frequency=10_000)
 
 SPEEDUP_KW = dict(n=320, peers=16, seed=0, threshold=1e-3, horizon=3600.0)
 #: identity scale chosen inside the probe-certified regime (block size
@@ -70,6 +71,7 @@ def _run(n: int, peers: int, seed: int, threshold: float, horizon: float,
         seed=seed,
         config=QUIET_CONFIG,
         link_scale=EXPERIMENT_LINK_SCALE,
+        checkpoint=QUIET_CHECKPOINT,
     )
     cluster.compute.direct_mode = direct_mode
     app = make_poisson_app(

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import time
 
+from repro.checkpoint import FixedPolicy
 from repro.experiments.driver import run_poisson_on_p2p
 from repro.p2p import P2PConfig
 from repro.util.hotpath import clear_caches, hotpath_disabled
@@ -55,9 +56,9 @@ RUN_KW = dict(
         heartbeat_timeout=95.0,
         monitor_period=30.0,
         standby_takeover_timeout=95.0,
-        checkpoint_frequency=10_000,
         stability_window=3,
     ),
+    checkpoint=FixedPolicy(count=20, frequency=10_000),
 )
 
 

@@ -59,7 +59,10 @@ class PoissonTask(Task):
       path for small blocks (requires ``use_cache``; falls back to CG for
       blocks above ``direct_max_rows``, default 50000).  A different
       numerical method — changes iteration counts and simulated time, so it
-      is an explicit opt-in, never part of the reproduction defaults.
+      is an explicit opt-in, never part of the reproduction defaults.  The
+      factorization uses SuperLU's symmetric ordering (the block is a strip
+      of the symmetric Poisson matrix); its stored entries set both the
+      host cost of a solve and the simulated length of a direct iteration.
     """
 
     def setup(self, ctx: TaskContext) -> None:

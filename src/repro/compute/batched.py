@@ -67,11 +67,14 @@ def csr_matmat_into(A: sp.csr_matrix, X: np.ndarray,
 #: seed for the probe's synthetic right-hand sides (any fixed constant)
 _PROBE_SEED = 0x9E3779B9
 
-#: independent random panels per probe.  Near SuperLU's internal blocking
-#: threshold the stacked path diverges only for *some* value combinations,
-#: so a single trial can get lucky; several independent panels shrink that
-#: gray zone to negligible.
-_PROBE_TRIALS = 4
+#: independent random panels per probe.  Past SuperLU's internal blocking
+#: threshold the stacked path diverges only for *some* value combinations:
+#: on the Poisson strips measured, a diverging factorization gets 5-18 % of
+#: columns wrong, so 4 panels (32 columns) still passed one in five of them
+#: (8,192- and 12,800-row strips did).  16 panels leave about one in a
+#: thousand at the 5 % rate.  A refusal exits at the first wrong column, so
+#: only factorizations that earn a yes pay for every panel.
+_PROBE_TRIALS = 16
 
 
 def panel_probe(lu, n: int, panel: np.ndarray) -> bool:

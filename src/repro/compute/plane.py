@@ -79,7 +79,8 @@ class Cohort:
         #: produce)
         self.op = op
         self.member_count = 0
-        self.queue: list[tuple[CohortMember, object]] = []
+        #: parked tickets: ``(member, plan, memo key built by begin())``
+        self.queue: list[tuple[CohortMember, object, object]] = []
         self.probed = False
         self.panel_ok = False
         self._panel: np.ndarray | None = None
@@ -163,8 +164,7 @@ class ComputePlane:
         """
         cohort = member.cohort
         if member.pending is not None:
-            cohort.queue = [(m, p) for m, p in cohort.queue
-                            if m is not member]
+            cohort.queue = [t for t in cohort.queue if t[0] is not member]
             member.pending = None
         member.ready = None
         member.memo_result = None
@@ -198,13 +198,13 @@ class ComputePlane:
             duration = max(flops / rate + overhead, floor)
             self.deferred += 1
             member.pending = plan
-            cohort.queue.append((member, plan))
+            cohort.queue.append((member, plan, key))
             return duration, None
         if HOTPATH.compute_batch_cg and self._cg_pinned(
                 plan, op, rate=rate, overhead=overhead, floor=floor):
             self.deferred += 1
             member.pending = plan
-            cohort.queue.append((member, plan))
+            cohort.queue.append((member, plan, key))
             return floor, None
         result = op.solve(plan.rhs, x0=plan.x0, tol=plan.tol,
                           max_iter=plan.max_iter)
@@ -273,8 +273,8 @@ class ComputePlane:
         self.flushes += 1
         k = len(queue)
         self.batch_sizes[k] = self.batch_sizes.get(k, 0) + 1
-        directs = [(m, p) for m, p in queue if p.solver == "direct"]
-        cgs = [(m, p) for m, p in queue if p.solver != "direct"]
+        directs = [t for t in queue if t[1].solver == "direct"]
+        cgs = [t for t in queue if t[1].solver != "direct"]
         if directs:
             self._flush_direct(cohort, directs)
         if cgs:
@@ -283,7 +283,7 @@ class ComputePlane:
     def _flush_direct(self, cohort: Cohort, tickets: list) -> None:
         op = cohort.op
         lu = op.factorization()
-        rhs_list = [p.rhs for _, p in tickets]
+        rhs_list = [p.rhs for _, p, _ in tickets]
         if self.direct_mode == "panel":
             xs = chunked_direct_solve(lu, rhs_list, cohort.panel(self.chunk),
                                       pad=False)
@@ -303,23 +303,22 @@ class ComputePlane:
             else:
                 xs = [lu.solve(r) for r in rhs_list]
                 self.loop_columns += len(xs)
-        for (member, plan), x in zip(tickets, xs):
+        for (member, plan, key), x in zip(tickets, xs):
             result = op.direct_result(x, plan.rhs, plan.tol)
-            self._finish_ticket(member, plan, result)
+            self._finish_ticket(member, key, result)
 
     def _flush_cg(self, cohort: Cohort, tickets: list) -> None:
-        requests = [(p.rhs, p.x0, p.tol, p.max_iter) for _, p in tickets]
+        requests = [(p.rhs, p.x0, p.tol, p.max_iter) for _, p, _ in tickets]
         results = batched_cg(cohort.op, requests, cohort._cg_ws)
         self.batched_columns += len(results)
-        for (member, plan), result in zip(tickets, results):
-            self._finish_ticket(member, plan, result)
+        for (member, _, key), result in zip(tickets, results):
+            self._finish_ticket(member, key, result)
 
-    def _finish_ticket(self, member: CohortMember, plan,
+    def _finish_ticket(self, member: CohortMember, key,
                        result: CgResult) -> None:
         member.pending = None
         member.ready = result
-        self._memoize(member, self._memo_key(plan) if HOTPATH.solve_memo
-                      else None, result)
+        self._memoize(member, key, result)
 
     # -- introspection -------------------------------------------------------
 

@@ -18,11 +18,11 @@ Two execution paths produce **bitwise-identical** results:
   counts, residuals and flop charges — simulated time cannot change.
 
 :meth:`CgOperator.solve_direct` additionally offers an opt-in cached
-LU-factorization path (``scipy.sparse.linalg.splu``) for small blocks.  It
-returns the same :class:`CgResult` record with an honest direct-solve flop
-estimate, but it is a *different numerical method* (different round-off,
-iteration count 1), so it is never enabled by default and is excluded from
-bitwise comparisons.
+LU-factorization path (``scipy.sparse.linalg.splu`` under SuperLU's
+symmetric ordering) for small blocks.  It returns the same :class:`CgResult`
+record with an honest direct-solve flop estimate, but it is a *different
+numerical method* (different round-off, iteration count 1), so it is never
+enabled by default and is excluded from bitwise comparisons.
 """
 
 from __future__ import annotations
@@ -189,6 +189,12 @@ class CgOperator:
     cached LU factorization, and preallocated work vectors, so repeated
     solves against the same matrix allocate only their output ``x``.
 
+    The matrix is **symmetric by contract**: the class solves by CG, which
+    requires it, and every block it serves is a strip of a symmetric
+    operator.  :meth:`factorization` relies on that to pick a symmetric
+    fill-reducing ordering, and refuses a matrix whose sparsity pattern is
+    not symmetric.
+
     The solve arithmetic replicates :func:`conjugate_gradient` operation by
     operation (same kernels, same order), so results are bitwise identical
     — callers may switch between the two freely without perturbing
@@ -235,11 +241,28 @@ class CgOperator:
         return self._inv_diag
 
     def factorization(self):
-        """The cached ``splu`` factorization (built on first use)."""
+        """The cached ``splu`` factorization (built on first use).
+
+        Columns are ordered by minimum degree on the pattern of ``A + Aᵀ``
+        (``MMD_AT_PLUS_A``), SuperLU's ordering for symmetric matrices.
+        Its default, COLAMD, orders the pattern of ``AᵀA`` and is meant for
+        unsymmetric ones; on the Poisson strips factored here it stores
+        about half again as many factor entries, and every triangular
+        solve streams all of them.
+        """
         if self._lu is None:
             from scipy.sparse.linalg import splu
 
-            self._lu = splu(self.A.tocsc())
+            csc = self.A.tocsc()
+            # CSC of A is CSR of Aᵀ, so a symmetric pattern means A's
+            # canonical (sorted) CSR index arrays equal the CSC ones
+            csr = csc.tocsr()
+            if not (np.array_equal(csr.indptr, csc.indptr)
+                    and np.array_equal(csr.indices, csc.indices)):
+                raise ValueError(
+                    "CgOperator.factorization() needs a matrix with a "
+                    "symmetric sparsity pattern (its ordering assumes one)")
+            self._lu = splu(csc, permc_spec="MMD_AT_PLUS_A")
             self._lu_nnz = int(self._lu.L.nnz + self._lu.U.nnz)
         return self._lu
 

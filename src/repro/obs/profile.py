@@ -44,6 +44,8 @@ LAYERS: tuple[tuple[str, tuple[str, ...]], ...] = (
     ("network", ("net/",)),
     ("rmi", ("rmi/",)),
     ("p2p", ("p2p/",)),
+    ("gossip", ("gossip/",)),
+    ("compute", ("compute/",)),
     ("numerics", ("numerics/", "apps/", "convergence/", "baselines/", "local/")),
     ("faults", ("faults/", "churn/",)),
     ("checkpoint", ("checkpoint/",)),

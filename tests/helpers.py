@@ -6,6 +6,7 @@ from typing import Any
 
 import numpy as np
 
+from repro.numerics import BlockDecomposition, Poisson2D
 from repro.p2p import AppSpec, IterationStep, Task, TaskContext
 
 
@@ -91,3 +92,12 @@ def assemble_strip_solution(fragments: dict, size: int) -> np.ndarray:
         offset, values = frag
         x[offset : offset + len(values)] = values
     return x
+
+
+def poisson_strip(n: int, nblocks: int, overlap: int):
+    """An interior strip block of the ``n x n`` manufactured Poisson
+    problem: the matrix shape the direct inner solver factors."""
+    prob = Poisson2D.manufactured(n)
+    d = BlockDecomposition(prob.A, prob.b, nblocks=nblocks, line=n,
+                           overlap=overlap)
+    return d.blocks[nblocks // 2]

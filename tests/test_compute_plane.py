@@ -15,6 +15,7 @@ from repro.numerics.cg import csr_matvec_into
 from repro.p2p.task import StepPlan
 from repro.util.hotpath import HOTPATH, clear_caches, hotpath_disabled
 from repro.util.serialization import NDARRAY_HEADER_BYTES, measured_size
+from tests.helpers import poisson_strip
 
 
 @pytest.fixture(autouse=True)
@@ -153,16 +154,41 @@ def test_panel_probe_certifies_safe_regime():
         assert x.tobytes() == lu.solve(r).tobytes()
 
 
+def test_panel_probe_yes_means_bitwise_panels():
+    # which sizes the probe certifies is a fact about SuperLU's supernodes
+    # under the current ordering, not a contract; the contract is that a
+    # yes can be trusted.  ~100 columns the probe never saw, as full panels
+    # and a final zero-padded singleton, reproduce the 1-D bytes.  (At
+    # 8,192 and 12,800 rows about one column in fifteen diverges, which a
+    # 4-panel probe missed.)
+    certified = []
+    for n, nblocks, overlap in [(48, 8, 3), (96, 8, 4), (128, 8, 6),
+                                (192, 16, 6), (256, 16, 8), (320, 16, 10)]:
+        op = CgOperator(poisson_strip(n, nblocks, overlap).A_local)
+        lu = op.factorization()
+        panel = np.empty((op.n, DIRECT_CHUNK))
+        if not panel_probe(lu, op.n, panel):
+            continue
+        certified.append(op.n)
+        rng = np.random.default_rng(op.n)
+        rhs = [rng.standard_normal(op.n) for _ in range(12 * DIRECT_CHUNK + 1)]
+        for r, x in zip(rhs, chunked_direct_solve(lu, rhs, panel)):
+            assert x.tobytes() == lu.solve(r).tobytes(), op.n
+    assert certified  # the property was exercised, not vacuously true
+
+
 def test_panel_probe_rejects_value_dependent_regime():
-    # large strip blocks: stacked per-column results depend on the values
-    # sharing the panel, so the probe must refuse them (the plane then
-    # falls back to the 1-D loop through the shared factorization)
-    prob = Poisson2D.manufactured(96)
-    d = BlockDecomposition(prob.A, prob.b, nblocks=8, line=96, overlap=4)
-    op = CgOperator(d.blocks[4].A_local)
-    lu = op.factorization()
-    panel = np.empty((op.n, DIRECT_CHUNK))
-    assert not panel_probe(lu, op.n, panel)
+    # the probe still earns its keep under the symmetric ordering: on a
+    # 16,384-row strip stacked per-column results depend on the values
+    # sharing the panel, so it must refuse (the plane then falls back to
+    # the 1-D loop through the shared factorization).  The factorization
+    # is built here, so the case does not move with CgOperator's choices.
+    from scipy.sparse.linalg import splu
+
+    A = poisson_strip(256, 8, 16).A_local
+    lu = splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A")
+    panel = np.empty((A.shape[0], DIRECT_CHUNK))
+    assert not panel_probe(lu, A.shape[0], panel)
 
 
 # ---------------------------------------------------------------- cohorts

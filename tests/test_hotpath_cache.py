@@ -25,6 +25,7 @@ from repro.rmi.runtime import RemoteObject
 from repro.rmi.stub import Stub
 from repro.util.hotpath import HOTPATH, clear_caches, hotpath_disabled
 from repro.util.serialization import _payload_size, measured_size
+from tests.helpers import poisson_strip
 
 
 @pytest.fixture(autouse=True)
@@ -217,6 +218,60 @@ def test_solve_direct_accuracy_and_flops():
     assert res.flops > 2.0 * prob.A.nnz  # LU has at least A's fill
     # the factorization is cached
     assert op.factorization() is op.factorization()
+
+
+#: interior Poisson strips of about 2k, 8k and 16k rows: the ledger's and
+#: the compute bench's block shapes (n, nblocks, overlap, rows)
+STRIPS = [(96, 8, 6, 2304), (256, 16, 8, 8192), (256, 8, 16, 16384)]
+
+
+@pytest.mark.parametrize("n,nblocks,overlap,rows", STRIPS)
+def test_factorization_ordering_fill_and_accuracy(n, nblocks, overlap, rows):
+    from scipy.sparse.linalg import splu
+
+    blk = poisson_strip(n, nblocks, overlap)
+    op = CgOperator(blk.A_local)
+    assert op.n == rows
+    # the symmetric ordering stores strictly fewer factor entries than
+    # SuperLU's default (COLAMD), which is what every solve streams
+    colamd = splu(blk.A_local.tocsc())
+    assert op.lu_nnz < colamd.L.nnz + colamd.U.nnz
+    # ... and meets the bound test_solve_direct_accuracy_and_flops holds
+    res = op.solve_direct(blk.b_local, tol=1e-10)
+    assert res.converged and res.iterations == 1
+    assert np.allclose(blk.A_local @ res.x, blk.b_local, atol=1e-10)
+
+
+def test_factorization_deterministic_across_operators():
+    # cohort sharing and replay determinism rest on this: operators built
+    # independently over byte-equal matrices are interchangeable
+    blk = poisson_strip(96, 8, 6)
+    op_a = CgOperator(blk.A_local)
+    op_b = CgOperator(blk.A_local.copy())
+    assert op_a.lu_nnz == op_b.lu_nnz
+    rhs = np.random.default_rng(3).standard_normal(op_a.n)
+    assert (op_a.solve_direct(rhs).x.tobytes()
+            == op_b.solve_direct(rhs).x.tobytes())
+
+
+def test_factorization_refuses_unsymmetric_pattern():
+    A = Poisson2D.manufactured(6).A.tolil()
+    A[0, 17] = -1.0  # no matching (17, 0) entry
+    op = CgOperator(A.tocsr())
+    with pytest.raises(ValueError, match="symmetric sparsity pattern"):
+        op.factorization()
+    with pytest.raises(ValueError, match="symmetric sparsity pattern"):
+        op.lu_nnz
+    # the check reads the pattern, not the storage order: a symmetric
+    # matrix whose CSR column indices are unsorted is accepted
+    S = Poisson2D.manufactured(6).A.tocsr()
+    indices, data = S.indices.copy(), S.data.copy()
+    for lo, hi in zip(S.indptr[:-1], S.indptr[1:]):
+        indices[lo:hi] = indices[lo:hi][::-1]
+        data[lo:hi] = data[lo:hi][::-1]
+    backwards = sp.csr_matrix((data, indices, S.indptr.copy()), shape=S.shape)
+    assert not backwards.has_sorted_indices
+    assert CgOperator(backwards).lu_nnz == CgOperator(S).lu_nnz
 
 
 def test_block_operator_cached_per_block():

@@ -414,8 +414,24 @@ def test_layer_mapping():
     assert layer_of("/x/src/repro/des/kernel.py") == "kernel"
     assert layer_of("/x/src/repro/net/network.py") == "network"
     assert layer_of("/x/src/repro/numerics/cg.py") == "numerics"
+    assert layer_of("/x/src/repro/compute/plane.py") == "compute"
+    assert layer_of("/x/src/repro/gossip/agent.py") == "gossip"
     assert layer_of("/usr/lib/python3.11/heapq.py") == "other"
     assert layer_of("~") == "other"
+
+
+def test_every_repro_source_file_maps_to_a_named_layer():
+    # a new package must add its LAYERS row: "other" is for frames outside
+    # repro (stdlib, site-packages, C built-ins), never for our own code
+    from pathlib import Path
+
+    import repro
+    from repro.obs.profile import OTHER_LAYER, layer_of
+
+    files = sorted(Path(repro.__file__).parent.rglob("*.py"))
+    assert files
+    unmapped = [str(f) for f in files if layer_of(str(f)) == OTHER_LAYER]
+    assert not unmapped, unmapped
 
 
 def test_cli_profile_json(tmp_path, capsys):
