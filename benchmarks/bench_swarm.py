@@ -33,7 +33,6 @@ committed baseline.  Environment knobs:
 
 from __future__ import annotations
 
-import gc
 import os
 import resource
 import time
@@ -93,20 +92,12 @@ def _run_swarm(n_daemons: int):
     )
     spawner = launch_application(cluster, app)
     sim = cluster.sim
-    # timeit-style GC isolation: the kernel's event churn is cycle-free
-    # (refcounting reclaims everything promptly — RSS does not grow with
-    # the collector off), but generational collections scan the whole
-    # 10,500-Daemon object graph and cost ~10% of wall, with run-to-run
-    # jitter depending on how collection thresholds align with the run
-    gc.collect()
-    gc.disable()
-    try:
-        t0 = time.perf_counter()
-        sim.run(until=sim.any_of([spawner.done,
-                                  sim.timeout(APP_KW["horizon"])]))
-        wall = time.perf_counter() - t0
-    finally:
-        gc.enable()
+    # timed under the kernel's own collector discipline
+    # (repro.des.collector), like every other caller of sim.run()
+    t0 = time.perf_counter()
+    sim.run(until=sim.any_of([spawner.done,
+                              sim.timeout(APP_KW["horizon"])]))
+    wall = time.perf_counter() - t0
     return cluster, spawner, wall
 
 
@@ -144,10 +135,11 @@ def test_swarm_scale(record_json):
         "REPRO_SWARM_DAEMONS", SMOKE_DAEMONS if smoke else SWARM_DAEMONS
     ))
 
-    # -- the swarm run: the wall-clock arm runs FIRST, on a fresh heap —
-    # the auxiliary arms below allocate two 1,000-Daemon clusters and a
-    # cProfile capture, and the resulting allocator fragmentation slows
-    # the timed arm measurably when it runs last
+    # -- the swarm run goes FIRST for peak_rss_mb's sake, not the clock's:
+    # the auxiliary arms below leave dead 1,000-Daemon worlds on the heap
+    # until a full collector pass falls due, and a swarm built on top of
+    # them peaks ~8 MB above the whole bench run in this order (events/s
+    # is order-independent)
     cluster, spawner, wall = _run_swarm(daemons)
 
     # -- deterministic collapse ratio (machine-independent: event counts)

@@ -15,6 +15,9 @@ Design goals:
   Daemon mid-iteration.
 * **Cheap mailboxes** — :class:`Store` implements the put/get rendezvous used
   for message queues.
+* **No idle collector** — the event loop makes no cyclic garbage, so
+  :meth:`Simulator.run` suspends CPython's automatic cyclic collection and
+  drives it from the event counter instead (:mod:`repro.des.collector`).
 
 Example
 -------

@@ -11,12 +11,16 @@ import heapq
 import math
 from typing import Any, Callable, Generator, Iterable
 
+from repro.des import collector
 from repro.des.events import NORMAL, AllOf, AnyOf, Event, Timeout
 from repro.des.process import Process
 from repro.errors import SimulationError
 from repro.obs.trace import NULL_TRACER, Tracer
 
 __all__ = ["Simulator", "TimerWheel", "ScheduledCall"]
+
+#: ``event_count & _CREDIT_MASK == 0`` once per collector young stride
+_CREDIT_MASK = collector.YOUNG_STRIDE - 1
 
 
 class ScheduledCall:
@@ -102,6 +106,8 @@ class Simulator:
         self._active_process: Process | None = None
         self._crashed: list[tuple[Process, BaseException]] = []
         self.event_count = 0  # processed events, for micro-benchmarks
+        #: ``event_count`` as of the last hand-over to :mod:`repro.des.collector`
+        self._credited = 0
         #: open callback batches keyed by exact fire time (see
         #: :meth:`call_later_batched`)
         self._batches: dict[float, list[tuple[Callable, tuple]]] = {}
@@ -248,25 +254,49 @@ class Simulator:
           the deadline, then set ``now`` to the deadline.
         * ``until=<Event>`` — run until that event is processed; returns its
           value (re-raising if it failed).
+
+        Automatic garbage collection is suspended for the duration and
+        driven from the event counter instead (:mod:`repro.des.collector`);
+        the caller's collector state is restored on return or raise.
         """
+        collector.enter()
+        try:
+            return self._drain(until)
+        finally:
+            self._credit_collector()
+            collector.leave()
+
+    def _credit_collector(self) -> None:
+        """Hand the events drained since the last hand-over to the collector
+        discipline (which may run a pass)."""
+        count = self.event_count
+        collector.credit(count - self._credited)
+        self._credited = count
+
+    def _drain(self, until: float | Event | None) -> Any:
         # The three drain loops below are :meth:`step` unrolled with the
         # heap, pop function, and crash list hoisted into locals, so the
         # per-event cost is a couple of attribute writes instead of half
         # a dozen reads — at a million-plus events per run this is worth
         # seconds of wall-clock.  ``event_count`` is updated *per event*
         # (not batched into a local): callbacks observe it live, and
-        # deterministic consumers seed RNG streams from it mid-run.
+        # deterministic consumers seed RNG streams from it mid-run.  The
+        # masked test on it is the collector valve: one integer test per
+        # event, one hand-over per young stride.
         heap = self._heap
         pop = heapq.heappop
         crashed = self._crashed
         strict = self.strict
+        mask = _CREDIT_MASK
 
         if until is None:
             while heap:
                 when, _prio, _seq, event = pop(heap)
                 self.now = when
                 event._run_callbacks()
-                self.event_count += 1
+                count = self.event_count = self.event_count + 1
+                if not count & mask:
+                    self._credit_collector()
                 if strict and crashed:
                     self._raise_crashed()
             return None
@@ -283,7 +313,9 @@ class Simulator:
                 when, _prio, _seq, event = pop(heap)
                 self.now = when
                 event._run_callbacks()
-                self.event_count += 1
+                count = self.event_count = self.event_count + 1
+                if not count & mask:
+                    self._credit_collector()
                 if strict and crashed:
                     self._raise_crashed()
             if not sentinel._ok:
@@ -297,7 +329,9 @@ class Simulator:
             when, _prio, _seq, event = pop(heap)
             self.now = when
             event._run_callbacks()
-            self.event_count += 1
+            count = self.event_count = self.event_count + 1
+            if not count & mask:
+                self._credit_collector()
             if strict and crashed:
                 self._raise_crashed()
         self.now = deadline

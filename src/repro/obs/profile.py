@@ -11,6 +11,11 @@ protocol logic, or numerics.  This module runs any callable under
   partitions the total exactly: the fractions sum to 1.
 * :attr:`ProfileReport.top` — the classic top-N functions by cumulative
   time, for drilling into a layer once attribution has pointed at it.
+* :attr:`ProfileReport.collector` — seconds spent inside CPython's cyclic
+  garbage collector, passes per generation and objects collected, metered
+  by a ``gc.callbacks`` hook.  cProfile cannot see the collector: it
+  charges each pause to whichever frame happened to be allocating, so this
+  time is *included in* the layer rows, not a row beside them.
 
 Usage::
 
@@ -30,7 +35,9 @@ to an unprofiled one (cProfile only adds wall-clock overhead).
 from __future__ import annotations
 
 import cProfile
+import gc
 import pstats
+import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable
@@ -85,6 +92,10 @@ class ProfileReport:
     #: top functions by cumulative time:
     #: {"function", "file", "line", "ncalls", "tottime_s", "cumtime_s"}
     top: list = field(default_factory=list)
+    #: the cyclic collector during the capture: {"time_s", "fraction",
+    #: "passes" (per generation, youngest first), "collected"}; the time
+    #: is already inside the layer rows
+    collector: dict = field(default_factory=dict)
 
     def as_dict(self) -> dict:
         """JSON-ready payload (the schema the golden test pins)."""
@@ -96,6 +107,7 @@ class ProfileReport:
                 for name, entry in self.layers.items()
             },
             "top": list(self.top),
+            "collector": dict(self.collector),
         }
 
     def to_text(self, top_n: int | None = None) -> str:
@@ -112,6 +124,15 @@ class ProfileReport:
             lines.append(
                 f"  {name:>{width}}  {entry['time_s']:8.3f}s"
                 f"  {100 * entry['fraction']:5.1f}%  {bar}"
+            )
+        if self.collector:
+            passes = "/".join(str(n) for n in self.collector["passes"])
+            lines.append(
+                f"  of which garbage collector (included in the rows above):"
+                f" {self.collector['time_s']:.3f}s"
+                f"  {100 * self.collector['fraction']:.1f}%"
+                f"  passes gen0/1/2 {passes}"
+                f"  collected {self.collector['collected']}"
             )
         lines.append("")
         lines.append("top functions (cumulative):")
@@ -183,11 +204,33 @@ def profile_callable(
     fn: Callable[[], Any], top_n: int = 10
 ) -> tuple[ProfileReport, Any]:
     """Run ``fn()`` under cProfile; returns ``(report, fn's return value)``."""
+    seconds = 0.0
+    started = 0.0
+    passes = [0, 0, 0]
+    collected = 0
+
+    def meter(phase: str, info: dict) -> None:
+        nonlocal seconds, started, collected
+        if phase == "start":
+            started = time.perf_counter()
+        else:
+            seconds += time.perf_counter() - started
+            passes[info["generation"]] += 1
+            collected += info["collected"]
+
     profiler = cProfile.Profile()
+    gc.callbacks.append(meter)
     profiler.enable()
     try:
         value = fn()
     finally:
         profiler.disable()
-    stats = pstats.Stats(profiler)
-    return _fold(stats, top_n=top_n), value
+        gc.callbacks.remove(meter)
+    report = _fold(pstats.Stats(profiler), top_n=top_n)
+    report.collector = {
+        "time_s": round(seconds, 6),
+        "fraction": round(seconds / (report.total_time_s or 1.0), 6),
+        "passes": passes,
+        "collected": collected,
+    }
+    return report, value

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from repro.checkpoint import CheckpointPolicy, FailureFeed
 from repro.compute import ComputePlane
 from repro.errors import ConfigurationError, FaultError
-from repro.des import Simulator, TimerWheel
+from repro.des import Simulator, TimerWheel, collector
 from repro.gossip import GossipAgent
 from repro.net.address import Address
 from repro.net.host import Host
@@ -206,6 +206,7 @@ class Cluster:
                 peer.link(stubs)
 
 
+@collector.world_builder
 def build_cluster(
     n_daemons: int,
     n_superpeers: int = 3,
@@ -227,6 +228,9 @@ def build_cluster(
     ``tracer`` (a :class:`repro.obs.Tracer`) turns on structured tracing
     across every layer of the deployment; the default leaves the kernel's
     zero-overhead null tracer in place.
+
+    Construction allocates the whole world and frees nothing, so it runs
+    with automatic garbage collection suspended (:mod:`repro.des.collector`).
     """
     config = config or P2PConfig()
     rng = RngTree(seed)

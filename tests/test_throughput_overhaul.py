@@ -388,7 +388,8 @@ def test_profile_report_schema():
     )
     assert value.converged
     data = report.as_dict()
-    assert set(data) == {"total_time_s", "total_calls", "layers", "top"}
+    assert set(data) == {"total_time_s", "total_calls", "layers", "top",
+                         "collector"}
     assert data["total_time_s"] > 0
     assert data["total_calls"] > 0
     for entry in data["layers"].values():
@@ -406,6 +407,34 @@ def test_profile_report_schema():
     assert cums == sorted(cums, reverse=True)
     text = report.to_text()
     assert "per-layer attribution" in text
+
+
+def test_profile_report_collector_row():
+    import gc
+
+    from repro.obs.profile import profile_callable
+
+    def three_full_passes():
+        for _ in range(3):
+            cycle = []
+            cycle.append(cycle)
+            del cycle
+            gc.collect()
+
+    hooks_before = list(gc.callbacks)
+    report, _ = profile_callable(three_full_passes)
+    assert gc.callbacks == hooks_before  # the meter is gone again
+    row = report.as_dict()["collector"]
+    assert set(row) == {"time_s", "fraction", "passes", "collected"}
+    # three forced full passes (an automatic young one may ride along)
+    assert row["passes"][2] == 3
+    assert row["collected"] >= 3  # one self-referential list per pass
+    assert row["time_s"] > 0
+    # included in the layer rows, not a row of its own
+    assert "collector" not in report.layers
+    assert abs(sum(e["fraction"] for e in report.layers.values()) - 1.0) < 1e-3
+    assert "garbage collector (included in the rows above)" in report.to_text()
+    assert "passes gen0/1/2" in report.to_text()
 
 
 def test_layer_mapping():
@@ -444,7 +473,8 @@ def test_cli_profile_json(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "per-layer attribution" in captured.out
     data = json.loads(out.read_text())
-    assert set(data) == {"total_time_s", "total_calls", "layers", "top"}
+    assert set(data) == {"total_time_s", "total_calls", "layers", "top",
+                         "collector"}
     assert len(data["top"]) <= 5
 
 
