@@ -43,7 +43,7 @@ ADAPTIVE = AdaptivePolicy()
 def _run(name: str, policy):
     spec = RunSpec(
         n=32, peers=4, seed=0, faults=scenario(name), checkpoint=policy,
-        use_cache=False, collect=False, **scenario_overrides(name),
+        collect=False, **scenario_overrides(name),
     )
     return spec.run()
 

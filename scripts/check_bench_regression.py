@@ -53,8 +53,6 @@ class Gate:
 
 #: every gated benchmark artifact and its metrics
 GATES: dict[str, tuple[Gate, ...]] = {
-    # cached-vs-bypass hot-path speedup (benchmarks/bench_hotpath.py)
-    "BENCH_hotpath.json": (Gate("speedup", True, 0.25),),
     # process-pool sweep + run cache (benchmarks/bench_parallel_sweep.py);
     # parallel_speedup needs real cores: the benchmark sets speedup_gated
     # only when the runner has >= workers CPUs, so the gate self-arms on
@@ -79,13 +77,6 @@ GATES: dict[str, tuple[Gate, ...]] = {
         Gate("events_per_sec", True, 0.50, floor=59_000),
         Gate("peak_rss_mb", False, 0.25, floor=200.0),
         Gate("heartbeat_collapse_ratio", True, 0.30, floor=1.5),
-    ),
-    # batched compute plane (benchmarks/bench_compute.py): panel-mode
-    # cohort solves vs the full hot-path bypass on the compute-heavy
-    # direct-solver run.  The ratio is measured between sibling arms in
-    # the same job, so the floor is machine-independent
-    "BENCH_compute.json": (
-        Gate("speedup", True, 0.25, floor=1.8),
     ),
     # disabled-tracer guard cost ratios (benchmarks/bench_obs_overhead.py);
     # nanosecond-scale timing, so the allowance is deliberately loose —
@@ -131,13 +122,6 @@ REQUIRED_KEYS: dict[str, tuple[str, ...]] = {
     ),
     "BENCH_gossip.json": (
         "takeover_converged", "takeover_latency_s", "events",
-    ),
-    # bitwise_identical is the identity arm's verdict: the auto-mode plane
-    # must remain invisible to the simulation, and a benchmark silently
-    # dropping that arm (or recording False) must fail the gate
-    "BENCH_compute.json": (
-        "speedup", "bitwise_identical", "wall_seconds_plane",
-        "wall_seconds_bypass", "batched_columns",
     ),
     # scenarios must carry the full per-scenario breakdown; a bench
     # silently dropping an arm or the churn aggregate must fail here

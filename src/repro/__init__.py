@@ -21,7 +21,7 @@ The package layers, bottom-up:
 * :mod:`repro.experiments` — the harness that regenerates the paper's
   figure and claims.
 * :mod:`repro.obs` — cross-cutting observability: the structured trace
-  bus every layer emits into, the metrics registry behind ``Telemetry``,
+  bus every layer emits into, the metrics registry behind ``RunTelemetry``,
   and the JSONL / Chrome-trace / run-report exporters.
 
 Quickstart::

@@ -16,7 +16,7 @@ from repro.numerics.cg import csr_matvec_into
 from repro.numerics.convdiff import ConvectionDiffusion2D
 from repro.numerics.residual import update_distance
 from repro.numerics.splitting import shared_decomposition
-from repro.p2p.messages import AppSpec
+from repro.p2p.messages import RESERVED_PARAMS, AppSpec
 from repro.p2p.task import IterationStep, Task, TaskContext
 
 import numpy as np
@@ -28,8 +28,7 @@ class ConvectionDiffusionTask(Task):
     """One strip of the upwind convection–diffusion problem.
 
     ``ctx.params``: ``n``, ``eps`` (diffusion, default 1.0), ``wx``/``wy``
-    (velocity, default (1.0, 0.5)), ``overlap``, ``inner_tol``,
-    ``use_cache`` (share the decomposition, default True; bitwise-neutral).
+    (velocity, default (1.0, 0.5)), ``overlap``, ``inner_tol``.
     """
 
     def setup(self, ctx: TaskContext) -> None:
@@ -40,7 +39,6 @@ class ConvectionDiffusionTask(Task):
         wy = float(ctx.params.get("wy", 0.5))
         overlap = int(ctx.params.get("overlap", 0))
         self.inner_tol = float(ctx.params.get("inner_tol", 1e-10))
-        self.use_cache = bool(ctx.params.get("use_cache", True))
 
         def build_system():
             problem = ConvectionDiffusion2D(n, eps=eps, wx=wx, wy=wy)
@@ -52,16 +50,14 @@ class ConvectionDiffusionTask(Task):
             nblocks=ctx.num_tasks,
             line=n,
             overlap=overlap,
-            enabled=self.use_cache,
         )
         self.blk = decomp.blocks[ctx.task_id]
         self.n = n
         self.x = np.zeros(self.blk.n_ext)
         self.ext = np.zeros(self.blk.ext_cols.size)
-        if self.use_cache:
-            self._rhs = np.empty(self.blk.n_ext)
-            self._old_owned = np.empty(self.blk.n_owned)
-            self._dist_work = np.empty(self.blk.n_owned)
+        self._rhs = np.empty(self.blk.n_ext)
+        self._old_owned = np.empty(self.blk.n_owned)
+        self._dist_work = np.empty(self.blk.n_owned)
 
     def initial_state(self) -> dict:
         blk = self.blk
@@ -84,25 +80,17 @@ class ConvectionDiffusionTask(Task):
             if values.shape == (positions.size,):
                 self.ext[positions] = self.guard_payload(src_task, values)
 
-        if self.use_cache:
-            if self.ext.size:
-                csr_matvec_into(blk.B_coupling, self.ext, self._rhs)
-                np.subtract(blk.b_local, self._rhs, out=self._rhs)
-                rhs = self._rhs
-            else:
-                rhs = blk.b_local
-            np.copyto(self._old_owned, blk.owned_of(self.x))
-            old_owned = self._old_owned
-            result = bicgstab(blk.A_local, rhs, tol=self.inner_tol)
-            self.x = result.x
-            distance = update_distance(blk.owned_of(self.x), old_owned,
-                                       work=self._dist_work)
+        if self.ext.size:
+            csr_matvec_into(blk.B_coupling, self.ext, self._rhs)
+            np.subtract(blk.b_local, self._rhs, out=self._rhs)
+            rhs = self._rhs
         else:
-            rhs = blk.b_local - (blk.B_coupling @ self.ext if self.ext.size else 0.0)
-            old_owned = blk.owned_of(self.x).copy()
-            result = bicgstab(blk.A_local, rhs, tol=self.inner_tol)
-            self.x = result.x
-            distance = update_distance(blk.owned_of(self.x), old_owned)
+            rhs = blk.b_local
+        np.copyto(self._old_owned, blk.owned_of(self.x))
+        result = bicgstab(blk.A_local, rhs, tol=self.inner_tol)
+        self.x = result.x
+        distance = update_distance(blk.owned_of(self.x), self._old_owned,
+                                   work=self._dist_work)
         outgoing = blk.outgoing_payloads(self.x)
         flops = result.flops + 2.0 * blk.B_coupling.nnz
         return IterationStep(
@@ -125,7 +113,6 @@ def make_convdiff_app(
     wx: float = 1.0,
     wy: float = 0.5,
     overlap: int = 0,
-    use_cache: bool = True,
     convergence_threshold: float | None = None,
     stability_window: int | None = None,
 ) -> AppSpec:
@@ -134,7 +121,7 @@ def make_convdiff_app(
         task_factory=ConvectionDiffusionTask,
         num_tasks=num_tasks,
         params={"n": n, "eps": eps, "wx": wx, "wy": wy, "overlap": overlap,
-                "use_cache": use_cache},
+                **RESERVED_PARAMS},
         convergence_threshold=convergence_threshold,
         stability_window=stability_window,
     )

@@ -23,7 +23,7 @@ from repro.numerics.cg import block_operator, csr_matvec_into
 from repro.numerics.poisson import Poisson2D
 from repro.numerics.residual import update_distance
 from repro.numerics.splitting import shared_decomposition
-from repro.p2p.messages import AppSpec
+from repro.p2p.messages import RESERVED_PARAMS, AppSpec
 from repro.p2p.task import IterationStep, Task, TaskContext
 
 __all__ = ["HeatTask", "make_heat_app"]
@@ -33,9 +33,7 @@ class HeatTask(Task):
     """One strip of the pseudo-transient heat march.
 
     ``ctx.params``: ``n``, ``theta`` (fraction of the stability limit,
-    default 0.9), ``steps_per_iteration`` (default 10), ``problem``,
-    ``use_cache`` (share the decomposition across tasks/recoveries,
-    default True; bitwise-neutral).
+    default 0.9), ``steps_per_iteration`` (default 10), ``problem``.
     """
 
     def setup(self, ctx: TaskContext) -> None:
@@ -47,7 +45,6 @@ class HeatTask(Task):
         self.steps = int(ctx.params.get("steps_per_iteration", 10))
         if self.steps < 1:
             raise ValueError("steps_per_iteration must be >= 1")
-        self.use_cache = bool(ctx.params.get("use_cache", True))
         problem = ctx.params.get("problem", "plate")
         build_problem = (
             Poisson2D.manufactured if problem == "manufactured"
@@ -63,21 +60,17 @@ class HeatTask(Task):
             build_system,
             nblocks=ctx.num_tasks,
             line=n,
-            enabled=self.use_cache,
         )
         self.blk = decomp.blocks[ctx.task_id]
         # explicit stability: dt * max diag < 1  (diag = 4/h² everywhere)
         self.dt = theta / float(decomp.A.diagonal().max())
         self.x = np.zeros(self.blk.n_ext)
         self.ext = np.zeros(self.blk.ext_cols.size)
-        if self.use_cache:
-            self._op = block_operator(self.blk)
-            self._rhs = np.empty(self.blk.n_ext)
-            self._step_buf = np.empty(self.blk.n_ext)
-            self._old_owned = np.empty(self.blk.n_owned)
-            self._dist_work = np.empty(self.blk.n_owned)
-        else:
-            self._op = None
+        self._op = block_operator(self.blk)
+        self._rhs = np.empty(self.blk.n_ext)
+        self._step_buf = np.empty(self.blk.n_ext)
+        self._old_owned = np.empty(self.blk.n_owned)
+        self._dist_work = np.empty(self.blk.n_owned)
 
     def initial_state(self) -> dict:
         blk = self.blk
@@ -100,35 +93,24 @@ class HeatTask(Task):
             if values.shape == (positions.size,):
                 self.ext[positions] = self.guard_payload(src_task, values)
 
-        op = self._op
-        if op is not None:
-            if self.ext.size:
-                csr_matvec_into(blk.B_coupling, self.ext, self._rhs)
-                np.subtract(blk.b_local, self._rhs, out=self._rhs)
-                rhs = self._rhs
-            else:
-                rhs = blk.b_local
-            np.copyto(self._old_owned, blk.owned_of(self.x))
-            old_owned = self._old_owned
-            buf = self._step_buf
-            x = self.x
-            for _ in range(self.steps):
-                # x + dt*(rhs - A@x), elementwise-identical via the buffer
-                op.matvec(x, buf)
-                np.subtract(rhs, buf, out=buf)
-                np.multiply(buf, self.dt, out=buf)
-                x = x + buf
-            self.x = x
-            distance = update_distance(blk.owned_of(self.x), old_owned,
-                                       work=self._dist_work)
+        if self.ext.size:
+            csr_matvec_into(blk.B_coupling, self.ext, self._rhs)
+            np.subtract(blk.b_local, self._rhs, out=self._rhs)
+            rhs = self._rhs
         else:
-            rhs = blk.b_local - (blk.B_coupling @ self.ext if self.ext.size else 0.0)
-            old_owned = blk.owned_of(self.x).copy()
-            x = self.x
-            for _ in range(self.steps):
-                x = x + self.dt * (rhs - blk.A_local @ x)
-            self.x = x
-            distance = update_distance(blk.owned_of(self.x), old_owned)
+            rhs = blk.b_local
+        np.copyto(self._old_owned, blk.owned_of(self.x))
+        buf = self._step_buf
+        x = self.x
+        for _ in range(self.steps):
+            # x + dt*(rhs - A@x) through the buffer
+            self._op.matvec(x, buf)
+            np.subtract(rhs, buf, out=buf)
+            np.multiply(buf, self.dt, out=buf)
+            x = x + buf
+        self.x = x
+        distance = update_distance(blk.owned_of(self.x), self._old_owned,
+                                   work=self._dist_work)
         outgoing = blk.outgoing_payloads(self.x)
         flops = self.steps * (2.0 * blk.A_local.nnz + 4.0 * blk.n_ext)
         return IterationStep(flops=flops, outgoing=outgoing, local_distance=distance)
@@ -145,7 +127,6 @@ def make_heat_app(
     theta: float = 0.9,
     steps_per_iteration: int = 10,
     problem: str = "plate",
-    use_cache: bool = True,
     convergence_threshold: float | None = None,
     stability_window: int | None = None,
 ) -> AppSpec:
@@ -158,7 +139,7 @@ def make_heat_app(
             "theta": theta,
             "steps_per_iteration": steps_per_iteration,
             "problem": problem,
-            "use_cache": use_cache,
+            **RESERVED_PARAMS,
         },
         convergence_threshold=convergence_threshold,
         stability_window=stability_window,

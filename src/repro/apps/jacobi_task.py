@@ -18,7 +18,7 @@ from repro.numerics.cg import csr_matvec_into
 from repro.numerics.poisson import Poisson2D
 from repro.numerics.residual import update_distance
 from repro.numerics.splitting import shared_decomposition
-from repro.p2p.messages import AppSpec
+from repro.p2p.messages import RESERVED_PARAMS, AppSpec
 from repro.p2p.task import IterationStep, Task, TaskContext
 
 __all__ = ["JacobiTask", "make_jacobi_app"]
@@ -28,9 +28,7 @@ class JacobiTask(Task):
     """One strip relaxed with point-Jacobi sweeps.
 
     ``ctx.params``: ``n`` (grid size), ``sweeps`` (relaxations per
-    asynchronous iteration, default 1), ``problem``, ``use_cache``
-    (share decomposition and sweep operator, default True;
-    bitwise-neutral).
+    asynchronous iteration, default 1), ``problem``.
     """
 
     def setup(self, ctx: TaskContext) -> None:
@@ -39,7 +37,6 @@ class JacobiTask(Task):
         self.sweeps = int(ctx.params.get("sweeps", 1))
         if self.sweeps < 1:
             raise ValueError("sweeps must be >= 1")
-        self.use_cache = bool(ctx.params.get("use_cache", True))
         problem = ctx.params.get("problem", "manufactured")
         build_problem = (
             Poisson2D.manufactured if problem == "manufactured"
@@ -55,11 +52,10 @@ class JacobiTask(Task):
             build_system,
             nblocks=ctx.num_tasks,
             line=n,
-            enabled=self.use_cache,
         )
         self.blk = decomp.blocks[ctx.task_id]
         blk = self.blk
-        cached = blk.op_cache.get("jacobi") if self.use_cache else None
+        cached = blk.op_cache.get("jacobi")
         if cached is not None:
             self.inv_diag, self.R = cached
         else:
@@ -69,17 +65,15 @@ class JacobiTask(Task):
             self.inv_diag = 1.0 / diag
             #: local matrix without its diagonal (for x_new = D^{-1}(b - R x))
             self.R = (blk.A_local - sp.diags(diag)).tocsr()
-            if self.use_cache:
-                self.inv_diag.flags.writeable = False
-                self.R.data.flags.writeable = False
-                blk.op_cache["jacobi"] = (self.inv_diag, self.R)
+            self.inv_diag.flags.writeable = False
+            self.R.data.flags.writeable = False
+            blk.op_cache["jacobi"] = (self.inv_diag, self.R)
         self.x = np.zeros(blk.n_ext)
         self.ext = np.zeros(blk.ext_cols.size)
-        if self.use_cache:
-            self._rhs = np.empty(blk.n_ext)
-            self._sweep_buf = np.empty(blk.n_ext)
-            self._old_owned = np.empty(blk.n_owned)
-            self._dist_work = np.empty(blk.n_owned)
+        self._rhs = np.empty(blk.n_ext)
+        self._sweep_buf = np.empty(blk.n_ext)
+        self._old_owned = np.empty(blk.n_owned)
+        self._dist_work = np.empty(blk.n_owned)
 
     def initial_state(self) -> dict:
         blk = self.blk
@@ -102,33 +96,23 @@ class JacobiTask(Task):
             if values.shape == (positions.size,):
                 self.ext[positions] = self.guard_payload(src_task, values)
 
-        if self.use_cache:
-            if self.ext.size:
-                csr_matvec_into(blk.B_coupling, self.ext, self._rhs)
-                np.subtract(blk.b_local, self._rhs, out=self._rhs)
-                rhs = self._rhs
-            else:
-                rhs = blk.b_local
-            np.copyto(self._old_owned, blk.owned_of(self.x))
-            old_owned = self._old_owned
-            buf = self._sweep_buf
-            x = self.x
-            for _ in range(self.sweeps):
-                # inv_diag * (rhs - R@x), elementwise-identical via the buffer
-                csr_matvec_into(self.R, x, buf)
-                np.subtract(rhs, buf, out=buf)
-                x = self.inv_diag * buf
-            self.x = x
-            distance = update_distance(blk.owned_of(self.x), old_owned,
-                                       work=self._dist_work)
+        if self.ext.size:
+            csr_matvec_into(blk.B_coupling, self.ext, self._rhs)
+            np.subtract(blk.b_local, self._rhs, out=self._rhs)
+            rhs = self._rhs
         else:
-            rhs = blk.b_local - (blk.B_coupling @ self.ext if self.ext.size else 0.0)
-            old_owned = blk.owned_of(self.x).copy()
-            x = self.x
-            for _ in range(self.sweeps):
-                x = self.inv_diag * (rhs - self.R @ x)
-            self.x = x
-            distance = update_distance(blk.owned_of(self.x), old_owned)
+            rhs = blk.b_local
+        np.copyto(self._old_owned, blk.owned_of(self.x))
+        buf = self._sweep_buf
+        x = self.x
+        for _ in range(self.sweeps):
+            # inv_diag * (rhs - R@x) through the buffer
+            csr_matvec_into(self.R, x, buf)
+            np.subtract(rhs, buf, out=buf)
+            x = self.inv_diag * buf
+        self.x = x
+        distance = update_distance(blk.owned_of(self.x), self._old_owned,
+                                   work=self._dist_work)
         outgoing = blk.outgoing_payloads(self.x)
         flops = self.sweeps * (2.0 * self.R.nnz + 3.0 * blk.n_ext) + 2.0 * blk.B_coupling.nnz
         return IterationStep(flops=flops, outgoing=outgoing, local_distance=distance)
@@ -144,7 +128,6 @@ def make_jacobi_app(
     num_tasks: int,
     sweeps: int = 1,
     problem: str = "manufactured",
-    use_cache: bool = True,
     convergence_threshold: float | None = None,
     stability_window: int | None = None,
 ) -> AppSpec:
@@ -153,7 +136,7 @@ def make_jacobi_app(
         task_factory=JacobiTask,
         num_tasks=num_tasks,
         params={"n": n, "sweeps": sweeps, "problem": problem,
-                "use_cache": use_cache},
+                **RESERVED_PARAMS},
         convergence_threshold=convergence_threshold,
         stability_window=stability_window,
     )

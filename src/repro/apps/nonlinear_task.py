@@ -27,7 +27,7 @@ from repro.numerics.cg import conjugate_gradient, csr_matvec_into
 from repro.numerics.poisson import poisson_matrix
 from repro.numerics.residual import update_distance
 from repro.numerics.splitting import shared_decomposition
-from repro.p2p.messages import AppSpec
+from repro.p2p.messages import RESERVED_PARAMS, AppSpec
 from repro.p2p.task import IterationStep, Task, TaskContext
 
 __all__ = ["NonlinearPoissonTask", "make_nonlinear_app", "nonlinear_reference"]
@@ -78,7 +78,6 @@ class NonlinearPoissonTask(Task):
         if self.newton_iters < 1:
             raise ValueError("newton_iters must be >= 1")
         self.inner_tol = float(ctx.params.get("inner_tol", 1e-10))
-        self.use_cache = bool(ctx.params.get("use_cache", True))
         overlap = int(ctx.params.get("overlap", 0))
         c = self.c
 
@@ -92,16 +91,14 @@ class NonlinearPoissonTask(Task):
             nblocks=ctx.num_tasks,
             line=n,
             overlap=overlap,
-            enabled=self.use_cache,
         )
         self.blk = decomp.blocks[ctx.task_id]
         self.n = n
         self.x = np.zeros(self.blk.n_ext)
         self.ext = np.zeros(self.blk.ext_cols.size)
-        if self.use_cache:
-            self._rhs = np.empty(self.blk.n_ext)
-            self._old_owned = np.empty(self.blk.n_owned)
-            self._dist_work = np.empty(self.blk.n_owned)
+        self._rhs = np.empty(self.blk.n_ext)
+        self._old_owned = np.empty(self.blk.n_owned)
+        self._dist_work = np.empty(self.blk.n_owned)
 
     def initial_state(self) -> dict:
         blk = self.blk
@@ -124,18 +121,13 @@ class NonlinearPoissonTask(Task):
             if values.shape == (positions.size,):
                 self.ext[positions] = self.guard_payload(src_task, values)
 
-        if self.use_cache:
-            if self.ext.size:
-                csr_matvec_into(blk.B_coupling, self.ext, self._rhs)
-                np.subtract(blk.b_local, self._rhs, out=self._rhs)
-                rhs = self._rhs
-            else:
-                rhs = blk.b_local
-            np.copyto(self._old_owned, blk.owned_of(self.x))
-            old_owned = self._old_owned
+        if self.ext.size:
+            csr_matvec_into(blk.B_coupling, self.ext, self._rhs)
+            np.subtract(blk.b_local, self._rhs, out=self._rhs)
+            rhs = self._rhs
         else:
-            rhs = blk.b_local - (blk.B_coupling @ self.ext if self.ext.size else 0.0)
-            old_owned = blk.owned_of(self.x).copy()
+            rhs = blk.b_local
+        np.copyto(self._old_owned, blk.owned_of(self.x))
         x = self.x.copy()
         flops = 2.0 * blk.B_coupling.nnz
         for _ in range(self.newton_iters):
@@ -146,10 +138,8 @@ class NonlinearPoissonTask(Task):
             x = x - step.x
             flops += step.flops + 4.0 * blk.n_ext + 2.0 * blk.A_local.nnz
         self.x = x
-        distance = update_distance(
-            blk.owned_of(self.x), old_owned,
-            work=self._dist_work if self.use_cache else None,
-        )
+        distance = update_distance(blk.owned_of(self.x), self._old_owned,
+                                   work=self._dist_work)
         outgoing = blk.outgoing_payloads(self.x)
         return IterationStep(flops=flops, outgoing=outgoing,
                              local_distance=distance)
@@ -166,7 +156,6 @@ def make_nonlinear_app(
     c: float = 1.0,
     overlap: int = 0,
     newton_iters: int = 3,
-    use_cache: bool = True,
     convergence_threshold: float | None = None,
     stability_window: int | None = None,
 ) -> AppSpec:
@@ -175,7 +164,7 @@ def make_nonlinear_app(
         task_factory=NonlinearPoissonTask,
         num_tasks=num_tasks,
         params={"n": n, "c": c, "overlap": overlap,
-                "newton_iters": newton_iters, "use_cache": use_cache},
+                "newton_iters": newton_iters, **RESERVED_PARAMS},
         convergence_threshold=convergence_threshold,
         stability_window=stability_window,
     )

@@ -6,8 +6,7 @@ replacement Daemon reconstructs the sub-problem after a failure without any
 state transfer beyond the Backup.  (The paper ships Java byte-code plus
 arguments the same way; the matrix is never sent over the network.)
 Because the build is deterministic, P tasks and R recoveries share one
-memoized decomposition (:func:`repro.numerics.shared_decomposition`) unless
-``use_cache=False`` requests the original per-task rebuild.
+memoized decomposition (:func:`repro.numerics.shared_decomposition`).
 
 Per asynchronous iteration the task:
 
@@ -25,11 +24,11 @@ from typing import Any
 
 import numpy as np
 
-from repro.numerics.cg import block_operator, conjugate_gradient, csr_matvec_into
+from repro.numerics.cg import block_operator, csr_matvec_into
 from repro.numerics.poisson import Poisson2D
 from repro.numerics.residual import update_distance
 from repro.numerics.splitting import shared_decomposition
-from repro.p2p.messages import AppSpec
+from repro.p2p.messages import RESERVED_PARAMS, AppSpec
 from repro.p2p.task import IterationStep, StepPlan, Task, TaskContext
 
 __all__ = ["PoissonTask", "make_poisson_app"]
@@ -52,11 +51,8 @@ class PoissonTask(Task):
       Warm-starting makes stale-data iterations nearly free; it is exposed
       as an optimization ablation, not the reproduction default;
     * ``problem`` — ``"manufactured"`` (default) or ``"plate"``;
-    * ``use_cache`` — share the decomposition/operator caches (default
-      True).  False forces the original per-task legacy rebuild and the
-      allocating solver path; results are bitwise identical either way;
     * ``inner_solver`` — ``"cg"`` (default) or ``"direct"``: the cached-LU
-      path for small blocks (requires ``use_cache``; falls back to CG for
+      path for small blocks (falls back to CG for
       blocks above ``direct_max_rows``, default 50000).  A different
       numerical method — changes iteration counts and simulated time, so it
       is an explicit opt-in, never part of the reproduction defaults.  The
@@ -72,7 +68,6 @@ class PoissonTask(Task):
         self.inner_tol = float(ctx.params.get("inner_tol", 1e-10))
         self.inner_max_iter = ctx.params.get("inner_max_iter")
         self.warm_start = bool(ctx.params.get("warm_start", False))
-        self.use_cache = bool(ctx.params.get("use_cache", True))
         self.inner_solver = str(ctx.params.get("inner_solver", "cg"))
         if self.inner_solver not in ("cg", "direct"):
             raise ValueError(f"unknown inner_solver {self.inner_solver!r}")
@@ -95,19 +90,15 @@ class PoissonTask(Task):
             nblocks=ctx.num_tasks,
             line=n,
             overlap=overlap,
-            enabled=self.use_cache,
         )
         self.blk = decomp.blocks[ctx.task_id]
         self.n = n
         self.x = np.zeros(self.blk.n_ext)
         self.ext = np.zeros(self.blk.ext_cols.size)
-        if self.use_cache:
-            self._op = block_operator(self.blk)
-            self._rhs = np.empty(self.blk.n_ext)
-            self._old_owned = np.empty(self.blk.n_owned)
-            self._dist_work = np.empty(self.blk.n_owned)
-        else:
-            self._op = None
+        self._op = block_operator(self.blk)
+        self._rhs = np.empty(self.blk.n_ext)
+        self._old_owned = np.empty(self.blk.n_owned)
+        self._dist_work = np.empty(self.blk.n_owned)
 
     # -- state ---------------------------------------------------------------
 
@@ -135,68 +126,22 @@ class PoissonTask(Task):
                 self.ext[positions] = self.guard_payload(src_task, values)
 
     def iterate(self, inbox: dict[int, Any]) -> IterationStep:
-        blk = self.blk
-        self._fold_inbox(inbox)
-
-        op = self._op
-        if op is not None:
-            # Cached path: same arithmetic into preallocated buffers.
-            if self.ext.size:
-                csr_matvec_into(blk.B_coupling, self.ext, self._rhs)
-                np.subtract(blk.b_local, self._rhs, out=self._rhs)
-                rhs = self._rhs
-            else:
-                rhs = blk.b_local  # read-only; the solver never writes b
-            np.copyto(self._old_owned, blk.owned_of(self.x))
-            old_owned = self._old_owned
-            if self.inner_solver == "direct" and blk.n_ext <= self.direct_max_rows:
-                result = op.solve_direct(rhs, tol=self.inner_tol)
-            else:
-                result = op.solve(
-                    rhs,
-                    x0=self.x if self.warm_start else None,
-                    tol=self.inner_tol,
-                    max_iter=self.inner_max_iter,
-                )
-            self.x = result.x
-            distance = update_distance(blk.owned_of(self.x), old_owned,
-                                       work=self._dist_work)
+        """One whole iteration, solved on the spot (the baselines and
+        :mod:`repro.local` drive tasks without a compute plane)."""
+        plan = self.begin_step(inbox)
+        if plan.solver == "direct":
+            result = self._op.solve_direct(plan.rhs, tol=plan.tol)
         else:
-            # Legacy (cache-bypass) path: the original allocating code.
-            rhs = blk.b_local - (blk.B_coupling @ self.ext if self.ext.size else 0.0)
-            old_owned = blk.owned_of(self.x).copy()
-            result = conjugate_gradient(
-                blk.A_local,
-                rhs,
-                x0=self.x if self.warm_start else None,
-                tol=self.inner_tol,
-                max_iter=self.inner_max_iter,
-            )
-            self.x = result.x
-            distance = update_distance(blk.owned_of(self.x), old_owned)
-
-        outgoing = blk.outgoing_payloads(self.x)
-        # charge the coupling matvec + rhs assembly on top of the CG cost
-        flops = result.flops + 2.0 * blk.B_coupling.nnz + 2.0 * blk.n_ext
-        return IterationStep(
-            flops=flops,
-            outgoing=outgoing,
-            local_distance=distance,
-            info={"inner_iterations": result.iterations},
-        )
+            result = self._op.solve(plan.rhs, x0=plan.x0, tol=plan.tol,
+                                    max_iter=plan.max_iter)
+        return self.finish_step(plan, result)
 
     # -- compute-plane protocol ----------------------------------------------
 
-    def begin_step(self, inbox: dict[int, Any]) -> StepPlan | None:
-        """The pre-solve half of :meth:`iterate`, for the compute plane.
-
-        Identical inbox fold, rhs assembly and old-iterate snapshot; the
-        inner solve itself is described by the returned plan.  The
-        cache-bypass (``use_cache=False``) configuration keeps the
-        monolithic path — it exists to exercise the legacy code.
-        """
-        if self._op is None:
-            return None
+    def begin_step(self, inbox: dict[int, Any]) -> StepPlan:
+        """The pre-solve half of an iteration: inbox fold, rhs assembly and
+        old-iterate snapshot; the inner solve itself is described by the
+        returned plan."""
         blk = self.blk
         self._fold_inbox(inbox)
         if self.ext.size:
@@ -242,7 +187,6 @@ def make_poisson_app(
     inner_tol: float = 1e-10,
     inner_max_iter: int | None = None,
     warm_start: bool = False,
-    use_cache: bool = True,
     inner_solver: str = "cg",
     convergence_threshold: float | None = None,
     stability_window: int | None = None,
@@ -256,8 +200,8 @@ def make_poisson_app(
         "inner_tol": inner_tol,
         "inner_max_iter": inner_max_iter,
         "warm_start": warm_start,
-        "use_cache": use_cache,
         "inner_solver": inner_solver,
+        **RESERVED_PARAMS,
     }
     if reject_corruption:
         # only added when on: params ride inside every assign_task RMI

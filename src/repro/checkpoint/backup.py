@@ -5,11 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.util.hotpath import HOTPATH
 from repro.util.serialization import (ENVELOPE_BYTES, clone_state,
-                                      freeze_state, measured_size,
-                                      memoized_payload_size,
-                                      prime_payload_cache)
+                                      freeze_state, payload_size)
 
 __all__ = ["Backup"]
 
@@ -21,12 +18,11 @@ class Backup:
     A Backup must never alias live task arrays, or later iterations would
     corrupt the checkpoint and rollback would silently resume from a
     half-updated state.  ``dump_state`` already hands the constructor a
-    private copy, so under :data:`HOTPATH.zerocopy` the constructor only
-    *freezes* that snapshot (``writeable=False`` — accidental aliasing
-    fails loudly instead of corrupting) rather than paying a second full
-    deep copy per checkpoint; :meth:`restore` clones on the rare recovery,
-    so restored tasks always receive writable private arrays.  With the
-    flag off, the original eager double copy is kept.
+    private copy, so the constructor only *freezes* that snapshot
+    (``writeable=False`` — accidental aliasing fails loudly instead of
+    corrupting) rather than paying a second full deep copy per checkpoint;
+    :meth:`restore` clones on the rare recovery, so restored tasks always
+    receive writable private arrays.
     """
 
     task_id: int
@@ -39,10 +35,7 @@ class Backup:
     def __post_init__(self) -> None:
         if self.iteration < 0:
             raise ValueError("iteration must be >= 0")
-        if HOTPATH.zerocopy:
-            object.__setattr__(self, "state", freeze_state(self.state))
-        else:
-            object.__setattr__(self, "state", clone_state(self.state))
+        freeze_state(self.state)
         # Backups are re-sent on every checkpoint transfer: pay the payload
         # size walk once here rather than on each send.  One walk serves
         # both the memo and the ``nbytes`` accounting: every field except
@@ -51,19 +44,15 @@ class Backup:
         # planted with the placeholder ``nbytes=0`` — an int charges 8
         # bytes whatever its value, so the memo stays exact after the
         # rebind below).
-        prime_payload_cache(self)
-        memo = memoized_payload_size(self)
-        if memo is not None:
-            shell = 32 + 8 + 8 + 8 + 8 + len(
-                self.app_id.encode("utf-8", errors="replace")
-            )
-            object.__setattr__(self, "nbytes", ENVELOPE_BYTES + memo - shell)
-        else:
-            object.__setattr__(self, "nbytes", measured_size(self.state))
+        memo = payload_size(self, 0)  # plants the per-instance memo
+        shell = 32 + 8 + 8 + 8 + 8 + len(
+            self.app_id.encode("utf-8", errors="replace")
+        )
+        object.__setattr__(self, "nbytes", ENVELOPE_BYTES + memo - shell)
 
     def restore(self) -> Any:
         """A private *writable* copy of the stored state, safe to hand to
-        a new task whichever path snapshotted it."""
+        a new task."""
         return clone_state(self.state)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -2,8 +2,8 @@
 
 Two kernels, both engineered so that **per column** they perform the same
 floating-point operations in the same order as the scalar paths in
-:mod:`repro.numerics.cg` — the property the plane's bitwise A/B guarantee
-rests on:
+:mod:`repro.numerics.cg` — the property that keeps the plane invisible to
+simulated time:
 
 * :func:`chunked_direct_solve` — stacked multi-RHS triangular solves through
   one cached ``splu`` factorization.  SuperLU's stacked solve switches
@@ -110,17 +110,12 @@ def panel_probe(lu, n: int, panel: np.ndarray) -> bool:
 
 
 def chunked_direct_solve(lu, rhs_list: list[np.ndarray],
-                         panel: np.ndarray,
-                         pad: bool = True) -> list[np.ndarray]:
+                         panel: np.ndarray) -> list[np.ndarray]:
     """Solve every rhs through fixed-width multi-RHS panels.
 
     ``panel`` is the cohort's preallocated ``(n, DIRECT_CHUNK)`` buffer.
-    With ``pad=True`` (the probe-certified bitwise path) trailing unused
-    columns stay zero, so per-column results never depend on how many real
-    right-hand sides share the final panel.  ``pad=False`` (the ``"panel"``
-    throughput mode, which never claims bitwise identity) solves an
-    exact-width final panel instead — zero-padding there would spend up to
-    ``width - 1`` wasted triangular solves per flush.  Returns one
+    Trailing unused columns stay zero, so per-column results never depend
+    on how many real right-hand sides share the final panel.  Returns one
     contiguous, privately owned solution vector per rhs (callers keep them
     as live task state, so they must not alias the reusable panel
     machinery).
@@ -129,14 +124,10 @@ def chunked_direct_solve(lu, rhs_list: list[np.ndarray],
     out: list[np.ndarray] = []
     for c0 in range(0, len(rhs_list), width):
         cols = rhs_list[c0:c0 + width]
-        if pad or len(cols) == width:
-            chunk = panel
-            chunk[:] = 0.0
-        else:
-            chunk = np.empty((panel.shape[0], len(cols)))
+        panel[:] = 0.0
         for j, r in enumerate(cols):
-            chunk[:, j] = r
-        sol = lu.solve(chunk)
+            panel[:, j] = r
+        sol = lu.solve(panel)
         for j in range(len(cols)):
             # a true copy, not ascontiguousarray: SuperLU returns the
             # stacked solution F-ordered, so a column view is already

@@ -19,20 +19,15 @@ changes a duration, the event sequence, simulated times and results are
 identical to the eager path; only *when in wall-clock* the arithmetic runs
 moves.
 
-Direct flushes run in one of two modes:
-
-* ``"auto"`` (default): singleton tickets use the legacy single-vector
-  solve; larger batches run a one-time per-cohort :func:`panel_probe` and
-  use stacked multi-RHS panels only when the probe proves them bitwise
-  equal to the 1-D path (otherwise a per-column 1-D loop — still one
-  shared factorization).
-* ``"panel"``: always stack (the benchmark's throughput arm; honest about
-  not being bitwise-comparable to the 1-D path in all size regimes).
+Direct flushes solve singleton tickets as single vectors; larger batches
+run a one-time per-cohort :func:`panel_probe` and use stacked multi-RHS
+panels only when the probe proves them bitwise equal to the 1-D path
+(otherwise a per-column 1-D loop — still one shared factorization).
 
 Cross-cutting: a per-member memo of the last solve replays identical
 ``(rhs, x0, tol, max_iter)`` requests — the asynchronous "useless
 iteration" pattern where no fresh neighbour data arrived — without
-re-solving (:data:`HOTPATH.solve_memo`).
+re-solving.
 """
 
 from __future__ import annotations
@@ -43,7 +38,6 @@ import numpy as np
 
 from repro.numerics.cg import (CgResult, cg_flops_estimate,
                                direct_flops_estimate)
-from repro.util.hotpath import HOTPATH
 
 from repro.compute.batched import (DIRECT_CHUNK, batched_cg,
                                    chunked_direct_solve, panel_probe)
@@ -87,9 +81,9 @@ class Cohort:
         #: batched-CG workspaces keyed by exact batch size
         self._cg_ws: dict[int, tuple] = {}
 
-    def panel(self, width: int) -> np.ndarray:
-        if self._panel is None or self._panel.shape[1] != width:
-            self._panel = np.empty((self.op.n, width))
+    def panel(self) -> np.ndarray:
+        if self._panel is None:
+            self._panel = np.empty((self.op.n, DIRECT_CHUNK))
         return self._panel
 
     @property
@@ -100,15 +94,10 @@ class Cohort:
 class ComputePlane:
     """Cluster-wide batching fabric for inner solves (wall-clock only)."""
 
-    __slots__ = ("direct_mode", "chunk", "_cohorts", "flushes", "deferred",
-                 "immediate", "memo_hits", "batched_columns", "loop_columns",
-                 "batch_sizes")
+    __slots__ = ("_cohorts", "flushes", "deferred", "immediate", "memo_hits",
+                 "batched_columns", "loop_columns", "batch_sizes")
 
-    def __init__(self, direct_mode: str = "auto", chunk: int = DIRECT_CHUNK):
-        if direct_mode not in ("auto", "panel"):
-            raise ValueError(f"unknown direct_mode {direct_mode!r}")
-        self.direct_mode = direct_mode
-        self.chunk = int(chunk)
+    def __init__(self):
         #: fingerprint -> cohorts (a list: byte-equality is re-verified on
         #: join, so a hash collision degrades to a second cohort, never to
         #: cross-matrix batching)
@@ -185,13 +174,10 @@ class ComputePlane:
         """
         cohort = member.cohort
         op = cohort.op
-        if HOTPATH.solve_memo:
-            key = self._memo_key(plan)
-            if key is not None and key == member.memo_key:
-                self.memo_hits += 1
-                return None, self._replay(member.memo_result)
-        else:
-            key = None
+        key = self._memo_key(plan)
+        if key is not None and key == member.memo_key:
+            self.memo_hits += 1
+            return None, self._replay(member.memo_result)
         if plan.solver == "direct":
             flops = (direct_flops_estimate(cohort.lu_nnz, op.n)
                      + plan.flops_extra)
@@ -200,8 +186,8 @@ class ComputePlane:
             member.pending = plan
             cohort.queue.append((member, plan, key))
             return duration, None
-        if HOTPATH.compute_batch_cg and self._cg_pinned(
-                plan, op, rate=rate, overhead=overhead, floor=floor):
+        if self._cg_pinned(plan, op, rate=rate, overhead=overhead,
+                           floor=floor):
             self.deferred += 1
             member.pending = plan
             cohort.queue.append((member, plan, key))
@@ -244,7 +230,7 @@ class ComputePlane:
                 plan.tol, plan.max_iter)
 
     def _memoize(self, member: CohortMember, key, result: CgResult) -> None:
-        if key is None or not HOTPATH.solve_memo:
+        if key is None:
             member.memo_key = None
             member.memo_result = None
             return
@@ -284,21 +270,15 @@ class ComputePlane:
         op = cohort.op
         lu = op.factorization()
         rhs_list = [p.rhs for _, p, _ in tickets]
-        if self.direct_mode == "panel":
-            xs = chunked_direct_solve(lu, rhs_list, cohort.panel(self.chunk),
-                                      pad=False)
-            self.batched_columns += len(xs)
-        elif len(rhs_list) == 1:
+        if len(rhs_list) == 1:
             xs = [lu.solve(rhs_list[0])]
             self.loop_columns += 1
         else:
             if not cohort.probed:
-                cohort.panel_ok = panel_probe(lu, op.n,
-                                              cohort.panel(self.chunk))
+                cohort.panel_ok = panel_probe(lu, op.n, cohort.panel())
                 cohort.probed = True
             if cohort.panel_ok:
-                xs = chunked_direct_solve(lu, rhs_list,
-                                          cohort.panel(self.chunk))
+                xs = chunked_direct_solve(lu, rhs_list, cohort.panel())
                 self.batched_columns += len(xs)
             else:
                 xs = [lu.solve(r) for r in rhs_list]

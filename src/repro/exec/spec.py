@@ -76,7 +76,6 @@ class RunSpec:
     convergence_threshold: float = 1e-6
     collect: bool = True
     warm_start: bool = False
-    use_cache: bool = True
     inner_tol: float = 1e-10
     inner_max_iter: int | None = None
     #: scheduled fault scenario (:class:`repro.faults.FaultPlan`) executed

@@ -152,7 +152,6 @@ def run_poisson_on_p2p(
     convergence_threshold: float | None = None,
     collect: bool | None = None,
     warm_start: bool | None = None,
-    use_cache: bool | None = None,
     inner_tol: float | None = None,
     inner_max_iter: int | None = None,
     faults: FaultPlan | None = None,
@@ -184,10 +183,6 @@ def run_poisson_on_p2p(
     run only (the calibration pre-run stays untraced, so the trace
     describes exactly one execution) and populates
     :attr:`RunResult.run_report`.
-
-    ``use_cache=False`` forces every task through the legacy (allocating)
-    decomposition and inner-solve paths — the benchmark's bypass arm; the
-    numerical results and simulated time are identical either way.
     """
     overrides = {
         key: value
@@ -199,7 +194,7 @@ def run_poisson_on_p2p(
             "link_scale": link_scale, "horizon": horizon,
             "convergence_threshold": convergence_threshold,
             "collect": collect, "warm_start": warm_start,
-            "use_cache": use_cache, "inner_tol": inner_tol,
+            "inner_tol": inner_tol,
             "inner_max_iter": inner_max_iter, "faults": faults,
             "gossip": gossip, "standby": standby,
             "checkpoint": checkpoint,
@@ -258,7 +253,6 @@ def execute_spec(spec: RunSpec, tracer: Tracer | None = None) -> RunResult:
         overlap=spec.overlap,
         convergence_threshold=spec.convergence_threshold,
         warm_start=spec.warm_start,
-        use_cache=spec.use_cache,
         inner_tol=spec.inner_tol,
         inner_max_iter=spec.inner_max_iter,
         reject_corruption=spec.reject_corruption,

@@ -285,8 +285,8 @@ class Network:
             # the getter-resume event the object path would have run.
             # Credit both observables: ``event_count`` feeds deterministic
             # consumers (the Spawner seeds its reserve shuffle from it),
-            # so it must advance identically in both arms of the
-            # ``hotpath_disabled()`` A/B.
+            # so it must advance exactly as on the object path: a traced
+            # run takes that path and must equal the same run untraced.
             ep.mailbox.put_count += 1
             self.sim.event_count += 1
         elif ep.deliver(msg):

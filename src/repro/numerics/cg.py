@@ -9,8 +9,8 @@ proportionally longer simulated time, reproducing the paper's ratio (4)
 
 Two execution paths produce **bitwise-identical** results:
 
-* :func:`conjugate_gradient` — the original allocating loop (kept verbatim
-  as the reference implementation and the benchmark's cache-bypass arm);
+* :func:`conjugate_gradient` — the general allocating loop (any matrix,
+  no cached state; the reference :meth:`CgOperator.solve` is tested against);
 * :class:`CgOperator` — per-matrix cached state (raw CSR arrays, Jacobi
   diagonal, preallocated work vectors) whose :meth:`CgOperator.solve` runs
   the same arithmetic without per-call allocations.  Identical floating

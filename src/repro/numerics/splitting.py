@@ -15,14 +15,9 @@ that carry nonzeros in its rows.  For the 5-point Laplacian these are the
 one grid line above and below; the machinery is generic, so other banded
 operators (e.g. the implicit heat-equation matrix) decompose identically.
 
-Two construction paths produce value-identical blocks:
-
-* ``build="fast"`` (default) slices each block's row range once and splits
-  it into ``A_local`` / ``B_coupling`` with vectorized index arithmetic on
-  the raw CSR arrays — no per-block CSC conversion;
-* ``build="legacy"`` is the original per-block ``A[ext,:].tocsc()`` column
-  slicing, kept as the reference implementation (and as the honest
-  cache-bypass arm of :mod:`benchmarks.bench_hotpath`).
+Each block's row range is sliced once and split into ``A_local`` /
+``B_coupling`` with vectorized index arithmetic on the raw CSR arrays — no
+per-block CSC conversion.
 
 Because every task of an application — and every churn replacement — derives
 the *same* decomposition from the application parameters,
@@ -38,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from repro.util.hotpath import HOTPATH, register_cache
+from repro.util.hotpath import register_cache
 
 __all__ = ["BlockInfo", "BlockDecomposition", "DecompositionCache",
            "DECOMPOSITION_CACHE", "shared_decomposition"]
@@ -117,17 +112,14 @@ class BlockInfo:
         return v
 
     def outgoing_payloads(self, x_local: np.ndarray) -> dict[int, np.ndarray]:
-        """One boundary payload per neighbour — frozen zero-copy views
-        under :data:`HOTPATH.zerocopy`, copying otherwise.
+        """One boundary payload per neighbour, as frozen zero-copy views.
 
         Safe for every task in :mod:`repro.apps`: they *rebind* their
         solution vector each iteration (never mutate it in place), so an
         in-flight view keeps showing the values it was sent with.
         """
-        if HOTPATH.zerocopy:
-            return {nb: self.values_to_send_view(x_local, nb)
-                    for nb in self.send_map}
-        return {nb: self.values_to_send(x_local, nb) for nb in self.send_map}
+        return {nb: self.values_to_send_view(x_local, nb)
+                for nb in self.send_map}
 
     def _index_slices(self) -> None:
         """Precompute :attr:`send_slices` from :attr:`send_local`."""
@@ -155,11 +147,6 @@ class BlockDecomposition:
         Number of *lines* computed by two neighbouring processors on each
         side.  Must leave every extended boundary inside the neighbour's
         owned range (``overlap + 1 <= min strip width in lines``).
-    build:
-        ``"fast"`` (vectorized CSR split, default) or ``"legacy"`` (the
-        original per-block CSC column slicing).  Both produce
-        value-identical blocks; the legacy path exists as the reference
-        implementation and the benchmark's cache-bypass arm.
     """
 
     def __init__(
@@ -169,7 +156,6 @@ class BlockDecomposition:
         nblocks: int,
         line: int = 1,
         overlap: int = 0,
-        build: str = "fast",
     ):
         A = A.tocsr()
         N = A.shape[0]
@@ -185,11 +171,8 @@ class BlockDecomposition:
             raise ValueError(f"nblocks must be in [1, {nlines}]")
         if overlap < 0:
             raise ValueError("overlap must be >= 0")
-        if build not in ("fast", "legacy"):
-            raise ValueError(f"unknown build mode {build!r}")
-        if build == "fast" and not A.has_canonical_format:
-            # The fast split assumes sorted, duplicate-free rows — the same
-            # canonical form the legacy CSC round-trip produces implicitly.
+        if not A.has_canonical_format:
+            # The split assumes sorted, duplicate-free rows.
             A = A.copy()
             A.sum_duplicates()
 
@@ -215,10 +198,7 @@ class BlockDecomposition:
             own_e = int(starts_l[k + 1]) * line
             ext_s = max(0, own_s - overlap * line)
             ext_e = min(N, own_e + overlap * line)
-            if build == "fast":
-                A_local, ext_cols, B_coupling = _split_rows_fast(A, ext_s, ext_e)
-            else:
-                A_local, ext_cols, B_coupling = _split_rows_legacy(A, N, ext_s, ext_e)
+            A_local, ext_cols, B_coupling = _split_rows(A, ext_s, ext_e)
             info = BlockInfo(
                 index=k,
                 own_start=own_s,
@@ -306,22 +286,7 @@ class BlockDecomposition:
         return out
 
 
-def _split_rows_legacy(A: sp.csr_matrix, N: int, ext_s: int, ext_e: int):
-    """Original construction: slice rows, convert to CSC, slice columns."""
-    ext_range = np.arange(ext_s, ext_e)
-    A_rows = A[ext_s:ext_e, :].tocsc()
-    inside = np.zeros(N, dtype=bool)
-    inside[ext_range] = True
-    col_nnz = np.diff(A_rows.indptr) > 0
-    ext_cols = np.where(col_nnz & ~inside)[0]
-    return (
-        A_rows[:, ext_range].tocsr(),
-        ext_cols,
-        A_rows[:, ext_cols].tocsr(),
-    )
-
-
-def _split_rows_fast(A: sp.csr_matrix, ext_s: int, ext_e: int):
+def _split_rows(A: sp.csr_matrix, ext_s: int, ext_e: int):
     """Split rows [ext_s, ext_e) into (A_local, ext_cols, B_coupling).
 
     Works directly on the CSR arrays: one boolean mask separates each
@@ -329,7 +294,7 @@ def _split_rows_fast(A: sp.csr_matrix, ext_s: int, ext_e: int):
     the coupling block (columns outside), and both CSR matrices are built
     with the raw ``(data, indices, indptr)`` constructor.  Since the parent
     matrix is canonical, within-row column order is preserved and the
-    results are canonical too — value-identical to the legacy CSC slicing.
+    results are canonical too.
     """
     indptr, indices, data = A.indptr, A.indices, A.data
     start, end = int(indptr[ext_s]), int(indptr[ext_e])
@@ -443,7 +408,6 @@ def shared_decomposition(
     nblocks: int,
     line: int = 1,
     overlap: int = 0,
-    enabled: bool | None = None,
 ) -> BlockDecomposition:
     """Memoized decomposition build for task setup/recovery.
 
@@ -451,24 +415,12 @@ def shared_decomposition(
     "manufactured", n)``); together with ``nblocks``/``line``/``overlap`` it
     forms the cache key.  ``build_system()`` must deterministically return
     the global ``(A, b)`` for that key — it only runs on a miss.
-
-    ``enabled=None`` follows the process-wide
-    :data:`~repro.util.hotpath.HOTPATH` flag.  When disabled, a private
-    *legacy-build* decomposition is returned (fresh, unfrozen, per caller)
-    — the exact pre-cache behaviour, used as the benchmark's bypass arm.
     """
-    if enabled is None:
-        enabled = HOTPATH.decomposition_cache
-    if not enabled:
-        A, b = build_system()
-        return BlockDecomposition(A, b, nblocks=nblocks, line=line,
-                                  overlap=overlap, build="legacy")
-
     key = (problem_key, nblocks, line, overlap)
 
     def builder() -> BlockDecomposition:
         A, b = build_system()
         return BlockDecomposition(A, b, nblocks=nblocks, line=line,
-                                  overlap=overlap, build="fast")
+                                  overlap=overlap)
 
     return DECOMPOSITION_CACHE.get_or_build(key, builder)

@@ -9,8 +9,7 @@ Three cooperating pieces (see ``docs/observability.md``):
 * the **metrics registry** (:mod:`repro.obs.metrics`): labelled
   :class:`Counter` / :class:`Gauge` / :class:`Histogram` aggregates —
   the backing store of the :class:`~repro.obs.instruments.RunTelemetry`
-  instrument (formerly ``repro.p2p.telemetry.Telemetry``, now a
-  deprecated alias);
+  instrument;
 * the **exporters** (:mod:`repro.obs.exporters`, :mod:`repro.obs.report`):
   JSONL and Chrome ``trace_event`` dumps plus the plain-text/markdown
   :class:`RunReport` behind ``repro-cli trace`` / ``repro-cli report``.

@@ -11,9 +11,6 @@ It is a thin attribute surface over a
 metrics, so the same numbers are available both through the attribute API
 and through ``telemetry.registry.snapshot()`` /
 :func:`repro.obs.report.build_run_report`.
-
-(Historically this lived at :class:`repro.p2p.telemetry.Telemetry`; that
-name is now a deprecated alias of this class.)
 """
 
 from __future__ import annotations

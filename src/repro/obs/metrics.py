@@ -5,9 +5,9 @@ the registry aggregates *how much of it happened*: monotonic counters,
 point-in-time gauges and distribution summaries, each optionally labelled
 (``counter.inc(task=3)`` keeps one value per label set).
 
-:class:`~repro.p2p.telemetry.Telemetry` is a thin compatibility façade over
-one of these registries, so legacy counter reads keep working while new code
-can query the registry directly (``registry.snapshot()``).
+:class:`~repro.obs.instruments.RunTelemetry` is a thin attribute surface
+over one of these registries, so counter reads work as attributes while other
+code can query the registry directly (``registry.snapshot()``).
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ class Counter(Metric):
         self._values[key] = self._values.get(key, 0.0) + amount
 
     def set(self, value: float, **labels) -> None:
-        """Absolute write — exists for the Telemetry façade's legacy
+        """Absolute write — exists for ``RunTelemetry``'s
         ``telemetry.field += 1`` pattern (read-modify-write)."""
         self._values[_label_key(labels)] = float(value)
 

@@ -1,14 +1,14 @@
 """Human-readable run reports.
 
 :func:`build_run_report` condenses one application run — the
-:class:`~repro.p2p.telemetry.Telemetry` façade, the network's delivery
+:class:`~repro.obs.instruments.RunTelemetry` instrument, the network's delivery
 statistics and (when tracing was on) the trace bus — into a
 :class:`RunReport` that renders as plain text or markdown.  This is what
 ``repro-cli report`` prints.
 
-The report's numbers are sourced from the same metrics registry the
-``Telemetry`` compatibility façade fronts, so report output always agrees
-with the legacy counters the experiment harness asserts against.
+The report's numbers are sourced from the same metrics registry
+``RunTelemetry`` fronts, so report output always agrees with the counters
+the experiment harness asserts against.
 """
 
 from __future__ import annotations
@@ -188,7 +188,7 @@ def build_run_report(
     """Assemble a :class:`RunReport` from whatever sources are at hand.
 
     ``telemetry`` is required (any object with the
-    :class:`~repro.p2p.telemetry.Telemetry` read surface); the rest are
+    :class:`~repro.obs.instruments.RunTelemetry` read surface); the rest are
     optional and simply leave their sections empty/zero when absent.
     Heartbeat misses and evictions prefer exact trace counts and fall back
     to the spawner's / Super-Peers' own counters when tracing was off.

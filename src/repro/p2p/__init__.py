@@ -22,7 +22,6 @@ Spawner whose ``done`` event the driver runs the simulation against.
 from repro.p2p.config import P2PConfig
 from repro.p2p.messages import ApplicationRegister, TaskSlot, AppSpec
 from repro.p2p.task import Task, TaskContext, IterationStep
-from repro.p2p.telemetry import Telemetry
 from repro.p2p.superpeer import SuperPeer
 from repro.p2p.daemon import Daemon
 from repro.p2p.spawner import Spawner
@@ -49,7 +48,6 @@ __all__ = [
     "Task",
     "TaskContext",
     "IterationStep",
-    "Telemetry",
     "SuperPeer",
     "Daemon",
     "Spawner",

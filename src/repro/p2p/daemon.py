@@ -38,10 +38,9 @@ from repro.p2p.task import Task, TaskContext
 from repro.obs.instruments import RunTelemetry
 from repro.rmi import RemoteObject, RmiRuntime, Stub, remote
 from repro.rmi.invocation import CallMessage, OnewayMessage
-from repro.util.hotpath import HOTPATH
 from repro.util.logging import EventLog
 from repro.util.serialization import (NDARRAY_HEADER_BYTES, measured_size,
-                                      memoized_payload_size)
+                                      payload_size)
 from repro.util.rng import RngTree
 
 __all__ = ["Daemon", "TaskRunner", "DAEMON_OBJECT"]
@@ -167,8 +166,7 @@ class TaskRunner:
                 step = None
                 plane = self.daemon.compute
                 plan = (self.task.begin_step(inbox)
-                        if plane is not None and HOTPATH.compute_batch
-                        else None)
+                        if plane is not None else None)
                 if plan is None:
                     step = self.task.iterate(inbox)
                     duration = max(
@@ -239,14 +237,12 @@ class TaskRunner:
         result = self.daemon.compute.collect(self._plane_member)
         self._finished_step = self.task.finish_step(plan, result)
 
-    def heartbeat_size(self) -> int | None:
+    def heartbeat_size(self) -> int:
         """Memoized size of the computing-heartbeat envelope.
 
         Constant per Spawner stub: the payload is two fixed strings plus
         scalars, and scalars charge 8 bytes whatever their value — so the
         per-beat size walk collapses to a tuple load."""
-        if not HOTPATH.size_memo:
-            return None
         sized = self._hb_sized
         stub = self.spawner_stub
         if sized is None or sized[0] is not stub:
@@ -340,7 +336,7 @@ class TaskRunner:
             # base is tied to the stub's identity so a churn-driven
             # reassignment re-measures.
             size = None
-            if HOTPATH.size_memo and payload.__class__ is np.ndarray:
+            if payload.__class__ is np.ndarray:
                 cached = sizes.get(dst_task)
                 if cached is not None and cached[0] is stub:
                     size = (cached[1] + int(payload.nbytes)
@@ -402,19 +398,16 @@ class TaskRunner:
             # shell once per guardian stub and derive later sizes as base +
             # the Backup's own memo — byte-identical to the full walk
             # ``network.send`` would run.
-            size = None
-            if HOTPATH.size_memo:
-                bsize = memoized_payload_size(backup)
-                if bsize is not None:
-                    cached = self._backup_sizes.get(target_task)
-                    if cached is not None and cached[0] is stub:
-                        size = cached[1] + bsize
-                    else:
-                        probe = OnewayMessage(
-                            stub.object_name, "store_backup", (backup,), {},
-                        )
-                        size = measured_size(probe)
-                        self._backup_sizes[target_task] = (stub, size - bsize)
+            bsize = payload_size(backup, 0)
+            cached = self._backup_sizes.get(target_task)
+            if cached is not None and cached[0] is stub:
+                size = cached[1] + bsize
+            else:
+                probe = OnewayMessage(
+                    stub.object_name, "store_backup", (backup,), {},
+                )
+                size = measured_size(probe)
+                self._backup_sizes[target_task] = (stub, size - bsize)
             self.daemon.runtime.oneway(stub, "store_backup", backup, size=size)
             policy.on_checkpoint(backup.nbytes)
             self.daemon._trace("checkpoint_store", task=self.task_id,
@@ -698,22 +691,19 @@ class Daemon(RemoteObject):
             self._bootstrapping = False
 
     def _reaffirm(self, sp_stub: Stub):
-        size = None
-        if HOTPATH.size_memo:
-            sized = self._reaffirm_sized
-            if sized is None or sized[0] is not sp_stub:
-                probe = CallMessage(
-                    sp_stub.object_name, "heartbeat", (self.daemon_id,), {},
-                    reply_to=self.runtime.address, call_id=0,
-                )
-                sized = (sp_stub, measured_size(probe))
-                self._reaffirm_sized = sized
-            size = sized[1]
+        sized = self._reaffirm_sized
+        if sized is None or sized[0] is not sp_stub:
+            probe = CallMessage(
+                sp_stub.object_name, "heartbeat", (self.daemon_id,), {},
+                reply_to=self.runtime.address, call_id=0,
+            )
+            sized = (sp_stub, measured_size(probe))
+            self._reaffirm_sized = sized
         try:
             known = yield self.runtime.call(
                 sp_stub, "heartbeat", self.daemon_id,
                 timeout=min(self.config.call_timeout, self.config.heartbeat_period),
-                size=size,
+                size=sized[1],
             )
         except RemoteError:
             if self.sp_stub == sp_stub:

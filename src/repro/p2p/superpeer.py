@@ -27,7 +27,6 @@ from repro.net.network import Network
 from repro.p2p.config import P2PConfig
 from repro.rmi import RemoteObject, RmiRuntime, Stub, remote
 from repro.rmi.invocation import OnewayMessage
-from repro.util.hotpath import HOTPATH
 from repro.util.logging import EventLog
 from repro.util.serialization import measured_size
 
@@ -269,21 +268,18 @@ class SuperPeer(RemoteObject):
                 # (an int idle count charges 8 bytes whatever its value):
                 # measure once per parent stub instead of on every period.
                 parent = self.parent_stub
-                size = None
-                if HOTPATH.size_memo:
-                    sized = self._summary_sized
-                    if sized is None or sized[0] is not parent:
-                        probe = OnewayMessage(
-                            parent.object_name, "tier_summary",
-                            (self.sp_id, self.stub, 0), {},
-                        )
-                        sized = (parent, measured_size(probe))
-                        self._summary_sized = sized
-                    size = sized[1]
+                sized = self._summary_sized
+                if sized is None or sized[0] is not parent:
+                    probe = OnewayMessage(
+                        parent.object_name, "tier_summary",
+                        (self.sp_id, self.stub, 0), {},
+                    )
+                    sized = (parent, measured_size(probe))
+                    self._summary_sized = sized
                 self.runtime.oneway(
                     parent, "tier_summary",
                     self.sp_id, self.stub, self.subtree_idle(),
-                    size=size,
+                    size=sized[1],
                 )
 
     def _log(self, kind: str, **detail) -> None:

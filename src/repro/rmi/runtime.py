@@ -31,7 +31,6 @@ from repro.rmi.invocation import (
     remote_method_table,
 )
 from repro.rmi.stub import Stub
-from repro.util.hotpath import HOTPATH
 from repro.util.logging import EventLog
 from repro.util.serialization import measured_size
 
@@ -176,7 +175,7 @@ class RmiRuntime:
                     object=stub.object_name, method=method, dst=str(stub.address))
         msg = OnewayMessage(stub.object_name, method, args, kwargs)
         self.network.send(self.address, stub.address, msg, size,
-                          reliable, HOTPATH.oneway_fastpath)
+                          reliable, True)
 
     def prepare_oneway(
         self, stub: Stub, method: str, *args: Any, **kwargs: Any
@@ -202,7 +201,7 @@ class RmiRuntime:
                     object=msg.object_name, method=msg.method,
                     dst=str(prepared.stub.address))
         self.network.send(self.address, prepared.stub.address, prepared.msg,
-                          prepared.size, reliable, HOTPATH.oneway_fastpath)
+                          prepared.size, reliable, True)
 
     def _watchdog(self, call_id: int, result: Event, timeout: float):
         yield self.sim.timeout(timeout)

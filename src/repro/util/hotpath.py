@@ -1,81 +1,19 @@
-"""Process-wide hot-path switches and cache registry.
+"""Registry of the process-wide caches.
 
-The perf-sensitive layers (decomposition memo in
-:mod:`repro.numerics.splitting`, the message size-accounting fast path in
-:mod:`repro.util.serialization`) read these flags at call time.  Everything
-they gate is *bitwise-neutral*: enabling or disabling a flag never changes
-simulated time, iteration counts or numerical results — only wall-clock
-cost.  That invariant is what :mod:`benchmarks.bench_hotpath` and the
-cache-correctness tests assert.
-
-:func:`hotpath_disabled` is the cache-bypass lever: inside the context every
-flag is off and every registered cache is cleared on entry *and* exit, so a
-bypass run can never observe state built by a cached run (and vice versa).
+The perf-sensitive layers keep process-wide memos (the decomposition cache in
+:mod:`repro.numerics.splitting`, the per-class dataclass metadata in
+:mod:`repro.util.serialization`).  Each registers its ``clear`` here, so a
+test can isolate itself from whatever ran before it and a benchmark can time
+a cold start, with one call to :func:`clear_caches`.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from dataclasses import dataclass
 from typing import Callable
 
-__all__ = ["HOTPATH", "HotpathFlags", "hotpath_disabled", "register_cache",
-           "clear_caches"]
+__all__ = ["register_cache", "clear_caches"]
 
-
-@dataclass
-class HotpathFlags:
-    """Mutable process-wide switches for the wall-clock fast paths."""
-
-    #: memoize :class:`~repro.numerics.splitting.BlockDecomposition` builds
-    #: (shared, immutable operators across tasks and recoveries)
-    decomposition_cache: bool = True
-    #: per-block cached CSR arrays / Jacobi diagonal / CG work vectors
-    operator_cache: bool = True
-    #: fast type-dispatched ``measured_size`` with per-instance memoization
-    #: for frozen (immutable) dataclasses
-    size_memo: bool = True
-    #: collapse eligible oneway RMI invocations (no reply, no tracer, no
-    #: fault interception) into a single pooled kernel callback that
-    #: dispatches straight into the destination runtime — skipping the
-    #: mailbox store and the dispatcher process resume entirely
-    oneway_fastpath: bool = True
-    #: route inner solves through the :class:`repro.compute.ComputePlane`:
-    #: cohort registration, wall-clock-deferred direct solves flushed as
-    #: one multi-RHS call, and per-cohort preallocated work pools.  The
-    #: DES event flow (durations, send times, rng draws) is unchanged —
-    #: only *when in wall-clock* the arithmetic runs.
-    compute_batch: bool = True
-    #: additionally allow *CG* solves to defer into lock-step batched
-    #: cohort solves — only ever taken when the iteration duration is
-    #: provably pinned to the ``min_iteration_time`` floor (duration
-    #: independent of the iteration count), so simulated time cannot move
-    compute_batch_cg: bool = True
-    #: per-member memo of the last inner solve: identical (rhs, x0, tol,
-    #: max_iter) requests — the "useless iteration" pattern, no fresh
-    #: neighbour data — replay the previous result instead of re-solving
-    solve_memo: bool = True
-    #: zero-copy data plane: boundary payloads leave as frozen
-    #: (``writeable=False``) views and checkpoint Backups freeze their
-    #: snapshot instead of eagerly deep-copying it (clone-on-restore)
-    zerocopy: bool = True
-
-    def set_all(self, enabled: bool) -> None:
-        self.decomposition_cache = enabled
-        self.operator_cache = enabled
-        self.size_memo = enabled
-        self.oneway_fastpath = enabled
-        self.compute_batch = enabled
-        self.compute_batch_cg = enabled
-        self.solve_memo = enabled
-        self.zerocopy = enabled
-
-
-#: The process-wide switch block.  Library code reads attributes at call
-#: time, so flipping a flag takes effect immediately.
-HOTPATH = HotpathFlags()
-
-#: Clear-callbacks of every process-wide cache keyed by these flags.
+#: Clear-callbacks of every process-wide cache.
 _cache_clearers: list[Callable[[], None]] = []
 
 
@@ -89,27 +27,3 @@ def clear_caches() -> None:
     """Drop every registered process-wide cache (decompositions, memos)."""
     for clear in _cache_clearers:
         clear()
-
-
-@contextmanager
-def hotpath_disabled():
-    """Run with every hot-path flag off and all shared caches empty.
-
-    This is the benchmark's cache-bypass arm and the test suite's isolation
-    lever.  Caches are cleared again on exit so subsequent cached runs start
-    cold too — keeping A/B comparisons symmetric.
-    """
-    saved = (HOTPATH.decomposition_cache, HOTPATH.operator_cache,
-             HOTPATH.size_memo, HOTPATH.oneway_fastpath,
-             HOTPATH.compute_batch, HOTPATH.compute_batch_cg,
-             HOTPATH.solve_memo, HOTPATH.zerocopy)
-    HOTPATH.set_all(False)
-    clear_caches()
-    try:
-        yield HOTPATH
-    finally:
-        (HOTPATH.decomposition_cache, HOTPATH.operator_cache,
-         HOTPATH.size_memo, HOTPATH.oneway_fastpath,
-         HOTPATH.compute_batch, HOTPATH.compute_batch_cg,
-         HOTPATH.solve_memo, HOTPATH.zerocopy) = saved
-        clear_caches()

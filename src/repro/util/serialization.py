@@ -6,19 +6,13 @@ for checkpoint state (a Backup must be an immutable snapshot, not an alias of
 the live task state — otherwise later iterations would silently corrupt old
 checkpoints, breaking rollback).
 
-``measured_size`` runs on **every** message send, so it has two
-value-identical implementations:
-
-* the legacy ``isinstance``-cascade walk (reference semantics, and the
-  benchmark's cache-bypass arm);
-* a fast path dispatching on exact types, caching ``dataclasses.fields``
-  per class, and memoizing the computed payload size per *instance* for
-  frozen (immutable) dataclasses — stubs, addresses and checkpoint Backups
-  are measured once and re-sent many times.
-
-The fast path is gated by :data:`repro.util.hotpath.HOTPATH.size_memo`; both
-paths charge exactly the same bytes for the same payload, so simulated time
-(link delays are a function of size) is unaffected by the switch.
+``measured_size`` runs on **every** message send, so the walk dispatches on
+exact types, caches ``dataclasses.fields`` per class, and memoizes the
+computed payload size per *instance* for frozen (immutable) dataclasses —
+stubs, addresses and checkpoint Backups are measured once and re-sent many
+times.  Anything else (subclasses, numpy scalars, ``nbytes`` carriers) falls
+through to :func:`_payload_size`, the plain ``isinstance`` cascade that defines
+the charge and that the tests hold the fast walk to, byte for byte.
 """
 
 from __future__ import annotations
@@ -30,10 +24,9 @@ from typing import Any
 
 import numpy as np
 
-from repro.util.hotpath import HOTPATH, register_cache
+from repro.util.hotpath import register_cache
 
 __all__ = ["measured_size", "payload_size", "clone_state",
-           "prime_payload_cache", "memoized_payload_size",
            "NDARRAY_HEADER_BYTES", "freeze_state", "frozen_view"]
 
 # Fixed protocol overhead charged per message, in bytes.  Roughly a TCP/IP +
@@ -50,7 +43,7 @@ NDARRAY_HEADER_BYTES = 96
 #: instance attribute holding a frozen dataclass's memoized payload size
 _SIZE_ATTR = "_measured_payload_cache"
 
-# per-class metadata for the fast path: field-name tuple and frozen-ness
+# per-class metadata for the fast walk: field-name tuple and frozen-ness
 _fields_by_class: dict[type, tuple[str, ...]] = {}
 _frozen_by_class: dict[type, bool] = {}
 #: frozen dataclasses whose instances cannot hold the per-instance memo
@@ -69,24 +62,12 @@ def measured_size(obj: Any) -> int:
     ship) without actually pickling them — important because the simulator
     calls this on every message send.
     """
-    if HOTPATH.size_memo:
-        return ENVELOPE_BYTES + _payload_size_fast(obj, 0)
-    return ENVELOPE_BYTES + _payload_size(obj, depth=0)
-
-
-def payload_size(obj: Any, depth: int) -> int:
-    """What ``obj`` adds to :func:`measured_size` of an envelope that holds
-    it ``depth`` containers deep (the walk falls back to pickling past
-    depth 6, so the charge for a nested container depends on where it
-    sits).  For senders that assemble an envelope's size from parts they
-    measured earlier."""
-    if HOTPATH.size_memo:
-        return _payload_size_fast(obj, depth)
-    return _payload_size(obj, depth)
+    return ENVELOPE_BYTES + payload_size(obj, 0)
 
 
 def _payload_size(obj: Any, depth: int) -> int:
-    """Reference implementation: the original isinstance cascade."""
+    """The charge, defined: the ``isinstance`` cascade :func:`payload_size`
+    falls back to for types it does not dispatch on exactly."""
     if obj is None:
         return 1
     if isinstance(obj, np.ndarray):
@@ -131,9 +112,14 @@ def _register_dataclass(cls: type) -> tuple[str, ...] | None:
     return names
 
 
-def _payload_size_fast(obj: Any, depth: int) -> int:
-    """Exact-type dispatch, charging the same bytes as :func:`_payload_size`.
+def payload_size(obj: Any, depth: int) -> int:
+    """What ``obj`` adds to :func:`measured_size` of an envelope that holds
+    it ``depth`` containers deep (the walk falls back to pickling past
+    depth 6, so the charge for a nested container depends on where it
+    sits).  For senders that assemble an envelope's size from parts they
+    measured earlier.
 
+    Exact-type dispatch, charging the same bytes as :func:`_payload_size`.
     Frozen dataclasses are memoized per instance (their fields cannot be
     rebound, and by convention their contents are immutable snapshots —
     stubs, addresses, Backups).  Memoized sizes are computed with a fresh
@@ -162,7 +148,7 @@ def _payload_size_fast(obj: Any, depth: int) -> int:
         d = depth + 1
         size = 16
         for x in obj:
-            size += _payload_size_fast(x, d)
+            size += payload_size(x, d)
         return size
     if cls is dict:
         if depth > 6:
@@ -170,7 +156,7 @@ def _payload_size_fast(obj: Any, depth: int) -> int:
         d = depth + 1
         size = 16
         for k, v in obj.items():
-            size += _payload_size_fast(k, d) + _payload_size_fast(v, d)
+            size += payload_size(k, d) + payload_size(v, d)
         return size
     names = _fields_by_class.get(cls)
     if names is None:
@@ -185,7 +171,7 @@ def _payload_size_fast(obj: Any, depth: int) -> int:
             d = depth + 1
             size = 32
             for nm in names:
-                size += _payload_size_fast(getattr(obj, nm), d)
+                size += payload_size(getattr(obj, nm), d)
             if memoizable:
                 try:
                     object.__setattr__(obj, _SIZE_ATTR, size)
@@ -195,34 +181,11 @@ def _payload_size_fast(obj: Any, depth: int) -> int:
         d = depth + 1
         size = 32
         for nm in names:
-            size += _payload_size_fast(getattr(obj, nm), d)
+            size += payload_size(getattr(obj, nm), d)
         return size
     # Rare/odd types (numpy scalars, subclasses, nbytes-carriers, pickle
     # fallback): defer to the reference cascade for identical charges.
     return _payload_size(obj, depth)
-
-
-def prime_payload_cache(obj: Any) -> None:
-    """Precompute a frozen dataclass's memoized payload size (optional).
-
-    Lets long-lived immutable payloads (e.g. checkpoint Backups) pay the
-    size walk at construction time instead of on the send path.  A no-op
-    when the fast path is disabled.
-    """
-    if HOTPATH.size_memo:
-        _payload_size_fast(obj, 0)
-
-
-def memoized_payload_size(obj: Any) -> int | None:
-    """The per-instance payload size planted by :func:`prime_payload_cache`.
-
-    Senders that derive envelope sizes incrementally (base + nested payload)
-    read the nested object's charge through this instead of re-walking it.
-    ``None`` when no memo is planted (fast path off, or the object is not a
-    primed frozen dataclass) — callers must then fall back to a full
-    measurement.
-    """
-    return getattr(obj, _SIZE_ATTR, None)
 
 
 def _pickle_size(obj: Any) -> int:
@@ -235,9 +198,8 @@ def _pickle_size(obj: Any) -> int:
 def freeze_state(state: Any) -> Any:
     """Mark every ndarray inside ``state`` read-only, in place.
 
-    The zero-copy checkpoint path (:class:`repro.checkpoint.Backup` with
-    ``HOTPATH.zerocopy``) freezes the snapshot it was handed instead of
-    deep-copying it: ``dump_state`` already produced a private copy, so
+    :class:`repro.checkpoint.Backup` freezes the snapshot it was handed
+    instead of deep-copying it: ``dump_state`` already produced a private copy, so
     freezing turns accidental aliasing into a loud ``ValueError`` rather
     than paying a second full copy per checkpoint.  Returns ``state``.
     """
@@ -258,7 +220,7 @@ def freeze_state(state: Any) -> Any:
 def frozen_view(a: np.ndarray) -> np.ndarray:
     """A read-only view of ``a`` (no data copy).
 
-    The zero-copy boundary-exchange path ships these as message payloads:
+    The boundary exchange ships these as message payloads:
     receivers only ever *read* boundary values, and any code path that
     tried to mutate one in place fails loudly instead of corrupting the
     sender's state.

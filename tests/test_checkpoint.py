@@ -6,7 +6,6 @@ import pytest
 from repro.checkpoint import Backup, BackupPolicy, BackupStore, choose_latest
 from repro.checkpoint.recovery import latest_iteration
 from repro.errors import NoBackupAvailableError
-from repro.util.hotpath import hotpath_disabled
 
 
 # --------------------------------------------------------------------- backup
@@ -24,19 +23,6 @@ def test_backup_snapshot_is_isolated_from_live_state():
     restored = b.restore()
     restored["x"][1] = -1.0  # restore() hands out writable copies
     assert b.state["x"][1] == 1.0
-
-
-def test_backup_legacy_path_deep_copies():
-    # With zerocopy off, the original eager double copy isolates the
-    # snapshot without freezing the caller's arrays.
-    with hotpath_disabled():
-        live = {"x": np.arange(4.0)}
-        b = Backup(task_id=1, iteration=3, state=live, app_id="app")
-        live["x"][0] = 777.0  # still writable, and the Backup is immune
-        assert b.state["x"][0] == 0.0
-        restored = b.restore()
-        restored["x"][1] = -1.0
-        assert b.state["x"][1] == 1.0
 
 
 def test_backup_size_accounting_tracks_payload():

@@ -150,12 +150,10 @@ def test_normalized_resolves_default_policy_from_config():
 
 def test_explicit_default_policy_matches_default_route_bitwise():
     """FixedPolicy(defaults) must reproduce the knob route bit-for-bit."""
-    base = run_poisson_on_p2p(n=24, peers=3, disconnections=1, seed=5,
-                              use_cache=False)
+    base = run_poisson_on_p2p(n=24, peers=3, disconnections=1, seed=5)
     explicit = run_poisson_on_p2p(n=24, peers=3, disconnections=1, seed=5,
                                   checkpoint=FixedPolicy(count=20,
-                                                         frequency=5),
-                                  use_cache=False)
+                                                         frequency=5))
     assert base.simulated_time == explicit.simulated_time
     assert base.total_iterations == explicit.total_iterations
     assert base.checkpoints_sent == explicit.checkpoints_sent
@@ -262,7 +260,7 @@ def test_adaptive_begin_save_fans_out_replicas():
 
 def test_adaptive_run_is_deterministic():
     kwargs = dict(n=24, peers=3, disconnections=2, seed=3,
-                  checkpoint=AdaptivePolicy(), use_cache=False)
+                  checkpoint=AdaptivePolicy())
     a, b = run_poisson_on_p2p(**kwargs), run_poisson_on_p2p(**kwargs)
     assert a.simulated_time == b.simulated_time
     assert a.total_iterations == b.total_iterations
@@ -271,10 +269,8 @@ def test_adaptive_run_is_deterministic():
 
 
 def test_adaptive_cuts_checkpoint_traffic_under_churn():
-    fixed = run_poisson_on_p2p(n=24, peers=3, disconnections=2, seed=3,
-                               use_cache=False)
+    fixed = run_poisson_on_p2p(n=24, peers=3, disconnections=2, seed=3)
     adaptive = run_poisson_on_p2p(n=24, peers=3, disconnections=2, seed=3,
-                                  checkpoint=AdaptivePolicy(),
-                                  use_cache=False)
+                                  checkpoint=AdaptivePolicy())
     assert adaptive.converged and fixed.converged
     assert adaptive.checkpoint_bytes < fixed.checkpoint_bytes

@@ -1,7 +1,7 @@
 """Tests for the batched compute plane (:mod:`repro.compute`): kernel
 bitwise identity, cohort mechanics, memo replay, zero-copy payload views —
-and the run-level A/B guarantee that the plane is invisible to simulated
-time."""
+and the run-level guarantee that the plane is invisible to simulated time:
+a cluster with no plane, whose tasks solve on the spot, runs identically."""
 
 import numpy as np
 import pytest
@@ -13,8 +13,9 @@ from repro.compute import (DIRECT_CHUNK, ComputePlane, batched_cg,
 from repro.numerics import BlockDecomposition, CgOperator, Poisson2D
 from repro.numerics.cg import csr_matvec_into
 from repro.p2p.task import StepPlan
-from repro.util.hotpath import HOTPATH, clear_caches, hotpath_disabled
-from repro.util.serialization import NDARRAY_HEADER_BYTES, measured_size
+from repro.util.hotpath import clear_caches
+from repro.util.serialization import (NDARRAY_HEADER_BYTES, _payload_size,
+                                      measured_size)
 from tests.helpers import poisson_strip
 
 
@@ -132,12 +133,6 @@ def test_chunked_direct_solve_padding_independent():
         alone = chunked_direct_solve(lu, [r], panel)[0]
         assert x.tobytes() == alone.tobytes()
         assert x.flags["C_CONTIGUOUS"] and x.flags.owndata
-    # the unpadded throughput path solves the same systems (no bitwise
-    # claim, but the arithmetic is the same factorization)
-    fast = chunked_direct_solve(lu, rhs, panel, pad=False)
-    assert len(fast) == len(rhs)
-    for x, y in zip(xs, fast):
-        assert np.allclose(x, y, atol=1e-12)
 
 
 def test_panel_probe_certifies_safe_regime():
@@ -287,21 +282,6 @@ def test_cg_unpinned_solves_eagerly():
     assert plane.stats()["immediate"] == 1
 
 
-def test_cg_defer_disabled_by_flag():
-    A, b = _spd(6)
-    op = CgOperator(A)
-    plane = ComputePlane()
-    member = plane.member_for(op)
-    old = HOTPATH.compute_batch_cg
-    HOTPATH.compute_batch_cg = False
-    try:
-        duration, result = plane.begin(member, _plan_cg(op, b), rate=RATE,
-                                       overhead=2e-4, floor=10.0)
-    finally:
-        HOTPATH.compute_batch_cg = old
-    assert duration is None and result is not None
-
-
 def test_solve_memo_replays_identical_requests():
     A, b = _spd(8)
     op = CgOperator(A)
@@ -349,20 +329,6 @@ def test_collect_without_deferred_solve_raises():
         plane.collect(member)
 
 
-def test_panel_mode_always_stacks():
-    A, b = _spd(8)
-    op = CgOperator(A)
-    plane = ComputePlane(direct_mode="panel")
-    member = plane.member_for(op)
-    plane.begin(member, _plan_direct(op, b), rate=RATE, overhead=2e-4,
-                floor=5e-4)
-    plane.collect(member)
-    assert plane.stats()["batched_columns"] == 1
-    assert plane.stats()["loop_columns"] == 0
-    with pytest.raises(ValueError):
-        ComputePlane(direct_mode="bogus")
-
-
 # ----------------------------------------------------- zero-copy payloads
 
 
@@ -373,8 +339,7 @@ def test_outgoing_payloads_are_frozen_views_matching_copies():
     for blk in d.blocks:
         x = rng.standard_normal(blk.n_ext)
         views = blk.outgoing_payloads(x)
-        with hotpath_disabled():
-            copies = blk.outgoing_payloads(x)
+        copies = {nb: blk.values_to_send(x, nb) for nb in blk.send_map}
         assert sorted(views) == sorted(copies)
         for nb, v in views.items():
             assert np.array_equal(v, copies[nb])
@@ -394,9 +359,7 @@ def test_ndarray_header_constant_matches_measured_charge():
     for n in (1, 17, 1024):
         arr = np.zeros(n)
         assert measured_size(arr) == arr.nbytes + NDARRAY_HEADER_BYTES + 256
-        with hotpath_disabled():
-            assert measured_size(arr) == \
-                arr.nbytes + NDARRAY_HEADER_BYTES + 256
+        assert _payload_size(arr, 0) == arr.nbytes + NDARRAY_HEADER_BYTES
 
 
 # ------------------------------------------------- repo-relative profiles
@@ -423,44 +386,59 @@ def test_profile_top_paths_are_repo_relative():
 # ------------------------------------------------------ run-level identity
 
 
-def _ab(kw):
-    from repro.experiments.driver import run_poisson_on_p2p
+def _ab(kw, monkeypatch):
+    """The same run on a cluster with the plane and on one without: there
+    every task takes ``iterate()``, the solve-on-the-spot path that
+    :mod:`repro.local` and the baselines use."""
+    from repro.experiments import driver
 
     clear_caches()
-    on = run_poisson_on_p2p(**kw)
-    with hotpath_disabled():
-        off = run_poisson_on_p2p(**kw)
+    on = driver.run_poisson_on_p2p(**kw)
+    build_cluster = driver.build_cluster
+
+    def build_planeless(*args, **kwargs):
+        cluster = build_cluster(*args, **kwargs)
+        cluster.compute = None  # what later incarnations are booted with
+        for daemon in cluster.daemons.values():
+            daemon.compute = None
+        return cluster
+
+    monkeypatch.setattr(driver, "build_cluster", build_planeless)
+    clear_caches()
+    off = driver.run_poisson_on_p2p(**kw)
     return on, off
 
 
-def test_run_flat_bitwise_plane_on_vs_off():
-    on, off = _ab(dict(n=16, peers=4, seed=3, convergence_threshold=1e-6))
+def test_run_flat_bitwise_plane_on_vs_off(monkeypatch):
+    on, off = _ab(dict(n=16, peers=4, seed=3, convergence_threshold=1e-6),
+                  monkeypatch)
     assert on == off
     assert on.converged
 
 
-def test_run_tiered_wheel_bitwise_plane_on_vs_off():
+def test_run_tiered_wheel_bitwise_plane_on_vs_off(monkeypatch):
     from repro.p2p.config import P2PConfig
 
     cfg = P2PConfig(superpeer_tiers=2, superpeer_fanout=4,
                     heartbeat_mode="wheel")
     on, off = _ab(dict(n=16, peers=4, seed=1, config=cfg, n_daemons=12,
-                       n_superpeers=4, convergence_threshold=1e-5))
+                       n_superpeers=4, convergence_threshold=1e-5),
+                  monkeypatch)
     assert on == off
 
 
-def test_run_churn_with_recoveries_bitwise_plane_on_vs_off():
+def test_run_churn_with_recoveries_bitwise_plane_on_vs_off(monkeypatch):
     on, off = _ab(dict(n=16, peers=3, seed=7, disconnections=2,
-                       convergence_threshold=1e-4))
+                       convergence_threshold=1e-4), monkeypatch)
     assert on == off
     assert on.recoveries >= 1
 
 
-def test_run_fault_scenario_bitwise_plane_on_vs_off():
+def test_run_fault_scenario_bitwise_plane_on_vs_off(monkeypatch):
     from repro.faults.scenarios import scenario
 
     on, off = _ab(dict(n=16, peers=4, seed=2, faults=scenario("dirty-channel"),
                        n_daemons=12, convergence_threshold=1e-5,
-                       horizon=60.0))
+                       horizon=60.0), monkeypatch)
     assert on == off
     assert on.faults_executed > 0

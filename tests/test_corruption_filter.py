@@ -134,13 +134,13 @@ def test_poisoned_channel_breaks_unfiltered_run():
     """Whole-run corruption, no filter: the run must NOT converge within a
     horizon several times the clean convergence time (~0.42 s)."""
     r = RunSpec(n=32, peers=4, seed=0, faults=scenario("poisoned-channel"),
-                horizon=2.0, use_cache=False).run()
+                horizon=2.0).run()
     assert not (r.converged and r.residual is not None and r.residual < 1e-3)
 
 
 def test_poisoned_channel_survived_with_filter():
     r = RunSpec(n=32, peers=4, seed=0, faults=scenario("poisoned-channel"),
-                reject_corruption=True, use_cache=False).run()
+                reject_corruption=True).run()
     assert r.converged
     assert r.residual is not None and r.residual < 1e-3
     assert r.components_rejected > 0

@@ -21,7 +21,7 @@ from repro.exec import (
 from repro.experiments import figure7_sweep
 from repro.experiments.driver import RUN_COUNTER, RunResult, run_poisson_on_p2p
 from repro.obs.report import RunReport
-from repro.p2p.telemetry import RecoveryRecord
+from repro.obs.instruments import RecoveryRecord
 
 #: small enough to keep this module in tier-1 time budgets
 TINY = dict(n=24, peers=3, seed=5)

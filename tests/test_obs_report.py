@@ -2,8 +2,8 @@
 
 The integration test mirrors ``examples/churn_resilience.py``: a traced
 churn run whose trace must contain heartbeat-miss, eviction, checkpoint
-and recovery events, and whose rendered report must agree with the legacy
-``Telemetry`` counters.
+and recovery events, and whose rendered report must agree with the
+``RunTelemetry`` counters.
 """
 
 import json

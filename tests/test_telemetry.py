@@ -1,9 +1,7 @@
-"""Unit tests for the RunTelemetry instrument (and its deprecated alias)."""
-
-import pytest
+"""Unit tests for the RunTelemetry instrument."""
 
 from repro.obs import RunTelemetry
-from repro.p2p.telemetry import RecoveryRecord
+from repro.obs.instruments import RecoveryRecord
 
 
 def test_iteration_accounting():
@@ -98,13 +96,3 @@ def test_shared_registry_injection():
     assert t.registry is reg
     assert reg.get("task_iterations").total == 1
 
-
-def test_legacy_telemetry_facade_deprecated():
-    """The old repro.p2p Telemetry name still works but warns."""
-    from repro.p2p import Telemetry
-
-    with pytest.warns(DeprecationWarning, match=r"repro\.p2p\.telemetry"):
-        legacy = Telemetry()
-    assert isinstance(legacy, RunTelemetry)
-    legacy.record_iteration(0, fresh=True)
-    assert legacy.total_iterations == 1

@@ -2,8 +2,8 @@
 
 Covers the pooled :class:`ScheduledCall` fast lane, the float-keyed batch
 contract, TimerWheel × cancellation interactions, the oneway RMI fast
-path's bitwise A/B identity against the reference object pipeline, and
-the profiling harness' report schema.
+path's bitwise identity with the object pipeline (which a traced run takes
+for every transfer), and the profiling harness' report schema.
 """
 
 import json
@@ -13,7 +13,6 @@ import pytest
 from repro.des import Simulator
 from repro.des.kernel import ScheduledCall
 from repro.errors import SimulationError
-from repro.util.hotpath import HOTPATH, hotpath_disabled
 
 
 # ------------------------------------------------------------ ScheduledCall
@@ -215,7 +214,7 @@ def test_interrupted_daemon_heartbeat_does_not_fire():
     )
 
 
-# ------------------------------------------------------ oneway fast path A/B
+# ------------------------------------- oneway fast path vs object pipeline
 
 
 def _poisson_run(**kw):
@@ -224,17 +223,32 @@ def _poisson_run(**kw):
     return run_poisson_on_p2p(**kw)
 
 
-def test_fastpath_bitwise_identical_poisson():
-    kw = dict(n=16, peers=3, seed=11, convergence_threshold=1e-6)
-    assert HOTPATH.oneway_fastpath  # on by default
+def _untraced_and_traced(**kw):
+    """Untraced, eligible oneways take the coalesced path; under a tracer
+    every transfer takes the object pipeline (mailbox put, dispatcher
+    resume).  The two must be the same run."""
+    from repro.obs import Tracer
+
     fast = _poisson_run(**kw)
-    with hotpath_disabled():
-        assert not HOTPATH.oneway_fastpath
-        reference = _poisson_run(**kw)
+    reference = _poisson_run(tracer=Tracer(), **kw)
+    assert reference.run_report is not None  # the tracer was live
+    return fast, reference
+
+
+def test_fastpath_bitwise_identical_poisson():
+    fast, reference = _untraced_and_traced(
+        n=16, peers=3, seed=11, convergence_threshold=1e-6)
     assert fast.converged and reference.converged
     assert fast.simulated_time == reference.simulated_time
     assert fast.total_iterations == reference.total_iterations
     assert fast.residual == reference.residual
+    assert fast == reference
+
+
+def test_fastpath_bitwise_identical_under_churn():
+    fast, reference = _untraced_and_traced(
+        n=16, peers=3, seed=7, disconnections=2, convergence_threshold=1e-4)
+    assert fast.recoveries >= 1
     assert fast == reference
 
 
@@ -245,10 +259,9 @@ def test_fastpath_bitwise_identical_under_faults(scenario_name):
     force eligible transfers back through the object pipeline)."""
     from repro.faults import scenario
 
-    kw = dict(n=16, peers=3, seed=11, convergence_threshold=1e-6)
-    fast = _poisson_run(faults=scenario(scenario_name), **kw)
-    with hotpath_disabled():
-        reference = _poisson_run(faults=scenario(scenario_name), **kw)
+    fast, reference = _untraced_and_traced(
+        n=16, peers=3, seed=11, convergence_threshold=1e-6,
+        faults=scenario(scenario_name))
     assert fast.converged and reference.converged
     assert fast == reference
 
@@ -346,31 +359,40 @@ def test_jitter_stream_bitwise_matches_scalar_draws():
         assert stream.factor() == 1.0 + scalar.uniform(-jitter, jitter)
 
 
-def test_envelope_size_memo_charges_identical_bytes():
-    """The per-neighbour boundary-envelope memo and the reaffirm-call memo
-    must charge exactly the bytes ``measured_size`` would: identical
-    traffic accounting with the memos on and off."""
+def test_envelope_size_memo_charges_identical_bytes(monkeypatch):
+    """The per-neighbour boundary-envelope memo, the heartbeat, reaffirm and
+    checkpoint memos must charge exactly the bytes the reference walk
+    would: every ``size=`` a sender hands the network is checked against
+    ``_payload_size`` of the payload it describes."""
     from repro.apps import make_poisson_app
+    from repro.net.network import Network
     from repro.p2p import build_cluster, launch_application
     from repro.p2p.config import P2PConfig
+    from repro.util.serialization import ENVELOPE_BYTES, _payload_size
 
-    def run():
-        config = P2PConfig(heartbeat_mode="wheel")
-        cluster = build_cluster(n_daemons=6, n_superpeers=1, seed=9,
-                                config=config)
-        app = make_poisson_app("poisson", n=12, num_tasks=3, overlap=1,
-                               convergence_threshold=1e-5)
-        spawner = launch_application(cluster, app)
-        sim = cluster.sim
-        sim.run(until=sim.any_of([spawner.done, sim.timeout(60.0)]))
-        net = cluster.testbed.network
-        assert spawner.done.triggered
-        return (net.sent, net.delivered, net.bytes_sent, net.bytes_delivered)
+    sized = set()
+    send = Network.send
 
-    memoized = run()
-    with hotpath_disabled():
-        reference = run()
-    assert memoized == reference
+    def checked_send(self, src, dst, payload, size=None, *args, **kwargs):
+        if size is not None:
+            assert size == ENVELOPE_BYTES + _payload_size(payload, depth=0)
+            sized.add(getattr(payload, "method", None))
+        return send(self, src, dst, payload, size, *args, **kwargs)
+
+    monkeypatch.setattr(Network, "send", checked_send)
+    # beats several times within the run, so their memos are exercised too
+    config = P2PConfig(heartbeat_mode="wheel", heartbeat_period=0.02,
+                       heartbeat_timeout=0.2)
+    cluster = build_cluster(n_daemons=6, n_superpeers=1, seed=9,
+                            config=config)
+    app = make_poisson_app("poisson", n=12, num_tasks=3, overlap=1,
+                           convergence_threshold=1e-5)
+    spawner = launch_application(cluster, app)
+    sim = cluster.sim
+    sim.run(until=sim.any_of([spawner.done, sim.timeout(60.0)]))
+    assert spawner.done.triggered
+    assert sized >= {"receive_data", "store_backup", "heartbeat_task",
+                     "heartbeat_oneway", "heartbeat"}
 
 
 # ------------------------------------------------------- profiling harness
