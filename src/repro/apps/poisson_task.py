@@ -52,8 +52,8 @@ class PoissonTask(Task):
       as an optimization ablation, not the reproduction default;
     * ``problem`` — ``"manufactured"`` (default) or ``"plate"``;
     * ``inner_solver`` — ``"cg"`` (default) or ``"direct"``: the cached-LU
-      path for small blocks (falls back to CG for
-      blocks above ``direct_max_rows``, default 50000).  A different
+      path for small blocks (falls back to CG for blocks above
+      ``direct_max_rows``, default 50000).  A different
       numerical method — changes iteration counts and simulated time, so it
       is an explicit opt-in, never part of the reproduction defaults.  The
       factorization uses SuperLU's symmetric ordering (the block is a strip

@@ -199,9 +199,9 @@ def freeze_state(state: Any) -> Any:
     """Mark every ndarray inside ``state`` read-only, in place.
 
     :class:`repro.checkpoint.Backup` freezes the snapshot it was handed
-    instead of deep-copying it: ``dump_state`` already produced a private copy, so
-    freezing turns accidental aliasing into a loud ``ValueError`` rather
-    than paying a second full copy per checkpoint.  Returns ``state``.
+    instead of deep-copying it: ``dump_state`` already produced a private
+    copy, so freezing turns accidental aliasing into a loud ``ValueError``
+    rather than paying a second full copy per checkpoint.  Returns ``state``.
     """
     if isinstance(state, np.ndarray):
         state.flags.writeable = False
