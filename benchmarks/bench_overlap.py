@@ -14,7 +14,7 @@ Shape assertions:
 
 import pytest
 
-from repro.experiments import run_poisson_on_p2p
+from repro.exec import RunSpec
 from repro.experiments.ablations import overlap_ablation
 
 
@@ -39,8 +39,8 @@ def test_overlap_reduces_iterations_constant_exchange(benchmark, record_table):
 @pytest.mark.benchmark(group="ablation")
 def test_overlap_helps_on_the_runtime_too(benchmark, record_table):
     def run_pair():
-        no_overlap = run_poisson_on_p2p(n=48, peers=8, overlap=0, collect=False)
-        with_overlap = run_poisson_on_p2p(n=48, peers=8, overlap=2, collect=False)
+        no_overlap = RunSpec(n=48, peers=8, overlap=0, collect=False).run()
+        with_overlap = RunSpec(n=48, peers=8, overlap=2, collect=False).run()
         return no_overlap, with_overlap
 
     no_overlap, with_overlap = benchmark.pedantic(run_pair, rounds=1, iterations=1)

@@ -14,9 +14,10 @@ grows with the task count; both modes stay correct.
 import pytest
 
 from repro.apps import make_poisson_app
-from repro.churn import ChurnInjector, PaperChurn
+from repro.churn import PaperChurn, churn_plan
 from repro.experiments.config import EXPERIMENT_CONFIG, EXPERIMENT_LINK_SCALE
 from repro.experiments.report import format_table
+from repro.faults import FaultInjector
 from repro.p2p import build_cluster, launch_application
 from repro.util.rng import RngTree
 
@@ -29,10 +30,11 @@ def run_once(mode: str, peers: int, seed: int = 6):
     )
     app = make_poisson_app("p", n=64, num_tasks=peers, overlap=2)
     spawner = launch_application(cluster, app)
-    ChurnInjector(
-        cluster.sim, cluster.testbed.daemon_hosts,
-        PaperChurn(4, reconnect_delay=1.0),
-        RngTree(seed).child("churn"), horizon=1.2, log=cluster.log,
+    rng = RngTree(seed).child("churn")
+    FaultInjector(
+        cluster.sim,
+        churn_plan(PaperChurn(4, reconnect_delay=1.0), rng, horizon=1.2),
+        rng=rng, hosts=cluster.testbed.daemon_hosts, entity="churn",
         victim_filter=lambda h: (
             (d := cluster.daemons.get(h.name)) is not None
             and d.runner is not None

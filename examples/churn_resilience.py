@@ -21,12 +21,13 @@ Run:  python examples/churn_resilience.py
 import numpy as np
 
 from repro.apps import make_poisson_app
-from repro.churn import ChurnInjector, PaperChurn
+from repro.churn import PaperChurn, churn_plan
 from repro.experiments.config import (
     EXPERIMENT_CONFIG,
     EXPERIMENT_LINK_SCALE,
     optimal_overlap,
 )
+from repro.faults import FaultInjector
 from repro.numerics import Poisson2D
 from repro.obs import Tracer, build_run_report, write_jsonl
 from repro.p2p import build_cluster, launch_application
@@ -49,13 +50,14 @@ def main() -> None:
     )
     spawner = launch_application(cluster, app)
 
-    injector = ChurnInjector(
+    rng = RngTree(seed).child("churn")
+    model = PaperChurn(n_disconnections=disconnections, reconnect_delay=1.0)
+    injector = FaultInjector(
         cluster.sim,
-        cluster.testbed.daemon_hosts,
-        PaperChurn(n_disconnections=disconnections, reconnect_delay=1.0),
-        RngTree(seed).child("churn"),
-        horizon=2.0,
-        log=cluster.log,
+        churn_plan(model, rng, horizon=2.0),
+        rng=rng,
+        hosts=cluster.testbed.daemon_hosts,
+        entity="churn",
     )
 
     sim = cluster.sim
@@ -63,15 +65,15 @@ def main() -> None:
     assert spawner.done.triggered, "did not converge"
 
     print(f"converged at t={spawner.execution_time:.3f}s with "
-          f"{injector.disconnections} disconnections\n")
+          f"{len(injector.executed)} disconnections\n")
     print("failure timeline:")
-    interesting = (
-        "disconnect", "reconnect", "spawner_failure_detected",
-        "sp_evict", "spawner_assigned", "task_recovered",
-    )
-    for record in cluster.log.records:
-        if record.kind in interesting:
-            print(f"  {record}")
+    interesting = {
+        ("faults", "daemon_crash"), ("faults", "recover"), ("p2p", "hb_miss"),
+        ("p2p", "evict"), ("p2p", "slot_filled"), ("p2p", "recovery"),
+    }
+    for event in tracer:
+        if (event.category, event.kind) in interesting:
+            print(f"  {event}")
 
     print("\nrecovery summary:")
     for rec in cluster.telemetry.recoveries:

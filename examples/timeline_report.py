@@ -2,59 +2,33 @@
 """Timeline reporting: watch a stormy run as a narrative and a strip chart.
 
 Runs the Poisson application under heavy churn, then renders the run three
-ways from its event log: the chronological protocol narrative, an ASCII
+ways from its trace: the chronological protocol narrative, an ASCII
 activity chart (one row per machine), and the headline counters.
 
 Run:  python examples/timeline_report.py
 """
 
-from repro.apps import make_poisson_app
-from repro.churn import ChurnInjector, PaperChurn
-from repro.experiments.config import (
-    EXPERIMENT_CONFIG,
-    EXPERIMENT_LINK_SCALE,
-    optimal_overlap,
-)
+from repro.exec import RunSpec
 from repro.experiments.timeline import activity_chart, event_timeline, run_summary
-from repro.p2p import build_cluster, launch_application
-from repro.util.rng import RngTree
+from repro.obs import Tracer
 
 
 def main() -> None:
-    n, peers, seed = 64, 6, 13
-    cluster = build_cluster(
-        n_daemons=12, n_superpeers=3, seed=seed,
-        config=EXPERIMENT_CONFIG, link_scale=EXPERIMENT_LINK_SCALE,
-    )
-    app = make_poisson_app(
-        "storm", n=n, num_tasks=peers, overlap=optimal_overlap(n, peers),
-    )
-    spawner = launch_application(cluster, app)
-    ChurnInjector(
-        cluster.sim,
-        cluster.testbed.daemon_hosts,
-        PaperChurn(n_disconnections=4, reconnect_delay=1.0),
-        RngTree(seed).child("churn"),
-        horizon=1.2,
-        log=cluster.log,
-        victim_filter=lambda h: (
-            (d := cluster.daemons.get(h.name)) is not None
-            and d.runner is not None
-        ),
-    )
-
-    sim = cluster.sim
-    sim.run(until=sim.any_of([spawner.done, sim.timeout(900.0)]))
+    tracer = Tracer()
+    result = RunSpec(
+        n=64, peers=6, seed=13, n_daemons=12, disconnections=4,
+        churn_window=1.2, reconnect_delay=1.0, collect=False,
+    ).run(tracer=tracer)
 
     print("== narrative ==")
-    print(event_timeline(cluster.log))
+    print(event_timeline(tracer))
     print("\n== activity chart ==")
-    print(activity_chart(cluster.log, width=70))
+    print(activity_chart(tracer, width=70))
     print("\n== summary ==")
-    for key, value in run_summary(cluster.log).items():
+    for key, value in run_summary(tracer).items():
         print(f"  {key:>18}: {value}")
-    if spawner.execution_time is not None:
-        print(f"  {'execution time':>18}: {spawner.execution_time:.3f}s")
+    if result.simulated_time is not None:
+        print(f"  {'execution time':>18}: {result.simulated_time:.3f}s")
 
 
 if __name__ == "__main__":

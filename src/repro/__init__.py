@@ -26,8 +26,8 @@ The package layers, bottom-up:
 
 Quickstart::
 
-    from repro.experiments import run_poisson_on_p2p
-    result = run_poisson_on_p2p(n=40, peers=4, disconnections=2, seed=1)
+    from repro.exec import RunSpec
+    result = RunSpec(n=40, peers=4, disconnections=2, seed=1).run()
     print(result.simulated_time, result.residual)
 """
 

@@ -26,7 +26,6 @@ from repro.net.topology import build_testbed
 from repro.p2p.cluster import Cluster
 from repro.p2p.config import P2PConfig
 from repro.p2p.superpeer import SuperPeer
-from repro.util.logging import EventLog
 from repro.util.rng import RngTree
 
 __all__ = ["build_centralized_cluster"]
@@ -61,13 +60,12 @@ def build_centralized_cluster(
         homogeneous=homogeneous,
         link_scale=link_scale,
     )
-    log = EventLog()
-    cluster = Cluster(sim=sim, testbed=testbed, config=config, rng=rng, log=log,
-                  checkpoint=checkpoint)
+    cluster = Cluster(sim=sim, testbed=testbed, config=config, rng=rng,
+                      checkpoint=checkpoint)
 
     central_host = testbed.spawner_host
     server = SuperPeer(
-        testbed.network, central_host, sp_id="CENTRAL", config=config, log=log
+        testbed.network, central_host, sp_id="CENTRAL", config=config
     )
     server.link([])  # nobody to forward to
     cluster.superpeers.append(server)

@@ -22,7 +22,6 @@ from repro.errors import NotSupportedError
 from repro.net.host import BASE_FLOPS, Host
 from repro.p2p.messages import AppSpec
 from repro.p2p.task import Task, TaskContext
-from repro.util.logging import EventLog
 
 __all__ = ["MasterSlaveScheduler", "MasterSlaveResult"]
 
@@ -54,7 +53,6 @@ class MasterSlaveScheduler:
         convergence_threshold: float = 1e-6,
         stability_window: int = 3,
         max_iterations_per_unit: int = 1_000_000,
-        log: EventLog | None = None,
     ):
         if not slaves:
             raise ValueError("need at least one slave host")
@@ -70,7 +68,6 @@ class MasterSlaveScheduler:
             app.stability_window if app.stability_window is not None else stability_window
         )
         self.max_iterations = max_iterations_per_unit
-        self.log = log
         self.result = MasterSlaveResult(completed=False, finished_at=None)
         self.queue: list[int] = list(range(app.num_tasks))
         self.rejected: NotSupportedError | None = None
@@ -143,9 +140,10 @@ class MasterSlaveScheduler:
             detector.update(step.local_distance)
             if detector.stable:
                 self.result.results[task_id] = task.solution_fragment()
-                if self.log is not None:
-                    self.log.emit(self.sim.now, f"ms:{self.app.app_id}",
-                                  "ms_unit_done", task=task_id,
-                                  iterations=iterations)
+                tr = self.sim.tracer
+                if tr.enabled:
+                    tr.emit(self.sim.now, "baselines", f"ms:{self.app.app_id}",
+                            "ms_unit_done", task=task_id,
+                            iterations=iterations)
                 return True
         return False

@@ -29,7 +29,6 @@ from repro.net.host import BASE_FLOPS, Host
 from repro.net.link import LinkModel, UniformLinkModel
 from repro.p2p.messages import AppSpec
 from repro.p2p.task import Task, TaskContext
-from repro.util.logging import EventLog
 from repro.util.serialization import clone_state, measured_size
 
 __all__ = ["SynchronousEngine", "SyncResult"]
@@ -62,7 +61,6 @@ class SynchronousEngine:
         link_model: LinkModel | None = None,
         barrier_overhead: float = 0.002,
         stall_poll: float = 0.5,
-        log: EventLog | None = None,
         max_supersteps: int = 1_000_000,
     ):
         if len(hosts) < app.num_tasks:
@@ -84,7 +82,6 @@ class SynchronousEngine:
         self.link_model = link_model or UniformLinkModel()
         self.barrier_overhead = barrier_overhead
         self.stall_poll = stall_poll
-        self.log = log
         self.max_supersteps = max_supersteps
         self.result = SyncResult(converged=False, converged_at=None, supersteps=0)
         self.done = sim.event(name=f"sync:{app.app_id}:done")
@@ -146,7 +143,7 @@ class SynchronousEngine:
                 h.fail_count != fc or not h.online
                 for h, fc in zip(self.hosts, fail_counts)
             ):
-                self._log("sync_superstep_aborted", superstep=superstep)
+                self._trace("sync_superstep_aborted", superstep=superstep)
                 stall = yield from self._wait_all_online()
                 self.result.stall_time += stall
                 # global rollback: EVERY task returns to the coordinated
@@ -175,7 +172,7 @@ class SynchronousEngine:
                 self.result.fragments = {
                     k: tasks[k].solution_fragment() for k in range(app.num_tasks)
                 }
-                self._log("sync_converged", supersteps=superstep)
+                self._trace("sync_converged", supersteps=superstep)
                 self.done.succeed(self.result)
                 return self.result
 
@@ -190,6 +187,8 @@ class SynchronousEngine:
             yield self.sim.timeout(self.stall_poll)
         return self.sim.now - start
 
-    def _log(self, kind: str, **detail) -> None:
-        if self.log is not None:
-            self.log.emit(self.sim.now, f"sync:{self.app.app_id}", kind, **detail)
+    def _trace(self, kind: str, **attrs) -> None:
+        tr = self.sim.tracer
+        if tr.enabled:
+            tr.emit(self.sim.now, "baselines", f"sync:{self.app.app_id}", kind,
+                    **attrs)

@@ -5,7 +5,9 @@ execution, and they are reconnected about 20 seconds later", with 0–50
 disconnections per run.  :class:`PaperChurn` reproduces exactly that;
 :class:`PoissonChurn` provides an open-ended arrival-process alternative;
 :class:`TraceChurn` replays a recorded schedule so baselines face the
-*identical* failure pattern.
+*identical* failure pattern.  :func:`churn_plan` turns any model's schedule
+into a :class:`~repro.faults.FaultPlan` for a
+:class:`~repro.faults.FaultInjector` to execute.
 """
 
 from repro.churn.models import (
@@ -15,8 +17,8 @@ from repro.churn.models import (
     PaperChurn,
     PoissonChurn,
     TraceChurn,
+    churn_plan,
 )
-from repro.churn.injector import ChurnInjector
 
 __all__ = [
     "ChurnEvent",
@@ -25,5 +27,5 @@ __all__ = [
     "PaperChurn",
     "PoissonChurn",
     "TraceChurn",
-    "ChurnInjector",
+    "churn_plan",
 ]

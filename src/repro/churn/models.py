@@ -1,10 +1,17 @@
-"""Churn schedules: when machines go down and for how long."""
+"""Churn schedules: when machines go down and for how long.
+
+Churn is one axis of the fault plane: :func:`churn_plan` turns a model's
+schedule into a :class:`~repro.faults.FaultPlan` of daemon crashes, which
+a :class:`~repro.faults.FaultInjector` executes.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
+from repro.faults.actions import DaemonCrash
+from repro.faults.plan import FaultPlan
 from repro.util.rng import RngTree
 
 __all__ = [
@@ -14,6 +21,7 @@ __all__ = [
     "PaperChurn",
     "PoissonChurn",
     "TraceChurn",
+    "churn_plan",
 ]
 
 
@@ -121,3 +129,21 @@ class TraceChurn(ChurnModel):
 
     def schedule(self, rng: RngTree, horizon: float) -> list[ChurnEvent]:
         return sorted(self.events)
+
+
+def churn_plan(model: ChurnModel, rng: RngTree, horizon: float) -> FaultPlan:
+    """``model``'s schedule as one :class:`DaemonCrash` per disconnection.
+
+    The schedule is drawn from ``rng.child("schedule")``; hand the same
+    ``rng`` to the :class:`~repro.faults.FaultInjector` executing the plan
+    and unpinned victims come from ``rng.child("victim", <events so far>)``
+    — the two draws every seeded churn run was recorded with.
+    """
+    return FaultPlan(
+        actions=tuple(
+            DaemonCrash(time=event.time, host=event.host,
+                        downtime=event.duration)
+            for event in model.schedule(rng.child("schedule"), horizon)
+        ),
+        name="churn",
+    )

@@ -114,7 +114,7 @@ def build_parser() -> argparse.ArgumentParser:
     iters.add_argument("--csv", metavar="PATH", default=None)
 
     timeline = sub.add_parser(
-        "timeline", help="narrated churn run: event log + activity chart"
+        "timeline", help="narrated churn run: event narrative + activity chart"
     )
     timeline.add_argument("--n", type=int, default=64)
     timeline.add_argument("--peers", type=int, default=6)
@@ -283,49 +283,26 @@ def _cmd_iterations(args) -> int:
 
 
 def _cmd_timeline(args) -> int:
-    from repro.apps import make_poisson_app
-    from repro.churn import ChurnInjector, PaperChurn
-    from repro.experiments.config import (
-        EXPERIMENT_CONFIG,
-        EXPERIMENT_LINK_SCALE,
-        optimal_overlap,
-    )
     from repro.experiments.timeline import (
         activity_chart,
         event_timeline,
         run_summary,
     )
-    from repro.p2p import build_cluster, launch_application
-    from repro.util.rng import RngTree
+    from repro.obs import Tracer
 
-    cluster = build_cluster(
-        n_daemons=args.peers * 2, n_superpeers=3, seed=args.seed,
-        config=EXPERIMENT_CONFIG, link_scale=EXPERIMENT_LINK_SCALE,
-    )
-    app = make_poisson_app(
-        "timeline", n=args.n, num_tasks=args.peers,
-        overlap=optimal_overlap(args.n, args.peers),
-    )
-    spawner = launch_application(cluster, app)
-    if args.disconnections:
-        ChurnInjector(
-            cluster.sim, cluster.testbed.daemon_hosts,
-            PaperChurn(args.disconnections, reconnect_delay=1.0),
-            RngTree(args.seed).child("churn"), horizon=1.5, log=cluster.log,
-            victim_filter=lambda h: (
-                (d := cluster.daemons.get(h.name)) is not None
-                and d.runner is not None
-            ),
-        )
-    sim = cluster.sim
-    sim.run(until=sim.any_of([spawner.done, sim.timeout(900.0)]))
-    print(event_timeline(cluster.log))
+    tracer = Tracer()
+    result = RunSpec(
+        n=args.n, peers=args.peers, disconnections=args.disconnections,
+        seed=args.seed, n_daemons=2 * args.peers, churn_window=1.5,
+        reconnect_delay=1.0, collect=False,
+    ).run(tracer=tracer)
+    print(event_timeline(tracer))
     print()
-    print(activity_chart(cluster.log, width=70))
+    print(activity_chart(tracer, width=70))
     print()
-    for key, value in run_summary(cluster.log).items():
+    for key, value in run_summary(tracer).items():
         print(f"{key:>18}: {value}")
-    return 0 if spawner.done.triggered else 1
+    return 0 if result.converged else 1
 
 
 def _cmd_syncasync(args) -> int:
@@ -337,14 +314,13 @@ def _cmd_syncasync(args) -> int:
 
 
 def _traced_run(args):
-    from repro.experiments import run_poisson_on_p2p
     from repro.obs import Tracer
 
     tracer = Tracer()
-    result = run_poisson_on_p2p(
+    result = RunSpec(
         n=args.n, peers=args.peers, disconnections=args.disconnections,
-        seed=args.seed, tracer=tracer,
-    )
+        seed=args.seed,
+    ).run(tracer=tracer)
     return tracer, result
 
 
@@ -386,14 +362,13 @@ def _cmd_report(args) -> int:
 def _cmd_profile(args) -> int:
     import json
 
-    from repro.experiments import run_poisson_on_p2p
     from repro.obs.profile import profile_callable
 
     report, result = profile_callable(
-        lambda: run_poisson_on_p2p(
+        RunSpec(
             n=args.n, peers=args.peers, disconnections=args.disconnections,
             seed=args.seed,
-        ),
+        ).run,
         top_n=args.top,
     )
     print(report.to_text())
@@ -414,7 +389,7 @@ def _cmd_ablation(args) -> int:
         "overlap": overlap_ablation,
         "bootstrap": bootstrap_scaling,
     }[args.which]
-    # A3/A4 are not run_poisson_on_p2p sweeps; only A1/A2 take an engine
+    # A3/A4 are not RunSpec sweeps; only A1/A2 take an engine
     if args.which in ("checkpoint", "backup"):
         table = maker(engine=_engine_from(args))
     else:

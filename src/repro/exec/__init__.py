@@ -5,7 +5,7 @@ alone is sizes x churn levels x repeats.  This package turns that fan-out
 from a serial Python loop into a schedulable workload:
 
 * :class:`RunSpec` (:mod:`repro.exec.spec`) — a frozen, hashable record of
-  every argument of :func:`repro.experiments.driver.run_poisson_on_p2p`,
+  every input of one experiment run (``RunSpec(...).run()`` executes it),
   normalized (defaults filled in) and content-addressed: its :meth:`key`
   is a stable SHA-256 over the normalized fields **plus a fingerprint of
   the repro source tree**, so a code change invalidates old results

@@ -16,7 +16,7 @@ Churn specs with an unset window are resolved in two waves exactly like
 the driver does it: the engine first executes each distinct churn-free
 calibration spec, then re-submits the churn runs with
 ``churn_window=calibration.simulated_time`` (or returns the unconverged
-calibration itself, mirroring :func:`run_poisson_on_p2p`).  Because every
+calibration itself, mirroring :func:`execute_spec`).  Because every
 stochastic choice in a run derives from the spec's seed through the
 SHA-based :class:`~repro.util.rng.RngTree`, results are identical across
 tiers, worker counts and processes.

@@ -1,12 +1,13 @@
 """Content-addressed run specifications.
 
-A :class:`RunSpec` freezes one :func:`~repro.experiments.driver.run_poisson_on_p2p`
-call: same fields, same defaults, same semantics.  Two things make it more
-than a kwargs bundle:
+A :class:`RunSpec` freezes one run of the paper's experiment — every input
+of :func:`~repro.experiments.driver.execute_spec` — and is how a run is
+launched: ``RunSpec(...).run()``.  Two things make it more than a kwargs
+bundle:
 
 * :meth:`RunSpec.normalized` resolves every derived default (optimal
-  overlap, daemon population, the experiment config) exactly the way the
-  driver would, so specs that *mean* the same run *are* the same record;
+  overlap, daemon population, the experiment config), so specs that *mean*
+  the same run *are* the same record;
 * :meth:`RunSpec.key` is a stable SHA-256 content address over the
   normalized fields plus :func:`code_fingerprint` — a digest of the
   ``repro`` source tree — so results cached on disk are never served
@@ -29,7 +30,7 @@ from dataclasses import asdict, dataclass, fields, replace
 from repro.checkpoint.policy import (CheckpointPolicy, FixedPolicy,
                                      policy_from_dict)
 from repro.faults.plan import FaultPlan
-from repro.p2p.config import P2PConfig, _quiet_checkpoint_knobs
+from repro.p2p.config import P2PConfig
 
 # NOTE: repro.experiments.config is imported lazily (inside normalized())
 # because the experiments package itself imports repro.exec — the None
@@ -59,7 +60,7 @@ def code_fingerprint() -> str:
 
 @dataclass(frozen=True)
 class RunSpec:
-    """Every argument of ``run_poisson_on_p2p``, as a frozen value object."""
+    """Every input of one experiment run, as a frozen value object."""
 
     n: int
     peers: int = 8
@@ -83,7 +84,7 @@ class RunSpec:
     faults: FaultPlan | None = None
     #: checkpoint strategy (:class:`repro.checkpoint.CheckpointPolicy`);
     #: None resolves to the paper's :class:`~repro.checkpoint.FixedPolicy`
-    #: built from the (deprecated) config knobs at normalization
+    #: (20 guardians, every 5 iterations) at normalization
     checkpoint: CheckpointPolicy | None = None
     #: screen incoming boundary components (and restored Backups) with the
     #: contraction-bound corruption filter (arXiv:2206.08479)
@@ -109,13 +110,11 @@ class RunSpec:
     # -- normalization --------------------------------------------------------
 
     def normalized(self) -> "RunSpec":
-        """Resolve derived defaults the way the driver would.
-
-        Mirrors :func:`run_poisson_on_p2p` exactly: ``config or
-        EXPERIMENT_CONFIG``, half-width optimal overlap, ``peers +
-        max(3, peers // 2)`` daemons.  Normalizing is what makes the
-        churn-free calibration spec of every churn level collide on the
-        same cache key.
+        """Resolve derived defaults: ``config or EXPERIMENT_CONFIG``,
+        ``checkpoint or FixedPolicy()``, half-width optimal overlap,
+        ``peers + max(3, peers // 2)`` daemons.  Normalizing is what makes
+        the churn-free calibration spec of every churn level collide on
+        the same cache key.
         """
         from repro.experiments.config import (
             EXPERIMENT_CONFIG,
@@ -127,22 +126,8 @@ class RunSpec:
         changes: dict = {}
         if self.config is None:
             changes["config"] = EXPERIMENT_CONFIG
-        # Canonicalize the checkpoint strategy: the legacy config-knob route
-        # and the explicit policy route must produce field-identical specs
-        # (and therefore the same cache key).  Knobs fold into a FixedPolicy;
-        # the knobs themselves reset to their defaults.
-        cfg = changes.get("config", self.config)
         if self.checkpoint is None:
-            changes["checkpoint"] = FixedPolicy(
-                count=cfg.backup_count, frequency=cfg.checkpoint_frequency
-            )
-        cfg_fields = P2PConfig.__dataclass_fields__
-        knob_defaults = {
-            k: cfg_fields[k].default
-            for k in ("checkpoint_frequency", "backup_count")
-        }
-        if any(getattr(cfg, k) != d for k, d in knob_defaults.items()):
-            changes["config"] = cfg.with_(**knob_defaults)
+            changes["checkpoint"] = FixedPolicy()
         if self.overlap is None:
             changes["overlap"] = optimal_overlap(self.n, self.peers)
         if self.n_daemons is None:
@@ -188,10 +173,7 @@ class RunSpec:
     def from_dict(cls, data: dict) -> "RunSpec":
         data = dict(data)
         if data.get("config") is not None:
-            # reconstructing recorded data, not a new construction site:
-            # historical non-default knobs must not trip the deprecation shim
-            with _quiet_checkpoint_knobs():
-                data["config"] = P2PConfig(**data["config"])
+            data["config"] = P2PConfig(**data["config"])
         if data.get("faults") is not None:
             data["faults"] = FaultPlan.from_dict(data["faults"])
         if data.get("checkpoint") is not None:
@@ -217,11 +199,12 @@ class RunSpec:
         """Execute this spec in the current process — THE run entrypoint.
 
         Everything that executes a run goes through here: the sweep
-        engine's workers, the CLI, and the legacy keyword form of
-        :func:`~repro.experiments.driver.run_poisson_on_p2p` (which merely
-        assembles a spec and calls back in).  ``tracer`` is a live
-        :class:`~repro.obs.Tracer` for in-process observation; use
-        ``traced=True`` instead when the run crosses a process boundary.
+        engine's workers (via :meth:`execute`), the CLI and the experiment
+        harnesses.  ``tracer`` is a live :class:`~repro.obs.Tracer` for
+        in-process observation (the calibration pre-run stays untraced, so
+        the trace describes exactly one execution) and populates
+        :attr:`RunResult.run_report`; use ``traced=True`` instead when the
+        run crosses a process boundary.
         """
         from repro.experiments.driver import execute_spec
 

@@ -17,7 +17,7 @@ from repro.experiments.config import (
     RECONNECT_DELAY,
     optimal_overlap,
 )
-from repro.experiments.driver import RunResult, run_poisson_on_p2p
+from repro.experiments.driver import RunResult
 from repro.experiments.figure7 import Figure7Result, figure7_sweep
 from repro.experiments.ratio import RatioResult, iterations_vs_n
 from repro.experiments.syncasync import SyncAsyncResult, sync_vs_async
@@ -35,7 +35,6 @@ __all__ = [
     "RECONNECT_DELAY",
     "optimal_overlap",
     "RunResult",
-    "run_poisson_on_p2p",
     "Figure7Result",
     "figure7_sweep",
     "RatioResult",

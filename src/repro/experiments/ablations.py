@@ -58,8 +58,7 @@ def checkpoint_frequency_ablation(
     runs = engine.map(
         RunSpec(
             n=n, peers=peers, disconnections=disconnections, seed=seed,
-            checkpoint=FixedPolicy(count=EXPERIMENT_CONFIG.backup_count,
-                                   frequency=k),
+            checkpoint=FixedPolicy(frequency=k),
         )
         for k in frequencies
     )

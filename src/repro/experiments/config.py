@@ -12,7 +12,8 @@ paper's terms:
   cross from ≪1 (small n) to ≈1 (large n) across the sweep — hence
   ``EXPERIMENT_LINK_SCALE``;
 * checkpoint every 5 iterations and 20 backup-peers, verbatim from §7
-  (the backup count clamps to peers−1 at our scale).
+  (the backup count clamps to peers−1 at our scale) — the defaults of
+  :class:`repro.checkpoint.FixedPolicy`, which ``RunSpec`` resolves to.
 """
 
 from __future__ import annotations
@@ -34,8 +35,6 @@ EXPERIMENT_CONFIG = P2PConfig(
     call_timeout=0.5,
     bootstrap_retry_delay=0.2,
     reserve_retry_period=0.2,
-    checkpoint_frequency=5,   # paper §7
-    backup_count=20,          # paper §7 (clamped to peers-1)
     convergence_threshold=1e-6,
     # The quiet streak must outlast a message round-trip, or a correction
     # wave still in flight lets the naive centralized detector (§5.5)

@@ -4,13 +4,9 @@ The unit of work is a :class:`~repro.exec.spec.RunSpec`: :func:`execute_spec`
 assembles a cluster, launches the paper's application, optionally injects
 churn (the paper's random disconnections of computing peers) and/or a
 :class:`~repro.faults.FaultPlan` scenario, drives the simulation to global
-convergence and returns a fully populated :class:`RunResult`.
-
-:func:`run_poisson_on_p2p` survives as the friendly front door: call it with
-``spec=`` (preferred) or with the historical keyword arguments, which it
-folds into a ``RunSpec`` and runs — one code path either way.  A drift test
-pins the keyword surface to the spec's fields, so the two forms cannot
-diverge silently.
+convergence and returns a fully populated :class:`RunResult`.  Callers go
+through ``RunSpec(...).run(tracer=None)`` (in-process) or
+``RunSpec.execute()`` (honours ``traced=``); both land here.
 """
 
 from __future__ import annotations
@@ -20,14 +16,13 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from repro.apps import make_poisson_app
-from repro.churn import ChurnInjector, PaperChurn
+from repro.churn import PaperChurn, churn_plan
 from repro.errors import ConfigurationError
 from repro.exec.spec import RunSpec
-from repro.faults import FaultInjector, FaultPlan
+from repro.faults import FaultInjector
 from repro.numerics import Poisson2D
 from repro.obs import RunReport, Tracer, build_run_report
 from repro.p2p import (
-    P2PConfig,
     StableStore,
     build_cluster,
     launch_application,
@@ -35,7 +30,7 @@ from repro.p2p import (
 )
 from repro.util.rng import RngTree
 
-__all__ = ["RunResult", "run_poisson_on_p2p", "execute_spec", "RUN_COUNTER"]
+__all__ = ["RunResult", "execute_spec", "RUN_COUNTER"]
 
 
 class _RunCounter:
@@ -136,87 +131,13 @@ class RunResult:
         return cls(**data)
 
 
-def run_poisson_on_p2p(
-    n: int | None = None,
-    peers: int | None = None,
-    disconnections: int | None = None,
-    seed: int | None = None,
-    overlap: int | None = None,
-    config: P2PConfig | None = None,
-    n_daemons: int | None = None,
-    n_superpeers: int | None = None,
-    churn_window: float | None = None,
-    reconnect_delay: float | None = None,
-    link_scale: float | None = None,
-    horizon: float | None = None,
-    convergence_threshold: float | None = None,
-    collect: bool | None = None,
-    warm_start: bool | None = None,
-    inner_tol: float | None = None,
-    inner_max_iter: int | None = None,
-    faults: FaultPlan | None = None,
-    gossip: bool | None = None,
-    standby: bool | None = None,
-    checkpoint=None,
-    reject_corruption: bool | None = None,
-    spec: RunSpec | None = None,
-    tracer: Tracer | None = None,
-) -> RunResult:
-    """Run the paper's experiment once.
-
-    Preferred form: ``run_poisson_on_p2p(spec=RunSpec(...))`` (or,
-    equivalently, ``spec.run()``).  The keyword form is a compatibility
-    shim: every non-None keyword becomes the corresponding
-    :class:`~repro.exec.spec.RunSpec` field and ``None`` means "the spec's
-    default" — the defaults live in exactly one place.
-
-    ``churn_window`` is the span (simulated seconds) over which the
-    requested disconnections are spread; when None and churn is requested,
-    a fault-free calibration run with the same parameters measures it —
-    mirroring the paper, which disconnects peers "during the execution".
-
-    ``faults`` schedules a :class:`~repro.faults.FaultPlan` scenario
-    (Super-Peer crashes, partitions, corruption, rack failures) alongside
-    the run.
-
-    ``tracer`` enables structured tracing (:mod:`repro.obs`) for the main
-    run only (the calibration pre-run stays untraced, so the trace
-    describes exactly one execution) and populates
-    :attr:`RunResult.run_report`.
-    """
-    overrides = {
-        key: value
-        for key, value in {
-            "n": n, "peers": peers, "disconnections": disconnections,
-            "seed": seed, "overlap": overlap, "config": config,
-            "n_daemons": n_daemons, "n_superpeers": n_superpeers,
-            "churn_window": churn_window, "reconnect_delay": reconnect_delay,
-            "link_scale": link_scale, "horizon": horizon,
-            "convergence_threshold": convergence_threshold,
-            "collect": collect, "warm_start": warm_start,
-            "inner_tol": inner_tol,
-            "inner_max_iter": inner_max_iter, "faults": faults,
-            "gossip": gossip, "standby": standby,
-            "checkpoint": checkpoint,
-            "reject_corruption": reject_corruption,
-        }.items()
-        if value is not None
-    }
-    if spec is not None:
-        if overrides:
-            raise ConfigurationError(
-                f"pass spec= OR keyword arguments, not both (got "
-                f"{sorted(overrides)})"
-            )
-    else:
-        if "n" not in overrides:
-            raise ConfigurationError("run_poisson_on_p2p needs n= (or spec=)")
-        spec = RunSpec(**overrides)
-    return execute_spec(spec, tracer=tracer)
-
-
 def execute_spec(spec: RunSpec, tracer: Tracer | None = None) -> RunResult:
-    """Execute one normalized :class:`RunSpec` (the real driver body)."""
+    """Execute one :class:`RunSpec`: the body behind ``RunSpec.run``.
+
+    With churn requested and ``churn_window`` None, a fault-free calibration
+    run with the same parameters measures the window first — mirroring the
+    paper, which disconnects peers "during the execution".
+    """
     RUN_COUNTER.bump()
     if spec.peers < 1:
         raise ConfigurationError("peers must be >= 1")
@@ -274,18 +195,20 @@ def execute_spec(spec: RunSpec, tracer: Tracer | None = None) -> RunResult:
             n_disconnections=spec.disconnections,
             reconnect_delay=spec.reconnect_delay,
         )
-        injector = ChurnInjector(
+        churn_rng = RngTree(spec.seed).child("churn")
+        injector = FaultInjector(
             cluster.sim,
-            cluster.testbed.daemon_hosts,
-            model,
-            RngTree(spec.seed).child("churn"),
-            horizon=spec.churn_window,
-            log=cluster.log,
+            churn_plan(model, churn_rng, spec.churn_window),
+            rng=churn_rng,
+            hosts=cluster.testbed.daemon_hosts,
+            entity="churn",
             victim_filter=computing,
         )
 
     fault_injector = None
     if spec.faults:
+        # a second instance, not a merged plan: its "faults" RNG stream must
+        # stay apart from "churn" or seeded victims would move
         fault_injector = FaultInjector(
             cluster.sim,
             spec.faults,
@@ -345,7 +268,7 @@ def execute_spec(spec: RunSpec, tracer: Tracer | None = None) -> RunResult:
         n=spec.n,
         peers=spec.peers,
         disconnections_requested=spec.disconnections,
-        disconnections_executed=injector.disconnections if injector else 0,
+        disconnections_executed=len(injector.executed) if injector else 0,
         seed=spec.seed,
         overlap=spec.overlap,
         converged=converged,

@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 
 from repro.apps import make_poisson_app
 from repro.baselines import SynchronousEngine
-from repro.churn import ChurnInjector, TraceChurn
+from repro.checkpoint import FixedPolicy
+from repro.churn import PaperChurn, churn_plan
 from repro.des import Simulator
 from repro.exec import RunSpec, SweepEngine
 from repro.experiments.config import (
@@ -26,6 +27,7 @@ from repro.experiments.config import (
     optimal_overlap,
 )
 from repro.experiments.report import format_table
+from repro.faults import FaultInjector, FaultPlan
 from repro.net.topology import build_testbed
 from repro.util.rng import RngTree
 
@@ -100,12 +102,11 @@ def sync_vs_async(
     spawner = launch_application(cluster, app)
     injector = None
     if disconnections > 0:
-        from repro.churn import PaperChurn
-
-        injector = ChurnInjector(
-            cluster.sim, cluster.testbed.daemon_hosts,
-            PaperChurn(disconnections, reconnect_delay=RECONNECT_DELAY),
-            RngTree(seed).child("churn"), horizon=window, log=cluster.log,
+        churn_rng = RngTree(seed).child("churn")
+        model = PaperChurn(disconnections, reconnect_delay=RECONNECT_DELAY)
+        injector = FaultInjector(
+            cluster.sim, churn_plan(model, churn_rng, window), rng=churn_rng,
+            hosts=cluster.testbed.daemon_hosts, entity="churn",
             victim_filter=lambda h: (
                 (d := cluster.daemons.get(h.name)) is not None
                 and d.runner is not None
@@ -126,7 +127,8 @@ def sync_vs_async(
     ]
     sim.run(until=sim.any_of([spawner.done, sim.timeout(horizon)]))
     async_time = spawner.execution_time
-    trace = tuple(injector.executed) if injector else ()
+    # pinned DaemonCrash actions: exactly what the injector did
+    replay = injector.executed_plan() if injector else FaultPlan()
 
     # ---- synchronous replay on an identical host population ----------------
     sim2 = Simulator()
@@ -146,7 +148,7 @@ def sync_vs_async(
     # the sync baseline has no failure feed: a fixed-style policy maps to
     # its coordinated-checkpoint cadence, anything else keeps the default
     sync_frequency = getattr(checkpoint, "frequency", None) \
-        or config.checkpoint_frequency
+        or FixedPolicy().frequency
     engine = SynchronousEngine(
         sim2, hosts2, app,
         checkpoint_frequency=sync_frequency,
@@ -154,10 +156,11 @@ def sync_vs_async(
         stability_window=config.stability_window,
         link_model=testbed2.network.link_model,
     )
-    if trace:
-        ChurnInjector(
-            sim2, testbed2.daemon_hosts, TraceChurn(trace),
-            RngTree(seed).child("replay"), horizon=window,
+    if replay:
+        FaultInjector(
+            sim2, replay,
+            rng=RngTree(seed).child("replay"),
+            hosts=testbed2.daemon_hosts, entity="churn",
         )
     sim2.run(until=sim2.any_of([engine.done, sim2.timeout(horizon)]))
     sync = engine.result
@@ -165,12 +168,12 @@ def sync_vs_async(
     return SyncAsyncResult(
         n=n,
         peers=peers,
-        disconnections=len(trace),
+        disconnections=len(replay),
         async_time=async_time,
         sync_time=sync.converged_at if sync.converged else None,
         sync_stall_time=sync.stall_time,
         sync_rollbacks=sync.rollbacks,
         sync_lost_iterations=sync.lost_iterations,
         async_recoveries=len(cluster.telemetry.recoveries),
-        trace=trace,
+        trace=replay.actions,
     )

@@ -1,4 +1,4 @@
-"""Run-timeline reporting: turn a run's EventLog into readable artefacts.
+"""Run-timeline reporting: turn a run's trace into readable artefacts.
 
 Two views of one execution:
 
@@ -9,65 +9,66 @@ Two views of one execution:
   ``x``, reconnects ``o``), which makes the "alive peers keep computing
   while one is replaced" story visible at a glance.
 
-Both operate on the standard :class:`~repro.util.logging.EventLog` the
-cluster already produces — no extra instrumentation required.
+Both read the :class:`~repro.obs.Tracer` a traced run already filled
+(``build_cluster(tracer=Tracer())`` / ``RunSpec(...).run(tracer=...)``) —
+no extra instrumentation required.
 """
 
 from __future__ import annotations
 
-from repro.util.logging import EventLog, LogRecord
+from repro.obs.trace import Tracer
 
 __all__ = ["event_timeline", "activity_chart", "run_summary"]
 
-#: the protocol events worth narrating, in display order
+#: the protocol events worth narrating, as trace ``(category, kind)``
 NARRATIVE_KINDS = (
-    "spawner_assigned",
-    "disconnect",
-    "reconnect",
-    "spawner_failure_detected",
-    "spawner_assign_failed",
-    "task_recovered",
-    "spawner_dwell_aborted",
-    "spawner_converged",
+    ("p2p", "slot_filled"),
+    ("faults", "daemon_crash"),
+    ("faults", "recover"),
+    ("p2p", "hb_miss"),
+    ("p2p", "spawner_assign_failed"),
+    ("p2p", "recovery"),
+    ("p2p", "spawner_dwell_aborted"),
+    ("p2p", "converged"),
 )
 
+_MARKS = {
+    ("p2p", "slot_filled"): "A",
+    ("p2p", "recovery"): "R",
+    ("faults", "daemon_crash"): "x",
+    ("faults", "recover"): "o",
+    ("p2p", "hb_miss"): "!",
+    ("p2p", "converged"): "C",
+}
 
-def event_timeline(log: EventLog, kinds: tuple[str, ...] = NARRATIVE_KINDS) -> str:
+
+def event_timeline(
+    tracer: Tracer, kinds: tuple[tuple[str, str], ...] = NARRATIVE_KINDS
+) -> str:
     """Chronological text narrative of a run's protocol events."""
-    records = [r for r in log.records if r.kind in kinds]
-    if not records:
+    events = [e for e in tracer.events if (e.category, e.kind) in kinds]
+    if not events:
         return "(no protocol events recorded)"
-    return "\n".join(str(r) for r in sorted(records, key=lambda r: r.time))
-
-
-def _mark_for(record: LogRecord) -> str | None:
-    return {
-        "spawner_assigned": "A",
-        "task_recovered": "R",
-        "disconnect": "x",
-        "reconnect": "o",
-        "spawner_failure_detected": "!",
-        "spawner_converged": "C",
-    }.get(record.kind)
+    return "\n".join(str(e) for e in sorted(events, key=lambda e: e.time))
 
 
 def activity_chart(
-    log: EventLog,
+    tracer: Tracer,
     width: int = 72,
     until: float | None = None,
 ) -> str:
     """ASCII strip chart: one row per entity, one column per time bin."""
-    marked = [(r, _mark_for(r)) for r in log.records]
-    marked = [(r, m) for r, m in marked if m is not None]
+    marked = [(e, _MARKS[kind]) for e in tracer.events
+              if (kind := (e.category, e.kind)) in _MARKS]
     if not marked:
         return "(nothing to chart)"
-    horizon = until if until is not None else max(r.time for r, _ in marked)
+    horizon = until if until is not None else max(e.time for e, _ in marked)
     horizon = max(horizon, 1e-9)
     entities: dict[str, list[str]] = {}
-    for record, mark in marked:
-        key = record.detail.get("host") or record.detail.get("daemon") or record.entity
+    for event, mark in marked:
+        key = event.attrs.get("host") or event.attrs.get("daemon") or event.entity
         row = entities.setdefault(str(key), ["."] * width)
-        column = min(int(record.time / horizon * width), width - 1)
+        column = min(int(event.time / horizon * width), width - 1)
         row[column] = mark
     label_width = max(len(k) for k in entities)
     lines = [
@@ -79,14 +80,14 @@ def activity_chart(
     return "\n".join(lines + [scale, legend])
 
 
-def run_summary(log: EventLog) -> dict:
-    """Headline counters mined from the log."""
+def run_summary(tracer: Tracer) -> dict:
+    """Headline counters mined from the trace (exact past the buffer bound)."""
     return {
-        "assignments": log.count("spawner_assigned"),
-        "disconnects": log.count("disconnect"),
-        "reconnects": log.count("reconnect"),
-        "failures_detected": log.count("spawner_failure_detected"),
-        "recoveries": log.count("task_recovered"),
-        "dwell_aborts": log.count("spawner_dwell_aborted"),
-        "converged": log.count("spawner_converged") > 0,
+        "assignments": tracer.count("p2p", "slot_filled"),
+        "disconnects": tracer.count("faults", "daemon_crash"),
+        "reconnects": tracer.count("faults", "recover"),
+        "failures_detected": tracer.count("p2p", "hb_miss"),
+        "recoveries": tracer.count("p2p", "recovery"),
+        "dwell_aborts": tracer.count("p2p", "spawner_dwell_aborted"),
+        "converged": tracer.count("p2p", "converged") > 0,
     }

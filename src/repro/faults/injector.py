@@ -1,9 +1,10 @@
 """The fault-plane executor: a DES process that carries out a FaultPlan.
 
-The :class:`FaultInjector` generalises the original churn injector from
-"daemon crashes on a stochastic schedule" to *any* composition of typed
-:class:`~repro.faults.actions.FaultAction`\\ s: Super-Peer outages, network
-partitions, in-transit message corruption and correlated rack failures.
+The :class:`FaultInjector` executes *any* composition of typed
+:class:`~repro.faults.actions.FaultAction`\\ s: daemon crashes (churn is a
+plan of those, built by :func:`repro.churn.churn_plan`), Super-Peer
+outages, network partitions, in-transit message corruption and correlated
+rack failures.
 
 Design invariants:
 
@@ -14,12 +15,10 @@ Design invariants:
   scenarios flow through the content-addressed run cache and the process
   pool without arms diverging.
 
-* **Churn compatibility** — for a plan consisting purely of
-  :class:`~repro.faults.actions.DaemonCrash` actions, victim selection
-  consumes ``rng.child("victim", <events so far>)`` exactly like the
-  historical ``ChurnInjector``, so the churn front-end
-  (:mod:`repro.churn.injector`) reproduces seed-for-seed the victims of
-  every pre-fault-plane experiment.
+* **Churn compatibility** — victim selection for a
+  :class:`~repro.faults.actions.DaemonCrash` consumes
+  ``rng.child("victim", <events so far>)``, the draw every seeded churn
+  experiment was recorded with.
 
 * **Replayability** — everything the injector *actually did* (resolved
   victims, Super-Peer ids, group memberships) is recorded as
@@ -65,20 +64,16 @@ class FaultInjector:
         time (victim picks, corruption draws).
     cluster:
         A :class:`~repro.p2p.cluster.Cluster`; required for Super-Peer and
-        rack actions, and the default source of hosts/network/log/metrics.
+        rack actions, and the default source of hosts/network/metrics.
     hosts:
         Candidate victims for daemon crashes (default: the cluster's
         daemon hosts).
     network:
         The message fabric, for partitions and corruption (default: the
         cluster's network).
-    log:
-        Optional :class:`~repro.util.logging.EventLog`; daemon-crash
-        entries keep the historical ``disconnect`` / ``reconnect`` kinds
-        the timeline renderer understands.
-    log_entity:
-        Entity tag for log records (the churn front-end passes
-        ``"churn"``).
+    entity:
+        Entity tag of the ``faults/*`` trace events (``"churn"`` for the
+        churn axis of a run).
     victim_filter:
         ``victim_filter(host) -> bool`` narrows random victim selection
         (e.g. to hosts currently computing); falls back to any alive host
@@ -98,8 +93,7 @@ class FaultInjector:
         cluster=None,
         hosts: list[Host] | None = None,
         network=None,
-        log=None,
-        log_entity: str = "faults",
+        entity: str = "faults",
         victim_filter=None,
         registry=None,
     ):
@@ -113,10 +107,7 @@ class FaultInjector:
         self.network = network if network is not None else (
             cluster.network if cluster is not None else None
         )
-        self.log = log if log is not None else (
-            cluster.log if cluster is not None else None
-        )
-        self.log_entity = log_entity
+        self.entity = entity
         self.victim_filter = victim_filter
         self.registry = registry if registry is not None else (
             cluster.metrics if cluster is not None else None
@@ -157,9 +148,7 @@ class FaultInjector:
             self.registry.counter(
                 "fault_actions", "fault-plane actions executed"
             ).inc(kind=action.kind)
-        tr = self.sim.tracer
-        if tr.enabled:
-            tr.emit(self.sim.now, "faults", self.log_entity, action.kind, **detail)
+        self._trace(action.kind, **detail)
         return rec
 
     def _skip(self, action: FaultAction, reason: str) -> None:
@@ -168,18 +157,12 @@ class FaultInjector:
             self.registry.counter(
                 "fault_skipped", "fault actions with no viable target"
             ).inc(kind=action.kind)
-        if self.log is not None:
-            # the historical kind, so churn-era log consumers keep counting
-            kind = "churn_skipped" if isinstance(action, DaemonCrash) else "fault_skipped"
-            self.log.emit(self.sim.now, self.log_entity, kind, reason=reason)
+        self._trace("skip", action=action.kind, reason=reason)
+
+    def _trace(self, kind: str, **attrs) -> None:
         tr = self.sim.tracer
         if tr.enabled:
-            tr.emit(self.sim.now, "faults", self.log_entity, "skip",
-                    action=action.kind, reason=reason)
-
-    def _log(self, kind: str, **detail) -> None:
-        if self.log is not None:
-            self.log.emit(self.sim.now, self.log_entity, kind, **detail)
+            tr.emit(self.sim.now, "faults", self.entity, kind, **attrs)
 
     # -- main loop --------------------------------------------------------------
 
@@ -230,8 +213,8 @@ class FaultInjector:
             preferred = [h for h in alive if self.victim_filter(h)]
             if preferred:
                 alive = preferred
-        # Index = events so far: bit-for-bit the ChurnInjector draw, so the
-        # churn front-end replays historical victim sequences exactly.
+        # Index = events so far: the draw every seeded churn run was
+        # recorded with (see "Churn compatibility" above).
         index = len(self.executed) + self.skipped
         return self.rng.child("victim", index).choice(alive)
 
@@ -242,7 +225,6 @@ class FaultInjector:
             return
         victim.fail(cause="churn")
         self._record(action, host=victim.name, downtime=action.downtime)
-        self._log("disconnect", host=victim.name, duration=action.downtime)
         if action.downtime is not None:
             self.sim.process(self._recover_hosts([victim], action.downtime),
                              label=f"fault-recover:{victim.name}")
@@ -252,11 +234,7 @@ class FaultInjector:
         for host in hosts:
             if not host.online:
                 host.recover()
-                self._log("reconnect", host=host.name)
-                tr = self.sim.tracer
-                if tr.enabled:
-                    tr.emit(self.sim.now, "faults", self.log_entity,
-                            "recover", host=host.name)
+                self._trace("recover", host=host.name)
 
     # -- super-peer crash -------------------------------------------------------
 
@@ -275,7 +253,6 @@ class FaultInjector:
         sp.host.fail(cause="superpeer_fault")
         self._record(action, sp_id=sp.sp_id, host=sp.host.name,
                      downtime=action.downtime)
-        self._log("superpeer_crash", sp_id=sp.sp_id, host=sp.host.name)
         if action.downtime is not None:
             self.sim.process(self._reboot_superpeer(sp.host, action.downtime),
                              label=f"fault-sp-reboot:{sp.host.name}")
@@ -285,11 +262,7 @@ class FaultInjector:
         if not host.online:
             host.recover()
             sp = self.cluster.boot_superpeer(host)
-            self._log("superpeer_reboot", sp_id=sp.sp_id, host=host.name)
-            tr = self.sim.tracer
-            if tr.enabled:
-                tr.emit(self.sim.now, "faults", self.log_entity,
-                        "superpeer_reboot", sp_id=sp.sp_id, host=host.name)
+            self._trace("superpeer_reboot", sp_id=sp.sp_id, host=host.name)
 
     # -- partitions --------------------------------------------------------------
 
@@ -297,7 +270,6 @@ class FaultInjector:
         self.network.partition([list(g) for g in action.groups])
         self._record(action, groups=[list(g) for g in action.groups],
                      duration=action.duration)
-        self._log("partition", groups=[list(g) for g in action.groups])
         if action.duration is not None:
             self.sim.process(self._heal_later(action.duration),
                              label="fault-heal")
@@ -305,15 +277,11 @@ class FaultInjector:
     def _heal_later(self, duration: float):
         yield self.sim.timeout(duration)
         self.network.heal_partition()
-        self._log("heal")
-        tr = self.sim.tracer
-        if tr.enabled:
-            tr.emit(self.sim.now, "faults", self.log_entity, "heal")
+        self._trace("heal")
 
     def _heal(self, action: HealAction) -> None:
         self.network.heal_partition()
         self._record(action)
-        self._log("heal")
 
     # -- message corruption ------------------------------------------------------
 
@@ -324,11 +292,10 @@ class FaultInjector:
         self._sync_corruptor()
         self._record(action, rate=action.rate, magnitude=action.magnitude,
                      duration=action.duration)
-        self._log("corruption_on", rate=action.rate, duration=action.duration)
         yield self.sim.timeout(action.duration)
         self._corruptions.remove(window)
         self._sync_corruptor()
-        self._log("corruption_off", corrupted=self.corrupted)
+        self._trace("corruption_off", corrupted=self.corrupted)
 
     def _sync_corruptor(self) -> None:
         want = bool(self._corruptions)
@@ -367,11 +334,8 @@ class FaultInjector:
                 self.registry.counter(
                     "fault_corrupted_messages", "data payloads corrupted in transit"
                 ).inc()
-            tr = self.sim.tracer
-            if tr.enabled:
-                tr.emit(self.sim.now, "faults", self.log_entity, "corrupt",
-                        msg_id=msg.msg_id, dst_task=args[1], src_task=args[2],
-                        index=idx)
+            self._trace("corrupt", msg_id=msg.msg_id, dst_task=args[1],
+                        src_task=args[2], index=idx)
 
     # -- rack failure -------------------------------------------------------------
 
@@ -399,7 +363,6 @@ class FaultInjector:
             host.fail(cause="rack_fault")
         self._record(action, hosts=[h.name for h in doomed],
                      downtime=action.downtime)
-        self._log("rack_failure", hosts=[h.name for h in doomed])
         if action.downtime is not None:
             self.sim.process(self._recover_hosts(doomed, action.downtime),
                              label=f"fault-rack-recover:{victim.name}")
@@ -413,7 +376,6 @@ class FaultInjector:
             return
         host.fail(cause="spawner_fault")
         self._record(action, host=host.name, downtime=action.downtime)
-        self._log("spawner_crash", host=host.name)
         if action.downtime is not None:
             self.sim.process(self._resurrect_spawner(host, action.downtime),
                              label="fault-spawner-resurrect")
@@ -430,7 +392,6 @@ class FaultInjector:
         host.recover()
         store = self.cluster.stable_store
         standby = self.cluster.standby
-        tr = self.sim.tracer
         for app in self.cluster.apps:
             snap = store.load(app.app_id) if store is not None else None
             if snap is None:
@@ -440,19 +401,12 @@ class FaultInjector:
             # live promoted leader always beats its own stored state
             if (standby is not None and standby.promoted
                     and standby.active_reign >= snap.reign):
-                self._log("spawner_abdicated", app=app.app_id,
-                          standby_reign=standby.active_reign,
-                          snapshot_reign=snap.reign)
-                if tr.enabled:
-                    tr.emit(self.sim.now, "faults", self.log_entity,
-                            "spawner_abdicated", app=app.app_id,
-                            standby_reign=standby.active_reign)
+                self._trace("spawner_abdicated", app=app.app_id,
+                            standby_reign=standby.active_reign,
+                            snapshot_reign=snap.reign)
                 continue
             spawner = resume_application(self.cluster, app, store)
-            self._log("spawner_resumed", app=app.app_id, reign=spawner.reign)
-            if tr.enabled:
-                tr.emit(self.sim.now, "faults", self.log_entity,
-                        "spawner_resumed", app=app.app_id, reign=spawner.reign)
+            self._trace("spawner_resumed", app=app.app_id, reign=spawner.reign)
 
     # -- replay -------------------------------------------------------------------
 

@@ -64,7 +64,6 @@ class GossipAgent(RemoteObject):
         rng: RngTree,
         seeds: list[Address] | None = None,
         registry=None,
-        log=None,
     ):
         self.runtime = runtime
         self.sim = runtime.sim
@@ -75,7 +74,6 @@ class GossipAgent(RemoteObject):
         self.rng = rng
         self.seeds = [a for a in (seeds or []) if a != runtime.address]
         self.registry = registry
-        self.log = log
         self.address = runtime.address
         self.store = PeerStore(
             limit=config.gossip_peer_limit,

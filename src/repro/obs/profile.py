@@ -19,8 +19,9 @@ protocol logic, or numerics.  This module runs any callable under
 
 Usage::
 
+    from repro.exec import RunSpec
     from repro.obs.profile import profile_callable
-    report, result = profile_callable(lambda: run_poisson_on_p2p(n=16, peers=3))
+    report, result = profile_callable(RunSpec(n=16, peers=3).run)
     print(report.to_text())
 
 or from the shell::

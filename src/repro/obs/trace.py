@@ -59,10 +59,8 @@ class TraceEvent:
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         kv = " ".join(f"{k}={v}" for k, v in self.attrs.items())
-        return (
-            f"[{self.time:12.6f}] {self.category}/{self.kind:<18} "
-            f"{self.entity:<16} {kv}"
-        )
+        label = f"{self.category}/{self.kind}"
+        return f"[{self.time:12.6f}] {label:<24} {self.entity:<16} {kv}"
 
 
 class Tracer:

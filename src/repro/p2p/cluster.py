@@ -27,7 +27,6 @@ from repro.p2p.spawner import Spawner
 from repro.p2p.standby import StandbySpawner
 from repro.p2p.superpeer import SuperPeer
 from repro.obs.instruments import RunTelemetry
-from repro.util.logging import EventLog
 from repro.util.rng import RngTree
 
 __all__ = [
@@ -61,7 +60,6 @@ class Cluster:
     testbed: Testbed
     config: P2PConfig
     rng: RngTree
-    log: EventLog
     superpeers: list[SuperPeer] = field(default_factory=list)
     #: current Daemon incarnation per daemon host name
     daemons: dict[str, Daemon] = field(default_factory=dict)
@@ -84,7 +82,7 @@ class Cluster:
     #: every Daemon incarnation routes plane-capable inner solves here
     compute: ComputePlane = field(default_factory=ComputePlane)
     #: cluster-wide checkpoint strategy handed to every Daemon incarnation
-    #: (None = the paper's fixed scheme from the config knobs)
+    #: (None = the paper's fixed scheme, ``FixedPolicy()``)
     checkpoint: CheckpointPolicy | None = None
     #: shared failure/cost statistics: Spawner evictions write into it,
     #: adaptive checkpoint policies read from it
@@ -146,7 +144,6 @@ class Cluster:
             superpeer_addresses=seeds,
             config=self.config,
             rng=self.rng.child("daemon", host.name, incarnation),
-            log=self.log,
             telemetry=self.telemetry,
             wheel=self.wheel,
             compute=self.compute,
@@ -169,7 +166,7 @@ class Cluster:
             if old.host is host:
                 replacement = SuperPeer(
                     self.network, host, sp_id=old.sp_id,
-                    config=self.config, log=self.log, tier=old.tier,
+                    config=self.config, tier=old.tier,
                 )
                 self.superpeers[i] = replacement
                 if not self.sp_parent and not self.sp_children:
@@ -249,8 +246,7 @@ def build_cluster(
         loss_rate=loss_rate,
         with_standby=config.standby_enabled,
     )
-    log = EventLog()
-    cluster = Cluster(sim=sim, testbed=testbed, config=config, rng=rng, log=log,
+    cluster = Cluster(sim=sim, testbed=testbed, config=config, rng=rng,
                       checkpoint=checkpoint)
 
     # tier 0 keeps the historical SP0..SPn-1 ids; interior tiers are
@@ -262,7 +258,7 @@ def build_cluster(
         for k in range(size):
             sp_id = f"SP{k}" if t == 0 else f"SP-t{t}.{k}"
             row.append(SuperPeer(testbed.network, next(host_iter), sp_id=sp_id,
-                                 config=config, log=log, tier=t))
+                                 config=config, tier=t))
         by_tier.append(row)
         cluster.superpeers.extend(row)
 
@@ -318,7 +314,6 @@ def _attach_superpeer_gossip(cluster: Cluster, sp: SuperPeer) -> GossipAgent:
         rng=cluster.rng.child("gossip", sp.sp_id, sp.host.fail_count),
         seeds=cluster.superpeer_addresses[:2],
         registry=cluster.telemetry.registry,
-        log=cluster.log,
     )
     sp.gossip = agent
     return agent
@@ -335,7 +330,6 @@ def _attach_spawner_gossip(cluster: Cluster, spawner: Spawner) -> GossipAgent:
         rng=spawner.rng.child("gossip"),
         seeds=cluster.superpeer_addresses[:2],
         registry=spawner.telemetry.registry,
-        log=cluster.log,
     )
     spawner.attach_gossip(agent)
     return agent
@@ -363,7 +357,6 @@ def launch_application(
         superpeer_addresses=cluster.superpeer_addresses,
         config=config,
         rng=cluster.rng.child("spawner", app.app_id),
-        log=cluster.log,
         telemetry=cluster.telemetry if index == 0 else RunTelemetry(),
         stable_store=stable_store,
         failure_feed=cluster.failure_feed,
@@ -403,7 +396,6 @@ def launch_standby(
         superpeer_addresses=cluster.superpeer_addresses,
         config=primary.config,
         rng=cluster.rng.child("standby", app.app_id),
-        log=cluster.log,
         telemetry=primary.telemetry,
         stable_store=stable_store,
         failure_feed=cluster.failure_feed,
@@ -439,7 +431,6 @@ def resume_application(
         config=config,
         rng=cluster.rng.child("spawner-resume", app.app_id,
                               snapshot.register.version),
-        log=cluster.log,
         telemetry=cluster.telemetry,
         stable_store=stable_store,
         resume_from=snapshot.register,

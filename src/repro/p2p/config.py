@@ -1,38 +1,17 @@
 """Runtime configuration knobs.
 
-Defaults mirror the paper's experiment settings where the paper states them
-(checkpoint every 5 iterations, 20 backup-peers, ~20 s reconnect delay) and
-use conventional values elsewhere (heartbeat/timeout ratios, ports).
+Defaults use conventional values (heartbeat/timeout ratios, ports); the
+paper's checkpoint settings (every 5 iterations, 20 backup-peers) are the
+defaults of :class:`repro.checkpoint.FixedPolicy`, not fields here.
 """
 
 from __future__ import annotations
 
-import contextlib
-import warnings
 from dataclasses import dataclass, replace
 
 from repro.errors import ConfigurationError
 
 __all__ = ["P2PConfig"]
-
-#: the historical checkpoint knobs, now shimmed behind
-#: :class:`repro.checkpoint.CheckpointPolicy` (see docs/checkpointing.md)
-_CHECKPOINT_KNOBS = ("checkpoint_frequency", "backup_count")
-_CHECKPOINT_KNOB_DEFAULTS = {"checkpoint_frequency": 5, "backup_count": 20}
-
-#: suppression depth for internal re-construction (``with_`` on untouched
-#: knobs, spec deserialization) — those are not user construction sites
-_knob_warning_suppressed = 0
-
-
-@contextlib.contextmanager
-def _quiet_checkpoint_knobs():
-    global _knob_warning_suppressed
-    _knob_warning_suppressed += 1
-    try:
-        yield
-    finally:
-        _knob_warning_suppressed -= 1
 
 
 @dataclass(frozen=True)
@@ -64,9 +43,7 @@ class P2PConfig:
     bootstrap_retry_max: float = 8.0
     bootstrap_retry_jitter: float = 0.1
 
-    # -- checkpointing (§5.4; paper experiment values)
-    checkpoint_frequency: int = 5
-    backup_count: int = 20
+    # -- checkpointing (§5.4; scheduling lives in repro.checkpoint policies)
     #: fraction of a guardian machine's RAM its BackupStore may occupy
     #: (the paper's Daemons run on 256 MB-1 GB PCs while guarding up to 20
     #: neighbours' checkpoints)
@@ -153,10 +130,6 @@ class P2PConfig:
             raise ConfigurationError("periods must be positive")
         if self.call_timeout <= 0:
             raise ConfigurationError("call_timeout must be positive")
-        if self.checkpoint_frequency < 1:
-            raise ConfigurationError("checkpoint_frequency must be >= 1")
-        if self.backup_count < 0:
-            raise ConfigurationError("backup_count must be >= 0")
         if not 0.0 < self.backup_ram_fraction <= 1.0:
             raise ConfigurationError("backup_ram_fraction must be in (0, 1]")
         if self.convergence_threshold <= 0:
@@ -207,29 +180,7 @@ class P2PConfig:
                  self.standby_port}
         if len(ports) != 4:
             raise ConfigurationError("entity ports must be distinct")
-        if _knob_warning_suppressed == 0 and any(
-            getattr(self, k) != _CHECKPOINT_KNOB_DEFAULTS[k]
-            for k in _CHECKPOINT_KNOBS
-        ):
-            warnings.warn(
-                "repro.p2p.P2PConfig checkpoint_frequency/backup_count are "
-                "deprecated: pass RunSpec(checkpoint=FixedPolicy(count=..., "
-                "frequency=...)) (or build_cluster(checkpoint=...)) instead",
-                DeprecationWarning,
-                stacklevel=3,
-            )
 
     def with_(self, **changes) -> "P2PConfig":
-        """A copy with the given fields replaced.
-
-        Copies that merely carry existing checkpoint knobs forward are not
-        new construction sites, so the deprecation shim only fires when
-        ``changes`` itself sets a knob to a non-default value."""
-        if any(
-            changes.get(k, _CHECKPOINT_KNOB_DEFAULTS[k])
-            != _CHECKPOINT_KNOB_DEFAULTS[k]
-            for k in _CHECKPOINT_KNOBS
-        ):
-            return replace(self, **changes)
-        with _quiet_checkpoint_knobs():
-            return replace(self, **changes)
+        """A copy with the given fields replaced."""
+        return replace(self, **changes)

@@ -38,7 +38,6 @@ from repro.p2p.task import Task, TaskContext
 from repro.obs.instruments import RunTelemetry
 from repro.rmi import RemoteObject, RmiRuntime, Stub, remote
 from repro.rmi.invocation import CallMessage, OnewayMessage
-from repro.util.logging import EventLog
 from repro.util.serialization import (NDARRAY_HEADER_BYTES, measured_size,
                                       payload_size)
 from repro.util.rng import RngTree
@@ -85,14 +84,8 @@ class TaskRunner:
         self.leader_reign = 1
         self.telemetry = telemetry
         # Bind the cluster's checkpoint strategy (default: the paper's
-        # fixed scheme built from the config knobs) into this runner's
-        # mutable scheduling state.
-        policy_spec = daemon.checkpoint
-        if policy_spec is None:
-            policy_spec = FixedPolicy(
-                count=self.config.backup_count,
-                frequency=self.config.checkpoint_frequency,
-            )
+        # fixed scheme) into this runner's mutable scheduling state.
+        policy_spec = daemon.checkpoint or FixedPolicy()
         self.policy = policy_spec.bind(num_tasks, feed=daemon.failure_feed)
         self.detector = LocalConvergenceDetector(
             threshold=convergence_threshold, stability_window=stability_window
@@ -291,8 +284,6 @@ class TaskRunner:
                 self.daemon._trace("checkpoint_rejected", task=self.task_id,
                                    iteration=backup.iteration,
                                    guardian=best_peer)
-                self.daemon._log("checkpoint_rejected", task=self.task_id,
-                                 iteration=backup.iteration)
                 if self.telemetry is not None:
                     self.telemetry.checkpoints_rejected += 1
                 backup = None
@@ -305,12 +296,6 @@ class TaskRunner:
             self.iteration = 0
             from_scratch = True
         self.policy.on_rollback(self.iteration)
-        self.daemon._log(
-            "task_recovered",
-            task=self.task_id,
-            iteration=self.iteration,
-            from_scratch=from_scratch,
-        )
         self.daemon._trace("recovery", task=self.task_id,
                            iteration=self.iteration, from_scratch=from_scratch)
         if self.telemetry is not None:
@@ -450,7 +435,6 @@ class Daemon(RemoteObject):
         superpeer_addresses: list[Address],
         config: P2PConfig,
         rng: RngTree,
-        log: EventLog | None = None,
         telemetry: RunTelemetry | None = None,
         wheel: TimerWheel | None = None,
         compute=None,
@@ -466,7 +450,7 @@ class Daemon(RemoteObject):
         self.superpeer_addresses = list(superpeer_addresses)
         self.config = config
         #: cluster-wide :class:`repro.checkpoint.CheckpointPolicy` (or None
-        #: for the config-knob fixed default) bound per task runner
+        #: for the paper's ``FixedPolicy()``) bound per task runner
         self.checkpoint = checkpoint
         #: shared :class:`repro.checkpoint.FailureFeed` adaptive policies read
         self.failure_feed = failure_feed
@@ -474,7 +458,6 @@ class Daemon(RemoteObject):
         #: wall-clock batching fabric task runners route inner solves through
         self.compute = compute
         self.rng = rng
-        self.log = log
         self.telemetry = telemetry
         self.backup_store = BackupStore(
             max_bytes=host.ram_mb * 1024 * 1024 * config.backup_ram_fraction
@@ -488,7 +471,7 @@ class Daemon(RemoteObject):
         self.registered = False
         self._retry_attempt = 0
         self.runtime = RmiRuntime(
-            network, host, config.daemon_port, name=daemon_id, log=log,
+            network, host, config.daemon_port, name=daemon_id,
             call_timeout=config.call_timeout,
         )
         self.stub = self.runtime.serve(self, DAEMON_OBJECT)
@@ -502,7 +485,6 @@ class Daemon(RemoteObject):
                 rng=rng.child("gossip"),
                 seeds=list(superpeer_addresses),
                 registry=telemetry.registry if telemetry is not None else None,
-                log=log,
             )
             # epidemic takeover path: leadership beats under a higher reign
             # re-point a computing runner even when the promoted standby's
@@ -561,7 +543,7 @@ class Daemon(RemoteObject):
                 )
             except RemoteError:
                 # Super-Peer down: locate another one (§5.3)
-                self._log("daemon_superpeer_lost", superpeer=str(self.sp_stub))
+                self._trace("daemon_superpeer_lost", superpeer=str(self.sp_stub))
                 self.registered = False
                 self.sp_stub = None
                 continue
@@ -607,7 +589,7 @@ class Daemon(RemoteObject):
                 self.sp_stub = candidate
                 self.registered = True
                 self._retry_attempt = 0
-                self._log("daemon_registered", superpeer=str(addr))
+                self._trace("daemon_registered", superpeer=str(addr))
                 return
         yield self.sim.timeout(self._retry_backoff())
 
@@ -635,7 +617,6 @@ class Daemon(RemoteObject):
             draw = self.rng.child("backoff", self.host.fail_count, attempt).uniform()
             delay *= 1.0 + config.bootstrap_retry_jitter * draw
         self._trace("register_retry", attempt=attempt, delay=delay)
-        self._log("daemon_register_retry", attempt=attempt, delay=delay)
         return delay
 
     # -- wheel-mode heartbeating (docs/scaling.md) -----------------------------
@@ -707,7 +688,7 @@ class Daemon(RemoteObject):
             )
         except RemoteError:
             if self.sp_stub == sp_stub:
-                self._log("daemon_superpeer_lost", superpeer=str(sp_stub))
+                self._trace("daemon_superpeer_lost", superpeer=str(sp_stub))
                 self.registered = False
                 self.sp_stub = None
             return
@@ -722,7 +703,7 @@ class Daemon(RemoteObject):
         beat does not know us (eviction, or a rebooted replacement with an
         empty Register) — re-bootstrap on the next tick."""
         if self.runner is None:
-            self._log("daemon_unknown_nack", superpeer=sp_id)
+            self._trace("daemon_unknown_nack", superpeer=sp_id)
             self.registered = False
 
     @remote
@@ -772,8 +753,6 @@ class Daemon(RemoteObject):
         self._runner_proc = self.host.spawn(
             self.runner.run(), label=f"{self.daemon_id}:task{task_id}"
         )
-        self._log("task_assigned", app=app_id, task=task_id, epoch=epoch,
-                  restart=restart)
         self._trace("assign", app=app_id, task=task_id, epoch=epoch,
                     restart=restart)
         return True
@@ -796,9 +775,8 @@ class Daemon(RemoteObject):
             return False
         runner.leader_reign = reign
         runner.spawner_stub = spawner_stub
-        self._log("daemon_adopted_spawner", reign=reign,
-                  spawner=str(spawner_stub.address))
-        self._trace("adopt_spawner", reign=reign)
+        self._trace("adopt_spawner", reign=reign,
+                    spawner=str(spawner_stub.address))
         # reconcile with the new leader's register (idempotent when its
         # shadow already knew us; reclaims our slot when it did not)
         self.host.spawn(self._reattach(runner, spawner_stub),
@@ -824,9 +802,8 @@ class Daemon(RemoteObject):
         stub = Stub(SPAWNER_OBJECT, address)
         runner.leader_reign = reign
         runner.spawner_stub = stub
-        self._log("daemon_adopted_spawner", reign=reign, spawner=str(address),
-                  via="gossip")
-        self._trace("adopt_spawner", reign=reign, via="gossip")
+        self._trace("adopt_spawner", reign=reign, spawner=str(address),
+                    via="gossip")
         self.host.spawn(self._reattach(runner, stub),
                         label=f"{self.daemon_id}:reattach")
 
@@ -846,8 +823,6 @@ class Daemon(RemoteObject):
             # the leader's register outranks this incarnation (a replacement
             # already owns the slot): stop computing and rejoin the idle
             # pool instead of burning the host on orphaned iterations
-            self._log("daemon_reattach_refused", task=runner.task_id,
-                      epoch=runner.epoch)
             self._trace("reattach_refused", task=runner.task_id,
                         epoch=runner.epoch)
             runner.halted = True
@@ -906,7 +881,7 @@ class Daemon(RemoteObject):
             self._resyncing = False
         if snapshot is not None and self.runner is runner:
             runner.adopt_register(snapshot)
-            self._log("daemon_register_resynced", version=snapshot.version)
+            self._trace("daemon_register_resynced", version=snapshot.version)
 
     @remote
     def receive_data(
@@ -1000,10 +975,6 @@ class Daemon(RemoteObject):
         if procs:
             yield self.sim.all_of(procs)
         return results
-
-    def _log(self, kind: str, **detail) -> None:
-        if self.log is not None:
-            self.log.emit(self.sim.now, self.daemon_id, kind, **detail)
 
     def _trace(self, kind: str, **attrs) -> None:
         tr = self.sim.tracer

@@ -24,7 +24,6 @@ from repro.p2p.messages import AppSpec, ApplicationRegister, RegisterDelta, Task
 from repro.p2p.superpeer import SUPERPEER_OBJECT
 from repro.obs.instruments import RunTelemetry
 from repro.rmi import RemoteObject, RmiRuntime, Stub, remote
-from repro.util.logging import EventLog
 from repro.util.rng import RngTree
 from repro.util.serialization import measured_size
 
@@ -44,7 +43,6 @@ class Spawner(RemoteObject):
         superpeer_addresses: list[Address],
         config: P2PConfig,
         rng: RngTree,
-        log: EventLog | None = None,
         telemetry: RunTelemetry | None = None,
         stable_store=None,
         resume_from: ApplicationRegister | None = None,
@@ -68,7 +66,6 @@ class Spawner(RemoteObject):
         self.superpeer_addresses = list(superpeer_addresses)
         self.config = config
         self.rng = rng
-        self.log = log
         self.telemetry = telemetry if telemetry is not None else RunTelemetry()
         self.telemetry.launched_at = self.sim.now
         #: shared :class:`repro.checkpoint.FailureFeed`: every heartbeat
@@ -131,7 +128,7 @@ class Spawner(RemoteObject):
 
         self.runtime = RmiRuntime(
             network, host, config.spawner_port,
-            name=f"spawner:{app.app_id}", log=log,
+            name=f"spawner:{app.app_id}",
             call_timeout=config.call_timeout,
         )
         self.stub = self.runtime.serve(self, SPAWNER_OBJECT)
@@ -279,8 +276,6 @@ class Spawner(RemoteObject):
                 continue
             seen = self.last_seen.get(slot.task_id, -1.0)
             if seen < deadline:
-                self._log("spawner_failure_detected", task=slot.task_id,
-                          daemon=slot.daemon_id)
                 self._trace("hb_miss", task=slot.task_id, daemon=slot.daemon_id,
                             last_seen=seen)
                 slot.daemon_id = None
@@ -321,8 +316,8 @@ class Spawner(RemoteObject):
             except (RemoteError, TaskError):
                 # lost it between reservation and launch: slot stays empty,
                 # the next maintenance round reserves a substitute
-                self._log("spawner_assign_failed", task=slot.task_id,
-                          daemon=daemon_id)
+                self._trace("spawner_assign_failed", task=slot.task_id,
+                            daemon=daemon_id)
                 continue
             slot.daemon_id = daemon_id
             slot.daemon_stub = stub
@@ -332,8 +327,6 @@ class Spawner(RemoteObject):
             self.tracker.reset_task(slot.task_id)
             if restart:
                 self.replacements += 1
-            self._log("spawner_assigned", task=slot.task_id, daemon=daemon_id,
-                      epoch=epoch, restart=restart)
             self._trace("slot_filled", task=slot.task_id, daemon=daemon_id,
                         epoch=epoch, restart=restart)
             changed = True
@@ -512,8 +505,6 @@ class Spawner(RemoteObject):
         self.last_seen[task_id] = self.sim.now
         self.tracker.reset_task(task_id)
         self.reattachments += 1
-        self._log("spawner_reattach", task=task_id, daemon=daemon_id,
-                  epoch=epoch)
         self._trace("reattach", task=task_id, daemon=daemon_id, epoch=epoch)
         return True
 
@@ -528,9 +519,8 @@ class Spawner(RemoteObject):
                     self.app.app_id, self.reign, self.stub,
                     reliable=True,
                 )
-        self._trace("takeover_announced", reign=self.reign)
-        self._log("spawner_takeover", reign=self.reign,
-                  version=self.register.version)
+        self._trace("takeover_announced", reign=self.reign,
+                    version=self.register.version)
 
     def _verification_dwell(self):
         """The §8 hardening: declare convergence only if the array stays
@@ -545,7 +535,7 @@ class Spawner(RemoteObject):
             self._finish()
         else:
             self.dwell_aborts += 1
-            self._log("spawner_dwell_aborted")
+            self._trace("spawner_dwell_aborted")
             # if the system is all-stable again already, re-arm immediately
             if self.tracker.converged and self._epidemic_agrees():
                 self._dwell_active = True
@@ -560,8 +550,6 @@ class Spawner(RemoteObject):
         if self.stable_store is not None:
             self.stable_store.forget(self.app.app_id)
         self.telemetry.converged_at = self.sim.now
-        self._log("spawner_converged", at=self.sim.now,
-                  iterations=self.telemetry.total_iterations)
         self._trace("converged", iterations=self.telemetry.total_iterations)
         for slot in self.register.slots:
             if slot.assigned:
@@ -597,10 +585,6 @@ class Spawner(RemoteObject):
     @property
     def execution_time(self) -> float | None:
         return self.telemetry.execution_time
-
-    def _log(self, kind: str, **detail) -> None:
-        if self.log is not None:
-            self.log.emit(self.sim.now, f"spawner:{self.app.app_id}", kind, **detail)
 
     def _trace(self, kind: str, **attrs) -> None:
         tr = self.sim.tracer

@@ -37,7 +37,6 @@ from repro.p2p.config import P2PConfig
 from repro.p2p.messages import AppSpec
 from repro.p2p.spawner import SPAWNER_OBJECT, Spawner
 from repro.rmi import RemoteObject, RmiRuntime, Stub, remote
-from repro.util.logging import EventLog
 from repro.util.rng import RngTree
 
 __all__ = ["STANDBY_OBJECT", "StandbySpawner"]
@@ -57,7 +56,6 @@ class StandbySpawner(RemoteObject):
         superpeer_addresses: list[Address],
         config: P2PConfig,
         rng: RngTree,
-        log: EventLog | None = None,
         telemetry: RunTelemetry | None = None,
         stable_store=None,
         failure_feed=None,
@@ -70,14 +68,13 @@ class StandbySpawner(RemoteObject):
         self.superpeer_addresses = list(superpeer_addresses)
         self.config = config
         self.rng = rng
-        self.log = log
         self.telemetry = telemetry
         self.stable_store = stable_store
         self.failure_feed = failure_feed
 
         self.runtime = RmiRuntime(
             network, host, config.standby_port,
-            name=f"standby:{app.app_id}", log=log,
+            name=f"standby:{app.app_id}",
             call_timeout=config.call_timeout,
         )
         self.stub = self.runtime.serve(self, STANDBY_OBJECT)
@@ -89,7 +86,6 @@ class StandbySpawner(RemoteObject):
             rng=rng.child("gossip"),
             seeds=[primary_address] + self.superpeer_addresses[:2],
             registry=telemetry.registry if telemetry is not None else None,
-            log=log,
         )
         self.gossip.subscribe(("spawner", app.app_id), self._on_leader_beat)
 
@@ -237,8 +233,6 @@ class StandbySpawner(RemoteObject):
         reign = max(self.shadow_reign, self._last_beat_version[0]) + 2
         self._trace("takeover", reign=reign,
                     shadow_version=self.shadow_version)
-        self._log("standby_takeover", reign=reign,
-                  shadow_version=self.shadow_version)
         launched_at = (self.telemetry.launched_at
                        if self.telemetry is not None else None)
         spawner = Spawner(
@@ -248,7 +242,6 @@ class StandbySpawner(RemoteObject):
             superpeer_addresses=self.superpeer_addresses,
             config=self.config,
             rng=self.rng.child("promote", reign),
-            log=self.log,
             telemetry=self.telemetry,
             stable_store=self.stable_store,
             resume_from=self.shadow_register,
@@ -275,11 +268,6 @@ class StandbySpawner(RemoteObject):
         return self.spawner.reign if self.spawner is not None else self.shadow_reign
 
     # -- observability ----------------------------------------------------------
-
-    def _log(self, kind: str, **detail) -> None:
-        if self.log is not None:
-            self.log.emit(self.sim.now, f"standby:{self.app.app_id}", kind,
-                          **detail)
 
     def _trace(self, kind: str, **attrs) -> None:
         tr = self.sim.tracer

@@ -27,7 +27,6 @@ from repro.net.network import Network
 from repro.p2p.config import P2PConfig
 from repro.rmi import RemoteObject, RmiRuntime, Stub, remote
 from repro.rmi.invocation import OnewayMessage
-from repro.util.logging import EventLog
 from repro.util.serialization import measured_size
 
 __all__ = ["SuperPeer", "DaemonRecord", "ChildSummary"]
@@ -65,7 +64,6 @@ class SuperPeer(RemoteObject):
         host: Host,
         sp_id: str,
         config: P2PConfig,
-        log: EventLog | None = None,
         tier: int = 0,
     ):
         self.sim: Simulator = network.sim
@@ -73,7 +71,6 @@ class SuperPeer(RemoteObject):
         self.host = host
         self.sp_id = sp_id
         self.config = config
-        self.log = log
         self.tier = tier
         self.register: dict[str, DaemonRecord] = {}
         self.neighbour_stubs: list[Stub] = []
@@ -88,7 +85,7 @@ class SuperPeer(RemoteObject):
         self.forwarded_requests = 0
         self.summaries_sent = 0
         self.runtime = RmiRuntime(
-            network, host, config.superpeer_port, name=sp_id, log=log,
+            network, host, config.superpeer_port, name=sp_id,
             call_timeout=config.call_timeout,
         )
         self.stub = self.runtime.serve(self, SUPERPEER_OBJECT)
@@ -123,7 +120,6 @@ class SuperPeer(RemoteObject):
     def register_daemon(self, daemon_id: str, stub: Stub) -> bool:
         """A Daemon joins (bootstrap, §5.1) or re-joins after eviction."""
         self.register[daemon_id] = DaemonRecord(daemon_id, stub, self.sim.now)
-        self._log("sp_register", daemon=daemon_id)
         self._trace("register", daemon=daemon_id)
         return True
 
@@ -132,7 +128,6 @@ class SuperPeer(RemoteObject):
         """Graceful departure (not used by failures — those time out)."""
         removed = self.register.pop(daemon_id, None) is not None
         if removed:
-            self._log("sp_unregister", daemon=daemon_id)
             self._trace("unregister", daemon=daemon_id)
         return removed
 
@@ -182,7 +177,6 @@ class SuperPeer(RemoteObject):
             record = self.register.pop(daemon_id)
             picked.append((record.daemon_id, record.stub))
         if picked:
-            self._log("sp_reserve_local", count=len(picked))
             self._trace("reserve", count=len(picked))
         return picked
 
@@ -249,7 +243,6 @@ class SuperPeer(RemoteObject):
             for daemon_id in stale:
                 del self.register[daemon_id]
                 self.evictions += 1
-                self._log("sp_evict", daemon=daemon_id)
                 self._trace("evict", daemon=daemon_id)
             if self.child_summaries:
                 # a child gone silent takes its WHOLE subtree's idle count
@@ -260,7 +253,6 @@ class SuperPeer(RemoteObject):
                 for sid in dead:
                     lost = self.child_summaries.pop(sid)
                     self.subtree_evictions += 1
-                    self._log("sp_evict_subtree", child=sid, idle_lost=lost.idle)
                     self._trace("evict_subtree", child=sid, idle_lost=lost.idle)
             if self.parent_stub is not None:
                 self.summaries_sent += 1
@@ -281,10 +273,6 @@ class SuperPeer(RemoteObject):
                     self.sp_id, self.stub, self.subtree_idle(),
                     size=sized[1],
                 )
-
-    def _log(self, kind: str, **detail) -> None:
-        if self.log is not None:
-            self.log.emit(self.sim.now, self.sp_id, kind, **detail)
 
     def _trace(self, kind: str, **attrs) -> None:
         tr = self.sim.tracer

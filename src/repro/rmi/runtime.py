@@ -31,7 +31,6 @@ from repro.rmi.invocation import (
     remote_method_table,
 )
 from repro.rmi.stub import Stub
-from repro.util.logging import EventLog
 from repro.util.serialization import measured_size
 
 __all__ = ["RemoteObject", "RmiRuntime", "DEFAULT_CALL_TIMEOUT"]
@@ -63,7 +62,6 @@ class RmiRuntime:
         host: Host,
         port: int,
         name: str = "",
-        log: EventLog | None = None,
         call_timeout: float = DEFAULT_CALL_TIMEOUT,
     ):
         self.network = network
@@ -72,7 +70,6 @@ class RmiRuntime:
         self.name = name or f"rmi@{host.name}:{port}"
         self.endpoint = host.open_endpoint(port)
         self.address = self.endpoint.address
-        self.log = log
         self.call_timeout = call_timeout
         self._objects: dict[str, RemoteObject] = {}
         #: resolved bound methods, keyed by (object_name, method); serving
@@ -230,9 +227,11 @@ class RmiRuntime:
                 self._on_call(payload)
             elif isinstance(payload, OnewayMessage):
                 self._on_oneway(payload)
-            elif self.log is not None:  # pragma: no cover - diagnostics
-                self.log.emit(self.sim.now, self.name, "rmi_unknown_message",
-                              type=type(payload).__name__)
+            else:  # pragma: no cover - diagnostics
+                tr = self.sim.tracer
+                if tr.enabled:
+                    tr.emit(self.sim.now, "rmi", self.name,
+                            "rmi_unknown_message", type=type(payload).__name__)
 
     def _on_reply(self, reply: ReplyMessage) -> None:
         event = self._pending.pop(reply.call_id, None)
@@ -308,10 +307,7 @@ class RmiRuntime:
             fn = self._resolve(msg.object_name, msg.method)
             outcome = fn(*msg.args, **msg.kwargs)
         except Exception as exc:  # noqa: BLE001 - oneway errors never propagate
-            self.oneway_errors += 1
-            if self.log is not None:
-                self.log.emit(self.sim.now, self.name, "rmi_oneway_error",
-                              method=msg.method, error=repr(exc))
+            self._oneway_error(msg.method, exc)
             return
         if outcome is not None and hasattr(outcome, "send") \
                 and hasattr(outcome, "throw"):
@@ -322,10 +318,14 @@ class RmiRuntime:
         try:
             yield from gen
         except Exception as exc:  # noqa: BLE001
-            self.oneway_errors += 1
-            if self.log is not None:
-                self.log.emit(self.sim.now, self.name, "rmi_oneway_error",
-                              method=method, error=repr(exc))
+            self._oneway_error(method, exc)
+
+    def _oneway_error(self, method: str, exc: Exception) -> None:
+        self.oneway_errors += 1
+        tr = self.sim.tracer
+        if tr.enabled:
+            tr.emit(self.sim.now, "rmi", self.name, "rmi_oneway_error",
+                    method=method, error=repr(exc))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<RmiRuntime {self.name} at {self.address} objects={list(self._objects)}>"

@@ -1,10 +1,9 @@
 """Cross-cutting utilities: seeded RNG trees, statistics, serialization
-size-accounting, structured event logging and simple timers."""
+size-accounting and simple timers."""
 
 from repro.util.rng import RngTree, derive_seed
 from repro.util.stats import OnlineStats, Histogram, summarize
 from repro.util.serialization import measured_size, clone_state
-from repro.util.logging import EventLog, LogRecord
 from repro.util.timer import WallTimer
 
 __all__ = [
@@ -15,7 +14,5 @@ __all__ = [
     "summarize",
     "measured_size",
     "clone_state",
-    "EventLog",
-    "LogRecord",
     "WallTimer",
 ]

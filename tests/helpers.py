@@ -6,6 +6,8 @@ from typing import Any
 
 import numpy as np
 
+from repro.churn import churn_plan
+from repro.faults import FaultInjector
 from repro.numerics import BlockDecomposition, Poisson2D
 from repro.p2p import AppSpec, IterationStep, Task, TaskContext
 
@@ -68,6 +70,12 @@ def make_geometric_app(
         convergence_threshold=threshold,
         stability_window=window,
     )
+
+
+def churn_injector(sim, hosts, model, rng, horizon, **kwargs) -> FaultInjector:
+    """Churn ``model`` against ``hosts``: its plan on a fault injector."""
+    return FaultInjector(sim, churn_plan(model, rng, horizon), rng=rng,
+                         hosts=hosts, entity="churn", **kwargs)
 
 
 def run_until_done(cluster, spawner, horizon: float = 1000.0) -> bool:

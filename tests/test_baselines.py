@@ -5,15 +5,20 @@ import pytest
 
 from repro.apps import make_poisson_app
 from repro.baselines import MasterSlaveScheduler, SynchronousEngine
-from repro.churn import ChurnEvent, ChurnInjector, TraceChurn
+from repro.churn import ChurnEvent, TraceChurn
 from repro.des import Simulator
 from repro.errors import NotSupportedError
 from repro.net import Network, UniformLinkModel
 from repro.numerics import Poisson2D
+from repro.obs import Tracer
 from repro.p2p import AppSpec, IterationStep, Task, TaskContext
 from repro.util.rng import RngTree
 
-from tests.helpers import assemble_strip_solution, make_geometric_app
+from tests.helpers import (
+    assemble_strip_solution,
+    churn_injector,
+    make_geometric_app,
+)
 
 
 class IndependentTask(Task):
@@ -77,15 +82,19 @@ def test_sync_engine_solves_poisson():
 
 def test_sync_engine_stalls_until_host_returns():
     sim, net, hosts = make_world(3)
+    sim.tracer = Tracer()
     app = make_geometric_app(num_tasks=3, rate=0.99, threshold=1e-8, flops=5e6)
     engine = SynchronousEngine(sim, hosts, app)
     trace = TraceChurn((ChurnEvent(0.05, 3.0, "h1"),))
-    ChurnInjector(sim, hosts, trace, RngTree(0), horizon=100.0)
+    churn_injector(sim, hosts, trace, RngTree(0), horizon=100.0)
     result = sim.run(until=engine.done)
     assert result.converged
     assert result.stall_time >= 2.0  # waited out most of the 3s outage
     assert result.rollbacks >= 1
     assert result.lost_iterations > 0
+    aborted = sim.tracer.count("baselines", "sync_superstep_aborted")
+    assert aborted == result.rollbacks
+    assert sim.tracer.count("baselines", "sync_converged") == 1
 
 
 def test_sync_rollback_costs_everyone():
@@ -95,7 +104,7 @@ def test_sync_rollback_costs_everyone():
     app = make_geometric_app(num_tasks=4, rate=0.999, threshold=1e-9, flops=5e6)
     engine = SynchronousEngine(sim, hosts, app, checkpoint_frequency=10)
     trace = TraceChurn((ChurnEvent(0.2, 1.0, "h2"),))
-    ChurnInjector(sim, hosts, trace, RngTree(0), horizon=100.0)
+    churn_injector(sim, hosts, trace, RngTree(0), horizon=100.0)
     result = sim.run(until=engine.done)
     assert result.converged
     assert result.rollbacks >= 1
@@ -153,13 +162,15 @@ def test_master_slave_runs_independent_bag():
 
 def test_master_slave_retries_failed_units():
     sim, net, hosts = make_world(2)
+    sim.tracer = Tracer()
     ms = MasterSlaveScheduler(sim, hosts, make_independent_app(4))
     trace = TraceChurn((ChurnEvent(0.01, 1.0, "h0"),))
-    ChurnInjector(sim, hosts, trace, RngTree(0), horizon=50.0)
+    churn_injector(sim, hosts, trace, RngTree(0), horizon=50.0)
     result = sim.run(until=ms.done)
     assert result.completed
     assert len(result.results) == 4
     assert result.retries >= 1
+    assert sim.tracer.count("baselines", "ms_unit_done") == 4
 
 
 def test_master_slave_rejects_communicating_tasks():

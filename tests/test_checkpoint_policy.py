@@ -1,16 +1,14 @@
 """Tests for the checkpoint strategy layer (``repro.checkpoint.policy``).
 
 Covers the :class:`CheckpointPolicy` protocol: serialization round-trips,
-the deprecation shim over the legacy ``P2PConfig`` knobs, canonicalization
-(legacy knobs and an explicit policy build the same normalized spec and
-cache key), bitwise identity of the default :class:`FixedPolicy` with the
-historical knob route, and the online adaptation of
+canonicalization (``checkpoint=None`` and an explicit default policy build
+the same normalized spec and cache key), bitwise identity of the two
+routes, and the online adaptation of
 :class:`AdaptivePolicy` (deterministic replay, churn-driven re-tuning,
 checkpoint-traffic savings).
 """
 
 import pickle
-import warnings
 from dataclasses import asdict
 
 import pytest
@@ -23,8 +21,6 @@ from repro.checkpoint import (
     policy_from_dict,
 )
 from repro.exec import RunSpec
-from repro.experiments.driver import run_poisson_on_p2p
-from repro.p2p.config import P2PConfig
 
 
 # ------------------------------------------------------------- serialization
@@ -94,66 +90,25 @@ def test_backup_policy_asdict_and_equality_ignore_cache():
     assert "_peers_cache" not in asdict(warm)
 
 
-# ---------------------------------------------------------- deprecation shim
-
-
-def test_config_knob_construction_warns():
-    with pytest.warns(DeprecationWarning, match="repro\\."):
-        P2PConfig(checkpoint_frequency=3)
-    with pytest.warns(DeprecationWarning, match="FixedPolicy"):
-        P2PConfig(backup_count=2)
-
-
-def test_with_carrying_knobs_forward_is_quiet():
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        legacy = P2PConfig(checkpoint_frequency=3, backup_count=2)
-    # not a new construction site: no warning escapes
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", DeprecationWarning)
-        bumped = legacy.with_(heartbeat_period=0.5)
-    assert bumped.checkpoint_frequency == 3
-    assert bumped.backup_count == 2
-
-
-def test_with_setting_a_knob_warns():
-    cfg = P2PConfig()
-    with pytest.warns(DeprecationWarning):
-        cfg.with_(backup_count=2)
-
-
 # ------------------------------------------------- canonicalization / keys
-
-
-def test_legacy_knobs_and_policy_cannot_drift():
-    """The signature-drift guarantee of the redesign: the legacy knob route
-    and the explicit policy route build the SAME normalized spec, hence the
-    same cache key — results cached under one route serve the other."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        legacy = RunSpec(n=32, peers=4,
-                         config=P2PConfig(checkpoint_frequency=3,
-                                          backup_count=7))
-    explicit = RunSpec(n=32, peers=4, config=P2PConfig(),
-                       checkpoint=FixedPolicy(count=7, frequency=3))
-    assert legacy.normalized() == explicit.normalized()
-    assert legacy.key() == explicit.key()
 
 
 def test_normalized_resolves_default_policy_from_config():
     norm = RunSpec(n=32, peers=4).normalized()
-    assert norm.checkpoint == FixedPolicy(count=20, frequency=5)
-    # the knobs themselves are reset to defaults after folding
-    assert norm.config.checkpoint_frequency == 5
-    assert norm.config.backup_count == 20
+    assert norm.checkpoint == FixedPolicy() == FixedPolicy(count=20, frequency=5)
+    # the policy is the only route: the config carries no checkpoint knobs
+    assert not {"checkpoint_frequency", "backup_count"} & set(asdict(norm.config))
+    # ... and an explicit default policy is the same record, same cache key
+    explicit = RunSpec(n=32, peers=4, checkpoint=FixedPolicy())
+    assert explicit.normalized() == norm
+    assert explicit.key() == norm.key()
 
 
 def test_explicit_default_policy_matches_default_route_bitwise():
-    """FixedPolicy(defaults) must reproduce the knob route bit-for-bit."""
-    base = run_poisson_on_p2p(n=24, peers=3, disconnections=1, seed=5)
-    explicit = run_poisson_on_p2p(n=24, peers=3, disconnections=1, seed=5,
-                                  checkpoint=FixedPolicy(count=20,
-                                                         frequency=5))
+    """FixedPolicy(defaults) must reproduce checkpoint=None bit-for-bit."""
+    base = RunSpec(n=24, peers=3, disconnections=1, seed=5).run()
+    explicit = RunSpec(n=24, peers=3, disconnections=1, seed=5,
+                       checkpoint=FixedPolicy(count=20, frequency=5)).run()
     assert base.simulated_time == explicit.simulated_time
     assert base.total_iterations == explicit.total_iterations
     assert base.checkpoints_sent == explicit.checkpoints_sent
@@ -259,9 +214,9 @@ def test_adaptive_begin_save_fans_out_replicas():
 
 
 def test_adaptive_run_is_deterministic():
-    kwargs = dict(n=24, peers=3, disconnections=2, seed=3,
-                  checkpoint=AdaptivePolicy())
-    a, b = run_poisson_on_p2p(**kwargs), run_poisson_on_p2p(**kwargs)
+    spec = RunSpec(n=24, peers=3, disconnections=2, seed=3,
+                   checkpoint=AdaptivePolicy())
+    a, b = spec.run(), spec.run()
     assert a.simulated_time == b.simulated_time
     assert a.total_iterations == b.total_iterations
     assert a.checkpoints_sent == b.checkpoints_sent
@@ -269,8 +224,8 @@ def test_adaptive_run_is_deterministic():
 
 
 def test_adaptive_cuts_checkpoint_traffic_under_churn():
-    fixed = run_poisson_on_p2p(n=24, peers=3, disconnections=2, seed=3)
-    adaptive = run_poisson_on_p2p(n=24, peers=3, disconnections=2, seed=3,
-                                  checkpoint=AdaptivePolicy())
+    fixed = RunSpec(n=24, peers=3, disconnections=2, seed=3).run()
+    adaptive = RunSpec(n=24, peers=3, disconnections=2, seed=3,
+                       checkpoint=AdaptivePolicy()).run()
     assert adaptive.converged and fixed.converged
     assert adaptive.checkpoint_bytes < fixed.checkpoint_bytes

@@ -147,7 +147,7 @@ def test_cli_timeline(capsys):
                "--disconnections", "1", "--seed", "3"])
     out = capsys.readouterr().out
     assert rc == 0
-    assert "spawner_assigned" in out
+    assert "slot_filled" in out
     assert "legend" in out.lower() or "A=assigned" in out
     assert "converged: True" in out
 

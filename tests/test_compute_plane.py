@@ -390,10 +390,11 @@ def _ab(kw, monkeypatch):
     """The same run on a cluster with the plane and on one without: there
     every task takes ``iterate()``, the solve-on-the-spot path that
     :mod:`repro.local` and the baselines use."""
+    from repro.exec import RunSpec
     from repro.experiments import driver
 
     clear_caches()
-    on = driver.run_poisson_on_p2p(**kw)
+    on = RunSpec(**kw).run()
     build_cluster = driver.build_cluster
 
     def build_planeless(*args, **kwargs):
@@ -405,7 +406,7 @@ def _ab(kw, monkeypatch):
 
     monkeypatch.setattr(driver, "build_cluster", build_planeless)
     clear_caches()
-    off = driver.run_poisson_on_p2p(**kw)
+    off = RunSpec(**kw).run()
     return on, off
 
 

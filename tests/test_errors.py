@@ -57,13 +57,12 @@ def test_remote_error_carries_its_cause():
 def test_api_misuse_raises_within_the_hierarchy():
     """Spot-check that live APIs actually raise hierarchy members."""
     from repro.exec import RunSpec
-    from repro.experiments import run_poisson_on_p2p
     from repro.faults import FaultPlan, scenario
 
     with pytest.raises(ConfigurationError):
-        run_poisson_on_p2p(n=24, peers=0)
+        RunSpec(n=24, peers=0).run()
     with pytest.raises(ConfigurationError):
-        run_poisson_on_p2p(spec=RunSpec(n=24, peers=3), n=24)
+        RunSpec(n=24, peers=3, disconnections=-1).run()
     with pytest.raises(ConfigurationError):
         scenario("no-such-scenario")
     with pytest.raises(ConfigurationError):

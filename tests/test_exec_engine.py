@@ -19,7 +19,7 @@ from repro.exec import (
     default_cache_dir,
 )
 from repro.experiments import figure7_sweep
-from repro.experiments.driver import RUN_COUNTER, RunResult, run_poisson_on_p2p
+from repro.experiments.driver import RUN_COUNTER, RunResult
 from repro.obs.report import RunReport
 from repro.obs.instruments import RecoveryRecord
 
@@ -133,7 +133,7 @@ def test_runresult_roundtrip_with_full_report():
 
 
 def test_real_run_roundtrips_exactly():
-    result = run_poisson_on_p2p(**TINY)
+    result = RunSpec(**TINY).run()
     assert RunResult.from_dict(result.to_dict()) == result
 
 
@@ -141,7 +141,7 @@ def test_real_run_roundtrips_exactly():
 
 
 def test_serial_engine_matches_direct_driver_call():
-    direct = run_poisson_on_p2p(**TINY)
+    direct = RunSpec(**TINY).run()
     engine = SweepEngine(workers=1)
     via_engine = engine.run(RunSpec(**TINY))
     assert via_engine == direct
@@ -163,7 +163,7 @@ def test_engine_shares_churn_calibration_across_levels():
     # 1 shared calibration + 2 churn runs, not 2 + 2
     assert engine.stats["runs_executed"] == 3
     # and the result equals the driver's own calibrate-then-run path
-    direct = run_poisson_on_p2p(**TINY, disconnections=1, collect=False)
+    direct = RunSpec(**TINY, disconnections=1, collect=False).run()
     assert runs[0] == direct
 
 

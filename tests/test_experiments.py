@@ -4,13 +4,14 @@ import math
 
 import pytest
 
+from repro.checkpoint import FixedPolicy
+from repro.exec import RunSpec
 from repro.experiments import (
     EXPERIMENT_CONFIG,
     figure7_sweep,
     format_table,
     iterations_vs_n,
     optimal_overlap,
-    run_poisson_on_p2p,
     sync_vs_async,
 )
 from repro.experiments.ablations import overlap_ablation
@@ -21,8 +22,8 @@ from repro.experiments.report import format_value
 
 
 def test_experiment_config_is_valid_and_paperlike():
-    assert EXPERIMENT_CONFIG.checkpoint_frequency == 5  # paper §7
-    assert EXPERIMENT_CONFIG.backup_count == 20         # paper §7
+    paper = RunSpec(n=24).normalized().checkpoint  # what experiments run with
+    assert paper == FixedPolicy(count=20, frequency=5)  # paper §7
     assert EXPERIMENT_CONFIG.heartbeat_timeout > EXPERIMENT_CONFIG.heartbeat_period
 
 
@@ -40,7 +41,7 @@ def test_optimal_overlap_rule():
 
 
 def test_run_poisson_result_fields():
-    r = run_poisson_on_p2p(n=24, peers=3, seed=1, horizon=300.0)
+    r = RunSpec(n=24, peers=3, seed=1, horizon=300.0).run()
     assert r.converged
     assert r.simulated_time > 0
     assert r.residual is not None and r.residual < 1e-3
@@ -55,8 +56,8 @@ def test_run_poisson_with_churn_recovers():
     # pin the churn window to early-run so the failure is detected and
     # recovered well before convergence (the n=48 run lasts ~1 s simulated
     # against a ~0.5 s detection+replacement cycle)
-    r = run_poisson_on_p2p(n=48, peers=4, disconnections=1, seed=3,
-                           churn_window=0.5, horizon=300.0)
+    r = RunSpec(n=48, peers=4, disconnections=1, seed=3,
+                churn_window=0.5, horizon=300.0).run()
     assert r.converged
     assert r.disconnections_executed == 1
     assert r.recoveries >= 1
@@ -64,53 +65,32 @@ def test_run_poisson_with_churn_recovers():
 
 
 def test_run_poisson_deterministic_per_seed():
-    r1 = run_poisson_on_p2p(n=24, peers=3, seed=5, collect=False)
-    r2 = run_poisson_on_p2p(n=24, peers=3, seed=5, collect=False)
+    r1 = RunSpec(n=24, peers=3, seed=5, collect=False).run()
+    r2 = RunSpec(n=24, peers=3, seed=5, collect=False).run()
     assert r1.simulated_time == r2.simulated_time
     assert r1.total_iterations == r2.total_iterations
 
 
 def test_run_poisson_validation():
     with pytest.raises(ValueError):
-        run_poisson_on_p2p(n=24, peers=0)
+        RunSpec(n=24, peers=0).run()
     with pytest.raises(ValueError):
-        run_poisson_on_p2p(n=24, peers=2, disconnections=-1)
+        RunSpec(n=24, peers=2, disconnections=-1).run()
 
 
 # ------------------------------------------------------- the RunSpec-first API
 
 
-def test_spec_first_entrypoint_matches_kwarg_shim():
-    from repro.exec import RunSpec
+def test_run_and_execute_share_one_body():
+    """``RunSpec.run``, ``RunSpec.execute`` and ``execute_spec`` are one
+    entrypoint: same spec, same result, whichever spelling launches it."""
+    from repro.experiments.driver import execute_spec
 
     spec = RunSpec(n=24, peers=3, seed=1)
-    assert run_poisson_on_p2p(spec=spec) == run_poisson_on_p2p(
-        n=24, peers=3, seed=1
-    )
-    assert spec.run() == run_poisson_on_p2p(spec=spec)
-
-
-def test_spec_and_kwargs_are_mutually_exclusive():
-    from repro.errors import ConfigurationError
-    from repro.exec import RunSpec
-
-    with pytest.raises(ConfigurationError):
-        run_poisson_on_p2p(spec=RunSpec(n=24, peers=3), n=24)
-    with pytest.raises(ConfigurationError):
-        run_poisson_on_p2p()  # neither spec nor n
-
-
-def test_kwarg_shim_cannot_drift_from_runspec():
-    """Every keyword of the legacy entrypoint must be a RunSpec field, so
-    new knobs land in the spec (and the cache key / sweep engine) first."""
-    import dataclasses
-    import inspect
-
-    from repro.exec import RunSpec
-
-    params = set(inspect.signature(run_poisson_on_p2p).parameters)
-    fields = {f.name for f in dataclasses.fields(RunSpec)}
-    assert params - {"spec", "tracer"} <= fields
+    result = spec.run()
+    assert result == RunSpec(n=24, peers=3, seed=1).run()
+    assert result == spec.execute() == execute_spec(spec)
+    assert result.run_report is None  # traced=False: no tracer was built
 
 
 # ------------------------------------------------------------------- figure 7

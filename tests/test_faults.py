@@ -196,7 +196,7 @@ def test_cancel_stops_pending_actions():
 
 
 def test_churn_runs_are_unchanged_by_the_fault_plane():
-    """ChurnInjector now fronts FaultInjector; seeded runs must not move."""
+    """Churn is a plan on its own FaultInjector; seeded runs must not move."""
     a = RunSpec(n=24, peers=3, seed=2, disconnections=1).run()
     b = RunSpec(n=24, peers=3, seed=2, disconnections=1).run()
     assert a == b

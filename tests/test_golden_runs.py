@@ -21,8 +21,8 @@ import pytest
 
 from repro.apps import make_poisson_app
 from repro.checkpoint import FixedPolicy
+from repro.exec import RunSpec
 from repro.experiments.config import EXPERIMENT_LINK_SCALE, optimal_overlap
-from repro.experiments.driver import run_poisson_on_p2p
 from repro.faults import scenario
 from repro.numerics import Poisson2D
 from repro.p2p import P2PConfig, build_cluster, launch_application
@@ -33,7 +33,7 @@ GOLDEN = pathlib.Path(__file__).parent / "golden" / "runs.json"
 
 def _driver(**kw):
     def run():
-        fields = run_poisson_on_p2p(**kw).to_dict()
+        fields = RunSpec(**kw).run().to_dict()
         del fields["run_report"]  # untraced runs carry none
         return fields
     return run

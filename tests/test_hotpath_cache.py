@@ -372,9 +372,9 @@ def test_remote_method_table_matches_dir_walk():
 
 
 def _run(**kw):
-    from repro.experiments.driver import run_poisson_on_p2p
+    from repro.exec import RunSpec
 
-    return run_poisson_on_p2p(**kw)
+    return RunSpec(**kw).run()
 
 
 def test_run_bitwise_identical_cold_vs_warm_caches():

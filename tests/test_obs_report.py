@@ -59,7 +59,7 @@ def test_markdown_contains_tables():
 def churn_run():
     """One traced churn run felling computing peers AND spare daemons."""
     from repro.apps import make_poisson_app
-    from repro.churn import ChurnInjector, PaperChurn
+    from repro.churn import PaperChurn
     from repro.experiments.config import (
         EXPERIMENT_CONFIG,
         EXPERIMENT_LINK_SCALE,
@@ -67,6 +67,7 @@ def churn_run():
     )
     from repro.p2p import build_cluster, launch_application
     from repro.util.rng import RngTree
+    from tests.helpers import churn_injector
 
     tracer = Tracer()
     cluster = build_cluster(
@@ -77,10 +78,10 @@ def churn_run():
     app = make_poisson_app("churny", n=48, num_tasks=6,
                            overlap=optimal_overlap(48, 6))
     spawner = launch_application(cluster, app)
-    ChurnInjector(
+    churn_injector(
         cluster.sim, cluster.testbed.daemon_hosts,
         PaperChurn(n_disconnections=4, reconnect_delay=1.0),
-        RngTree(4).child("churn"), horizon=2.0, log=cluster.log,
+        RngTree(4).child("churn"), horizon=2.0,
     )
     sim = cluster.sim
     sim.run(until=sim.any_of([spawner.done, sim.timeout(900.0)]))
@@ -128,13 +129,14 @@ def test_churn_report_agrees_with_telemetry(churn_run):
 
 
 def test_driver_attaches_run_report():
-    from repro.experiments.driver import run_poisson_on_p2p
+    from repro.exec import RunSpec
 
-    result = run_poisson_on_p2p(n=16, peers=2, seed=0)
+    spec = RunSpec(n=16, peers=2, seed=0)
+    result = spec.run()
     assert result.run_report is None  # untraced runs stay lightweight
 
     tracer = Tracer()
-    result = run_poisson_on_p2p(n=16, peers=2, seed=0, tracer=tracer)
+    result = spec.run(tracer=tracer)
     report = result.run_report
     assert report is not None
     assert report.converged == result.converged

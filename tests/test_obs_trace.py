@@ -129,11 +129,11 @@ def test_identical_seeds_produce_identical_traces():
     (msg/call ids come from process-global counters, so the comparison
     projects them out; byte-identical dumps need a fresh interpreter.)
     """
-    from repro.experiments.driver import run_poisson_on_p2p
+    from repro.exec import RunSpec
 
     def run():
         tr = Tracer()
-        run_poisson_on_p2p(n=16, peers=2, seed=3, tracer=tr)
+        RunSpec(n=16, peers=2, seed=3).run(tracer=tr)
         return [(e.time, e.category, e.kind, e.seq) for e in tr], tr.counts
 
     assert run() == run()

@@ -7,10 +7,10 @@ from repro.checkpoint import Backup
 from repro.des import Simulator
 from repro.errors import TaskError
 from repro.net import Address, Network, UniformLinkModel
+from repro.obs import Tracer
 from repro.p2p import Daemon, P2PConfig, SuperPeer
 from repro.p2p.messages import ApplicationRegister
 from repro.rmi import RmiRuntime, Stub
-from repro.util.logging import EventLog
 from repro.util.rng import RngTree
 
 from tests.helpers import GeometricTask
@@ -27,13 +27,13 @@ CFG = P2PConfig(
 
 
 def make_world(n_superpeers=2, n_daemons=1, cfg=CFG):
-    sim = Simulator()
+    tracer = Tracer()
+    sim = Simulator(tracer=tracer)
     net = Network(sim, link_model=UniformLinkModel(latency=1e-4, bandwidth=1e9))
-    log = EventLog()
     sps = []
     for i in range(n_superpeers):
         host = net.new_host(f"sp-host-{i}")
-        sps.append(SuperPeer(net, host, f"SP{i}", cfg, log=log))
+        sps.append(SuperPeer(net, host, f"SP{i}", cfg))
     stubs = [sp.stub for sp in sps]
     for sp in sps:
         sp.link(stubs)
@@ -42,9 +42,9 @@ def make_world(n_superpeers=2, n_daemons=1, cfg=CFG):
     for i in range(n_daemons):
         host = net.new_host(f"d-host-{i}")
         daemons.append(
-            Daemon(net, host, f"d{i}", addrs, cfg, RngTree(100 + i), log=log)
+            Daemon(net, host, f"d{i}", addrs, cfg, RngTree(100 + i))
         )
-    return sim, net, sps, daemons, log
+    return sim, net, sps, daemons, tracer
 
 
 def total_registered(sps):
@@ -52,15 +52,15 @@ def total_registered(sps):
 
 
 def test_daemon_bootstraps_to_some_superpeer():
-    sim, net, sps, (d,), log = make_world()
+    sim, net, sps, (d,), tracer = make_world()
     sim.run(until=2.0)
     assert d.registered
     assert total_registered(sps) == 1
-    assert log.count("daemon_registered") == 1
+    assert tracer.count("p2p", "daemon_registered") == 1
 
 
 def test_daemon_requires_superpeer_addresses():
-    sim, net, sps, _, log = make_world(n_daemons=0)
+    sim, net, sps, _, tracer = make_world(n_daemons=0)
     host = net.new_host("lonely")
     with pytest.raises(ValueError):
         Daemon(net, host, "d", [], CFG, RngTree(0))
@@ -69,14 +69,13 @@ def test_daemon_requires_superpeer_addresses():
 def test_daemon_bootstrap_retries_until_superpeer_appears():
     sim = Simulator()
     net = Network(sim, link_model=UniformLinkModel(latency=1e-4, bandwidth=1e9))
-    log = EventLog()
     sp_addr = Address("sp-host-0", CFG.superpeer_port)
     host = net.new_host("d-host")
-    d = Daemon(net, host, "d0", [sp_addr], CFG, RngTree(1), log=log)
+    d = Daemon(net, host, "d0", [sp_addr], CFG, RngTree(1))
     sim.run(until=5.0)
     assert not d.registered  # nothing to register with yet
     sp_host = net.new_host("sp-host-0")
-    sp = SuperPeer(net, sp_host, "SP0", CFG, log=log)
+    sp = SuperPeer(net, sp_host, "SP0", CFG)
     sim.run(until=15.0)
     assert d.registered
     assert len(sp.register) == 1
@@ -84,7 +83,7 @@ def test_daemon_bootstrap_retries_until_superpeer_appears():
 
 def test_daemon_relocates_when_superpeer_dies():
     """§5.3: on Super-Peer failure, Daemons locate another Super-Peer."""
-    sim, net, sps, (d,), log = make_world(n_superpeers=2)
+    sim, net, sps, (d,), tracer = make_world(n_superpeers=2)
     sim.run(until=2.0)
     original = d.sp_stub
     # kill the super-peer the daemon registered with
@@ -93,12 +92,12 @@ def test_daemon_relocates_when_superpeer_dies():
     sim.run(until=15.0)
     assert d.registered
     assert d.sp_stub.address != original.address
-    assert log.count("daemon_superpeer_lost") >= 1
+    assert tracer.count("p2p", "daemon_superpeer_lost") >= 1
 
 
 def test_daemon_reregisters_after_eviction():
     """If a Super-Peer forgot us (heartbeat returns False), re-register."""
-    sim, net, sps, (d,), log = make_world(n_superpeers=1)
+    sim, net, sps, (d,), tracer = make_world(n_superpeers=1)
     sim.run(until=2.0)
     sp = sps[0]
     # simulate amnesia: drop the record without the daemon knowing
@@ -108,13 +107,13 @@ def test_daemon_reregisters_after_eviction():
 
 
 def test_daemon_reboot_after_host_failure():
-    sim, net, sps, (d,), log = make_world()
+    sim, net, sps, (d,), tracer = make_world()
     reboots = []
 
     def on_rec(host):
         reboots.append(
             Daemon(net, host, "d0#2", [sp.stub.address for sp in sps], CFG,
-                   RngTree(7), log=log)
+                   RngTree(7))
         )
 
     d.host.on_recover(on_rec)
@@ -179,7 +178,7 @@ def assign(sim, net, daemon, spawner_stub, num_tasks=1, task_id=0, epoch=1,
 
 
 def test_assign_task_runs_to_local_convergence():
-    sim, net, sps, (d,), log = make_world()
+    sim, net, sps, (d,), tracer = make_world()
     fake = _FakeSpawner(net, CFG)
     sim.run(until=1.0)
     ok, _ = assign(sim, net, d, fake.stub)
@@ -193,7 +192,7 @@ def test_assign_task_runs_to_local_convergence():
 
 
 def test_assign_busy_daemon_raises_taskerror():
-    sim, net, sps, (d,), log = make_world()
+    sim, net, sps, (d,), tracer = make_world()
     fake = _FakeSpawner(net, CFG)
     sim.run(until=1.0)
     assign(sim, net, d, fake.stub)
@@ -215,7 +214,7 @@ def test_assign_busy_daemon_raises_taskerror():
 
 
 def test_halt_stops_task_and_daemon_rejoins_pool():
-    sim, net, sps, (d,), log = make_world()
+    sim, net, sps, (d,), tracer = make_world()
     fake = _FakeSpawner(net, CFG)
     sim.run(until=1.0)
     assign(sim, net, d, fake.stub)
@@ -234,7 +233,7 @@ def test_halt_stops_task_and_daemon_rejoins_pool():
 
 
 def test_receive_data_reaches_runner_inbox_last_write_wins():
-    sim, net, sps, (d,), log = make_world()
+    sim, net, sps, (d,), tracer = make_world()
     fake = _FakeSpawner(net, CFG)
     sim.run(until=1.0)
     ok, _ = assign(sim, net, d, fake.stub, num_tasks=2, task_id=0)
@@ -246,7 +245,7 @@ def test_receive_data_reaches_runner_inbox_last_write_wins():
 
 
 def test_receive_data_for_wrong_task_dropped():
-    sim, net, sps, (d,), log = make_world()
+    sim, net, sps, (d,), tracer = make_world()
     fake = _FakeSpawner(net, CFG)
     sim.run(until=1.0)
     assign(sim, net, d, fake.stub, num_tasks=2, task_id=0)
@@ -259,7 +258,7 @@ def test_receive_data_for_wrong_task_dropped():
 
 
 def test_backup_service_roundtrip():
-    sim, net, sps, (d,), log = make_world()
+    sim, net, sps, (d,), tracer = make_world()
     client = RmiRuntime(net, net.new_host("saver"), 4995)
     backup = Backup(task_id=3, iteration=10, state={"x": 0.5}, app_id="app")
 
@@ -278,7 +277,7 @@ def test_backup_service_roundtrip():
 
 
 def test_halt_drops_app_backups():
-    sim, net, sps, (d,), log = make_world()
+    sim, net, sps, (d,), tracer = make_world()
     client = RmiRuntime(net, net.new_host("saver"), 4995)
 
     def script(env):
@@ -295,7 +294,7 @@ def test_halt_drops_app_backups():
 
 
 def test_update_register_adopts_newer_version_only():
-    sim, net, sps, (d,), log = make_world()
+    sim, net, sps, (d,), tracer = make_world()
     fake = _FakeSpawner(net, CFG)
     sim.run(until=1.0)
     ok, reg = assign(sim, net, d, fake.stub, num_tasks=2, task_id=0)
@@ -319,7 +318,7 @@ def test_update_register_adopts_newer_version_only():
 
 
 def test_fetch_solution_exposes_fragment():
-    sim, net, sps, (d,), log = make_world()
+    sim, net, sps, (d,), tracer = make_world()
     fake = _FakeSpawner(net, CFG)
     sim.run(until=1.0)
     assign(sim, net, d, fake.stub)

@@ -12,13 +12,14 @@ import pytest
 
 from repro.apps import make_heat_app, make_jacobi_app, make_poisson_app
 from repro.checkpoint import FixedPolicy
-from repro.churn import ChurnEvent, ChurnInjector, PaperChurn, TraceChurn
+from repro.churn import ChurnEvent, PaperChurn, TraceChurn
 from repro.numerics import Poisson2D
 from repro.p2p import P2PConfig, build_cluster, launch_application
 from repro.util.rng import RngTree
 
 from tests.helpers import (
     assemble_strip_solution,
+    churn_injector,
     collect_solution,
     make_geometric_app,
     run_until_done,
@@ -150,12 +151,10 @@ def test_poisson_survives_disconnections_with_recovery():
         ChurnEvent(0.9, 5.0, None),
         ChurnEvent(1.5, 5.0, None),
     ))
-    inj = ChurnInjector(
-        cluster.sim, cluster.testbed.daemon_hosts, trace,
-        RngTree(99), horizon=1000.0, log=cluster.log,
-    )
+    inj = churn_injector(cluster.sim, cluster.testbed.daemon_hosts, trace,
+                         RngTree(99), horizon=1000.0)
     assert run_until_done(cluster, spawner, horizon=900.0)
-    assert inj.disconnections == 3
+    assert len(inj.executed) == 3
     assert poisson_accuracy(cluster, spawner, 16) < 1e-5
 
 
@@ -169,12 +168,10 @@ def test_churn_slows_execution_but_preserves_result():
             # horizon sized so the churn window overlaps the calm run
             # (~2 s now that a reserve sweep accumulates partial grants
             # across Super-Peers instead of under-filling the slots)
-            ChurnInjector(
-                cluster.sim, cluster.testbed.daemon_hosts,
-                PaperChurn(n_disc, reconnect_delay=5.0, start_fraction=0.1,
-                           end_fraction=0.5),
-                RngTree(7), horizon=5.0, log=cluster.log,
-            )
+            model = PaperChurn(n_disc, reconnect_delay=5.0,
+                               start_fraction=0.1, end_fraction=0.5)
+            churn_injector(cluster.sim, cluster.testbed.daemon_hosts, model,
+                           RngTree(7), horizon=5.0)
         assert run_until_done(cluster, spawner, horizon=900.0)
         assert poisson_accuracy(cluster, spawner, 16) < 1e-5
         times[label] = spawner.execution_time

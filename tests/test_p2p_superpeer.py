@@ -9,24 +9,24 @@ from repro.p2p import P2PConfig, SuperPeer
 from repro.p2p.superpeer import SUPERPEER_OBJECT
 from repro.rmi import RmiRuntime, Stub
 from repro.net.address import Address
-from repro.util.logging import EventLog
+from repro.obs import Tracer
 
 
 CFG = P2PConfig(heartbeat_period=0.5, heartbeat_timeout=2.0, monitor_period=0.5)
 
 
 def make_superpeers(n=2, cfg=CFG):
-    sim = Simulator()
+    tracer = Tracer()
+    sim = Simulator(tracer=tracer)
     net = Network(sim, link_model=UniformLinkModel(latency=1e-4, bandwidth=1e9))
-    log = EventLog()
     sps = []
     for i in range(n):
         host = net.new_host(f"sp-host-{i}")
-        sps.append(SuperPeer(net, host, sp_id=f"SP{i}", config=cfg, log=log))
+        sps.append(SuperPeer(net, host, sp_id=f"SP{i}", config=cfg))
     stubs = [sp.stub for sp in sps]
     for sp in sps:
         sp.link(stubs)
-    return sim, net, sps, log
+    return sim, net, sps, tracer
 
 
 def make_client(net, name="client", port=4100):
@@ -39,7 +39,7 @@ def dummy_stub(i):
 
 
 def test_register_and_count():
-    sim, net, (sp0, sp1), log = make_superpeers()
+    sim, net, (sp0, sp1), tracer = make_superpeers()
     client = make_client(net)
 
     def script(env):
@@ -51,17 +51,17 @@ def test_register_and_count():
     p = sim.process(script(sim))
     sim.run(until=p)
     assert p.value == 1
-    assert log.count("sp_register") == 1
+    assert tracer.count("p2p", "register") == 1
 
 
 def test_linking_excludes_self():
-    sim, net, (sp0, sp1), log = make_superpeers()
+    sim, net, (sp0, sp1), tracer = make_superpeers()
     assert len(sp0.neighbour_stubs) == 1
     assert sp0.neighbour_stubs[0].address == sp1.stub.address
 
 
 def test_heartbeat_keeps_daemon_registered():
-    sim, net, (sp0, sp1), log = make_superpeers()
+    sim, net, (sp0, sp1), tracer = make_superpeers()
     client = make_client(net)
 
     def script(env):
@@ -80,7 +80,7 @@ def test_heartbeat_keeps_daemon_registered():
 
 
 def test_silent_daemon_evicted_after_timeout():
-    sim, net, (sp0, sp1), log = make_superpeers()
+    sim, net, (sp0, sp1), tracer = make_superpeers()
     client = make_client(net)
 
     def script(env):
@@ -93,11 +93,11 @@ def test_silent_daemon_evicted_after_timeout():
     sim.run(until=p)
     assert p.value == 0
     assert sp0.evictions == 1
-    assert log.count("sp_evict") == 1
+    assert tracer.count("p2p", "evict") == 1
 
 
 def test_heartbeat_from_unknown_daemon_returns_false():
-    sim, net, (sp0, sp1), log = make_superpeers()
+    sim, net, (sp0, sp1), tracer = make_superpeers()
     client = make_client(net)
 
     def script(env):
@@ -110,7 +110,7 @@ def test_heartbeat_from_unknown_daemon_returns_false():
 
 
 def test_unregister_daemon():
-    sim, net, (sp0, sp1), log = make_superpeers()
+    sim, net, (sp0, sp1), tracer = make_superpeers()
     client = make_client(net)
 
     def script(env):
@@ -126,7 +126,7 @@ def test_unregister_daemon():
 
 
 def test_reserve_local_removes_from_register():
-    sim, net, (sp0, sp1), log = make_superpeers()
+    sim, net, (sp0, sp1), tracer = make_superpeers()
     client = make_client(net)
 
     def script(env):
@@ -145,7 +145,7 @@ def test_reserve_local_removes_from_register():
 
 def test_reserve_forwards_to_neighbour():
     """Figure 2: SP1 has two daemons, the third is reserved on SP2."""
-    sim, net, (sp0, sp1), log = make_superpeers()
+    sim, net, (sp0, sp1), tracer = make_superpeers()
     client = make_client(net)
 
     def script(env):
@@ -165,7 +165,7 @@ def test_reserve_forwards_to_neighbour():
 
 
 def test_reserve_returns_short_when_network_exhausted():
-    sim, net, (sp0, sp1), log = make_superpeers()
+    sim, net, (sp0, sp1), tracer = make_superpeers()
     client = make_client(net)
 
     def script(env):
@@ -179,7 +179,7 @@ def test_reserve_returns_short_when_network_exhausted():
 
 
 def test_reserve_visited_prevents_forwarding_loops():
-    sim, net, sps, log = make_superpeers(3)
+    sim, net, sps, tracer = make_superpeers(3)
     client = make_client(net)
 
     def script(env):
@@ -193,7 +193,7 @@ def test_reserve_visited_prevents_forwarding_loops():
 
 
 def test_reserve_survives_dead_neighbour():
-    sim, net, (sp0, sp1), log = make_superpeers()
+    sim, net, (sp0, sp1), tracer = make_superpeers()
     client = make_client(net)
     sp1.host.fail()
 
@@ -210,6 +210,6 @@ def test_reserve_survives_dead_neighbour():
 
 
 def test_reserve_zero_or_negative_count():
-    sim, net, (sp0, sp1), log = make_superpeers()
+    sim, net, (sp0, sp1), tracer = make_superpeers()
     assert sp0.reserve_local(0) == []
     assert sp0.reserve_local(-3) == []

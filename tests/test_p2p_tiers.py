@@ -228,14 +228,14 @@ def test_wheel_mode_dead_host_leaves_wheel_and_gets_evicted():
 
 
 def test_wheel_mode_tiered_run_converges():
-    from repro.experiments import run_poisson_on_p2p
+    from repro.exec import RunSpec
     from repro.experiments.config import EXPERIMENT_CONFIG
 
-    result = run_poisson_on_p2p(
+    result = RunSpec(
         n=16, peers=4, n_daemons=10, n_superpeers=4,
         config=EXPERIMENT_CONFIG.with_(
             superpeer_tiers=2, superpeer_fanout=2, heartbeat_mode="wheel",
         ),
-    )
+    ).run()
     assert result.converged
     assert result.residual is not None and result.residual < 1e-3

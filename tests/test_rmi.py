@@ -5,8 +5,8 @@ import pytest
 from repro.des import Simulator
 from repro.errors import NetworkError, RemoteError
 from repro.net import Address, Network, UniformLinkModel
+from repro.obs import Tracer
 from repro.rmi import RemoteObject, RmiRuntime, Stub, remote
-from repro.util.logging import EventLog
 
 
 class Calculator(RemoteObject):
@@ -204,14 +204,14 @@ def test_oneway_to_dead_peer_lost_silently():
 
 def test_oneway_error_counted_not_raised():
     sim, net, (ha, hb) = make_world()
-    log = EventLog()
-    server = RmiRuntime(net, hb, 5000, log=log)
+    sim.tracer = Tracer()
+    server = RmiRuntime(net, hb, 5000)
     client = RmiRuntime(net, ha, 5000)
     stub = server.serve(Calculator(), "calc")
     client.oneway(stub, "boom")
     sim.run()
     assert server.oneway_errors == 1
-    assert log.count("rmi_oneway_error") == 1
+    assert sim.tracer.count("rmi", "rmi_oneway_error") == 1
 
 
 def test_server_dies_mid_generator_handler_caller_times_out():

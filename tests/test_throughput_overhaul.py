@@ -217,10 +217,10 @@ def test_interrupted_daemon_heartbeat_does_not_fire():
 # ------------------------------------- oneway fast path vs object pipeline
 
 
-def _poisson_run(**kw):
-    from repro.experiments.driver import run_poisson_on_p2p
+def _poisson_run(tracer=None, **kw):
+    from repro.exec import RunSpec
 
-    return run_poisson_on_p2p(**kw)
+    return RunSpec(**kw).run(tracer=tracer)
 
 
 def _untraced_and_traced(**kw):
@@ -250,20 +250,30 @@ def test_fastpath_bitwise_identical_under_churn():
         n=16, peers=3, seed=7, disconnections=2, convergence_threshold=1e-4)
     assert fast.recoveries >= 1
     assert fast == reference
+    # one trace emission per protocol event: each count is the telemetry's
+    counts = reference.run_report.event_counts
+    assert counts[("faults", "daemon_crash")] == fast.disconnections_executed
+    assert counts[("p2p", "recovery")] == fast.recoveries
+    assert counts[("p2p", "slot_filled")] == fast.peers + fast.replacements
+    assert counts[("p2p", "converged")] == 1
 
 
-@pytest.mark.parametrize("scenario_name", ["superpeer-outage", "dirty-channel"])
+@pytest.mark.parametrize(
+    "scenario_name", ["superpeer-outage", "dirty-channel", "spawner-down"])
 def test_fastpath_bitwise_identical_under_faults(scenario_name):
     """The fault plane exercises the dynamic fallbacks: host death between
-    send and delivery, and a corruption window opening mid-run (which must
-    force eligible transfers back through the object pipeline)."""
-    from repro.faults import scenario
+    send and delivery, a corruption window opening mid-run (which must
+    force eligible transfers back through the object pipeline), and a
+    standby takeover."""
+    from repro.faults import scenario, scenario_overrides
 
+    # spawner-down needs gossip=True, standby=True
     fast, reference = _untraced_and_traced(
         n=16, peers=3, seed=11, convergence_threshold=1e-6,
-        faults=scenario(scenario_name))
+        faults=scenario(scenario_name), **scenario_overrides(scenario_name))
     assert fast.converged and reference.converged
     assert fast == reference
+    assert fast.takeovers == (1 if scenario_name == "spawner-down" else 0)
 
 
 def test_fast_dispatch_preserves_fifo_behind_backlog():

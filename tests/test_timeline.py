@@ -6,8 +6,8 @@ from repro.experiments.timeline import (
     run_summary,
 )
 from repro.checkpoint import FixedPolicy
+from repro.obs import Tracer
 from repro.p2p import P2PConfig, build_cluster, launch_application
-from repro.util.logging import EventLog
 
 from tests.helpers import make_geometric_app, run_until_done
 
@@ -20,15 +20,16 @@ CKPT = FixedPolicy(count=2, frequency=5)
 
 
 def test_empty_log_handled():
-    log = EventLog()
-    assert "no protocol events" in event_timeline(log)
-    assert "nothing to chart" in activity_chart(log)
-    summary = run_summary(log)
+    tracer = Tracer()
+    assert "no protocol events" in event_timeline(tracer)
+    assert "nothing to chart" in activity_chart(tracer)
+    summary = run_summary(tracer)
     assert summary["assignments"] == 0 and not summary["converged"]
 
 
 def test_timeline_of_a_real_run_with_failure():
-    cluster = build_cluster(n_daemons=6, n_superpeers=2, seed=37, config=FAST, checkpoint=CKPT)
+    cluster = build_cluster(n_daemons=6, n_superpeers=2, seed=37, config=FAST, checkpoint=CKPT,
+                            tracer=Tracer())
     app = make_geometric_app(num_tasks=3, rate=0.999, threshold=1e-9, flops=3e6)
     spawner = launch_application(cluster, app)
     sim = cluster.sim
@@ -39,21 +40,21 @@ def test_timeline_of_a_real_run_with_failure():
     victim.fail(cause="test")
     assert run_until_done(cluster, spawner, horizon=300.0)
 
-    narrative = event_timeline(cluster.log)
-    assert "spawner_assigned" in narrative
-    assert "spawner_failure_detected" in narrative
-    assert "task_recovered" in narrative
-    assert "spawner_converged" in narrative
+    narrative = event_timeline(cluster.tracer)
+    assert "p2p/slot_filled" in narrative
+    assert "p2p/hb_miss" in narrative
+    assert "p2p/recovery" in narrative
+    assert "p2p/converged" in narrative
     # chronological
     times = [float(line.split("]")[0].strip("[ ")) for line in narrative.splitlines()]
     assert times == sorted(times)
 
-    chart = activity_chart(cluster.log, width=60)
+    chart = activity_chart(cluster.tracer, width=60)
     assert "A" in chart and "!" in chart and "R" in chart
     assert "legend" not in chart  # legend text itself, marks included
     assert victim_name in chart
 
-    summary = run_summary(cluster.log)
+    summary = run_summary(cluster.tracer)
     assert summary["converged"]
     assert summary["failures_detected"] == 1
     assert summary["recoveries"] == 1
@@ -61,10 +62,10 @@ def test_timeline_of_a_real_run_with_failure():
 
 
 def test_chart_respects_width_and_until():
-    log = EventLog()
-    log.emit(0.5, "spawner:x", "spawner_assigned", daemon="d1")
-    log.emit(9.5, "churn", "disconnect", host="d1")
-    chart = activity_chart(log, width=20, until=10.0)
+    tracer = Tracer()
+    tracer.emit(0.5, "p2p", "spawner:x", "slot_filled", daemon="d1")
+    tracer.emit(9.5, "faults", "churn", "daemon_crash", host="d1")
+    chart = activity_chart(tracer, width=20, until=10.0)
     row = next(l for l in chart.splitlines() if l.startswith("d1"))
     cells = row.split("|")[1]
     assert len(cells) == 20

@@ -1,4 +1,4 @@
-"""Tests for repro.util: RNG trees, stats, serialization sizing, logging."""
+"""Tests for repro.util: RNG trees, stats, serialization sizing, timers."""
 
 import math
 
@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from repro.util import (
-    EventLog,
     Histogram,
     OnlineStats,
     RngTree,
@@ -172,36 +171,7 @@ def test_clone_state_tuples_and_scalars():
     assert snap == (1, "a", 2.5)
 
 
-# -------------------------------------------------------------------- logging
-
-
-def test_event_log_emit_and_select():
-    log = EventLog()
-    log.emit(1.0, "daemon-0", "iteration", k=1)
-    log.emit(2.0, "daemon-1", "iteration", k=1)
-    log.emit(3.0, "daemon-0", "checkpoint", iter=5)
-    assert log.count("iteration") == 2
-    assert len(log.select(kind="iteration", entity="daemon-0")) == 1
-    assert len(log.select(since=2.5)) == 1
-    assert len(log) == 3
-
-
-def test_event_log_truncation_keeps_counters_exact():
-    log = EventLog(max_records=100)
-    for i in range(250):
-        log.emit(float(i), "e", "tick")
-    assert log.count("tick") == 250
-    assert len(log.records) <= 100
-    assert log.dropped > 0
-
-
-def test_event_log_subscription():
-    log = EventLog()
-    seen = []
-    log.subscribe(lambda r: seen.append(r.kind))
-    log.emit(0.0, "x", "alpha")
-    log.emit(0.0, "x", "beta")
-    assert seen == ["alpha", "beta"]
+# --------------------------------------------------------------------- timers
 
 
 def test_wall_timer():
