@@ -14,10 +14,11 @@ discovery plus anti-entropy push:
 Rumors are versioned key/value pairs merged by highest version (versions
 are tuples, typically ``(epoch, seq)``, so stale incarnations lose by
 construction — the epoch guard the distributed convergence detector needs).
-Every stochastic choice (round phase, fanout targets, probe victims,
-exchange samples) draws from ``RngTree.child("gossip")`` descendants keyed
-by the round number, so a reseeded rerun reproduces the exact overlay
-traffic bit for bit.
+Every stochastic choice draws from ``RngTree.child("gossip")`` descendants:
+the round phase from one ``numpy`` draw per agent, and a round's fanout
+targets, exchange sample and probe victim from three ``picks`` streams of
+one child keyed by the round number — so a reseeded rerun reproduces the
+exact overlay traffic bit for bit, and a round builds no ``Generator``.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from repro.errors import RemoteError
 from repro.gossip.peers import PeerStore
 from repro.net.address import Address
 from repro.rmi import RemoteObject, RmiRuntime, Stub, remote
-from repro.rmi.invocation import OnewayMessage
+from repro.rmi.invocation import CallMessage, OnewayMessage
 from repro.util.rng import RngTree
 from repro.util.serialization import measured_size, payload_size
 
@@ -50,6 +51,9 @@ PRIORITY_ROLES = ("spawner", "standby")
 #: ``measured_size`` walks them
 _ARG_DEPTH = 2
 _ENTRY_DEPTH = 3
+
+#: the ``picks`` streams of a round's one RNG child
+_FANOUT, _EXCHANGE, _PROBE = range(3)
 
 
 class GossipAgent(RemoteObject):
@@ -81,6 +85,9 @@ class GossipAgent(RemoteObject):
         )
         #: versioned rumor map: key -> (version tuple, value)
         self.rumors: dict[Any, tuple[tuple, Any]] = {}
+        #: what a push ships — (a copy of the rumor map, its payload size) —
+        #: built on the first round after a merge and reused until the next
+        self._rumor_snapshot: tuple[dict, int] | None = None
         self._subscribers: list[tuple[tuple, Callable]] = []
         self.pushes_sent = 0
         self.pushes_received = 0
@@ -92,6 +99,11 @@ class GossipAgent(RemoteObject):
         self._push_base = measured_size(OnewayMessage(
             GOSSIP_OBJECT, "push", (peer_id, role, self.address, [], {}), {},
         )) - payload_size({}, _ARG_DEPTH)
+        #: a probe ping's envelope: no arguments, so constant as well (the
+        #: id is pinned so that measuring draws none from the process's counter)
+        self._ping_size = measured_size(CallMessage(
+            GOSSIP_OBJECT, "ping", (), {}, reply_to=self.address, call_id=0,
+        ))
         self.stub = runtime.serve(self, GOSSIP_OBJECT)
         self._round_no = 0
         self.host.spawn(self._rounds(), label=f"gossip:{peer_id}")
@@ -151,7 +163,9 @@ class GossipAgent(RemoteObject):
         return self.store.addresses_of_role(role)
 
     def set_rumor(self, key: Any, version: tuple, value: Any) -> bool:
-        """Publish (or refresh) a rumor locally; spreads on the next round."""
+        """Publish (or refresh) a rumor locally; spreads on the next round.
+        ``value`` is shipped by reference and sized once per version: hand
+        over a fresh object per version and do not mutate it afterwards."""
         return bool(self._merge(key, tuple(version), value))
 
     def rumor(self, key: Any) -> tuple[tuple, Any] | None:
@@ -179,6 +193,7 @@ class GossipAgent(RemoteObject):
         if held is not None and held[0] >= version:
             return 0
         self.rumors[key] = (version, value)
+        self._rumor_snapshot = None
         self.rumors_merged += 1
         for prefix, callback in self._subscribers:
             if key[: len(prefix)] == prefix:
@@ -200,8 +215,9 @@ class GossipAgent(RemoteObject):
         if self.seeds:
             yield from self._pull(self.seeds[0])
         while self.runtime.alive:
-            self._push_round()
-            self._probe_round()
+            rng = self.rng.child("round", self._round_no)
+            self._push_round(rng)
+            self._probe_round(rng)
             self._round_no += 1
             yield self.sim.timeout(self.config.gossip_period)
 
@@ -220,25 +236,29 @@ class GossipAgent(RemoteObject):
             self._learn(pid, role, address, heard=False)
         self._trace("pull", contact=str(addr), learned=len(entries))
 
-    def _push_round(self) -> None:
-        rng = self.rng.child("round", self._round_no)
-        targets = self.store.sample(rng, self.config.gossip_fanout)
-        chosen = {t.address for t in targets}
+    def _push_round(self, rng: RngTree) -> None:
+        store = self.store
+        targets = store.sample(rng, self.config.gossip_fanout, stream=_FANOUT)
         # priority sinks hear every round (bounded: one spawner + one standby)
-        for record in self.store.records():
-            if record.role in PRIORITY_ROLES and record.address not in chosen:
-                targets.append(record)
-                chosen.add(record.address)
+        for role in PRIORITY_ROLES:
+            for record in store.of_role(role):
+                if record not in targets:
+                    targets.append(record)
         if not targets:
             return
         # every target gets the same arguments, so the envelope is sized
         # once per round and from parts: the constant base, each sampled
-        # record's memoized entry, one walk of the rumor map
-        rumors = dict(self.rumors)
-        size = self._push_base + payload_size(rumors, _ARG_DEPTH)
+        # record's memoized entry, the rumor map as last walked
+        snapshot = self._rumor_snapshot
+        if snapshot is None:
+            rumors = dict(self.rumors)
+            snapshot = self._rumor_snapshot = (
+                rumors, payload_size(rumors, _ARG_DEPTH))
+        rumors, size = snapshot
+        size += self._push_base
         sample = []
-        for record in self.store.sample(rng.child("exchange"),
-                                        self.config.gossip_exchange):
+        for record in store.sample(rng, self.config.gossip_exchange,
+                                   stream=_EXCHANGE):
             entry = record.entry()
             if not record.entry_bytes:
                 record.entry_bytes = payload_size(entry, _ENTRY_DEPTH)
@@ -252,10 +272,10 @@ class GossipAgent(RemoteObject):
         self._count("gossip_pushes_sent", n=len(targets))
         self._trace("push", targets=len(targets), rumors=len(rumors))
 
-    def _probe_round(self) -> None:
+    def _probe_round(self, rng: RngTree) -> None:
         """Ping one deterministic victim per round: the liveness feedback
         the eviction score's ``fails`` component runs on."""
-        victims = self.store.sample(self.rng.child("probe", self._round_no), 1)
+        victims = self.store.sample(rng, 1, stream=_PROBE)
         if victims:
             self.host.spawn(self._probe(victims[0].address),
                             label=f"gossip:{self.peer_id}:probe")
@@ -265,6 +285,7 @@ class GossipAgent(RemoteObject):
             yield self.runtime.call(
                 Stub(GOSSIP_OBJECT, address), "ping",
                 timeout=min(self.config.call_timeout, self.config.gossip_period),
+                size=self._ping_size,
             )
         except RemoteError:
             self.store.mark_failed(address)

@@ -11,8 +11,9 @@ instead.  Scoring never draws randomness, so two runs with the same message
 history hold bit-identical views.
 
 Bookkeeping per learned entry is O(1) (docs/gossip.md, "Cost model"): the
-address-ordered view is rebuilt only when membership changes, and a full
-healthy store rejects a newcomer without looking at a single record.  The
+address-ordered view is rebuilt only when membership changes, a full
+healthy store rejects a newcomer without looking at a single record, and a
+sample of ``k`` records costs ``k`` keyed picks into that view.  The
 scan-based store this replaces is the differential oracle in
 ``tests/oracles/peerstore_reference.py``.
 """
@@ -68,6 +69,8 @@ class PeerStore:
         #: the records in ``"host:port"`` order; None after a membership
         #: change, rebuilt on the next read
         self._ordered: list[PeerRecord] | None = None
+        #: role -> the records holding it, by address
+        self._by_role: dict[str, dict[Address, PeerRecord]] = {}
         #: how many records have ``fails > 0``
         self._failing = 0
         #: a lower bound on every record's ``last_seen``: every stamp a
@@ -112,6 +115,9 @@ class PeerStore:
         record = self._peers.get(address)
         if record is not None:
             if record.peer_id != peer_id or record.role != role:
+                if record.role != role:
+                    del self._by_role[record.role][address]
+                    self._by_role.setdefault(role, {})[address] = record
                 record.peer_id = peer_id
                 record.role = role
                 record.entry_bytes = 0
@@ -131,6 +137,7 @@ class PeerStore:
             last_seen=now if heard else now - self.stale_after / 2,
         )
         self._peers[address] = record
+        self._by_role.setdefault(role, {})[address] = record
         self._ordered = None
         if record.last_seen < self._oldest_seen:
             self._oldest_seen = record.last_seen
@@ -159,6 +166,7 @@ class PeerStore:
 
     def _remove(self, record: PeerRecord) -> None:
         del self._peers[record.address]
+        del self._by_role[record.role][record.address]
         self._ordered = None
         if record.fails:
             self._failing -= 1
@@ -192,24 +200,30 @@ class PeerStore:
 
     # -- deterministic sampling ------------------------------------------------
 
-    def sample(self, rng: RngTree, k: int,
-               exclude: Address | None = None) -> list[PeerRecord]:
-        """Up to ``k`` records in a deterministic shuffled order.
+    def sample(self, rng: RngTree, k: int, exclude: Address | None = None,
+               stream: int = 0) -> list[PeerRecord]:
+        """Up to ``k`` records: a uniform subset in a uniform order, drawn
+        by ``rng.picks`` (``stream`` selects one of the node's draws).
 
-        Candidates are sorted by address before shuffling, so the draw is
-        a pure function of (seed, membership) — dict insertion order never
-        leaks into the overlay's fanout pattern.
+        The picks index the address-ordered view, so the draw is a pure
+        function of (seed, membership) — dict insertion order never leaks
+        into the overlay's fanout pattern.
         """
         candidates = self.ordered()
         if exclude is not None:
             candidates = [r for r in candidates if r.address != exclude]
         if len(candidates) <= k:
             return list(candidates)
-        return rng.shuffled(candidates)[:k]
+        return [candidates[i] for i in rng.picks(len(candidates), k, stream)]
+
+    def of_role(self, role: str) -> list[PeerRecord]:
+        """The records holding ``role``, in ``"host:port"`` order."""
+        held = self._by_role.get(role)
+        return sorted(held.values(), key=_KEY) if held else []
 
     def addresses_of_role(self, role: str) -> list[Address]:
         """Known addresses for a role, sorted for deterministic iteration."""
-        return [r.address for r in self.ordered() if r.role == role]
+        return [r.address for r in self.of_role(role)]
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<PeerStore {len(self._peers)}/{self.limit}>"

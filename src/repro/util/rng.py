@@ -10,6 +10,16 @@ the paper's experiments reproducibly.
 The derivation is stable: ``tree.child("churn")`` always yields the same
 stream for the same root seed, regardless of the order in which other
 children were created.
+
+A node offers two kinds of draw.  The ``numpy`` ones (``generator``,
+``uniform``, ``integers``, ``exponential``, ``choice``, ``shuffled``) build
+a ``Generator`` on first use — about 20 µs — and are stateful: right for a
+node that is drawn from many times, or whose draws need ``numpy``'s
+distributions.  :meth:`RngTree.picks` is the Generator-free draw: a few
+distinct indices straight from the node's seed in pure Python integers,
+stateless, about 1 µs each.  Use it where a node is derived per decision
+and drawn from once (the gossip plane derives one per round); a throwaway
+``Generator`` there costs more than the decision it makes.
 """
 
 from __future__ import annotations
@@ -19,6 +29,11 @@ import hashlib
 import numpy as np
 
 __all__ = ["derive_seed", "RngTree"]
+
+_MASK64 = (1 << 64) - 1
+#: SplitMix64's increment (the 64-bit golden ratio); an odd multiple of it
+#: offsets each ``picks`` stream's starting counter
+_GOLDEN = 0x9E3779B97F4A7C15
 
 
 def derive_seed(root_seed: int, *path: str | int) -> int:
@@ -91,6 +106,35 @@ class RngTree:
         """Return a new list with the elements of ``seq`` shuffled."""
         out = list(seq)
         self.generator.shuffle(out)
+        return out
+
+    def picks(self, m: int, k: int, stream: int = 0) -> list[int]:
+        """``k`` distinct indices of ``range(m)``: a uniform ``k``-subset in
+        uniform order, from no ``numpy`` object.
+
+        A partial Fisher–Yates shuffle (the ``k`` swaps a full one would do
+        first, over a dict of the displaced positions) driven by a SplitMix64
+        counter stream started at ``seed ^ (odd constant of stream)``.
+        Stateless: a pure function of (seed, ``m``, ``k``, ``stream``), so
+        one node yields independent draws under different ``stream``
+        numbers without deriving a child for each.
+        """
+        if not 0 <= k <= m:
+            raise ValueError(f"cannot pick {k} distinct indices of range({m})")
+        x = self.seed ^ ((2 * stream + 1) * _GOLDEN & _MASK64)
+        displaced: dict[int, int] = {}
+        out = []
+        for i in range(k):
+            x = (x + _GOLDEN) & _MASK64
+            z = x
+            z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+            z ^= z >> 31
+            # multiply-shift maps the 64-bit word onto [i, m) without the
+            # low-bit bias of a modulo
+            j = i + (z * (m - i) >> 64)
+            out.append(displaced.get(j, j))
+            displaced[j] = displaced.get(i, i)
         return out
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -2,6 +2,10 @@
 ``repro/gossip/peers.py`` before the indexed store replaced it.  Every
 decision rescans the whole view, so it is obviously right and too slow to
 ship; ``tests/test_gossip_hotpath.py`` drives both stores in lockstep.
+One line moved since: ``sample`` draws with ``RngTree.picks`` as the shipped
+store does (it used to ``shuffled()`` the candidates), so the lockstep test
+compares stores, not RNGs — the draw has its own oracle,
+``tests/oracles/picks_reference.py``.
 
 Its original docstring:
 
@@ -128,11 +132,11 @@ class PeerStore:
 
     # -- deterministic sampling ------------------------------------------------
 
-    def sample(self, rng: RngTree, k: int,
-               exclude: Address | None = None) -> list[PeerRecord]:
+    def sample(self, rng: RngTree, k: int, exclude: Address | None = None,
+               stream: int = 0) -> list[PeerRecord]:
         """Up to ``k`` records in a deterministic shuffled order.
 
-        Candidates are sorted by address before shuffling, so the draw is
+        Candidates are sorted by address before drawing, so the draw is
         a pure function of (seed, membership) — dict insertion order never
         leaks into the overlay's fanout pattern.
         """
@@ -144,7 +148,7 @@ class PeerStore:
             return []
         if len(candidates) <= k:
             return candidates
-        return rng.shuffled(candidates)[:k]
+        return [candidates[i] for i in rng.picks(len(candidates), k, stream)]
 
     def addresses_of_role(self, role: str) -> list[Address]:
         """Known addresses for a role, sorted for deterministic iteration."""

@@ -1,18 +1,23 @@
 """The gossip plane's hot path does the same work as the code it replaced.
 
-Three pins (docs/gossip.md, "Cost model"):
+Four pins (docs/gossip.md, "Cost model"):
 
 * the indexed :class:`~repro.gossip.PeerStore` against the scan-based store
   it replaced (``tests/oracles/peerstore_reference.py``), driven in lockstep
   by generated operation sequences;
 * the push envelope size the agent assembles from memoized parts against
   ``measured_size`` of the envelope it describes, and against the reference
-  walk ``_payload_size``;
-* two golden swarm runs recorded on the commit before the indexed store
-  landed: a steady one, and one with a crashed Super-Peer so probes fail and
-  hearsay goes stale (the store's scanning path).
+  walk ``_payload_size`` (the probe ping's pre-measured size likewise);
+* two golden swarm runs, a steady one, and one with a crashed Super-Peer so
+  probes fail and hearsay goes stale (the store's scanning path) — recorded
+  on the commit before the indexed store landed, and once more when the
+  per-round draw moved from ``shuffled`` to ``RngTree.picks`` (which picks
+  other targets, so every gossip timeline moved);
+* the draw itself costs what it picks: a gossip run builds
+  ``numpy.random.Generator`` objects per agent, never per round.
 """
 
+import numpy
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import (RuleBasedStateMachine, invariant,
@@ -25,7 +30,7 @@ from repro.gossip import GossipAgent, PeerStore
 from repro.net import Address, Network, UniformLinkModel
 from repro.p2p import P2PConfig, build_cluster
 from repro.rmi import RmiRuntime
-from repro.rmi.invocation import OnewayMessage
+from repro.rmi.invocation import CallMessage, OnewayMessage
 from repro.util.rng import RngTree
 from repro.util.serialization import (ENVELOPE_BYTES, _payload_size,
                                       measured_size)
@@ -111,10 +116,10 @@ class StoresInLockstep(RuleBasedStateMachine):
         self.ref.drop(address)
 
     @rule(seed=st.integers(0, 2**16), k=st.integers(0, LIMIT + 1),
-          exclude=st.none() | addresses)
-    def sample(self, seed, k, exclude):
-        got = self.new.sample(RngTree(seed), k, exclude)
-        want = self.ref.sample(RngTree(seed), k, exclude)
+          exclude=st.none() | addresses, stream=st.integers(0, 2))
+    def sample(self, seed, k, exclude, stream):
+        got = self.new.sample(RngTree(seed), k, exclude, stream)
+        want = self.ref.sample(RngTree(seed), k, exclude, stream)
         assert [_row(r) for r in got] == [_row(r) for r in want]
         # callers append to the sample: it must never be the store's own list
         assert got is not self.new.ordered()
@@ -139,6 +144,9 @@ class StoresInLockstep(RuleBasedStateMachine):
         assert all(self.new._oldest_seen <= r.last_seen for r in records)
         assert self.new.ordered() == sorted(records,
                                             key=lambda r: str(r.address))
+        for role in ROLES:
+            assert self.new.of_role(role) == [r for r in self.new.ordered()
+                                              if r.role == role]
 
 
 StoresInLockstep.TestCase.settings = settings(
@@ -213,7 +221,7 @@ def test_push_envelope_size_equals_the_measured_size(view, rumors, renamed):
         agent._learn(peer_id, role, Address(host, port), heard=True)
     for key, (version, value) in rumors.items():
         agent.set_rumor(key, version, value)
-    agent._push_round()
+    agent._push_round(agent.rng.child("round", 0))
     assert bool(sent) == bool(len(agent.store))
 
     # a known address comes back under another id or role: its memoized
@@ -221,8 +229,7 @@ def test_push_envelope_size_equals_the_measured_size(view, rumors, renamed):
     for peer_id, role, host, port in view:
         agent._learn(renamed.draw(texts), renamed.draw(st.sampled_from(ROLES)),
                      Address(host, port), heard=True)
-    agent._round_no += 1
-    agent._push_round()
+    agent._push_round(agent.rng.child("round", 1))
     _assert_sizes_match_the_envelopes(sent)
 
 
@@ -230,9 +237,21 @@ def test_push_envelope_size_with_rumors_nested_past_the_pickle_depth():
     agent, sent = _agent_with_recorded_oneways()
     agent._learn("p", "daemon", Address("h1", 4000), heard=True)
     agent.set_rumor(("deep", "k", 0), (0, 1), [[[[[["bottom", {"x": (1, 2)}]]]]]])
-    agent._push_round()
+    agent._push_round(agent.rng.child("round", 0))
     assert sent
     _assert_sizes_match_the_envelopes(sent)
+
+
+def test_probe_ping_size_equals_the_measured_size():
+    agent, _ = _agent_with_recorded_oneways()
+    network = agent.runtime.network
+    sent, send = [], network.send
+    network.send = lambda *args, **kwargs: sent.append(send(*args, **kwargs))
+    next(agent._probe(Address("h1", 4000)))  # up to the call it waits on
+    (message,) = sent
+    assert isinstance(message.payload, CallMessage)
+    assert message.payload.method == "ping"
+    assert message.size == agent._ping_size == measured_size(message.payload)
 
 
 # -- golden swarm runs -----------------------------------------------------------
@@ -263,29 +282,53 @@ def _golden_run(until, crash_at=None):
 
 def test_golden_steady_gossip_swarm():
     assert _golden_run(2.0) == {
-        "events": 33210,
+        "events": 33199,
         "network": {
-            "sent": 8619, "delivered": 8601,
-            "bytes_sent": 4747828, "bytes_delivered": 4738560,
+            "sent": 8617, "delivered": 8600,
+            "bytes_sent": 4746076, "bytes_delivered": 4738272,
             "dropped_dead": 0, "dropped_loss": 0, "dropped_overflow": 0,
             "dropped_partition": 0,
         },
-        "pushes_sent": 3484,
-        "evictions": 3025,
-        "rejections": 745,
+        "pushes_sent": 3482,
+        "evictions": 2982,
+        "rejections": 712,
     }
 
 
 def test_golden_gossip_swarm_with_a_crashed_superpeer():
     assert _golden_run(4.0, crash_at=0.5) == {
-        "events": 64701,
+        "events": 64571,
         "network": {
-            "sent": 16733, "delivered": 16616,
-            "bytes_sent": 9143214, "bytes_delivered": 9075388,
-            "dropped_dead": 99, "dropped_loss": 0, "dropped_overflow": 0,
+            "sent": 16707, "delivered": 16574,
+            "bytes_sent": 9132240, "bytes_delivered": 9054305,
+            "dropped_dead": 113, "dropped_loss": 0, "dropped_overflow": 0,
             "dropped_partition": 0,
         },
-        "pushes_sent": 6864,
-        "evictions": 6445,
-        "rejections": 1369,
+        "pushes_sent": 6862,
+        "evictions": 6458,
+        "rejections": 1252,
     }
+
+
+# -- the draw builds no Generator --------------------------------------------------
+
+
+def test_a_gossip_run_builds_generators_per_agent_not_per_round(monkeypatch):
+    cluster = build_cluster(n_daemons=40, n_superpeers=4, seed=7,
+                            config=GOLDEN_CONFIG,
+                            link_scale=EXPERIMENT_LINK_SCALE)
+    agents = [e.gossip for e in (*cluster.superpeers,
+                                 *cluster.daemons.values())]
+    built = []
+    default_rng = numpy.random.default_rng
+
+    def counting_default_rng(seed):
+        built.append(seed)
+        return default_rng(seed)
+
+    monkeypatch.setattr(numpy.random, "default_rng", counting_default_rng)
+    cluster.sim.run(until=1.0)
+    assert sum(a._round_no for a in agents) >= len(agents)  # rounds did run
+    # one phase-stagger draw per agent, one bootstrap shuffle per Daemon:
+    # O(agents), where a Generator per draw would be three per agent per round
+    assert 0 < len(built) <= 3 * len(agents)
