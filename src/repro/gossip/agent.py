@@ -28,10 +28,9 @@ from typing import TYPE_CHECKING, Any, Callable
 from repro.errors import RemoteError
 from repro.gossip.peers import PeerStore
 from repro.net.address import Address
-from repro.rmi import RemoteObject, RmiRuntime, Stub, remote
-from repro.rmi.invocation import CallMessage, OnewayMessage
+from repro.rmi import RemoteObject, RmiRuntime, Stub, oneway_size, remote
 from repro.util.rng import RngTree
-from repro.util.serialization import measured_size, payload_size
+from repro.util.serialization import payload_size
 
 if TYPE_CHECKING:  # repro.p2p imports this package: annotation only
     from repro.p2p.config import P2PConfig
@@ -96,14 +95,8 @@ class GossipAgent(RemoteObject):
         self._counters: dict[str, Any] = {}
         #: the push envelope around an empty peer sample, without the rumor
         #: map: constant, because the agent's identity is
-        self._push_base = measured_size(OnewayMessage(
-            GOSSIP_OBJECT, "push", (peer_id, role, self.address, [], {}), {},
-        )) - payload_size({}, _ARG_DEPTH)
-        #: a probe ping's envelope: no arguments, so constant as well (the
-        #: id is pinned so that measuring draws none from the process's counter)
-        self._ping_size = measured_size(CallMessage(
-            GOSSIP_OBJECT, "ping", (), {}, reply_to=self.address, call_id=0,
-        ))
+        self._push_base = oneway_size(
+            GOSSIP_OBJECT, "push", (peer_id, role, self.address, []))
         self.stub = runtime.serve(self, GOSSIP_OBJECT)
         self._round_no = 0
         self.host.spawn(self._rounds(), label=f"gossip:{peer_id}")
@@ -285,7 +278,6 @@ class GossipAgent(RemoteObject):
             yield self.runtime.call(
                 Stub(GOSSIP_OBJECT, address), "ping",
                 timeout=min(self.config.call_timeout, self.config.gossip_period),
-                size=self._ping_size,
             )
         except RemoteError:
             self.store.mark_failed(address)

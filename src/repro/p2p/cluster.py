@@ -128,14 +128,14 @@ class Cluster:
     def boot_daemon(self, host: Host) -> Daemon:
         """Boot a fresh Daemon incarnation on ``host``.
 
-        Under gossip discovery the Daemon is handed only a SHORT seed
+        With gossip on, the Daemon is handed only a SHORT seed
         contact list (two leaf Super-Peers) instead of the full hardcoded
         roster; the rest of the entry points are learned epidemically
         (docs/gossip.md)."""
         incarnation = self.incarnations.get(host.name, 0) + 1
         self.incarnations[host.name] = incarnation
         seeds = self.superpeer_addresses
-        if self.config.gossip_enabled and self.config.gossip_discovery:
+        if self.config.gossip_enabled:
             seeds = seeds[:2]
         daemon = Daemon(
             network=self.network,

@@ -89,7 +89,10 @@ class P2PConfig:
 
     # -- epidemic control plane (repro.gossip, docs/gossip.md)
     #: master switch: when False, no gossip agent is ever created and every
-    #: run is bit-identical to the pre-gossip runtime
+    #: run is bit-identical to the pre-gossip runtime.  When True, Daemons
+    #: keep a short seed contact list and learn the other Super-Peers
+    #: epidemically, and the Spawner's halt decision also requires the
+    #: epidemic stability aggregate to agree with its centralized array
     gossip_enabled: bool = False
     #: dissemination round period (push + one liveness probe per round)
     gossip_period: float = 0.5
@@ -101,12 +104,6 @@ class P2PConfig:
     gossip_exchange: int = 4
     #: silence beyond this makes a store entry evictable by a newcomer
     gossip_stale_after: float = 5.0
-    #: Daemons bootstrap from gossip-learned Super-Peer addresses instead
-    #: of the full hardcoded list (they keep a short seed contact list)
-    gossip_discovery: bool = True
-    #: the Spawner requires the epidemic stability aggregate to agree with
-    #: its centralized array before declaring global convergence
-    gossip_convergence: bool = True
 
     # -- warm-standby Spawner (docs/gossip.md failover state machine)
     standby_enabled: bool = False

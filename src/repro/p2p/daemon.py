@@ -20,8 +20,6 @@ from __future__ import annotations
 import zlib
 from typing import Any
 
-import numpy as np
-
 from repro.checkpoint import Backup, BackupStore, FixedPolicy, choose_latest
 from repro.convergence import LocalConvergenceDetector
 from repro.gossip import GossipAgent
@@ -37,9 +35,6 @@ from repro.p2p.superpeer import SUPERPEER_OBJECT
 from repro.p2p.task import Task, TaskContext
 from repro.obs.instruments import RunTelemetry
 from repro.rmi import RemoteObject, RmiRuntime, Stub, remote
-from repro.rmi.invocation import CallMessage, OnewayMessage
-from repro.util.serialization import (NDARRAY_HEADER_BYTES, measured_size,
-                                      payload_size)
 from repro.util.rng import RngTree
 
 __all__ = ["Daemon", "TaskRunner", "DAEMON_OBJECT"]
@@ -97,21 +92,6 @@ class TaskRunner:
         self._rejected_seen = 0
         self.iterations_done = 0
         self.useless_done = 0
-        #: memoized boundary-envelope size per neighbour: for an ndarray
-        #: payload, the measured oneway size is a pure function of the
-        #: destination stub and the array's byte count (every other field
-        #: of the envelope is a constant-size int or a fixed string), so
-        #: the per-iteration size walk collapses to one addition.  Keyed
-        #: by neighbour; invalidated when its stub is reassigned (churn).
-        self._envelope_sizes: dict[int, tuple[Stub, int]] = {}
-        #: memoized computing-heartbeat envelope size (constant per Spawner
-        #: stub: fixed strings plus 8-byte scalars; see :meth:`heartbeat_size`)
-        self._hb_sized: tuple[Stub, int] | None = None
-        #: memoized checkpoint-envelope base per guardian task: the
-        #: ``store_backup`` oneway is a fixed shell around one primed
-        #: Backup, so later sends charge base + the Backup's own memo.
-        #: Keyed by guardian; invalidated when its stub is reassigned.
-        self._backup_sizes: dict[int, tuple[Stub, int]] = {}
         #: compute-plane seat (lazily registered on the first StepPlan)
         self._plane_member = None
         self._member_op = None
@@ -230,26 +210,6 @@ class TaskRunner:
         result = self.daemon.compute.collect(self._plane_member)
         self._finished_step = self.task.finish_step(plan, result)
 
-    def heartbeat_size(self) -> int:
-        """Memoized size of the computing-heartbeat envelope.
-
-        Constant per Spawner stub: the payload is two fixed strings plus
-        scalars, and scalars charge 8 bytes whatever their value — so the
-        per-beat size walk collapses to a tuple load."""
-        sized = self._hb_sized
-        stub = self.spawner_stub
-        if sized is None or sized[0] is not stub:
-            probe = OnewayMessage(
-                stub.object_name, "heartbeat_task",
-                (self.app_id, self.task_id, self.epoch,
-                 self.daemon.daemon_id, self.detector.stable,
-                 self.register.version),
-                {},
-            )
-            sized = (stub, measured_size(probe))
-            self._hb_sized = sized
-        return sized[1]
-
     # -- recovery (§5.4, Fig. 6) --------------------------------------------------
 
     def _recover(self):
@@ -264,7 +224,7 @@ class TaskRunner:
                 stub, "backup_iteration", self.app_id, self.task_id,
                 timeout=self.config.call_timeout,
             )
-        offers = yield from self.daemon._gather(calls)
+        offers = yield from runtime.gather(calls)
         best_peer = choose_latest(offers)
         backup = None
         if best_peer is not None:
@@ -307,39 +267,15 @@ class TaskRunner:
 
     def _send_outgoing(self, outgoing: dict[int, Any]) -> None:
         runtime = self.daemon.runtime
-        sizes = self._envelope_sizes
         for dst_task, payload in outgoing.items():
             if dst_task == self.task_id:
                 continue
             stub = self.register.stub_of(dst_task)
             if stub is None:
                 continue  # neighbour currently unassigned: message lost
-            # Boundary-exchange envelopes differ only in their ndarray
-            # payload and three small ints; measure the envelope once per
-            # neighbour and derive later sizes as base + nbytes + 96 — the
-            # exact value ``measured_size`` charges an ndarray.  The cached
-            # base is tied to the stub's identity so a churn-driven
-            # reassignment re-measures.
-            size = None
-            if payload.__class__ is np.ndarray:
-                cached = sizes.get(dst_task)
-                if cached is not None and cached[0] is stub:
-                    size = (cached[1] + int(payload.nbytes)
-                            + NDARRAY_HEADER_BYTES)
-                else:
-                    probe = OnewayMessage(
-                        stub.object_name, "receive_data",
-                        (self.app_id, dst_task, self.task_id,
-                         self.iteration, payload),
-                        {},
-                    )
-                    size = measured_size(probe)
-                    sizes[dst_task] = (stub, size - int(payload.nbytes)
-                                       - NDARRAY_HEADER_BYTES)
             runtime.oneway(
                 stub, "receive_data",
                 self.app_id, dst_task, self.task_id, self.iteration, payload,
-                size=size,
             )
             if self.telemetry is not None:
                 self.telemetry.data_messages_sent += 1
@@ -377,23 +313,7 @@ class TaskRunner:
                     app_id=self.app_id,
                     created_at=self.sim.now,
                 )
-            # The envelope around a Backup is a fixed shell (two
-            # method/object strings, the args tuple, an empty kwargs dict);
-            # the Backup itself is primed at construction.  Measure the
-            # shell once per guardian stub and derive later sizes as base +
-            # the Backup's own memo — byte-identical to the full walk
-            # ``network.send`` would run.
-            bsize = payload_size(backup, 0)
-            cached = self._backup_sizes.get(target_task)
-            if cached is not None and cached[0] is stub:
-                size = cached[1] + bsize
-            else:
-                probe = OnewayMessage(
-                    stub.object_name, "store_backup", (backup,), {},
-                )
-                size = measured_size(probe)
-                self._backup_sizes[target_task] = (stub, size - bsize)
-            self.daemon.runtime.oneway(stub, "store_backup", backup, size=size)
+            self.daemon.runtime.oneway(stub, "store_backup", backup)
             policy.on_checkpoint(backup.nbytes)
             self.daemon._trace("checkpoint_store", task=self.task_id,
                                iteration=self.iteration, guardian=target_task)
@@ -411,7 +331,7 @@ class TaskRunner:
             self.spawner_stub, "set_state",
             self.app_id, self.task_id, self.epoch, self.detector.stable,
         )
-        if self.daemon.gossip is not None and self.config.gossip_convergence:
+        if self.daemon.gossip is not None:
             # the epidemic path: the same bit as a versioned rumor, merged
             # by (epoch, flip count) so stale incarnations lose (§5.5
             # decentralized)
@@ -490,10 +410,6 @@ class Daemon(RemoteObject):
             # re-point a computing runner even when the promoted standby's
             # direct announcement missed it (stale shadow)
             self.gossip.subscribe(("spawner",), self._on_spawner_rumor)
-        #: memoized reaffirm-call envelope size (constant per Super-Peer:
-        #: the ``heartbeat`` call carries only this Daemon's fixed id, and
-        #: an int ``call_id`` charges 8 bytes whatever its value)
-        self._reaffirm_sized: tuple[Stub, int] | None = None
         self.wheel = wheel if config.heartbeat_mode == "wheel" else None
         if self.wheel is not None:
             # Swarm mode (docs/scaling.md): no per-Daemon life process.
@@ -529,7 +445,6 @@ class Daemon(RemoteObject):
                     self.runner.epoch, self.daemon_id,
                     self.runner.detector.stable,
                     self.runner.register.version,
-                    size=self.runner.heartbeat_size(),
                 )
                 yield self.sim.timeout(self.config.heartbeat_period)
                 continue
@@ -555,7 +470,7 @@ class Daemon(RemoteObject):
     def _bootstrap(self):
         """Try Super-Peer addresses in random order until one accepts us.
 
-        With gossip discovery on, the candidate set is the short seed
+        With gossip on, the candidate set is the short seed
         contact list *plus* every Super-Peer the gossip overlay has
         surfaced since — §5.1's hardcoded list shrinks to one well-known
         entry point.  A fully failed sweep backs off exponentially with
@@ -595,7 +510,7 @@ class Daemon(RemoteObject):
 
     def _superpeer_candidates(self) -> list[Address]:
         """Seed contacts plus gossip-learned Super-Peer addresses."""
-        if self.gossip is None or not self.config.gossip_discovery:
+        if self.gossip is None:
             return list(self.superpeer_addresses)
         merged = list(self.superpeer_addresses)
         for addr in self.gossip.known_addresses("superpeer"):
@@ -635,7 +550,6 @@ class Daemon(RemoteObject):
                 self.runner.epoch, self.daemon_id,
                 self.runner.detector.stable,
                 self.runner.register.version,
-                size=self.runner.heartbeat_size(),
             )
             return None
         if not self.registered:
@@ -672,19 +586,10 @@ class Daemon(RemoteObject):
             self._bootstrapping = False
 
     def _reaffirm(self, sp_stub: Stub):
-        sized = self._reaffirm_sized
-        if sized is None or sized[0] is not sp_stub:
-            probe = CallMessage(
-                sp_stub.object_name, "heartbeat", (self.daemon_id,), {},
-                reply_to=self.runtime.address, call_id=0,
-            )
-            sized = (sp_stub, measured_size(probe))
-            self._reaffirm_sized = sized
         try:
             known = yield self.runtime.call(
                 sp_stub, "heartbeat", self.daemon_id,
                 timeout=min(self.config.call_timeout, self.config.heartbeat_period),
-                size=sized[1],
             )
         except RemoteError:
             if self.sp_stub == sp_stub:
@@ -956,25 +861,6 @@ class Daemon(RemoteObject):
             self.runner = None
             self._runner_proc = None
             # back to the idle pool: _life will re-bootstrap on its next turn
-
-    def _gather(self, calls: dict) -> Any:
-        """Await a dict of call events, mapping failures to None."""
-        results: dict = {}
-
-        def waiter(key, ev):
-            try:
-                value = yield ev
-            except Exception:
-                value = None
-            results[key] = value
-
-        procs = [
-            self.sim.process(waiter(k, ev), label=f"{self.daemon_id}:gather")
-            for k, ev in calls.items()
-        ]
-        if procs:
-            yield self.sim.all_of(procs)
-        return results
 
     def _trace(self, kind: str, **attrs) -> None:
         tr = self.sim.tracer

@@ -25,7 +25,6 @@ from repro.p2p.superpeer import SUPERPEER_OBJECT
 from repro.obs.instruments import RunTelemetry
 from repro.rmi import RemoteObject, RmiRuntime, Stub, remote
 from repro.util.rng import RngTree
-from repro.util.serialization import measured_size
 
 __all__ = ["Spawner"]
 
@@ -212,7 +211,7 @@ class Spawner(RemoteObject):
             self.epidemic_lags += 1
             self._trace("epidemic_lag", stable=self.tracker.stable_count)
             return
-        if self.gossip is not None and self.config.gossip_convergence:
+        if self.gossip is not None:
             self.crosscheck_agreements += 1
         if self.config.detection_mode == "immediate":
             self._finish()
@@ -225,7 +224,7 @@ class Spawner(RemoteObject):
         """True when every task's epidemically-aggregated stability bit is
         set for its *current* epoch (the epoch guard discards rumors from
         replaced incarnations)."""
-        if self.gossip is None or not self.config.gossip_convergence:
+        if self.gossip is None:
             return True
         for slot in self.register.slots:
             bit = self._epidemic_bits.get(slot.task_id)
@@ -392,12 +391,10 @@ class Spawner(RemoteObject):
         else:
             payload = self.register.snapshot()
             method = "update_register"
-        size = measured_size(payload)
         for slot in self.register.slots:
             if slot.assigned:
-                self.runtime.oneway(slot.daemon_stub, method, payload,
-                                    reliable=True)
-                self.broadcast_bytes += size
+                self.broadcast_bytes += self.runtime.oneway(
+                    slot.daemon_stub, method, payload, reliable=True)
         self._last_broadcast_version = self.register.version
         self._changed_since_broadcast.clear()
         self.register_broadcasts += 1
@@ -567,19 +564,7 @@ class Spawner(RemoteObject):
                     timeout=self.config.call_timeout,
                 )
         results: dict[int, Any] = {t: None for t in range(self.app.num_tasks)}
-
-        def waiter(task_id, ev):
-            try:
-                value = yield ev
-            except Exception:
-                value = None
-            results[task_id] = value
-
-        procs = [
-            self.sim.process(waiter(t, ev), label="collect") for t, ev in calls.items()
-        ]
-        if procs:
-            yield self.sim.all_of(procs)
+        results.update((yield from self.runtime.gather(calls)))
         return results
 
     @property

@@ -26,8 +26,6 @@ from repro.net.host import Host
 from repro.net.network import Network
 from repro.p2p.config import P2PConfig
 from repro.rmi import RemoteObject, RmiRuntime, Stub, remote
-from repro.rmi.invocation import OnewayMessage
-from repro.util.serialization import measured_size
 
 __all__ = ["SuperPeer", "DaemonRecord", "ChildSummary"]
 
@@ -76,9 +74,6 @@ class SuperPeer(RemoteObject):
         self.neighbour_stubs: list[Stub] = []
         #: hierarchy wiring (empty/None in the flat depth-1 topology)
         self.parent_stub: Stub | None = None
-        #: memoized tier-summary envelope size (constant per parent stub:
-        #: fixed strings, a primed Stub, and an 8-byte idle count)
-        self._summary_sized: tuple[Stub, int] | None = None
         self.child_summaries: dict[str, ChildSummary] = {}
         self.evictions = 0
         self.subtree_evictions = 0
@@ -256,22 +251,9 @@ class SuperPeer(RemoteObject):
                     self._trace("evict_subtree", child=sid, idle_lost=lost.idle)
             if self.parent_stub is not None:
                 self.summaries_sent += 1
-                # The summary envelope's size is invariant across sends
-                # (an int idle count charges 8 bytes whatever its value):
-                # measure once per parent stub instead of on every period.
-                parent = self.parent_stub
-                sized = self._summary_sized
-                if sized is None or sized[0] is not parent:
-                    probe = OnewayMessage(
-                        parent.object_name, "tier_summary",
-                        (self.sp_id, self.stub, 0), {},
-                    )
-                    sized = (parent, measured_size(probe))
-                    self._summary_sized = sized
                 self.runtime.oneway(
-                    parent, "tier_summary",
+                    self.parent_stub, "tier_summary",
                     self.sp_id, self.stub, self.subtree_idle(),
-                    size=sized[1],
                 )
 
     def _trace(self, kind: str, **attrs) -> None:

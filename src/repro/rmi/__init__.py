@@ -18,7 +18,8 @@ the network".  This package reproduces those semantics:
 
 from repro.rmi.invocation import remote, is_remote
 from repro.rmi.stub import Stub
-from repro.rmi.runtime import RemoteObject, RmiRuntime, DEFAULT_CALL_TIMEOUT
+from repro.rmi.runtime import (RemoteObject, RmiRuntime, DEFAULT_CALL_TIMEOUT,
+                               oneway_size)
 
 __all__ = [
     "remote",
@@ -27,4 +28,5 @@ __all__ = [
     "RemoteObject",
     "RmiRuntime",
     "DEFAULT_CALL_TIMEOUT",
+    "oneway_size",
 ]

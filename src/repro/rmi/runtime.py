@@ -31,12 +31,46 @@ from repro.rmi.invocation import (
     remote_method_table,
 )
 from repro.rmi.stub import Stub
-from repro.util.serialization import measured_size
+from repro.util.hotpath import register_cache
+from repro.util.serialization import measured_size, payload_size
 
-__all__ = ["RemoteObject", "RmiRuntime", "DEFAULT_CALL_TIMEOUT"]
+__all__ = ["RemoteObject", "RmiRuntime", "DEFAULT_CALL_TIMEOUT", "oneway_size"]
 
 #: Simulated seconds an invocation waits for its reply before failing.
 DEFAULT_CALL_TIMEOUT = 10.0
+
+# The envelope charge is additive, so an envelope's size is a shell that
+# depends only on its object and method names, plus what each argument adds
+# where it sits: message -> args tuple / kwargs dict -> argument.
+_ARG_DEPTH = 2
+#: measured size of an argument-less oneway envelope, per (object_name,
+#: method); process-wide because every runtime of a role sends the same few
+_shells: dict[tuple[str, str], int] = {}
+register_cache(_shells.clear)
+#: what a call's envelope adds to a oneway's, its ``reply_to`` aside (the
+#: id is pinned so that measuring draws none from the process's counter)
+_CALL_EXTRA = (
+    measured_size(CallMessage("", "", (), {}, reply_to=None, call_id=0))
+    - measured_size(OnewayMessage("", "", (), {})) - payload_size(None, 1))
+#: a reply is a fixed shell around its value, one level down
+_REPLY_SHELL = measured_size(ReplyMessage(0, True, None)) - payload_size(None, 1)
+
+
+def oneway_size(object_name: str, method: str, args: tuple = (),
+                kwargs: dict | None = None) -> int:
+    """The bytes the network charges for one oneway invocation: exactly
+    :func:`~repro.util.serialization.measured_size` of its envelope."""
+    size = _shells.get((object_name, method))
+    if size is None:
+        size = _shells[object_name, method] = measured_size(
+            OnewayMessage(object_name, method, (), {}))
+    for arg in args:
+        size += payload_size(arg, _ARG_DEPTH)
+    if kwargs:
+        for key, value in kwargs.items():
+            size += (payload_size(key, _ARG_DEPTH)
+                     + payload_size(value, _ARG_DEPTH))
+    return size
 
 
 class RemoteObject:
@@ -113,18 +147,18 @@ class RmiRuntime:
 
     def call(
         self, stub: Stub, method: str, *args: Any,
-        timeout: float | None = None, size: int | None = None,
-        **kwargs: Any,
+        timeout: float | None = None, **kwargs: Any,
     ) -> Event:
         """Invoke ``method`` on the remote object behind ``stub``.
 
         Returns a DES event that fires with the result, or fails with
         :class:`RemoteError` (peer unreachable / timed out) or with the
-        remote application exception.  ``size`` pre-supplies the measured
-        envelope size (see :meth:`oneway`).
+        remote application exception.
         """
         result = self.sim.event(name=f"call:{stub.object_name}.{method}")
         msg = CallMessage(stub.object_name, method, args, kwargs, reply_to=self.address)
+        size = (oneway_size(stub.object_name, method, args, kwargs)
+                + _CALL_EXTRA + payload_size(self.address, 1))
         self._pending[msg.call_id] = result
         self.calls_sent += 1
         tr = self.sim.tracer
@@ -135,8 +169,7 @@ class RmiRuntime:
         # calls ride the TCP-like reliable channel (Java RMI semantics):
         # they complete or fail with a connection error — never silently
         # vanish mid-exchange on a healthy pair of hosts
-        self.network.send(self.address, stub.address, msg, size=size,
-                          reliable=True)
+        self.network.send(self.address, stub.address, msg, size, True)
         self.sim.process(
             self._watchdog(msg.call_id, result, timeout or self.call_timeout),
             label=f"{self.name}:watchdog",
@@ -151,20 +184,22 @@ class RmiRuntime:
         reliable: bool = False,
         size: int | None = None,
         **kwargs: Any,
-    ) -> None:
-        """Fire-and-forget invocation (the asynchronous data channel).
+    ) -> int:
+        """Fire-and-forget invocation (the asynchronous data channel);
+        returns the bytes charged for it (:func:`oneway_size`).
 
         ``reliable=True`` rides the TCP-like channel: still no reply and
         still lost if the peer is dead, but exempt from random in-transit
         loss — for fire-and-forget *control* broadcasts whose permanent
         loss would wedge a protocol (e.g. Application Register updates).
 
-        ``size`` pre-supplies the envelope's measured byte size, letting a
-        sender that can compute it incrementally (e.g. a memoized base plus
-        the payload's ``nbytes``) skip the per-send size walk.  It must
-        equal what :func:`~repro.util.serialization.measured_size` would
-        report for the same envelope — callers own that invariant.
+        ``size`` is for a sender that fans one argument tuple out to many
+        targets and already holds :func:`oneway_size` of it, assembled
+        from parts it memoizes (the gossip push); everyone else leaves
+        the sizing to this method.
         """
+        if size is None:
+            size = oneway_size(stub.object_name, method, args, kwargs)
         self.oneways_sent += 1
         tr = self.sim.tracer
         if tr.enabled:
@@ -173,6 +208,7 @@ class RmiRuntime:
         msg = OnewayMessage(stub.object_name, method, args, kwargs)
         self.network.send(self.address, stub.address, msg, size,
                           reliable, True)
+        return size
 
     def prepare_oneway(
         self, stub: Stub, method: str, *args: Any, **kwargs: Any
@@ -186,7 +222,8 @@ class RmiRuntime:
         number of times with byte-for-byte identical link charges.
         """
         msg = OnewayMessage(stub.object_name, method, args, kwargs)
-        return PreparedOneway(stub, msg, measured_size(msg))
+        return PreparedOneway(
+            stub, msg, oneway_size(stub.object_name, method, args, kwargs))
 
     def send_prepared(self, prepared: PreparedOneway, reliable: bool = False) -> None:
         """Fire-and-forget send of a :meth:`prepare_oneway` envelope."""
@@ -199,6 +236,26 @@ class RmiRuntime:
                     dst=str(prepared.stub.address))
         self.network.send(self.address, prepared.stub.address, prepared.msg,
                           prepared.size, reliable, True)
+
+    def gather(self, calls: dict) -> Any:
+        """Generator: await a dict of :meth:`call` events; returns
+        ``{key: result}`` with ``None`` for every call that failed."""
+        results: dict = {}
+
+        def waiter(key, ev):
+            try:
+                value = yield ev
+            except Exception:
+                value = None
+            results[key] = value
+
+        procs = [
+            self.sim.process(waiter(k, ev), label=f"{self.name}:gather")
+            for k, ev in calls.items()
+        ]
+        if procs:
+            yield self.sim.all_of(procs)
+        return results
 
     def _watchdog(self, call_id: int, result: Event, timeout: float):
         yield self.sim.timeout(timeout)
@@ -299,7 +356,7 @@ class RmiRuntime:
         self.network.send(
             self.address, call.reply_to,
             ReplyMessage(call.call_id, ok, value),
-            reliable=True,
+            _REPLY_SHELL + payload_size(value, 1), True,
         )
 
     def _on_oneway(self, msg: OnewayMessage) -> None:

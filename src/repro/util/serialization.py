@@ -35,9 +35,8 @@ ENVELOPE_BYTES = 256
 
 #: Per-ndarray marshalling overhead charged on top of ``nbytes`` (dtype
 #: descriptor + shape/stride header, roughly what a real pickle frame
-#: costs).  Senders that derive envelope sizes incrementally (e.g. the
-#: boundary-exchange memo in :mod:`repro.p2p.daemon`) must add exactly
-#: this constant per array — a drift test pins it to the measured charge.
+#: costs).  Charged by :func:`payload_size` and :func:`_payload_size`
+#: only — a drift test pins both to it.
 NDARRAY_HEADER_BYTES = 96
 
 #: instance attribute holding a frozen dataclass's memoized payload size

@@ -353,9 +353,8 @@ def test_outgoing_payloads_are_frozen_views_matching_copies():
 
 
 def test_ndarray_header_constant_matches_measured_charge():
-    # daemon.py subtracts NDARRAY_HEADER_BYTES from measured payload sizes;
-    # if the sizing model drifts, this pin fails rather than silently
-    # miscounting simulated bytes on the wire.
+    # the exact-type walk and the reference cascade each add the constant
+    # themselves; this pins both to one charge per array.
     for n in (1, 17, 1024):
         arr = np.zeros(n)
         assert measured_size(arr) == arr.nbytes + NDARRAY_HEADER_BYTES + 256

@@ -7,7 +7,7 @@ Four pins (docs/gossip.md, "Cost model"):
   by generated operation sequences;
 * the push envelope size the agent assembles from memoized parts against
   ``measured_size`` of the envelope it describes, and against the reference
-  walk ``_payload_size`` (the probe ping's pre-measured size likewise);
+  walk ``_payload_size``;
 * two golden swarm runs, a steady one, and one with a crashed Super-Peer so
   probes fail and hearsay goes stale (the store's scanning path) — recorded
   on the commit before the indexed store landed, and once more when the
@@ -30,7 +30,7 @@ from repro.gossip import GossipAgent, PeerStore
 from repro.net import Address, Network, UniformLinkModel
 from repro.p2p import P2PConfig, build_cluster
 from repro.rmi import RmiRuntime
-from repro.rmi.invocation import CallMessage, OnewayMessage
+from repro.rmi.invocation import OnewayMessage
 from repro.util.rng import RngTree
 from repro.util.serialization import (ENVELOPE_BYTES, _payload_size,
                                       measured_size)
@@ -240,18 +240,6 @@ def test_push_envelope_size_with_rumors_nested_past_the_pickle_depth():
     agent._push_round(agent.rng.child("round", 0))
     assert sent
     _assert_sizes_match_the_envelopes(sent)
-
-
-def test_probe_ping_size_equals_the_measured_size():
-    agent, _ = _agent_with_recorded_oneways()
-    network = agent.runtime.network
-    sent, send = [], network.send
-    network.send = lambda *args, **kwargs: sent.append(send(*args, **kwargs))
-    next(agent._probe(Address("h1", 4000)))  # up to the call it waits on
-    (message,) = sent
-    assert isinstance(message.payload, CallMessage)
-    assert message.payload.method == "ping"
-    assert message.size == agent._ping_size == measured_size(message.payload)
 
 
 # -- golden swarm runs -----------------------------------------------------------

@@ -1,5 +1,6 @@
 """Property-based tests (hypothesis) on core data structures and invariants."""
 
+import functools
 import math
 
 import numpy as np
@@ -8,14 +9,18 @@ import scipy.sparse as sp
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.checkpoint import BackupPolicy, choose_latest
+from repro.checkpoint import Backup, BackupPolicy, choose_latest
 from repro.convergence import LocalConvergenceDetector
 from repro.des import Simulator
+from repro.net import Address, Network
 from repro.numerics import (
     BlockDecomposition,
     conjugate_gradient,
     poisson_matrix,
 )
+from repro.rmi import RemoteObject, RmiRuntime, Stub, oneway_size, remote
+from repro.rmi import invocation
+from repro.rmi.invocation import CallMessage, OnewayMessage, ReplyMessage
 from repro.util.rng import RngTree, derive_seed
 from repro.util.serialization import clone_state, measured_size
 from repro.util.stats import OnlineStats
@@ -136,6 +141,68 @@ def test_clone_state_roundtrips_plain_data(state):
     snap = clone_state(state)
     assert snap == state
     assert snap is not state or not state
+
+
+# ------------------------------------------------------------- rmi envelopes
+
+_texts = st.text(max_size=6)  # non-ASCII included: charged by UTF-8 length
+_names = st.text(min_size=1, max_size=6)
+_addresses = st.builds(Address, _names, st.integers(1, 65535))
+_arrays = st.integers(0, 5).map(np.zeros)
+_leaves = (
+    st.none() | st.booleans() | st.integers() | st.floats() | _texts
+    | _arrays | _addresses | st.builds(Stub, _names, _addresses)
+    | st.builds(Backup, st.integers(0, 9), st.integers(0, 9),
+                st.fixed_dictionaries({"x": _arrays}), _texts)
+)
+_values = st.recursive(
+    _leaves,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.tuples(inner, inner)
+    | st.dictionaries(_texts, inner, max_size=3),
+    max_leaves=6,
+) | st.builds(  # nested past depth 6, where the walk falls back to pickle
+    lambda leaf, depth: functools.reduce(lambda x, _: [x], range(depth), leaf),
+    st.integers() | _texts, st.integers(5, 9),
+)
+
+
+class _Echo(RemoteObject):
+    def __init__(self, value):
+        self.value = value
+
+    @remote
+    def echo(self, *args, **kwargs):
+        return self.value
+
+
+@COMMON
+@given(object_name=_names, method=_names,
+       args=st.lists(_values, max_size=4).map(tuple),
+       kwargs=st.dictionaries(_texts, _values, max_size=2), value=_values)
+def test_rmi_sizes_its_envelopes_as_measured_size_would(
+        object_name, method, args, kwargs, value):
+    assert oneway_size(object_name, method, args, kwargs) == measured_size(
+        OnewayMessage(object_name, method, args, kwargs))
+
+    sim = Simulator()
+    net = Network(sim)
+    client = RmiRuntime(net, net.new_host("a"), 5000)
+    server = RmiRuntime(net, net.new_host("b"), 5000)
+    stub = server.serve(_Echo(value), object_name)
+    sent, send = [], net.send
+    net.send = lambda *a, **kw: sent.append(send(*a, **kw))
+    next_id = next(invocation._call_ids)
+    answer = client.call(stub, "echo", *args, **kwargs)
+    sim.run()
+    assert answer.value is value
+    call, reply = sent
+    assert isinstance(call.payload, CallMessage)
+    assert isinstance(reply.payload, ReplyMessage)
+    assert call.size == measured_size(call.payload)
+    assert reply.size == measured_size(reply.payload)
+    # sizing a call measures a probe envelope: it must not draw an id
+    assert call.payload.call_id == next_id + 1
 
 
 # --------------------------------------------------------------------- policy

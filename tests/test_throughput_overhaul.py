@@ -369,40 +369,73 @@ def test_jitter_stream_bitwise_matches_scalar_draws():
         assert stream.factor() == 1.0 + scalar.uniform(-jitter, jitter)
 
 
-def test_envelope_size_memo_charges_identical_bytes(monkeypatch):
-    """The per-neighbour boundary-envelope memo, the heartbeat, reaffirm and
-    checkpoint memos must charge exactly the bytes the reference walk
-    would: every ``size=`` a sender hands the network is checked against
-    ``_payload_size`` of the payload it describes."""
-    from repro.apps import make_poisson_app
+def test_every_rmi_send_is_sized_as_the_reference_walk_charges(monkeypatch):
+    """The RMI layer sizes its own envelopes from a cached shell plus what
+    each argument adds (the gossip push alone hands it a size assembled
+    from parts): every call, oneway and reply reaching the network must
+    carry exactly the bytes the reference walk charges for it."""
+    from repro.exec import RunSpec
+    from repro.experiments.config import EXPERIMENT_CONFIG
     from repro.net.network import Network
-    from repro.p2p import build_cluster, launch_application
-    from repro.p2p.config import P2PConfig
+    from repro.rmi.invocation import CallMessage, OnewayMessage, ReplyMessage
     from repro.util.serialization import ENVELOPE_BYTES, _payload_size
 
     sized = set()
     send = Network.send
 
     def checked_send(self, src, dst, payload, size=None, *args, **kwargs):
-        if size is not None:
-            assert size == ENVELOPE_BYTES + _payload_size(payload, depth=0)
-            sized.add(getattr(payload, "method", None))
+        assert isinstance(payload, (CallMessage, OnewayMessage, ReplyMessage))
+        assert size == ENVELOPE_BYTES + _payload_size(payload, depth=0)
+        sized.add(getattr(payload, "method", "reply"))
         return send(self, src, dst, payload, size, *args, **kwargs)
 
     monkeypatch.setattr(Network, "send", checked_send)
-    # beats several times within the run, so their memos are exercised too
-    config = P2PConfig(heartbeat_mode="wheel", heartbeat_period=0.02,
-                       heartbeat_timeout=0.2)
-    cluster = build_cluster(n_daemons=6, n_superpeers=1, seed=9,
-                            config=config)
-    app = make_poisson_app("poisson", n=12, num_tasks=3, overlap=1,
-                           convergence_threshold=1e-5)
-    spawner = launch_application(cluster, app)
-    sim = cluster.sim
-    sim.run(until=sim.any_of([spawner.done, sim.timeout(60.0)]))
-    assert spawner.done.triggered
+    tiered_wheel = EXPERIMENT_CONFIG.with_(
+        superpeer_tiers=2, superpeer_fanout=2, heartbeat_mode="wheel",
+        heartbeat_period=0.02, wheel_reaffirm_every=3)
+    for spec in (
+        RunSpec(n=16, peers=3, seed=7, disconnections=2),
+        RunSpec(n=12, peers=3, seed=9, n_superpeers=2, config=tiered_wheel),
+        RunSpec(n=12, peers=3, seed=3, gossip=True, standby=True),
+    ):
+        assert spec.run().converged
     assert sized >= {"receive_data", "store_backup", "heartbeat_task",
-                     "heartbeat_oneway", "heartbeat"}
+                     "heartbeat", "heartbeat_oneway", "tier_summary", "push",
+                     "ping", "reply"}
+
+
+def test_only_the_rmi_layer_decides_what_a_message_costs():
+    """Protocol code hands stubs and arguments to the runtime; it neither
+    builds envelopes nor measures them.  The one sender that still passes
+    ``size=`` is the gossip push, which fans a single argument tuple out
+    to many targets and sums its size from parts it memoizes."""
+    import ast
+    import pathlib
+
+    src = pathlib.Path(__file__).resolve().parent.parent / "src" / "repro"
+    sizing_modules = {"repro.util.serialization", "repro.rmi.invocation"}
+    offenders, sized_oneways = [], []
+    for path in sorted(src.rglob("*.py")):
+        where = path.relative_to(src)
+        layer = where.parts[0]
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                modules = ({node.module} if isinstance(node, ast.ImportFrom)
+                           else {alias.name for alias in node.names})
+                if layer == "p2p" and modules & sizing_modules:
+                    offenders.append(f"{where}:{node.lineno} import")
+            elif isinstance(node, ast.Call):
+                name = getattr(node.func, "attr",
+                               getattr(node.func, "id", None))
+                sized = any(kw.arg == "size" for kw in node.keywords)
+                if name in ("OnewayMessage", "CallMessage") and layer != "rmi":
+                    offenders.append(f"{where}:{node.lineno} {name}(...)")
+                elif name == "call" and sized:
+                    offenders.append(f"{where}:{node.lineno} call(size=)")
+                elif name == "oneway" and sized:
+                    sized_oneways.append(str(where))
+    assert not offenders, offenders
+    assert sized_oneways == ["gossip/agent.py"]
 
 
 # ------------------------------------------------------- profiling harness
