@@ -14,9 +14,9 @@ adaptive policy's bandwidth estimate.  ``wasted_iterations`` is the
 telemetry frontier deficit: iterations executed but re-executed after a
 rollback or restart-from-zero.
 
-The headline metric, gated by ``scripts/check_bench_regression.py``, is
-the aggregate reduction over the churn scenarios (the ones whose faults
-actually destroy compute state):
+The headline metric is the aggregate reduction over the churn scenarios
+(the ones whose faults actually destroy compute state), which must reach
+``MIN_REDUCTION``:
 
     ``wasted_work_reduction = 1 - sum(adaptive) / sum(fixed)``
 
@@ -38,6 +38,7 @@ from repro.faults.scenarios import scenario_names, scenario_overrides
 CHURN_SCENARIOS = ("churn-burst", "rack-down", "discovery-storm")
 
 ADAPTIVE = AdaptivePolicy()
+MIN_REDUCTION = 0.31
 
 
 def _run(name: str, policy):
@@ -54,9 +55,8 @@ def _cost(result, tau: float) -> float:
 
 
 @pytest.mark.checkpoint_bench
-def test_record_checkpoint_policy_tradeoff(record_json, record_table):
-    """Emit ``BENCH_checkpoint.json`` (+ a human-readable table)."""
-    rows, scenarios = [], {}
+def test_adaptive_policy_cuts_wasted_work(record_table):
+    rows = []
     fixed_total = adaptive_total = 0.0
     for name in scenario_names():
         fixed = _run(name, None)
@@ -66,21 +66,6 @@ def test_record_checkpoint_policy_tradeoff(record_json, record_table):
         tau = (fixed.simulated_time * 4 / fixed.total_iterations
                if fixed.total_iterations else 0.0)
         fc, ac = _cost(fixed, tau), _cost(adaptive, tau)
-        scenarios[name] = {
-            "fixed": {
-                "wasted_iterations": fixed.wasted_iterations,
-                "checkpoint_bytes": fixed.checkpoint_bytes,
-                "checkpoints_sent": fixed.checkpoints_sent,
-                "wasted_seconds": fc,
-            },
-            "adaptive": {
-                "wasted_iterations": adaptive.wasted_iterations,
-                "checkpoint_bytes": adaptive.checkpoint_bytes,
-                "checkpoints_sent": adaptive.checkpoints_sent,
-                "wasted_seconds": ac,
-            },
-            "churn": name in CHURN_SCENARIOS,
-        }
         if name in CHURN_SCENARIOS:
             fixed_total += fc
             adaptive_total += ac
@@ -98,12 +83,4 @@ def test_record_checkpoint_policy_tradeoff(record_json, record_table):
         + f"\nchurn aggregate: fixed={fixed_total:.4f}s "
           f"adaptive={adaptive_total:.4f}s reduction={reduction:.3f}",
     )
-    record_json("BENCH_checkpoint", {
-        "scenarios": scenarios,
-        "churn_scenarios": list(CHURN_SCENARIOS),
-        "fixed_wasted_seconds": fixed_total,
-        "adaptive_wasted_seconds": adaptive_total,
-        "wasted_work_reduction": reduction,
-    })
-    # the acceptance floor, asserted here as well as in the gate script
-    assert reduction >= 0.20
+    assert reduction >= MIN_REDUCTION, f"wasted-work reduction {reduction:.3f}"

@@ -142,28 +142,6 @@ def test_disabled_run_not_slower_than_traced_run():
 
 
 @pytest.mark.obs_overhead
-def test_record_obs_overhead_baseline(record_json):
-    """Emit ``BENCH_obs_overhead.json`` with the two guard-cost ratios.
-
-    The budget tests above assert the hard <5% bound; this records the
-    measured ratios so ``scripts/check_bench_regression.py`` can flag a
-    slow drift toward the budget long before it trips.
-    """
-    guard = _guard_cost_per_check()
-    per_event = _time(lambda: _des_workload(tracer=None)) / 10_001
-    per_call = _time(lambda: _rmi_workload(tracer=None)) / 300
-    record_json("BENCH_obs_overhead", {
-        "guard_ns": round(guard * 1e9, 3),
-        "des_event_ns": round(per_event * 1e9, 1),
-        "rmi_call_ns": round(per_call * 1e9, 1),
-        # guarded sites per unit of work, as in the budget tests above
-        "des_guard_over_event": round(2 * guard / per_event, 5),
-        "rmi_guard_over_call": round(6 * guard / per_call, 5),
-        "overhead_budget": OVERHEAD_BUDGET,
-    })
-
-
-@pytest.mark.obs_overhead
 def test_traced_run_actually_traces():
     tracer = Tracer()
     calls = _rmi_workload(tracer=tracer)

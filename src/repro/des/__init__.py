@@ -35,8 +35,7 @@ Example
 from repro.des.events import Event, Timeout, AllOf, AnyOf, ConditionValue
 from repro.des.process import Process, Interrupt
 from repro.des.kernel import Simulator, TimerWheel
-from repro.des.resources import Store, Resource, PriorityStore
-from repro.des.monitor import Probe, PeriodicSampler
+from repro.des.resources import Store
 
 __all__ = [
     "Simulator",
@@ -49,8 +48,4 @@ __all__ = [
     "Process",
     "Interrupt",
     "Store",
-    "PriorityStore",
-    "Resource",
-    "Probe",
-    "PeriodicSampler",
 ]

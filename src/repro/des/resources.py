@@ -1,15 +1,12 @@
-"""Waitable containers: stores (mailboxes) and counted resources.
+"""Waitable container: the store (mailbox).
 
 :class:`Store` is the message-queue primitive the transport layer builds on:
 producers ``put`` items, consumers ``yield store.get()``.  Gets are served
-FIFO.  :class:`PriorityStore` serves the smallest item first (used by the
-runtime for control-before-data message ordering).  :class:`Resource` is a
-counting semaphore (used e.g. to model a Daemon's single-task occupancy).
+FIFO.
 """
 
 from __future__ import annotations
 
-import heapq
 from typing import TYPE_CHECKING, Any
 
 from repro.des.events import Event
@@ -18,7 +15,7 @@ from repro.errors import SimulationError
 if TYPE_CHECKING:  # pragma: no cover
     from repro.des.kernel import Simulator
 
-__all__ = ["Store", "PriorityStore", "Resource"]
+__all__ = ["Store"]
 
 
 class Store:
@@ -44,12 +41,6 @@ class Store:
     def __len__(self) -> int:
         return len(self.items)
 
-    def _pop_item(self) -> Any:
-        return self.items.pop(0)
-
-    def _push_item(self, item: Any) -> None:
-        self.items.append(item)
-
     def try_put(self, item: Any) -> bool:
         """Deliver ``item``; returns False (and counts a drop) when full."""
         self.put_count += 1
@@ -62,7 +53,7 @@ class Store:
         if len(self.items) >= self.capacity:
             self.dropped += 1
             return False
-        self._push_item(item)
+        self.items.append(item)
         return True
 
     def put(self, item: Any) -> None:
@@ -74,7 +65,7 @@ class Store:
         """Return an event that fires with the next available item."""
         ev = Event(self.sim, name=f"get({self.name})")
         if self.items:
-            ev.succeed(self._pop_item())
+            ev.succeed(self.items.pop(0))
         else:
             self._getters.append(ev)
         return ev
@@ -90,70 +81,10 @@ class Store:
     def get_nowait(self) -> Any | None:
         """Pop an item if one is buffered, else None (non-blocking)."""
         if self.items:
-            return self._pop_item()
+            return self.items.pop(0)
         return None
 
     def drain(self) -> list[Any]:
         """Remove and return all buffered items (non-blocking)."""
         out, self.items = self.items, []
         return out
-
-
-class PriorityStore(Store):
-    """Store that always yields its smallest buffered item first.
-
-    Items must be mutually orderable; use ``(priority, seq, payload)``
-    tuples to avoid comparing payloads.
-    """
-
-    def _pop_item(self) -> Any:
-        return heapq.heappop(self.items)
-
-    def _push_item(self, item: Any) -> None:
-        heapq.heappush(self.items, item)
-
-
-class Resource:
-    """Counting semaphore with FIFO queuing.
-
-    >>> res = Resource(sim, slots=1)
-    >>> def user(env):
-    ...     yield res.acquire()
-    ...     try:
-    ...         yield env.timeout(1)
-    ...     finally:
-    ...         res.release()
-    """
-
-    def __init__(self, sim: "Simulator", slots: int = 1, name: str = ""):
-        if slots < 1:
-            raise SimulationError("resource needs at least one slot")
-        self.sim = sim
-        self.slots = slots
-        self.in_use = 0
-        self.name = name
-        self._waiters: list[Event] = []
-
-    @property
-    def available(self) -> int:
-        return self.slots - self.in_use
-
-    def acquire(self) -> Event:
-        ev = Event(self.sim, name=f"acquire({self.name})")
-        if self.in_use < self.slots:
-            self.in_use += 1
-            ev.succeed(self)
-        else:
-            self._waiters.append(ev)
-        return ev
-
-    def release(self) -> None:
-        if self.in_use <= 0:
-            raise SimulationError(f"release() of idle resource {self.name!r}")
-        while self._waiters:
-            waiter = self._waiters.pop(0)
-            if waiter.triggered or waiter.orphaned:
-                continue  # interrupted while queueing: skip, not starve
-            waiter.succeed(self)  # hand the slot over without freeing it
-            return
-        self.in_use -= 1

@@ -34,7 +34,6 @@ EXPERIMENT_CONFIG = P2PConfig(
     monitor_period=0.1,
     call_timeout=0.5,
     bootstrap_retry_delay=0.2,
-    reserve_retry_period=0.2,
     convergence_threshold=1e-6,
     # The quiet streak must outlast a message round-trip, or a correction
     # wave still in flight lets the naive centralized detector (§5.5)

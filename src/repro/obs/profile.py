@@ -153,8 +153,8 @@ _REPO_ROOT = str(Path(__file__).resolve().parents[3])
 def _repo_relative(filename: str) -> str:
     """Strip the machine-specific repo prefix from a profile frame path.
 
-    Committed baselines (``BENCH_swarm.json``'s ``profile_top``) embed
-    these paths; repo-relative forms diff cleanly across checkouts.
+    Saved reports (``repro-cli profile --json``) embed these paths;
+    repo-relative forms diff cleanly across checkouts.
     Frames outside the repo (stdlib, site-packages, ``<built-in>``) pass
     through unchanged.
     """

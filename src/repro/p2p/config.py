@@ -33,7 +33,6 @@ class P2PConfig:
 
     # -- bootstrap / reservation (§5.1–§5.2)
     bootstrap_retry_delay: float = 1.0
-    reserve_retry_period: float = 1.5
     #: exponential-backoff growth per failed full registration sweep; the
     #: attempt-``k`` delay is ``retry_delay * factor**k`` capped at
     #: ``bootstrap_retry_max``, stretched by up to ``jitter`` (a
@@ -59,14 +58,6 @@ class P2PConfig:
     #: before declaring global convergence.
     detection_mode: str = "immediate"
     verification_dwell: float = 0.1
-
-    # -- register dissemination (§5.2/§5.3; §8 lists "broadcast of register"
-    # -- as needing improvement)
-    #: "full" re-broadcasts the whole Application Register on every
-    #: membership change (the paper's behaviour); "delta" sends only the
-    #: changed slots, with an automatic full resync when a daemon detects
-    #: a version gap.
-    broadcast_mode: str = "full"
 
     # -- swarm-scale topology (docs/scaling.md)
     #: depth of the Super-Peer hierarchy.  1 = the paper's flat linked
@@ -139,8 +130,6 @@ class P2PConfig:
             raise ConfigurationError("detection_mode must be 'immediate' or 'dwell'")
         if self.verification_dwell <= 0:
             raise ConfigurationError("verification_dwell must be positive")
-        if self.broadcast_mode not in ("full", "delta"):
-            raise ConfigurationError("broadcast_mode must be 'full' or 'delta'")
         if self.superpeer_tiers < 1:
             raise ConfigurationError("superpeer_tiers must be >= 1")
         if self.superpeer_fanout < 2:

@@ -15,7 +15,7 @@ __all__ = ["TaskSlot", "ApplicationRegister", "AppSpec", "RESERVED_PARAMS"]
 #: recorded timeline.  The built-in apps used to ship a boolean switch here;
 #: their factories still merge this entry of the same wire size (9-byte key,
 #: 8-byte scalar), which no task reads, so that retiring the switch moved no
-#: golden run, ledger digest or ``BENCH_*`` simulated figure.
+#: golden run, ledger digest or benchmark's simulated figure.
 RESERVED_PARAMS = {"reserved0": True}
 
 

@@ -368,15 +368,14 @@ class Spawner(RemoteObject):
         """Push the updated Application Register to every computing peer
         (Fig. 4(b)).  Oneway: an unreachable peer is already presumed dead.
 
-        ``broadcast_mode="full"`` ships the whole register (the paper's
-        behaviour, O(num_tasks) bytes per peer per change);
-        ``broadcast_mode="delta"`` ships only the changed slots — the §8
-        improvement — with receivers pulling a full snapshot on a version
-        gap.  Both ride the reliable channel: a permanently-lost register
-        update would starve a neighbour forever (in the real system this
-        is a TCP RMI call).
+        The first broadcast ships the whole register; every later one
+        ships only the slots changed since the last — the §8 "broadcast
+        of register" improvement — with receivers pulling a full snapshot
+        on a version gap.  Both ride the reliable channel: a
+        permanently-lost register update would starve a neighbour forever
+        (in the real system this is a TCP RMI call).
         """
-        if self.config.broadcast_mode == "delta" and self._last_broadcast_version > 0:
+        if self._last_broadcast_version > 0:
             payload = RegisterDelta(
                 app_id=self.app.app_id,
                 from_version=self._last_broadcast_version,

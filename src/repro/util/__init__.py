@@ -2,7 +2,7 @@
 size-accounting and simple timers."""
 
 from repro.util.rng import RngTree, derive_seed
-from repro.util.stats import OnlineStats, Histogram, summarize
+from repro.util.stats import OnlineStats, Histogram
 from repro.util.serialization import measured_size, clone_state
 from repro.util.timer import WallTimer
 
@@ -11,7 +11,6 @@ __all__ = [
     "derive_seed",
     "OnlineStats",
     "Histogram",
-    "summarize",
     "measured_size",
     "clone_state",
     "WallTimer",

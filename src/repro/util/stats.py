@@ -1,5 +1,4 @@
-"""Small online-statistics helpers used by monitors and the experiment
-harness.
+"""Small online-statistics helpers behind :mod:`repro.obs.metrics`.
 
 Kept dependency-light (plain Python + numpy) so they can be used from inside
 tight simulation loops without surprising allocation costs.
@@ -12,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["OnlineStats", "Histogram", "summarize"]
+__all__ = ["OnlineStats", "Histogram"]
 
 
 class OnlineStats:
@@ -142,19 +141,3 @@ class Histogram:
 
     def edges(self) -> np.ndarray:
         return np.linspace(self.low, self.high, self.bins + 1)
-
-
-def summarize(values) -> dict:
-    """One-shot summary of an iterable of numbers."""
-    arr = np.asarray(list(values), dtype=float)
-    if arr.size == 0:
-        return {"count": 0}
-    return {
-        "count": int(arr.size),
-        "mean": float(arr.mean()),
-        "std": float(arr.std(ddof=1)) if arr.size > 1 else 0.0,
-        "min": float(arr.min()),
-        "p50": float(np.percentile(arr, 50)),
-        "p95": float(np.percentile(arr, 95)),
-        "max": float(arr.max()),
-    }

@@ -365,7 +365,7 @@ def test_ndarray_header_constant_matches_measured_charge():
 
 
 def test_profile_top_paths_are_repo_relative():
-    # committed baselines embed profile_top paths: they must not leak the
+    # saved profile reports embed these paths: they must not leak the
     # recording machine's checkout prefix
     import pathlib
 

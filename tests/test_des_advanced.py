@@ -1,9 +1,9 @@
 """Advanced DES kernel scenarios: nested processes, canceled waiters,
-interrupt interplay with stores and resources."""
+interrupt interplay with stores."""
 
 import pytest
 
-from repro.des import Interrupt, PriorityStore, Resource, Simulator, Store
+from repro.des import Interrupt, Simulator, Store
 from repro.errors import SimulationError
 
 
@@ -61,62 +61,6 @@ def test_interrupted_store_getter_does_not_steal_items():
     sim.run()
     assert ("first", "interrupted") in got
     assert ("second", "prize") in got
-
-
-def test_interrupted_resource_waiter_releases_queue_position():
-    sim = Simulator()
-    res = Resource(sim, slots=1)
-    winners = []
-
-    def holder(env):
-        yield res.acquire()
-        yield env.timeout(5)
-        res.release()
-
-    def waiter(env, name):
-        try:
-            yield res.acquire()
-            winners.append(name)
-            res.release()
-        except Interrupt:
-            pass
-
-    sim.process(holder(sim))
-    doomed = sim.process(waiter(sim, "doomed"))
-    sim.process(waiter(sim, "patient"))
-
-    def killer(env):
-        yield env.timeout(1)
-        doomed.interrupt()
-
-    sim.process(killer(sim))
-    sim.run()
-    assert winners == ["patient"]
-
-
-def test_priority_store_interleaved_with_blocking_getter():
-    sim = Simulator()
-    store = PriorityStore(sim)
-    got = []
-
-    def consumer(env):
-        for _ in range(3):
-            item = yield store.get()
-            got.append(item[1])
-
-    def producer(env):
-        yield env.timeout(1)
-        store.put((5, "low"))
-        yield env.timeout(1)
-        store.put((1, "high"))
-        store.put((3, "mid"))
-
-    sim.process(consumer(sim))
-    sim.process(producer(sim))
-    sim.run()
-    # first item delivered immediately on arrival (blocked getter), the
-    # remaining two ordered by priority
-    assert got == ["low", "high", "mid"]
 
 
 def test_event_processed_then_yielded_by_two_processes():

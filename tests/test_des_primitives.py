@@ -1,8 +1,8 @@
-"""Tests for condition events (AllOf/AnyOf), stores and resources."""
+"""Tests for condition events (AllOf/AnyOf) and stores."""
 
 import pytest
 
-from repro.des import Simulator, Store, PriorityStore, Resource
+from repro.des import Simulator, Store
 from repro.errors import SimulationError
 
 
@@ -183,85 +183,3 @@ def test_store_invalid_capacity():
     sim = Simulator()
     with pytest.raises(SimulationError):
         Store(sim, capacity=0)
-
-
-def test_priority_store_orders_items():
-    sim = Simulator()
-    store = PriorityStore(sim)
-    got = []
-
-    def consumer(env):
-        for _ in range(3):
-            item = yield store.get()
-            got.append(item)
-
-    store.put((2, "low"))
-    store.put((0, "urgent"))
-    store.put((1, "mid"))
-    sim.process(consumer(sim))
-    sim.run()
-    assert got == [(0, "urgent"), (1, "mid"), (2, "low")]
-
-
-# ----------------------------------------------------------------- resources
-
-
-def test_resource_serializes_users():
-    sim = Simulator()
-    res = Resource(sim, slots=1)
-    spans = []
-
-    def user(env, name):
-        yield res.acquire()
-        start = env.now
-        yield env.timeout(2)
-        res.release()
-        spans.append((name, start, env.now))
-
-    sim.process(user(sim, "u0"))
-    sim.process(user(sim, "u1"))
-    sim.run()
-    assert spans == [("u0", 0.0, 2.0), ("u1", 2.0, 4.0)]
-
-
-def test_resource_parallel_slots():
-    sim = Simulator()
-    res = Resource(sim, slots=2)
-    done = []
-
-    def user(env, name):
-        yield res.acquire()
-        yield env.timeout(2)
-        res.release()
-        done.append((name, env.now))
-
-    for i in range(3):
-        sim.process(user(sim, f"u{i}"))
-    sim.run()
-    assert done == [("u0", 2.0), ("u1", 2.0), ("u2", 4.0)]
-
-
-def test_resource_release_without_acquire_rejected():
-    sim = Simulator()
-    res = Resource(sim)
-    with pytest.raises(SimulationError):
-        res.release()
-
-
-def test_resource_available_accounting():
-    sim = Simulator()
-    res = Resource(sim, slots=3)
-
-    def user(env):
-        yield res.acquire()
-
-    sim.process(user(sim))
-    sim.process(user(sim))
-    sim.run()
-    assert res.available == 1
-
-
-def test_resource_bad_slots_rejected():
-    sim = Simulator()
-    with pytest.raises(SimulationError):
-        Resource(sim, slots=0)

@@ -14,7 +14,6 @@ FAST = P2PConfig(
     monitor_period=0.5,
     call_timeout=2.0,
     bootstrap_retry_delay=0.5,
-    reserve_retry_period=0.5,
     min_iteration_time=0.01,
 )
 CKPT = FixedPolicy(count=2, frequency=5)

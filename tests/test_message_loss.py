@@ -32,7 +32,6 @@ LOSSY = P2PConfig(
     monitor_period=0.3,
     call_timeout=1.5,
     bootstrap_retry_delay=0.3,
-    reserve_retry_period=0.5,
     min_iteration_time=0.01,
     stability_window=6,
 )

@@ -1,7 +1,4 @@
-"""Tests for register dissemination: full vs delta broadcasts (§8)."""
-
-import numpy as np
-import pytest
+"""Tests for register dissemination: delta broadcasts (§8)."""
 
 from repro.apps import make_poisson_app
 from repro.numerics import Poisson2D
@@ -18,16 +15,16 @@ from tests.helpers import (
 
 FAST = P2PConfig(
     heartbeat_period=0.5, heartbeat_timeout=2.0, monitor_period=0.5,
-    call_timeout=2.0, bootstrap_retry_delay=0.5, reserve_retry_period=0.5,
+    call_timeout=2.0, bootstrap_retry_delay=0.5,
     min_iteration_time=0.01,
 )
 CKPT = FixedPolicy(count=3, frequency=5)
 
 
-def run_with_failure(mode: str, seed: int = 51):
+def run_with_failure(seed: int = 51):
     cluster = build_cluster(
         n_daemons=8, n_superpeers=2, seed=seed,
-        config=FAST.with_(broadcast_mode=mode),
+        config=FAST,
         checkpoint=CKPT,
     )
     app = make_poisson_app("p", n=16, num_tasks=4, convergence_threshold=1e-8)
@@ -45,23 +42,10 @@ def run_with_failure(mode: str, seed: int = 51):
     return cluster, spawner, residual
 
 
-def test_config_validates_broadcast_mode():
-    with pytest.raises(ValueError):
-        P2PConfig(broadcast_mode="sometimes")
-
-
 def test_delta_mode_converges_correctly_under_failure():
-    cluster, spawner, residual = run_with_failure("delta")
+    cluster, spawner, residual = run_with_failure()
     assert residual < 1e-4
     assert spawner.replacements == 1
-
-
-def test_delta_broadcasts_are_smaller_than_full():
-    _, full_spawner, full_res = run_with_failure("full")
-    _, delta_spawner, delta_res = run_with_failure("delta")
-    assert full_res < 1e-4 and delta_res < 1e-4
-    # same number of membership changes, materially fewer bytes
-    assert delta_spawner.broadcast_bytes < full_spawner.broadcast_bytes
 
 
 def test_delta_apply_in_sequence():
@@ -107,7 +91,7 @@ def test_delta_gap_triggers_resync_on_live_cluster():
     must pull a full snapshot rather than apply it."""
     cluster = build_cluster(
         n_daemons=5, n_superpeers=2, seed=53,
-        config=FAST.with_(broadcast_mode="delta"),
+        config=FAST,
         checkpoint=CKPT,
     )
     app = make_geometric_app(num_tasks=3, rate=0.9999, threshold=1e-12,

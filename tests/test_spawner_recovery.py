@@ -32,7 +32,7 @@ from tests.helpers import (
 
 FAST = P2PConfig(
     heartbeat_period=0.5, heartbeat_timeout=2.0, monitor_period=0.5,
-    call_timeout=2.0, bootstrap_retry_delay=0.5, reserve_retry_period=0.5,
+    call_timeout=2.0, bootstrap_retry_delay=0.5,
     min_iteration_time=0.01,
 )
 CKPT = FixedPolicy(count=3, frequency=5)

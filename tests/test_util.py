@@ -20,7 +20,6 @@ from repro.util import (
     clone_state,
     derive_seed,
     measured_size,
-    summarize,
 )
 
 from tests.oracles.picks_reference import picks_reference, splitmix64
@@ -218,12 +217,6 @@ def test_histogram_validation():
         Histogram(5, 5)
     with pytest.raises(ValueError):
         Histogram(0, 1, bins=0)
-
-
-def test_summarize():
-    s = summarize([1.0, 2.0, 3.0, 4.0])
-    assert s["count"] == 4 and s["mean"] == 2.5 and s["min"] == 1.0
-    assert summarize([]) == {"count": 0}
 
 
 # -------------------------------------------------------------- serialization
