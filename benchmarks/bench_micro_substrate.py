@@ -79,7 +79,7 @@ def test_rmi_roundtrip_cost(benchmark):
 
         p = sim.process(caller(sim))
         sim.run(until=p)
-        return server.calls_served
+        return server.served
 
     assert benchmark(run) == 500
 

@@ -80,7 +80,7 @@ def _rmi_workload(tracer: Tracer | None) -> int:
 
     p = sim.process(caller(sim))
     sim.run(until=p)
-    return server.calls_served
+    return server.served
 
 
 def _guard_cost_per_check() -> float:

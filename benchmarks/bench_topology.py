@@ -37,7 +37,7 @@ def test_registry_load_central_vs_hybrid(benchmark, record_table):
                 link_scale=EXPERIMENT_LINK_SCALE,
             )
             central.sim.run(until=10.0)
-            central_load = central.superpeers[0].runtime.calls_served
+            central_load = central.superpeers[0].runtime.served
 
             hybrid = build_cluster(
                 n_daemons=pop, n_superpeers=3, seed=1,
@@ -45,7 +45,7 @@ def test_registry_load_central_vs_hybrid(benchmark, record_table):
             )
             hybrid.sim.run(until=10.0)
             max_sp_load = max(
-                sp.runtime.calls_served for sp in hybrid.superpeers
+                sp.runtime.served for sp in hybrid.superpeers
             )
             rows.append([pop, central_load, max_sp_load,
                          round(central_load / max(max_sp_load, 1), 2)])

@@ -16,7 +16,7 @@ from repro.numerics.cg import csr_matvec_into
 from repro.numerics.convdiff import ConvectionDiffusion2D
 from repro.numerics.residual import update_distance
 from repro.numerics.splitting import shared_decomposition
-from repro.p2p.messages import RESERVED_PARAMS, AppSpec
+from repro.p2p.messages import AppSpec
 from repro.p2p.task import IterationStep, Task, TaskContext
 
 import numpy as np
@@ -120,8 +120,7 @@ def make_convdiff_app(
         app_id=app_id,
         task_factory=ConvectionDiffusionTask,
         num_tasks=num_tasks,
-        params={"n": n, "eps": eps, "wx": wx, "wy": wy, "overlap": overlap,
-                **RESERVED_PARAMS},
+        params={"n": n, "eps": eps, "wx": wx, "wy": wy, "overlap": overlap},
         convergence_threshold=convergence_threshold,
         stability_window=stability_window,
     )

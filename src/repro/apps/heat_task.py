@@ -23,7 +23,7 @@ from repro.numerics.cg import block_operator, csr_matvec_into
 from repro.numerics.poisson import Poisson2D
 from repro.numerics.residual import update_distance
 from repro.numerics.splitting import shared_decomposition
-from repro.p2p.messages import RESERVED_PARAMS, AppSpec
+from repro.p2p.messages import AppSpec
 from repro.p2p.task import IterationStep, Task, TaskContext
 
 __all__ = ["HeatTask", "make_heat_app"]
@@ -139,7 +139,6 @@ def make_heat_app(
             "theta": theta,
             "steps_per_iteration": steps_per_iteration,
             "problem": problem,
-            **RESERVED_PARAMS,
         },
         convergence_threshold=convergence_threshold,
         stability_window=stability_window,

@@ -18,7 +18,7 @@ from repro.numerics.cg import csr_matvec_into
 from repro.numerics.poisson import Poisson2D
 from repro.numerics.residual import update_distance
 from repro.numerics.splitting import shared_decomposition
-from repro.p2p.messages import RESERVED_PARAMS, AppSpec
+from repro.p2p.messages import AppSpec
 from repro.p2p.task import IterationStep, Task, TaskContext
 
 __all__ = ["JacobiTask", "make_jacobi_app"]
@@ -135,8 +135,7 @@ def make_jacobi_app(
         app_id=app_id,
         task_factory=JacobiTask,
         num_tasks=num_tasks,
-        params={"n": n, "sweeps": sweeps, "problem": problem,
-                **RESERVED_PARAMS},
+        params={"n": n, "sweeps": sweeps, "problem": problem},
         convergence_threshold=convergence_threshold,
         stability_window=stability_window,
     )

@@ -27,7 +27,7 @@ from repro.numerics.cg import conjugate_gradient, csr_matvec_into
 from repro.numerics.poisson import poisson_matrix
 from repro.numerics.residual import update_distance
 from repro.numerics.splitting import shared_decomposition
-from repro.p2p.messages import RESERVED_PARAMS, AppSpec
+from repro.p2p.messages import AppSpec
 from repro.p2p.task import IterationStep, Task, TaskContext
 
 __all__ = ["NonlinearPoissonTask", "make_nonlinear_app", "nonlinear_reference"]
@@ -164,7 +164,7 @@ def make_nonlinear_app(
         task_factory=NonlinearPoissonTask,
         num_tasks=num_tasks,
         params={"n": n, "c": c, "overlap": overlap,
-                "newton_iters": newton_iters, **RESERVED_PARAMS},
+                "newton_iters": newton_iters},
         convergence_threshold=convergence_threshold,
         stability_window=stability_window,
     )

@@ -28,7 +28,7 @@ from repro.numerics.cg import block_operator, csr_matvec_into
 from repro.numerics.poisson import Poisson2D
 from repro.numerics.residual import update_distance
 from repro.numerics.splitting import shared_decomposition
-from repro.p2p.messages import RESERVED_PARAMS, AppSpec
+from repro.p2p.messages import AppSpec
 from repro.p2p.task import IterationStep, StepPlan, Task, TaskContext
 
 __all__ = ["PoissonTask", "make_poisson_app"]
@@ -201,7 +201,6 @@ def make_poisson_app(
         "inner_max_iter": inner_max_iter,
         "warm_start": warm_start,
         "inner_solver": inner_solver,
-        **RESERVED_PARAMS,
     }
     if reject_corruption:
         # only added when on: params ride inside every assign_task RMI

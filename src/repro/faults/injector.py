@@ -321,7 +321,7 @@ class FaultInjector:
         for action, rng in self._corruptions:
             if rng.uniform() >= action.rate:
                 continue
-            args = payload.args  # (app_id, dst_task, src_task, iteration, values)
+            args = payload.args  # (app_id, dst_task, src_task, epoch, values)
             values = np.array(args[4], dtype=float, copy=True)
             if values.size == 0:
                 continue

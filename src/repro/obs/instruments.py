@@ -61,6 +61,9 @@ class RunTelemetry:
         self._components_rejected = r.counter(
             "components_rejected",
             "boundary components discarded by the corruption filter")
+        self._zombie_data_dropped = r.counter(
+            "zombie_data_dropped",
+            "dependency messages refused from a superseded task epoch")
         self._convergence_messages = r.counter(
             "convergence_messages", "local-stability flip messages sent")
         self._recoveries = r.counter(
@@ -140,6 +143,14 @@ class RunTelemetry:
     @components_rejected.setter
     def components_rejected(self, value: int) -> None:
         self._components_rejected.set(value)
+
+    @property
+    def zombie_data_dropped(self) -> int:
+        return int(self._zombie_data_dropped.total)
+
+    @zombie_data_dropped.setter
+    def zombie_data_dropped(self, value: int) -> None:
+        self._zombie_data_dropped.set(value)
 
     @property
     def convergence_messages(self) -> int:

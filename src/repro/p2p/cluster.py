@@ -66,8 +66,8 @@ class Cluster:
     spawners: list[Spawner] = field(default_factory=list)
     telemetry: RunTelemetry = field(default_factory=RunTelemetry)
     incarnations: dict[str, int] = field(default_factory=dict)
-    #: the shared heartbeat wheel (``config.heartbeat_mode == "wheel"``)
-    wheel: TimerWheel | None = None
+    #: the shared heartbeat wheel every Daemon incarnation beats on
+    wheel: TimerWheel = field(init=False)
     #: hierarchy plan (empty in the flat depth-1 topology): child -> parent
     sp_parent: dict[str, str] = field(default_factory=dict)
     #: hierarchy plan: parent -> children
@@ -87,6 +87,9 @@ class Cluster:
     #: shared failure/cost statistics: Spawner evictions write into it,
     #: adaptive checkpoint policies read from it
     failure_feed: FailureFeed = field(default_factory=FailureFeed)
+
+    def __post_init__(self) -> None:
+        self.wheel = self.sim.timer_wheel(self.config.heartbeat_period)
 
     @property
     def network(self):
@@ -289,9 +292,6 @@ def build_cluster(
         # Daemon Registers, so advertising them would misroute discovery)
         for sp in cluster.leaf_superpeers:
             _attach_superpeer_gossip(cluster, sp)
-
-    if config.heartbeat_mode == "wheel":
-        cluster.wheel = sim.timer_wheel(config.heartbeat_period)
 
     for host in testbed.daemon_hosts:
         cluster.boot_daemon(host)

@@ -69,13 +69,10 @@ class P2PConfig:
     superpeer_tiers: int = 1
     #: children per interior Super-Peer when building a hierarchy
     superpeer_fanout: int = 4
-    #: "process" = one DES heartbeat process per Daemon (the historical,
-    #: bitwise-stable default).  "wheel" = all idle heartbeats ride one
-    #: slotted :class:`~repro.des.kernel.TimerWheel` — O(1) heap entries
-    #: per period for the whole swarm (docs/scaling.md).
-    heartbeat_mode: str = "process"
-    #: in wheel mode, every Nth beat is a call-based reaffirm (detects a
-    #: dead Super-Peer); the rest are fire-and-forget oneways
+    #: every Daemon heartbeat rides the cluster's one slotted
+    #: :class:`~repro.des.kernel.TimerWheel` (docs/scaling.md); every Nth
+    #: idle beat is a call-based reaffirm (detects a dead Super-Peer), the
+    #: rest are fire-and-forget oneways
     wheel_reaffirm_every: int = 25
 
     # -- epidemic control plane (repro.gossip, docs/gossip.md)
@@ -134,8 +131,6 @@ class P2PConfig:
             raise ConfigurationError("superpeer_tiers must be >= 1")
         if self.superpeer_fanout < 2:
             raise ConfigurationError("superpeer_fanout must be >= 2")
-        if self.heartbeat_mode not in ("process", "wheel"):
-            raise ConfigurationError("heartbeat_mode must be 'process' or 'wheel'")
         if self.wheel_reaffirm_every < 1:
             raise ConfigurationError("wheel_reaffirm_every must be >= 1")
         if self.bootstrap_backoff_factor < 1.0:

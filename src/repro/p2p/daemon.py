@@ -102,7 +102,7 @@ class TaskRunner:
 
     # -- runtime hooks (called by the Daemon's remote methods) ----------------
 
-    def deliver(self, src_task: int, iteration: int, payload: Any) -> None:
+    def deliver(self, src_task: int, payload: Any) -> None:
         """Last-write-wins mailbox: only the freshest payload per neighbour
         survives until the next iteration reads it (§4.1: peers exchange
         *local results*, not queues of history)."""
@@ -273,9 +273,11 @@ class TaskRunner:
             stub = self.register.stub_of(dst_task)
             if stub is None:
                 continue  # neighbour currently unassigned: message lost
+            # the sender's epoch lets the receiver fence out a replaced
+            # incarnation that is still computing (a partition zombie)
             runtime.oneway(
                 stub, "receive_data",
-                self.app_id, dst_task, self.task_id, self.iteration, payload,
+                self.app_id, dst_task, self.task_id, self.epoch, payload,
             )
             if self.telemetry is not None:
                 self.telemetry.data_messages_sent += 1
@@ -355,8 +357,8 @@ class Daemon(RemoteObject):
         superpeer_addresses: list[Address],
         config: P2PConfig,
         rng: RngTree,
+        wheel: TimerWheel,
         telemetry: RunTelemetry | None = None,
-        wheel: TimerWheel | None = None,
         compute=None,
         checkpoint=None,
         failure_feed=None,
@@ -385,7 +387,6 @@ class Daemon(RemoteObject):
         #: final solution fragments of halted apps (kept for collection)
         self.final_fragments: dict[str, Any] = {}
         self.runner: TaskRunner | None = None
-        self._runner_proc = None
         self._resyncing = False
         self.sp_stub: Stub | None = None
         self.registered = False
@@ -410,62 +411,19 @@ class Daemon(RemoteObject):
             # re-point a computing runner even when the promoted standby's
             # direct announcement missed it (stale shadow)
             self.gossip.subscribe(("spawner",), self._on_spawner_rumor)
-        self.wheel = wheel if config.heartbeat_mode == "wheel" else None
-        if self.wheel is not None:
-            # Swarm mode (docs/scaling.md): no per-Daemon life process.
-            # All idle/computing heartbeats ride the shared timer wheel;
-            # the reaffirm phase is hash-staggered so the call-based beats
-            # don't all land on the same slot.
-            self._bootstrapping = False
-            self._beats = zlib.crc32(daemon_id.encode()) % config.wheel_reaffirm_every
-            #: cached constant heartbeat envelope (rebuilt when the owning
-            #: Super-Peer changes): the idle beat is the hottest message in
-            #: a swarm run, so it is prepared once and re-sent zero-alloc
-            self._hb_prepared = None
-            self.wheel.every(self._tick)
-        else:
-            host.spawn(self._life(), label=f"{daemon_id}:life")
+        # One bootstrap at boot, then every beat rides the cluster's shared
+        # timer wheel (docs/scaling.md).  The reaffirm phase is hash-
+        # staggered so the call-based beats don't all land on one slot.
+        self._bootstrapping = False
+        self._beats = zlib.crc32(daemon_id.encode()) % config.wheel_reaffirm_every
+        #: cached constant heartbeat envelope (rebuilt when the owning
+        #: Super-Peer changes): the idle beat is the hottest message in a
+        #: swarm run, so it is prepared once and re-sent zero-alloc
+        self._hb_prepared = None
+        self._ensure_bootstrap()
+        wheel.every(self._tick)
 
-    # -- bootstrap + heartbeats (§5.1, §5.3) ----------------------------------
-
-    def _life(self):
-        """Forever: bootstrap when unregistered and idle; heartbeat the
-        current owner (Super-Peer while idle, Spawner while computing)."""
-        while True:
-            if self.runner is not None:
-                # the heartbeat piggybacks the current local-stability bit
-                # and our register version: set_state flips and register
-                # broadcasts are oneway and may be lost, so this periodic
-                # refresh keeps the Spawner's array eventually consistent
-                # and lets it repair our register when a broadcast was
-                # dropped (§5.3 + §5.5)
-                self.runtime.oneway(
-                    self.runner.spawner_stub, "heartbeat_task",
-                    self.runner.app_id, self.runner.task_id,
-                    self.runner.epoch, self.daemon_id,
-                    self.runner.detector.stable,
-                    self.runner.register.version,
-                )
-                yield self.sim.timeout(self.config.heartbeat_period)
-                continue
-            if not self.registered:
-                yield from self._bootstrap()
-                continue
-            try:
-                known = yield self.runtime.call(
-                    self.sp_stub, "heartbeat", self.daemon_id,
-                    timeout=min(self.config.call_timeout, self.config.heartbeat_period),
-                )
-            except RemoteError:
-                # Super-Peer down: locate another one (§5.3)
-                self._trace("daemon_superpeer_lost", superpeer=str(self.sp_stub))
-                self.registered = False
-                self.sp_stub = None
-                continue
-            if not known and self.runner is None:
-                # evicted (or the Super-Peer rebooted): re-register
-                self.registered = False
-            yield self.sim.timeout(self.config.heartbeat_period)
+    # -- bootstrap (§5.1) ------------------------------------------------------
 
     def _bootstrap(self):
         """Try Super-Peer addresses in random order until one accepts us.
@@ -534,22 +492,26 @@ class Daemon(RemoteObject):
         self._trace("register_retry", attempt=attempt, delay=delay)
         return delay
 
-    # -- wheel-mode heartbeating (docs/scaling.md) -----------------------------
+    # -- heartbeats (§5.3, docs/scaling.md) -------------------------------------
 
     def _tick(self):
-        """One timer-wheel beat: the wheel-mode replacement for
-        :meth:`_life`'s loop body.  Returning ``False`` deregisters this
-        Daemon from the wheel (its host died; a fresh incarnation re-joins
-        through the cluster reboot hook)."""
+        """One timer-wheel beat to the current owner: the Spawner while
+        computing, the Super-Peer while idle; an unregistered idle Daemon
+        bootstraps instead.  Returning ``False`` deregisters this Daemon
+        from the wheel (its host died; a fresh incarnation re-joins through
+        the cluster reboot hook)."""
         if not self.runtime.alive:
             return False
-        if self.runner is not None:
+        runner = self.runner
+        if runner is not None:
+            # our stub lets the Spawner fence a superseded epoch; the
+            # stability bit and register version repair a lost set_state
+            # flip or register broadcast (§5.3 + §5.5)
             self.runtime.oneway(
-                self.runner.spawner_stub, "heartbeat_task",
-                self.runner.app_id, self.runner.task_id,
-                self.runner.epoch, self.daemon_id,
-                self.runner.detector.stable,
-                self.runner.register.version,
+                runner.spawner_stub, "heartbeat_task",
+                runner.app_id, runner.task_id, runner.epoch,
+                self.daemon_id, self.stub,
+                runner.detector.stable, runner.register.version,
             )
             return None
         if not self.registered:
@@ -604,7 +566,7 @@ class Daemon(RemoteObject):
 
     @remote
     def notify_unknown(self, sp_id: str) -> None:
-        """Nack for a wheel-mode oneway heartbeat: the Super-Peer we just
+        """Nack for a oneway idle heartbeat: the Super-Peer we just
         beat does not know us (eviction, or a rebooted replacement with an
         empty Register) — re-bootstrap on the next tick."""
         if self.runner is None:
@@ -655,9 +617,7 @@ class Daemon(RemoteObject):
             stability_window=stability_window,
             telemetry=self.telemetry,
         )
-        self._runner_proc = self.host.spawn(
-            self.runner.run(), label=f"{self.daemon_id}:task{task_id}"
-        )
+        self.host.spawn(self.runner.run(), label=f"{self.daemon_id}:task{task_id}")
         self._trace("assign", app=app_id, task=task_id, epoch=epoch,
                     restart=restart)
         return True
@@ -726,14 +686,29 @@ class Daemon(RemoteObject):
             return
         if not accepted:
             # the leader's register outranks this incarnation (a replacement
-            # already owns the slot): stop computing and rejoin the idle
-            # pool instead of burning the host on orphaned iterations
-            self._trace("reattach_refused", task=runner.task_id,
-                        epoch=runner.epoch)
-            runner.halted = True
+            # already owns the slot)
+            self._fence(runner, via="reattach")
         else:
             self._trace("reattach_ok", task=runner.task_id,
                         epoch=runner.epoch)
+
+    @remote
+    def fence(self, app_id: str, task_id: int, epoch: int) -> None:
+        """The Spawner's answer to a stale-epoch heartbeat: ``epoch`` is the
+        slot's current one.  Only a runner of that task at an *older* epoch
+        stops; a plain ``halt`` would let a late fence kill a later,
+        legitimate assignment of this Daemon."""
+        runner = self.runner
+        if (runner is not None and runner.app_id == app_id
+                and runner.task_id == task_id and runner.epoch < epoch):
+            self._fence(runner, via="heartbeat")
+
+    def _fence(self, runner: TaskRunner, via: str) -> None:
+        """Stop a superseded incarnation and rejoin the idle pool instead of
+        burning the host on orphaned iterations.  Unlike :meth:`halt` it
+        records no frontier: the slot's live owner holds the task's."""
+        self._trace("fenced", task=runner.task_id, epoch=runner.epoch, via=via)
+        runner.halted = True
 
     @remote
     def update_register(self, register: ApplicationRegister) -> bool:
@@ -790,13 +765,22 @@ class Daemon(RemoteObject):
 
     @remote
     def receive_data(
-        self, app_id: str, dst_task: int, src_task: int, iteration: int, payload: Any
+        self, app_id: str, dst_task: int, src_task: int, epoch: int, payload: Any
     ) -> None:
-        """Asynchronous dependency data from a neighbour task."""
+        """Asynchronous dependency data from a neighbour task.  A sender
+        older than our register's slot for ``src_task`` is a replaced
+        incarnation still computing (a partition zombie): its boundaries,
+        built on frozen inputs, would overwrite the live replacement's."""
         runner = self.runner
         if runner is None or runner.app_id != app_id or runner.task_id != dst_task:
             return  # stale message for a task we no longer run: lost
-        runner.deliver(src_task, iteration, payload)
+        if epoch < runner.register.slots[src_task].epoch:
+            self._trace("zombie_data_dropped", task=dst_task, src=src_task,
+                        epoch=epoch)
+            if self.telemetry is not None:
+                self.telemetry.zombie_data_dropped += 1
+            return
+        runner.deliver(src_task, payload)
 
     @remote
     def store_backup(self, backup: Backup) -> bool:
@@ -859,8 +843,7 @@ class Daemon(RemoteObject):
             runner._member_op = None
         if self.runner is runner:
             self.runner = None
-            self._runner_proc = None
-            # back to the idle pool: _life will re-bootstrap on its next turn
+            # back to the idle pool: the next wheel tick re-bootstraps
 
     def _trace(self, kind: str, **attrs) -> None:
         tr = self.sim.tracer

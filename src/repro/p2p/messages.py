@@ -8,15 +8,7 @@ from typing import Any, Callable
 from repro.errors import ConfigurationError
 from repro.rmi.stub import Stub
 
-__all__ = ["TaskSlot", "ApplicationRegister", "AppSpec", "RESERVED_PARAMS"]
-
-#: A spec's params ride inside every ``assign_task`` envelope, and link delays
-#: are a function of measured size, so each entry's bytes are part of every
-#: recorded timeline.  The built-in apps used to ship a boolean switch here;
-#: their factories still merge this entry of the same wire size (9-byte key,
-#: 8-byte scalar), which no task reads, so that retiring the switch moved no
-#: golden run, ledger digest or benchmark's simulated figure.
-RESERVED_PARAMS = {"reserved0": True}
+__all__ = ["TaskSlot", "ApplicationRegister", "AppSpec"]
 
 
 @dataclass

@@ -142,16 +142,21 @@ class Spawner(RemoteObject):
         task_id: int,
         epoch: int,
         daemon_id: str,
+        daemon_stub: Stub,
         stable: bool | None = None,
         register_version: int | None = None,
     ) -> None:
         """Liveness signal from a computing peer (§5.3).
 
+        A beat from an epoch older than the slot's (a partition zombie, or
+        the ghost of a timed-out assignment) is answered with one ``fence``
+        to the sender's stub.
+
         Carries the sender's current local-stability bit: the flip-time
         ``set_state`` messages are oneway and lossy, so this periodic
         refresh is what makes convergence detection robust to loss.  A
-        heartbeat arriving after completion triggers a ``halt`` re-send
-        (the original halt may itself have been lost).
+        current heartbeat arriving after completion triggers a ``halt``
+        re-send (the original halt may itself have been lost).
 
         It also carries the sender's Application Register version.  The
         broadcast that follows an assignment or replacement is oneway and
@@ -164,8 +169,14 @@ class Spawner(RemoteObject):
         if app_id != self.app.app_id or not 0 <= task_id < self.app.num_tasks:
             return
         slot = self.register.slot(task_id)
+        if epoch < slot.epoch:
+            self._trace("fence", task=task_id, daemon=daemon_id,
+                        epoch=slot.epoch, stale_epoch=epoch)
+            self.runtime.oneway(daemon_stub, "fence",
+                                app_id, task_id, slot.epoch)
+            return
         if slot.epoch != epoch or slot.daemon_id != daemon_id:
-            return  # a previous incarnation of this task: ignore
+            return  # not (or no longer) the slot's owner: ignore
         if self.done.triggered:
             if slot.daemon_stub is not None:
                 self.runtime.oneway(slot.daemon_stub, "halt", self.app.app_id)

@@ -111,7 +111,8 @@ class RmiRuntime:
         self._method_cache: dict[tuple[str, str], Any] = {}
         self._pending: dict[int, Event] = {}
         self.calls_sent = 0
-        self.calls_served = 0
+        #: invocations handled without error, calls and oneways alike
+        self.served = 0
         self.oneways_sent = 0
         self.oneway_errors = 0
         self._dispatcher = host.spawn(self._dispatch_loop(), label=f"{self.name}:dispatch")
@@ -338,7 +339,7 @@ class RmiRuntime:
             self.host.spawn(self._run_generator_handler(call, outcome),
                             label=f"{self.name}:{call.method}")
         else:
-            self.calls_served += 1
+            self.served += 1
             self._reply(call, ok=True, value=outcome)
 
     def _run_generator_handler(self, call: CallMessage, gen) -> Any:
@@ -347,7 +348,7 @@ class RmiRuntime:
         except Exception as exc:  # noqa: BLE001 - ship the error to the caller
             self._reply(call, ok=False, value=exc)
             return
-        self.calls_served += 1
+        self.served += 1
         self._reply(call, ok=True, value=value)
 
     def _reply(self, call: CallMessage, ok: bool, value: Any) -> None:
@@ -370,12 +371,16 @@ class RmiRuntime:
                 and hasattr(outcome, "throw"):
             self.host.spawn(self._run_oneway_generator(outcome, msg.method),
                             label=f"{self.name}:{msg.method}")
+        else:
+            self.served += 1
 
     def _run_oneway_generator(self, gen, method: str):
         try:
             yield from gen
         except Exception as exc:  # noqa: BLE001
             self._oneway_error(method, exc)
+            return
+        self.served += 1
 
     def _oneway_error(self, method: str, exc: Exception) -> None:
         self.oneway_errors += 1

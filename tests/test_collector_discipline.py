@@ -53,9 +53,9 @@ def ticking(sim, count=50):
 
 
 def swarm(n_daemons=500):
-    """An idle tiered wheel-mode swarm: the ledger's ``swarm_idle`` shape."""
+    """An idle tiered swarm: the ledger's ``swarm_idle`` shape."""
     config = EXPERIMENT_CONFIG.with_(
-        superpeer_tiers=3, superpeer_fanout=8, heartbeat_mode="wheel")
+        superpeer_tiers=3, superpeer_fanout=8)
     return build_cluster(n_daemons=n_daemons, n_superpeers=32, seed=0,
                          config=config, link_scale=EXPERIMENT_LINK_SCALE)
 

@@ -419,8 +419,7 @@ def test_run_flat_bitwise_plane_on_vs_off(monkeypatch):
 def test_run_tiered_wheel_bitwise_plane_on_vs_off(monkeypatch):
     from repro.p2p.config import P2PConfig
 
-    cfg = P2PConfig(superpeer_tiers=2, superpeer_fanout=4,
-                    heartbeat_mode="wheel")
+    cfg = P2PConfig(superpeer_tiers=2, superpeer_fanout=4)
     on, off = _ab(dict(n=16, peers=4, seed=1, config=cfg, n_daemons=12,
                        n_superpeers=4, convergence_threshold=1e-5),
                   monkeypatch)

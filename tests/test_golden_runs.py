@@ -82,8 +82,7 @@ RUNS = {
     "flat": _driver(n=16, peers=4, seed=3, convergence_threshold=1e-6),
     "tiered_wheel": _driver(
         n=16, peers=4, seed=1, n_daemons=12, n_superpeers=4,
-        config=P2PConfig(superpeer_tiers=2, superpeer_fanout=4,
-                         heartbeat_mode="wheel"),
+        config=P2PConfig(superpeer_tiers=2, superpeer_fanout=4),
         convergence_threshold=1e-5),
     "churn": _driver(n=16, peers=3, seed=7, disconnections=2,
                      convergence_threshold=1e-4),

@@ -270,31 +270,31 @@ def _golden_run(until, crash_at=None):
 
 def test_golden_steady_gossip_swarm():
     assert _golden_run(2.0) == {
-        "events": 33199,
+        "events": 28847,
         "network": {
-            "sent": 8617, "delivered": 8600,
-            "bytes_sent": 4746076, "bytes_delivered": 4738272,
+            "sent": 8051, "delivered": 7988,
+            "bytes_sent": 4610671, "bytes_delivered": 4579775,
             "dropped_dead": 0, "dropped_loss": 0, "dropped_overflow": 0,
             "dropped_partition": 0,
         },
-        "pushes_sent": 3482,
-        "evictions": 2982,
-        "rejections": 712,
+        "pushes_sent": 3486,
+        "evictions": 3000,
+        "rejections": 707,
     }
 
 
 def test_golden_gossip_swarm_with_a_crashed_superpeer():
     assert _golden_run(4.0, crash_at=0.5) == {
-        "events": 64571,
+        "events": 55824,
         "network": {
-            "sent": 16707, "delivered": 16574,
-            "bytes_sent": 9132240, "bytes_delivered": 9054305,
-            "dropped_dead": 113, "dropped_loss": 0, "dropped_overflow": 0,
+            "sent": 15600, "delivered": 15196,
+            "bytes_sent": 8863436, "bytes_delivered": 8672020,
+            "dropped_dead": 337, "dropped_loss": 0, "dropped_overflow": 0,
             "dropped_partition": 0,
         },
-        "pushes_sent": 6862,
-        "evictions": 6458,
-        "rejections": 1252,
+        "pushes_sent": 6866,
+        "evictions": 6414,
+        "rejections": 1214,
     }
 
 

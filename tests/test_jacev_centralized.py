@@ -33,11 +33,11 @@ def test_central_server_handles_every_heartbeat():
     pop = 12
     central = build_centralized_cluster(n_daemons=pop, seed=5, config=FAST, checkpoint=CKPT)
     central.sim.run(until=10.0)
-    central_load = central.superpeers[0].runtime.calls_served
+    central_load = central.superpeers[0].runtime.served
 
     hybrid = build_cluster(n_daemons=pop, n_superpeers=3, seed=5, config=FAST, checkpoint=CKPT)
     hybrid.sim.run(until=10.0)
-    loads = [sp.runtime.calls_served for sp in hybrid.superpeers]
+    loads = [sp.runtime.served for sp in hybrid.superpeers]
     assert central.registered_daemons() == pop
     assert hybrid.registered_daemons() == pop
     # every hybrid super-peer carries strictly less than the central server

@@ -38,11 +38,12 @@ def make_world(n_superpeers=2, n_daemons=1, cfg=CFG):
     for sp in sps:
         sp.link(stubs)
     addrs = [sp.stub.address for sp in sps]
+    wheel = sim.timer_wheel(cfg.heartbeat_period)
     daemons = []
     for i in range(n_daemons):
         host = net.new_host(f"d-host-{i}")
         daemons.append(
-            Daemon(net, host, f"d{i}", addrs, cfg, RngTree(100 + i))
+            Daemon(net, host, f"d{i}", addrs, cfg, RngTree(100 + i), wheel)
         )
     return sim, net, sps, daemons, tracer
 
@@ -63,7 +64,8 @@ def test_daemon_requires_superpeer_addresses():
     sim, net, sps, _, tracer = make_world(n_daemons=0)
     host = net.new_host("lonely")
     with pytest.raises(ValueError):
-        Daemon(net, host, "d", [], CFG, RngTree(0))
+        Daemon(net, host, "d", [], CFG, RngTree(0),
+               sim.timer_wheel(CFG.heartbeat_period))
 
 
 def test_daemon_bootstrap_retries_until_superpeer_appears():
@@ -71,7 +73,8 @@ def test_daemon_bootstrap_retries_until_superpeer_appears():
     net = Network(sim, link_model=UniformLinkModel(latency=1e-4, bandwidth=1e9))
     sp_addr = Address("sp-host-0", CFG.superpeer_port)
     host = net.new_host("d-host")
-    d = Daemon(net, host, "d0", [sp_addr], CFG, RngTree(1))
+    d = Daemon(net, host, "d0", [sp_addr], CFG, RngTree(1),
+               sim.timer_wheel(CFG.heartbeat_period))
     sim.run(until=5.0)
     assert not d.registered  # nothing to register with yet
     sp_host = net.new_host("sp-host-0")
@@ -113,13 +116,14 @@ def test_daemon_reboot_after_host_failure():
     def on_rec(host):
         reboots.append(
             Daemon(net, host, "d0#2", [sp.stub.address for sp in sps], CFG,
-                   RngTree(7))
+                   RngTree(7), sim.timer_wheel(CFG.heartbeat_period))
         )
 
     d.host.on_recover(on_rec)
     sim.run(until=2.0)
     d.host.fail(cause="churn")
-    sim.run(until=4.0)
+    # its last beat rode the t=2.0 wheel slot: silent past the timeout
+    sim.run(until=4.6)
     assert total_registered(sps) == 0  # evicted after silence
     d.host.recover()
     sim.run(until=10.0)
@@ -141,7 +145,8 @@ class _FakeSpawner:
         class Obj(RemoteObject):
             @remote
             def heartbeat_task(self, app_id, task_id, epoch, daemon_id,
-                               stable=None, register_version=None):
+                               daemon_stub, stable=None,
+                               register_version=None):
                 outer.heartbeats.append((app_id, task_id, epoch, daemon_id,
                                          stable))
 
@@ -255,6 +260,48 @@ def test_receive_data_for_wrong_task_dropped():
     sim.run(until=sim.now + 1.0)
     assert 0 not in d.runner.task.seen
     assert d.runner.task.seen.get(1) != [9.0]
+
+
+def test_receive_data_drops_a_stale_epoch_and_accepts_a_newer_one():
+    """The data fence: a sender older than the register's slot is a
+    replaced incarnation (a partition zombie); a newer one is a replacement
+    whose register broadcast has not reached us yet."""
+    sim, net, sps, (d,), tracer = make_world()
+    fake = _FakeSpawner(net, CFG)
+    sim.run(until=1.0)
+    reg = ApplicationRegister.empty("app", 2)
+    reg.slot(1).epoch = 3
+    assign(sim, net, d, fake.stub, num_tasks=2, task_id=0, register=reg)
+    client = RmiRuntime(net, net.new_host("sender"), 4996)
+    client.oneway(d.stub, "receive_data", "app", 0, 1, 2, [9.0])  # zombie
+    sim.run(until=sim.now + 0.001)
+    assert d.runner.inbox.get(1) is None and d.runner.task.seen.get(1) != [9.0]
+    assert tracer.count("p2p", "zombie_data_dropped") == 1
+    client.oneway(d.stub, "receive_data", "app", 0, 1, 4, [2.0])  # newer
+    sim.run(until=sim.now + 1.0)
+    assert d.runner.task.seen.get(1) == [2.0] or d.runner.inbox.get(1) == [2.0]
+    assert tracer.count("p2p", "zombie_data_dropped") == 1
+
+
+def test_fence_stops_only_an_older_epoch_of_the_fenced_task():
+    sim, net, sps, (d,), tracer = make_world()
+    fake = _FakeSpawner(net, CFG)
+    sim.run(until=1.0)
+    assign(sim, net, d, fake.stub, num_tasks=2, task_id=0, epoch=2)
+    runner = d.runner
+    client = RmiRuntime(net, net.new_host("fencer"), 4992)
+    # a late fence for this very assignment, one for another task and one
+    # for another app must all leave the runner alone
+    client.oneway(d.stub, "fence", "app", 0, 2)
+    client.oneway(d.stub, "fence", "app", 1, 5)
+    client.oneway(d.stub, "fence", "other", 0, 5)
+    sim.run(until=sim.now + 0.5)
+    assert d.runner is runner and not runner.halted
+    client.oneway(d.stub, "fence", "app", 0, 3)
+    sim.run(until=sim.now + 0.5)
+    assert runner.halted and d.runner is None
+    assert tracer.count("p2p", "fenced") == 1
+    assert "app" not in d.final_fragments  # no frontier, no fragment kept
 
 
 def test_backup_service_roundtrip():

@@ -123,12 +123,40 @@ def test_spawner_epoch_filter_ignores_stale_messages():
     # a message from a previous epoch must be ignored
     spawner.set_state("geo", 0, slot.epoch - 1, True)
     assert not spawner.tracker.states[0]
-    spawner.heartbeat_task("geo", 0, slot.epoch - 1, "zombie")
-    # and one from the current epoch but wrong daemon id too
-    spawner.heartbeat_task("geo", 0, slot.epoch, "zombie")
     seen = spawner.last_seen[0]
-    spawner.heartbeat_task("geo", 0, slot.epoch, slot.daemon_id)
+    spawner.heartbeat_task("geo", 0, slot.epoch - 1, "zombie", slot.daemon_stub)
+    # and one from the current epoch but wrong daemon id too
+    spawner.heartbeat_task("geo", 0, slot.epoch, "zombie", slot.daemon_stub)
+    assert spawner.last_seen[0] == seen
+    spawner.heartbeat_task("geo", 0, slot.epoch, slot.daemon_id,
+                           slot.daemon_stub)
     assert spawner.last_seen[0] >= seen
+
+
+def test_stale_beat_draws_one_fence_that_spares_a_reassigned_daemon():
+    """A stale-epoch beat is answered with exactly one fence keyed by the
+    slot's epoch.  Arriving late at a Daemon that has since been assigned
+    the slot's current epoch, it must not halt that legitimate runner."""
+    from repro.obs import Tracer
+
+    tracer = Tracer()
+    cluster = build_cluster(n_daemons=4, n_superpeers=1, seed=89, config=FAST,
+                            checkpoint=CKPT, tracer=tracer)
+    app = make_geometric_app(num_tasks=2, rate=0.9999, threshold=1e-12, flops=3e6)
+    spawner = launch_application(cluster, app)
+    sim = cluster.sim
+    sim.run(until=2.0)
+    slot = spawner.register.slot(0)
+    daemon = cluster.daemons[slot.daemon_id.rsplit("#", 1)[0]]
+    runner = daemon.runner
+    assert runner is not None and runner.epoch == slot.epoch
+    spawner.heartbeat_task("geo", 0, slot.epoch - 1, slot.daemon_id,
+                           slot.daemon_stub)
+    assert tracer.count("p2p", "fence") == 1
+    sim.run(until=sim.now + 1.0)
+    assert tracer.count("p2p", "fence") == 1  # live beats draw none
+    assert daemon.runner is runner and not runner.halted
+    assert tracer.count("p2p", "fenced") == 0
 
 
 def test_spawner_ignores_foreign_app_messages():

@@ -4,7 +4,7 @@ Covers the tier plan arithmetic, cluster wiring (leaves hold Daemon
 Registers, interior Super-Peers hold child summaries, top tier is
 mesh-linked), cross-tier reservation forwarding, subtree eviction when a
 mid-tier Super-Peer crashes (plus recovery re-attachment), and the
-wheel-mode heartbeat path end to end.
+timer-wheel heartbeat path end to end.
 """
 
 import pytest
@@ -183,13 +183,12 @@ def test_mid_tier_recovery_reattaches_subtree():
     assert root.child_summaries["SP-t1.0"].idle == replacement.subtree_idle()
 
 
-# -- wheel-mode heartbeats ---------------------------------------------------
+# -- timer-wheel heartbeats --------------------------------------------------
 
 
 def test_wheel_mode_daemons_register_and_stay():
-    cluster = tiered_cluster(heartbeat_mode="wheel")
+    cluster = tiered_cluster()
     sim = cluster.sim
-    assert cluster.wheel is not None
     sim.run(until=2.0)
     assert cluster.registered_daemons() == 8
     # no evictions: oneway beats kept every record fresh
@@ -198,7 +197,7 @@ def test_wheel_mode_daemons_register_and_stay():
 
 
 def test_wheel_mode_nack_triggers_reregistration():
-    cluster = tiered_cluster(heartbeat_mode="wheel")
+    cluster = tiered_cluster()
     sim = cluster.sim
     sim.run(until=1.0)
     # forcibly forget one Daemon at its leaf (as a rebooted Super-Peer
@@ -213,7 +212,7 @@ def test_wheel_mode_nack_triggers_reregistration():
 
 
 def test_wheel_mode_dead_host_leaves_wheel_and_gets_evicted():
-    cluster = tiered_cluster(heartbeat_mode="wheel")
+    cluster = tiered_cluster()
     sim = cluster.sim
     sim.run(until=1.0)
     alive_before = len(cluster.wheel)
@@ -233,9 +232,7 @@ def test_wheel_mode_tiered_run_converges():
 
     result = RunSpec(
         n=16, peers=4, n_daemons=10, n_superpeers=4,
-        config=EXPERIMENT_CONFIG.with_(
-            superpeer_tiers=2, superpeer_fanout=2, heartbeat_mode="wheel",
-        ),
+        config=EXPERIMENT_CONFIG.with_(superpeer_tiers=2, superpeer_fanout=2),
     ).run()
     assert result.converged
     assert result.residual is not None and result.residual < 1e-3

@@ -3,17 +3,17 @@
 The hardest failure-detection case is a peer that is *not* dead: a network
 partition makes a healthy Daemon unreachable, the Spawner declares it
 failed and replaces its task, and then the partition heals — leaving two
-live daemons computing the same task.  The epoch fencing must keep the
-zombie's control messages out, and the application must still converge to
-the right answer.
+live daemons computing the same task.  Epoch fencing must keep the
+zombie's control messages *and* its dependency data out, the zombie must be
+told to stop, and the application must still converge to the right answer.
 """
 
-import numpy as np
 import pytest
 
 from repro.apps import make_poisson_app
 from repro.numerics import Poisson2D
 from repro.checkpoint import FixedPolicy
+from repro.obs import Tracer
 from repro.p2p import P2PConfig, build_cluster, launch_application
 
 from tests.helpers import (
@@ -30,40 +30,61 @@ FAST = P2PConfig(
 CKPT = FixedPolicy(count=3, frequency=5)
 
 
-def test_partitioned_daemon_is_replaced_and_zombie_is_fenced():
+def _zombie_run(gossip, partition=True):
+    """The seed-61 three-task run; with ``partition`` the daemon of task 1
+    is cut off until its task is replaced, then the partition heals."""
     n, peers = 16, 3
-    cluster = build_cluster(n_daemons=7, n_superpeers=2, seed=61, config=FAST, checkpoint=CKPT)
+    tracer = Tracer()
+    cluster = build_cluster(n_daemons=7, n_superpeers=2, seed=61,
+                            config=FAST.with_(gossip_enabled=gossip),
+                            checkpoint=CKPT, tracer=tracer)
     app = make_poisson_app("p", n=n, num_tasks=peers,
                            convergence_threshold=1e-8)
     spawner = launch_application(cluster, app)
     sim = cluster.sim
     net = cluster.network
     sim.run(until=1.0)
+    zombie = healed_at = None
+    if partition:
+        victim_slot = spawner.register.slot(1)
+        victim_host = victim_slot.daemon_id.rsplit("#", 1)[0]
+        victim_epoch = victim_slot.epoch
+        # cut the victim off from EVERYONE (it stays alive and computing)
+        others = [h.name for h in net.hosts.values() if h.name != victim_host]
+        net.partition([[victim_host], others])
 
-    victim_slot = spawner.register.slot(1)
-    victim_host = victim_slot.daemon_id.rsplit("#", 1)[0]
-    victim_epoch = victim_slot.epoch
-    # cut the victim off from EVERYONE (it stays alive and computing)
-    others = [h.name for h in net.hosts.values() if h.name != victim_host]
-    net.partition([[victim_host], others])
+        # the spawner detects the silence and replaces the task
+        while spawner.replacements == 0 and sim.now < 30.0:
+            sim.run(until=sim.now + 0.25)
+        assert spawner.replacements == 1
+        assert spawner.register.slot(1).epoch > victim_epoch
+        zombie = cluster.daemons[victim_host]
+        assert zombie.runner is not None  # alive and still computing
 
-    # the spawner detects the silence and replaces the task
-    while spawner.replacements == 0 and sim.now < 30.0:
-        sim.run(until=sim.now + 0.25)
-    assert spawner.replacements == 1
-    assert spawner.register.slot(1).epoch > victim_epoch
-    zombie = cluster.daemons[victim_host]
-    assert zombie.runner is not None  # alive and still computing
-
-    # heal: the zombie's stale heartbeats/set_state now reach the spawner
-    net.heal_partition()
+        # heal: the zombie's stale beats and boundaries now reach the others
+        net.heal_partition()
+        healed_at = sim.now
     assert run_until_done(cluster, spawner, horizon=900.0)
-
     frags = collect_solution(cluster, spawner)
     x = assemble_strip_solution(frags, n * n)
-    assert Poisson2D.manufactured(n).residual_norm(x) < 1e-4
-    # the zombie never regained the slot
+    residual = Poisson2D.manufactured(n).residual_norm(x)
+    return cluster, spawner, tracer, zombie, healed_at, residual
+
+
+@pytest.mark.parametrize("gossip", [False, True], ids=["gossip_off", "gossip_on"])
+def test_partitioned_daemon_is_replaced_and_zombie_is_fenced(gossip):
+    cluster, spawner, tracer, zombie, healed_at, residual = _zombie_run(gossip)
+    *_, reference = _zombie_run(gossip, partition=False)
+    # declared convergence is real convergence: no polluted fixed point
+    assert residual < 1e-6
+    assert residual < 10 * reference
+    # the zombie never regained the slot, its data was refused, and it was
+    # told to stop within one heartbeat period of being heard again
     assert spawner.register.slot(1).daemon_id != zombie.daemon_id
+    assert cluster.telemetry.zombie_data_dropped > 0
+    fenced = tracer.select("p2p", "fenced", entity=zombie.daemon_id)
+    assert len(fenced) == 1 and fenced[0].attrs["task"] == 1
+    assert fenced[0].time - healed_at <= FAST.heartbeat_period
 
 
 def test_partition_of_superpeer_isolates_only_registration():

@@ -66,7 +66,7 @@ def test_basic_call_roundtrip():
     value, t = p.value
     assert value == 5
     assert t >= 2e-3  # two link traversals
-    assert server.calls_served == 1 and client.calls_sent == 1
+    assert server.served == 1 and client.calls_sent == 1
 
 
 def test_generator_handler_charges_compute_time():
@@ -188,6 +188,7 @@ def test_oneway_executes_without_reply():
     sim.run()
     assert calc.history == [("note", "ping"), ("note", "pong")]
     assert client.oneways_sent == 2
+    assert server.served == 2  # one served count, whatever the transport
 
 
 def test_oneway_to_dead_peer_lost_silently():
@@ -210,7 +211,7 @@ def test_oneway_error_counted_not_raised():
     stub = server.serve(Calculator(), "calc")
     client.oneway(stub, "boom")
     sim.run()
-    assert server.oneway_errors == 1
+    assert server.oneway_errors == 1 and server.served == 0
     assert sim.tracer.count("rmi", "rmi_oneway_error") == 1
 
 

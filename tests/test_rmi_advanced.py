@@ -142,4 +142,4 @@ def test_many_interleaved_calls_resolve_to_right_callers():
         sim.process(caller(sim, k))
     sim.run()
     assert results == {k: k + 1000 for k in range(30)}
-    assert server.calls_served == 30
+    assert server.served == 30

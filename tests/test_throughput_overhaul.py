@@ -180,18 +180,18 @@ def test_wheel_cancel_from_sibling_callback_suppresses_same_slot_fire():
 
 
 def test_interrupted_daemon_heartbeat_does_not_fire():
-    """Wheel-mode Daemon whose host dies mid-run: its periodic tick must
+    """A Daemon whose host dies mid-run: its periodic tick must
     deregister (return False) instead of heartbeating from beyond the
     grave — and the wheel sweeps it, bounding entry growth under churn."""
     from repro.p2p.cluster import build_cluster
     from repro.p2p.config import P2PConfig
 
-    config = P2PConfig(heartbeat_mode="wheel")
+    config = P2PConfig()
     cluster = build_cluster(n_daemons=4, n_superpeers=1, seed=3, config=config)
     sim = cluster.sim
     sim.run(until=5.0)
     wheel = cluster.wheel
-    assert wheel is not None and len(wheel) == 4
+    assert len(wheel) == 4
     victim = cluster.testbed.daemon_hosts[0]
     victim_ids = {
         d.daemon_id for d in cluster.daemons.values() if d.host is victim
@@ -391,8 +391,8 @@ def test_every_rmi_send_is_sized_as_the_reference_walk_charges(monkeypatch):
 
     monkeypatch.setattr(Network, "send", checked_send)
     tiered_wheel = EXPERIMENT_CONFIG.with_(
-        superpeer_tiers=2, superpeer_fanout=2, heartbeat_mode="wheel",
-        heartbeat_period=0.02, wheel_reaffirm_every=3)
+        superpeer_tiers=2, superpeer_fanout=2, heartbeat_period=0.02,
+        wheel_reaffirm_every=3)
     for spec in (
         RunSpec(n=16, peers=3, seed=7, disconnections=2),
         RunSpec(n=12, peers=3, seed=9, n_superpeers=2, config=tiered_wheel),
