@@ -31,9 +31,9 @@ AUDITED = {
     "repro.rmi.invocation": [
         "CallMessage", "ReplyMessage", "OnewayMessage", "PreparedOneway",
     ],
-    # the batched compute plane: one CohortMember per live task, touched
-    # on every inner solve; StepPlan is created once per iteration
-    "repro.compute.plane": ["ComputePlane", "Cohort", "CohortMember"],
+    # the compute plane: one CohortMember per live task, touched on every
+    # inner solve; StepPlan is created once per iteration
+    "repro.compute.plane": ["ComputePlane", "CohortMember"],
     "repro.p2p.task": ["StepPlan"],
     # one per (agent, known peer): 32 per Daemon with gossip on
     "repro.gossip.peers": ["PeerRecord"],

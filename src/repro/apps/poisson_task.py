@@ -12,7 +12,8 @@ Per asynchronous iteration the task:
 
 1. folds the freshest neighbour boundary lines into its external-value
    vector (stale values persist when nothing arrived — chaotic relaxation);
-2. solves its extended local system with warm-started CG;
+2. solves its extended local system afresh with CG (cold start by
+   default; ``warm_start`` and ``inner_solver="direct"`` are opt-ins);
 3. sends one grid line (``n`` components) to each neighbour — constant
    exchange volume regardless of the overlap;
 4. reports the max-norm relative distance between successive owned iterates.

@@ -1,14 +1,8 @@
-"""Batched compute plane: cohort-vectorized block solves.
+"""Compute plane: shared inner-solve operators and a last-solve memo.
 
-See :mod:`repro.compute.plane` for the architecture and
-:mod:`repro.compute.batched` for the bitwise-safe kernels.
+See :mod:`repro.compute.plane` for the architecture.
 """
 
-from repro.compute.batched import (DIRECT_CHUNK, batched_cg,
-                                   chunked_direct_solve, csr_matmat_into,
-                                   panel_probe)
-from repro.compute.plane import Cohort, CohortMember, ComputePlane
+from repro.compute.plane import CohortMember, ComputePlane
 
-__all__ = ["ComputePlane", "Cohort", "CohortMember", "DIRECT_CHUNK",
-           "batched_cg", "chunked_direct_solve", "csr_matmat_into",
-           "panel_probe"]
+__all__ = ["ComputePlane", "CohortMember"]

@@ -249,6 +249,14 @@ def execute_spec(spec: RunSpec, tracer: Tracer | None = None) -> RunResult:
             residual = Poisson2D.manufactured(spec.n).residual_norm(x)
 
     telemetry = cluster.telemetry
+    # Halts record each task's frontier, but a run that stops at convergence
+    # never delivers them: record what every unhalted runner of the app
+    # reached (the newest epoch wins when a superseded one still runs).
+    live = sorted((r for r in (d.runner for d in cluster.daemons.values())
+                   if r is not None and r.app_id == app.app_id
+                   and not r.halted), key=lambda r: r.epoch)
+    for runner in live:
+        telemetry.record_frontier(runner.task_id, runner.iteration)
     run_report = None
     if tracer is not None:
         tracer.close()  # flush any streaming sink before reporting

@@ -413,17 +413,7 @@ class CgOperator:
         path *does* change iteration counts and simulated time relative to
         CG, which is why it is never a default.
         """
-        lu = self.factorization()
-        x = lu.solve(b)
-        return self.direct_result(x, b, tol)
-
-    def direct_result(self, x: np.ndarray, b: np.ndarray,
-                      tol: float) -> CgResult:
-        """Package a direct-solve solution ``x`` of ``A x = b`` as a
-        :class:`CgResult` with the same convergence diagnostics and flop
-        charge :meth:`solve_direct` produces — shared with the batched
-        multi-RHS path of :mod:`repro.compute` so both report identically.
-        """
+        x = self.factorization().solve(b)
         # honest convergence diagnostics: one extra (uncharged) matvec
         self.matvec(x, self._Ap)
         np.subtract(b, self._Ap, out=self._r)
@@ -442,7 +432,7 @@ class CgOperator:
     @property
     def lu_nnz(self) -> int:
         """Stored LU entries (factorizing on first use) — the direct
-        path's analytic flop basis, known *before* a solve runs."""
+        path's analytic flop basis."""
         self.factorization()
         return self._lu_nnz
 

@@ -78,8 +78,8 @@ class Cluster:
     stable_store: object | None = None
     #: the warm-standby Spawner, when ``config.standby_enabled``
     standby: StandbySpawner | None = None
-    #: cluster-wide batched compute plane (wall-clock only, never DES):
-    #: every Daemon incarnation routes plane-capable inner solves here
+    #: cluster-wide compute plane (wall-clock only, never DES): every
+    #: Daemon incarnation routes plane-capable inner solves here
     compute: ComputePlane = field(default_factory=ComputePlane)
     #: cluster-wide checkpoint strategy handed to every Daemon incarnation
     #: (None = the paper's fixed scheme, ``FixedPolicy()``)

@@ -95,10 +95,6 @@ class TaskRunner:
         #: compute-plane seat (lazily registered on the first StepPlan)
         self._plane_member = None
         self._member_op = None
-        #: a plan whose solve is parked with the cohort while the iteration
-        #: timeout sleeps, and the finished step once it materialized
-        self._pending_plan = None
-        self._finished_step = None
 
     # -- runtime hooks (called by the Daemon's remote methods) ----------------
 
@@ -136,46 +132,24 @@ class TaskRunner:
             while not self.halted:
                 inbox, self.inbox = self.inbox, {}
                 fresh = bool(inbox)
-                step = None
                 plane = self.daemon.compute
                 plan = (self.task.begin_step(inbox)
                         if plane is not None else None)
                 if plan is None:
                     step = self.task.iterate(inbox)
-                    duration = max(
-                        step.flops / rate + config.iteration_overhead,
-                        config.min_iteration_time,
-                    )
                 else:
                     member = self._plane_member
                     if member is None or self._member_op is not plan.operator:
-                        if member is not None:
-                            plane.discard(member)
                         member = plane.member_for(plan.operator)
                         self._plane_member = member
                         self._member_op = plan.operator
-                    duration, result = plane.begin(
-                        member, plan, rate=rate,
-                        overhead=config.iteration_overhead,
-                        floor=config.min_iteration_time,
-                    )
-                    if result is not None:
-                        step = self.task.finish_step(plan, result)
-                        duration = max(
-                            step.flops / rate + config.iteration_overhead,
-                            config.min_iteration_time,
-                        )
-                    else:
-                        # the solve is parked with the cohort; the plane
-                        # guarantees `duration` matches what the eager path
-                        # would have charged, so the DES timeline is identical
-                        self._pending_plan = plan
+                    step = self.task.finish_step(plan,
+                                                 plane.solve(member, plan))
+                duration = max(
+                    step.flops / rate + config.iteration_overhead,
+                    config.min_iteration_time,
+                )
                 yield self.sim.timeout(duration)
-                if step is None:
-                    # materialize the deferred solve (halt/fetch_solution
-                    # may already have flushed it mid-sleep)
-                    self.flush_pending()
-                    step, self._finished_step = self._finished_step, None
                 if self.halted:
                     break
                 self.iteration += 1
@@ -193,22 +167,6 @@ class TaskRunner:
                 self._report_convergence(step.local_distance)
         finally:
             self.daemon._runner_finished(self)
-
-    def flush_pending(self) -> None:
-        """Materialize a deferred inner solve (idempotent).
-
-        Called by the runner itself on wake, and by any out-of-band
-        observer of task state — ``halt`` and ``fetch_solution`` can
-        arrive while the iteration timeout is still sleeping, *before* the
-        parked solve has run.  Flushing applies exactly the state update
-        the eager path would already have applied at the iteration's
-        start, so observers see identical values either way."""
-        plan = self._pending_plan
-        if plan is None:
-            return
-        self._pending_plan = None
-        result = self.daemon.compute.collect(self._plane_member)
-        self._finished_step = self.task.finish_step(plan, result)
 
     # -- recovery (§5.4, Fig. 6) --------------------------------------------------
 
@@ -377,7 +335,8 @@ class Daemon(RemoteObject):
         #: shared :class:`repro.checkpoint.FailureFeed` adaptive policies read
         self.failure_feed = failure_feed
         #: cluster-wide :class:`repro.compute.ComputePlane` (or None): the
-        #: wall-clock batching fabric task runners route inner solves through
+        #: shared operators and solve memo task runners route inner solves
+        #: through
         self.compute = compute
         self.rng = rng
         self.telemetry = telemetry
@@ -804,8 +763,6 @@ class Daemon(RemoteObject):
     def halt(self, app_id: str) -> bool:
         """Stop computing (global convergence reached, §5.5)."""
         if self.runner is not None and self.runner.app_id == app_id:
-            # a deferred inner solve must land before the state is read
-            self.runner.flush_pending()
             # keep the converged fragment so it can still be collected
             # after the runner has wound down
             self.final_fragments[app_id] = self.runner.task.solution_fragment()
@@ -824,7 +781,6 @@ class Daemon(RemoteObject):
     def fetch_solution(self, app_id: str) -> Any:
         """The owned fragment of the solution (collected by the harness)."""
         if self.runner is not None and self.runner.app_id == app_id:
-            self.runner.flush_pending()
             return self.runner.task.solution_fragment()
         return self.final_fragments.get(app_id)
 
@@ -835,12 +791,9 @@ class Daemon(RemoteObject):
     # -- internals ---------------------------------------------------------------
 
     def _runner_finished(self, runner: TaskRunner) -> None:
-        if runner._plane_member is not None and self.compute is not None:
-            # a crash mid-defer abandons the ticket: the result was lost
-            # with the host either way, and cohort siblings are unaffected
-            self.compute.discard(runner._plane_member)
-            runner._plane_member = None
-            runner._member_op = None
+        # release the solve memo with the seat
+        runner._plane_member = None
+        runner._member_op = None
         if self.runner is runner:
             self.runner = None
             # back to the idle pool: the next wheel tick re-bootstraps

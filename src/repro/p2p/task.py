@@ -70,28 +70,25 @@ class IterationStep:
 class StepPlan:
     """A split iteration: everything known *before* the inner solve runs.
 
-    Tasks that support the batched compute plane factor :meth:`Task.iterate`
-    into :meth:`Task.begin_step` (inbox fold, rhs assembly — returns a plan)
-    and :meth:`Task.finish_step` (state update, outgoing payloads — consumes
-    the plan plus the solve's result).  The plane executes the solve in
-    between, possibly deferred in wall-clock and batched with cohort
-    siblings; the DES-visible step is identical either way.
+    Tasks that support the compute plane factor :meth:`Task.iterate` into
+    :meth:`Task.begin_step` (inbox fold, rhs assembly — returns a plan) and
+    :meth:`Task.finish_step` (state update, outgoing payloads — consumes the
+    plan plus the solve's result).  The plane runs the solve in between on
+    an operator shared by every task with the same matrix, or replays its
+    memo of an identical last solve; the step is identical either way.
     """
 
-    #: ``"direct"`` (LU-backed, analytically costed, deferrable) or
-    #: ``"cg"`` (iteration count — hence flops — known only after solving)
+    #: ``"direct"`` (cached-LU solve) or ``"cg"`` (conjugate gradient)
     solver: str
     #: the task's :class:`~repro.numerics.cg.CgOperator`
     operator: Any
-    #: right-hand side of the inner solve (owned by the task until the
-    #: runner's next resume — the plane never outlives that window)
+    #: right-hand side of the inner solve (owned by the task; the plane
+    #: reads it only during the solve call)
     rhs: Any
     x0: Any = None
     tol: float = 1e-10
     max_iter: int | None = None
-    #: total iteration flops when analytically known ("direct"), else 0.0
-    flops: float = 0.0
-    #: flops charged on top of the solve's own count ("cg" assembly terms)
+    #: flops charged on top of the solve's own count (assembly terms)
     flops_extra: float = 0.0
 
 

@@ -71,6 +71,16 @@ def test_run_poisson_deterministic_per_seed():
     assert r1.total_iterations == r2.total_iterations
 
 
+def test_uncollected_churn_run_reports_wasted_iterations():
+    # the run stops at convergence, before any halt lands: the frontier
+    # comes from the runners still live there
+    r = RunSpec(n=16, peers=3, seed=7, disconnections=2,
+                convergence_threshold=1e-4, collect=False).run()
+    assert r.converged
+    assert r.recoveries > r.restarts_from_zero  # a Backup was restored
+    assert 0 < r.wasted_iterations < r.total_iterations
+
+
 def test_run_poisson_validation():
     with pytest.raises(ValueError):
         RunSpec(n=24, peers=0).run()
