@@ -59,11 +59,32 @@ def test_cohorts_share_by_matrix_bytes():
     assert plane.stats()["cohorts"] == 2
 
 
-def test_solves_on_the_shared_operator_match_the_members_own():
+def test_direct_deferral_duration_and_collect():
+    # nothing is deferred any more: the direct result comes back from
+    # solve() at once, and the flops the runner turns into the iteration's
+    # duration are the analytic LU estimate
+    A, b = _spd(8)
+    op = CgOperator(A)
+    plane = ComputePlane()
+    member = plane.member_for(op)
+    plan = _plan_direct(op, b)
+    got = plane.solve(member, plan)
+    _assert_same_result(got, op.solve_direct(b, tol=plan.tol))
+    from repro.numerics.cg import direct_flops_estimate
+    assert got.flops == direct_flops_estimate(op.lu_nnz, op.n)
+    stats = plane.stats()
+    assert stats["loop_columns"] == 1
+    assert (stats["flushes"], stats["deferred"]) == (0, 0)
+
+
+def test_cohort_flush_batches_siblings_bitwise():
+    # siblings on one shared operator get exactly what each member's own
+    # operator would produce, with no flush or batching involved
     A, b = _spd(9)
     plane = ComputePlane()
     ops = [CgOperator(A) for _ in range(3)]
     members = [plane.member_for(op) for op in ops]
+    assert all(m.op is members[0].op for m in members)
     rng = np.random.default_rng(9)
     rhss = [b] + [rng.standard_normal(ops[0].n) for _ in range(2)]
     for m, op, rhs in zip(members, ops, rhss):
@@ -75,6 +96,17 @@ def test_solves_on_the_shared_operator_match_the_members_own():
     assert stats["loop_columns"] == 6 and stats["memo_hits"] == 0
     assert (stats["flushes"], stats["deferred"],
             stats["batched_columns"]) == (0, 0, 0)
+
+
+def test_cg_unpinned_solves_eagerly():
+    A, b = _spd(12)
+    op = CgOperator(A)
+    plane = ComputePlane()
+    member = plane.member_for(op)
+    result = plane.solve(member, _plan_cg(op, b))
+    _assert_same_result(result, op.solve(b, tol=1e-10))
+    assert plane.stats()["loop_columns"] == 1
+    assert plane.stats()["deferred"] == 0
 
 
 def test_solve_memo_replays_identical_requests():
