@@ -12,6 +12,12 @@
 * :class:`NonlinearPoissonTask` — the semilinear problem
   ``-Δu + c·u³ = f`` with inner Newton/CG: the "nonlinear applications"
   direction from §8.
+* :class:`ConvectionDiffusionTask` — upwind convection–diffusion with
+  nonsymmetric blocks and an inner BiCGSTAB.
+
+All five are :class:`~repro.apps.strip.StripTask` subclasses: the strip
+plumbing (state, inbox fold, rhs assembly, update distance, payloads) is
+shared, and each app supplies its setup and one local update.
 """
 
 from repro.apps.poisson_task import PoissonTask, make_poisson_app

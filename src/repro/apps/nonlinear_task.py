@@ -18,17 +18,14 @@ damped Newton method; every Newton step is an SPD solve (Jacobian
 
 from __future__ import annotations
 
-from typing import Any
-
 import numpy as np
 import scipy.sparse as sp
 
-from repro.numerics.cg import conjugate_gradient, csr_matvec_into
+from repro.apps.strip import StripTask
+from repro.numerics.cg import conjugate_gradient
 from repro.numerics.poisson import poisson_matrix
-from repro.numerics.residual import update_distance
-from repro.numerics.splitting import shared_decomposition
 from repro.p2p.messages import AppSpec
-from repro.p2p.task import IterationStep, Task, TaskContext
+from repro.p2p.task import TaskContext
 
 __all__ = ["NonlinearPoissonTask", "make_nonlinear_app", "nonlinear_reference"]
 
@@ -60,7 +57,7 @@ def nonlinear_reference(n: int, c: float, tol: float = 1e-12,
     return u
 
 
-class NonlinearPoissonTask(Task):
+class NonlinearPoissonTask(StripTask):
     """One strip of the semilinear problem.
 
     ``ctx.params``: ``n`` (grid size), ``c`` (nonlinearity strength,
@@ -78,56 +75,17 @@ class NonlinearPoissonTask(Task):
         if self.newton_iters < 1:
             raise ValueError("newton_iters must be >= 1")
         self.inner_tol = float(ctx.params.get("inner_tol", 1e-10))
-        overlap = int(ctx.params.get("overlap", 0))
         c = self.c
 
         def build_system():
             A, b, _ = _manufactured_system(n, c)
             return A, b
 
-        decomp = shared_decomposition(
-            ("nonlinear-poisson", n, c),
-            build_system,
-            nblocks=ctx.num_tasks,
-            line=n,
-            overlap=overlap,
-        )
-        self.blk = decomp.blocks[ctx.task_id]
-        self.n = n
-        self.x = np.zeros(self.blk.n_ext)
-        self.ext = np.zeros(self.blk.ext_cols.size)
-        self._rhs = np.empty(self.blk.n_ext)
-        self._old_owned = np.empty(self.blk.n_owned)
-        self._dist_work = np.empty(self.blk.n_owned)
+        self._setup_strip(ctx, ("nonlinear-poisson", n, c), build_system,
+                          overlap=int(ctx.params.get("overlap", 0)))
 
-    def initial_state(self) -> dict:
+    def _update(self, rhs: np.ndarray) -> tuple[np.ndarray, float, dict]:
         blk = self.blk
-        return {"x": np.zeros(blk.n_ext), "ext": np.zeros(blk.ext_cols.size)}
-
-    def load_state(self, state: dict) -> None:
-        self.x = np.array(state["x"], dtype=float, copy=True)
-        self.ext = np.array(state["ext"], dtype=float, copy=True)
-
-    def dump_state(self) -> dict:
-        return {"x": self.x.copy(), "ext": self.ext.copy()}
-
-    def iterate(self, inbox: dict[int, Any]) -> IterationStep:
-        blk = self.blk
-        for src_task, payload in inbox.items():
-            positions = blk.ext_sources.get(src_task)
-            if positions is None:
-                continue
-            values = np.asarray(payload, dtype=float)
-            if values.shape == (positions.size,):
-                self.ext[positions] = self.guard_payload(src_task, values)
-
-        if self.ext.size:
-            csr_matvec_into(blk.B_coupling, self.ext, self._rhs)
-            np.subtract(blk.b_local, self._rhs, out=self._rhs)
-            rhs = self._rhs
-        else:
-            rhs = blk.b_local
-        np.copyto(self._old_owned, blk.owned_of(self.x))
         x = self.x.copy()
         flops = 2.0 * blk.B_coupling.nnz
         for _ in range(self.newton_iters):
@@ -137,16 +95,7 @@ class NonlinearPoissonTask(Task):
                                       tol=self.inner_tol)
             x = x - step.x
             flops += step.flops + 4.0 * blk.n_ext + 2.0 * blk.A_local.nnz
-        self.x = x
-        distance = update_distance(blk.owned_of(self.x), self._old_owned,
-                                   work=self._dist_work)
-        outgoing = blk.outgoing_payloads(self.x)
-        return IterationStep(flops=flops, outgoing=outgoing,
-                             local_distance=distance)
-
-    def solution_fragment(self):
-        blk = self.blk
-        return (blk.own_start, blk.owned_of(self.x).copy())
+        return x, flops, {}
 
 
 def make_nonlinear_app(

@@ -13,7 +13,9 @@ Per asynchronous iteration the task:
 1. folds the freshest neighbour boundary lines into its external-value
    vector (stale values persist when nothing arrived — chaotic relaxation);
 2. solves its extended local system afresh with CG (cold start by
-   default; ``warm_start`` and ``inner_solver="direct"`` are opt-ins);
+   default; ``warm_start`` and ``inner_solver="direct"`` are opt-ins) —
+   on a seat of the cluster's compute plane when ``ctx.compute`` offers
+   one, which shares the operator and replays an unchanged solve;
 3. sends one grid line (``n`` components) to each neighbour — constant
    exchange volume regardless of the overlap;
 4. reports the max-norm relative distance between successive owned iterates.
@@ -21,21 +23,17 @@ Per asynchronous iteration the task:
 
 from __future__ import annotations
 
-from typing import Any
-
 import numpy as np
 
-from repro.numerics.cg import block_operator, csr_matvec_into
-from repro.numerics.poisson import Poisson2D
-from repro.numerics.residual import update_distance
-from repro.numerics.splitting import shared_decomposition
+from repro.apps.strip import StripTask
+from repro.numerics.cg import block_operator
 from repro.p2p.messages import AppSpec
-from repro.p2p.task import IterationStep, StepPlan, Task, TaskContext
+from repro.p2p.task import TaskContext
 
 __all__ = ["PoissonTask", "make_poisson_app"]
 
 
-class PoissonTask(Task):
+class PoissonTask(StripTask):
     """One strip of the Poisson problem.
 
     ``ctx.params``:
@@ -64,119 +62,33 @@ class PoissonTask(Task):
 
     def setup(self, ctx: TaskContext) -> None:
         super().setup(ctx)
-        n = int(ctx.params["n"])
-        overlap = int(ctx.params.get("overlap", 0))
         self.inner_tol = float(ctx.params.get("inner_tol", 1e-10))
         self.inner_max_iter = ctx.params.get("inner_max_iter")
         self.warm_start = bool(ctx.params.get("warm_start", False))
-        self.inner_solver = str(ctx.params.get("inner_solver", "cg"))
-        if self.inner_solver not in ("cg", "direct"):
-            raise ValueError(f"unknown inner_solver {self.inner_solver!r}")
-        self.direct_max_rows = int(ctx.params.get("direct_max_rows", 50_000))
-        problem = ctx.params.get("problem", "manufactured")
-        if problem == "manufactured":
-            build_problem = Poisson2D.manufactured
-        elif problem == "plate":
-            build_problem = Poisson2D.heat_plate
+        inner_solver = str(ctx.params.get("inner_solver", "cg"))
+        if inner_solver not in ("cg", "direct"):
+            raise ValueError(f"unknown inner_solver {inner_solver!r}")
+        direct_max_rows = int(ctx.params.get("direct_max_rows", 50_000))
+        self._setup_problem(ctx, "poisson", "manufactured",
+                            overlap=int(ctx.params.get("overlap", 0)))
+        self._direct = (inner_solver == "direct"
+                        and self.blk.n_ext <= direct_max_rows)
+        op = block_operator(self.blk)
+        #: where the inner solve runs: a seat on the cluster's compute
+        #: plane (shared operator + solve memo), or the strip's own operator
+        self._solver = (op if ctx.compute is None
+                        else ctx.compute.member_for(op))
+
+    def _update(self, rhs: np.ndarray) -> tuple[np.ndarray, float, dict]:
+        if self._direct:
+            result = self._solver.solve_direct(rhs, tol=self.inner_tol)
         else:
-            raise ValueError(f"unknown problem {problem!r}")
-
-        def build_system():
-            prob = build_problem(n)
-            return prob.A, prob.b
-
-        decomp = shared_decomposition(
-            ("poisson", problem, n),
-            build_system,
-            nblocks=ctx.num_tasks,
-            line=n,
-            overlap=overlap,
-        )
-        self.blk = decomp.blocks[ctx.task_id]
-        self.n = n
-        self.x = np.zeros(self.blk.n_ext)
-        self.ext = np.zeros(self.blk.ext_cols.size)
-        self._op = block_operator(self.blk)
-        self._rhs = np.empty(self.blk.n_ext)
-        self._old_owned = np.empty(self.blk.n_owned)
-        self._dist_work = np.empty(self.blk.n_owned)
-
-    # -- state ---------------------------------------------------------------
-
-    def initial_state(self) -> dict:
+            result = self._solver.solve(
+                rhs, x0=self.x if self.warm_start else None,
+                tol=self.inner_tol, max_iter=self.inner_max_iter)
         blk = self.blk
-        return {"x": np.zeros(blk.n_ext), "ext": np.zeros(blk.ext_cols.size)}
-
-    def load_state(self, state: dict) -> None:
-        self.x = np.array(state["x"], dtype=float, copy=True)
-        self.ext = np.array(state["ext"], dtype=float, copy=True)
-
-    def dump_state(self) -> dict:
-        return {"x": self.x.copy(), "ext": self.ext.copy()}
-
-    # -- iteration ------------------------------------------------------------
-
-    def _fold_inbox(self, inbox: dict[int, Any]) -> None:
-        blk = self.blk
-        for src_task, payload in inbox.items():
-            positions = blk.ext_sources.get(src_task)
-            if positions is None:
-                continue  # not one of our suppliers: drop
-            values = np.asarray(payload, dtype=float)
-            if values.shape == (positions.size,):
-                self.ext[positions] = self.guard_payload(src_task, values)
-
-    def iterate(self, inbox: dict[int, Any]) -> IterationStep:
-        """One whole iteration, solved on the spot (the baselines and
-        :mod:`repro.local` drive tasks without a compute plane)."""
-        plan = self.begin_step(inbox)
-        if plan.solver == "direct":
-            result = self._op.solve_direct(plan.rhs, tol=plan.tol)
-        else:
-            result = self._op.solve(plan.rhs, x0=plan.x0, tol=plan.tol,
-                                    max_iter=plan.max_iter)
-        return self.finish_step(plan, result)
-
-    # -- compute-plane protocol ----------------------------------------------
-
-    def begin_step(self, inbox: dict[int, Any]) -> StepPlan:
-        """The pre-solve half of an iteration: inbox fold, rhs assembly and
-        old-iterate snapshot; the inner solve itself is described by the
-        returned plan."""
-        blk = self.blk
-        self._fold_inbox(inbox)
-        if self.ext.size:
-            csr_matvec_into(blk.B_coupling, self.ext, self._rhs)
-            np.subtract(blk.b_local, self._rhs, out=self._rhs)
-            rhs = self._rhs
-        else:
-            rhs = blk.b_local  # read-only; the solver never writes b
-        np.copyto(self._old_owned, blk.owned_of(self.x))
-        extra = 2.0 * blk.B_coupling.nnz + 2.0 * blk.n_ext
-        if self.inner_solver == "direct" and blk.n_ext <= self.direct_max_rows:
-            return StepPlan(solver="direct", operator=self._op, rhs=rhs,
-                            tol=self.inner_tol, flops_extra=extra)
-        return StepPlan(solver="cg", operator=self._op, rhs=rhs,
-                        x0=self.x if self.warm_start else None,
-                        tol=self.inner_tol, max_iter=self.inner_max_iter,
-                        flops_extra=extra)
-
-    def finish_step(self, plan: StepPlan, result: Any) -> IterationStep:
-        blk = self.blk
-        self.x = result.x
-        distance = update_distance(blk.owned_of(self.x), self._old_owned,
-                                   work=self._dist_work)
-        return IterationStep(
-            flops=result.flops + plan.flops_extra,
-            outgoing=blk.outgoing_payloads(self.x),
-            local_distance=distance,
-            info={"inner_iterations": result.iterations},
-        )
-
-    def solution_fragment(self) -> tuple[int, np.ndarray]:
-        """(global offset, owned values) — the harness stitches these."""
-        blk = self.blk
-        return (blk.own_start, blk.owned_of(self.x).copy())
+        flops = result.flops + (2.0 * blk.B_coupling.nnz + 2.0 * blk.n_ext)
+        return result.x, flops, {"inner_iterations": result.iterations}
 
 
 def make_poisson_app(

@@ -1,22 +1,21 @@
 """The compute plane: shared operators and a last-solve memo.
 
 A :class:`ComputePlane` is a cluster-wide *wall-clock* object: it never
-touches the DES.  Task runners whose tasks expose the
-``begin_step``/``finish_step`` protocol (:class:`repro.p2p.task.StepPlan`)
-register a :class:`CohortMember` per live task and route every inner solve
-through :meth:`ComputePlane.solve`, which runs it on the spot.  The plane
-keeps exactly two jobs:
+touches the DES.  The Daemon hands it to tasks as
+:attr:`repro.p2p.task.TaskContext.compute`; a task that wants it takes a
+:class:`CohortMember` seat for its operator and solves on the seat exactly
+as it would on the :class:`~repro.numerics.cg.CgOperator` itself.  The
+plane keeps exactly two jobs:
 
-* **operator sharing** — members whose operators hold byte-identical
+* **operator sharing** — seats whose operators hold byte-identical
   matrices form a cohort on one canonical
   :class:`~repro.numerics.cg.CgOperator`: one LU factorization per strip
   shape and one set of scratch buffers serve them all (the matrices are
-  byte-identical, so every result is exactly what the member's own
+  byte-identical, so every result is exactly what the task's own
   operator would produce);
-* **the solve memo** — a per-member copy of the last solve replays an
-  identical ``(rhs, x0, tol, max_iter)`` request — the asynchronous
-  "useless iteration" pattern where no fresh neighbour data arrived —
-  without re-solving.
+* **the solve memo** — a per-seat copy of the last solve replays an
+  identical request — the asynchronous "useless iteration" pattern where
+  no fresh neighbour data arrived — without re-solving.
 """
 
 from __future__ import annotations
@@ -31,14 +30,56 @@ __all__ = ["ComputePlane", "CohortMember"]
 
 
 class CohortMember:
-    """One task runner's seat: the canonical operator and its solve memo."""
+    """One task's seat: the canonical operator and its solve memo.
 
-    __slots__ = ("op", "memo_key", "memo_result")
+    :meth:`solve` and :meth:`solve_direct` have
+    :class:`~repro.numerics.cg.CgOperator`'s signatures, so a task holds
+    either one as its solver.
+    """
 
-    def __init__(self, op):
+    __slots__ = ("op", "plane", "memo_key", "memo_result")
+
+    def __init__(self, op, plane: "ComputePlane"):
         self.op = op
+        #: counts this seat's memo hits and solves
+        self.plane = plane
         self.memo_key = None
         self.memo_result: CgResult | None = None
+
+    def solve(self, b: np.ndarray, x0: np.ndarray | None = None,
+              tol: float = 1e-10, max_iter: int | None = None) -> CgResult:
+        key = ("cg", b.tobytes(), None if x0 is None else x0.tobytes(),
+               tol, max_iter)
+        if key == self.memo_key:
+            return self._replay()
+        return self._record(key, self.op.solve(b, x0=x0, tol=tol,
+                                               max_iter=max_iter))
+
+    def solve_direct(self, b: np.ndarray, tol: float = 1e-10) -> CgResult:
+        key = ("direct", b.tobytes(), tol)
+        if key == self.memo_key:
+            return self._replay()
+        return self._record(key, self.op.solve_direct(b, tol=tol))
+
+    def _replay(self) -> CgResult:
+        self.plane.memo_hits += 1
+        return _copy(self.memo_result)
+
+    def _record(self, key, result: CgResult) -> CgResult:
+        self.plane.loop_columns += 1
+        self.memo_key = key
+        # a private copy: the caller's x becomes live task state and may
+        # base in-flight zero-copy views — the memo must never alias it
+        self.memo_result = _copy(result)
+        return result
+
+
+def _copy(result: CgResult) -> CgResult:
+    return CgResult(
+        x=result.x.copy(), converged=result.converged,
+        iterations=result.iterations,
+        residual_norm=result.residual_norm, flops=result.flops,
+        residual_history=[])
 
 
 class ComputePlane:
@@ -52,10 +93,8 @@ class ComputePlane:
         #: operator, never to a shared one across matrices)
         self._operators: dict[bytes, list] = {}
         self.memo_hits = 0
-        #: solves the plane actually ran (memo replays excluded)
+        #: solves the seats actually ran (memo replays excluded)
         self.loop_columns = 0
-
-    # -- membership ----------------------------------------------------------
 
     @staticmethod
     def _fingerprint(A) -> bytes:
@@ -84,49 +123,7 @@ class ComputePlane:
         else:
             canonical = op
             ops.append(op)
-        return CohortMember(canonical)
-
-    # -- solving -------------------------------------------------------------
-
-    def solve(self, member: CohortMember, plan) -> CgResult:
-        """The inner solve ``plan`` describes: a memo replay, or a solve on
-        the member's canonical operator."""
-        key = self._memo_key(plan)
-        if key is not None and key == member.memo_key:
-            self.memo_hits += 1
-            return self._copy(member.memo_result)
-        op = member.op
-        if plan.solver == "direct":
-            result = op.solve_direct(plan.rhs, tol=plan.tol)
-        else:
-            result = op.solve(plan.rhs, x0=plan.x0, tol=plan.tol,
-                              max_iter=plan.max_iter)
-        self.loop_columns += 1
-        member.memo_key = key
-        # a private copy: the caller's x becomes live task state and may
-        # base in-flight zero-copy views — the memo must never alias it
-        member.memo_result = None if key is None else self._copy(result)
-        return result
-
-    @staticmethod
-    def _memo_key(plan):
-        rhs = plan.rhs
-        if not isinstance(rhs, np.ndarray):
-            return None
-        x0 = plan.x0
-        return (plan.solver, rhs.tobytes(),
-                None if x0 is None else x0.tobytes(),
-                plan.tol, plan.max_iter)
-
-    @staticmethod
-    def _copy(result: CgResult) -> CgResult:
-        return CgResult(
-            x=result.x.copy(), converged=result.converged,
-            iterations=result.iterations,
-            residual_norm=result.residual_norm, flops=result.flops,
-            residual_history=[])
-
-    # -- introspection -------------------------------------------------------
+        return CohortMember(canonical, self)
 
     def stats(self) -> dict:
         return {

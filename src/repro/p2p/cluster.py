@@ -79,7 +79,7 @@ class Cluster:
     #: the warm-standby Spawner, when ``config.standby_enabled``
     standby: StandbySpawner | None = None
     #: cluster-wide compute plane (wall-clock only, never DES): every
-    #: Daemon incarnation routes plane-capable inner solves here
+    #: Daemon incarnation offers it to its tasks as ``TaskContext.compute``
     compute: ComputePlane = field(default_factory=ComputePlane)
     #: cluster-wide checkpoint strategy handed to every Daemon incarnation
     #: (None = the paper's fixed scheme, ``FixedPolicy()``)

@@ -92,9 +92,6 @@ class TaskRunner:
         self._rejected_seen = 0
         self.iterations_done = 0
         self.useless_done = 0
-        #: compute-plane seat (lazily registered on the first StepPlan)
-        self._plane_member = None
-        self._member_op = None
 
     # -- runtime hooks (called by the Daemon's remote methods) ----------------
 
@@ -118,6 +115,7 @@ class TaskRunner:
                 task_id=self.task_id,
                 num_tasks=self.num_tasks,
                 params=self.params,
+                compute=self.daemon.compute,
             )
             self.task.setup(ctx)
             if self.restart:
@@ -132,19 +130,7 @@ class TaskRunner:
             while not self.halted:
                 inbox, self.inbox = self.inbox, {}
                 fresh = bool(inbox)
-                plane = self.daemon.compute
-                plan = (self.task.begin_step(inbox)
-                        if plane is not None else None)
-                if plan is None:
-                    step = self.task.iterate(inbox)
-                else:
-                    member = self._plane_member
-                    if member is None or self._member_op is not plan.operator:
-                        member = plane.member_for(plan.operator)
-                        self._plane_member = member
-                        self._member_op = plan.operator
-                    step = self.task.finish_step(plan,
-                                                 plane.solve(member, plan))
+                step = self.task.iterate(inbox)
                 duration = max(
                     step.flops / rate + config.iteration_overhead,
                     config.min_iteration_time,
@@ -335,8 +321,8 @@ class Daemon(RemoteObject):
         #: shared :class:`repro.checkpoint.FailureFeed` adaptive policies read
         self.failure_feed = failure_feed
         #: cluster-wide :class:`repro.compute.ComputePlane` (or None): the
-        #: shared operators and solve memo task runners route inner solves
-        #: through
+        #: shared operators and solve memo, offered to every task it runs
+        #: as ``TaskContext.compute``
         self.compute = compute
         self.rng = rng
         self.telemetry = telemetry
@@ -695,11 +681,13 @@ class Daemon(RemoteObject):
         if current >= delta.to_version:
             return True  # already at (or past) this update
         if current == delta.from_version:
+            # copy-on-write: the register we hold may be the very object
+            # another Daemon was sent (RMI passes arguments by value)
             by_id = {slot.task_id: slot for slot in delta.changes}
-            for i, slot in enumerate(runner.register.slots):
-                if slot.task_id in by_id:
-                    runner.register.slots[i] = by_id[slot.task_id]
-            runner.register.version = delta.to_version
+            runner.register = ApplicationRegister(
+                app_id=runner.app_id, version=delta.to_version,
+                slots=[by_id.get(slot.task_id, slot)
+                       for slot in runner.register.slots])
             return True
         # version gap: resync with a full snapshot
         if not self._resyncing:
@@ -791,9 +779,6 @@ class Daemon(RemoteObject):
     # -- internals ---------------------------------------------------------------
 
     def _runner_finished(self, runner: TaskRunner) -> None:
-        # release the solve memo with the seat
-        runner._plane_member = None
-        runner._member_op = None
         if self.runner is runner:
             self.runner = None
             # back to the idle pool: the next wheel tick re-bootstraps

@@ -10,12 +10,15 @@ extending the Task class" (§4.2).  The Python contract:
   freshest data received from each neighbour since the previous call, and
   returns an :class:`IterationStep`: the estimated flop cost (charged as
   simulated compute time), the outgoing messages, and the local update
-  distance (fed to the convergence detector);
+  distance (fed to the convergence detector) — it is the only iteration
+  hook;
 * :meth:`Task.dump_state` / :meth:`Task.load_state` give the runtime the
   checkpointable state (the Backup payload, §5.4).
 
 The runtime — not the task — owns iteration counting, checkpoint scheduling,
-convergence messaging and data transport.
+convergence messaging and data transport.  Where a task's inner solve runs
+is the task's own decision: :attr:`TaskContext.compute` offers the
+cluster's compute plane when there is one.
 """
 
 from __future__ import annotations
@@ -27,8 +30,7 @@ import numpy as np
 
 from repro.errors import ConfigurationError, TaskError
 
-__all__ = ["TaskContext", "IterationStep", "StepPlan", "ComponentFilter",
-           "Task"]
+__all__ = ["TaskContext", "IterationStep", "ComponentFilter", "Task"]
 
 
 @dataclass(frozen=True)
@@ -39,6 +41,10 @@ class TaskContext:
     task_id: int
     num_tasks: int
     params: dict = field(default_factory=dict)
+    #: the cluster's :class:`repro.compute.ComputePlane`, filled in by the
+    #: Daemon; ``None`` wherever tasks run without one (``repro.local``,
+    #: the baselines, unit tests) — a task then solves on its own operator
+    compute: Any = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if not 0 <= self.task_id < self.num_tasks:
@@ -64,32 +70,6 @@ class IterationStep:
             raise ConfigurationError("flops must be >= 0")
         if self.local_distance < 0:
             raise ConfigurationError("local_distance must be >= 0")
-
-
-@dataclass(slots=True)
-class StepPlan:
-    """A split iteration: everything known *before* the inner solve runs.
-
-    Tasks that support the compute plane factor :meth:`Task.iterate` into
-    :meth:`Task.begin_step` (inbox fold, rhs assembly — returns a plan) and
-    :meth:`Task.finish_step` (state update, outgoing payloads — consumes the
-    plan plus the solve's result).  The plane runs the solve in between on
-    an operator shared by every task with the same matrix, or replays its
-    memo of an identical last solve; the step is identical either way.
-    """
-
-    #: ``"direct"`` (cached-LU solve) or ``"cg"`` (conjugate gradient)
-    solver: str
-    #: the task's :class:`~repro.numerics.cg.CgOperator`
-    operator: Any
-    #: right-hand side of the inner solve (owned by the task; the plane
-    #: reads it only during the solve call)
-    rhs: Any
-    x0: Any = None
-    tol: float = 1e-10
-    max_iter: int | None = None
-    #: flops charged on top of the solve's own count (assembly terms)
-    flops_extra: float = 0.0
 
 
 class ComponentFilter:
@@ -209,22 +189,6 @@ class Task:
         iterate; whether that progresses is the paper's "useless
         iteration" phenomenon).
         """
-        raise NotImplementedError
-
-    def begin_step(self, inbox: dict[int, Any]) -> "StepPlan | None":
-        """Optional compute-plane hook: the pre-solve half of an iteration.
-
-        Fold ``inbox``, assemble the inner system, and return a
-        :class:`StepPlan` — or ``None`` to run the monolithic
-        :meth:`iterate` instead (the default).  A task returning a plan
-        MUST accept :meth:`finish_step` with the solve result later;
-        between the two calls the task must not mutate anything the plan
-        references.
-        """
-        return None
-
-    def finish_step(self, plan: "StepPlan", result: Any) -> IterationStep:
-        """Consume an inner-solve result for a plan from :meth:`begin_step`."""
         raise NotImplementedError
 
     # -- corruption resilience (arXiv:2206.08479) ------------------------------

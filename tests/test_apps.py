@@ -1,13 +1,18 @@
-"""Unit tests for the SPMD applications (Poisson / Jacobi / Heat tasks):
-setup determinism, state round-trips, iteration math against sequential
-references, and message shapes."""
+"""Unit tests for the SPMD applications (Poisson / Jacobi / Heat /
+nonlinear / convection–diffusion tasks): setup determinism, state
+round-trips, iteration math against sequential references, message shapes,
+and pinned digests of each app's iterates."""
+
+import hashlib
 
 import numpy as np
 import pytest
 
 from repro.apps import (
+    ConvectionDiffusionTask,
     HeatTask,
     JacobiTask,
+    NonlinearPoissonTask,
     PoissonTask,
     make_heat_app,
     make_jacobi_app,
@@ -153,6 +158,8 @@ def test_jacobi_task_multiple_sweeps_progress_more():
 def test_jacobi_task_validation():
     with pytest.raises(ValueError):
         make_task(JacobiTask, {"n": 8, "sweeps": 0})
+    with pytest.raises(ValueError):
+        make_task(JacobiTask, {"n": 8, "problem": "plaet"})
 
 
 def test_make_jacobi_app():
@@ -187,6 +194,8 @@ def test_heat_task_validation():
         make_task(HeatTask, {"n": 8, "theta": 1.5})
     with pytest.raises(ValueError):
         make_task(HeatTask, {"n": 8, "steps_per_iteration": 0})
+    with pytest.raises(ValueError):
+        make_task(HeatTask, {"n": 8, "problem": "manufacterd"})
 
 
 def test_make_heat_app():
@@ -228,3 +237,36 @@ def test_every_app_fragment_covers_owned_range(factory, params):
     offset, values = task.solution_fragment()
     assert offset == task.blk.own_start
     assert len(values) == task.blk.n_owned
+
+
+@pytest.mark.parametrize(
+    "factory,digest",
+    [
+        (PoissonTask,
+         "aa68c91a185190eeb5db5e30cc1da14a4efb529d6c9d15f6921f96b314e41e4e"),
+        (JacobiTask,
+         "2f2c08fbd100c57e6a032c9149653d85f561458a3f626f92ffd3480e2b3ab13c"),
+        (HeatTask,
+         "c7e73d97273f571375e460c3780858f058558ddb9f83847860080ebcec82307e"),
+        (NonlinearPoissonTask,
+         "2e50a85eee940fa8d1afc6b1dedc97110599c8f6d632217bace9ab919014b977"),
+        (ConvectionDiffusionTask,
+         "1b30ebcbe17b28d89e40ff4f023a103489852ea0062fb360c273379f427eaa8e"),
+    ],
+    ids=lambda v: v.__name__ if isinstance(v, type) else "",
+)
+def test_every_app_iterates_bitwise_as_pinned(factory, digest):
+    """Four lockstep rounds of a three-task strip at each app's defaults
+    hash to a pinned digest: the iterates, the outgoing payloads, the flop
+    estimate and the local distance, bit for bit."""
+    tasks = [make_task(factory, {"n": 12}, task_id=k, num_tasks=3)
+             for k in range(3)]
+    steps = run_ring_until(tasks, rounds=4)
+    h = hashlib.sha256()
+    for task, step in zip(tasks, steps):
+        h.update(task.x.tobytes())
+        for dst in sorted(step.outgoing):
+            h.update(np.asarray(step.outgoing[dst], dtype=float).tobytes())
+        h.update(np.float64(step.flops).tobytes())
+        h.update(np.float64(step.local_distance).tobytes())
+    assert h.hexdigest() == digest

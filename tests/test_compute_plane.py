@@ -8,7 +8,6 @@ import pytest
 
 from repro.compute import ComputePlane
 from repro.numerics import BlockDecomposition, CgOperator, Poisson2D
-from repro.p2p.task import StepPlan
 from repro.util.hotpath import clear_caches
 from repro.util.serialization import (NDARRAY_HEADER_BYTES, _payload_size,
                                       measured_size)
@@ -37,15 +36,6 @@ def _spd(n, seed=0):
 # ---------------------------------------------------------------- cohorts
 
 
-def _plan_direct(op, rhs, tol=1e-10):
-    return StepPlan(solver="direct", operator=op, rhs=rhs, tol=tol)
-
-
-def _plan_cg(op, rhs, x0=None, tol=1e-10, max_iter=None):
-    return StepPlan(solver="cg", operator=op, rhs=rhs, x0=x0, tol=tol,
-                    max_iter=max_iter)
-
-
 def test_cohorts_share_by_matrix_bytes():
     A, _ = _spd(8)
     A_twin = A.copy()          # equal bytes, distinct object
@@ -60,16 +50,15 @@ def test_cohorts_share_by_matrix_bytes():
 
 
 def test_direct_deferral_duration_and_collect():
-    # nothing is deferred any more: the direct result comes back from
-    # solve() at once, and the flops the runner turns into the iteration's
+    # nothing is deferred any more: the direct result comes back from the
+    # seat at once, and the flops the runner turns into the iteration's
     # duration are the analytic LU estimate
     A, b = _spd(8)
     op = CgOperator(A)
     plane = ComputePlane()
     member = plane.member_for(op)
-    plan = _plan_direct(op, b)
-    got = plane.solve(member, plan)
-    _assert_same_result(got, op.solve_direct(b, tol=plan.tol))
+    got = member.solve_direct(b, tol=1e-10)
+    _assert_same_result(got, op.solve_direct(b, tol=1e-10))
     from repro.numerics.cg import direct_flops_estimate
     assert got.flops == direct_flops_estimate(op.lu_nnz, op.n)
     stats = plane.stats()
@@ -88,9 +77,9 @@ def test_cohort_flush_batches_siblings_bitwise():
     rng = np.random.default_rng(9)
     rhss = [b] + [rng.standard_normal(ops[0].n) for _ in range(2)]
     for m, op, rhs in zip(members, ops, rhss):
-        _assert_same_result(plane.solve(m, _plan_direct(op, rhs)),
+        _assert_same_result(m.solve_direct(rhs, tol=1e-10),
                             op.solve_direct(rhs, tol=1e-10))
-        _assert_same_result(plane.solve(m, _plan_cg(op, rhs)),
+        _assert_same_result(m.solve(rhs, tol=1e-10),
                             op.solve(rhs, tol=1e-10))
     stats = plane.stats()
     assert stats["loop_columns"] == 6 and stats["memo_hits"] == 0
@@ -103,7 +92,7 @@ def test_cg_unpinned_solves_eagerly():
     op = CgOperator(A)
     plane = ComputePlane()
     member = plane.member_for(op)
-    result = plane.solve(member, _plan_cg(op, b))
+    result = member.solve(b)
     _assert_same_result(result, op.solve(b, tol=1e-10))
     assert plane.stats()["loop_columns"] == 1
     assert plane.stats()["deferred"] == 0
@@ -114,17 +103,17 @@ def test_solve_memo_replays_identical_requests():
     op = CgOperator(A)
     plane = ComputePlane()
     member = plane.member_for(op)
-    first = plane.solve(member, _plan_cg(op, b))
-    replay = plane.solve(member, _plan_cg(op, b.copy()))
+    first = member.solve(b)
+    replay = member.solve(b.copy())
     _assert_same_result(replay, first)
     assert plane.stats()["memo_hits"] == 1
     # the replayed x is a private copy: mutating it must not poison the memo
     replay.x[0] = 1e9
-    again = plane.solve(member, _plan_cg(op, b))
+    again = member.solve(b)
     _assert_same_result(again, first)
     # a different rhs is a miss
     other = b * 2.0
-    fresh = plane.solve(member, _plan_cg(op, other))
+    fresh = member.solve(other)
     _assert_same_result(fresh, op.solve(other, tol=1e-10))
     assert plane.stats()["memo_hits"] == 2
     assert plane.stats()["loop_columns"] == 2
@@ -188,8 +177,8 @@ def test_profile_top_paths_are_repo_relative():
 
 def _ab(kw, monkeypatch):
     """The same run on a cluster with the plane and on one without: there
-    every task takes ``iterate()``, the solve-on-the-spot path that
-    :mod:`repro.local` and the baselines use."""
+    every task sees ``ctx.compute is None`` and solves on its own operator,
+    as under :mod:`repro.local` and the baselines."""
     from repro.exec import RunSpec
     from repro.experiments import driver
 

@@ -1,5 +1,7 @@
 """Tests for register dissemination: delta broadcasts (§8)."""
 
+import pytest
+
 from repro.apps import make_poisson_app
 from repro.numerics import Poisson2D
 from repro.checkpoint import FixedPolicy
@@ -76,14 +78,51 @@ def test_delta_apply_in_sequence():
     delta = RegisterDelta("app", from_version=5, to_version=6,
                           changes=[new_slot])
     assert Daemon.update_register_delta(daemon, delta) is True
-    assert reg.version == 6
-    assert reg.slot(1).daemon_id == "dX"
+    applied = daemon.runner.register
+    assert applied.version == 6
+    assert applied.slot(1).daemon_id == "dX"
+    # copy-on-write: the object the daemon was sent is left as it was
+    assert reg.version == 5 and reg.slot(1).daemon_id is None
     # replay of the same delta: harmless no-op
     assert Daemon.update_register_delta(daemon, delta) is True
-    assert reg.version == 6
+    assert daemon.runner.register is applied
+    assert applied.version == 6
     # wrong app: rejected
     foreign = RegisterDelta("other", 6, 7, [])
     assert Daemon.update_register_delta(daemon, foreign) is False
+
+
+@pytest.mark.parametrize("seed", [51, 3, 7])
+def test_register_state_does_not_cross_hosts_without_a_message(seed):
+    """Every Daemon is sent the same register object; applying a delta must
+    not update the Daemons that share it.  Cut task 1's host off from
+    everyone, then kill task 2's host: the partitioned runner can hear of
+    slot 2's replacement only by a message, and every message is dropped."""
+    cluster = build_cluster(n_daemons=8, n_superpeers=2, seed=seed,
+                            config=FAST, checkpoint=CKPT)
+    app = make_poisson_app("p", n=16, num_tasks=4, convergence_threshold=1e-8)
+    spawner = launch_application(cluster, app)
+    sim, net = cluster.sim, cluster.network
+    sim.run(until=1.0)
+
+    def host_of(task_id):
+        return spawner.register.slot(task_id).daemon_id.rsplit("#", 1)[0]
+
+    cut = cluster.daemons[host_of(1)]
+    before = cut.runner.register
+    version, slot2 = before.version, before.slot(2).daemon_id
+    old_epoch = spawner.register.slot(2).epoch
+    net.partition([[host_of(1)], [h for h in net.hosts if h != host_of(1)]])
+    victim = host_of(2)
+    next(h for h in cluster.testbed.daemon_hosts
+         if h.name == victim).fail(cause="test")
+    while spawner.register.slot(2).epoch == old_epoch and sim.now < 30.0:
+        sim.run(until=sim.now + 0.25)
+    assert spawner.register.slot(2).epoch > old_epoch
+    assert spawner.register.version > version
+    register = cut.runner.register
+    assert register.version == version
+    assert register.slot(2).daemon_id == slot2
 
 
 def test_delta_gap_triggers_resync_on_live_cluster():
