@@ -59,14 +59,8 @@ class MasterSlaveScheduler:
         self.sim = sim
         self.slaves = list(slaves)
         self.app = app
-        self.threshold = (
-            app.convergence_threshold
-            if app.convergence_threshold is not None
-            else convergence_threshold
-        )
-        self.window = (
-            app.stability_window if app.stability_window is not None else stability_window
-        )
+        self.threshold, self.window = app.convergence(
+            convergence_threshold, stability_window)
         self.max_iterations = max_iterations_per_unit
         self.result = MasterSlaveResult(completed=False, finished_at=None)
         self.queue: list[int] = list(range(app.num_tasks))

@@ -71,14 +71,8 @@ class SynchronousEngine:
         self.hosts = hosts[: app.num_tasks]
         self.app = app
         self.checkpoint_frequency = checkpoint_frequency
-        self.threshold = (
-            app.convergence_threshold
-            if app.convergence_threshold is not None
-            else convergence_threshold
-        )
-        self.window = (
-            app.stability_window if app.stability_window is not None else stability_window
-        )
+        self.threshold, self.window = app.convergence(
+            convergence_threshold, stability_window)
         self.link_model = link_model or UniformLinkModel()
         self.barrier_overhead = barrier_overhead
         self.stall_poll = stall_poll

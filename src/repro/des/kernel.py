@@ -27,52 +27,34 @@ class ScheduledCall:
     """A bare scheduled callback: the fire-once / no-waiters fast lane.
 
     The dominant kernel citizens at swarm scale are one-shot deferred
-    calls that nothing ever waits on (message deliveries, batch sweeps).
-    A full :class:`~repro.des.events.Timeout` pays for machinery they
-    never use — a callbacks list, a value slot, a closure per call.  A
-    ``ScheduledCall`` is just ``(fn, args)`` plus a tombstone flag,
-    duck-typing the one kernel hook (``_run_callbacks``) the event loop
-    invokes.
+    calls that nothing ever waits on (message deliveries, timer-wheel
+    slots).  A full :class:`~repro.des.events.Timeout` pays for machinery
+    they never use — a callbacks list, a value slot, a closure per call.
+    A ``ScheduledCall`` is just ``(fn, args)``, duck-typing the one kernel
+    hook (``_run_callbacks``) the event loop invokes.
 
-    Cancellation is *lazy*: :meth:`cancel` sets the tombstone and the
-    kernel skips the entry when it pops — no heap surgery, no linear
-    scans.  Tombstoned entries therefore occupy heap slots only until
-    their original fire time, which bounds heap growth under churn.
-
-    Instances scheduled through the kernel's internal pooled entrypoint
-    are recycled onto a free list after firing; handles returned by the
-    public :meth:`Simulator.call_later` are never recycled (the caller
-    may keep them to ``cancel()`` later).
+    Entries come from (and return to) the simulator's free list: every
+    entry is recycled the moment it fires, so nothing outside the kernel
+    ever holds one.
     """
 
-    __slots__ = ("sim", "fn", "args", "cancelled", "_recycle")
+    __slots__ = ("sim", "fn", "args")
 
-    def __init__(self, sim: "Simulator", fn: Callable | None, args: tuple,
-                 recycle: bool):
+    def __init__(self, sim: "Simulator", fn: Callable | None, args: tuple):
         self.sim = sim
         self.fn = fn
         self.args = args
-        self.cancelled = False
-        self._recycle = recycle
-
-    def cancel(self) -> None:
-        """Tombstone this call: it will be skipped (and reclaimed) at its
-        scheduled fire time."""
-        self.cancelled = True
 
     # -- kernel hook (duck-types Event._run_callbacks) ----------------------
 
     def _run_callbacks(self) -> None:
-        if not self.cancelled:
-            self.fn(*self.args)
-        if self._recycle:
-            self.fn = None
-            self.args = ()
-            self.sim._call_pool.append(self)
+        self.fn(*self.args)
+        self.fn = None
+        self.args = ()
+        self.sim._call_pool.append(self)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        state = "cancelled" if self.cancelled else "scheduled"
-        return f"<ScheduledCall {getattr(self.fn, '__name__', self.fn)} {state}>"
+        return f"<ScheduledCall {getattr(self.fn, '__name__', self.fn)}>"
 
 
 class Simulator:
@@ -95,6 +77,13 @@ class Simulator:
         construction) turns the whole stack's instrumentation on.
     """
 
+    #: callbacks that shared a heap entry: always 0 (there is one callback
+    #: lane, one heap entry per call).  Kept only because the perf ledger
+    #: reads it; the next ledger PR drops ``des.batched_calls`` together
+    #: with the pinned ``compute.flushes``, ``deferred`` and
+    #: ``batched_columns``.
+    batched_calls = 0
+
     def __init__(
         self, start: float = 0.0, strict: bool = True, tracer: Tracer | None = None
     ):
@@ -108,12 +97,8 @@ class Simulator:
         self.event_count = 0  # processed events, for micro-benchmarks
         #: ``event_count`` as of the last hand-over to :mod:`repro.des.collector`
         self._credited = 0
-        #: open callback batches keyed by exact fire time (see
-        #: :meth:`call_later_batched`)
-        self._batches: dict[float, list[tuple[Callable, tuple]]] = {}
-        self.batched_calls = 0  # callbacks that shared a heap entry
-        #: free list of recycled :class:`ScheduledCall` entries (the
-        #: fire-once/no-callback pool; see :meth:`_call_later_pooled`)
+        #: free list of recycled :class:`ScheduledCall` entries (see
+        #: :meth:`call_later`)
         self._call_pool: list[ScheduledCall] = []
 
     # -- factory helpers -------------------------------------------------------
@@ -131,81 +116,29 @@ class Simulator:
             tr.emit(self.now, "des", proc.name, "process_spawn")
         return proc
 
-    def call_later(self, delay: float, fn, *args) -> ScheduledCall:
+    def call_later(self, delay: float, fn: Callable, *args) -> None:
         """Schedule a bare callback ``fn(*args)`` after ``delay`` seconds.
 
         A lightweight alternative to spawning a :class:`Process` for
-        straight-line deferred work (e.g. a message delivery): one heap
-        entry, no generator, no initialize/completion events.  The
-        callback runs with ``now`` advanced to the fire time, exactly like
-        a process resumed by a :class:`Timeout` of the same delay.
-
-        Returns the :class:`ScheduledCall` handle; ``handle.cancel()``
-        tombstones the call (skipped at fire time — no heap surgery).
-        The handle is not an :class:`~repro.des.events.Event` and cannot
-        be ``yield``-ed; use :meth:`timeout` when a process must wait.
+        straight-line deferred work (a message delivery, a timer-wheel
+        slot): one heap entry from the free-list pool, no generator, no
+        initialize/completion events.  The callback runs with ``now``
+        advanced to the fire time, exactly like a process resumed by a
+        :class:`Timeout` of the same delay.  Nothing is returned: the call
+        cannot be cancelled or waited on — use :meth:`timeout` when a
+        process must wait.
         """
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
-        call = ScheduledCall(self, fn, args, recycle=False)
-        self._seq += 1
-        heapq.heappush(self._heap, (self.now + delay, NORMAL, self._seq, call))
-        return call
-
-    def _call_later_pooled(self, delay: float, fn: Callable, args: tuple) -> None:
-        """Internal :meth:`call_later` without a handle: the entry comes
-        from (and returns to) the free-list pool.  Only for callers that
-        never retain a reference — the object is recycled the moment it
-        fires."""
         pool = self._call_pool
         if pool:
             call = pool.pop()
             call.fn = fn
             call.args = args
-            call.cancelled = False
         else:
-            call = ScheduledCall(self, fn, args, recycle=True)
+            call = ScheduledCall(self, fn, args)
         self._seq += 1
         heapq.heappush(self._heap, (self.now + delay, NORMAL, self._seq, call))
-
-    def call_later_batched(self, delay: float, fn: Callable, *args) -> None:
-        """Schedule ``fn(*args)`` after ``delay``, sharing one heap entry
-        with every other batched callback that lands on the *exact same*
-        fire time.
-
-        Same-timestamp bursts (10 000 heartbeats firing on one timer-wheel
-        slot, a broadcast fan-out, ...) would otherwise each pay a heap
-        push/pop; a batch pays one.  Callbacks inside a batch run in
-        scheduling order.  Relative order against *other* events at the
-        same timestamp follows the batch's (single) sequence number — use
-        :meth:`call_later` when interleaving with unbatched same-time
-        events matters.
-
-        .. warning:: batches are keyed by the **bit-exact** float fire
-           time ``now + delay``.  Two callbacks whose fire times are
-           mathematically equal but differ in the last ulp (e.g.
-           ``0.1 + 0.2`` vs ``0.3``) land in *different* batches, each
-           with its own heap entry, and execute in batch-creation order —
-           deterministic, but not coalesced.  Producers that want
-           coalescing must compute fire times identically (the
-           :class:`TimerWheel` quantizes to slot boundaries for exactly
-           this reason).
-        """
-        if delay < 0:
-            raise SimulationError(f"cannot schedule into the past (delay={delay})")
-        when = self.now + delay
-        batch = self._batches.get(when)
-        if batch is None:
-            batch = []
-            self._batches[when] = batch
-            self._call_later_pooled(delay, self._run_batch, (when,))
-        else:
-            self.batched_calls += 1
-        batch.append((fn, args))
-
-    def _run_batch(self, when: float) -> None:
-        for fn, args in self._batches.pop(when):
-            fn(*args)
 
     def timer_wheel(self, slot_width: float) -> "TimerWheel":
         """Create a :class:`TimerWheel` with slots of ``slot_width`` seconds."""
@@ -348,38 +281,18 @@ class Simulator:
         return f"<Simulator t={self.now} queued={len(self._heap)}>"
 
 
-class _WheelEntry:
-    """One periodic timer registered on a :class:`TimerWheel`."""
-
-    __slots__ = ("fn", "args", "cancelled")
-
-    def __init__(self, fn: Callable, args: tuple):
-        self.fn = fn
-        self.args = args
-        self.cancelled = False
-
-    def cancel(self) -> None:
-        self.cancelled = True
-
-
 class TimerWheel:
-    """A slotted timer: many timers, one heap entry per slot.
+    """A slotted periodic timer: many timers, one heap entry per slot.
 
-    Timers are quantized to slot boundaries (multiples of ``slot_width``)
-    and every timer due in the same slot fires from a single kernel event,
-    in registration order.  This is the swarm-scale replacement for
-    one-DES-process-per-Daemon heartbeating: 10 000 Daemons on a wheel
-    cost one heap entry and one callback sweep per heartbeat period
-    instead of 10 000 generator resumptions, Timeout allocations and heap
-    operations.
+    Every registered callback fires on each slot boundary (multiples of
+    ``slot_width``) from a single kernel event, in registration order.
+    This is the swarm-scale replacement for one-DES-process-per-Daemon
+    heartbeating: 10 000 Daemons on a wheel cost one heap entry and one
+    callback sweep per heartbeat period instead of 10 000 generator
+    resumptions, Timeout allocations and heap operations.
 
-    Two timer kinds:
-
-    * :meth:`at` / :meth:`after` — one-shot callbacks, rounded *up* to the
-      next slot boundary (a timer never fires early);
-    * :meth:`every` — periodic callbacks fired on every slot boundary
-      while registered; the callback deregisters itself by returning
-      ``False`` (or via the returned entry's ``cancel()``).
+    A callback deregisters itself by returning ``False`` (any other
+    return value keeps it).
 
     Determinism: slots fire through the ordinary event heap, callbacks
     within a slot run in registration order, and entries registered while
@@ -391,58 +304,30 @@ class TimerWheel:
             raise SimulationError(f"slot_width must be positive, got {slot_width}")
         self.sim = sim
         self.slot_width = float(slot_width)
-        self._oneshot: dict[int, list[tuple[Callable, tuple]]] = {}
-        self._periodic: list[_WheelEntry] = []
+        self._periodic: list[tuple[Callable, tuple]] = []
         self._armed: set[int] = set()
         self.slots_fired = 0
         self.timers_fired = 0
 
     # -- registration -------------------------------------------------------
 
-    def _slot_of(self, time: float) -> int:
-        """Index of the first slot boundary at or after ``time``."""
-        slot = math.ceil(time / self.slot_width)
-        # float fuzz: ceil(3.0000000000000004/1.0) must stay 3, not 4
-        if (slot - 1) * self.slot_width >= time - 1e-12 * max(1.0, abs(time)):
-            slot -= 1
-        return slot
-
-    def at(self, time: float, fn: Callable, *args) -> None:
-        """Fire ``fn(*args)`` at the first slot boundary >= ``time``."""
-        if time < self.sim.now:
-            raise SimulationError(f"cannot schedule into the past (t={time})")
-        slot = self._slot_of(time)
-        self._oneshot.setdefault(slot, []).append((fn, args))
-        self._arm(slot)
-
-    def after(self, delay: float, fn: Callable, *args) -> None:
-        """Fire ``fn(*args)`` at the first slot boundary >= now + ``delay``."""
-        if delay < 0:
-            raise SimulationError(f"negative delay {delay}")
-        self.at(self.sim.now + delay, fn, *args)
-
-    def every(self, fn: Callable, *args) -> _WheelEntry:
-        """Fire ``fn(*args)`` on every slot boundary, starting with the next.
-
-        ``fn`` returning ``False`` removes the entry (any other return
-        value keeps it); the returned handle's ``cancel()`` does the same
-        from outside.
-        """
-        entry = _WheelEntry(fn, args)
-        self._periodic.append(entry)
+    def every(self, fn: Callable, *args) -> None:
+        """Fire ``fn(*args)`` on every slot boundary, starting with the next;
+        ``fn`` returning ``False`` removes it."""
+        self._periodic.append((fn, args))
         self._arm(self._next_boundary())
-        return entry
 
     def _next_boundary(self) -> int:
-        """The next slot boundary strictly after ``now`` (periodic timers
-        registered exactly on a boundary first fire one slot later)."""
-        return self._slot_of(self.sim.now) + 1 if self._on_boundary() \
-            else self._slot_of(self.sim.now)
+        """Index of the next slot boundary strictly after ``now``.
 
-    def _on_boundary(self) -> bool:
-        slot = self._slot_of(self.sim.now)
-        return abs(slot * self.slot_width - self.sim.now) <= \
-            1e-12 * max(1.0, abs(self.sim.now))
+        A timer registered on a boundary first fires one slot later; the
+        tolerance keeps float fuzz (``3 * 0.1`` vs ``0.3``) from reading
+        a boundary as the instant just before or after it."""
+        now = self.sim.now
+        slot = math.ceil(now / self.slot_width)
+        if abs(slot * self.slot_width - now) <= 1e-12 * max(1.0, abs(now)):
+            slot += 1
+        return slot
 
     # -- firing -------------------------------------------------------------
 
@@ -451,35 +336,26 @@ class TimerWheel:
             return
         self._armed.add(slot)
         delay = max(0.0, slot * self.slot_width - self.sim.now)
-        self.sim.call_later_batched(delay, self._fire, slot)
+        self.sim.call_later(delay, self._fire, slot)
 
     def _fire(self, slot: int) -> None:
         self._armed.discard(slot)
         self.slots_fired += 1
-        if self._periodic:
-            survivors: list[_WheelEntry] = []
-            snapshot = self._periodic
-            # entries registered by a firing callback land in a fresh list
-            # and first fire on the NEXT boundary
-            self._periodic = []
-            for entry in snapshot:
-                if entry.cancelled:
-                    continue
-                self.timers_fired += 1
-                if entry.fn(*entry.args) is False:
-                    entry.cancelled = True
-                    continue
-                survivors.append(entry)
-            self._periodic = survivors + self._periodic
-        for fn, args in self._oneshot.pop(slot, ()):
-            self.timers_fired += 1
-            fn(*args)
-        if self._periodic:
+        snapshot = self._periodic
+        # entries registered by a firing callback land in a fresh list
+        # and first fire on the NEXT boundary
+        self._periodic = []
+        self.timers_fired += len(snapshot)
+        survivors = [entry for entry in snapshot
+                     if entry[0](*entry[1]) is not False]
+        survivors.extend(self._periodic)
+        self._periodic = survivors
+        if survivors:
             self._arm(slot + 1)
 
     def __len__(self) -> int:
-        """Live periodic entries (cancelled ones are swept on firing)."""
-        return sum(not e.cancelled for e in self._periodic)
+        """Registered periodic entries."""
+        return len(self._periodic)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"<TimerWheel width={self.slot_width} periodic={len(self)} "

@@ -97,12 +97,12 @@ class RunSpec:
     standby: bool = False
     #: run with a worker-local tracer and ship the RunReport back
     traced: bool = False
-    #: trace sink for ``traced`` runs (docs/scaling.md): "memory" (the
-    #: historical unbounded-ish tracer), "ring" (fixed-capacity window) or
-    #: "jsonl" (spill to ``trace_path``, memory stays bounded)
+    #: trace sink for ``traced`` runs (docs/scaling.md): "memory" (a ring
+    #: of the newest events) or "jsonl" (spill every event to
+    #: ``trace_path``, memory stays bounded)
     trace_sink: str = "memory"
-    #: sink-specific bound: max buffered events / ring capacity / JSONL
-    #: tail size (None = the sink's default)
+    #: the sink's in-memory bound, >= 1: ring size / JSONL tail size
+    #: (None = the sink's default)
     trace_capacity: int | None = None
     #: JSONL spill destination (required when ``trace_sink="jsonl"``)
     trace_path: str | None = None

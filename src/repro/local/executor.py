@@ -71,14 +71,8 @@ class ThreadedEngine:
         self.app = app
         self.mode = mode
         self.pace_sleep = pace_sleep
-        self.threshold = (
-            app.convergence_threshold
-            if app.convergence_threshold is not None
-            else convergence_threshold
-        )
-        self.window = (
-            app.stability_window if app.stability_window is not None else stability_window
-        )
+        self.threshold, self.window = app.convergence(
+            convergence_threshold, stability_window)
         self.max_iterations = max_iterations
 
     def run(self) -> LocalResult:

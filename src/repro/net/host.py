@@ -68,13 +68,6 @@ class Endpoint:
             raise NetworkError(f"recv() on closed endpoint {self.address}")
         return self.mailbox.get()
 
-    def recv_nowait(self):
-        """Next buffered message or None."""
-        return self.mailbox.get_nowait()
-
-    def drain(self) -> list:
-        return self.mailbox.drain()
-
     def deliver(self, message: "Message") -> bool:
         """Called by the network; returns False if the message was dropped."""
         if self.closed or not self.host.online:

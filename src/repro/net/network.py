@@ -241,9 +241,9 @@ class Network:
             and self.corruptor is None
             and not tr.enabled
         ):
-            sim._call_later_pooled(delay, self._deliver_fast, (msg,))
+            sim.call_later(delay, self._deliver_fast, msg)
         else:
-            sim._call_later_pooled(delay, self._deliver, (msg,))
+            sim.call_later(delay, self._deliver, msg)
         return msg
 
     def _deliver_fast(self, msg: Message) -> None:

@@ -24,7 +24,7 @@ Enable tracing on any run by handing the cluster a recording tracer::
 """
 
 from repro.obs.trace import NULL_TRACER, NullTracer, TraceEvent, Tracer
-from repro.obs.sinks import JsonlTracer, RingTracer, make_tracer, read_jsonl_trace
+from repro.obs.sinks import JsonlTracer, make_tracer, read_jsonl_trace
 from repro.obs.instruments import RecoveryRecord, RunTelemetry
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.obs.exporters import (
@@ -42,7 +42,6 @@ __all__ = [
     "Tracer",
     "NullTracer",
     "NULL_TRACER",
-    "RingTracer",
     "JsonlTracer",
     "make_tracer",
     "read_jsonl_trace",

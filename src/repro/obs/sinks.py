@@ -1,71 +1,36 @@
-"""Bounded and streaming trace sinks for swarm-scale runs.
+"""The streaming trace sink for swarm-scale runs.
 
-The default :class:`~repro.obs.trace.Tracer` keeps every event in memory —
-fine for a 16-peer run, fatal for a 10 000-Daemon swarm emitting 10^8
-events.  Two sinks bound the footprint:
-
-* :class:`RingTracer` — a fixed-capacity ring buffer: the newest
-  ``capacity`` events stay addressable (``select``/exporters work on the
-  window), everything older is dropped and counted.  O(capacity) memory,
-  zero I/O.
-* :class:`JsonlTracer` — a spill-to-disk sink: events stream to a JSONL
-  file in buffered batches, rotating to numbered segments at
-  ``max_bytes``; only a small in-memory *tail* ring (for ``RunReport``
-  and quick inspection) and the exact per-``(category, kind)`` counters
-  stay resident.  Memory is O(buffer + tail) no matter how many events
-  the run emits; :func:`read_jsonl_trace` round-trips the segments back
-  into :class:`TraceEvent` records.
+The default :class:`~repro.obs.trace.Tracer` keeps a ring of the newest
+``max_events`` events in memory — fine for a 16-peer run, lossy for a
+10 000-Daemon swarm emitting 10^8 events.  :class:`JsonlTracer` keeps
+them all: events stream to a JSONL file in buffered batches, rotating to
+numbered segments at ``max_bytes``; only a small in-memory *tail* ring
+(for ``RunReport`` and quick inspection) and the exact per-``(category,
+kind)`` counters stay resident.  Memory is O(buffer + tail) no matter
+how many events the run emits; :func:`read_jsonl_trace` round-trips the
+segments back into :class:`TraceEvent` records.
 
 Both sinks keep :attr:`Tracer.counts` exact over the whole run, so
-:func:`~repro.obs.report.build_run_report` works unchanged on any sink.
+:func:`~repro.obs.report.build_run_report` works unchanged on either.
 Select one per run through :class:`~repro.exec.spec.RunSpec`
-(``trace_sink="ring" | "jsonl"``) or build one directly via
+(``trace_sink="memory" | "jsonl"``) or build one directly via
 :func:`make_tracer`.
 """
 
 from __future__ import annotations
 
 import json
-from collections import deque
 from pathlib import Path
 
 from repro.errors import ConfigurationError
 from repro.obs.trace import TraceEvent, Tracer
 
-__all__ = ["RingTracer", "JsonlTracer", "make_tracer", "read_jsonl_trace"]
+__all__ = ["JsonlTracer", "make_tracer", "read_jsonl_trace"]
 
-#: default ring capacity / JSONL tail size
-DEFAULT_RING_CAPACITY = 100_000
 #: default JSONL write-buffer size (events per flush)
 DEFAULT_FLUSH_EVERY = 10_000
 #: default JSONL segment rotation threshold
 DEFAULT_MAX_BYTES = 256 * 1024 * 1024
-
-
-class RingTracer(Tracer):
-    """Fixed-capacity ring buffer over the newest events.
-
-    ``dropped`` counts evicted events; ``counts`` stays exact for the
-    whole run.  Unlike the base tracer's drop-half policy, memory never
-    exceeds ``capacity`` events.
-    """
-
-    def __init__(self, capacity: int = DEFAULT_RING_CAPACITY):
-        if capacity < 1:
-            raise ConfigurationError("ring capacity must be >= 1")
-        super().__init__(max_events=capacity)
-        self.capacity = capacity
-        self.events = deque(maxlen=capacity)  # type: ignore[assignment]
-
-    def emit(self, time, category, entity, kind, **attrs) -> TraceEvent:
-        self._seq += 1
-        ev = TraceEvent(float(time), category, entity, kind, attrs, self._seq)
-        if len(self.events) == self.capacity:
-            self.dropped += 1  # deque evicts the oldest on append
-        self.events.append(ev)
-        key = (category, kind)
-        self.counts[key] = self.counts.get(key, 0) + 1
-        return ev
 
 
 class JsonlTracer(Tracer):
@@ -96,7 +61,6 @@ class JsonlTracer(Tracer):
         self.path = Path(path)
         self.flush_every = flush_every
         self.max_bytes = max_bytes
-        self.events = deque(maxlen=tail_events)  # type: ignore[assignment]
         self.written = 0  # events flushed to disk
         self.segments = 0  # rotations performed
         self._buffer: list[str] = []
@@ -106,11 +70,7 @@ class JsonlTracer(Tracer):
         self.path.write_text("")  # truncate: one sink owns one trace
 
     def emit(self, time, category, entity, kind, **attrs) -> TraceEvent:
-        self._seq += 1
-        ev = TraceEvent(float(time), category, entity, kind, attrs, self._seq)
-        self.events.append(ev)
-        key = (category, kind)
-        self.counts[key] = self.counts.get(key, 0) + 1
+        ev = super().emit(time, category, entity, kind, **attrs)
         line = json.dumps(ev.as_dict(), sort_keys=True,
                           separators=(",", ":"), default=repr)
         self._buffer.append(line)
@@ -185,16 +145,13 @@ def make_tracer(sink: str = "memory", capacity: int | None = None,
                 path=None, **kwargs) -> Tracer:
     """Build the trace sink selected by a :class:`~repro.exec.spec.RunSpec`.
 
-    ``sink="memory"`` is the historical unbounded-ish default tracer
-    (drop-half beyond ``capacity``); ``"ring"`` a :class:`RingTracer`;
-    ``"jsonl"`` a :class:`JsonlTracer` spilling to ``path``.  ``capacity``
-    maps to the sink's natural bound (max events / ring size / tail
-    size); extra ``kwargs`` pass through to the sink constructor.
+    ``sink="memory"`` is the in-memory ring :class:`Tracer`; ``"jsonl"`` a
+    :class:`JsonlTracer` spilling to ``path``.  ``capacity`` maps to the
+    sink's in-memory bound (ring size / tail size) and must be >= 1;
+    extra ``kwargs`` pass through to the sink constructor.
     """
     if sink == "memory":
-        return Tracer(max_events=capacity) if capacity else Tracer()
-    if sink == "ring":
-        return RingTracer(capacity or DEFAULT_RING_CAPACITY)
+        return Tracer() if capacity is None else Tracer(max_events=capacity)
     if sink == "jsonl":
         if path is None:
             raise ConfigurationError('trace sink "jsonl" needs a trace_path')
@@ -202,5 +159,5 @@ def make_tracer(sink: str = "memory", capacity: int | None = None,
             kwargs.setdefault("tail_events", capacity)
         return JsonlTracer(path, **kwargs)
     raise ConfigurationError(
-        f'unknown trace sink {sink!r} (choose "memory", "ring" or "jsonl")'
+        f'unknown trace sink {sink!r} (choose "memory" or "jsonl")'
     )

@@ -22,8 +22,11 @@ events.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterator
+
+from repro.errors import ConfigurationError
 
 __all__ = ["TraceEvent", "Tracer", "NullTracer", "NULL_TRACER"]
 
@@ -64,17 +67,21 @@ class TraceEvent:
 
 
 class Tracer:
-    """Recording trace bus.
+    """Recording trace bus over a ring of the newest events.
 
-    ``max_events`` bounds memory for very long runs: when exceeded the
-    oldest half of the buffer is dropped (``dropped`` counts them), while
-    the per-``(category, kind)`` counters stay exact over the whole run.
+    ``max_events`` bounds memory for very long runs: the buffer keeps the
+    newest ``max_events`` events and ``dropped`` counts the evicted ones,
+    while the per-``(category, kind)`` counters stay exact over the whole
+    run.
     """
 
     enabled = True
 
     def __init__(self, max_events: int = 2_000_000):
-        self.events: list[TraceEvent] = []
+        if max_events < 1:
+            raise ConfigurationError(
+                f"trace capacity must be >= 1, got {max_events}")
+        self.events: deque[TraceEvent] = deque(maxlen=max_events)
         self.max_events = max_events
         self.counts: dict[tuple[str, str], int] = {}
         self.dropped = 0
@@ -86,13 +93,11 @@ class Tracer:
         """Record one event; returns it (handy in tests)."""
         self._seq += 1
         ev = TraceEvent(float(time), category, entity, kind, attrs, self._seq)
+        if len(self.events) == self.max_events:
+            self.dropped += 1  # the deque evicts the oldest on append
         self.events.append(ev)
         key = (category, kind)
         self.counts[key] = self.counts.get(key, 0) + 1
-        if len(self.events) > self.max_events:
-            drop = len(self.events) // 2
-            del self.events[:drop]
-            self.dropped += drop
         return ev
 
     def count(self, category: str | None = None, kind: str | None = None) -> int:
@@ -150,7 +155,7 @@ class NullTracer(Tracer):
     enabled = False
 
     def __init__(self):
-        super().__init__(max_events=0)
+        super().__init__(max_events=1)
 
     def emit(self, time, category, entity, kind, **attrs) -> None:  # type: ignore[override]
         return None

@@ -583,14 +583,7 @@ class Daemon(RemoteObject):
             self._trace("adopt_refused", reign=reign,
                         current=runner.leader_reign)
             return False
-        runner.leader_reign = reign
-        runner.spawner_stub = spawner_stub
-        self._trace("adopt_spawner", reign=reign,
-                    spawner=str(spawner_stub.address))
-        # reconcile with the new leader's register (idempotent when its
-        # shadow already knew us; reclaims our slot when it did not)
-        self.host.spawn(self._reattach(runner, spawner_stub),
-                        label=f"{self.daemon_id}:reattach")
+        self._adopt(runner, reign, spawner_stub)
         return True
 
     def _on_spawner_rumor(self, key, version, value) -> None:
@@ -609,12 +602,19 @@ class Daemon(RemoteObject):
         address = value.get("address") if isinstance(value, dict) else None
         if address is None:
             return
-        stub = Stub(SPAWNER_OBJECT, address)
+        self._adopt(runner, reign, Stub(SPAWNER_OBJECT, address), via="gossip")
+
+    def _adopt(self, runner: TaskRunner, reign: int, spawner_stub: Stub,
+               **via) -> None:
+        """Follow the leader ``spawner_stub`` of ``reign`` (already checked
+        to be newer than the runner's) and reconcile with it."""
         runner.leader_reign = reign
-        runner.spawner_stub = stub
-        self._trace("adopt_spawner", reign=reign, spawner=str(address),
-                    via="gossip")
-        self.host.spawn(self._reattach(runner, stub),
+        runner.spawner_stub = spawner_stub
+        self._trace("adopt_spawner", reign=reign,
+                    spawner=str(spawner_stub.address), **via)
+        # reconcile with the new leader's register (idempotent when its
+        # shadow already knew us; reclaims our slot when it did not)
+        self.host.spawn(self._reattach(runner, spawner_stub),
                         label=f"{self.daemon_id}:reattach")
 
     def _reattach(self, runner: TaskRunner, spawner_stub: Stub):

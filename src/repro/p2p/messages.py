@@ -109,3 +109,12 @@ class AppSpec:
             raise ConfigurationError("app_id must be non-empty")
         if self.num_tasks < 1:
             raise ConfigurationError("num_tasks must be >= 1")
+
+    def convergence(self, threshold: float, window: int) -> tuple[float, int]:
+        """``(threshold, window)`` for this app: its own overrides win over
+        the engine defaults passed in."""
+        return (
+            threshold if self.convergence_threshold is None
+            else self.convergence_threshold,
+            window if self.stability_window is None else self.stability_window,
+        )

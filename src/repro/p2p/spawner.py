@@ -114,16 +114,8 @@ class Spawner(RemoteObject):
         self.epidemic_lags = 0
         self.reattachments = 0
         self._reattach_dirty = False
-        self.threshold = (
-            app.convergence_threshold
-            if app.convergence_threshold is not None
-            else config.convergence_threshold
-        )
-        self.window = (
-            app.stability_window
-            if app.stability_window is not None
-            else config.stability_window
-        )
+        self.threshold, self.window = app.convergence(
+            config.convergence_threshold, config.stability_window)
 
         self.runtime = RmiRuntime(
             network, host, config.spawner_port,

@@ -10,9 +10,16 @@ baseline run must not move by a single bit.
 import pytest
 
 from repro.exec import RunSpec
-from repro.faults import FaultInjector, FaultPlan, SpawnerCrash, scenario
+from repro.faults import (
+    FaultInjector,
+    FaultPlan,
+    SpawnerCrash,
+    scenario,
+    scenario_overrides,
+)
 from repro.gossip import GossipAgent, PeerStore
 from repro.net.address import Address
+from repro.obs import Tracer
 from repro.checkpoint import FixedPolicy
 from repro.p2p import (
     P2PConfig,
@@ -231,6 +238,35 @@ def test_ghost_runners_reattach_to_the_promoted_spawner():
     adopted = [d for d in cluster.daemons.values()
                if d.runner is None or d.runner.leader_reign == promoted.reign]
     assert len(adopted) == len(cluster.daemons)
+
+
+def test_both_adoption_routes_trace_one_shape():
+    """A direct takeover announcement and a gossiped leadership beat
+    re-point a runner through the same step: their ``adopt_spawner``
+    events differ only in the gossip route's ``via`` tag."""
+    direct = Tracer()
+    cluster = build_cluster(n_daemons=6, n_superpeers=2, seed=4,
+                            config=GOSSIP_FAST, checkpoint=CKPT,
+                            tracer=direct)
+    app = _slow_app()
+    store = StableStore()
+    primary = launch_application(cluster, app, stable_store=store)
+    standby = launch_standby(cluster, app, primary, stable_store=store)
+    FaultInjector(cluster.sim, FaultPlan.of(SpawnerCrash(time=2.0)),
+                  rng=RngTree(1).child("faults"), cluster=cluster)
+    sim = cluster.sim
+    sim.run(until=sim.any_of([standby.done, sim.timeout(300.0)]))
+    gossiped = Tracer()
+    RunSpec(n=16, peers=3, seed=11, convergence_threshold=1e-6,
+            faults=scenario("spawner-down"),
+            **scenario_overrides("spawner-down")).run(tracer=gossiped)
+    shapes = set()
+    for tracer in (direct, gossiped):
+        for ev in tracer.select(kind="adopt_spawner"):
+            assert ev.attrs["reign"] > 1
+            assert ev.attrs.get("via", "gossip") == "gossip"
+            shapes.add(tuple(ev.attrs))
+    assert shapes == {("reign", "spawner"), ("reign", "spawner", "via")}
 
 
 def test_spawner_flap_keeps_exactly_one_leader():

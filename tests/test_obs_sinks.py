@@ -1,9 +1,9 @@
-"""Tests for the bounded/streaming trace sinks (repro.obs.sinks).
+"""Tests for the trace sinks (repro.obs.trace, repro.obs.sinks).
 
-Ring-buffer capacity and drop accounting, JSONL spill + segment rotation
-round-trips, the ``make_tracer`` factory behind RunSpec's ``trace_sink``
-knob, and the end-to-end plumbing: a traced run on a bounded sink still
-produces a full :class:`RunReport`.
+The in-memory tracer's ring window and drop accounting, JSONL spill +
+segment rotation round-trips, the ``make_tracer`` factory behind
+RunSpec's ``trace_sink`` knob, and the end-to-end plumbing: a traced run
+on a bounded sink still produces a full :class:`RunReport`.
 """
 
 import json
@@ -14,7 +14,6 @@ from repro.errors import ConfigurationError
 from repro.exec import RunSpec
 from repro.obs import (
     JsonlTracer,
-    RingTracer,
     Tracer,
     make_tracer,
     read_jsonl_trace,
@@ -26,11 +25,11 @@ def fill(tracer, n, kind="k"):
         tracer.emit(float(i), "cat", f"e{i}", kind, i=i)
 
 
-# -- ring sink ---------------------------------------------------------------
+# -- memory sink (a ring) -----------------------------------------------------------
 
 
 def test_ring_keeps_newest_window():
-    tr = RingTracer(capacity=10)
+    tr = Tracer(max_events=10)
     fill(tr, 25)
     assert len(tr.events) == 10
     assert [ev.time for ev in tr.events] == [float(t) for t in range(15, 25)]
@@ -40,14 +39,14 @@ def test_ring_keeps_newest_window():
 
 
 def test_ring_under_capacity_drops_nothing():
-    tr = RingTracer(capacity=10)
+    tr = Tracer(max_events=10)
     fill(tr, 7)
     assert len(tr.events) == 7
     assert tr.dropped == 0
 
 
 def test_ring_select_works_on_window():
-    tr = RingTracer(capacity=5)
+    tr = Tracer(max_events=5)
     fill(tr, 8, kind="a")
     tr.emit(99.0, "cat", "x", "b")
     assert [ev.kind for ev in tr.select(kind="b")] == ["b"]
@@ -56,7 +55,7 @@ def test_ring_select_works_on_window():
 
 def test_ring_rejects_bad_capacity():
     with pytest.raises(ConfigurationError):
-        RingTracer(capacity=0)
+        Tracer(max_events=0)
 
 
 # -- jsonl sink --------------------------------------------------------------
@@ -121,7 +120,7 @@ def test_jsonl_lines_are_valid_json(tmp_path):
 
 def test_make_tracer_dispatch(tmp_path):
     assert type(make_tracer("memory")) is Tracer
-    assert isinstance(make_tracer("ring", capacity=5), RingTracer)
+    assert make_tracer("memory", capacity=5).events.maxlen == 5
     jt = make_tracer("jsonl", capacity=7, path=tmp_path / "t.jsonl")
     assert isinstance(jt, JsonlTracer)
     assert jt.events.maxlen == 7  # capacity maps to the tail ring
@@ -131,7 +130,17 @@ def test_make_tracer_rejects_unknown_and_pathless(tmp_path):
     with pytest.raises(ConfigurationError):
         make_tracer("sqlite")
     with pytest.raises(ConfigurationError):
+        make_tracer("ring")  # folded into "memory"
+    with pytest.raises(ConfigurationError):
         make_tracer("jsonl")  # no path
+
+
+@pytest.mark.parametrize("sink", ["memory", "jsonl"])
+@pytest.mark.parametrize("capacity", [0, -1])
+def test_make_tracer_rejects_capacity_below_one(tmp_path, sink, capacity):
+    # a zero capacity is an error on every sink, not "use the default"
+    with pytest.raises(ConfigurationError):
+        make_tracer(sink, capacity=capacity, path=tmp_path / "t.jsonl")
 
 
 def test_base_tracer_close_is_noop():
@@ -145,12 +154,14 @@ def test_base_tracer_close_is_noop():
 
 
 def test_runspec_traced_run_on_ring_sink():
-    result = RunSpec(n=12, peers=2, traced=True, trace_sink="ring",
+    # the memory sink is the ring: a 500-event window overflows on this run
+    result = RunSpec(n=12, peers=2, traced=True, trace_sink="memory",
                      trace_capacity=500).execute()
     assert result.converged
     report = result.run_report
     assert report is not None
-    assert report.event_counts  # counts survived the bounded window
+    assert sum(report.event_counts.values()) > 500
+    # counts survived the bounded window
 
 
 def test_runspec_traced_run_on_jsonl_sink(tmp_path):
@@ -167,5 +178,8 @@ def test_runspec_traced_run_on_jsonl_sink(tmp_path):
 
 def test_runspec_key_covers_sink_fields(tmp_path):
     base = RunSpec(n=12, peers=2, traced=True)
-    ring = RunSpec(n=12, peers=2, traced=True, trace_sink="ring")
-    assert base.key() != ring.key()
+    bounded = RunSpec(n=12, peers=2, traced=True, trace_capacity=500)
+    assert base.key() != bounded.key()
+    jsonl = RunSpec(n=12, peers=2, traced=True, trace_sink="jsonl",
+                    trace_path=str(tmp_path / "t.jsonl"))
+    assert base.key() != jsonl.key()

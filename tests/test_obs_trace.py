@@ -39,13 +39,13 @@ def test_select_filters():
     assert len(tr.select(since=0.5, until=1.5)) == 1
 
 
-def test_max_events_drops_oldest_half_but_counts_stay_exact():
+def test_max_events_keeps_newest_window_and_exact_counts():
     tr = Tracer(max_events=10)
     for i in range(11):
         tr.emit(float(i), "net", "fabric", "send", i=i)
-    assert tr.dropped == 5
-    assert len(tr) == 6
-    assert tr.events[0].attrs["i"] == 5  # oldest half gone
+    assert tr.dropped == 1
+    assert len(tr) == 10
+    assert tr.events[0].attrs["i"] == 1  # only the oldest event evicted
     assert tr.count("net", "send") == 11  # counter unaffected
 
 

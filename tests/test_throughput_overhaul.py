@@ -1,9 +1,10 @@
 """Kernel & message-plane throughput overhaul: correctness guarantees.
 
-Covers the pooled :class:`ScheduledCall` fast lane, the float-keyed batch
-contract, TimerWheel × cancellation interactions, the oneway RMI fast
-path's bitwise identity with the object pipeline (which a traced run takes
-for every transfer), and the profiling harness' report schema.
+Covers the pooled :class:`~repro.des.kernel.ScheduledCall` lane behind
+``Simulator.call_later``, a churned Daemon leaving the heartbeat wheel,
+the oneway RMI fast path's bitwise identity with the object pipeline
+(which a traced run takes for every transfer), and the profiling
+harness' report schema.
 """
 
 import json
@@ -11,81 +12,32 @@ import json
 import pytest
 
 from repro.des import Simulator
-from repro.des.kernel import ScheduledCall
 from repro.errors import SimulationError
 
 
 # ------------------------------------------------------------ ScheduledCall
 
 
-def test_call_later_returns_cancellable_handle():
-    sim = Simulator()
-    fired = []
-    handle = sim.call_later(1.0, fired.append, "a")
-    assert isinstance(handle, ScheduledCall)
-    sim.call_later(2.0, fired.append, "b")
-    handle.cancel()
-    sim.run()
-    assert fired == ["b"]
-    assert sim.now == 2.0
-
-
-def test_cancel_after_fire_is_harmless():
-    sim = Simulator()
-    fired = []
-    handle = sim.call_later(1.0, fired.append, "x")
-    sim.run()
-    handle.cancel()  # late cancel of an already-fired handle: no-op
-    sim.run()
-    assert fired == ["x"]
-
-
 def test_call_later_rejects_negative_delay():
     sim = Simulator()
     with pytest.raises(SimulationError):
         sim.call_later(-0.1, lambda: None)
-    with pytest.raises(SimulationError):
-        sim.call_later_batched(-0.1, lambda: None)
-
-
-def test_lazy_cancellation_keeps_heap_bounded_under_churn():
-    """Tombstoned entries are reclaimed at their fire time — the heap never
-    accumulates more than one generation of cancelled timers."""
-    sim = Simulator()
-    for round_ in range(50):
-        handles = [sim.call_later(0.5, lambda: None) for _ in range(100)]
-        for h in handles:
-            h.cancel()
-        sim.run()  # drains the tombstones of this generation
-        assert len(sim._heap) == 0
-    assert sim.now == 50 * 0.5  # cancelled timers still advance to fire time
 
 
 def test_pooled_entries_are_recycled():
     sim = Simulator()
     fired = []
-    sim._call_later_pooled(1.0, fired.append, (1,))
+    assert sim.call_later(1.0, fired.append, 1) is None  # no handle escapes
     sim.run()
     assert fired == [1]
     assert len(sim._call_pool) == 1
     recycled = sim._call_pool[0]
     assert recycled.fn is None  # no dangling reference to the last callback
-    sim._call_later_pooled(1.0, fired.append, (2,))
+    sim.call_later(1.0, fired.append, 2)
     assert not sim._call_pool  # the free list was reused, not regrown
     sim.run()
     assert fired == [1, 2]
     assert sim._call_pool[0] is recycled
-
-
-def test_public_handles_are_never_recycled():
-    """A caller may hold a call_later handle indefinitely; firing must not
-    push it onto the pool (a later cancel() would corrupt a recycled
-    entry)."""
-    sim = Simulator()
-    handle = sim.call_later(1.0, lambda: None)
-    sim.run()
-    assert handle not in sim._call_pool
-    assert handle.fn is not None
 
 
 def test_event_count_is_live_during_callbacks():
@@ -102,81 +54,7 @@ def test_event_count_is_live_during_callbacks():
     assert sim.event_count == 5
 
 
-# -------------------------------------------------- float-keyed batch hazard
-
-
-def test_batched_calls_coalesce_only_on_bit_equal_times():
-    """Regression for the ``_batches`` float-keying contract: fire times
-    that are mathematically equal but differ in the last ulp land in
-    separate batches (each with its own heap entry) and run in batch
-    creation order."""
-    sim = Simulator()
-    order = []
-    # 0.1 + 0.2 != 0.3 in binary: two distinct keys
-    sim.call_later_batched(0.1 + 0.2, order.append, "ulp")
-    sim.call_later_batched(0.3, order.append, "exact")
-    assert len(sim._batches) == 2
-    sim.run()
-    assert order == ["exact", "ulp"]  # 0.3 < 0.1+0.2 by one ulp
-    assert sim.batched_calls == 0  # nothing actually shared an entry
-
-    sim2 = Simulator()
-    order2 = []
-    sim2.call_later_batched(0.25, order2.append, "a")
-    sim2.call_later_batched(0.25, order2.append, "b")  # bit-equal: coalesces
-    assert len(sim2._batches) == 1
-    sim2.run()
-    assert order2 == ["a", "b"]
-    assert sim2.batched_calls == 1
-
-
-def test_batched_and_unbatched_interleave_deterministically():
-    """An unbatched call at the same fire time orders against the *batch's*
-    single sequence number: everything scheduled before the batch was
-    created runs first, everything after runs last — regardless of when
-    members joined the batch."""
-    sim = Simulator()
-    order = []
-    sim.call_later(1.0, order.append, "pre")       # seq 1
-    sim.call_later_batched(1.0, order.append, "b1")  # batch entry: seq 2
-    sim.call_later(1.0, order.append, "post")      # seq 3
-    sim.call_later_batched(1.0, order.append, "b2")  # joins seq-2 batch
-    sim.run()
-    assert order == ["pre", "b1", "b2", "post"]
-
-
-# ------------------------------------------------- TimerWheel × cancellation
-
-
-def test_wheel_entry_cancelled_before_boundary_never_fires():
-    sim = Simulator()
-    wheel = sim.timer_wheel(1.0)
-    fired = []
-    entry = wheel.every(fired.append, "dead")
-    wheel.every(fired.append, "alive")
-    entry.cancel()
-    sim.run(until=3.5)
-    assert "dead" not in fired
-    assert fired == ["alive"] * 3
-    assert len(wheel) == 1  # the cancelled entry was swept
-
-
-def test_wheel_cancel_from_sibling_callback_suppresses_same_slot_fire():
-    """A callback cancelling a later entry in the *same* slot must win:
-    the sweep re-checks the tombstone right before invoking."""
-    sim = Simulator()
-    wheel = sim.timer_wheel(1.0)
-    fired = []
-    entries = {}
-
-    def killer():
-        fired.append("killer")
-        entries["victim"].cancel()
-
-    wheel.every(killer)
-    entries["victim"] = wheel.every(fired.append, "victim")
-    sim.run(until=1.5)
-    assert fired == ["killer"]
+# ------------------------------------------------------ TimerWheel × churn
 
 
 def test_interrupted_daemon_heartbeat_does_not_fire():

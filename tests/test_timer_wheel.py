@@ -1,11 +1,11 @@
-"""Tests for the slotted TimerWheel and batched kernel scheduling.
+"""Tests for the slotted periodic TimerWheel.
 
 The wheel is the swarm-scale heartbeat substrate (docs/scaling.md): these
-tests pin the quantization rule (round *up* to a slot boundary, never fire
-early), the in-slot firing order, the next-boundary semantics for entries
-registered mid-fire, and — the point of the exercise — that a wheel full
-of timers costs one kernel event per slot where the per-process reference
-pays one per timer.
+tests pin the quantization rule (a timer registered mid-slot first fires
+on the next boundary, never early), the in-slot firing order, the
+next-boundary semantics for entries registered mid-fire, and — the point
+of the exercise — that a wheel full of timers costs one kernel event per
+slot where the per-process reference pays one per timer.
 """
 
 import pytest
@@ -21,32 +21,50 @@ def make_wheel(width=WIDTH):
     return sim, sim.timer_wheel(width)
 
 
-# -- one-shot quantization ----------------------------------------------------
+def at(sim, when, fn, *args):
+    """Call ``fn(*args)`` at simulated time ``when`` (from a process)."""
+
+    def proc():
+        yield sim.timeout(when)
+        fn(*args)
+
+    sim.process(proc())
+
+
+def once(log, item):
+    """A periodic callback that records one firing and deregisters."""
+
+    def tick():
+        log.append(item)
+        return False
+
+    return tick
+
+
+# -- quantization ---------------------------------------------------------------
 
 
 def test_after_rounds_up_to_slot_boundary():
+    # registered 0.25 s in: the first firing is the 0.3 boundary
     sim, wheel = make_wheel()
     fired = []
-    wheel.after(0.25, lambda: fired.append(sim.now))
+
+    def tick():
+        fired.append(sim.now)
+        return False
+
+    at(sim, 0.25, wheel.every, tick)
     sim.run()
     assert fired == [pytest.approx(0.3)]
-
-
-def test_at_on_exact_boundary_fires_on_that_boundary():
-    sim, wheel = make_wheel()
-    fired = []
-    wheel.at(0.2, lambda: fired.append(sim.now))
-    sim.run()
-    assert fired == [pytest.approx(0.2)]
-    assert wheel.slots_fired == 1
 
 
 def test_same_slot_fires_in_registration_order():
     sim, wheel = make_wheel()
     order = []
-    wheel.after(0.28, order.append, "a")
-    wheel.after(0.21, order.append, "b")  # different delay, same slot (0.3)
-    wheel.after(0.30, order.append, "c")
+    # different registration times, same slot (0.3)
+    at(sim, 0.28, wheel.every, once(order, "c"))
+    at(sim, 0.21, wheel.every, once(order, "a"))
+    at(sim, 0.25, wheel.every, once(order, "b"))
     sim.run()
     assert order == ["a", "b", "c"]
     assert wheel.slots_fired == 1  # one kernel event served all three
@@ -54,23 +72,24 @@ def test_same_slot_fires_in_registration_order():
 
 
 def test_float_fuzz_does_not_skip_a_slot():
-    # 3 * 0.1 accumulates to 0.30000000000000004; a timer for "0.3" must
-    # still land on slot 3, not slip to slot 4
+    # three 0.1 timeouts accumulate to 0.30000000000000004 and the literal
+    # 0.3 sits an ulp below 3 * 0.1: both are the 0.3 boundary, so both
+    # timers first fire together one slot later — neither an ulp after
+    # registering nor a slot late
     sim, wheel = make_wheel()
     fired = []
-    wheel.at(3 * 0.1, lambda: fired.append(sim.now))
+
+    def accumulate():
+        for _ in range(3):
+            yield sim.timeout(0.1)
+        wheel.every(once(fired, sim.now))
+
+    sim.process(accumulate())
+    at(sim, 0.3, wheel.every, once(fired, 0.3))
     sim.run()
-    assert fired and fired[0] == pytest.approx(0.3, abs=1e-9)
+    assert fired == [0.3, 0.1 + 0.1 + 0.1]  # 0.3 is the earlier float
+    assert sim.now == pytest.approx(0.4, abs=1e-9)
     assert wheel.slots_fired == 1
-
-
-def test_scheduling_into_the_past_rejected():
-    sim, wheel = make_wheel()
-    sim.run(until=0.5)
-    with pytest.raises(SimulationError):
-        wheel.at(0.2, lambda: None)
-    with pytest.raises(SimulationError):
-        wheel.after(-0.1, lambda: None)
 
 
 def test_zero_slot_width_rejected():
@@ -94,20 +113,6 @@ def test_every_fires_each_boundary_until_false():
     sim.run(until=2.0)
     assert times == [pytest.approx(t) for t in (0.1, 0.2, 0.3, 0.4)]
     assert len(wheel) == 0  # returning False removed the entry
-
-
-def test_every_cancel_handle():
-    sim, wheel = make_wheel()
-    times = []
-    entry = wheel.every(lambda: times.append(sim.now))
-    sim.process(_cancel_at(sim, entry, 0.35))
-    sim.run(until=1.0)
-    assert len(times) == 3  # 0.1, 0.2, 0.3; cancelled before 0.4
-
-
-def _cancel_at(sim, entry, when):
-    yield sim.timeout(when)
-    entry.cancel()
 
 
 def test_registration_during_firing_starts_next_boundary():
@@ -177,29 +182,3 @@ def test_wheel_stops_arming_when_empty():
     # schedule drained: no perpetual re-arming of empty slots
     assert sim.now == pytest.approx(0.1)
     assert wheel.slots_fired == 1
-
-
-# -- batched scheduling -------------------------------------------------------
-
-
-def test_call_later_batched_coalesces_same_fire_time():
-    sim = Simulator()
-    order = []
-    for i in range(5):
-        sim.call_later_batched(1.0, order.append, i)
-    sim.call_later_batched(2.0, order.append, "late")
-    sim.run()
-    assert order == [0, 1, 2, 3, 4, "late"]
-    # five callbacks at t=1.0 shared one heap entry: 4 coalesced
-    assert sim.batched_calls == 4
-    assert sim.event_count == 2
-
-
-def test_batched_and_unbatched_same_time_coexist():
-    sim = Simulator()
-    seen = []
-    sim.call_later(1.0, seen.append, "plain")
-    sim.call_later_batched(1.0, seen.append, "batched")
-    sim.run()
-    assert sorted(seen) == ["batched", "plain"]
-    assert sim.now == 1.0
