@@ -96,7 +96,8 @@ def main() -> None:
 
     report = build_run_report(
         telemetry=cluster.telemetry, network=cluster.network, tracer=tracer,
-        spawner=spawner, superpeers=cluster.superpeers, app_id=app.app_id,
+        spawners=cluster.spawners, superpeers=cluster.superpeers,
+        app_id=app.app_id,
     )
     print()
     print(report.to_text())

@@ -60,8 +60,11 @@ def find_subclasses(roots: list[type]) -> set[type]:
     for info in pkgutil.walk_packages(repro.__path__, prefix="repro."):
         try:
             importlib.import_module(info.name)
-        except Exception:  # optional deps (plotting) may be absent
-            continue
+        except ModuleNotFoundError as exc:
+            # an optional third-party dependency (plotting) may be absent;
+            # a repro module that fails to import fails the audit
+            if (exc.name or "").split(".")[0] == "repro":
+                raise
     found: set[type] = set()
     stack = list(roots)
     while stack:

@@ -21,8 +21,8 @@ The package layers, bottom-up:
 * :mod:`repro.experiments` — the harness that regenerates the paper's
   figure and claims.
 * :mod:`repro.obs` — cross-cutting observability: the structured trace
-  bus every layer emits into, the metrics registry behind ``RunTelemetry``,
-  and the JSONL / Chrome-trace / run-report exporters.
+  bus every layer emits into, the plain-int ``RunTelemetry`` record of a
+  run's counts, and the JSONL / Chrome-trace / run-report exporters.
 
 Quickstart::
 

@@ -18,8 +18,8 @@ from a serial Python loop into a schedulable workload:
   specs, serially (``workers=1``, the bitwise reference arm) or on a
   ``ProcessPoolExecutor``.  Churn-window calibration pre-runs are
   content-addressed too, so one churn-free run per (n, seed) is shared by
-  every churn level instead of being recomputed.  Worker-side telemetry
-  is merged back into the parent's :class:`repro.obs.MetricsRegistry`.
+  every churn level instead of being recomputed.  The parent counts
+  specs, runs, memo/disk hits, iterations and data messages as plain ints.
 
 Results are identical — field for field, bit for bit — across the serial,
 parallel and cached arms: every stochastic decision in a run derives from

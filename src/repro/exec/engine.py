@@ -23,10 +23,8 @@ tiers, worker counts and processes.
 
 Workers transport results as :meth:`RunResult.to_dict` payloads (the
 lossless round-trip is pinned by ``tests/test_exec_engine.py``), and the
-parent folds each run's telemetry — iterations, messages, checkpoints,
-wall seconds, trace event counts of ``traced`` specs — into its own
-:class:`~repro.obs.MetricsRegistry`, so sweep-level dashboards and
-:class:`~repro.obs.RunReport`\\ s keep working under parallelism.
+parent adds each executed run's iterations and data messages to its own
+plain-int counters (:attr:`SweepEngine.stats`).
 
 The pool uses the ``fork`` start method where available: children inherit
 the parent's interpreter state (import cost ≈ 0, identical
@@ -39,13 +37,11 @@ from __future__ import annotations
 
 from repro.errors import ConfigurationError
 import multiprocessing
-import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
 from repro.exec.cache import RunCache
 from repro.exec.spec import RunSpec
-from repro.obs.metrics import MetricsRegistry
 
 __all__ = ["SweepEngine"]
 
@@ -58,13 +54,7 @@ def _pool_context():
 
 def _execute_in_worker(spec_dict: dict) -> dict:
     """Pool entry point: run one spec, return a picklable payload."""
-    spec = RunSpec.from_dict(spec_dict)
-    start = time.perf_counter()
-    result = spec.execute()
-    return {
-        "result": result.to_dict(),
-        "wall_seconds": time.perf_counter() - start,
-    }
+    return RunSpec.from_dict(spec_dict).execute().to_dict()
 
 
 class SweepEngine:
@@ -78,40 +68,23 @@ class SweepEngine:
     cache:
         Optional :class:`RunCache`; completed runs are read from and
         written to it.  The in-memory memo is always on.
-    registry:
-        Optional :class:`MetricsRegistry` to merge run telemetry into;
-        a private one is created by default (see :attr:`registry`).
     """
 
-    def __init__(
-        self,
-        workers: int = 1,
-        cache: RunCache | None = None,
-        registry: MetricsRegistry | None = None,
-    ):
+    def __init__(self, workers: int = 1, cache: RunCache | None = None):
         if workers < 1:
             raise ConfigurationError("workers must be >= 1")
         self.workers = int(workers)
         self.cache = cache
-        self.registry = registry if registry is not None else MetricsRegistry()
         self._memo: dict[str, object] = {}
-        r = self.registry
-        self._m_requested = r.counter(
-            "sweep_specs_requested", "specs handed to SweepEngine.map")
-        self._m_executed = r.counter(
-            "sweep_runs_executed", "specs that actually ran a simulation")
-        self._m_hits = r.counter(
-            "sweep_cache_hits", "specs answered without running, by source")
-        self._m_wall = r.histogram(
-            "sweep_run_wall_seconds", "wall-clock seconds per executed run")
-        self._m_iterations = r.counter(
-            "sweep_iterations", "total task iterations across executed runs")
-        self._m_data_msgs = r.counter(
-            "sweep_data_messages", "data messages across executed runs")
-        self._m_checkpoints = r.counter(
-            "sweep_checkpoints", "checkpoints sent across executed runs")
-        self._m_trace = r.counter(
-            "sweep_trace_events", "trace events of traced runs, by category/kind")
+        #: specs handed to :meth:`map`, and those that ran a simulation
+        self.specs_requested = 0
+        self.runs_executed = 0
+        #: specs answered without running, from the memo or the disk cache
+        self.memo_hits = 0
+        self.disk_hits = 0
+        #: task iterations and data messages across executed runs
+        self.iterations = 0
+        self.data_messages = 0
 
     # -- public API -----------------------------------------------------------
 
@@ -122,7 +95,7 @@ class SweepEngine:
     def map(self, specs) -> list:
         """Execute (or recall) every spec; results in submission order."""
         specs = [spec.normalized() for spec in specs]
-        self._m_requested.inc(len(specs))
+        self.specs_requested += len(specs)
 
         # wave 1: every distinct churn-window calibration pre-run
         calibrations: dict[str, RunSpec] = {}
@@ -156,13 +129,15 @@ class SweepEngine:
 
     @property
     def stats(self) -> dict:
-        """Execution counters (also queryable via :attr:`registry`)."""
+        """Execution counters."""
         return {
             "workers": self.workers,
-            "specs_requested": int(self._m_requested.total),
-            "runs_executed": int(self._m_executed.total),
-            "memo_hits": int(self._m_hits.value(source="memory")),
-            "disk_hits": int(self._m_hits.value(source="disk")),
+            "specs_requested": self.specs_requested,
+            "runs_executed": self.runs_executed,
+            "memo_hits": self.memo_hits,
+            "disk_hits": self.disk_hits,
+            "iterations": self.iterations,
+            "data_messages": self.data_messages,
         }
 
     # -- internals ------------------------------------------------------------
@@ -172,17 +147,14 @@ class SweepEngine:
         pending: dict[str, RunSpec] = {}
         for spec in specs:
             key = spec.key()
-            if key in self._memo:
-                self._m_hits.inc(source="memory")
-                continue
-            if key in pending:
-                self._m_hits.inc(source="memory")
+            if key in self._memo or key in pending:
+                self.memo_hits += 1
                 continue
             if self.cache is not None:
                 cached = self.cache.get(spec)
                 if cached is not None:
                     self._memo[key] = cached
-                    self._m_hits.inc(source="disk")
+                    self.disk_hits += 1
                     continue
             pending[key] = spec
 
@@ -190,9 +162,7 @@ class SweepEngine:
             return
         if self.workers == 1 or len(pending) == 1:
             for key, spec in pending.items():
-                start = time.perf_counter()
-                result = spec.execute()
-                self._absorb(key, spec, result, time.perf_counter() - start)
+                self._absorb(key, spec, spec.execute())
             return
 
         from repro.experiments.driver import RunResult
@@ -206,22 +176,15 @@ class SweepEngine:
                 pool.submit(_execute_in_worker, spec.to_dict())
                 for _, spec in items
             ]
-            # collect in submission order so metric merges are deterministic
+            # collect in submission order so the memo fills deterministically
             for (key, spec), future in zip(items, futures):
-                payload = future.result()
-                result = RunResult.from_dict(payload["result"])
-                self._absorb(key, spec, result, payload["wall_seconds"])
+                self._absorb(key, spec, RunResult.from_dict(future.result()))
 
-    def _absorb(self, key: str, spec: RunSpec, result, wall: float) -> None:
-        """Record an executed run: memo, disk cache, parent metrics."""
+    def _absorb(self, key: str, spec: RunSpec, result) -> None:
+        """Record an executed run: memo, disk cache, counters."""
         self._memo[key] = result
         if self.cache is not None:
             self.cache.put(spec, result)
-        self._m_executed.inc()
-        self._m_wall.observe(wall)
-        self._m_iterations.inc(result.total_iterations)
-        self._m_data_msgs.inc(result.data_messages)
-        self._m_checkpoints.inc(result.checkpoints_sent)
-        if result.run_report is not None:
-            for (category, kind), count in result.run_report.event_counts.items():
-                self._m_trace.inc(count, category=category, kind=kind)
+        self.runs_executed += 1
+        self.iterations += result.total_iterations
+        self.data_messages += result.data_messages

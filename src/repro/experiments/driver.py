@@ -256,7 +256,10 @@ def execute_spec(spec: RunSpec, tracer: Tracer | None = None) -> RunResult:
                    if r is not None and r.app_id == app.app_id
                    and not r.halted), key=lambda r: r.epoch)
     for runner in live:
-        telemetry.record_frontier(runner.task_id, runner.iteration)
+        telemetry.frontier[runner.task_id] = runner.iteration
+    spawners = list(cluster.spawners)
+    if final is not spawner:
+        spawners.append(final)
     run_report = None
     if tracer is not None:
         tracer.close()  # flush any streaming sink before reporting
@@ -264,14 +267,11 @@ def execute_spec(spec: RunSpec, tracer: Tracer | None = None) -> RunResult:
             telemetry=telemetry,
             network=cluster.network,
             tracer=tracer,
-            spawner=final,
+            spawners=spawners,
             superpeers=cluster.superpeers,
             app_id=app.app_id,
             fault_injector=fault_injector,
         )
-    replacements = sum(s.replacements for s in cluster.spawners)
-    if final is not spawner:
-        replacements += final.replacements
     return RunResult(
         n=spec.n,
         peers=spec.peers,
@@ -287,7 +287,7 @@ def execute_spec(spec: RunSpec, tracer: Tracer | None = None) -> RunResult:
         residual=residual,
         recoveries=len(telemetry.recoveries),
         restarts_from_zero=telemetry.restarts_from_zero,
-        replacements=replacements,
+        replacements=sum(s.replacements for s in spawners),
         checkpoints_sent=telemetry.checkpoints_sent,
         data_messages=telemetry.data_messages_sent,
         faults_executed=len(fault_injector.executed) if fault_injector else 0,

@@ -7,8 +7,8 @@ crashes (the historical churn axis), Super-Peer outages with Daemon
 re-registration, network partitions, in-transit corruption of asynchronous
 data payloads and correlated rack failures.  The
 :class:`~repro.faults.injector.FaultInjector` executes a plan as a
-simulation process, records what it did for replay, and emits ``faults``
-trace events plus ``fault_*`` metrics.
+simulation process, records what it did for replay (``executed``, with ``skipped`` and
+``corrupted`` counts), and emits ``faults`` trace events.
 
 Plans ride inside :class:`~repro.exec.spec.RunSpec` (the ``faults`` field),
 so fault scenarios flow through the parallel sweep engine and the run cache

@@ -64,7 +64,7 @@ class FaultInjector:
         time (victim picks, corruption draws).
     cluster:
         A :class:`~repro.p2p.cluster.Cluster`; required for Super-Peer and
-        rack actions, and the default source of hosts/network/metrics.
+        rack actions, and the default source of hosts/network.
     hosts:
         Candidate victims for daemon crashes (default: the cluster's
         daemon hosts).
@@ -78,10 +78,6 @@ class FaultInjector:
         ``victim_filter(host) -> bool`` narrows random victim selection
         (e.g. to hosts currently computing); falls back to any alive host
         when nothing passes.
-    registry:
-        Optional :class:`~repro.obs.MetricsRegistry` receiving
-        ``fault_actions`` / ``fault_skipped`` / ``fault_corrupted_messages``
-        counters.
     """
 
     def __init__(
@@ -95,7 +91,6 @@ class FaultInjector:
         network=None,
         entity: str = "faults",
         victim_filter=None,
-        registry=None,
     ):
         self.sim = sim
         self.plan = plan
@@ -109,9 +104,6 @@ class FaultInjector:
         )
         self.entity = entity
         self.victim_filter = victim_filter
-        self.registry = registry if registry is not None else (
-            cluster.metrics if cluster is not None else None
-        )
         self._validate(plan)
 
         self.executed: list[FaultRecord] = []
@@ -144,19 +136,11 @@ class FaultInjector:
     def _record(self, action: FaultAction, **detail) -> FaultRecord:
         rec = FaultRecord(time=self.sim.now, kind=action.kind, detail=detail)
         self.executed.append(rec)
-        if self.registry is not None:
-            self.registry.counter(
-                "fault_actions", "fault-plane actions executed"
-            ).inc(kind=action.kind)
         self._trace(action.kind, **detail)
         return rec
 
     def _skip(self, action: FaultAction, reason: str) -> None:
         self.skipped += 1
-        if self.registry is not None:
-            self.registry.counter(
-                "fault_skipped", "fault actions with no viable target"
-            ).inc(kind=action.kind)
         self._trace("skip", action=action.kind, reason=reason)
 
     def _trace(self, kind: str, **attrs) -> None:
@@ -330,10 +314,6 @@ class FaultInjector:
             values[idx] = action.magnitude if clean == 0.0 else clean * action.magnitude
             payload.args = args[:4] + (values,)
             self.corrupted += 1
-            if self.registry is not None:
-                self.registry.counter(
-                    "fault_corrupted_messages", "data payloads corrupted in transit"
-                ).inc()
             self._trace("corrupt", msg_id=msg.msg_id, dst_task=args[1],
                         src_task=args[2], index=idx)
 

@@ -66,7 +66,6 @@ class GossipAgent(RemoteObject):
         config: P2PConfig,
         rng: RngTree,
         seeds: list[Address] | None = None,
-        registry=None,
     ):
         self.runtime = runtime
         self.sim = runtime.sim
@@ -76,7 +75,6 @@ class GossipAgent(RemoteObject):
         self.config = config
         self.rng = rng
         self.seeds = [a for a in (seeds or []) if a != runtime.address]
-        self.registry = registry
         self.address = runtime.address
         self.store = PeerStore(
             limit=config.gossip_peer_limit,
@@ -92,7 +90,7 @@ class GossipAgent(RemoteObject):
         self.pushes_received = 0
         self.rumors_merged = 0
         self.hellos_received = 0
-        self._counters: dict[str, Any] = {}
+        self.probe_failures = 0
         #: the push envelope around an empty peer sample, without the rumor
         #: map: constant, because the agent's identity is
         self._push_base = oneway_size(
@@ -129,15 +127,12 @@ class GossipAgent(RemoteObject):
     ) -> None:
         """One incoming dissemination round: merge membership + rumors."""
         self.pushes_received += 1
-        self._count("gossip_pushes_received")
         self._learn(sender_id, sender_role, sender_address, heard=True)
         for pid, role, addr in peer_sample:
             self._learn(pid, role, addr, heard=False)
         merged = 0
         for key, (version, value) in rumors.items():
             merged += self._merge(key, tuple(version), value)
-        if merged:
-            self._count("gossip_rumors_merged", n=merged)
         self._trace("push_recv", sender=sender_id, merged=merged)
 
     @remote
@@ -178,7 +173,6 @@ class GossipAgent(RemoteObject):
         evicted = self.store.upsert(peer_id, role, address, self.sim.now,
                                     heard=heard)
         if evicted is not None:
-            self._count("gossip_peers_evicted")
             self._trace("evict", peer=evicted.peer_id, fails=evicted.fails)
 
     def _merge(self, key: Any, version: tuple, value: Any) -> int:
@@ -262,7 +256,6 @@ class GossipAgent(RemoteObject):
             self.runtime.oneway(Stub(GOSSIP_OBJECT, record.address), "push",
                                 *args, size=size)
             self.pushes_sent += 1
-        self._count("gossip_pushes_sent", n=len(targets))
         self._trace("push", targets=len(targets), rumors=len(rumors))
 
     def _probe_round(self, rng: RngTree) -> None:
@@ -281,20 +274,12 @@ class GossipAgent(RemoteObject):
             )
         except RemoteError:
             self.store.mark_failed(address)
-            self._count("gossip_probe_failures")
+            self.probe_failures += 1
             self._trace("probe_fail", peer=str(address))
         else:
             self.store.mark_alive(address, self.sim.now)
 
     # -- observability ------------------------------------------------------------
-
-    def _count(self, name: str, n: int = 1, **labels) -> None:
-        if self.registry is not None:
-            counter = self._counters.get(name)
-            if counter is None:
-                counter = self._counters[name] = self.registry.counter(
-                    name, GOSSIP_METRIC_HELP[name])
-            counter.inc(n, **labels)
 
     def _trace(self, kind: str, **attrs) -> None:
         tr = self.sim.tracer
@@ -305,11 +290,3 @@ class GossipAgent(RemoteObject):
         return (f"<GossipAgent {self.peer_id} role={self.role} "
                 f"peers={len(self.store)} rumors={len(self.rumors)}>")
 
-
-GOSSIP_METRIC_HELP = {
-    "gossip_pushes_sent": "push-gossip rounds' messages sent",
-    "gossip_pushes_received": "push-gossip messages received",
-    "gossip_rumors_merged": "rumor versions adopted from peers",
-    "gossip_peers_evicted": "peer-store evictions (bounded view)",
-    "gossip_probe_failures": "liveness probes that timed out",
-}

@@ -6,10 +6,10 @@ Three cooperating pieces (see ``docs/observability.md``):
   :class:`TraceEvent` records emitted by every instrumented layer into the
   :class:`Tracer` attached to the simulation kernel; disabled by default
   via the zero-overhead :data:`NULL_TRACER`;
-* the **metrics registry** (:mod:`repro.obs.metrics`): labelled
-  :class:`Counter` / :class:`Gauge` / :class:`Histogram` aggregates —
-  the backing store of the :class:`~repro.obs.instruments.RunTelemetry`
-  instrument;
+* the **run record** (:mod:`repro.obs.instruments`):
+  :class:`RunTelemetry`, one plain int (or per-task ``Counter``) per
+  counted fact of an application run, written with ``+=`` by the entity
+  that observes it;
 * the **exporters** (:mod:`repro.obs.exporters`, :mod:`repro.obs.report`):
   JSONL and Chrome ``trace_event`` dumps plus the plain-text/markdown
   :class:`RunReport` behind ``repro-cli trace`` / ``repro-cli report``.
@@ -26,13 +26,11 @@ Enable tracing on any run by handing the cluster a recording tracer::
 from repro.obs.trace import NULL_TRACER, NullTracer, TraceEvent, Tracer
 from repro.obs.sinks import JsonlTracer, make_tracer, read_jsonl_trace
 from repro.obs.instruments import RecoveryRecord, RunTelemetry
-from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.obs.exporters import (
     trace_to_chrome,
     trace_to_jsonl,
     write_chrome_trace,
     write_jsonl,
-    write_metrics_json,
 )
 from repro.obs.report import RunReport, build_run_report
 from repro.obs.profile import ProfileReport, layer_of, profile_callable
@@ -45,17 +43,12 @@ __all__ = [
     "JsonlTracer",
     "make_tracer",
     "read_jsonl_trace",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
     "RunTelemetry",
     "RecoveryRecord",
     "trace_to_jsonl",
     "write_jsonl",
     "trace_to_chrome",
     "write_chrome_trace",
-    "write_metrics_json",
     "RunReport",
     "build_run_report",
     "ProfileReport",

@@ -1,14 +1,12 @@
-"""Trace and metrics exporters.
+"""Trace exporters.
 
-Three output formats:
+Two output formats:
 
 * **JSONL** — one JSON object per trace event, the portable interchange
   format (``repro-cli trace --out run.jsonl``);
 * **Chrome ``trace_event``** — a JSON document loadable in
   ``chrome://tracing`` / Perfetto: each trace category becomes a process
-  row, each entity a named thread row, each event an instant marker;
-* **metrics JSON** — a :meth:`~repro.obs.metrics.MetricsRegistry.snapshot`
-  dump.
+  row, each entity a named thread row, each event an instant marker.
 
 All functions accept either a :class:`~repro.obs.trace.Tracer` or any
 iterable of :class:`~repro.obs.trace.TraceEvent`.
@@ -19,7 +17,6 @@ from __future__ import annotations
 import json
 from typing import Iterable
 
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import TraceEvent, Tracer
 
 __all__ = [
@@ -27,7 +24,6 @@ __all__ = [
     "write_jsonl",
     "trace_to_chrome",
     "write_chrome_trace",
-    "write_metrics_json",
 ]
 
 
@@ -113,10 +109,3 @@ def write_chrome_trace(trace: Tracer | Iterable[TraceEvent], path) -> int:
     with open(path, "w") as fh:
         json.dump(doc, fh, sort_keys=True, default=repr)
     return sum(1 for rec in doc["traceEvents"] if rec["ph"] == "i")
-
-
-def write_metrics_json(registry: MetricsRegistry, path) -> None:
-    """Dump ``registry.snapshot()`` as pretty-printed JSON."""
-    with open(path, "w") as fh:
-        json.dump(registry.snapshot(), fh, indent=2, sort_keys=True, default=repr)
-        fh.write("\n")

@@ -6,9 +6,9 @@ statistics and (when tracing was on) the trace bus — into a
 :class:`RunReport` that renders as plain text or markdown.  This is what
 ``repro-cli report`` prints.
 
-The report's numbers are sourced from the same metrics registry
-``RunTelemetry`` fronts, so report output always agrees with the counters
-the experiment harness asserts against.
+The report copies its numbers from ``RunTelemetry`` and from the Spawners'
+and Super-Peers' own counters, the ones the experiment harness reads, so
+the two always agree; the trace bus only adds its per-kind event counts.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ class RunReport:
         """Lossless JSON-ready dump (inverse of :meth:`from_dict`).
 
         Tuple-keyed ``event_counts`` become ``"category/kind"`` strings;
-        :class:`~repro.p2p.telemetry.RecoveryRecord` entries become field
+        :class:`~repro.obs.instruments.RecoveryRecord` entries become field
         dicts.  Used by the run cache and the sweep engine's cross-process
         transport.
         """
@@ -180,7 +180,7 @@ def build_run_report(
     telemetry,
     network=None,
     tracer: Tracer | None = None,
-    spawner=None,
+    spawners=(),
     superpeers=(),
     app_id: str = "",
     fault_injector=None,
@@ -190,13 +190,13 @@ def build_run_report(
     ``telemetry`` is required (any object with the
     :class:`~repro.obs.instruments.RunTelemetry` read surface); the rest are
     optional and simply leave their sections empty/zero when absent.
-    Heartbeat misses and evictions prefer exact trace counts and fall back
-    to the spawner's / Super-Peers' own counters when tracing was off.
-    ``fault_injector`` (a :class:`~repro.faults.FaultInjector`) fills the
+    Heartbeat misses and replacements are summed over ``spawners`` (every
+    Spawner of the app: the primary and a promoted standby's), evictions
+    over ``superpeers``.  ``fault_injector`` (a :class:`~repro.faults.FaultInjector`) fills the
     fault-history section with the executed plan.
     """
     report = RunReport(
-        app_id=app_id or (spawner.app.app_id if spawner is not None else ""),
+        app_id=app_id or (spawners[0].app.app_id if spawners else ""),
         converged=telemetry.converged_at is not None,
         launched_at=telemetry.launched_at,
         converged_at=telemetry.converged_at,
@@ -213,12 +213,9 @@ def build_run_report(
         report.net_stats = network.stats()
     if fault_injector is not None:
         report.faults = [rec.to_dict() for rec in fault_injector.executed]
-    if spawner is not None:
-        report.heartbeat_misses = spawner.failures_detected
-        report.replacements = spawner.replacements
+    report.heartbeat_misses = sum(s.failures_detected for s in spawners)
+    report.replacements = sum(s.replacements for s in spawners)
     report.evictions = sum(sp.evictions for sp in superpeers)
     if tracer is not None and tracer.enabled:
         report.event_counts = dict(tracer.counts)
-        report.heartbeat_misses = tracer.count("p2p", "hb_miss")
-        report.evictions = tracer.count("p2p", "evict")
     return report

@@ -101,11 +101,6 @@ class Cluster:
         return self.sim.tracer
 
     @property
-    def metrics(self):
-        """The metrics registry behind :attr:`telemetry`."""
-        return self.telemetry.registry
-
-    @property
     def superpeer_addresses(self) -> list[Address]:
         """Bootstrap entry points: the Super-Peers that hold Daemon
         Registers — every Super-Peer when flat, the tier-0 leaves when
@@ -313,7 +308,6 @@ def _attach_superpeer_gossip(cluster: Cluster, sp: SuperPeer) -> GossipAgent:
         config=cluster.config,
         rng=cluster.rng.child("gossip", sp.sp_id, sp.host.fail_count),
         seeds=cluster.superpeer_addresses[:2],
-        registry=cluster.telemetry.registry,
     )
     sp.gossip = agent
     return agent
@@ -329,7 +323,6 @@ def _attach_spawner_gossip(cluster: Cluster, spawner: Spawner) -> GossipAgent:
         config=spawner.config,
         rng=spawner.rng.child("gossip"),
         seeds=cluster.superpeer_addresses[:2],
-        registry=spawner.telemetry.registry,
     )
     spawner.attach_gossip(agent)
     return agent

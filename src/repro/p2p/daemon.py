@@ -90,8 +90,6 @@ class TaskRunner:
         self.halted = False
         #: rejected-component count already surfaced as traces/metrics
         self._rejected_seen = 0
-        self.iterations_done = 0
-        self.useless_done = 0
 
     # -- runtime hooks (called by the Daemon's remote methods) ----------------
 
@@ -139,13 +137,11 @@ class TaskRunner:
                 if self.halted:
                     break
                 self.iteration += 1
-                self.iterations_done += 1
-                if not fresh and self.num_tasks > 1:
-                    self.useless_done += 1
-                if self.telemetry is not None:
-                    self.telemetry.record_iteration(
-                        self.task_id, fresh or self.num_tasks == 1
-                    )
+                telemetry = self.telemetry
+                if telemetry is not None:
+                    telemetry.iterations[self.task_id] += 1
+                    if not fresh and self.num_tasks > 1:
+                        telemetry.useless_iterations[self.task_id] += 1
                 self.policy.on_iteration(self.sim.now, duration)
                 self._surface_rejections()
                 self._send_outgoing(step.outgoing)
@@ -350,7 +346,6 @@ class Daemon(RemoteObject):
                 config=config,
                 rng=rng.child("gossip"),
                 seeds=list(superpeer_addresses),
-                registry=telemetry.registry if telemetry is not None else None,
             )
             # epidemic takeover path: leadership beats under a higher reign
             # re-point a computing runner even when the promoted standby's
@@ -758,9 +753,8 @@ class Daemon(RemoteObject):
                 # the converged frontier: iterations *kept* for this task —
                 # anything the app re-executed beyond the per-task frontier
                 # sum is wasted work (re-iterated after recoveries)
-                self.telemetry.record_frontier(
-                    self.runner.task_id, self.runner.iteration
-                )
+                self.telemetry.frontier[self.runner.task_id] = (
+                    self.runner.iteration)
             self.runner.halted = True
         self.backup_store.drop_app(app_id)
         return True

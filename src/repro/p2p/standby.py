@@ -85,7 +85,6 @@ class StandbySpawner(RemoteObject):
             config=config,
             rng=rng.child("gossip"),
             seeds=[primary_address] + self.superpeer_addresses[:2],
-            registry=telemetry.registry if telemetry is not None else None,
         )
         self.gossip.subscribe(("spawner", app.app_id), self._on_leader_beat)
 

@@ -186,13 +186,12 @@ def test_engine_rejects_bad_worker_count():
 def test_engine_merges_run_telemetry_into_registry():
     engine = SweepEngine(workers=1)
     result = engine.run(RunSpec(**TINY))
-    reg = engine.registry
-    assert reg.counter("sweep_specs_requested").total == 1
-    assert reg.counter("sweep_runs_executed").total == 1
-    assert (reg.counter("sweep_iterations").total
-            == result.total_iterations)
-    assert (reg.counter("sweep_data_messages").total
-            == result.data_messages)
+    engine.run(RunSpec(**TINY))  # a memo hit adds no run's telemetry
+    assert engine.specs_requested == 2
+    assert engine.runs_executed == 1
+    assert engine.memo_hits == 1
+    assert engine.iterations == result.total_iterations
+    assert engine.data_messages == result.data_messages
 
 
 # -- RunCache -----------------------------------------------------------------

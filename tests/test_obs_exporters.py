@@ -11,13 +11,11 @@ import pathlib
 import sys
 
 from repro.obs import (
-    MetricsRegistry,
     Tracer,
     trace_to_chrome,
     trace_to_jsonl,
     write_chrome_trace,
     write_jsonl,
-    write_metrics_json,
 )
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -87,17 +85,6 @@ def test_chrome_matches_golden(tmp_path):
     assert json.loads(path.read_text()) == json.loads(
         (GOLDEN / "trace_chrome.json").read_text()
     )
-
-
-def test_write_metrics_json(tmp_path):
-    reg = MetricsRegistry()
-    reg.counter("msgs").inc(5, task=1)
-    reg.gauge("converged_at").set(1.25)
-    path = tmp_path / "metrics.json"
-    write_metrics_json(reg, path)
-    data = json.loads(path.read_text())
-    assert data["msgs"]["total"] == 5
-    assert data["converged_at"]["values"][""] == 1.25
 
 
 def test_exporters_accept_plain_event_lists():

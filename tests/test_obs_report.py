@@ -16,7 +16,7 @@ from repro.obs import RunTelemetry
 
 def test_report_from_bare_telemetry():
     t = RunTelemetry()
-    t.record_iteration(0, fresh=True)
+    t.iterations[0] += 1
     t.launched_at = 0.5
     t.converged_at = 2.5
     report = build_run_report(telemetry=t)
@@ -34,15 +34,22 @@ def test_report_renders_without_convergence():
     assert "| converged | False |" in report.to_markdown()
 
 
-def test_report_prefers_trace_counts():
-    t = RunTelemetry()
+def test_report_reads_runtime_counts_not_the_trace():
+    from types import SimpleNamespace
+
+    app = SimpleNamespace(app_id="x")
+    primary = SimpleNamespace(app=app, failures_detected=2, replacements=1)
+    promoted = SimpleNamespace(app=app, failures_detected=1, replacements=1)
+    superpeers = [SimpleNamespace(evictions=1), SimpleNamespace(evictions=0)]
     tr = Tracer()
-    tr.emit(1.0, "p2p", "spawner:x", "hb_miss", task=0, daemon="D1#1")
     tr.emit(1.2, "p2p", "SP0", "evict", daemon="D2#1")
     tr.emit(1.3, "p2p", "SP1", "evict", daemon="D4#1")
-    report = build_run_report(telemetry=t, tracer=tr)
-    assert report.heartbeat_misses == 1
-    assert report.evictions == 2
+    report = build_run_report(telemetry=RunTelemetry(), tracer=tr,
+                              spawners=[primary, promoted],
+                              superpeers=superpeers)
+    assert report.app_id == "x"
+    assert (report.heartbeat_misses, report.replacements) == (3, 2)
+    assert report.evictions == 1  # the trace's two events are not read
     assert report.event_counts[("p2p", "evict")] == 2
 
 
@@ -106,7 +113,7 @@ def test_churn_report_agrees_with_telemetry(churn_run):
     telemetry = cluster.telemetry
     report = build_run_report(
         telemetry=telemetry, network=cluster.network, tracer=tracer,
-        spawner=spawner, superpeers=cluster.superpeers,
+        spawners=cluster.spawners, superpeers=cluster.superpeers,
     )
     assert report.converged
     assert report.total_iterations == telemetry.total_iterations
@@ -116,7 +123,9 @@ def test_churn_report_agrees_with_telemetry(churn_run):
     assert len(report.recoveries) == len(telemetry.recoveries)
     assert report.restarts_from_zero == telemetry.restarts_from_zero
     assert report.execution_time == spawner.execution_time
-    # exact trace counts agree with the runtime's own counters
+    # the runtime's own counters agree with the exact trace counts
+    assert report.heartbeat_misses == tracer.count("p2p", "hb_miss")
+    assert report.evictions == tracer.count("p2p", "evict")
     assert report.heartbeat_misses == spawner.failures_detected
     assert report.evictions == sum(sp.evictions for sp in cluster.superpeers)
     assert report.replacements == spawner.replacements

@@ -1,4 +1,5 @@
-"""Every trace kind emitted under ``src/repro`` is documented.
+"""Every trace kind emitted under ``src/repro`` is documented, and every
+counted fact agrees with its trace kind.
 
 Walks the source for string-literal kinds passed to ``_trace(...)`` /
 ``tr.emit(...)`` / ``tracer.emit(...)`` and checks each against the "Event
@@ -110,3 +111,57 @@ def test_fault_action_kinds_are_in_the_taxonomy():
         and cls is not actions.FaultAction
     }
     assert kinds and kinds <= documented_kinds()["faults"]
+
+
+def test_counts_agree_with_the_trace():
+    """Each counted fact has one count, and it matches its trace kind: a
+    traced gossip run under churn, with checkpoints and a recovery."""
+    from repro.apps import make_poisson_app
+    from repro.churn import PaperChurn
+    from repro.experiments.config import (
+        EXPERIMENT_CONFIG,
+        EXPERIMENT_LINK_SCALE,
+        optimal_overlap,
+    )
+    from repro.obs import Tracer
+    from repro.p2p import build_cluster, launch_application
+    from repro.util.rng import RngTree
+    from tests.helpers import churn_injector, run_until_done
+
+    tracer = Tracer()
+    cluster = build_cluster(
+        n_daemons=12, n_superpeers=3, seed=4,
+        config=EXPERIMENT_CONFIG.with_(gossip_enabled=True),
+        link_scale=EXPERIMENT_LINK_SCALE, tracer=tracer,
+    )
+    app = make_poisson_app("counted", n=48, num_tasks=6,
+                           overlap=optimal_overlap(48, 6))
+    spawner = launch_application(cluster, app)
+    churn_injector(
+        cluster.sim, cluster.testbed.daemon_hosts,
+        PaperChurn(n_disconnections=4, reconnect_delay=1.0),
+        RngTree(4).child("churn"), horizon=2.0,
+    )
+    assert run_until_done(cluster, spawner, horizon=900.0)
+    assert tracer.dropped == 0
+
+    t = cluster.telemetry
+    assert t.checkpoints_sent == tracer.count("p2p", "checkpoint_store") > 0
+    assert t.convergence_messages == tracer.count("p2p", "stability_flip") > 0
+    assert len(t.recoveries) == tracer.count("p2p", "recovery") > 0
+    assert t.checkpoints_rejected == tracer.count("p2p", "checkpoint_rejected")
+    assert t.zombie_data_dropped == tracer.count("p2p", "zombie_data_dropped")
+
+    entities = [*cluster.daemons.values(), *cluster.superpeers,
+                *cluster.spawners]
+    agents = {e.gossip.peer_id: e.gossip for e in entities
+              if e.gossip is not None}
+    # a rebooted Daemon is a new incarnation (a new peer id and agent):
+    # compare the agents still standing with their own events
+    pushed = received = 0
+    for e in tracer.events:
+        if e.category == "gossip" and e.entity in agents:
+            pushed += e.attrs["targets"] if e.kind == "push" else 0
+            received += e.kind == "push_recv"
+    assert sum(a.pushes_sent for a in agents.values()) == pushed > 0
+    assert sum(a.pushes_received for a in agents.values()) == received

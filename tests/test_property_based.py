@@ -1,7 +1,6 @@
 """Property-based tests (hypothesis) on core data structures and invariants."""
 
 import functools
-import math
 
 import numpy as np
 import pytest
@@ -23,7 +22,6 @@ from repro.rmi import invocation
 from repro.rmi.invocation import CallMessage, OnewayMessage, ReplyMessage
 from repro.util.rng import RngTree, derive_seed
 from repro.util.serialization import clone_state, measured_size
-from repro.util.stats import OnlineStats
 
 COMMON = settings(
     max_examples=40,
@@ -83,38 +81,6 @@ def test_rng_children_deterministic_and_distinct(seed, a, b):
         # distinct labels should give distinct seeds (SHA-256 collision-free
         # in practice)
         assert derive_seed(seed, a) != derive_seed(seed, b)
-
-
-# ---------------------------------------------------------------------- stats
-
-
-@COMMON
-@given(st.lists(st.floats(min_value=-1e6, max_value=1e6), min_size=2,
-                max_size=200))
-def test_online_stats_matches_numpy_reference(xs):
-    stats = OnlineStats()
-    stats.extend(xs)
-    arr = np.asarray(xs)
-    assert stats.count == len(xs)
-    assert stats.mean == pytest.approx(arr.mean(), rel=1e-9, abs=1e-9)
-    assert stats.min == arr.min() and stats.max == arr.max()
-    assert stats.variance == pytest.approx(arr.var(ddof=1), rel=1e-6, abs=1e-6)
-
-
-@COMMON
-@given(
-    st.lists(st.floats(min_value=-1e3, max_value=1e3), min_size=1, max_size=50),
-    st.lists(st.floats(min_value=-1e3, max_value=1e3), min_size=1, max_size=50),
-)
-def test_online_stats_merge_is_union(xs, ys):
-    a, b, u = OnlineStats(), OnlineStats(), OnlineStats()
-    a.extend(xs)
-    b.extend(ys)
-    u.extend(xs + ys)
-    m = a.merge(b)
-    assert m.count == u.count
-    assert m.mean == pytest.approx(u.mean, rel=1e-9, abs=1e-9)
-    assert m.variance == pytest.approx(u.variance, rel=1e-6, abs=1e-6)
 
 
 # -------------------------------------------------------------- serialization

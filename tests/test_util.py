@@ -1,6 +1,5 @@
-"""Tests for repro.util: RNG trees, stats, serialization sizing, timers."""
+"""Tests for repro.util: RNG trees, serialization sizing, timers."""
 
-import math
 import os
 import subprocess
 import sys
@@ -13,8 +12,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.util import (
-    Histogram,
-    OnlineStats,
     RngTree,
     WallTimer,
     clone_state,
@@ -147,76 +144,6 @@ def test_reference_splitmix64_matches_the_published_vectors():
 def test_picks_equal_a_full_fisher_yates_prefix(seed, m, k, stream):
     k = min(k, m)
     assert RngTree(seed).picks(m, k, stream) == picks_reference(seed, m, k, stream)
-
-
-# ----------------------------------------------------------------------- stats
-
-
-def test_online_stats_matches_numpy():
-    rng = np.random.default_rng(0)
-    xs = rng.normal(3.0, 2.0, size=1000)
-    st = OnlineStats()
-    st.extend(xs)
-    assert st.count == 1000
-    assert st.mean == pytest.approx(xs.mean(), rel=1e-12)
-    assert st.std == pytest.approx(xs.std(ddof=1), rel=1e-10)
-    assert st.min == xs.min() and st.max == xs.max()
-
-
-def test_online_stats_empty_and_single():
-    st = OnlineStats()
-    assert math.isnan(st.mean)
-    st.add(4.0)
-    assert st.mean == 4.0
-    assert math.isnan(st.variance)
-
-
-def test_online_stats_merge_equals_union():
-    rng = np.random.default_rng(1)
-    xs, ys = rng.random(100), rng.random(57)
-    a, b, u = OnlineStats(), OnlineStats(), OnlineStats()
-    a.extend(xs)
-    b.extend(ys)
-    u.extend(np.concatenate([xs, ys]))
-    m = a.merge(b)
-    assert m.count == u.count
-    assert m.mean == pytest.approx(u.mean)
-    assert m.variance == pytest.approx(u.variance)
-    assert m.min == u.min and m.max == u.max
-
-
-def test_online_stats_merge_with_empty():
-    a, b = OnlineStats(), OnlineStats()
-    a.add(1.0)
-    m = a.merge(b)
-    assert m.count == 1 and m.mean == 1.0
-    assert a.merge(OnlineStats()).as_dict()["count"] == 1
-    assert OnlineStats().merge(OnlineStats()).count == 0
-
-
-def test_histogram_binning_and_overflow():
-    h = Histogram(0.0, 10.0, bins=10)
-    for x in [0.5, 1.5, 1.6, 9.99, -1, 10.0, 25]:
-        h.add(x)
-    assert h.counts[0] == 1 and h.counts[1] == 2 and h.counts[9] == 1
-    assert h.underflow == 1 and h.overflow == 2
-    assert h.total == 7
-
-
-def test_histogram_quantile():
-    h = Histogram(0.0, 100.0, bins=100)
-    for x in range(100):
-        h.add(x + 0.5)
-    assert h.quantile(0.5) == pytest.approx(49.5, abs=1.0)
-    with pytest.raises(ValueError):
-        h.quantile(1.5)
-
-
-def test_histogram_validation():
-    with pytest.raises(ValueError):
-        Histogram(5, 5)
-    with pytest.raises(ValueError):
-        Histogram(0, 1, bins=0)
 
 
 # -------------------------------------------------------------- serialization
