@@ -2,15 +2,22 @@
 
 These are not from the paper; they characterise the simulator itself so
 experiment wall-times are explainable: DES event throughput, RMI round-trip
-cost, CG solve cost, message-size accounting.
+cost, the inner CG solve and its matvec kernels, message-size accounting.
 """
+
+import os
+import timeit
+from functools import partial
 
 import numpy as np
 import pytest
+from scipy.sparse._sparsetools import csr_matvec, dia_matvec
 
 from repro.des import Simulator, Store
+from repro.experiments.config import optimal_overlap
 from repro.net import Network, UniformLinkModel
-from repro.numerics import Poisson2D, conjugate_gradient
+from repro.numerics import BlockDecomposition, CgOperator, Poisson2D
+from repro.numerics.cg import matvec_kernel
 from repro.rmi import RemoteObject, RmiRuntime, remote
 from repro.util.serialization import measured_size
 
@@ -84,15 +91,100 @@ def test_rmi_roundtrip_cost(benchmark):
     assert benchmark(run) == 500
 
 
+def _strip(n: int, peers: int, index: int):
+    """Block ``index`` of the ledger's ``(n, peers)`` Poisson decomposition."""
+    prob = Poisson2D.manufactured(n)
+    d = BlockDecomposition(prob.A, prob.b, nblocks=peers, line=n,
+                           overlap=optimal_overlap(n, peers))
+    return d.blocks[index]
+
+
+def _csr_kernel(A):
+    """The CSR sibling arm: scipy's ``csr_matvec`` prebound on ``A``."""
+    return partial(csr_matvec, *A.shape, A.indptr, A.indices, A.data)
+
+
 @pytest.mark.benchmark(group="micro")
 def test_cg_solve_cost(benchmark):
-    prob = Poisson2D.heat_plate(48)
+    # the fig7_column quick interior strip: n=96, 8 blocks, overlap 6
+    blk = _strip(96, 8, 4)
+    op = CgOperator(blk.A_local)
+    assert op.n == 2304
 
-    def run():
-        return conjugate_gradient(prob.A, prob.b, tol=1e-8)
-
-    result = benchmark(run)
+    result = benchmark(op.solve, blk.b_local)
     assert result.converged
+
+
+#: (n, peers) of the strips the perf ledger solves
+LEDGER_STRIPS = [(96, 8), (128, 8), (40, 10), (64, 16), (256, 8), (256, 16)]
+
+
+def _paired(csr, dia, number: int, rounds: int = 15):
+    """Median µs per call of each arm and median DIA/CSR ratio over
+    ``rounds`` back-to-back pairs — a burst of load on a shared box
+    skews one pair, not the median."""
+    pairs = []
+    for _ in range(rounds):
+        t_csr = timeit.timeit(csr, number=number)
+        t_dia = timeit.timeit(dia, number=number)
+        pairs.append((t_csr, t_dia, t_dia / t_csr))
+    t_csr, t_dia, ratio = np.median(np.array(pairs), axis=0)
+    return t_csr / number * 1e6, t_dia / number * 1e6, float(ratio)
+
+
+def test_cg_kernel_dia_vs_csr(record_table):
+    """CSR vs DIA sibling arms: scipy's two kernels on the ledger's strips,
+    then whole inner solves on the fig7 quick strips with either kernel."""
+    lines = [f"CG matvec kernels, DIA vs CSR (nproc={os.cpu_count()}; "
+             "medians of 15 back-to-back timeit pairs, y zeroed each call)",
+             f"{'strip (n, peers, block)':<26}{'rows':>7}{'csr_us':>9}"
+             f"{'dia_us':>9}{'dia/csr':>9}"]
+    ratios = {}
+    for n, peers in LEDGER_STRIPS:
+        for index in (0, peers // 2):
+            A = _strip(n, peers, index).A_local
+            rows = A.shape[0]
+            dia = matvec_kernel(A)
+            assert dia.func is dia_matvec
+            csr = _csr_kernel(A)
+            x = np.random.default_rng(rows).standard_normal(rows)
+            y = np.empty(rows)
+
+            def arm(kernel):
+                def call():
+                    y.fill(0.0)
+                    kernel(x, y)
+                return call
+
+            csr_us, dia_us, ratio = _paired(arm(csr), arm(dia),
+                                            number=max(50, 1_000_000 // rows))
+            ratios[n, peers, index] = ratio
+            lines.append(f"{str((n, peers, index)):<26}{rows:>7}"
+                         f"{csr_us:>9.2f}{dia_us:>9.2f}{ratio:>9.3f}")
+
+    lines.append("")
+    lines.append("CgOperator.solve(b_local), fig7 quick strips (n=96, 8 blocks, "
+                 "overlap 6), identical iterates")
+    lines.append(f"{'block':<8}{'rows':>7}{'iters':>7}{'csr_ms':>9}"
+                 f"{'dia_ms':>9}{'dia/csr':>9}")
+    for index in (0, 4):
+        blk = _strip(96, 8, index)
+        rows = blk.A_local.shape[0]
+        dia_op, csr_op = CgOperator(blk.A_local), CgOperator(blk.A_local)
+        csr_op._kernel = _csr_kernel(blk.A_local)
+        want, got = csr_op.solve(blk.b_local), dia_op.solve(blk.b_local)
+        assert got.x.tobytes() == want.x.tobytes()
+        csr_us, dia_us, ratio = _paired(partial(csr_op.solve, blk.b_local),
+                                        partial(dia_op.solve, blk.b_local),
+                                        number=5)
+        lines.append(f"{index:<8}{rows:>7}{got.iterations:>7}"
+                     f"{csr_us / 1e3:>9.3f}{dia_us / 1e3:>9.3f}{ratio:>9.3f}")
+        ratios["solve", index] = ratio
+    record_table("cg_kernel", "\n".join(lines))
+    # the kernel choice is a speed-up, never a slow-down, on the strips the
+    # Figure 7 workload solves
+    assert ratios[96, 8, 0] < 1.0 and ratios[96, 8, 4] < 1.0
+    assert ratios["solve", 0] < 1.0 and ratios["solve", 4] < 1.0
 
 
 @pytest.mark.benchmark(group="micro")

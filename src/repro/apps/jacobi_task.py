@@ -13,7 +13,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.apps.strip import StripTask
-from repro.numerics.cg import csr_matvec_into
+from repro.numerics.cg import matvec_kernel
 from repro.p2p.messages import AppSpec
 from repro.p2p.task import TaskContext
 
@@ -37,7 +37,7 @@ class JacobiTask(StripTask):
         blk = self.blk
         cached = blk.op_cache.get("jacobi")
         if cached is not None:
-            self.inv_diag, self.R = cached
+            self.inv_diag, self.R, self._r_kernel = cached
         else:
             diag = blk.A_local.diagonal()
             if (diag == 0).any():
@@ -47,7 +47,9 @@ class JacobiTask(StripTask):
             self.R = (blk.A_local - sp.diags(diag)).tocsr()
             self.inv_diag.flags.writeable = False
             self.R.data.flags.writeable = False
-            blk.op_cache["jacobi"] = (self.inv_diag, self.R)
+            #: ``y += R @ x``, the kernel choice CgOperator makes for A
+            self._r_kernel = matvec_kernel(self.R)
+            blk.op_cache["jacobi"] = (self.inv_diag, self.R, self._r_kernel)
         self._sweep_buf = np.empty(blk.n_ext)
 
     def _update(self, rhs: np.ndarray) -> tuple[np.ndarray, float, dict]:
@@ -56,7 +58,8 @@ class JacobiTask(StripTask):
         x = self.x
         for _ in range(self.sweeps):
             # inv_diag * (rhs - R@x) through the buffer
-            csr_matvec_into(self.R, x, buf)
+            buf.fill(0.0)
+            self._r_kernel(x, buf)
             np.subtract(rhs, buf, out=buf)
             x = self.inv_diag * buf
         flops = self.sweeps * (2.0 * self.R.nnz + 3.0 * blk.n_ext) + 2.0 * blk.B_coupling.nnz

@@ -11,11 +11,24 @@ Two execution paths produce **bitwise-identical** results:
 
 * :func:`conjugate_gradient` — the general allocating loop (any matrix,
   no cached state; the reference :meth:`CgOperator.solve` is tested against);
-* :class:`CgOperator` — per-matrix cached state (raw CSR arrays, Jacobi
-  diagonal, preallocated work vectors) whose :meth:`CgOperator.solve` runs
-  the same arithmetic without per-call allocations.  Identical floating
-  point operations in identical order ⇒ identical iterates, iteration
-  counts, residuals and flop charges — simulated time cannot change.
+* :class:`CgOperator` — per-matrix cached state (a prebound matvec kernel,
+  Jacobi diagonal, preallocated work vectors) whose
+  :meth:`CgOperator.solve` runs the same arithmetic without per-call
+  allocations.  Identical floating point operations in identical order ⇒
+  identical iterates, iteration counts, residuals and flop charges —
+  simulated time cannot change.
+
+The operator's one kernel is picked by :func:`matvec_kernel` on its first
+multiply.  A canonical CSR matrix with few diagonals — every Poisson or
+heat strip is exactly 5-diagonal — is multiplied by scipy's DIA kernel on
+a diagonal-storage copy with ascending offsets: one vectorisable
+``y[i] += d[i] * x[i + k]`` loop per diagonal instead of CSR's serial
+per-row add chain, about 1.5× faster on the Figure 7 strips.  For finite
+``x`` it gives exactly CSR's bits: ``y`` starts at +0.0, each element adds
+its terms in CSR's sorted-column order, and a padding slot adds ±0.0,
+which leaves any such sum unchanged.  (An infinite or NaN ``x[j]`` meeting
+a padding slot gives NaN; CG's iterates are finite unless the solve has
+already overflowed.)  Any other matrix keeps the CSR kernel.
 
 :meth:`CgOperator.solve_direct` additionally offers an opt-in cached
 LU-factorization path (``scipy.sparse.linalg.splu`` under SuperLU's
@@ -28,6 +41,7 @@ enabled by default and is excluded from bitwise comparisons.
 from __future__ import annotations
 
 import sys
+from functools import partial
 # IEEE 754 requires correctly-rounded sqrt, so math.sqrt and np.sqrt agree
 # bitwise on binary64 — and the math version skips the ufunc dispatch that
 # dominates scalar-sqrt cost in the per-iteration residual check
@@ -39,14 +53,16 @@ import scipy.sparse as sp
 
 from repro.errors import ConvergenceError
 
-try:  # scipy's C matvec kernel: y += A @ x without allocating
-    from scipy.sparse._sparsetools import csr_matvec as _csr_matvec
-except ImportError:  # pragma: no cover - scipy layout change
-    _csr_matvec = None
+# scipy's C matvec kernels: y += A @ x without allocating
+from scipy.sparse._sparsetools import (
+    csr_has_canonical_format as _csr_has_canonical_format,
+    csr_matvec as _csr_matvec,
+    dia_matvec as _dia_matvec,
+)
 
 __all__ = ["CgResult", "conjugate_gradient", "cg_flops_estimate",
            "CgOperator", "block_operator", "csr_matvec_into",
-           "direct_flops_estimate"]
+           "matvec_kernel", "direct_flops_estimate"]
 
 
 @dataclass
@@ -78,12 +94,36 @@ def csr_matvec_into(A: sp.csr_matrix, x: np.ndarray, out: np.ndarray) -> np.ndar
     kernel; calling the kernel on a zeroed caller buffer performs the exact
     same floating-point operations.
     """
-    if _csr_matvec is None:  # pragma: no cover - scipy layout change
-        np.copyto(out, A @ x)
-        return out
     out[:] = 0.0
     _csr_matvec(A.shape[0], A.shape[1], A.indptr, A.indices, A.data, x, out)
     return out
+
+
+def matvec_kernel(A: sp.csr_matrix):
+    """A prebound C kernel ``kernel(x, y)`` that adds ``A @ x`` into ``y``.
+
+    Called on a zeroed ``y`` it leaves there exactly the bits ``A @ x``
+    gives for finite ``x`` (see the module docstring).  The kernel is
+    scipy's ``dia_matvec`` on a diagonal-storage copy with ascending
+    offsets when ``A`` is canonical CSR (sorted, duplicate-free column
+    indices) and the copy stores at most 1.5×nnz values — no more bytes
+    than the CSR values and 32-bit indices it stands in for, which admits
+    banded matrices and rules out dense ones.  Otherwise it is
+    ``csr_matvec`` on ``A``'s own arrays.  ``A`` is only read, so a
+    frozen (``writeable=False``) matrix is fine.
+    """
+    n_row, n_col = A.shape
+    indptr, indices = A.indptr, A.indices
+    if _csr_has_canonical_format(n_row, indptr, indices):
+        rows = np.repeat(np.arange(n_row, dtype=indices.dtype), np.diff(indptr))
+        offsets, diagonal = np.unique(indices - rows, return_inverse=True)
+        if 2 * offsets.size * n_col <= 3 * A.nnz:
+            data = np.zeros((offsets.size, n_col), dtype=A.dtype)
+            data[diagonal, indices] = A.data
+            data.flags.writeable = False  # shared, like the block it copies
+            return partial(_dia_matvec, n_row, n_col, offsets.size, n_col,
+                           offsets, data)
+    return partial(_csr_matvec, n_row, n_col, indptr, indices, A.data)
 
 
 def conjugate_gradient(
@@ -185,9 +225,12 @@ def conjugate_gradient(
 class CgOperator:
     """Per-matrix cached solver state.
 
-    Holds the CSR arrays, the (lazily computed) Jacobi diagonal, a lazily
-    cached LU factorization, and preallocated work vectors, so repeated
-    solves against the same matrix allocate only their output ``x``.
+    Holds the matrix, its matvec kernel (chosen by :func:`matvec_kernel`
+    on the first multiply, so an operator that never multiplies — a
+    cohort member solving on another operator — stores no DIA copy), the
+    (lazily computed) Jacobi diagonal, a lazily cached LU factorization,
+    and preallocated work vectors, so repeated solves against the same
+    matrix allocate only their output ``x``.
 
     The matrix is **symmetric by contract**: the class solves by CG, which
     requires it, and every block it serves is a strip of a symmetric
@@ -218,18 +261,22 @@ class CgOperator:
         self._inv_diag: np.ndarray | None = None
         self._lu = None
         self._lu_nnz = 0
-        #: prebound CSR kernel arguments: :meth:`solve` runs one matvec per
-        #: iteration on a small block, where re-fetching ``A.indptr`` etc.
-        #: through the wrapper costs as much as the multiply itself
-        self._mv = (
-            None if _csr_matvec is None
-            else (A.shape[0], A.shape[1], A.indptr, A.indices, A.data)
-        )
+        self._kernel = None  # built by :attr:`kernel` on the first multiply
         #: recycled solution buffers for ``x0 is None`` solves (see
         #: :meth:`_fresh_x`); bounded so escaped buffers cannot pile up
         self._x_pool: list[np.ndarray] = []
 
     # -- cached pieces -------------------------------------------------------
+
+    @property
+    def kernel(self):
+        """The prebound ``kernel(x, y)``: ``y += A @ x`` (see
+        :func:`matvec_kernel`).  :meth:`solve` runs one multiply per
+        iteration on a small block, where re-fetching ``A.indptr`` etc.
+        through a wrapper costs as much as the multiply itself."""
+        if self._kernel is None:
+            self._kernel = matvec_kernel(self.A)
+        return self._kernel
 
     @property
     def inv_diag(self) -> np.ndarray:
@@ -268,7 +315,9 @@ class CgOperator:
 
     def matvec(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
         """``out = A @ x`` into a caller buffer (bitwise-identical)."""
-        return csr_matvec_into(self.A, x, out)
+        out.fill(0.0)
+        self.kernel(x, out)
+        return out
 
     _X_POOL_MAX = 4
 
@@ -320,22 +369,16 @@ class CgOperator:
         stop = tol * b_norm if b_norm > 0 else tol
 
         r, p, Ap, tmp = self._r, self._p, self._Ap, self._tmp
-        # inlined csr_matvec_into (bitwise-identical: same zero fill, same
-        # C kernel) — the wrapper's per-call attribute walk is measurable
-        # at swarm scale, where blocks are ~100 rows and solves number 10^5
-        mv = self._mv
-        if mv is not None:
-            mv_rows, mv_cols, mv_indptr, mv_indices, mv_data = mv
+        # inlined matvec (same zero fill, same kernel) — the method call is
+        # measurable at swarm scale, where blocks are ~100 rows and solves
+        # number 10^5
+        kernel = self.kernel
         if x0 is None:
             # r = b - A @ 0: elementwise b[i] - 0.0 == b[i] bitwise.
             np.copyto(r, b)
         else:
-            if mv is not None:
-                Ap.fill(0.0)
-                _csr_matvec(mv_rows, mv_cols, mv_indptr, mv_indices,
-                            mv_data, x, Ap)
-            else:  # pragma: no cover - scipy layout change
-                self.matvec(x, Ap)
+            Ap.fill(0.0)
+            kernel(x, Ap)
             np.subtract(b, Ap, out=r)
 
         precond = jacobi_precondition
@@ -356,12 +399,8 @@ class CgOperator:
 
         it = 0
         while res > stop and it < max_iter:
-            if mv is not None:
-                Ap.fill(0.0)
-                _csr_matvec(mv_rows, mv_cols, mv_indptr, mv_indices,
-                            mv_data, p, Ap)
-            else:  # pragma: no cover - scipy layout change
-                self.matvec(p, Ap)
+            Ap.fill(0.0)
+            kernel(p, Ap)
             pAp = float(p.dot(Ap))
             if pAp <= 0.0:
                 if raise_on_fail:
