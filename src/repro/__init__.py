@@ -17,7 +17,8 @@ The package layers, bottom-up:
   multisplitting with overlap, conjugate gradient, async-iteration theory.
 * :mod:`repro.apps` — SPMD Task implementations (PoissonTask et al.).
 * :mod:`repro.local` — a *real* threaded asynchronous-iteration backend.
-* :mod:`repro.baselines` — synchronous (BSP) and master-slave baselines.
+* :mod:`repro.baselines` — the synchronous (BSP) engine and the JaceV-style
+  centralized topology.
 * :mod:`repro.experiments` — the harness that regenerates the paper's
   figure and claims.
 * :mod:`repro.obs` — cross-cutting observability: the structured trace

@@ -6,24 +6,16 @@
   global rollback to the last coordinated checkpoint (§1: "all the nodes
   involved in the computation of an application would stop computing when a
   single disconnection occurs").
-* :class:`MasterSlaveScheduler` — the "Desktop/Global Computing"
-  master–slave model: independent work units only; it refuses applications
-  whose tasks communicate (§1: "those environments cannot be used to run
-  iterative applications as long as communication is restricted to the
-  master-slave model").
 * :func:`build_centralized_cluster` — the JaceV-style centralized topology
   (§4.1/§2.2): registry and Spawner on one machine, a single point of
   failure and a message bottleneck the hybrid topology was built to avoid.
 """
 
 from repro.baselines.sync_engine import SynchronousEngine, SyncResult
-from repro.baselines.master_slave import MasterSlaveScheduler, MasterSlaveResult
 from repro.baselines.jacev import build_centralized_cluster
 
 __all__ = [
     "SynchronousEngine",
     "SyncResult",
-    "MasterSlaveScheduler",
-    "MasterSlaveResult",
     "build_centralized_cluster",
 ]

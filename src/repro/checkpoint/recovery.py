@@ -8,21 +8,15 @@ restarts from iteration 0.
 
 from __future__ import annotations
 
-from repro.checkpoint.backup import Backup
-from repro.errors import NoBackupAvailableError
-
 __all__ = ["choose_latest"]
 
 
-def choose_latest(
-    offers: dict[int, int | None], raise_if_none: bool = False
-) -> int | None:
+def choose_latest(offers: dict[int, int | None]) -> int | None:
     """Pick the backup-peer (task index) holding the newest checkpoint.
 
     ``offers`` maps backup-peer task index → iteration held (None for "no
     checkpoint" / "peer unreachable").  Ties break toward the lowest peer
-    index for determinism.  Returns None — or raises
-    :class:`NoBackupAvailableError` — when nothing is recoverable.
+    index for determinism.  Returns None when nothing is recoverable.
     """
     best_peer: int | None = None
     best_iter = -1
@@ -32,14 +26,4 @@ def choose_latest(
             continue
         if iteration > best_iter:
             best_peer, best_iter = peer, iteration
-    if best_peer is None and raise_if_none:
-        raise NoBackupAvailableError(
-            "no backup survives; task must restart from iteration 0"
-        )
     return best_peer
-
-
-def latest_iteration(offers: dict[int, int | None]) -> int:
-    """The newest recoverable iteration (0 when nothing survives)."""
-    values = [i for i in offers.values() if i is not None]
-    return max(values) if values else 0

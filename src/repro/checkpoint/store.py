@@ -72,9 +72,6 @@ class BackupStore:
         for key in [k for k in self._backups if k[0] == app_id]:
             del self._backups[key]
 
-    def guarded_tasks(self, app_id: str) -> list[int]:
-        return sorted(t for (a, t) in self._backups if a == app_id)
-
     @property
     def total_bytes(self) -> int:
         return sum(b.nbytes for b in self._backups.values())

@@ -78,12 +78,6 @@ class Store:
                 return True
         return False
 
-    def get_nowait(self) -> Any | None:
-        """Pop an item if one is buffered, else None (non-blocking)."""
-        if self.items:
-            return self.items.pop(0)
-        return None
-
     def drain(self) -> list[Any]:
         """Remove and return all buffered items (non-blocking)."""
         out, self.items = self.items, []

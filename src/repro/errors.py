@@ -34,10 +34,6 @@ class HostDownError(NetworkError):
     """An operation was attempted on a host that is currently disconnected."""
 
 
-class LinkDownError(NetworkError):
-    """A message was sent over a link that is partitioned or removed."""
-
-
 class RemoteError(ReproError):
     """A remote invocation failed (dead peer, marshalling failure, or the
     remote method itself raised).
@@ -51,35 +47,12 @@ class RemoteError(ReproError):
         self.cause = cause
 
 
-class BootstrapError(ReproError):
-    """No Super-Peer in the bootstrap list could be reached."""
-
-
-class ReservationError(ReproError):
-    """The Super-Peer network could not reserve the requested number of
-    Daemons."""
-
-
-class CheckpointError(ReproError):
-    """Checkpoint storage or recovery failure."""
-
-
-class NoBackupAvailableError(CheckpointError):
-    """Every backup-peer holding a task's checkpoints has failed; the task
-    must restart from iteration 0 (paper §5.4)."""
-
-
 class ConvergenceError(ReproError):
     """The iterative method failed to converge within the allowed budget."""
 
 
 class TaskError(ReproError):
     """A user Task implementation raised or violated the Task contract."""
-
-
-class NotSupportedError(ReproError):
-    """The requested operation is not expressible in the chosen model (e.g.
-    inter-task communication under the master-slave baseline)."""
 
 
 class FaultError(ReproError):

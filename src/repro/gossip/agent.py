@@ -51,6 +51,13 @@ PRIORITY_ROLES = ("spawner", "standby")
 _ARG_DEPTH = 2
 _ENTRY_DEPTH = 3
 
+#: random push targets per round (priority roles ride on top)
+GOSSIP_FANOUT = 2
+#: bounded peer-store capacity (the membership view)
+GOSSIP_PEER_LIMIT = 32
+#: membership entries piggybacked on each push (peer exchange)
+GOSSIP_EXCHANGE = 4
+
 #: the ``picks`` streams of a round's one RNG child
 _FANOUT, _EXCHANGE, _PROBE = range(3)
 
@@ -77,7 +84,7 @@ class GossipAgent(RemoteObject):
         self.seeds = [a for a in (seeds or []) if a != runtime.address]
         self.address = runtime.address
         self.store = PeerStore(
-            limit=config.gossip_peer_limit,
+            limit=GOSSIP_PEER_LIMIT,
             stale_after=config.gossip_stale_after,
         )
         #: versioned rumor map: key -> (version tuple, value)
@@ -140,11 +147,6 @@ class GossipAgent(RemoteObject):
         return True
 
     # -- local API (the overlays: discovery, convergence, failover) -----------
-
-    def add_seeds(self, addresses: list[Address]) -> None:
-        for addr in addresses:
-            if addr != self.address and addr not in self.seeds:
-                self.seeds.append(addr)
 
     def known_addresses(self, role: str) -> list[Address]:
         """Gossip-learned addresses of a role (deterministic order)."""
@@ -213,7 +215,7 @@ class GossipAgent(RemoteObject):
         try:
             entries = yield self.runtime.call(
                 Stub(GOSSIP_OBJECT, addr), "get_peers",
-                self.config.gossip_peer_limit,
+                GOSSIP_PEER_LIMIT,
                 timeout=self.config.call_timeout,
             )
         except RemoteError:
@@ -225,7 +227,7 @@ class GossipAgent(RemoteObject):
 
     def _push_round(self, rng: RngTree) -> None:
         store = self.store
-        targets = store.sample(rng, self.config.gossip_fanout, stream=_FANOUT)
+        targets = store.sample(rng, GOSSIP_FANOUT, stream=_FANOUT)
         # priority sinks hear every round (bounded: one spawner + one standby)
         for role in PRIORITY_ROLES:
             for record in store.of_role(role):
@@ -244,8 +246,7 @@ class GossipAgent(RemoteObject):
         rumors, size = snapshot
         size += self._push_base
         sample = []
-        for record in store.sample(rng, self.config.gossip_exchange,
-                                   stream=_EXCHANGE):
+        for record in store.sample(rng, GOSSIP_EXCHANGE, stream=_EXCHANGE):
             entry = record.entry()
             if not record.entry_bytes:
                 record.entry_bytes = payload_size(entry, _ENTRY_DEPTH)

@@ -75,15 +75,6 @@ class Testbed:
     #: warm-standby Spawner shadows from (docs/gossip.md)
     standby_host: Host | None = None
 
-    @property
-    def all_hosts(self) -> list[Host]:
-        out = list(self.superpeer_hosts) + list(self.daemon_hosts)
-        if self.spawner_host is not None:
-            out.append(self.spawner_host)
-        if self.standby_host is not None:
-            out.append(self.standby_host)
-        return out
-
     def speed_spread(self) -> tuple[float, float]:
         speeds = [h.speed for h in self.daemon_hosts]
         return (min(speeds), max(speeds)) if speeds else (0.0, 0.0)

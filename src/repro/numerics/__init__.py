@@ -14,9 +14,8 @@ Implements §6 of the paper and the theory it leans on:
 * :mod:`~repro.numerics.splitting` — block decomposition with component
   **overlapping**; exchanged data per neighbour is one grid line
   (``n`` components) regardless of the overlap, as the paper requires;
-* :mod:`~repro.numerics.jacobi` — sequential reference solvers:
-  synchronous block-Jacobi and a chaotic (asynchronous) relaxation with
-  bounded delays, both used as ground truth by the runtime tests.
+* :mod:`~repro.numerics.jacobi` — the sequential reference solver:
+  synchronous block-Jacobi, ground truth for the runtime tests.
 """
 
 from repro.numerics.poisson import Poisson2D, poisson_matrix, poisson_rhs
@@ -43,7 +42,6 @@ from repro.numerics.splitting import (
 )
 from repro.numerics.jacobi import (
     block_jacobi,
-    chaotic_block_jacobi,
     JacobiResult,
 )
 from repro.numerics.residual import relative_residual, update_distance
@@ -69,7 +67,6 @@ __all__ = [
     "DECOMPOSITION_CACHE",
     "shared_decomposition",
     "block_jacobi",
-    "chaotic_block_jacobi",
     "JacobiResult",
     "relative_residual",
     "update_distance",

@@ -468,13 +468,6 @@ class CgOperator:
             residual_history=[],
         )
 
-    @property
-    def lu_nnz(self) -> int:
-        """Stored LU entries (factorizing on first use) — the direct
-        path's analytic flop basis."""
-        self.factorization()
-        return self._lu_nnz
-
 
 def block_operator(blk) -> CgOperator:
     """The cached :class:`CgOperator` for a decomposition block.

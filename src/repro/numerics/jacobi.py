@@ -1,15 +1,10 @@
-"""Sequential reference solvers for the block-Jacobi multisplitting.
+"""Sequential reference solver for the block-Jacobi multisplitting.
 
-These run the *same* mathematics as the distributed runtime, without any
-network, and serve as ground truth:
-
-* :func:`block_jacobi` — the synchronous outer iteration: every block solves
-  with the neighbours' values from the previous sweep.
-* :func:`chaotic_block_jacobi` — an asynchronous (chaotic relaxation) model:
-  at each step a scheduled subset of blocks update, reading neighbour values
-  that may be *stale by up to ``max_delay`` sweeps*.  Under the M-matrix /
-  weak-regular-splitting hypotheses this still converges to the same fixed
-  point — the property JaceP2P's whole design rests on.
+:func:`block_jacobi` runs the *same* mathematics as the distributed runtime,
+without any network, and serves as ground truth: the synchronous outer
+iteration, where every block solves with the neighbours' values from the
+previous sweep.  Its chaotic (asynchronous) counterpart is a test oracle,
+``tests/oracles/chaotic_reference.py``.
 """
 
 from __future__ import annotations
@@ -17,14 +12,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.errors import ConvergenceError
 from repro.numerics.cg import conjugate_gradient
 from repro.numerics.splitting import BlockDecomposition
-from repro.util.rng import RngTree
 
-__all__ = ["JacobiResult", "block_jacobi", "chaotic_block_jacobi"]
+__all__ = ["JacobiResult", "block_jacobi"]
 
 
 @dataclass
@@ -106,83 +99,6 @@ def block_jacobi(
         x=decomp.assemble(x_locals),
         converged=False,
         outer_iterations=max_outer,
-        residual_norm=history[-1] if history else float("inf"),
-        inner_iterations_total=inner_total,
-        flops_total=flops_total,
-        residual_history=history,
-    )
-
-
-def chaotic_block_jacobi(
-    decomp: BlockDecomposition,
-    rng: RngTree,
-    tol: float = 1e-8,
-    max_steps: int = 100_000,
-    inner_tol: float = 1e-10,
-    activation_probability: float = 0.6,
-    max_delay: int = 3,
-    raise_on_fail: bool = False,
-) -> JacobiResult:
-    """Asynchronous (chaotic) relaxation with bounded random delays.
-
-    At each global step every block independently updates with probability
-    ``activation_probability`` (but never starves: a block skipped
-    ``max_delay`` consecutive steps is forced to run — the standard
-    "eventually every component updates" hypothesis).  Each update reads
-    neighbour values from a randomly chosen *past* snapshot at most
-    ``max_delay`` steps old (bounded staleness).
-    """
-    if not 0 < activation_probability <= 1:
-        raise ValueError("activation_probability must be in (0, 1]")
-    if max_delay < 0:
-        raise ValueError("max_delay must be >= 0")
-
-    x_locals = [np.zeros(blk.n_ext) for blk in decomp.blocks]
-    b_norm = max(float(np.linalg.norm(decomp.b)), 1e-300)
-    history: list[float] = []
-    snapshots: list[np.ndarray] = [decomp.assemble(x_locals)]
-    skipped = [0] * decomp.nblocks
-    inner_total, flops_total = 0, 0.0
-    act_rng = rng.child("activate")
-    delay_rng = rng.child("delay")
-
-    for step in range(1, max_steps + 1):
-        which = []
-        for k in range(decomp.nblocks):
-            if act_rng.uniform() < activation_probability or skipped[k] >= max_delay:
-                which.append(k)
-                skipped[k] = 0
-            else:
-                skipped[k] += 1
-        for k in which:
-            # each active block reads its own stale snapshot
-            age = delay_rng.integers(0, min(max_delay, len(snapshots) - 1) + 1)
-            snap = snapshots[-1 - age]
-            inner, flops = _solve_blocks_once(decomp, x_locals, [k], snap, inner_tol)
-            inner_total += inner
-            flops_total += flops
-        x_now = decomp.assemble(x_locals)
-        snapshots.append(x_now)
-        if len(snapshots) > max_delay + 1:
-            snapshots.pop(0)
-        res = float(np.linalg.norm(decomp.b - decomp.A @ x_now)) / b_norm
-        history.append(res)
-        if res <= tol:
-            return JacobiResult(
-                x=x_now,
-                converged=True,
-                outer_iterations=step,
-                residual_norm=res,
-                inner_iterations_total=inner_total,
-                flops_total=flops_total,
-                residual_history=history,
-            )
-    if raise_on_fail:
-        raise ConvergenceError(f"chaotic relaxation: no convergence in {max_steps} steps")
-    return JacobiResult(
-        x=decomp.assemble(x_locals),
-        converged=False,
-        outer_iterations=max_steps,
         residual_norm=history[-1] if history else float("inf"),
         inner_iterations_total=inner_total,
         flops_total=flops_total,

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from repro.util.hotpath import register_cache
+from repro.util.caches import register_cache
 
 __all__ = ["BlockInfo", "BlockDecomposition", "DecompositionCache",
            "DECOMPOSITION_CACHE", "shared_decomposition"]
@@ -396,7 +396,7 @@ class DecompositionCache:
                 "misses": self.misses}
 
 
-#: The process-wide instance; cleared by ``repro.util.hotpath.clear_caches``.
+#: The process-wide instance; cleared by ``repro.util.caches.clear_caches``.
 DECOMPOSITION_CACHE = DecompositionCache()
 register_cache(DECOMPOSITION_CACHE.clear)
 

@@ -62,10 +62,6 @@ class AsyncCertificate:
     def async_convergent(self) -> bool:
         return self.rho_abs < 1.0
 
-    @property
-    def sync_convergent(self) -> bool:
-        return self.rho < 1.0
-
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         verdict = "ASYNC-SAFE" if self.async_convergent else "NOT CERTIFIED"
         return (

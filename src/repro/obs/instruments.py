@@ -79,10 +79,6 @@ class RunTelemetry:
         return self.total_useless / total if total else 0.0
 
     @property
-    def max_task_iterations(self) -> int:
-        return max(self.iterations.values(), default=0)
-
-    @property
     def mean_task_iterations(self) -> float:
         per_task = self.iterations
         return self.total_iterations / len(per_task) if per_task else 0.0

@@ -102,11 +102,6 @@ class JsonlTracer(Tracer):
     def segment_path(self, index: int) -> Path:
         return self.path.with_name(f"{self.path.name}.{index}")
 
-    def segment_paths(self) -> list[Path]:
-        """All on-disk pieces, oldest first (live file last)."""
-        return [self.segment_path(i) for i in range(1, self.segments + 1)] \
-            + [self.path]
-
     def close(self) -> None:
         self.flush()
 

@@ -32,21 +32,11 @@ class P2PConfig:
     spawner_port: int = 4200
 
     # -- bootstrap / reservation (§5.1–§5.2)
+    #: first retry delay after a failed full registration sweep; later
+    #: ones back off exponentially up to ``bootstrap_retry_max``
+    #: (``repro.p2p.daemon.BOOTSTRAP_BACKOFF_FACTOR``)
     bootstrap_retry_delay: float = 1.0
-    #: exponential-backoff growth per failed full registration sweep; the
-    #: attempt-``k`` delay is ``retry_delay * factor**k`` capped at
-    #: ``bootstrap_retry_max``, stretched by up to ``jitter`` (a
-    #: deterministic per-attempt draw) so a mass outage does not re-register
-    #: in lockstep (the §5.3 relocation storm)
-    bootstrap_backoff_factor: float = 2.0
     bootstrap_retry_max: float = 8.0
-    bootstrap_retry_jitter: float = 0.1
-
-    # -- checkpointing (§5.4; scheduling lives in repro.checkpoint policies)
-    #: fraction of a guardian machine's RAM its BackupStore may occupy
-    #: (the paper's Daemons run on 256 MB-1 GB PCs while guarding up to 20
-    #: neighbours' checkpoints)
-    backup_ram_fraction: float = 0.25
 
     # -- convergence detection (§5.5)
     convergence_threshold: float = 1e-6
@@ -69,11 +59,6 @@ class P2PConfig:
     superpeer_tiers: int = 1
     #: children per interior Super-Peer when building a hierarchy
     superpeer_fanout: int = 4
-    #: every Daemon heartbeat rides the cluster's one slotted
-    #: :class:`~repro.des.kernel.TimerWheel` (docs/scaling.md); every Nth
-    #: idle beat is a call-based reaffirm (detects a dead Super-Peer), the
-    #: rest are fire-and-forget oneways
-    wheel_reaffirm_every: int = 25
 
     # -- epidemic control plane (repro.gossip, docs/gossip.md)
     #: master switch: when False, no gossip agent is ever created and every
@@ -84,12 +69,6 @@ class P2PConfig:
     gossip_enabled: bool = False
     #: dissemination round period (push + one liveness probe per round)
     gossip_period: float = 0.5
-    #: random push targets per round (priority roles ride on top)
-    gossip_fanout: int = 2
-    #: bounded peer-store capacity (the membership view)
-    gossip_peer_limit: int = 32
-    #: membership entries piggybacked on each push (peer exchange)
-    gossip_exchange: int = 4
     #: silence beyond this makes a store entry evictable by a newcomer
     gossip_stale_after: float = 5.0
 
@@ -115,8 +94,6 @@ class P2PConfig:
             raise ConfigurationError("periods must be positive")
         if self.call_timeout <= 0:
             raise ConfigurationError("call_timeout must be positive")
-        if not 0.0 < self.backup_ram_fraction <= 1.0:
-            raise ConfigurationError("backup_ram_fraction must be in (0, 1]")
         if self.convergence_threshold <= 0:
             raise ConfigurationError("convergence_threshold must be positive")
         if self.stability_window < 1:
@@ -131,24 +108,12 @@ class P2PConfig:
             raise ConfigurationError("superpeer_tiers must be >= 1")
         if self.superpeer_fanout < 2:
             raise ConfigurationError("superpeer_fanout must be >= 2")
-        if self.wheel_reaffirm_every < 1:
-            raise ConfigurationError("wheel_reaffirm_every must be >= 1")
-        if self.bootstrap_backoff_factor < 1.0:
-            raise ConfigurationError("bootstrap_backoff_factor must be >= 1")
         if self.bootstrap_retry_max < self.bootstrap_retry_delay:
             raise ConfigurationError(
                 "bootstrap_retry_max must be >= bootstrap_retry_delay"
             )
-        if self.bootstrap_retry_jitter < 0:
-            raise ConfigurationError("bootstrap_retry_jitter must be >= 0")
         if self.gossip_period <= 0:
             raise ConfigurationError("gossip_period must be positive")
-        if self.gossip_fanout < 1:
-            raise ConfigurationError("gossip_fanout must be >= 1")
-        if self.gossip_peer_limit < 2:
-            raise ConfigurationError("gossip_peer_limit must be >= 2")
-        if self.gossip_exchange < 0:
-            raise ConfigurationError("gossip_exchange must be >= 0")
         if self.gossip_stale_after <= 0:
             raise ConfigurationError("gossip_stale_after must be positive")
         if self.standby_sync_period <= 0:

@@ -42,6 +42,25 @@ __all__ = ["Daemon", "TaskRunner", "DAEMON_OBJECT"]
 #: name under which every Daemon exports itself
 DAEMON_OBJECT = "daemon"
 
+#: exponential-backoff growth per failed full registration sweep: the
+#: attempt-``k`` delay is ``bootstrap_retry_delay * factor**k`` capped at
+#: ``bootstrap_retry_max``, then stretched by up to ``BOOTSTRAP_RETRY_JITTER``
+#: (a deterministic per-attempt draw) so a mass outage does not re-register
+#: in lockstep (the §5.3 relocation storm)
+BOOTSTRAP_BACKOFF_FACTOR = 2.0
+BOOTSTRAP_RETRY_JITTER = 0.1
+
+#: fraction of a guardian machine's RAM its BackupStore may occupy (the
+#: paper's Daemons run on 256 MB-1 GB PCs while guarding up to 20
+#: neighbours' checkpoints)
+BACKUP_RAM_FRACTION = 0.25
+
+#: every Daemon heartbeat rides the cluster's one slotted
+#: :class:`~repro.des.kernel.TimerWheel` (docs/scaling.md); every Nth idle
+#: beat is a call-based reaffirm (detects a dead Super-Peer), the rest are
+#: fire-and-forget oneways
+WHEEL_REAFFIRM_EVERY = 25
+
 
 class TaskRunner:
     """Drives one Task's asynchronous iteration loop on a Daemon."""
@@ -323,7 +342,7 @@ class Daemon(RemoteObject):
         self.rng = rng
         self.telemetry = telemetry
         self.backup_store = BackupStore(
-            max_bytes=host.ram_mb * 1024 * 1024 * config.backup_ram_fraction
+            max_bytes=host.ram_mb * 1024 * 1024 * BACKUP_RAM_FRACTION
         )
         #: final solution fragments of halted apps (kept for collection)
         self.final_fragments: dict[str, Any] = {}
@@ -355,7 +374,7 @@ class Daemon(RemoteObject):
         # timer wheel (docs/scaling.md).  The reaffirm phase is hash-
         # staggered so the call-based beats don't all land on one slot.
         self._bootstrapping = False
-        self._beats = zlib.crc32(daemon_id.encode()) % config.wheel_reaffirm_every
+        self._beats = zlib.crc32(daemon_id.encode()) % WHEEL_REAFFIRM_EVERY
         #: cached constant heartbeat envelope (rebuilt when the owning
         #: Super-Peer changes): the idle beat is the hottest message in a
         #: swarm run, so it is prepared once and re-sent zero-alloc
@@ -423,12 +442,11 @@ class Daemon(RemoteObject):
         self._retry_attempt += 1
         config = self.config
         delay = min(
-            config.bootstrap_retry_delay * config.bootstrap_backoff_factor ** attempt,
+            config.bootstrap_retry_delay * BOOTSTRAP_BACKOFF_FACTOR ** attempt,
             config.bootstrap_retry_max,
         )
-        if config.bootstrap_retry_jitter > 0:
-            draw = self.rng.child("backoff", self.host.fail_count, attempt).uniform()
-            delay *= 1.0 + config.bootstrap_retry_jitter * draw
+        draw = self.rng.child("backoff", self.host.fail_count, attempt).uniform()
+        delay *= 1.0 + BOOTSTRAP_RETRY_JITTER * draw
         self._trace("register_retry", attempt=attempt, delay=delay)
         return delay
 
@@ -458,7 +476,7 @@ class Daemon(RemoteObject):
             self._ensure_bootstrap()
             return None
         self._beats += 1
-        if self._beats % self.config.wheel_reaffirm_every == 0:
+        if self._beats % WHEEL_REAFFIRM_EVERY == 0:
             # the call-based reaffirm: oneways to a dead Super-Peer vanish
             # silently, so every Nth beat must actually await an answer
             self.host.spawn(self._reaffirm(self.sp_stub),

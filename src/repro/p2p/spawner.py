@@ -99,9 +99,7 @@ class Spawner(RemoteObject):
         self.dwell_aborts = 0
         self._last_broadcast_version = 0
         self._changed_since_broadcast: set[int] = set()
-        self.broadcast_bytes = 0
         self.resyncs_served = 0
-        self.register_repairs = 0
         self.reign = reign
         #: attached via :meth:`attach_gossip`; None keeps every legacy code
         #: path untouched (bitwise identity with gossip disabled)
@@ -111,8 +109,6 @@ class Spawner(RemoteObject):
         #: decentralized detector's view, merged from gossip rumors
         self._epidemic_bits: dict[int, tuple[int, int, bool]] = {}
         self.crosscheck_agreements = 0
-        self.epidemic_lags = 0
-        self.reattachments = 0
         self._reattach_dirty = False
         self.threshold, self.window = app.convergence(
             config.convergence_threshold, config.stability_window)
@@ -178,7 +174,6 @@ class Spawner(RemoteObject):
         if (register_version is not None
                 and register_version < self._last_broadcast_version
                 and slot.daemon_stub is not None):
-            self.register_repairs += 1
             self._trace("register_repair", task=task_id, daemon=daemon_id,
                         stale_version=register_version,
                         version=self.register.version)
@@ -211,7 +206,6 @@ class Spawner(RemoteObject):
         if self.done.triggered or not self.tracker.converged:
             return
         if not self._epidemic_agrees():
-            self.epidemic_lags += 1
             self._trace("epidemic_lag", stable=self.tracker.stable_count)
             return
         if self.gossip is not None:
@@ -395,7 +389,7 @@ class Spawner(RemoteObject):
             method = "update_register"
         for slot in self.register.slots:
             if slot.assigned:
-                self.broadcast_bytes += self.runtime.oneway(
+                self.runtime.oneway(
                     slot.daemon_stub, method, payload, reliable=True)
         self._last_broadcast_version = self.register.version
         self._changed_since_broadcast.clear()
@@ -503,7 +497,6 @@ class Spawner(RemoteObject):
         self._reattach_dirty = True
         self.last_seen[task_id] = self.sim.now
         self.tracker.reset_task(task_id)
-        self.reattachments += 1
         self._trace("reattach", task=task_id, daemon=daemon_id, epoch=epoch)
         return True
 

@@ -116,13 +116,6 @@ class StandbySpawner(RemoteObject):
     def ping(self) -> bool:
         return True
 
-    @remote
-    def leader_info(self, app_id: str):
-        """(reign, promoted) — lets peers and tests query who leads."""
-        if app_id != self.app.app_id:
-            return None
-        return (self.active_reign, self.promoted)
-
     # -- shadowing --------------------------------------------------------------
 
     def _on_leader_beat(self, key, version, value) -> None:

@@ -28,7 +28,7 @@ from typing import Any
 
 import numpy as np
 
-from repro.errors import ConfigurationError, TaskError
+from repro.errors import ConfigurationError
 
 __all__ = ["TaskContext", "IterationStep", "ComponentFilter", "Task"]
 
@@ -227,11 +227,3 @@ class Task:
     def solution_fragment(self) -> Any:
         """The owned part of the global solution (collected at the end)."""
         return None
-
-    # -- helpers -----------------------------------------------------------------
-
-    def require_setup(self) -> TaskContext:
-        ctx = getattr(self, "ctx", None)
-        if ctx is None:
-            raise TaskError(f"{type(self).__name__}.setup() was never called")
-        return ctx

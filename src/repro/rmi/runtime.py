@@ -20,7 +20,6 @@ from typing import Any
 from repro.des import Simulator
 from repro.des.events import Event
 from repro.errors import NetworkError, RemoteError
-from repro.net.address import Address
 from repro.net.host import Host
 from repro.net.network import Network
 from repro.rmi.invocation import (
@@ -31,7 +30,7 @@ from repro.rmi.invocation import (
     remote_method_table,
 )
 from repro.rmi.stub import Stub
-from repro.util.hotpath import register_cache
+from repro.util.caches import register_cache
 from repro.util.serialization import measured_size, payload_size
 
 __all__ = ["RemoteObject", "RmiRuntime", "DEFAULT_CALL_TIMEOUT", "oneway_size"]
@@ -82,10 +81,6 @@ class RemoteObject:
     simulation events — e.g. to charge compute time before answering).
     """
 
-    def exported_methods(self) -> list[str]:
-        """Names of the methods callable through a stub (marked @remote)."""
-        return sorted(remote_method_table(type(self)))
-
 
 class RmiRuntime:
     """Binds one endpoint and carries all RMI traffic for an entity."""
@@ -106,8 +101,9 @@ class RmiRuntime:
         self.address = self.endpoint.address
         self.call_timeout = call_timeout
         self._objects: dict[str, RemoteObject] = {}
-        #: resolved bound methods, keyed by (object_name, method); serving
-        #: and unserving invalidate it.  Error paths are never cached.
+        #: resolved bound methods, keyed by (object_name, method); an
+        #: export is never withdrawn, so no entry goes stale.  Error paths
+        #: are never cached.
         self._method_cache: dict[tuple[str, str], Any] = {}
         self._pending: dict[int, Event] = {}
         self.calls_sent = 0
@@ -129,15 +125,6 @@ class RmiRuntime:
         if object_name in self._objects:
             raise NetworkError(f"object {object_name!r} already exported on {self.name}")
         self._objects[object_name] = obj
-        return Stub(object_name, self.address)
-
-    def unserve(self, object_name: str) -> None:
-        self._objects.pop(object_name, None)
-        self._method_cache.clear()
-
-    def stub_for(self, object_name: str) -> Stub:
-        if object_name not in self._objects:
-            raise NetworkError(f"object {object_name!r} not exported on {self.name}")
         return Stub(object_name, self.address)
 
     @property

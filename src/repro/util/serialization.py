@@ -24,7 +24,7 @@ from typing import Any
 
 import numpy as np
 
-from repro.util.hotpath import register_cache
+from repro.util.caches import register_cache
 
 __all__ = ["measured_size", "payload_size", "clone_state",
            "NDARRAY_HEADER_BYTES", "freeze_state", "frozen_view"]

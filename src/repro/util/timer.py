@@ -27,9 +27,3 @@ class WallTimer:
     def __exit__(self, *exc) -> None:
         assert self.start is not None
         self.elapsed = time.perf_counter() - self.start
-
-    def lap(self) -> float:
-        """Seconds since ``__enter__`` without stopping the timer."""
-        if self.start is None:
-            raise RuntimeError("timer not started")
-        return time.perf_counter() - self.start

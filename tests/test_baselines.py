@@ -1,17 +1,14 @@
-"""Tests for the synchronous (BSP) engine and the master–slave baseline."""
+"""Tests for the synchronous (BSP) engine."""
 
-import numpy as np
 import pytest
 
 from repro.apps import make_poisson_app
-from repro.baselines import MasterSlaveScheduler, SynchronousEngine
+from repro.baselines import SynchronousEngine
 from repro.churn import ChurnEvent, TraceChurn
 from repro.des import Simulator
-from repro.errors import NotSupportedError
 from repro.net import Network, UniformLinkModel
 from repro.numerics import Poisson2D
 from repro.obs import Tracer
-from repro.p2p import AppSpec, IterationStep, Task, TaskContext
 from repro.util.rng import RngTree
 
 from tests.helpers import (
@@ -19,43 +16,6 @@ from tests.helpers import (
     churn_injector,
     make_geometric_app,
 )
-
-
-class IndependentTask(Task):
-    """A communication-free work unit (valid for the master–slave model)."""
-
-    def setup(self, ctx):
-        super().setup(ctx)
-        self.x = 1.0
-        self.rate = float(ctx.params.get("rate", 0.5))
-
-    def initial_state(self):
-        return {"x": 1.0}
-
-    def load_state(self, state):
-        self.x = float(state["x"])
-
-    def dump_state(self):
-        return {"x": self.x}
-
-    def iterate(self, inbox):
-        old = self.x
-        self.x *= self.rate
-        return IterationStep(flops=1e6, local_distance=abs(old - self.x))
-
-    def solution_fragment(self):
-        return self.x
-
-
-def make_independent_app(num_tasks=4):
-    return AppSpec(
-        app_id="bag",
-        task_factory=IndependentTask,
-        num_tasks=num_tasks,
-        params={"rate": 0.5},
-        convergence_threshold=1e-4,
-        stability_window=2,
-    )
 
 
 def make_world(n_hosts):
@@ -145,60 +105,3 @@ def test_sync_engine_max_supersteps_guard():
     result = sim.run(until=engine.done)
     assert not result.converged
     assert result.supersteps == 5
-
-
-# ------------------------------------------------------------- master-slave
-
-
-def test_master_slave_runs_independent_bag():
-    sim, net, hosts = make_world(3)
-    ms = MasterSlaveScheduler(sim, hosts, make_independent_app(6))
-    result = sim.run(until=ms.done)
-    assert result.completed
-    assert len(result.results) == 6
-    assert all(abs(v) < 1e-3 for v in result.results.values())
-    assert result.retries == 0
-
-
-def test_master_slave_retries_failed_units():
-    sim, net, hosts = make_world(2)
-    sim.tracer = Tracer()
-    ms = MasterSlaveScheduler(sim, hosts, make_independent_app(4))
-    trace = TraceChurn((ChurnEvent(0.01, 1.0, "h0"),))
-    churn_injector(sim, hosts, trace, RngTree(0), horizon=50.0)
-    result = sim.run(until=ms.done)
-    assert result.completed
-    assert len(result.results) == 4
-    assert result.retries >= 1
-    assert sim.tracer.count("baselines", "ms_unit_done") == 4
-
-
-def test_master_slave_rejects_communicating_tasks():
-    """The paper's §1 claim: iterative apps with dependencies cannot run on
-    the master-slave model."""
-    sim, net, hosts = make_world(3)
-    app = make_geometric_app(num_tasks=3)  # GeometricTask sends on a ring
-    ms = MasterSlaveScheduler(sim, hosts, app)
-    with pytest.raises(NotSupportedError, match="inter-task communication"):
-        sim.run(until=ms.done)
-
-
-def test_master_slave_rejects_poisson_app():
-    sim, net, hosts = make_world(4)
-    app = make_poisson_app("p", n=8, num_tasks=4)
-    ms = MasterSlaveScheduler(sim, hosts, app)
-    with pytest.raises(NotSupportedError):
-        sim.run(until=ms.done)
-
-
-def test_master_slave_needs_slaves():
-    sim, net, hosts = make_world(1)
-    with pytest.raises(ValueError):
-        MasterSlaveScheduler(sim, [], make_independent_app(1))
-
-
-def test_master_slave_more_tasks_than_slaves():
-    sim, net, hosts = make_world(2)
-    ms = MasterSlaveScheduler(sim, hosts, make_independent_app(7))
-    result = sim.run(until=ms.done)
-    assert result.completed and len(result.results) == 7

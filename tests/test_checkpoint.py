@@ -4,8 +4,6 @@ import numpy as np
 import pytest
 
 from repro.checkpoint import Backup, BackupPolicy, BackupStore, choose_latest
-from repro.checkpoint.recovery import latest_iteration
-from repro.errors import NoBackupAvailableError
 
 
 # --------------------------------------------------------------------- backup
@@ -65,9 +63,10 @@ def test_store_separates_apps_and_tasks():
     store.save(Backup(2, 4, {}, app_id="a"))
     assert store.iteration_of("a", 1) == 1
     assert store.iteration_of("b", 1) == 9
-    assert store.guarded_tasks("a") == [1, 2]
+    assert store.iteration_of("a", 2) == 4
     store.drop_app("a")
-    assert store.guarded_tasks("a") == []
+    assert store.iteration_of("a", 1) is None
+    assert store.iteration_of("a", 2) is None
     assert store.iteration_of("b", 1) == 9
 
 
@@ -164,14 +163,6 @@ def test_choose_latest_tie_breaks_deterministically():
 def test_choose_latest_nothing_recoverable():
     assert choose_latest({0: None, 1: None}) is None
     assert choose_latest({}) is None
-    with pytest.raises(NoBackupAvailableError):
-        choose_latest({0: None}, raise_if_none=True)
-
-
-def test_latest_iteration_helper():
-    assert latest_iteration({0: 3, 1: None, 2: 9}) == 9
-    assert latest_iteration({0: None}) == 0
-    assert latest_iteration({}) == 0
 
 
 # ------------------------------------------------------------- RAM budget
@@ -207,9 +198,12 @@ def test_store_budget_validation():
 
 
 def test_daemon_backup_budget_scales_with_ram():
-    from repro.p2p.config import P2PConfig
+    from repro.p2p import build_cluster
+    from repro.p2p.daemon import BACKUP_RAM_FRACTION
 
-    with pytest.raises(ValueError):
-        P2PConfig(backup_ram_fraction=0.0)
-    with pytest.raises(ValueError):
-        P2PConfig(backup_ram_fraction=1.5)
+    cluster = build_cluster(n_daemons=8, n_superpeers=1, seed=0)
+    daemons = cluster.daemons.values()
+    assert len({d.host.ram_mb for d in daemons}) > 1
+    for d in daemons:
+        assert d.backup_store.max_bytes == (
+            d.host.ram_mb * 1024 * 1024 * BACKUP_RAM_FRACTION)

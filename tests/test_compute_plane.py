@@ -8,7 +8,7 @@ import pytest
 
 from repro.compute import ComputePlane
 from repro.numerics import BlockDecomposition, CgOperator, Poisson2D
-from repro.util.hotpath import clear_caches
+from repro.util.caches import clear_caches
 from repro.util.serialization import (NDARRAY_HEADER_BYTES, _payload_size,
                                       measured_size)
 
@@ -60,7 +60,8 @@ def test_direct_deferral_duration_and_collect():
     got = member.solve_direct(b, tol=1e-10)
     _assert_same_result(got, op.solve_direct(b, tol=1e-10))
     from repro.numerics.cg import direct_flops_estimate
-    assert got.flops == direct_flops_estimate(op.lu_nnz, op.n)
+    lu = op.factorization()
+    assert got.flops == direct_flops_estimate(lu.L.nnz + lu.U.nnz, op.n)
     stats = plane.stats()
     assert stats["loop_columns"] == 1
     assert (stats["flushes"], stats["deferred"]) == (0, 0)

@@ -171,11 +171,10 @@ def test_store_capacity_drop():
 def test_store_nonblocking_helpers():
     sim = Simulator()
     store = Store(sim)
-    assert store.get_nowait() is None
+    assert store.drain() == []
     store.put("a")
     store.put("b")
-    assert store.get_nowait() == "a"
-    assert store.drain() == ["b"]
+    assert store.drain() == ["a", "b"]
     assert len(store) == 0
 
 

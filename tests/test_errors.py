@@ -6,19 +6,13 @@ import pytest
 
 import repro.errors as errors
 from repro.errors import (
-    BootstrapError,
-    CheckpointError,
     ConfigurationError,
     ConvergenceError,
     FaultError,
     HostDownError,
-    LinkDownError,
     NetworkError,
-    NoBackupAvailableError,
-    NotSupportedError,
     RemoteError,
     ReproError,
-    ReservationError,
     SimulationError,
     TaskError,
 )
@@ -32,11 +26,8 @@ def test_every_library_exception_derives_from_reproerror():
 
 def test_subsystem_hierarchy():
     assert issubclass(HostDownError, NetworkError)
-    assert issubclass(LinkDownError, NetworkError)
-    assert issubclass(NoBackupAvailableError, CheckpointError)
-    for cls in (SimulationError, NetworkError, RemoteError, BootstrapError,
-                ReservationError, CheckpointError, ConvergenceError,
-                TaskError, NotSupportedError, FaultError):
+    for cls in (SimulationError, NetworkError, RemoteError,
+                ConvergenceError, TaskError, FaultError):
         assert issubclass(cls, ReproError)
 
 

@@ -28,6 +28,7 @@ from repro.p2p import (
     launch_application,
     launch_standby,
 )
+from repro.p2p.daemon import BOOTSTRAP_RETRY_JITTER
 from repro.util.rng import RngTree
 
 from tests.helpers import make_geometric_app, run_until_done
@@ -128,7 +129,7 @@ def test_register_backoff_grows_is_bounded_and_deterministic():
     daemon = next(iter(cluster.daemons.values()))
     delays = [daemon._retry_backoff() for _ in range(8)]
     config = cluster.config
-    cap = config.bootstrap_retry_max * (1.0 + config.bootstrap_retry_jitter)
+    cap = config.bootstrap_retry_max * (1.0 + BOOTSTRAP_RETRY_JITTER)
     assert all(0 < d <= cap for d in delays)
     # exponential growth until the cap (jitter only stretches, never shrinks)
     assert delays[1] > delays[0]

@@ -17,7 +17,10 @@ Four pins (docs/gossip.md, "Cost model"):
   ``numpy.random.Generator`` objects per agent, never per round.
 """
 
+import contextlib
+
 import numpy
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import (RuleBasedStateMachine, invariant,
@@ -27,6 +30,7 @@ from repro.des import Simulator
 from repro.experiments.config import EXPERIMENT_CONFIG, EXPERIMENT_LINK_SCALE
 from repro.faults import FaultInjector, FaultPlan, SuperPeerCrash
 from repro.gossip import GossipAgent, PeerStore
+from repro.gossip import agent as gossip_agent
 from repro.net import Address, Network, UniformLinkModel
 from repro.p2p import P2PConfig, build_cluster
 from repro.rmi import RmiRuntime
@@ -192,18 +196,22 @@ rumor_maps = st.dictionaries(
 )
 
 
+@contextlib.contextmanager
 def _agent_with_recorded_oneways():
     sim = Simulator()
     net = Network(sim, link_model=UniformLinkModel(latency=1e-3,
                                                    bandwidth=1e9))
     runtime = RmiRuntime(net, net.new_host(HERE.host), HERE.port)
-    config = P2PConfig(gossip_enabled=True, gossip_peer_limit=8,
-                       gossip_exchange=8)  # every record rides every push
-    agent = GossipAgent(runtime, "moi-é", "daemon", config, RngTree(1))
-    sent = []
-    runtime.oneway = lambda stub, method, *args, size=None: sent.append(
-        (stub.object_name, method, args, size))
-    return agent, sent
+    config = P2PConfig(gossip_enabled=True)
+    with pytest.MonkeyPatch.context() as mp:
+        # every record rides every push
+        mp.setattr(gossip_agent, "GOSSIP_PEER_LIMIT", 8)
+        mp.setattr(gossip_agent, "GOSSIP_EXCHANGE", 8)
+        agent = GossipAgent(runtime, "moi-é", "daemon", config, RngTree(1))
+        sent = []
+        runtime.oneway = lambda stub, method, *args, size=None: sent.append(
+            (stub.object_name, method, args, size))
+        yield agent, sent
 
 
 def _assert_sizes_match_the_envelopes(sent):
@@ -216,30 +224,30 @@ def _assert_sizes_match_the_envelopes(sent):
 @COMMON
 @given(view=peers, rumors=rumor_maps, renamed=st.data())
 def test_push_envelope_size_equals_the_measured_size(view, rumors, renamed):
-    agent, sent = _agent_with_recorded_oneways()
-    for peer_id, role, host, port in view:
-        agent._learn(peer_id, role, Address(host, port), heard=True)
-    for key, (version, value) in rumors.items():
-        agent.set_rumor(key, version, value)
-    agent._push_round(agent.rng.child("round", 0))
-    assert bool(sent) == bool(len(agent.store))
+    with _agent_with_recorded_oneways() as (agent, sent):
+        for peer_id, role, host, port in view:
+            agent._learn(peer_id, role, Address(host, port), heard=True)
+        for key, (version, value) in rumors.items():
+            agent.set_rumor(key, version, value)
+        agent._push_round(agent.rng.child("round", 0))
+        assert bool(sent) == bool(len(agent.store))
 
-    # a known address comes back under another id or role: its memoized
-    # entry size must not survive
-    for peer_id, role, host, port in view:
-        agent._learn(renamed.draw(texts), renamed.draw(st.sampled_from(ROLES)),
-                     Address(host, port), heard=True)
-    agent._push_round(agent.rng.child("round", 1))
-    _assert_sizes_match_the_envelopes(sent)
+        # a known address comes back under another id or role: its memoized
+        # entry size must not survive
+        for peer_id, role, host, port in view:
+            agent._learn(renamed.draw(texts), renamed.draw(st.sampled_from(ROLES)),
+                         Address(host, port), heard=True)
+        agent._push_round(agent.rng.child("round", 1))
+        _assert_sizes_match_the_envelopes(sent)
 
 
 def test_push_envelope_size_with_rumors_nested_past_the_pickle_depth():
-    agent, sent = _agent_with_recorded_oneways()
-    agent._learn("p", "daemon", Address("h1", 4000), heard=True)
-    agent.set_rumor(("deep", "k", 0), (0, 1), [[[[[["bottom", {"x": (1, 2)}]]]]]])
-    agent._push_round(agent.rng.child("round", 0))
-    assert sent
-    _assert_sizes_match_the_envelopes(sent)
+    with _agent_with_recorded_oneways() as (agent, sent):
+        agent._learn("p", "daemon", Address("h1", 4000), heard=True)
+        agent.set_rumor(("deep", "k", 0), (0, 1), [[[[[["bottom", {"x": (1, 2)}]]]]]])
+        agent._push_round(agent.rng.child("round", 0))
+        assert sent
+        _assert_sizes_match_the_envelopes(sent)
 
 
 # -- golden swarm runs -----------------------------------------------------------

@@ -355,7 +355,7 @@ def test_build_testbed_population_shape():
     assert len(tb.daemon_hosts) == 20
     assert len(tb.superpeer_hosts) == 3
     assert tb.spawner_host is not None
-    assert len(tb.all_hosts) == 24
+    assert tb.standby_host is None
     lo, hi = tb.speed_spread()
     assert 1.0 <= lo < hi <= 2.38 + 1e-9
 

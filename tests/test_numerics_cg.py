@@ -24,7 +24,7 @@ from repro.numerics import (
     shared_decomposition,
 )
 from repro.numerics.cg import matvec_kernel
-from repro.util.hotpath import clear_caches
+from repro.util.caches import clear_caches
 from tests.helpers import poisson_strip
 
 

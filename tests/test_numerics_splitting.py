@@ -4,13 +4,10 @@ import numpy as np
 import pytest
 
 from repro.errors import ConvergenceError
-from repro.numerics import (
-    BlockDecomposition,
-    Poisson2D,
-    block_jacobi,
-    chaotic_block_jacobi,
-)
+from repro.numerics import BlockDecomposition, Poisson2D, block_jacobi
 from repro.util.rng import RngTree
+
+from tests.oracles.chaotic_reference import chaotic_block_jacobi
 
 
 def make_problem(n=8):

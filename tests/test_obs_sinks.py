@@ -90,8 +90,9 @@ def test_jsonl_rotation_round_trip(tmp_path):
     fill(tr, 25)
     tr.close()
     assert tr.segments >= 2
-    for piece in tr.segment_paths():
-        assert piece.exists()
+    for index in range(1, tr.segments + 1):
+        assert tr.segment_path(index).exists()
+    assert path.exists()
     # chronological reassembly across all segments, no loss, no reorder
     events = read_jsonl_trace(path)
     assert [ev.time for ev in events] == [float(i) for i in range(25)]

@@ -96,7 +96,7 @@ def test_walk_sees_both_call_shapes():
     found = emitted_kinds()
     assert ("p2p", "slot_filled") in found          # via a _trace helper
     assert ("faults", "corruption_off") in found
-    assert ("baselines", "ms_unit_done") in found   # direct tr.emit
+    assert ("net", "host_fail") in found            # direct tr.emit
     assert ("gossip", "takeover") in found          # standby's helper
 
 
@@ -151,6 +151,7 @@ def test_counts_agree_with_the_trace():
     assert len(t.recoveries) == tracer.count("p2p", "recovery") > 0
     assert t.checkpoints_rejected == tracer.count("p2p", "checkpoint_rejected")
     assert t.zombie_data_dropped == tracer.count("p2p", "zombie_data_dropped")
+    assert spawner.dwell_aborts == tracer.count("p2p", "spawner_dwell_aborted")
 
     entities = [*cluster.daemons.values(), *cluster.superpeers,
                 *cluster.spawners]

