@@ -2,7 +2,8 @@
 
 These are not from the paper; they characterise the simulator itself so
 experiment wall-times are explainable: DES event throughput, RMI round-trip
-cost, the inner CG solve and its matvec kernels, message-size accounting.
+cost, the inner CG solve and its matvec kernels, the direct inner solve,
+message-size accounting.
 """
 
 import os
@@ -119,17 +120,17 @@ def test_cg_solve_cost(benchmark):
 LEDGER_STRIPS = [(96, 8), (128, 8), (40, 10), (64, 16), (256, 8), (256, 16)]
 
 
-def _paired(csr, dia, number: int, rounds: int = 15):
-    """Median µs per call of each arm and median DIA/CSR ratio over
+def _paired(base, arm, number: int, rounds: int = 15):
+    """Median µs per call of each arm and median arm/base ratio over
     ``rounds`` back-to-back pairs — a burst of load on a shared box
     skews one pair, not the median."""
     pairs = []
     for _ in range(rounds):
-        t_csr = timeit.timeit(csr, number=number)
-        t_dia = timeit.timeit(dia, number=number)
-        pairs.append((t_csr, t_dia, t_dia / t_csr))
-    t_csr, t_dia, ratio = np.median(np.array(pairs), axis=0)
-    return t_csr / number * 1e6, t_dia / number * 1e6, float(ratio)
+        t_base = timeit.timeit(base, number=number)
+        t_arm = timeit.timeit(arm, number=number)
+        pairs.append((t_base, t_arm, t_arm / t_base))
+    t_base, t_arm, ratio = np.median(np.array(pairs), axis=0)
+    return t_base / number * 1e6, t_arm / number * 1e6, float(ratio)
 
 
 def test_cg_kernel_dia_vs_csr(record_table):
@@ -185,6 +186,47 @@ def test_cg_kernel_dia_vs_csr(record_table):
     # Figure 7 workload solves
     assert ratios[96, 8, 0] < 1.0 and ratios[96, 8, 4] < 1.0
     assert ratios["solve", 0] < 1.0 and ratios["solve", 4] < 1.0
+
+
+def test_direct_solve_superlu_vs_separable(record_table):
+    """The direct inner solve's sibling arms on the ledger's strips: a
+    SuperLU factorization under its symmetric ordering (minimum degree on
+    the pattern of A + Aᵀ), built here, against
+    ``CgOperator.solve_direct``'s fast diagonalization.  Both arms run the
+    same residual matvec."""
+    from scipy.sparse.linalg import splu
+
+    lines = [f"Direct strip solves, fast diagonalization vs SuperLU "
+             f"(nproc={os.cpu_count()}; medians of 15 back-to-back timeit "
+             "pairs, each with one residual matvec)",
+             f"{'strip (n, peers, block)':<26}{'rows':>7}{'lu_us':>9}"
+             f"{'fd_us':>9}{'fd/lu':>8}{'lu_resid':>11}{'fd_resid':>11}"]
+    ratios = {}
+    for n, peers in LEDGER_STRIPS:
+        for index in (0, peers // 2):
+            blk = _strip(n, peers, index)
+            A, b = blk.A_local, blk.b_local
+            rows = A.shape[0]
+            op = CgOperator(A)
+            lu = splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A")
+            out = np.empty(rows)
+
+            def superlu():
+                return op.matvec(lu.solve(b), out)
+
+            lu_resid = np.linalg.norm(b - A @ lu.solve(b)) / np.linalg.norm(b)
+            fd_resid = (np.linalg.norm(b - A @ op.solve_direct(b).x)
+                        / np.linalg.norm(b))
+            lu_us, fd_us, ratio = _paired(superlu, partial(op.solve_direct, b),
+                                          number=max(5, 100_000 // rows))
+            ratios[n, peers, index] = ratio
+            lines.append(f"{str((n, peers, index)):<26}{rows:>7}"
+                         f"{lu_us:>9.1f}{fd_us:>9.1f}{ratio:>8.3f}"
+                         f"{lu_resid:>11.2e}{fd_resid:>11.2e}")
+            assert fd_resid <= 10.0 * lu_resid
+    record_table("direct_solve", "\n".join(lines))
+    # a speed-up on both of the strips the direct16 workload solves
+    assert ratios[256, 8, 0] < 1.0 and ratios[256, 8, 4] < 1.0
 
 
 @pytest.mark.benchmark(group="micro")

@@ -50,14 +50,14 @@ class PoissonTask(StripTask):
       Warm-starting makes stale-data iterations nearly free; it is exposed
       as an optimization ablation, not the reproduction default;
     * ``problem`` — ``"manufactured"`` (default) or ``"plate"``;
-    * ``inner_solver`` — ``"cg"`` (default) or ``"direct"``: the cached-LU
-      path for small blocks (falls back to CG for blocks above
-      ``direct_max_rows``, default 50000).  A different
+    * ``inner_solver`` — ``"cg"`` (default) or ``"direct"``: an exact
+      solve by fast diagonalization (the strip is ``c·(T_m ⊗ I_n + I_m ⊗
+      T_n)``; see :meth:`~repro.numerics.cg.CgOperator.solve_direct`),
+      factored once per strip shape into ``2·m·n`` values.  A different
       numerical method — changes iteration counts and simulated time, so it
-      is an explicit opt-in, never part of the reproduction defaults.  The
-      factorization uses SuperLU's symmetric ordering (the block is a strip
-      of the symmetric Poisson matrix); its stored entries set both the
-      host cost of a solve and the simulated length of a direct iteration.
+      is an explicit opt-in, never part of the reproduction defaults.  A
+      direct iteration is charged the flops of an FFT-based solve of the
+      strip, not the host's kernel.
     """
 
     def setup(self, ctx: TaskContext) -> None:
@@ -68,11 +68,9 @@ class PoissonTask(StripTask):
         inner_solver = str(ctx.params.get("inner_solver", "cg"))
         if inner_solver not in ("cg", "direct"):
             raise ValueError(f"unknown inner_solver {inner_solver!r}")
-        direct_max_rows = int(ctx.params.get("direct_max_rows", 50_000))
         self._setup_problem(ctx, "poisson", "manufactured",
                             overlap=int(ctx.params.get("overlap", 0)))
-        self._direct = (inner_solver == "direct"
-                        and self.blk.n_ext <= direct_max_rows)
+        self._direct = inner_solver == "direct"
         op = block_operator(self.blk)
         #: where the inner solve runs: a seat on the cluster's compute
         #: plane (shared operator + solve memo), or the strip's own operator

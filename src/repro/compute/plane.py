@@ -9,10 +9,10 @@ plane keeps exactly two jobs:
 
 * **operator sharing** — seats whose operators hold byte-identical
   matrices form a cohort on one canonical
-  :class:`~repro.numerics.cg.CgOperator`: one LU factorization per strip
-  shape and one set of scratch buffers serve them all (the matrices are
-  byte-identical, so every result is exactly what the task's own
-  operator would produce);
+  :class:`~repro.numerics.cg.CgOperator`: one direct-solve factor per
+  strip shape and one set of scratch buffers serve them all (the
+  matrices are byte-identical, so every result is exactly what the
+  task's own operator would produce);
 * **the solve memo** — a per-seat copy of the last solve replays an
   identical request — the asynchronous "useless iteration" pattern where
   no fresh neighbour data arrived — without re-solving.

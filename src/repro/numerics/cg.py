@@ -30,23 +30,39 @@ which leaves any such sum unchanged.  (An infinite or NaN ``x[j]`` meeting
 a padding slot gives NaN; CG's iterates are finite unless the solve has
 already overflowed.)  Any other matrix keeps the CSR kernel.
 
-:meth:`CgOperator.solve_direct` additionally offers an opt-in cached
-LU-factorization path (``scipy.sparse.linalg.splu`` under SuperLU's
-symmetric ordering) for small blocks.  It returns the same :class:`CgResult`
-record with an honest direct-solve flop estimate, but it is a *different
-numerical method* (different round-off, iteration count 1), so it is never
-enabled by default and is excluded from bitwise comparisons.
+:meth:`CgOperator.solve_direct` is the opt-in exact solve for the one
+matrix family the direct inner solver meets: a strip of the 5-point Poisson
+operator, ``A = c·(T_m ⊗ I_n + I_m ⊗ T_n)`` with ``T_k = tridiag(-1, 2,
+-1)``, ``m`` grid lines of ``n`` points.  It solves by fast
+diagonalization (Lynch, Rice & Thomas, 1964): the orthonormal DST-I matrix
+``Q`` (symmetric, its own inverse) diagonalises ``T_m``, so
+
+1. ``Y = Q·B`` maps the strip's short axis to sine modes (one GEMM),
+2. the ``m`` decoupled SPD tridiagonals ``c·(μ_k I + T_n) y_k = Y_k`` are
+   one LAPACK ``pttrs`` call over a cached ``pttrf`` factor of their
+   concatenation (``2·m·n`` stored values), and
+3. ``X = Q·Y`` maps back (one more GEMM).
+
+The simulated cost of a solve prices the method, not the host's kernel:
+:func:`direct_flops_estimate` charges an FFT-based DST-I solve,
+``2·n·(5/2)·L·log2(L) + 8·m·n`` flops with ``L = 2(m+1)`` — two
+transforms of ``n`` columns at ``(5/2)·L·log2(L)`` each, plus the
+tridiagonal solves.  A direct solve is a *different numerical method* than
+CG (different round-off, iteration count 1), so it is never enabled by
+default and is excluded from bitwise comparisons.
 """
 
 from __future__ import annotations
 
 import sys
 from functools import partial
+from math import log2 as _log2
 # IEEE 754 requires correctly-rounded sqrt, so math.sqrt and np.sqrt agree
 # bitwise on binary64 — and the math version skips the ufunc dispatch that
 # dominates scalar-sqrt cost in the per-iteration residual check
 from math import sqrt as _sqrt
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -62,7 +78,8 @@ from scipy.sparse._sparsetools import (
 
 __all__ = ["CgResult", "conjugate_gradient", "cg_flops_estimate",
            "CgOperator", "block_operator", "csr_matvec_into",
-           "matvec_kernel", "direct_flops_estimate"]
+           "matvec_kernel", "direct_flops_estimate", "StripFactor",
+           "strip_factor"]
 
 
 @dataclass
@@ -82,9 +99,12 @@ def cg_flops_estimate(nnz: int, nrows: int, iterations: int) -> float:
     return float(iterations) * (2.0 * nnz + 10.0 * nrows) + 2.0 * nnz
 
 
-def direct_flops_estimate(nnz_lu: int, nrows: int) -> float:
-    """Forward+backward triangular solve: ~2 flops per stored LU entry."""
-    return 2.0 * float(nnz_lu) + 2.0 * float(nrows)
+def direct_flops_estimate(m: int, n: int) -> float:
+    """One FFT-based DST-I solve of a Poisson strip of ``m`` grid lines of
+    ``n`` points: ``2·n·(5/2)·L·log2(L) + 8·m·n`` with ``L = 2(m+1)`` (see
+    the module docstring)."""
+    L = 2.0 * (m + 1)
+    return 2.0 * n * 2.5 * L * _log2(L) + 8.0 * m * n
 
 
 def csr_matvec_into(A: sp.csr_matrix, x: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -124,6 +144,67 @@ def matvec_kernel(A: sp.csr_matrix):
             return partial(_dia_matvec, n_row, n_col, offsets.size, n_col,
                            offsets, data)
     return partial(_csr_matvec, n_row, n_col, indptr, indices, A.data)
+
+
+class StripFactor(NamedTuple):
+    """The cached fast-diagonalization factor of one Poisson strip."""
+
+    m: int              #: grid lines in the strip
+    n: int              #: points per grid line
+    Q: np.ndarray       #: m×m orthonormal DST-I matrix, symmetric, Q·Q = I
+    d: np.ndarray       #: ``pttrf`` factor of the m concatenated tridiagonals
+    e: np.ndarray
+    pttrs: Callable     #: LAPACK's ``dpttrs``
+    flops: float        #: :func:`direct_flops_estimate` of one solve
+
+
+def strip_factor(A: sp.csr_matrix) -> StripFactor:
+    """Factor ``A = c·(T_m ⊗ I_n + I_m ⊗ T_n)`` for fast diagonalization.
+
+    ``m``, ``n`` and ``c`` are read off ``A`` and the Kronecker sum they
+    define is compared with ``A`` exactly, on a canonical copy (``A`` may
+    be frozen, unsorted or hold explicit zeros); any other matrix raises
+    ``ValueError``.
+    """
+    canon = A.copy()
+    canon.sum_duplicates()
+    canon.eliminate_zeros()
+    size = canon.shape[0]
+    # row 0 couples to its right neighbour and to the point below it, at
+    # column n; one line (or one-point lines) leaves only the first
+    row0 = canon.indices[canon.indptr[0]:canon.indptr[1]]
+    n = int(row0[2]) if row0.size == 3 else size
+    m = size // n if n else 0
+    c = float(canon.data[0]) / 4.0 if canon.nnz else 0.0
+
+    def tridiag(k):
+        return sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(k, k))
+
+    same = m * n == size and c > 0.0
+    if same:
+        want = (c * (sp.kron(tridiag(m), sp.identity(n))
+                     + sp.kron(sp.identity(m), tridiag(n)))).tocsr()
+        same = (np.array_equal(canon.indptr, want.indptr)
+                and np.array_equal(canon.indices, want.indices)
+                and np.array_equal(canon.data, want.data))
+    if not same:
+        raise ValueError("CgOperator.solve_direct() needs a Poisson strip "
+                         "c·(T_m ⊗ I_n + I_m ⊗ T_n)")
+
+    from scipy.linalg import lapack
+
+    k = np.arange(1, m + 1)
+    # (j·k) is an exact integer product, so Q is exactly symmetric
+    Q = np.sqrt(2.0 / (m + 1)) * np.sin(np.pi * np.outer(k, k) / (m + 1))
+    mu = 4.0 * np.sin(np.pi * k / (2.0 * (m + 1))) ** 2  # eigenvalues of T_m
+    d = np.repeat(c * (mu + 2.0), n)
+    e = np.full(size - 1, -c)
+    e[n - 1::n] = 0.0  # mode k's last point does not couple to mode k+1's
+    d, e, info = lapack.dpttrf(d, e)
+    if info != 0:
+        raise ValueError(f"pttrf failed (info={info})")
+    return StripFactor(m, n, Q, d, e, lapack.dpttrs,
+                       direct_flops_estimate(m, n))
 
 
 def conjugate_gradient(
@@ -228,15 +309,15 @@ class CgOperator:
     Holds the matrix, its matvec kernel (chosen by :func:`matvec_kernel`
     on the first multiply, so an operator that never multiplies — a
     cohort member solving on another operator — stores no DIA copy), the
-    (lazily computed) Jacobi diagonal, a lazily cached LU factorization,
-    and preallocated work vectors, so repeated solves against the same
-    matrix allocate only their output ``x``.
+    (lazily computed) Jacobi diagonal, the lazily cached
+    :class:`StripFactor` of :meth:`solve_direct`, and preallocated work
+    vectors, so repeated solves against the same matrix allocate only
+    their output ``x``.
 
     The matrix is **symmetric by contract**: the class solves by CG, which
     requires it, and every block it serves is a strip of a symmetric
-    operator.  :meth:`factorization` relies on that to pick a symmetric
-    fill-reducing ordering, and refuses a matrix whose sparsity pattern is
-    not symmetric.
+    operator.  :meth:`factorization` goes further and accepts only a
+    Poisson strip (see :func:`strip_factor`).
 
     The solve arithmetic replicates :func:`conjugate_gradient` operation by
     operation (same kernels, same order), so results are bitwise identical
@@ -259,8 +340,7 @@ class CgOperator:
         self._tmp = np.empty(n)
         self._z: np.ndarray | None = None  # allocated on first preconditioned solve
         self._inv_diag: np.ndarray | None = None
-        self._lu = None
-        self._lu_nnz = 0
+        self._factor: StripFactor | None = None
         self._kernel = None  # built by :attr:`kernel` on the first multiply
         #: recycled solution buffers for ``x0 is None`` solves (see
         #: :meth:`_fresh_x`); bounded so escaped buffers cannot pile up
@@ -287,31 +367,11 @@ class CgOperator:
             self._inv_diag = 1.0 / d
         return self._inv_diag
 
-    def factorization(self):
-        """The cached ``splu`` factorization (built on first use).
-
-        Columns are ordered by minimum degree on the pattern of ``A + Aᵀ``
-        (``MMD_AT_PLUS_A``), SuperLU's ordering for symmetric matrices.
-        Its default, COLAMD, orders the pattern of ``AᵀA`` and is meant for
-        unsymmetric ones; on the Poisson strips factored here it stores
-        about half again as many factor entries, and every triangular
-        solve streams all of them.
-        """
-        if self._lu is None:
-            from scipy.sparse.linalg import splu
-
-            csc = self.A.tocsc()
-            # CSC of A is CSR of Aᵀ, so a symmetric pattern means A's
-            # canonical (sorted) CSR index arrays equal the CSC ones
-            csr = csc.tocsr()
-            if not (np.array_equal(csr.indptr, csc.indptr)
-                    and np.array_equal(csr.indices, csc.indices)):
-                raise ValueError(
-                    "CgOperator.factorization() needs a matrix with a "
-                    "symmetric sparsity pattern (its ordering assumes one)")
-            self._lu = splu(csc, permc_spec="MMD_AT_PLUS_A")
-            self._lu_nnz = int(self._lu.L.nnz + self._lu.U.nnz)
-        return self._lu
+    def factorization(self) -> StripFactor:
+        """The cached :func:`strip_factor` of ``A`` (built on first use)."""
+        if self._factor is None:
+            self._factor = strip_factor(self.A)
+        return self._factor
 
     def matvec(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
         """``out = A @ x`` into a caller buffer (bitwise-identical)."""
@@ -443,16 +503,25 @@ class CgOperator:
         )
 
     def solve_direct(self, b: np.ndarray, tol: float = 1e-10) -> CgResult:
-        """Solve via the cached LU factorization (opt-in, small blocks).
+        """Exact solve by fast diagonalization (opt-in; see the module
+        docstring).
 
-        A different numerical method than CG: one triangular solve pair,
-        different round-off.  The returned :class:`CgResult` reports
-        ``iterations=1`` and an honest direct-solve flop estimate, so the
-        simulator's compute-time model stays meaningful — but enabling this
-        path *does* change iteration counts and simulated time relative to
-        CG, which is why it is never a default.
+        A different numerical method than CG, with different round-off.
+        The returned :class:`CgResult` reports ``iterations=1`` and the
+        :func:`direct_flops_estimate` charge, so the simulator's
+        compute-time model stays meaningful — but enabling this path
+        *does* change iteration counts and simulated time relative to CG,
+        which is why it is never a default.  ``x`` comes from
+        :meth:`_fresh_x`, never from the operator's scratch, because
+        cohort siblings share one operator.
         """
-        x = self.factorization().solve(b)
+        f = self.factorization()
+        m, n = f.m, f.n
+        y = self._tmp.reshape(m, n)
+        np.matmul(f.Q, b.reshape(m, n), out=y)
+        f.pttrs(f.d, f.e, self._tmp, overwrite_b=True)
+        x = self._fresh_x()
+        np.matmul(f.Q, y, out=x.reshape(m, n))
         # honest convergence diagnostics: one extra (uncharged) matvec
         self.matvec(x, self._Ap)
         np.subtract(b, self._Ap, out=self._r)
@@ -464,7 +533,7 @@ class CgOperator:
             converged=res <= stop,
             iterations=1,
             residual_norm=res,
-            flops=direct_flops_estimate(self._lu_nnz, self.n),
+            flops=f.flops,
             residual_history=[],
         )
 

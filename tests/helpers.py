@@ -102,10 +102,12 @@ def assemble_strip_solution(fragments: dict, size: int) -> np.ndarray:
     return x
 
 
-def poisson_strip(n: int, nblocks: int, overlap: int):
-    """An interior strip block of the ``n x n`` manufactured Poisson
-    problem: the matrix shape the direct inner solver factors."""
+def poisson_strip(n: int, nblocks: int, overlap: int,
+                  index: int | None = None):
+    """Strip block ``index`` (default: an interior one) of the ``n x n``
+    manufactured Poisson problem: the matrix shape the direct inner solver
+    factors."""
     prob = Poisson2D.manufactured(n)
     d = BlockDecomposition(prob.A, prob.b, nblocks=nblocks, line=n,
                            overlap=overlap)
-    return d.blocks[nblocks // 2]
+    return d.blocks[nblocks // 2 if index is None else index]

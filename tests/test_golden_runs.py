@@ -40,7 +40,7 @@ def _driver(**kw):
 
 
 def _direct():
-    """A hand-assembled cached-LU run, so the cluster's kernel, network and
+    """A hand-assembled direct-solve run, so the cluster's kernel, network and
     compute plane stay reachable for their counters."""
     n, peers = 64, 8
     cluster = build_cluster(

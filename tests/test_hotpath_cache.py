@@ -4,6 +4,7 @@ it replaced (``tests/oracles/``, ``conjugate_gradient``, ``_payload_size``),
 which is what makes them invisible to simulated time."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from repro.numerics import (
     csr_matvec_into,
     shared_decomposition,
 )
+from repro.numerics.cg import direct_flops_estimate
 from repro.numerics.residual import update_distance
 from repro.numerics.splitting import DECOMPOSITION_CACHE
 from repro.rmi import runtime as rmi_runtime
@@ -192,9 +194,15 @@ def test_solve_direct_accuracy_and_flops():
     res = op.solve_direct(prob.b, tol=1e-10)
     assert res.converged and res.iterations == 1
     assert np.allclose(prob.A @ res.x, prob.b, atol=1e-10)
-    assert res.flops > 2.0 * prob.A.nnz  # LU has at least A's fill
+    # the charge is the documented FFT-based DST-I count, m = n = 8, L = 18
+    assert res.flops == direct_flops_estimate(8, 8)
+    assert res.flops == 2.0 * 8 * 2.5 * 18 * math.log2(18) + 8.0 * 8 * 8
     # the factorization is cached
     assert op.factorization() is op.factorization()
+    # x is the caller's to keep: a second solve must not write into it
+    kept = res.x.copy()
+    op.solve_direct(2.0 * prob.b)
+    assert np.array_equal(res.x, kept)
 
 
 #: interior Poisson strips of about 2k, 8k and 16k rows: the ledger's and
@@ -202,27 +210,31 @@ def test_solve_direct_accuracy_and_flops():
 STRIPS = [(96, 8, 6, 2304), (256, 16, 8, 8192), (256, 8, 16, 16384)]
 
 
-def _lu_nnz(op):
-    """Stored factor entries of ``op``'s cached LU."""
-    lu = op.factorization()
-    return lu.L.nnz + lu.U.nnz
-
-
-@pytest.mark.parametrize("n,nblocks,overlap,rows", STRIPS)
-def test_factorization_ordering_fill_and_accuracy(n, nblocks, overlap, rows):
+@pytest.mark.parametrize("n,nblocks,overlap,index,rows", [
+    *((n, nblocks, overlap, nblocks // 2, rows)
+      for n, nblocks, overlap, rows in STRIPS),
+    (256, 8, 16, 0, 48 * 256),  # direct16's edge strip: 48 lines
+    (8, 8, 0, 3, 8),            # one grid line: m = 1
+])
+def test_factorization_accuracy_against_superlu(n, nblocks, overlap, index,
+                                                rows):
     from scipy.sparse.linalg import splu
 
-    blk = poisson_strip(n, nblocks, overlap)
-    op = CgOperator(blk.A_local)
+    blk = poisson_strip(n, nblocks, overlap, index)
+    A, b = blk.A_local, blk.b_local
+    op = CgOperator(A)
     assert op.n == rows
-    # the symmetric ordering stores strictly fewer factor entries than
-    # SuperLU's default (COLAMD), which is what every solve streams
-    colamd = splu(blk.A_local.tocsc())
-    assert _lu_nnz(op) < colamd.L.nnz + colamd.U.nnz
-    # ... and meets the bound test_solve_direct_accuracy_and_flops holds
-    res = op.solve_direct(blk.b_local, tol=1e-10)
+    factor = op.factorization()
+    assert (factor.m, factor.n) == (rows // n, n)
+    res = op.solve_direct(b, tol=1e-10)
     assert res.converged and res.iterations == 1
-    assert np.allclose(blk.A_local @ res.x, blk.b_local, atol=1e-10)
+    assert res.flops == direct_flops_estimate(rows // n, n)
+
+    def rel_residual(x):
+        return np.linalg.norm(b - A @ x) / np.linalg.norm(b)
+
+    lu = splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A")
+    assert rel_residual(res.x) <= 10.0 * rel_residual(lu.solve(b))
 
 
 def test_factorization_deterministic_across_operators():
@@ -231,7 +243,6 @@ def test_factorization_deterministic_across_operators():
     blk = poisson_strip(96, 8, 6)
     op_a = CgOperator(blk.A_local)
     op_b = CgOperator(blk.A_local.copy())
-    assert _lu_nnz(op_a) == _lu_nnz(op_b)
     rhs = np.random.default_rng(3).standard_normal(op_a.n)
     assert (op_a.solve_direct(rhs).x.tobytes()
             == op_b.solve_direct(rhs).x.tobytes())
@@ -241,10 +252,10 @@ def test_factorization_refuses_unsymmetric_pattern():
     A = Poisson2D.manufactured(6).A.tolil()
     A[0, 17] = -1.0  # no matching (17, 0) entry
     op = CgOperator(A.tocsr())
-    with pytest.raises(ValueError, match="symmetric sparsity pattern"):
+    with pytest.raises(ValueError, match="Poisson strip"):
         op.factorization()
-    # the check reads the pattern, not the storage order: a symmetric
-    # matrix whose CSR column indices are unsorted is accepted
+    # the check reads the matrix, not the storage order: a strip whose
+    # CSR column indices are unsorted is accepted, and solves the same
     S = Poisson2D.manufactured(6).A.tocsr()
     indices, data = S.indices.copy(), S.data.copy()
     for lo, hi in zip(S.indptr[:-1], S.indptr[1:]):
@@ -252,7 +263,21 @@ def test_factorization_refuses_unsymmetric_pattern():
         data[lo:hi] = data[lo:hi][::-1]
     backwards = sp.csr_matrix((data, indices, S.indptr.copy()), shape=S.shape)
     assert not backwards.has_sorted_indices
-    assert _lu_nnz(CgOperator(backwards)) == _lu_nnz(CgOperator(S))
+    rhs = np.random.default_rng(6).standard_normal(S.shape[0])
+    assert (CgOperator(backwards).solve_direct(rhs).x.tobytes()
+            == CgOperator(S).solve_direct(rhs).x.tobytes())
+    assert not backwards.has_sorted_indices  # read, never sorted in place
+
+
+@pytest.mark.parametrize("row,col", [(7, 8), (9, 9)],
+                         ids=["off-diagonal", "diagonal"])
+def test_factorization_refuses_perturbed_strips(row, col):
+    # one symmetric off-diagonal pair, or one diagonal entry, times 1 + 2⁻⁴⁰
+    A = poisson_strip(24, 4, 2).A_local.tolil()
+    A[row, col] *= 1.0 + 2.0 ** -40
+    A[col, row] = A[row, col]
+    with pytest.raises(ValueError, match="Poisson strip"):
+        CgOperator(A.tocsr()).factorization()
 
 
 def test_block_operator_cached_per_block():

@@ -194,3 +194,9 @@ def test_kernel_builds_on_a_frozen_block_without_touching_it():
     x = np.random.default_rng(3).standard_normal(S.shape[0])
     assert _multiply(matvec_kernel(S), x) == (S @ x).tobytes()
     assert S.indices.tobytes() == stored
+    # the direct solve's factor reads both matrices on a canonical copy
+    assert op.solve_direct(blk.b_local).converged
+    assert (A.indptr.tobytes(), A.indices.tobytes(),
+            A.data.tobytes()) == before
+    assert CgOperator(S).factorization().n == 24
+    assert S.indices.tobytes() == stored
