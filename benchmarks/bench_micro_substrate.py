@@ -229,6 +229,63 @@ def test_direct_solve_superlu_vs_separable(record_table):
     assert ratios[256, 8, 0] < 1.0 and ratios[256, 8, 4] < 1.0
 
 
+def test_strip_iteration_full_vs_coupled(record_table):
+    """The host work around a strip's inner solve, two sibling arms on the
+    ledger's strips: the full-strip plumbing (assemble every rhs row, key
+    the memo on the whole rhs, copy the replayed x and the old owned
+    iterate) against ``StripTask``'s boundary-sized path (rebuild the
+    coupled rows, key on them, view the old iterate)."""
+    from repro.apps import PoissonTask
+    from repro.numerics.cg import csr_matvec_into
+    from repro.p2p import TaskContext
+
+    lines = [f"Strip iteration plumbing around the solve, full strip vs "
+             f"coupled rows (nproc={os.cpu_count()}; medians of 15 "
+             "back-to-back timeit pairs, memo hit)",
+             f"{'strip (n, peers, block)':<26}{'rows':>7}{'coupled':>9}"
+             f"{'full_us':>9}{'rows_us':>9}{'rows/full':>10}"]
+    ratios = {}
+    for n, peers in LEDGER_STRIPS:
+        for index in (0, peers // 2):
+            task = PoissonTask()
+            task.setup(TaskContext("bench", index, peers, {
+                "n": n, "overlap": optimal_overlap(n, peers)}))
+            blk = task.blk
+            rows = blk.n_ext
+            task.ext[:] = np.random.default_rng(rows).standard_normal(
+                task.ext.size)
+            x = np.random.default_rng(rows + 1).standard_normal(rows)
+            x.flags.writeable = False
+            rhs, old = np.empty(rows), np.empty(blk.n_owned)
+            full_key = (blk.b_local - blk.B_coupling @ task.ext).tobytes()
+            rows_key = task._assemble_rhs()[task._rows].tobytes()
+
+            def full():
+                csr_matvec_into(blk.B_coupling, task.ext, rhs)
+                np.subtract(blk.b_local, rhs, out=rhs)
+                assert rhs.tobytes() == full_key
+                replay = x.copy()
+                np.copyto(old, blk.owned_of(x))
+                return replay
+
+            def coupled():
+                task._assemble_rhs()
+                assert task._coupled_rhs.tobytes() == rows_key
+                return blk.owned_of(x)
+
+            full()
+            assert task._assemble_rhs().tobytes() == rhs.tobytes()
+            full_us, rows_us, ratio = _paired(
+                full, coupled, number=max(50, 1_000_000 // rows))
+            ratios[rows] = ratio
+            lines.append(f"{str((n, peers, index)):<26}{rows:>7}"
+                         f"{task._rows.size:>9}{full_us:>9.2f}"
+                         f"{rows_us:>9.2f}{ratio:>10.3f}")
+    record_table("strip_iteration", "\n".join(lines))
+    # direct16's interior strips are where the saving is
+    assert ratios[16384] < 1.0
+
+
 @pytest.mark.benchmark(group="micro")
 def test_message_size_accounting_cost(benchmark):
     payload = {"x": np.zeros(4096), "meta": [1, 2.0, "three"] * 10}

@@ -31,9 +31,8 @@ AUDITED = {
     "repro.rmi.invocation": [
         "CallMessage", "ReplyMessage", "OnewayMessage", "PreparedOneway",
     ],
-    # the compute plane: one CohortMember seat per live task, touched on
-    # every inner solve
-    "repro.compute.plane": ["ComputePlane", "CohortMember"],
+    # the compute plane: its counters are bumped on every inner solve
+    "repro.compute.plane": ["ComputePlane"],
     # one per (agent, known peer): 32 per Daemon with gossip on
     "repro.gossip.peers": ["PeerRecord"],
 }

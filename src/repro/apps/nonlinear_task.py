@@ -86,7 +86,7 @@ class NonlinearPoissonTask(StripTask):
 
     def _update(self, rhs: np.ndarray) -> tuple[np.ndarray, float, dict]:
         blk = self.blk
-        x = self.x.copy()
+        x = self.x  # immutable: the first Newton step rebinds it
         flops = 2.0 * blk.B_coupling.nnz
         for _ in range(self.newton_iters):
             residual = blk.A_local @ x + self.c * x**3 - rhs

@@ -14,8 +14,9 @@ Per asynchronous iteration the task:
    vector (stale values persist when nothing arrived — chaotic relaxation);
 2. solves its extended local system afresh with CG (cold start by
    default; ``warm_start`` and ``inner_solver="direct"`` are opt-ins) —
-   on a seat of the cluster's compute plane when ``ctx.compute`` offers
-   one, which shares the operator and replays an unchanged solve;
+   on the cluster compute plane's shared operator when ``ctx.compute``
+   offers one — unless the request equals the last one, which the task
+   replays from its last-solve memo;
 3. sends one grid line (``n`` components) to each neighbour — constant
    exchange volume regardless of the overlap;
 4. reports the max-norm relative distance between successive owned iterates.
@@ -72,18 +73,37 @@ class PoissonTask(StripTask):
                             overlap=int(ctx.params.get("overlap", 0)))
         self._direct = inner_solver == "direct"
         op = block_operator(self.blk)
-        #: where the inner solve runs: a seat on the cluster's compute
-        #: plane (shared operator + solve memo), or the strip's own operator
+        #: the cluster's compute plane (it counts the solves), or None
+        self._plane = ctx.compute
+        #: where the inner solve runs: the plane's operator shared by
+        #: every strip with this matrix, or the strip's own operator
         self._solver = (op if ctx.compute is None
-                        else ctx.compute.member_for(op))
+                        else ctx.compute.operator_for(op))
+        #: the last solve and its request: the coupled rhs rows (every
+        #: other rhs row is ``b_local``), plus ``x`` under ``warm_start``
+        self._memo_key = None
+        self._memo = None
 
     def _update(self, rhs: np.ndarray) -> tuple[np.ndarray, float, dict]:
-        if self._direct:
-            result = self._solver.solve_direct(rhs, tol=self.inner_tol)
+        key = self._coupled_rhs.tobytes()
+        if self.warm_start:
+            key = (key, self.x.tobytes())
+        if key == self._memo_key:
+            # replay the memo's own (frozen) array, not ``self.x``: a
+            # load_state in between may have moved ``x`` elsewhere
+            result = self._memo
+            if self._plane is not None:
+                self._plane.memo_hits += 1
         else:
-            result = self._solver.solve(
-                rhs, x0=self.x if self.warm_start else None,
-                tol=self.inner_tol, max_iter=self.inner_max_iter)
+            if self._direct:
+                result = self._solver.solve_direct(rhs, tol=self.inner_tol)
+            else:
+                result = self._solver.solve(
+                    rhs, x0=self.x if self.warm_start else None,
+                    tol=self.inner_tol, max_iter=self.inner_max_iter)
+            self._memo_key, self._memo = key, result
+            if self._plane is not None:
+                self._plane.loop_columns += 1
         blk = self.blk
         flops = result.flops + (2.0 * blk.B_coupling.nnz + 2.0 * blk.n_ext)
         return result.x, flops, {"inner_iterations": result.iterations}

@@ -1,8 +1,8 @@
-"""Compute plane: shared inner-solve operators and a last-solve memo.
+"""Compute plane: shared inner-solve operators and the solve counters.
 
 See :mod:`repro.compute.plane` for the architecture.
 """
 
-from repro.compute.plane import CohortMember, ComputePlane
+from repro.compute.plane import ComputePlane
 
-__all__ = ["ComputePlane", "CohortMember"]
+__all__ = ["ComputePlane"]

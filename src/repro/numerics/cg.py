@@ -10,9 +10,11 @@ proportionally longer simulated time, reproducing the paper's ratio (4)
 Two execution paths produce **bitwise-identical** results:
 
 * :func:`conjugate_gradient` — the general allocating loop (any matrix,
-  no cached state; the reference :meth:`CgOperator.solve` is tested against);
+  no cached state, plus the Jacobi preconditioner, residual history and
+  raise-on-failure options; the reference :meth:`CgOperator.solve` is
+  tested against);
 * :class:`CgOperator` — per-matrix cached state (a prebound matvec kernel,
-  Jacobi diagonal, preallocated work vectors) whose
+  preallocated work vectors) whose unpreconditioned
   :meth:`CgOperator.solve` runs the same arithmetic without per-call
   allocations.  Identical floating point operations in identical order ⇒
   identical iterates, iteration counts, residuals and flop charges —
@@ -308,11 +310,10 @@ class CgOperator:
 
     Holds the matrix, its matvec kernel (chosen by :func:`matvec_kernel`
     on the first multiply, so an operator that never multiplies — a
-    cohort member solving on another operator — stores no DIA copy), the
-    (lazily computed) Jacobi diagonal, the lazily cached
-    :class:`StripFactor` of :meth:`solve_direct`, and preallocated work
-    vectors, so repeated solves against the same matrix allocate only
-    their output ``x``.
+    task solving on a cohort's shared operator — stores no DIA copy), the
+    lazily cached :class:`StripFactor` of :meth:`solve_direct`, and
+    preallocated work vectors, so repeated solves against the same matrix
+    allocate at most their output ``x`` (see :meth:`_free_slot`).
 
     The matrix is **symmetric by contract**: the class solves by CG, which
     requires it, and every block it serves is a strip of a symmetric
@@ -338,12 +339,10 @@ class CgOperator:
         self._p = np.empty(n)
         self._Ap = np.empty(n)
         self._tmp = np.empty(n)
-        self._z: np.ndarray | None = None  # allocated on first preconditioned solve
-        self._inv_diag: np.ndarray | None = None
         self._factor: StripFactor | None = None
         self._kernel = None  # built by :attr:`kernel` on the first multiply
         #: recycled solution buffers for ``x0 is None`` solves (see
-        #: :meth:`_fresh_x`); bounded so escaped buffers cannot pile up
+        #: :meth:`_free_slot`); bounded so escaped buffers cannot pile up
         self._x_pool: list[np.ndarray] = []
 
     # -- cached pieces -------------------------------------------------------
@@ -357,15 +356,6 @@ class CgOperator:
         if self._kernel is None:
             self._kernel = matvec_kernel(self.A)
         return self._kernel
-
-    @property
-    def inv_diag(self) -> np.ndarray:
-        if self._inv_diag is None:
-            d = self.A.diagonal()
-            if (d <= 0).any():
-                raise ValueError("Jacobi preconditioner needs a positive diagonal")
-            self._inv_diag = 1.0 / d
-        return self._inv_diag
 
     def factorization(self) -> StripFactor:
         """The cached :func:`strip_factor` of ``A`` (built on first use)."""
@@ -381,23 +371,24 @@ class CgOperator:
 
     _X_POOL_MAX = 4
 
-    def _fresh_x(self) -> np.ndarray:
-        """A zeroed solution buffer, recycled across solves when safe.
+    def _free_slot(self) -> np.ndarray:
+        """A solution buffer nothing outside the pool references, writable
+        and holding stale values (callers overwrite or zero it).
 
         Callers retain the returned ``x`` (it becomes ``CgResult.x``, the
-        task's live state, possibly the base of in-flight zero-copy
-        payload views), so a slot is reused only when *nothing* outside
-        the pool still references it — checked by refcount, which makes
-        recycling invisible: a free slot refilled with ``fill(0.0)`` is
-        bit-for-bit the ``np.zeros`` it replaces.
+        task's live — frozen — iterate, possibly the base of in-flight
+        zero-copy payload views or a Backup), so a slot is reused only
+        when *nothing* outside the pool still references it, checked by
+        refcount; such a slot is re-armed (made writable again), which
+        makes recycling invisible.
         """
         pool = self._x_pool
         for slot in pool:
             # refs: pool list + loop binding + getrefcount argument
-            if sys.getrefcount(slot) == 3 and slot.flags.writeable:
-                slot.fill(0.0)
+            if sys.getrefcount(slot) == 3:
+                slot.flags.writeable = True
                 return slot
-        x = np.zeros(self.n)
+        x = np.empty(self.n)
         if len(pool) < self._X_POOL_MAX:
             pool.append(x)
         return x
@@ -410,18 +401,20 @@ class CgOperator:
         x0: np.ndarray | None = None,
         tol: float = 1e-10,
         max_iter: int | None = None,
-        jacobi_precondition: bool = False,
-        raise_on_fail: bool = False,
-        keep_history: bool = False,
     ) -> CgResult:
-        """CG solve, bitwise-identical to :func:`conjugate_gradient`."""
+        """Unpreconditioned CG solve, bitwise-identical to
+        :func:`conjugate_gradient` with its defaults."""
         n = self.n
         if b.shape != (n,):
             raise ValueError(f"b has shape {b.shape}, expected ({n},)")
         if max_iter is None:
             max_iter = max(10 * n, 100)
 
-        x = self._fresh_x() if x0 is None else np.array(x0, dtype=float, copy=True)
+        if x0 is None:
+            x = self._free_slot()
+            x.fill(0.0)
+        else:
+            x = np.array(x0, dtype=float, copy=True)
         if x.shape != (n,):
             raise ValueError("x0 shape mismatch")
 
@@ -441,21 +434,9 @@ class CgOperator:
             kernel(x, Ap)
             np.subtract(b, Ap, out=r)
 
-        precond = jacobi_precondition
-        if precond:
-            inv_d = self.inv_diag
-            if self._z is None:
-                self._z = np.empty(n)
-            z = self._z
-            np.multiply(inv_d, r, out=z)
-            rz = float(r.dot(z))
-            res = _sqrt(r.dot(r))
-        else:
-            z = r  # the identity preconditioner aliases z to r
-            rz = float(r.dot(r))
-            res = _sqrt(rz)
-        np.copyto(p, z)
-        history = [res] if keep_history else []
+        rz = float(r.dot(r))
+        res = _sqrt(rz)
+        np.copyto(p, r)
 
         it = 0
         while res > stop and it < max_iter:
@@ -463,8 +444,6 @@ class CgOperator:
             kernel(p, Ap)
             pAp = float(p.dot(Ap))
             if pAp <= 0.0:
-                if raise_on_fail:
-                    raise ConvergenceError("CG breakdown: non-positive curvature")
                 break
             alpha = rz / pAp
             # x += alpha * p ; r -= alpha * Ap  (via the scratch buffer)
@@ -472,34 +451,21 @@ class CgOperator:
             np.add(x, tmp, out=x)
             np.multiply(Ap, alpha, out=tmp)
             np.subtract(r, tmp, out=r)
-            if precond:
-                res = _sqrt(r.dot(r))
-                np.multiply(inv_d, r, out=z)
-                rz_new = float(r.dot(z))
-            else:
-                rz_new = float(r.dot(r))
-                res = _sqrt(rz_new)
-            if keep_history:
-                history.append(res)
+            rz_new = float(r.dot(r))
+            res = _sqrt(rz_new)
             beta = rz_new / rz if rz > 0 else 0.0
-            # p = z + beta * p: scale-then-add reads z (== r unpreconditioned)
+            # p = r + beta * p: scale-then-add, the reference's order
             np.multiply(p, beta, out=p)
-            np.add(p, z, out=p)
+            np.add(p, r, out=p)
             rz = rz_new
             it += 1
 
-        converged = res <= stop
-        if not converged and raise_on_fail:
-            raise ConvergenceError(
-                f"CG did not converge in {max_iter} iterations (residual {res:.3e})"
-            )
         return CgResult(
             x=x,
-            converged=converged,
+            converged=res <= stop,
             iterations=it,
             residual_norm=res,
             flops=cg_flops_estimate(self.nnz, n, it),
-            residual_history=history,
         )
 
     def solve_direct(self, b: np.ndarray, tol: float = 1e-10) -> CgResult:
@@ -512,15 +478,16 @@ class CgOperator:
         compute-time model stays meaningful — but enabling this path
         *does* change iteration counts and simulated time relative to CG,
         which is why it is never a default.  ``x`` comes from
-        :meth:`_fresh_x`, never from the operator's scratch, because
-        cohort siblings share one operator.
+        :meth:`_free_slot`, never from the operator's scratch, because
+        cohort siblings share one operator; it is not zeroed, as the
+        second GEMM overwrites every element.
         """
         f = self.factorization()
         m, n = f.m, f.n
         y = self._tmp.reshape(m, n)
         np.matmul(f.Q, b.reshape(m, n), out=y)
         f.pttrs(f.d, f.e, self._tmp, overwrite_b=True)
-        x = self._fresh_x()
+        x = self._free_slot()
         np.matmul(f.Q, y, out=x.reshape(m, n))
         # honest convergence diagnostics: one extra (uncharged) matvec
         self.matvec(x, self._Ap)
@@ -534,7 +501,6 @@ class CgOperator:
             iterations=1,
             residual_norm=res,
             flops=f.flops,
-            residual_history=[],
         )
 
 

@@ -102,6 +102,16 @@ def assemble_strip_solution(fragments: dict, size: int) -> np.ndarray:
     return x
 
 
+def strip_task(cls, params: dict, task_id: int, num_tasks: int,
+               compute=None):
+    """A set-up strip task of class ``cls`` in its initial state;
+    ``compute`` is the :class:`repro.compute.ComputePlane` it may use."""
+    task = cls()
+    task.setup(TaskContext("t", task_id, num_tasks, params, compute=compute))
+    task.load_state(task.initial_state())
+    return task
+
+
 def poisson_strip(n: int, nblocks: int, overlap: int,
                   index: int | None = None):
     """Strip block ``index`` (default: an interior one) of the ``n x n``

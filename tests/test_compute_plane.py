@@ -6,11 +6,13 @@ solve on the spot, runs identically."""
 import numpy as np
 import pytest
 
+from repro.apps import PoissonTask
 from repro.compute import ComputePlane
 from repro.numerics import BlockDecomposition, CgOperator, Poisson2D
 from repro.util.caches import clear_caches
 from repro.util.serialization import (NDARRAY_HEADER_BYTES, _payload_size,
                                       measured_size)
+from tests.helpers import strip_task
 
 
 @pytest.fixture(autouse=True)
@@ -41,81 +43,97 @@ def test_cohorts_share_by_matrix_bytes():
     A_twin = A.copy()          # equal bytes, distinct object
     B = (A * 2.0).tocsr()      # different matrix
     plane = ComputePlane()
-    m1 = plane.member_for(CgOperator(A))
-    m2 = plane.member_for(CgOperator(A_twin))
-    m3 = plane.member_for(CgOperator(B))
-    assert m1.op is m2.op
-    assert m3.op is not m1.op
+    op1, op2, op3 = CgOperator(A), CgOperator(A_twin), CgOperator(B)
+    assert plane.operator_for(op1) is op1
+    assert plane.operator_for(op2) is op1
+    assert plane.operator_for(op3) is op3
     assert plane.stats()["cohorts"] == 2
 
 
+def _poisson_task(params, plane, task_id=1, num_tasks=3):
+    return strip_task(PoissonTask, params, task_id, num_tasks, plane)
+
+
 def test_direct_deferral_duration_and_collect():
-    # nothing is deferred any more: the direct result comes back from the
-    # seat at once, and the flops the runner turns into the iteration's
-    # duration are the analytic estimate of an 8-line strip of 8 points
-    A, b = _spd(8)
-    op = CgOperator(A)
-    plane = ComputePlane()
-    member = plane.member_for(op)
-    got = member.solve_direct(b, tol=1e-10)
-    _assert_same_result(got, op.solve_direct(b, tol=1e-10))
+    # nothing is deferred any more: the direct result comes back at once,
+    # and the flops the runner turns into the iteration's duration are the
+    # analytic estimate of an 8-line strip of 8 points (one task: no
+    # coupling, plus the 2·rows rhs charge)
     from repro.numerics.cg import direct_flops_estimate
-    assert got.flops == direct_flops_estimate(8, 8)
+
+    plane = ComputePlane()
+    task = _poisson_task({"n": 8, "inner_solver": "direct"}, plane, 0, 1)
+    step = task.iterate({})
+    assert step.flops == direct_flops_estimate(8, 8) + 2.0 * 64
+    want = CgOperator(task.blk.A_local).solve_direct(task.blk.b_local)
+    assert task.x.tobytes() == want.x.tobytes()
     stats = plane.stats()
     assert stats["loop_columns"] == 1
     assert (stats["flushes"], stats["deferred"]) == (0, 0)
 
 
 def test_cohort_flush_batches_siblings_bitwise():
-    # siblings on one shared operator get exactly what each member's own
+    # siblings on one shared operator get exactly what each task's own
     # operator would produce, with no flush or batching involved
-    A, b = _spd(9)
-    plane = ComputePlane()
-    ops = [CgOperator(A) for _ in range(3)]
-    members = [plane.member_for(op) for op in ops]
-    assert all(m.op is members[0].op for m in members)
-    rng = np.random.default_rng(9)
-    rhss = [b] + [rng.standard_normal(ops[0].n) for _ in range(2)]
-    for m, op, rhs in zip(members, ops, rhss):
-        _assert_same_result(m.solve_direct(rhs, tol=1e-10),
-                            op.solve_direct(rhs, tol=1e-10))
-        _assert_same_result(m.solve(rhs, tol=1e-10),
-                            op.solve(rhs, tol=1e-10))
-    stats = plane.stats()
-    assert stats["loop_columns"] == 6 and stats["memo_hits"] == 0
-    assert (stats["flushes"], stats["deferred"],
-            stats["batched_columns"]) == (0, 0, 0)
+    for solver in ("direct", "cg"):
+        params = {"n": 9, "inner_solver": solver}
+        plane = ComputePlane()
+        rng = np.random.default_rng(9)
+        for k in range(3):
+            on = _poisson_task(params, plane, k)
+            off = _poisson_task(params, None, k)
+            ext = rng.standard_normal(on.ext.size)
+            on.ext[:], off.ext[:] = ext, ext
+            _assert_same_step(on.iterate({}), off.iterate({}))
+            assert on.x.tobytes() == off.x.tobytes()
+        # three strips of three grid lines: one matrix, one operator
+        stats = plane.stats()
+        assert stats["cohorts"] == 1
+        assert stats["loop_columns"] == 3 and stats["memo_hits"] == 0
+        assert (stats["flushes"], stats["deferred"],
+                stats["batched_columns"]) == (0, 0, 0)
+
+
+def _assert_same_step(a, b):
+    assert (a.flops, a.local_distance, a.info) == (b.flops, b.local_distance,
+                                                   b.info)
+    assert sorted(a.outgoing) == sorted(b.outgoing)
+    for nb in a.outgoing:
+        assert a.outgoing[nb].tobytes() == b.outgoing[nb].tobytes()
 
 
 def test_cg_unpinned_solves_eagerly():
-    A, b = _spd(12)
-    op = CgOperator(A)
     plane = ComputePlane()
-    member = plane.member_for(op)
-    result = member.solve(b)
-    _assert_same_result(result, op.solve(b, tol=1e-10))
+    task = _poisson_task({"n": 12}, plane, 0, 1)
+    task.iterate({})
+    want = CgOperator(task.blk.A_local).solve(task.blk.b_local, tol=1e-10)
+    assert task.x.tobytes() == want.x.tobytes()
     assert plane.stats()["loop_columns"] == 1
     assert plane.stats()["deferred"] == 0
 
 
 def test_solve_memo_replays_identical_requests():
-    A, b = _spd(8)
-    op = CgOperator(A)
     plane = ComputePlane()
-    member = plane.member_for(op)
-    first = member.solve(b)
-    replay = member.solve(b.copy())
-    _assert_same_result(replay, first)
+    task = _poisson_task({"n": 8}, plane)
+    ext = np.random.default_rng(2).standard_normal(task.ext.size)
+    task.ext[:] = ext
+    first = task.iterate({})
+    x = task.x
+    replay = task.iterate({})  # no fresh boundary data: the same rhs
+    assert replay.local_distance == 0.0  # the iterate did not move
+    replay.local_distance = first.local_distance
+    _assert_same_step(replay, first)
+    assert task.x is x
     assert plane.stats()["memo_hits"] == 1
-    # the replayed x is a private copy: mutating it must not poison the memo
-    replay.x[0] = 1e9
-    again = member.solve(b)
-    _assert_same_result(again, first)
+    # the replayed iterate is frozen: it cannot poison the memo
+    with pytest.raises(ValueError):
+        task.x[0] = 1e9
     # a different rhs is a miss
-    other = b * 2.0
-    fresh = member.solve(other)
-    _assert_same_result(fresh, op.solve(other, tol=1e-10))
-    assert plane.stats()["memo_hits"] == 2
+    task.ext[:] = 2.0 * ext
+    task.iterate({})
+    want = CgOperator(task.blk.A_local).solve(task._assemble_rhs().copy())
+    assert task.x.tobytes() == want.x.tobytes()
+    assert plane.stats()["memo_hits"] == 1
     assert plane.stats()["loop_columns"] == 2
 
 
