@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from scipy.sparse._sparsetools import csr_matvec, dia_matvec
 
-from repro.des import Simulator, Store
+from repro.des import Simulator
 from repro.experiments.config import optimal_overlap
 from repro.net import Network, UniformLinkModel
 from repro.numerics import BlockDecomposition, CgOperator, Poisson2D
@@ -38,31 +38,6 @@ def test_des_event_throughput(benchmark):
 
     events = benchmark(run)
     assert events >= 10_000
-
-
-@pytest.mark.benchmark(group="micro")
-def test_des_store_handoff_throughput(benchmark):
-    def run():
-        sim = Simulator()
-        store = Store(sim)
-        got = []
-
-        def producer(env):
-            for i in range(5_000):
-                store.put(i)
-                yield env.timeout(0.001)
-
-        def consumer(env):
-            for _ in range(5_000):
-                item = yield store.get()
-                got.append(item)
-
-        sim.process(producer(sim))
-        sim.process(consumer(sim))
-        sim.run()
-        return len(got)
-
-    assert benchmark(run) == 5_000
 
 
 class Echo(RemoteObject):

@@ -27,6 +27,8 @@ AUDITED = {
     "repro.obs.trace": ["TraceEvent"],
     "repro.net.network": ["Message"],
     "repro.net.address": ["Address"],
+    # one per bound port: one per peer
+    "repro.net.host": ["Endpoint"],
     "repro.rmi.stub": ["Stub", "BoundStub"],
     "repro.rmi.invocation": [
         "CallMessage", "ReplyMessage", "OnewayMessage", "PreparedOneway",

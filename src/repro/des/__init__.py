@@ -3,7 +3,7 @@
 This is a self-contained, SimPy-style kernel (generator processes yielding
 events) written from scratch for this reproduction.  Everything above it —
 the network substrate, the RMI layer, the JaceP2P runtime — is expressed as
-processes scheduled by :class:`Simulator`.
+processes and scheduled callbacks on :class:`Simulator`.
 
 Design goals:
 
@@ -13,8 +13,6 @@ Design goals:
 * **Interrupts** — host failures are delivered to compute processes as
   :class:`Interrupt` exceptions, which is how the churn injector kills a
   Daemon mid-iteration.
-* **Cheap mailboxes** — :class:`Store` implements the put/get rendezvous used
-  for message queues.
 * **No idle collector** — the event loop makes no cyclic garbage, so
   :meth:`Simulator.run` suspends CPython's automatic cyclic collection and
   drives it from the event counter instead (:mod:`repro.des.collector`).
@@ -35,7 +33,6 @@ Example
 from repro.des.events import Event, Timeout, AllOf, AnyOf, ConditionValue
 from repro.des.process import Process, Interrupt
 from repro.des.kernel import Simulator, TimerWheel
-from repro.des.resources import Store
 
 __all__ = [
     "Simulator",
@@ -47,5 +44,4 @@ __all__ = [
     "ConditionValue",
     "Process",
     "Interrupt",
-    "Store",
 ]

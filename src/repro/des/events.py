@@ -4,7 +4,7 @@ An :class:`Event` is a one-shot occurrence with a value (or an exception).
 Processes wait on events by ``yield``-ing them; the kernel resumes the
 process when the event is *processed*.  :class:`Timeout` is the only event
 the kernel schedules by time; everything else is triggered by library code
-(message arrival, store put/get, process termination, ...).
+(a call's reply, process termination, ...).
 """
 
 from __future__ import annotations
@@ -35,8 +35,7 @@ class Event:
     *processed* (callbacks ran).  An event may only be triggered once.
     """
 
-    __slots__ = ("sim", "callbacks", "_value", "_ok", "_processed", "name",
-                 "orphaned")
+    __slots__ = ("sim", "callbacks", "_value", "_ok", "_processed", "name")
 
     def __init__(self, sim: "Simulator", name: str = ""):
         self.sim = sim
@@ -45,10 +44,6 @@ class Event:
         self._ok = True
         self._processed = False
         self.name = name
-        #: set when the sole waiting process detached (it was interrupted):
-        #: rendezvous producers (stores, resources) must skip this waiter
-        #: instead of handing it a value nobody will ever read
-        self.orphaned = False
 
     # -- state inspection --------------------------------------------------
 

@@ -94,7 +94,9 @@ class Simulator:
         self._seq = 0
         self._active_process: Process | None = None
         self._crashed: list[tuple[Process, BaseException]] = []
-        self.event_count = 0  # processed events, for micro-benchmarks
+        #: processed events; a delivered message adds its dispatch as a
+        #: second one (:meth:`repro.net.network.Network._deliver`)
+        self.event_count = 0
         #: ``event_count`` as of the last hand-over to :mod:`repro.des.collector`
         self._credited = 0
         #: free list of recycled :class:`ScheduledCall` entries (see
@@ -212,8 +214,8 @@ class Simulator:
         # per-event cost is a couple of attribute writes instead of half
         # a dozen reads — at a million-plus events per run this is worth
         # seconds of wall-clock.  ``event_count`` is updated *per event*
-        # (not batched into a local): callbacks observe it live, and
-        # deterministic consumers seed RNG streams from it mid-run.  The
+        # (not batched into a local): callbacks observe it live, and the
+        # network adds each delivered message's dispatch to it mid-run.  The
         # masked test on it is the collector valve: one integer test per
         # event, one hand-over per young stride.
         heap = self._heap

@@ -115,10 +115,6 @@ class Process(Event):
                 self._target.callbacks.remove(self._resume)
             except ValueError:
                 pass
-            if not self._target.callbacks:
-                # nobody is waiting on it anymore: producers must not hand
-                # it a value (see Event.orphaned)
-                self._target.orphaned = True
         self._target = None
 
         sim = self.sim

@@ -5,8 +5,8 @@ PCs, Pentium III 1.26 GHz … Pentium 4 3 GHz, on mixed 100 Mbps / 1 Gbps
 Ethernet) with an explicit model:
 
 * :class:`Host` — a machine with a relative CPU speed, an online/offline
-  state, per-port mailboxes and a registry of processes to interrupt when
-  the machine is switched off.
+  state, per-port endpoints (each a handler the network delivers to) and
+  the live processes to interrupt when the machine is switched off.
 * :class:`LinkModel` — per-pair latency/bandwidth; message delay =
   ``latency + bytes/bandwidth (+ jitter)``.
 * :class:`Network` — delivery engine: routes messages between hosts,

@@ -1,6 +1,6 @@
 """Network addresses.
 
-An :class:`Address` names a mailbox: ``(host, port)``.  The JaceP2P
+An :class:`Address` names an endpoint: ``(host, port)``.  The JaceP2P
 bootstrap protocol (§5.1) is the *only* part of the runtime that uses raw
 addresses; after registration, entities talk through RMI stubs (which wrap an
 address but are opaque to the application).

@@ -6,25 +6,23 @@ A :class:`Host` models one PC of the testbed:
   ``flops / (speed * BASE_FLOPS)`` simulated seconds, so slower machines take
   proportionally longer per iteration, desynchronising peers exactly the way
   hardware heterogeneity does in the paper;
-* an **online/offline switch** — :meth:`fail` interrupts every process
-  registered on the host and destroys its mailboxes (a powered-off PC loses
+* an **online/offline switch** — :meth:`fail` interrupts every live process
+  spawned on the host and closes its endpoints (a powered-off PC loses
   everything in RAM); :meth:`recover` brings the machine back *empty*, after
   which a fresh Daemon must boot and re-register (§5.3);
-* **endpoints** — per-port mailboxes the :class:`~repro.net.network.Network`
-  delivers into.
+* **endpoints** — one per bound port, each holding the handler the
+  :class:`~repro.net.network.Network` calls with every payload it delivers
+  there, in the delivery event itself (no mailbox, no receiving process).
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable
+from typing import Any, Callable
 
-from repro.des import Simulator, Store
+from repro.des import Simulator
 from repro.des.process import Process
 from repro.errors import ConfigurationError, HostDownError, NetworkError
 from repro.net.address import Address
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.net.network import Message
 
 __all__ = ["Host", "Endpoint", "BASE_FLOPS"]
 
@@ -35,48 +33,21 @@ BASE_FLOPS = 250e6
 
 
 class Endpoint:
-    """A mailbox bound to one port of a host.
+    """One bound port of a host and the handler its deliveries go to.
 
-    ``recv()`` returns a DES event that fires with the next delivered
-    message.  Mailboxes are drop-tail bounded (``capacity``) — a flooded
-    mailbox drops new arrivals, which the asynchronous model tolerates.
+    The network calls ``handler(payload)`` at the delivery instant; a
+    closed endpoint (its host failed) receives nothing more.
     """
 
-    def __init__(self, host: "Host", port: int, capacity: float = float("inf")):
-        self.host = host
-        self.port = port
-        self.address = Address(host.name, port)
-        self.mailbox = Store(host.sim, capacity=capacity, name=str(self.address))
+    __slots__ = ("address", "handler", "closed")
+
+    def __init__(self, address: Address, handler: Callable[[Any], None]):
+        self.address = address
+        self.handler = handler
         self.closed = False
-        #: optional zero-copy dispatch hook for the oneway fast path
-        #: (:meth:`repro.net.network.Network.send` with ``fast=True``):
-        #: called with the *payload* (not the Message) when the endpoint
-        #: is idle — the RMI runtime registers its oneway dispatcher here
-        self.fast_handler: Callable[[Any], None] | None = None
-
-    def ready_for_fast_dispatch(self) -> bool:
-        """True when a fast delivery may bypass the mailbox right now:
-        no buffered backlog ahead of it, and a live consumer is blocked on
-        ``recv()`` (so the object path would have dispatched this message
-        on the very next kernel step anyway — bypassing preserves FIFO)."""
-        mb = self.mailbox
-        return not mb.items and mb.has_live_getter()
-
-    def recv(self):
-        """Event firing with the next message (FIFO)."""
-        if self.closed:
-            raise NetworkError(f"recv() on closed endpoint {self.address}")
-        return self.mailbox.get()
-
-    def deliver(self, message: "Message") -> bool:
-        """Called by the network; returns False if the message was dropped."""
-        if self.closed or not self.host.online:
-            return False
-        return self.mailbox.try_put(message)
 
     def close(self) -> None:
         self.closed = True
-        self.mailbox.drain()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<Endpoint {self.address} {'closed' if self.closed else 'open'}>"
@@ -102,26 +73,24 @@ class Host:
         self.tags = tuple(tags)
         self.online = True
         self.endpoints: dict[int, Endpoint] = {}
-        self._processes: list[Process] = []
+        #: live processes spawned here, in spawn order; each one leaves
+        #: when it finishes (:meth:`_reap`)
+        self._processes: dict[Process, None] = {}
         self._on_recover: list[Callable[["Host"], None]] = []
         self.fail_count = 0
         self.recover_count = 0
 
     # -- endpoints -----------------------------------------------------------
 
-    def open_endpoint(self, port: int, capacity: float = float("inf")) -> Endpoint:
+    def open_endpoint(self, port: int, handler: Callable[[Any], None]) -> Endpoint:
+        """Bind ``port``: every payload delivered to it is passed to
+        ``handler`` at its arrival instant."""
         if not self.online:
             raise HostDownError(f"host {self.name} is offline")
         if port in self.endpoints and not self.endpoints[port].closed:
             raise NetworkError(f"port {port} already bound on {self.name}")
-        ep = Endpoint(self, port, capacity=capacity)
+        ep = Endpoint(Address(self.name, port), handler)
         self.endpoints[port] = ep
-        return ep
-
-    def endpoint(self, port: int) -> Endpoint | None:
-        ep = self.endpoints.get(port)
-        if ep is not None and ep.closed:
-            return None
         return ep
 
     # -- processes -----------------------------------------------------------
@@ -131,8 +100,12 @@ class Host:
         if not self.online:
             raise HostDownError(f"host {self.name} is offline")
         proc = self.sim.process(generator, label=label or f"{self.name}:proc")
-        self._processes.append(proc)
+        self._processes[proc] = None
+        proc.callbacks.append(self._reap)
         return proc
+
+    def _reap(self, proc: Process) -> None:
+        self._processes.pop(proc, None)
 
     def compute(self, flops: float):
         """Event taking ``flops / (speed*BASE_FLOPS)`` simulated seconds.
@@ -155,7 +128,7 @@ class Host:
         self._on_recover.append(callback)
 
     def fail(self, cause: Any = "failure") -> None:
-        """Power the machine off: kill processes, destroy mailboxes."""
+        """Power the machine off: kill processes, close endpoints."""
         if not self.online:
             return
         self.online = False
@@ -163,7 +136,7 @@ class Host:
         tr = self.sim.tracer
         if tr.enabled:
             tr.emit(self.sim.now, "net", self.name, "host_fail", cause=str(cause))
-        procs, self._processes = self._processes, []
+        procs, self._processes = self._processes, {}
         for proc in procs:
             if proc.is_alive and proc is not self.sim.active_process:
                 proc.interrupt(cause=cause)

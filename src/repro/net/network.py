@@ -1,11 +1,12 @@
 """The message delivery engine.
 
-:meth:`Network.send` is fire-and-forget: it charges the link delay, then
-delivers into the destination endpoint's mailbox — *unless* the destination
-host is offline, the endpoint is gone, or a partition separates the pair, in
-which case the message is silently dropped and counted.  This is exactly the
-paper's §5.3 semantics: "the message is simply lost if the destination peer
-is not reachable".
+:meth:`Network.send` is fire-and-forget: it charges the link delay, and at
+the arrival instant :meth:`Network._deliver` hands the payload to the
+destination endpoint's handler — *unless* the destination host is offline,
+the endpoint is gone, a partition separates the pair or random loss takes
+it, in which case the message is silently dropped and counted.  This is
+exactly the paper's §5.3 semantics: "the message is simply lost if the
+destination peer is not reachable".
 
 For request/response interactions the RMI layer (:mod:`repro.rmi`) builds
 invocation semantics on top of this primitive.
@@ -105,7 +106,6 @@ class Network:
         self.dropped_dead = 0      # destination host offline / endpoint gone
         self.dropped_partition = 0
         self.dropped_loss = 0      # random in-transit loss
-        self.dropped_overflow = 0  # destination mailbox full
         self.bytes_sent = 0
         self.bytes_delivered = 0
 
@@ -169,23 +169,12 @@ class Network:
         payload: Any,
         size: int | None = None,
         reliable: bool = False,
-        fast: bool = False,
     ) -> Message:
         """Fire-and-forget send; returns the in-flight :class:`Message`.
 
         Raises only on programmer error (unknown source host); every
         *runtime* failure mode (dead peer, partition, loss) degrades to a
         silent counted drop.
-
-        ``fast=True`` marks the transfer eligible for the oneway fast
-        path: when no observer or fault hook needs the object pipeline
-        (tracer off, no in-transit loss, no congestion model, no
-        corruptor), delivery dispatches straight into the destination
-        endpoint's registered fast handler instead of round-tripping
-        through its mailbox and dispatcher process.  Every counter, the
-        link delay, and the delivery-order guarantees are identical; the
-        path re-checks eligibility at fire time and falls back to the
-        object pipeline whenever a hook appeared in flight.
         """
         sim = self.sim
         tr = sim.tracer
@@ -234,105 +223,57 @@ class Network:
         # process (init event + generator + completion event): same fire
         # time, same execution order among same-time deliveries (monotone
         # sequence numbers), a fraction of the kernel work per message.
-        if (
-            fast
-            and self.loss_rate == 0.0
-            and self.congestion is None
-            and self.corruptor is None
-            and not tr.enabled
-        ):
-            sim.call_later(delay, self._deliver_fast, msg)
-        else:
-            sim.call_later(delay, self._deliver, msg)
+        sim.call_later(delay, self._deliver, msg)
         return msg
 
-    def _deliver_fast(self, msg: Message) -> None:
-        """Fast-path delivery tail: dispatch the payload straight into the
-        destination endpoint's registered oneway handler.
+    def _deliver(self, msg: Message) -> None:
+        """Complete one transfer at send time + link delay: drop it, or
+        call the destination endpoint's handler with its payload.
 
-        Runs only for transfers flagged eligible at send time; re-checks
-        the dynamic hooks (tracer, corruptor) at fire time and the
-        endpoint's readiness — a backlog in the mailbox, or no idle
-        dispatcher waiter, means FIFO order must be preserved through the
-        object pipeline, so the message falls back to :meth:`_deliver`'s
-        tail.  All drop/delivery counters match the object path exactly.
+        A delivered message counts two kernel events in ``event_count``,
+        its arrival and its dispatch, though both run in this callback; a
+        dropped one counts its arrival only.  The perf ledger's swarm step
+        unit is that count.
         """
-        if self.sim.tracer.enabled or self.corruptor is not None:
-            self._deliver(msg)
-            return
         self.in_flight -= 1
+        src, dst = msg.src, msg.dst
         # inlined self.reachable(): one method call per delivery adds up,
         # and the common case is no partition at all
         part = self._partition
-        if (part is not None
-                and part.get(msg.src.host, -1) != part.get(msg.dst.host, -1)):
-            self.dropped_partition += 1
-            return
-        dst_host = self.hosts.get(msg.dst.host)
-        if dst_host is None or not dst_host.online:
-            self.dropped_dead += 1
-            return
-        ep = dst_host.endpoints.get(msg.dst.port)
-        if ep is None or ep.closed:
-            self.dropped_dead += 1
-            return
-        handler = ep.fast_handler
-        if handler is not None and ep.ready_for_fast_dispatch():
-            self.delivered += 1
-            self.bytes_delivered += msg.size
-            handler(msg.payload)
-            # A coalesced dispatch absorbs the mailbox hop — the put and
-            # the getter-resume event the object path would have run.
-            # Credit both observables: ``event_count`` feeds deterministic
-            # consumers (the Spawner seeds its reserve shuffle from it),
-            # so it must advance exactly as on the object path: a traced
-            # run takes that path and must equal the same run untraced.
-            ep.mailbox.put_count += 1
-            self.sim.event_count += 1
-        elif ep.deliver(msg):
-            self.delivered += 1
-            self.bytes_delivered += msg.size
-        else:
-            self.dropped_overflow += 1
-
-    def _deliver(self, msg: Message) -> None:
-        """Complete one transfer: runs at send time + link delay."""
-        self.in_flight -= 1
-        if not self.reachable(msg.src.host, msg.dst.host):
+        if part is not None and part.get(src.host, -1) != part.get(dst.host, -1):
             self.dropped_partition += 1
             self._trace_drop(msg, "partition")
             return
         if (
-            not msg.reliable
-            and self.loss_rate > 0
+            self.loss_rate > 0.0
+            and not msg.reliable
             and self.rng.uniform() < self.loss_rate
         ):
             self.dropped_loss += 1
             self._trace_drop(msg, "loss")
             return
-        dst_host = self.hosts.get(msg.dst.host)
+        dst_host = self.hosts.get(dst.host)
         if dst_host is None or not dst_host.online:
             self.dropped_dead += 1
             self._trace_drop(msg, "dst_dead")
             return
-        ep = dst_host.endpoint(msg.dst.port)
-        if ep is None:
+        ep = dst_host.endpoints.get(dst.port)
+        if ep is None or ep.closed:
             self.dropped_dead += 1
             self._trace_drop(msg, "no_endpoint")
             return
         if self.corruptor is not None:
             self.corruptor(msg)
-        if ep.deliver(msg):
-            self.delivered += 1
-            self.bytes_delivered += msg.size
-            tr = self.sim.tracer
-            if tr.enabled:
-                tr.emit(self.sim.now, "net", "fabric", "deliver",
-                        msg_id=msg.msg_id, src=str(msg.src), dst=str(msg.dst),
-                        size=msg.size)
-        else:
-            self.dropped_overflow += 1
-            self._trace_drop(msg, "overflow")
+        self.delivered += 1
+        self.bytes_delivered += msg.size
+        sim = self.sim
+        tr = sim.tracer
+        if tr.enabled:
+            tr.emit(sim.now, "net", "fabric", "deliver",
+                    msg_id=msg.msg_id, src=str(src), dst=str(dst),
+                    size=msg.size)
+        sim.event_count += 1
+        ep.handler(msg.payload)
 
     def _trace_drop(self, msg: Message, reason: str) -> None:
         tr = self.sim.tracer
@@ -350,7 +291,6 @@ class Network:
             "dropped_dead": self.dropped_dead,
             "dropped_partition": self.dropped_partition,
             "dropped_loss": self.dropped_loss,
-            "dropped_overflow": self.dropped_overflow,
             "bytes_sent": self.bytes_sent,
             "bytes_delivered": self.bytes_delivered,
         }

@@ -8,7 +8,7 @@ tasks, and exchanges asynchronous data messages directly with the other
 computing peers through their stubs.
 
 A Daemon lives and dies with its host: when the churn injector powers the
-machine off, every Daemon process is interrupted and the mailboxes vanish;
+machine off, every Daemon process is interrupted and its endpoint closes;
 on reconnection the cluster boots a *fresh* Daemon (new incarnation id, same
 address) that re-registers from scratch — any checkpoints the old
 incarnation guarded are gone, exactly the RAM-loss the paper's multi-backup

@@ -100,6 +100,8 @@ class Spawner(RemoteObject):
         self._last_broadcast_version = 0
         self._changed_since_broadcast: set[int] = set()
         self.resyncs_served = 0
+        #: :meth:`_reserve` sweeps so far: keys each sweep's contact order
+        self._reservations = 0
         self.reign = reign
         #: attached via :meth:`attach_gossip`; None keeps every legacy code
         #: path untouched (bitwise identity with gossip disabled)
@@ -336,7 +338,8 @@ class Spawner(RemoteObject):
         walking the whole forwarding graph; a partial grant no longer wins
         the sweep outright — the remainder is re-requested from the next
         contact instead of silently under-filling the slots."""
-        addresses = self.rng.child("reserve", self.sim.event_count).shuffled(
+        self._reservations += 1
+        addresses = self.rng.child("reserve", self._reservations).shuffled(
             self.superpeer_addresses
         )
         pairs = []

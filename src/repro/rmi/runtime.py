@@ -1,8 +1,12 @@
 """Server/client runtime for remote invocations.
 
 One :class:`RmiRuntime` per JaceP2P entity: it binds an endpoint on the
-entity's host, runs a dispatcher process (which dies with the host, like a
-JVM on a powered-off PC), serves exported objects, and issues outgoing calls.
+entity's host whose handler dispatches every arriving message in its
+delivery event (the endpoint closes with the host, like a JVM on a
+powered-off PC), serves exported objects, and issues outgoing calls.  The
+runtime spawns nothing of its own: a call's deadline is one scheduled
+callback, and only generator handlers and :meth:`RmiRuntime.gather`'s
+waiters run as processes.
 
 Failure semantics (these are what the JaceP2P protocols rely on):
 
@@ -97,7 +101,7 @@ class RmiRuntime:
         self.sim: Simulator = network.sim
         self.host = host
         self.name = name or f"rmi@{host.name}:{port}"
-        self.endpoint = host.open_endpoint(port)
+        self.endpoint = host.open_endpoint(port, self._dispatch)
         self.address = self.endpoint.address
         self.call_timeout = call_timeout
         self._objects: dict[str, RemoteObject] = {}
@@ -111,12 +115,6 @@ class RmiRuntime:
         self.served = 0
         self.oneways_sent = 0
         self.oneway_errors = 0
-        self._dispatcher = host.spawn(self._dispatch_loop(), label=f"{self.name}:dispatch")
-        # the oneway fast path (Network.send(fast=True)) dispatches
-        # eligible deliveries straight into _on_oneway, skipping the
-        # mailbox and the dispatcher resume — semantics identical to a
-        # mailbox round-trip on an idle endpoint
-        self.endpoint.fast_handler = self._on_oneway
 
     # -- serving ------------------------------------------------------------
 
@@ -141,7 +139,8 @@ class RmiRuntime:
 
         Returns a DES event that fires with the result, or fails with
         :class:`RemoteError` (peer unreachable / timed out) or with the
-        remote application exception.
+        remote application exception.  With no reply, the event fails at
+        exactly ``now + timeout``, and a reply arriving later is dropped.
         """
         result = self.sim.event(name=f"call:{stub.object_name}.{method}")
         msg = CallMessage(stub.object_name, method, args, kwargs, reply_to=self.address)
@@ -158,10 +157,8 @@ class RmiRuntime:
         # they complete or fail with a connection error — never silently
         # vanish mid-exchange on a healthy pair of hosts
         self.network.send(self.address, stub.address, msg, size, True)
-        self.sim.process(
-            self._watchdog(msg.call_id, result, timeout or self.call_timeout),
-            label=f"{self.name}:watchdog",
-        )
+        timeout = timeout or self.call_timeout
+        self.sim.call_later(timeout, self._expire, msg.call_id, result, timeout)
         return result
 
     def oneway(
@@ -194,8 +191,7 @@ class RmiRuntime:
             tr.emit(self.sim.now, "rmi", self.name, "oneway",
                     object=stub.object_name, method=method, dst=str(stub.address))
         msg = OnewayMessage(stub.object_name, method, args, kwargs)
-        self.network.send(self.address, stub.address, msg, size,
-                          reliable, True)
+        self.network.send(self.address, stub.address, msg, size, reliable)
         return size
 
     def prepare_oneway(
@@ -223,7 +219,7 @@ class RmiRuntime:
                     object=msg.object_name, method=msg.method,
                     dst=str(prepared.stub.address))
         self.network.send(self.address, prepared.stub.address, prepared.msg,
-                          prepared.size, reliable, True)
+                          prepared.size, reliable)
 
     def gather(self, calls: dict) -> Any:
         """Generator: await a dict of :meth:`call` events; returns
@@ -245,38 +241,32 @@ class RmiRuntime:
             yield self.sim.all_of(procs)
         return results
 
-    def _watchdog(self, call_id: int, result: Event, timeout: float):
-        yield self.sim.timeout(timeout)
-        if not result.triggered:
-            self._pending.pop(call_id, None)
+    def _expire(self, call_id: int, result: Event, timeout: float) -> None:
+        """A call's deadline: fail it unless its reply already came."""
+        if result.triggered:
+            return
+        self._pending.pop(call_id, None)
+        tr = self.sim.tracer
+        if tr.enabled:
+            tr.emit(self.sim.now, "rmi", self.name, "error",
+                    call_id=call_id, reason="timeout", timeout=timeout)
+        result.fail(RemoteError(f"call #{call_id} timed out after {timeout}s"))
+
+    # -- dispatch ---------------------------------------------------------------
+
+    def _dispatch(self, payload: Any) -> None:
+        """The endpoint's handler: runs in the message's delivery event."""
+        if isinstance(payload, OnewayMessage):
+            self._on_oneway(payload)
+        elif isinstance(payload, ReplyMessage):
+            self._on_reply(payload)
+        elif isinstance(payload, CallMessage):
+            self._on_call(payload)
+        else:  # pragma: no cover - diagnostics
             tr = self.sim.tracer
             if tr.enabled:
-                tr.emit(self.sim.now, "rmi", self.name, "error",
-                        call_id=call_id, reason="timeout", timeout=timeout)
-            result.fail(RemoteError(f"call #{call_id} timed out after {timeout}s"))
-
-    # -- dispatcher -----------------------------------------------------------
-
-    def _dispatch_loop(self):
-        while True:
-            if self.endpoint.closed:
-                # The host died before this process was interrupted (e.g. a
-                # failure injected in the same timestep we booted): exit
-                # cleanly instead of recv()-ing on a dead mailbox.
-                return
-            netmsg = yield self.endpoint.recv()
-            payload = netmsg.payload
-            if isinstance(payload, ReplyMessage):
-                self._on_reply(payload)
-            elif isinstance(payload, CallMessage):
-                self._on_call(payload)
-            elif isinstance(payload, OnewayMessage):
-                self._on_oneway(payload)
-            else:  # pragma: no cover - diagnostics
-                tr = self.sim.tracer
-                if tr.enabled:
-                    tr.emit(self.sim.now, "rmi", self.name,
-                            "rmi_unknown_message", type=type(payload).__name__)
+                tr.emit(self.sim.now, "rmi", self.name,
+                        "rmi_unknown_message", type=type(payload).__name__)
 
     def _on_reply(self, reply: ReplyMessage) -> None:
         event = self._pending.pop(reply.call_id, None)

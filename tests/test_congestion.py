@@ -15,39 +15,25 @@ def make_net(congestion=None):
         congestion=congestion,
     )
     a, b = net.new_host("a"), net.new_host("b")
-    ep = b.open_endpoint(4000)
-    return sim, net, ep
+    arrivals = []
+    b.open_endpoint(4000, lambda payload: arrivals.append((sim.now, payload)))
+    return sim, net, arrivals
 
 
 def test_no_congestion_by_default():
-    sim, net, ep = make_net()
-    arrivals = []
-
-    def rx(env):
-        while True:
-            msg = yield ep.recv()
-            arrivals.append(env.now)
-
-    sim.process(rx(sim))
+    sim, net, arrivals = make_net()
     for i in range(5):
         net.send(Address("a", 1), Address("b", 4000), i)
     sim.run(until=1.0)
-    assert len(arrivals) == 5
+    assert [i for _, i in arrivals] == [0, 1, 2, 3, 4]
     # all sent at t=0 with identical delay: identical arrival times
-    assert max(arrivals) - min(arrivals) < 1e-9
+    times = [t for t, _ in arrivals]
+    assert max(times) - min(times) < 1e-9
     assert net.peak_in_flight == 5
 
 
 def test_congestion_slows_concurrent_transfers():
-    sim, net, ep = make_net(congestion=lambda n: 1.0 + 1.0 * n)
-    arrivals = []
-
-    def rx(env):
-        while True:
-            msg = yield ep.recv()
-            arrivals.append((env.now, msg.payload))
-
-    sim.process(rx(sim))
+    sim, net, arrivals = make_net(congestion=lambda n: 1.0 + 1.0 * n)
     for i in range(4):
         net.send(Address("a", 1), Address("b", 4000), i)
     sim.run(until=1.0)
@@ -61,11 +47,7 @@ def test_congestion_slows_concurrent_transfers():
 
 
 def test_congestion_drains_between_bursts():
-    sim, net, ep = make_net(congestion=lambda n: 1.0 + n)
-
-    def rx(env):
-        while True:
-            yield ep.recv()
+    sim, net, arrivals = make_net(congestion=lambda n: 1.0 + n)
 
     def bursts(env):
         net.send(Address("a", 1), Address("b", 4000), "x")
@@ -73,14 +55,14 @@ def test_congestion_drains_between_bursts():
         net.send(Address("a", 1), Address("b", 4000), "y")
         return env.now
 
-    sim.process(rx(sim))
-    p = sim.process(bursts(sim))
+    sim.process(bursts(sim))
     sim.run(until=1.0)
+    assert [payload for _, payload in arrivals] == ["x", "y"]
     assert net.in_flight == 0
     assert net.peak_in_flight == 1  # never concurrent
 
 
 def test_congestion_multiplier_below_one_rejected():
-    sim, net, ep = make_net(congestion=lambda n: 0.5)
+    sim, net, arrivals = make_net(congestion=lambda n: 0.5)
     with pytest.raises(NetworkError):
         net.send(Address("a", 1), Address("b", 4000), "x")

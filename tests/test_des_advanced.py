@@ -1,9 +1,9 @@
 """Advanced DES kernel scenarios: nested processes, canceled waiters,
-interrupt interplay with stores."""
+interrupt interplay with waiting."""
 
 import pytest
 
-from repro.des import Interrupt, Simulator, Store
+from repro.des import Interrupt, Simulator
 from repro.errors import SimulationError
 
 
@@ -34,33 +34,35 @@ def test_deep_process_chain_joins_in_order():
     assert order == ["leaf0", "mid0", "leaf1", "mid1", "leaf2", "mid2", "root"]
 
 
-def test_interrupted_store_getter_does_not_steal_items():
-    """A consumer interrupted while blocked in get() must not consume the
-    next put: the item goes to the surviving consumer."""
+def test_interrupted_waiter_is_not_resumed_by_its_old_target():
+    """A process interrupted while waiting on an event detaches from it:
+    when that event fires later, only the waiter still on it resumes."""
     sim = Simulator()
-    store = Store(sim)
+    gate = sim.event()
     got = []
 
-    def consumer(env, name):
+    def waiter(env, name):
         try:
-            item = yield store.get()
-            got.append((name, item))
+            item = yield gate
+            got.append((name, item, env.now))
         except Interrupt:
-            got.append((name, "interrupted"))
+            got.append((name, "interrupted", env.now))
+            yield env.timeout(10)
+            got.append((name, "slept", env.now))
 
-    first = sim.process(consumer(sim, "first"))
-    sim.process(consumer(sim, "second"))
+    first = sim.process(waiter(sim, "first"))
+    sim.process(waiter(sim, "second"))
 
     def script(env):
         yield env.timeout(1)
         first.interrupt()
         yield env.timeout(1)
-        store.put("prize")
+        gate.succeed("prize")
 
     sim.process(script(sim))
     sim.run()
-    assert ("first", "interrupted") in got
-    assert ("second", "prize") in got
+    assert got == [("first", "interrupted", 1.0), ("second", "prize", 2.0),
+                   ("first", "slept", 11.0)]
 
 
 def test_event_processed_then_yielded_by_two_processes():

@@ -1,8 +1,8 @@
-"""Tests for condition events (AllOf/AnyOf) and stores."""
+"""Tests for condition events (AllOf/AnyOf)."""
 
 import pytest
 
-from repro.des import Simulator, Store
+from repro.des import Simulator
 from repro.errors import SimulationError
 
 
@@ -92,93 +92,3 @@ def test_condition_with_already_processed_events():
     p = sim.process(proc(sim))
     sim.run()
     assert p.value == "early"
-
-
-# -------------------------------------------------------------------- stores
-
-
-def test_store_fifo_order():
-    sim = Simulator()
-    store = Store(sim)
-    got = []
-
-    def producer(env):
-        for i in range(3):
-            yield env.timeout(1)
-            store.put(i)
-
-    def consumer(env):
-        for _ in range(3):
-            item = yield store.get()
-            got.append((env.now, item))
-
-    sim.process(producer(sim))
-    sim.process(consumer(sim))
-    sim.run()
-    assert got == [(1.0, 0), (2.0, 1), (3.0, 2)]
-
-
-def test_store_get_blocks_until_put():
-    sim = Simulator()
-    store = Store(sim)
-
-    def consumer(env):
-        item = yield store.get()
-        return (env.now, item)
-
-    def producer(env):
-        yield env.timeout(7)
-        store.put("late")
-
-    c = sim.process(consumer(sim))
-    sim.process(producer(sim))
-    sim.run()
-    assert c.value == (7.0, "late")
-
-
-def test_store_multiple_getters_served_fifo():
-    sim = Simulator()
-    store = Store(sim)
-    got = []
-
-    def consumer(env, name):
-        item = yield store.get()
-        got.append((name, item))
-
-    def producer(env):
-        yield env.timeout(1)
-        store.put("x")
-        store.put("y")
-
-    sim.process(consumer(sim, "c0"))
-    sim.process(consumer(sim, "c1"))
-    sim.process(producer(sim))
-    sim.run()
-    assert got == [("c0", "x"), ("c1", "y")]
-
-
-def test_store_capacity_drop():
-    sim = Simulator()
-    store = Store(sim, capacity=2)
-    assert store.try_put(1) and store.try_put(2)
-    assert not store.try_put(3)
-    assert store.dropped == 1
-    assert store.put_count == 3
-    with pytest.raises(SimulationError):
-        store.put(4)
-
-
-def test_store_nonblocking_helpers():
-    sim = Simulator()
-    store = Store(sim)
-    assert store.drain() == []
-    store.put("a")
-    store.put("b")
-    assert store.drain() == ["a", "b"]
-    assert len(store) == 0
-
-
-def test_store_invalid_capacity():
-    sim = Simulator()
-    with pytest.raises(SimulationError):
-        Store(sim, capacity=0)

@@ -122,6 +122,33 @@ def test_golden_runs_exercise_what_they_pin():
     assert golden["direct"]["compute"]["memo_hits"] > 0
 
 
+def test_no_op_kernel_events_before_launch_move_nothing(monkeypatch):
+    """Simulated results do not depend on how many kernel events the
+    runtime spends: 100 no-op callbacks scheduled just before launch leave
+    every result field as recorded, and add exactly 100 to the count."""
+    from repro.experiments import driver
+
+    def perturbed(launch):
+        def launch_after_no_ops(cluster, *args, **kwargs):
+            for _ in range(100):
+                cluster.sim.call_later(0.0, int)
+            return launch(cluster, *args, **kwargs)
+        return launch_after_no_ops
+
+    monkeypatch.setattr(driver, "launch_application",
+                        perturbed(driver.launch_application))
+    monkeypatch.setitem(globals(), "launch_application",
+                        perturbed(launch_application))
+    golden = json.loads(GOLDEN.read_text())
+    for name in ("churn", "direct"):
+        expected, got = golden[name], _record(name)
+        if name == "direct":
+            expected["event_count"] += 100
+        assert got.pop("residual") == pytest.approx(
+            expected.pop("residual"), rel=1e-9)
+        assert got == expected, name
+
+
 if __name__ == "__main__":
     GOLDEN.write_text(json.dumps({name: _record(name) for name in RUNS},
                                  indent=2, sort_keys=True) + "\n")

@@ -278,11 +278,11 @@ def _golden_run(until, crash_at=None):
 
 def test_golden_steady_gossip_swarm():
     assert _golden_run(2.0) == {
-        "events": 28847,
+        "events": 25133,
         "network": {
             "sent": 8051, "delivered": 7988,
             "bytes_sent": 4610671, "bytes_delivered": 4579775,
-            "dropped_dead": 0, "dropped_loss": 0, "dropped_overflow": 0,
+            "dropped_dead": 0, "dropped_loss": 0,
             "dropped_partition": 0,
         },
         "pushes_sent": 3486,
@@ -293,11 +293,11 @@ def test_golden_steady_gossip_swarm():
 
 def test_golden_gossip_swarm_with_a_crashed_superpeer():
     assert _golden_run(4.0, crash_at=0.5) == {
-        "events": 55824,
+        "events": 48616,
         "network": {
             "sent": 15600, "delivered": 15196,
             "bytes_sent": 8863436, "bytes_delivered": 8672020,
-            "dropped_dead": 337, "dropped_loss": 0, "dropped_overflow": 0,
+            "dropped_dead": 337, "dropped_loss": 0,
             "dropped_partition": 0,
         },
         "pushes_sent": 6866,

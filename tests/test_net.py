@@ -17,6 +17,10 @@ from repro.net.link import FAST_ETHERNET, GIGABIT_ETHERNET
 from repro.util.rng import RngTree
 
 
+def _ignore(payload):
+    """An endpoint handler for tests that only count deliveries."""
+
+
 # --------------------------------------------------------------------- address
 
 
@@ -94,10 +98,36 @@ def test_host_fail_interrupts_processes():
 def test_host_fail_closes_endpoints():
     sim = Simulator()
     host = Host(sim, "h")
-    ep = host.open_endpoint(4000)
+    ep = host.open_endpoint(4000, _ignore)
     host.fail()
     assert ep.closed
-    assert host.endpoint(4000) is None
+    assert 4000 not in host.endpoints
+
+
+def test_host_holds_only_live_processes():
+    """A finished process leaves its host's registry: a long-lived host
+    that spawns many short processes keeps only the ones still running."""
+    sim = Simulator()
+    host = Host(sim, "h")
+
+    def short(env):
+        yield env.timeout(0.001)
+
+    def spawner(env):
+        for _ in range(10_000):
+            host.spawn(short(env))
+            yield env.timeout(0.01)
+
+    sim.process(spawner(sim))
+    sim.run()
+    assert len(host._processes) <= 2
+
+    def long(env):
+        yield env.timeout(100)
+
+    survivor = host.spawn(long(sim))
+    sim.run(until=sim.now + 1)
+    assert list(host._processes) == [survivor]
 
 
 def test_host_fail_idempotent_and_recover_hooks():
@@ -119,7 +149,7 @@ def test_host_offline_operations_rejected():
     host = Host(sim, "h")
     host.fail()
     with pytest.raises(HostDownError):
-        host.open_endpoint(1234)
+        host.open_endpoint(1234, _ignore)
     with pytest.raises(HostDownError):
         host.compute(10)
     with pytest.raises(HostDownError):
@@ -129,17 +159,17 @@ def test_host_offline_operations_rejected():
 def test_endpoint_port_collision():
     sim = Simulator()
     host = Host(sim, "h")
-    host.open_endpoint(1000)
+    host.open_endpoint(1000, _ignore)
     with pytest.raises(NetworkError):
-        host.open_endpoint(1000)
+        host.open_endpoint(1000, _ignore)
 
 
 def test_endpoint_rebind_after_close():
     sim = Simulator()
     host = Host(sim, "h")
-    ep = host.open_endpoint(1000)
+    ep = host.open_endpoint(1000, _ignore)
     ep.close()
-    ep2 = host.open_endpoint(1000)
+    ep2 = host.open_endpoint(1000, _ignore)
     assert not ep2.closed
 
 
@@ -201,14 +231,8 @@ def _net_pair():
 
 def test_network_roundtrip_delivery():
     sim, net, a, b = _net_pair()
-    ep = b.open_endpoint(4000)
     received = []
-
-    def receiver(env):
-        msg = yield ep.recv()
-        received.append((env.now, msg.payload))
-
-    sim.process(receiver(sim))
+    b.open_endpoint(4000, lambda payload: received.append((sim.now, payload)))
     net.send(Address("a", 1), Address("b", 4000), {"hello": "world"})
     sim.run()
     assert len(received) == 1
@@ -220,7 +244,7 @@ def test_network_roundtrip_delivery():
 
 def test_network_send_to_dead_host_drops_silently():
     sim, net, a, b = _net_pair()
-    b.open_endpoint(4000)
+    b.open_endpoint(4000, _ignore)
     b.fail()
     net.send(Address("a", 1), Address("b", 4000), "lost")
     sim.run()
@@ -244,7 +268,7 @@ def test_network_send_to_missing_endpoint_drops():
 
 def test_network_host_dies_mid_flight():
     sim, net, a, b = _net_pair()
-    b.open_endpoint(4000)
+    b.open_endpoint(4000, _ignore)
 
     def killer(env):
         yield env.timeout(0.0005)  # during the 1ms flight
@@ -258,7 +282,7 @@ def test_network_host_dies_mid_flight():
 
 def test_network_source_dead_cannot_send():
     sim, net, a, b = _net_pair()
-    ep = b.open_endpoint(4000)
+    b.open_endpoint(4000, _ignore)
     a.fail()
     net.send(Address("a", 1), Address("b", 4000), "x")
     sim.run()
@@ -274,13 +298,15 @@ def test_network_random_loss():
         rng=RngTree(42).child("loss"),
     )
     a, b = net.new_host("a"), net.new_host("b")
-    ep = b.open_endpoint(4000)
+    received = []
+    b.open_endpoint(4000, received.append)
     for i in range(200):
         net.send(Address("a", 1), Address("b", 4000), i)
     sim.run()
     assert net.dropped_loss > 40
     assert net.delivered > 40
     assert net.dropped_loss + net.delivered == 200
+    assert len(received) == net.delivered
 
 
 def test_network_loss_rate_validation():
@@ -294,8 +320,9 @@ def test_network_loss_rate_validation():
 def test_network_partition_blocks_cross_group():
     sim, net, a, b = _net_pair()
     c = net.new_host("c")
-    epb = b.open_endpoint(4000)
-    epc = c.open_endpoint(4000)
+    b.open_endpoint(4000, _ignore)
+    received = []
+    c.open_endpoint(4000, received.append)
     net.partition([["a", "b"], ["c"]])
     assert net.reachable("a", "b")
     assert not net.reachable("a", "c")
@@ -308,6 +335,7 @@ def test_network_partition_blocks_cross_group():
     net.send(Address("a", 1), Address("c", 4000), "after-heal")
     sim.run()
     assert net.delivered == 2
+    assert received == ["after-heal"]
 
 
 def test_network_partition_validation():
@@ -328,22 +356,12 @@ def test_network_duplicate_host_rejected():
 
 def test_network_stats_bytes_accounting():
     sim, net, a, b = _net_pair()
-    ep = b.open_endpoint(4000)
+    b.open_endpoint(4000, _ignore)
     net.send(Address("a", 1), Address("b", 4000), b"x" * 1000)
     sim.run()
     st = net.stats()
     assert st["bytes_sent"] >= 1000
     assert st["bytes_delivered"] == st["bytes_sent"]
-
-
-def test_mailbox_overflow_counted():
-    sim, net, a, b = _net_pair()
-    ep = b.open_endpoint(4000, capacity=2)
-    for i in range(5):
-        net.send(Address("a", 1), Address("b", 4000), i)
-    sim.run()
-    assert net.delivered == 2
-    assert net.dropped_overflow == 3
 
 
 # --------------------------------------------------------------------- testbed

@@ -115,18 +115,19 @@ def test_fault_action_kinds_are_in_the_taxonomy():
 
 def test_counts_agree_with_the_trace():
     """Each counted fact has one count, and it matches its trace kind: a
-    traced gossip run under churn, with checkpoints and a recovery."""
+    traced gossip run with checkpoints and a recovery, forced by crashing
+    a computing peer while the application still runs."""
     from repro.apps import make_poisson_app
-    from repro.churn import PaperChurn
     from repro.experiments.config import (
         EXPERIMENT_CONFIG,
         EXPERIMENT_LINK_SCALE,
         optimal_overlap,
     )
+    from repro.faults import DaemonCrash, FaultInjector, FaultPlan
     from repro.obs import Tracer
     from repro.p2p import build_cluster, launch_application
     from repro.util.rng import RngTree
-    from tests.helpers import churn_injector, run_until_done
+    from tests.helpers import run_until_done
 
     tracer = Tracer()
     cluster = build_cluster(
@@ -137,11 +138,24 @@ def test_counts_agree_with_the_trace():
     app = make_poisson_app("counted", n=48, num_tasks=6,
                            overlap=optimal_overlap(48, 6))
     spawner = launch_application(cluster, app)
-    churn_injector(
-        cluster.sim, cluster.testbed.daemon_hosts,
-        PaperChurn(n_disconnections=4, reconnect_delay=1.0),
-        RngTree(4).child("churn"), horizon=2.0,
-    )
+
+    def computing(host):
+        daemon = cluster.daemons.get(host.name)
+        return daemon is not None and daemon.runner is not None
+
+    crash = DaemonCrash(time=0.2, downtime=1.0)
+    injector = FaultInjector(cluster.sim, FaultPlan.of(crash), cluster=cluster,
+                             rng=RngTree(4).child("faults"),
+                             victim_filter=computing)
+    cluster.sim.run(until=crash.time)
+    # the crash took a computing peer while no task was stable yet, so the
+    # run cannot converge without recovering that task
+    [record] = injector.executed
+    assert record.detail["host"] in {
+        slot.daemon_id.rsplit("#", 1)[0]
+        for slot in spawner.register.slots if slot.assigned}
+    assert not spawner.done.triggered
+    assert spawner.tracker.stable_count == 0
     assert run_until_done(cluster, spawner, horizon=900.0)
     assert tracer.dropped == 0
 

@@ -200,19 +200,27 @@ def test_recovery_resumes_from_checkpoint_not_zero():
 
 
 def test_all_backups_lost_restarts_from_zero():
-    """Kill the computing daemon AND all of its backup-peers: §5.4 says the
-    task must restart from the beginning."""
+    """Kill the computing daemon AND all of its backup-peers while the
+    application still runs: §5.4 says the task must restart from the
+    beginning."""
     cluster = build_cluster(n_daemons=10, n_superpeers=2, seed=43, config=FAST,
                             checkpoint=FixedPolicy(count=1, frequency=2))
     app = make_geometric_app(num_tasks=3, rate=0.9, threshold=1e-7, flops=5e6)
     spawner = launch_application(cluster, app)
     sim = cluster.sim
-    sim.run(until=2.0)
+    sim.run(until=0.5)
     # find hosts of task 1 and its sole backup-peer (task 2), kill both
     hosts_by_task = {
         s.task_id: s.daemon_id.rsplit("#", 1)[0]
         for s in spawner.register.slots if s.assigned
     }
+    # the kill lands mid-run: every task is running and none is stable
+    # yet, and task 1 has a Backup on its guardian to lose
+    assert sorted(hosts_by_task) == [0, 1, 2]
+    assert not spawner.done.triggered
+    assert spawner.tracker.stable_count == 0
+    guardian = cluster.daemons[hosts_by_task[2]]
+    assert guardian.backup_store.iteration_of(app.app_id, 1) is not None
     host_map = {h.name: h for h in cluster.testbed.daemon_hosts}
     host_map[hosts_by_task[2]].fail(cause="test")  # backup-peer first
     host_map[hosts_by_task[1]].fail(cause="test")

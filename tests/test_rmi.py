@@ -258,6 +258,37 @@ def test_late_reply_after_timeout_is_dropped():
     assert not client._pending  # cleaned up
 
 
+def test_unanswered_call_fails_at_its_deadline_and_spawns_nothing(monkeypatch):
+    """The deadline is a kernel timer, not a watchdog process: the call
+    fails at exactly ``now + timeout``, and its reply, arriving later, is
+    dropped."""
+    sim, net, (ha, hb) = make_world(latency=1.0)  # 2 s round trip
+    sim.tracer = Tracer()
+    server = RmiRuntime(net, hb, 5000)
+    client = RmiRuntime(net, ha, 5000, name="client")
+    stub = server.serve(Calculator(), "calc")
+    spawned = []
+    process = sim.process
+    monkeypatch.setattr(sim, "process", lambda *a, **kw: spawned.append(a)
+                        or process(*a, **kw))
+    outcomes = []
+
+    def place_call():
+        ev = client.call(stub, "add", 1, 1, timeout=1.5)
+        ev.callbacks.append(lambda e: outcomes.append((sim.now, e.ok, e.value)))
+
+    sim.call_later(0.25, place_call)
+    sim.run()
+    [(when, ok, error)] = outcomes
+    assert when == 0.25 + 1.5 and not ok
+    assert isinstance(error, RemoteError)
+    assert spawned == []
+    assert server.served == 1  # the server answered, too late
+    assert not client._pending
+    [timeout] = sim.tracer.select("rmi", "error", entity="client")
+    assert (timeout.time, timeout.attrs["reason"]) == (1.75, "timeout")
+
+
 def test_per_call_timeout_override():
     sim, net, (ha, hb) = make_world()
     server = RmiRuntime(net, hb, 5000)

@@ -2,8 +2,8 @@
 
 Covers the pooled :class:`~repro.des.kernel.ScheduledCall` lane behind
 ``Simulator.call_later``, a churned Daemon leaving the heartbeat wheel,
-the oneway RMI fast path's bitwise identity with the object pipeline
-(which a traced run takes for every transfer), and the profiling
+the one delivery path (a traced run is the untraced run, a delivery's
+kernel-event count, deliveries to a dead host), and the profiling
 harness' report schema.
 """
 
@@ -41,9 +41,9 @@ def test_pooled_entries_are_recycled():
 
 
 def test_event_count_is_live_during_callbacks():
-    """Deterministic consumers (the Spawner's reserve shuffle) read
-    ``event_count`` mid-run; the drained fast loop must keep it exact at
-    every callback, not flush it at exit."""
+    """The network adds each dispatch to ``event_count`` mid-run; the
+    drained fast loop must keep it exact at every callback, not flush it
+    at exit."""
     sim = Simulator()
     seen = []
     for i in range(5):
@@ -92,7 +92,7 @@ def test_interrupted_daemon_heartbeat_does_not_fire():
     )
 
 
-# ------------------------------------- oneway fast path vs object pipeline
+# ------------------------------------------------ one delivery path
 
 
 def _poisson_run(tracer=None, **kw):
@@ -102,9 +102,8 @@ def _poisson_run(tracer=None, **kw):
 
 
 def _untraced_and_traced(**kw):
-    """Untraced, eligible oneways take the coalesced path; under a tracer
-    every transfer takes the object pipeline (mailbox put, dispatcher
-    resume).  The two must be the same run."""
+    """The same spec untraced and traced: a tracer observes deliveries
+    and changes none of them, so the two must be the same run."""
     from repro.obs import Tracer
 
     fast = _poisson_run(**kw)
@@ -139,10 +138,9 @@ def test_fastpath_bitwise_identical_under_churn():
 @pytest.mark.parametrize(
     "scenario_name", ["superpeer-outage", "dirty-channel", "spawner-down"])
 def test_fastpath_bitwise_identical_under_faults(scenario_name):
-    """The fault plane exercises the dynamic fallbacks: host death between
-    send and delivery, a corruption window opening mid-run (which must
-    force eligible transfers back through the object pipeline), and a
-    standby takeover."""
+    """The fault plane under a tracer: host death between send and
+    delivery, a corruption window opening mid-run, and a standby
+    takeover."""
     from repro.faults import scenario, scenario_overrides
 
     # spawner-down needs gossip=True, standby=True
@@ -154,83 +152,78 @@ def test_fastpath_bitwise_identical_under_faults(scenario_name):
     assert fast.takeovers == (1 if scenario_name == "spawner-down" else 0)
 
 
-def test_fast_dispatch_preserves_fifo_behind_backlog():
-    """A fast delivery must not overtake messages already buffered in the
-    mailbox: with no live getter (dispatcher busy) it falls back to the
-    mailbox and drains in arrival order."""
-    from repro.net.host import Host
-    from repro.net.network import Network
+def test_traced_run_equals_untraced_under_loss_and_corruption(monkeypatch):
+    """The loss draw and the corruptor sit on the one delivery path, and a
+    tracer only watches it: with both on, the traced run is the same run."""
+    from repro.experiments import driver
+    from repro.faults import scenario
+
+    networks = []
+    build = driver.build_cluster
+
+    def lossy_cluster(**kw):
+        cluster = build(loss_rate=0.02, **kw)
+        networks.append(cluster.network)
+        return cluster
+
+    monkeypatch.setattr(driver, "build_cluster", lossy_cluster)
+    fast, reference = _untraced_and_traced(
+        n=16, peers=3, seed=11, convergence_threshold=1e-6,
+        faults=scenario("dirty-channel"))
+    assert fast.messages_corrupted > 0
+    assert networks[0].dropped_loss > 0
+    assert networks[0].stats() == networks[1].stats()
+    assert fast == reference
+
+
+def _wired_pair():
+    from repro.net import Address, Network
 
     sim = Simulator()
     net = Network(sim)
-    a = Host(sim, "a")
-    b = Host(sim, "b")
-    net.add_host(a)
-    net.add_host(b)
-    ep = b.open_endpoint(9)
+    net.new_host("a")
+    b = net.new_host("b")
+    return sim, net, Address("a", 1), b
+
+
+def test_a_delivered_message_counts_two_kernel_events_a_dropped_one_one():
+    """``des.events`` counts a delivery as arrival plus dispatch, though the
+    handler runs in the arrival event; a drop is the arrival alone."""
+    from repro.net import Address
+
+    sim, net, src, b = _wired_pair()
     seen = []
-    ep.fast_handler = seen.append
-
-    got = []
-
-    def consumer():
-        # take one mailbox message, then go busy (no live getter), then
-        # drain whatever queued up behind the busy window
-        msg = yield ep.recv()
-        got.append(msg.payload)
-        yield sim.timeout(10.0)
-        while True:
-            msg = yield ep.recv()
-            got.append(msg.payload)
-
-    b.spawn(consumer())
-    src = a.open_endpoint(1).address
-    # m1 arrives while a getter waits and the mailbox is empty → coalesced
-    # into the fast handler (the pending getter is left armed)
-    net.send(src, ep.address, "m1", fast=True)
-    # w1 is not fast-eligible → mailbox → wakes the consumer into its busy
-    # window (same payload size as m1, so delivery order follows send order)
-    net.send(src, ep.address, "w1", fast=False)
-    sim.run(until=1.0)
-    assert seen == ["m1"]
-    assert got == ["w1"]
-    # consumer is mid-timeout: no live getter → fast sends must fall back
-    # to the mailbox and drain strictly in arrival order
-    net.send(src, ep.address, "m2", fast=True)
-    net.send(src, ep.address, "m3", fast=True)
+    b.open_endpoint(9, seen.append)
+    for i in range(10):
+        net.send(src, Address("b", 9), i)
     sim.run()
-    assert seen == ["m1"]  # only the idle-endpoint delivery was coalesced
-    assert got == ["w1", "m2", "m3"]
+    assert seen == list(range(10))
+    assert sim.event_count == 20
+    for i in range(5):
+        net.send(src, Address("b", 8), i)  # nothing bound there
+    sim.run()
+    assert net.dropped_dead == 5
+    assert sim.event_count == 25
 
 
-def test_fast_dispatch_counts_the_absorbed_mailbox_hop():
-    """Coalescing must keep ``event_count`` identical to the object path:
-    the Spawner seeds RNG draws from it, so the two A/B arms would
-    otherwise diverge."""
-    from repro.net.host import Host
-    from repro.net.network import Network
+def test_a_failed_host_drops_deliveries_to_its_closed_endpoint():
+    from repro.net import Address
 
-    def run(fast):
-        sim = Simulator()
-        net = Network(sim)
-        a, b = Host(sim, "a"), Host(sim, "b")
-        net.add_host(a)
-        net.add_host(b)
-        src = a.open_endpoint(1).address
-        ep = b.open_endpoint(9)
-        ep.fast_handler = lambda payload: None
-
-        def consumer():
-            while True:
-                yield ep.recv()
-
-        b.spawn(consumer())
-        for _ in range(10):
-            net.send(src, ep.address, "hb", fast=fast)
-        sim.run()
-        return sim.event_count, net.delivered
-
-    assert run(fast=True) == run(fast=False)
+    sim, net, src, b = _wired_pair()
+    seen = []
+    ep = b.open_endpoint(9, seen.append)
+    net.send(src, ep.address, "in flight when the host dies")
+    b.fail()
+    sim.run()
+    assert ep.closed
+    assert seen == []
+    assert net.delivered == 0 and net.dropped_dead == 1
+    b.recover()
+    b.open_endpoint(9, seen.append)
+    net.send(src, Address("b", 9), "after the reboot")
+    sim.run()
+    assert seen == ["after the reboot"]
+    assert ep.closed  # the old endpoint stays dead
 
 
 def test_jitter_stream_bitwise_matches_scalar_draws():
