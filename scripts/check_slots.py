@@ -37,6 +37,8 @@ AUDITED = {
     "repro.compute.plane": ["ComputePlane"],
     # one per (agent, known peer): 32 per Daemon with gossip on
     "repro.gossip.peers": ["PeerRecord"],
+    # one per registered Daemon per leaf Super-Peer
+    "repro.p2p.superpeer": ["DaemonRecord"],
 }
 
 

@@ -70,8 +70,9 @@ def build_centralized_cluster(
     server.link([])  # nobody to forward to
     cluster.superpeers.append(server)
 
+    reboot = cluster.boot_daemon
     for host in testbed.daemon_hosts:
-        cluster.boot_daemon(host)
-        host.on_recover(lambda h: cluster.boot_daemon(h))
+        reboot(host)
+        host.on_recover(reboot)
 
     return cluster

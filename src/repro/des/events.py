@@ -98,11 +98,17 @@ class Event:
         for cb in callbacks or ():
             cb(self)
 
+    def _label(self) -> str:
+        """The label :meth:`__repr__` shows: built on demand, so events
+        created by the million carry no formatted string."""
+        return self.name
+
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         state = (
             "processed" if self._processed else "triggered" if self.triggered else "pending"
         )
-        label = f" {self.name!r}" if self.name else ""
+        label = self._label()
+        label = f" {label!r}" if label else ""
         return f"<{type(self).__name__}{label} {state}>"
 
 
@@ -114,11 +120,14 @@ class Timeout(Event):
     def __init__(self, sim: "Simulator", delay: float, value: Any = None):
         if delay < 0:
             raise SimulationError(f"negative timeout delay {delay}")
-        super().__init__(sim, name=f"timeout({delay})")
+        super().__init__(sim)
         self.delay = float(delay)
         self._value = value
         self._ok = True
         sim._enqueue(self, delay=self.delay, priority=NORMAL)
+
+    def _label(self) -> str:
+        return f"timeout({self.delay})"
 
 
 class ConditionValue:

@@ -87,6 +87,9 @@ class Cluster:
     #: shared failure/cost statistics: Spawner evictions write into it,
     #: adaptive checkpoint policies read from it
     failure_feed: FailureFeed = field(default_factory=FailureFeed)
+    #: the bootstrap roster every Daemon incarnation holds (one tuple,
+    #: never copied per Daemon), fixed by the first :meth:`boot_daemon`
+    daemon_roster: tuple[Address, ...] = ()
 
     def __post_init__(self) -> None:
         self.wheel = self.sim.timer_wheel(self.config.heartbeat_period)
@@ -132,14 +135,18 @@ class Cluster:
         (docs/gossip.md)."""
         incarnation = self.incarnations.get(host.name, 0) + 1
         self.incarnations[host.name] = incarnation
-        seeds = self.superpeer_addresses
-        if self.config.gossip_enabled:
-            seeds = seeds[:2]
+        if not self.daemon_roster:
+            # leaf addresses outlive their Super-Peers (a replacement
+            # rebinds the same one), so the roster is computed once
+            seeds = self.superpeer_addresses
+            if self.config.gossip_enabled:
+                seeds = seeds[:2]
+            self.daemon_roster = tuple(seeds)
         daemon = Daemon(
             network=self.network,
             host=host,
             daemon_id=f"{host.name}#{incarnation}",
-            superpeer_addresses=seeds,
+            superpeer_addresses=self.daemon_roster,
             config=self.config,
             rng=self.rng.child("daemon", host.name, incarnation),
             telemetry=self.telemetry,
@@ -288,10 +295,12 @@ def build_cluster(
         for sp in cluster.leaf_superpeers:
             _attach_superpeer_gossip(cluster, sp)
 
+    # the reconnection cycle: a recovered machine boots a NEW Daemon (one
+    # bound method is every host's hook)
+    reboot = cluster.boot_daemon
     for host in testbed.daemon_hosts:
-        cluster.boot_daemon(host)
-        # the reconnection cycle: a recovered machine boots a NEW Daemon
-        host.on_recover(lambda h: cluster.boot_daemon(h))
+        reboot(host)
+        host.on_recover(reboot)
 
     return cluster
 

@@ -8,22 +8,25 @@ tasks, and exchanges asynchronous data messages directly with the other
 computing peers through their stubs.
 
 A Daemon lives and dies with its host: when the churn injector powers the
-machine off, every Daemon process is interrupted and its endpoint closes;
-on reconnection the cluster boots a *fresh* Daemon (new incarnation id, same
-address) that re-registers from scratch — any checkpoints the old
-incarnation guarded are gone, exactly the RAM-loss the paper's multi-backup
-strategy is designed to survive.
+machine off, its processes are interrupted and its endpoint closes (its
+bootstrap and heartbeats are callbacks, not processes: pending ones find
+the runtime dead and do nothing); on reconnection the cluster boots a
+*fresh* Daemon (new incarnation id, same address) that re-registers from
+scratch — any checkpoints the old incarnation guarded are gone, exactly
+the RAM-loss the paper's multi-backup strategy is designed to survive.
 """
 
 from __future__ import annotations
 
 import zlib
-from typing import Any
+from functools import partial
+from typing import Any, Sequence
 
 from repro.checkpoint import Backup, BackupStore, FixedPolicy, choose_latest
 from repro.convergence import LocalConvergenceDetector
 from repro.gossip import GossipAgent
-from repro.des import Simulator, TimerWheel
+from repro.des import Event, Simulator, TimerWheel
+from repro.des.events import URGENT
 from repro.errors import ConfigurationError, RemoteError, TaskError
 from repro.net.address import Address
 from repro.net.host import BASE_FLOPS, Host
@@ -313,7 +316,7 @@ class Daemon(RemoteObject):
         network: Network,
         host: Host,
         daemon_id: str,
-        superpeer_addresses: list[Address],
+        superpeer_addresses: Sequence[Address],
         config: P2PConfig,
         rng: RngTree,
         wheel: TimerWheel,
@@ -325,10 +328,11 @@ class Daemon(RemoteObject):
         if not superpeer_addresses:
             raise ConfigurationError("a Daemon needs at least one Super-Peer address")
         self.sim: Simulator = network.sim
-        self.network = network
         self.host = host
         self.daemon_id = daemon_id
-        self.superpeer_addresses = list(superpeer_addresses)
+        #: the bootstrap roster, held as given, not copied: a cluster hands
+        #: every Daemon incarnation the same tuple
+        self.superpeer_addresses = superpeer_addresses
         self.config = config
         #: cluster-wide :class:`repro.checkpoint.CheckpointPolicy` (or None
         #: for the paper's ``FixedPolicy()``) bound per task runner
@@ -341,9 +345,8 @@ class Daemon(RemoteObject):
         self.compute = compute
         self.rng = rng
         self.telemetry = telemetry
-        self.backup_store = BackupStore(
-            max_bytes=host.ram_mb * 1024 * 1024 * BACKUP_RAM_FRACTION
-        )
+        #: created by the first :meth:`store_backup` (see :attr:`backup_store`)
+        self._backup_store: BackupStore | None = None
         #: final solution fragments of halted apps (kept for collection)
         self.final_fragments: dict[str, Any] = {}
         self.runner: TaskRunner | None = None
@@ -364,7 +367,7 @@ class Daemon(RemoteObject):
                 role="daemon",
                 config=config,
                 rng=rng.child("gossip"),
-                seeds=list(superpeer_addresses),
+                seeds=superpeer_addresses,
             )
             # epidemic takeover path: leadership beats under a higher reign
             # re-point a computing runner even when the promoted standby's
@@ -374,6 +377,10 @@ class Daemon(RemoteObject):
         # timer wheel (docs/scaling.md).  The reaffirm phase is hash-
         # staggered so the call-based beats don't all land on one slot.
         self._bootstrapping = False
+        #: the registration sweep in flight: the candidates not tried yet,
+        #: and the Super-Peer whose ``register_daemon`` answer is awaited
+        self._sweep = None
+        self._candidate: Stub | None = None
         self._beats = zlib.crc32(daemon_id.encode()) % WHEEL_REAFFIRM_EVERY
         #: cached constant heartbeat envelope (rebuilt when the owning
         #: Super-Peer changes): the idle beat is the hottest message in a
@@ -383,8 +390,28 @@ class Daemon(RemoteObject):
         wheel.every(self._tick)
 
     # -- bootstrap (§5.1) ------------------------------------------------------
+    #
+    # Bootstrap spawns no process: the registration sweep and the
+    # reaffirm are callbacks on the events of their own RMI calls.  Each
+    # starts in an URGENT event at ``now`` (see :meth:`_soon`), and a
+    # callback whose runtime died with its host does nothing.
 
-    def _bootstrap(self):
+    def _soon(self, fn, value=None) -> None:
+        """Run ``fn(event)`` at ``now`` in an already-triggered URGENT event
+        carrying ``value``: the slot a freshly spawned process's first step
+        takes, so callbacks that replace processes keep the event order."""
+        event = self.sim.event()
+        event.callbacks.append(fn)
+        event.succeed(value, priority=URGENT)
+
+    def _ensure_bootstrap(self) -> None:
+        """Start one registration sweep unless one is in flight."""
+        if self._bootstrapping:
+            return
+        self._bootstrapping = True
+        self._soon(self._begin_sweep)
+
+    def _begin_sweep(self, _event: Event) -> None:
         """Try Super-Peer addresses in random order until one accepts us.
 
         With gossip on, the candidate set is the short seed
@@ -394,41 +421,61 @@ class Daemon(RemoteObject):
         deterministic jitter (seeded per attempt), so a mass relocation
         after a Super-Peer outage does not hammer the survivors in
         lockstep."""
-        addresses = self._superpeer_candidates()
-        addresses = self.rng.child("bootstrap", self.host.fail_count).shuffled(
-            addresses
-        )
-        for addr in addresses:
-            if self.runner is not None:
-                return  # got a task while bootstrapping: stop
-            candidate = Stub(SUPERPEER_OBJECT, addr)
-            try:
-                ok = yield self.runtime.call(
-                    candidate, "register_daemon", self.daemon_id, self.stub,
-                    timeout=self.config.call_timeout,
-                )
-            except RemoteError:
-                if self.gossip is not None:
-                    self.gossip.store.mark_failed(addr)
-                continue
-            if self.runner is not None:
-                # assigned a task while this registration was in flight:
-                # immediately take ourselves back out of the idle pool
-                if ok:
-                    self.runtime.oneway(candidate, "unregister_daemon", self.daemon_id)
-                return
-            if ok:
-                self.sp_stub = candidate
-                self.registered = True
-                self._retry_attempt = 0
-                self._trace("daemon_registered", superpeer=str(addr))
-                return
-        yield self.sim.timeout(self._retry_backoff())
+        self._sweep = iter(self.rng.child("bootstrap", self.host.fail_count)
+                           .shuffled(self._superpeer_candidates()))
+        self._try_next_superpeer()
 
-    def _superpeer_candidates(self) -> list[Address]:
+    def _try_next_superpeer(self) -> None:
+        addr = next(self._sweep, None)
+        if addr is None:
+            # every candidate failed: the sweep ends after the backoff
+            self.sim.call_later(self._retry_backoff(), self._end_sweep)
+            return
+        if self.runner is not None:
+            self._end_sweep()  # got a task while bootstrapping: stop
+            return
+        candidate = self._candidate = Stub(SUPERPEER_OBJECT, addr)
+        self.runtime.call(
+            candidate, "register_daemon", self.daemon_id, self.stub,
+            timeout=self.config.call_timeout,
+        ).callbacks.append(self._on_register_reply)
+
+    def _on_register_reply(self, result: Event) -> None:
+        if not self.runtime.alive:
+            return
+        candidate = self._candidate
+        if not result.ok:
+            if not isinstance(result.value, RemoteError):
+                raise result.value
+            if self.gossip is not None:
+                self.gossip.store.mark_failed(candidate.address)
+            self._try_next_superpeer()
+            return
+        ok = result.value
+        if self.runner is not None:
+            # assigned a task while this registration was in flight:
+            # immediately take ourselves back out of the idle pool
+            if ok:
+                self.runtime.oneway(candidate, "unregister_daemon", self.daemon_id)
+            self._end_sweep()
+            return
+        if not ok:
+            self._try_next_superpeer()
+            return
+        self.sp_stub = candidate
+        self.registered = True
+        self._retry_attempt = 0
+        self._trace("daemon_registered", superpeer=str(candidate.address))
+        self._end_sweep()
+
+    def _end_sweep(self) -> None:
+        self._bootstrapping = False
+        self._sweep = self._candidate = None
+
+    def _superpeer_candidates(self) -> Sequence[Address]:
         """Seed contacts plus gossip-learned Super-Peer addresses."""
         if self.gossip is None:
-            return list(self.superpeer_addresses)
+            return self.superpeer_addresses
         merged = list(self.superpeer_addresses)
         for addr in self.gossip.known_addresses("superpeer"):
             if addr not in merged:
@@ -479,8 +526,7 @@ class Daemon(RemoteObject):
         if self._beats % WHEEL_REAFFIRM_EVERY == 0:
             # the call-based reaffirm: oneways to a dead Super-Peer vanish
             # silently, so every Nth beat must actually await an answer
-            self.host.spawn(self._reaffirm(self.sp_stub),
-                            label=f"{self.daemon_id}:reaffirm")
+            self._soon(self._reaffirm, self.sp_stub)
         else:
             prepared = self._hb_prepared
             if prepared is None or prepared.stub is not self.sp_stub:
@@ -491,33 +537,25 @@ class Daemon(RemoteObject):
             self.runtime.send_prepared(prepared)
         return None
 
-    def _ensure_bootstrap(self) -> None:
-        """Spawn one bootstrap attempt if none is in flight (wheel ticks
-        are plain callbacks and cannot yield on RMI calls themselves)."""
-        if self._bootstrapping:
+    def _reaffirm(self, event: Event) -> None:
+        sp_stub = event.value
+        self.runtime.call(
+            sp_stub, "heartbeat", self.daemon_id,
+            timeout=min(self.config.call_timeout, self.config.heartbeat_period),
+        ).callbacks.append(partial(self._on_reaffirm_reply, sp_stub))
+
+    def _on_reaffirm_reply(self, sp_stub: Stub, result: Event) -> None:
+        if not self.runtime.alive:
             return
-        self._bootstrapping = True
-        self.host.spawn(self._bootstrap_once(), label=f"{self.daemon_id}:bootstrap")
-
-    def _bootstrap_once(self):
-        try:
-            yield from self._bootstrap()
-        finally:
-            self._bootstrapping = False
-
-    def _reaffirm(self, sp_stub: Stub):
-        try:
-            known = yield self.runtime.call(
-                sp_stub, "heartbeat", self.daemon_id,
-                timeout=min(self.config.call_timeout, self.config.heartbeat_period),
-            )
-        except RemoteError:
+        if not result.ok:
+            if not isinstance(result.value, RemoteError):
+                raise result.value
             if self.sp_stub == sp_stub:
                 self._trace("daemon_superpeer_lost", superpeer=str(sp_stub))
                 self.registered = False
                 self.sp_stub = None
             return
-        if not known and self.runner is None and self.sp_stub == sp_stub:
+        if not result.value and self.runner is None and self.sp_stub == sp_stub:
             self.registered = False  # evicted: re-register next tick
 
     # -- remote interface ---------------------------------------------------------
@@ -742,6 +780,17 @@ class Daemon(RemoteObject):
             return
         runner.deliver(src_task, payload)
 
+    @property
+    def backup_store(self) -> BackupStore:
+        """The neighbours' checkpoints this Daemon guards, created on first
+        use: most Daemons of a swarm never guard one."""
+        store = self._backup_store
+        if store is None:
+            store = self._backup_store = BackupStore(
+                max_bytes=self.host.ram_mb * 1024 * 1024 * BACKUP_RAM_FRACTION
+            )
+        return store
+
     @remote
     def store_backup(self, backup: Backup) -> bool:
         """Guard a neighbour's checkpoint (§5.4)."""
@@ -752,11 +801,13 @@ class Daemon(RemoteObject):
 
     @remote
     def backup_iteration(self, app_id: str, task_id: int) -> int | None:
-        return self.backup_store.iteration_of(app_id, task_id)
+        store = self._backup_store
+        return store.iteration_of(app_id, task_id) if store is not None else None
 
     @remote
     def load_backup(self, app_id: str, task_id: int) -> Backup | None:
-        backup = self.backup_store.load(app_id, task_id)
+        store = self._backup_store
+        backup = store.load(app_id, task_id) if store is not None else None
         self._trace("checkpoint_load", task=task_id, found=backup is not None)
         return backup
 
@@ -774,7 +825,8 @@ class Daemon(RemoteObject):
                 self.telemetry.frontier[self.runner.task_id] = (
                     self.runner.iteration)
             self.runner.halted = True
-        self.backup_store.drop_app(app_id)
+        if self._backup_store is not None:
+            self._backup_store.drop_app(app_id)
         return True
 
     @remote

@@ -33,9 +33,9 @@ __all__ = ["SuperPeer", "DaemonRecord", "ChildSummary"]
 SUPERPEER_OBJECT = "superpeer"
 
 
-@dataclass
+@dataclass(slots=True)
 class DaemonRecord:
-    """One Register entry."""
+    """One Register entry (one per registered Daemon per leaf)."""
 
     daemon_id: str
     stub: Stub

@@ -142,7 +142,7 @@ class RmiRuntime:
         remote application exception.  With no reply, the event fails at
         exactly ``now + timeout``, and a reply arriving later is dropped.
         """
-        result = self.sim.event(name=f"call:{stub.object_name}.{method}")
+        result = self.sim.event()
         msg = CallMessage(stub.object_name, method, args, kwargs, reply_to=self.address)
         size = (oneway_size(stub.object_name, method, args, kwargs)
                 + _CALL_EXTRA + payload_size(self.address, 1))

@@ -278,7 +278,7 @@ def _golden_run(until, crash_at=None):
 
 def test_golden_steady_gossip_swarm():
     assert _golden_run(2.0) == {
-        "events": 25133,
+        "events": 25064,
         "network": {
             "sent": 8051, "delivered": 7988,
             "bytes_sent": 4610671, "bytes_delivered": 4579775,
@@ -293,7 +293,7 @@ def test_golden_steady_gossip_swarm():
 
 def test_golden_gossip_swarm_with_a_crashed_superpeer():
     assert _golden_run(4.0, crash_at=0.5) == {
-        "events": 48616,
+        "events": 48497,
         "network": {
             "sent": 15600, "delivered": 15196,
             "bytes_sent": 8863436, "bytes_delivered": 8672020,

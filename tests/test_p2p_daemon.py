@@ -7,8 +7,10 @@ from repro.checkpoint import Backup
 from repro.des import Simulator
 from repro.errors import TaskError
 from repro.net import Address, Network, UniformLinkModel
+from repro.net.host import Host
 from repro.obs import Tracer
-from repro.p2p import Daemon, P2PConfig, SuperPeer
+from repro.p2p import Daemon, P2PConfig, SuperPeer, build_cluster
+from repro.p2p.daemon import BACKUP_RAM_FRACTION, WHEEL_REAFFIRM_EVERY
 from repro.p2p.messages import ApplicationRegister
 from repro.rmi import RmiRuntime, Stub
 from repro.util.rng import RngTree
@@ -130,6 +132,93 @@ def test_daemon_reboot_after_host_failure():
     assert len(reboots) == 1
     assert reboots[0].registered
     assert total_registered(sps) == 1
+
+
+def test_a_host_failing_mid_registration_registers_only_its_reboot():
+    """The host dies after its Super-Peer took the registration but before
+    the reply came back: the dead incarnation's sweep ends with it (the
+    reply is lost and the call's deadline changes nothing), and the
+    rebooted incarnation registers exactly once."""
+    sim, net, sps, (d,), tracer = make_world(n_superpeers=1)
+    sp = sps[0]
+    reboots = []
+
+    def on_rec(host):
+        reboots.append(
+            Daemon(net, host, "d0#2", [sp.stub.address], CFG, RngTree(7),
+                   sim.timer_wheel(CFG.heartbeat_period))
+        )
+
+    d.host.on_recover(on_rec)
+    sim.run(until=1.5e-4)  # request served, reply still on the wire
+    assert "d0" in sp.register and not d.registered
+    d.host.fail(cause="churn")
+    sim.run(until=1.0)
+    d.host.recover()
+    # past the dead incarnation's call deadline (t=2) and its eviction
+    sim.run(until=5.0)
+    assert not d.registered and d.sp_stub is None
+    assert tracer.select("p2p", "daemon_registered", entity="d0") == []
+    assert len(tracer.select("p2p", "daemon_registered", entity="d0#2")) == 1
+    assert reboots[0].registered
+    assert list(sp.register) == ["d0#2"]
+
+
+def test_an_idle_daemon_spawns_no_process(monkeypatch):
+    """Bootstrap and reaffirm are callbacks on the Daemon's own RMI call
+    events: over its registration and more than WHEEL_REAFFIRM_EVERY beats
+    an idle Daemon's host runs no process."""
+    spawned = []
+    spawn = Host.spawn
+
+    def counting_spawn(host, generator, label=""):
+        spawned.append(host.name)
+        return spawn(host, generator, label)
+
+    monkeypatch.setattr(Host, "spawn", counting_spawn)
+    sim, net, sps, (d,), tracer = make_world()
+    sim.run(until=(WHEEL_REAFFIRM_EVERY + 5) * CFG.heartbeat_period)
+    assert d.registered
+    assert tracer.count("p2p", "heartbeat") >= 1  # a call-based reaffirm ran
+    assert d.host.name not in spawned
+    assert spawned  # the Super-Peers' monitors were counted
+
+
+def test_a_daemon_holds_no_backup_store_until_it_guards_a_backup():
+    sim, net, sps, (d,), tracer = make_world()
+    client = RmiRuntime(net, net.new_host("saver"), 4995)
+    backup = Backup(task_id=3, iteration=10, state={"x": 0.5}, app_id="app")
+
+    def script(env):
+        # every reader treats the missing store as empty
+        missing = yield client.call(d.stub, "backup_iteration", "app", 3)
+        loaded = yield client.call(d.stub, "load_backup", "app", 3)
+        yield client.call(d.stub, "halt", "app")
+        before = d._backup_store
+        stored = yield client.call(d.stub, "store_backup", backup)
+        return missing, loaded, before, stored
+
+    p = sim.process(script(sim))
+    sim.run(until=p)
+    missing, loaded, before, stored = p.value
+    assert missing is None and loaded is None and before is None
+    assert stored and len(d._backup_store) == 1
+    assert d._backup_store.max_bytes == (
+        d.host.ram_mb * 1024 * 1024 * BACKUP_RAM_FRACTION)
+
+
+@pytest.mark.parametrize("gossip", [False, True])
+def test_every_daemon_of_a_cluster_holds_the_same_roster(gossip):
+    cluster = build_cluster(n_daemons=6, n_superpeers=3, seed=0,
+                            config=P2PConfig(gossip_enabled=gossip))
+    host = cluster.testbed.daemon_hosts[0]
+    host.fail(cause="test")
+    host.recover()  # a rebooted incarnation shares it too
+    assert cluster.incarnations[host.name] == 2
+    rosters = [d.superpeer_addresses for d in cluster.daemons.values()]
+    assert all(roster is rosters[0] for roster in rosters)
+    expected = cluster.superpeer_addresses
+    assert list(rosters[0]) == (expected[:2] if gossip else expected)
 
 
 class _FakeSpawner:
