@@ -6,6 +6,7 @@ cost, the inner CG solve and its matvec kernels, the direct inner solve,
 message-size accounting.
 """
 
+import math
 import os
 import timeit
 from functools import partial
@@ -109,8 +110,9 @@ def _paired(base, arm, number: int, rounds: int = 15):
 
 
 def test_cg_kernel_dia_vs_csr(record_table):
-    """CSR vs DIA sibling arms: scipy's two kernels on the ledger's strips,
-    then whole inner solves on the fig7 quick strips with either kernel."""
+    """CSR vs DIA sibling arms: scipy's two kernels on the ledger's strips
+    (``CgOperator.matvec``; its CG solves run in the strip's eigenbasis,
+    see ``test_spectral_cg_vs_sparse_basis``)."""
     lines = [f"CG matvec kernels, DIA vs CSR (nproc={os.cpu_count()}; "
              "medians of 15 back-to-back timeit pairs, y zeroed each call)",
              f"{'strip (n, peers, block)':<26}{'rows':>7}{'csr_us':>9}"
@@ -138,29 +140,10 @@ def test_cg_kernel_dia_vs_csr(record_table):
             lines.append(f"{str((n, peers, index)):<26}{rows:>7}"
                          f"{csr_us:>9.2f}{dia_us:>9.2f}{ratio:>9.3f}")
 
-    lines.append("")
-    lines.append("CgOperator.solve(b_local), fig7 quick strips (n=96, 8 blocks, "
-                 "overlap 6), identical iterates")
-    lines.append(f"{'block':<8}{'rows':>7}{'iters':>7}{'csr_ms':>9}"
-                 f"{'dia_ms':>9}{'dia/csr':>9}")
-    for index in (0, 4):
-        blk = _strip(96, 8, index)
-        rows = blk.A_local.shape[0]
-        dia_op, csr_op = CgOperator(blk.A_local), CgOperator(blk.A_local)
-        csr_op._kernel = _csr_kernel(blk.A_local)
-        want, got = csr_op.solve(blk.b_local), dia_op.solve(blk.b_local)
-        assert got.x.tobytes() == want.x.tobytes()
-        csr_us, dia_us, ratio = _paired(partial(csr_op.solve, blk.b_local),
-                                        partial(dia_op.solve, blk.b_local),
-                                        number=5)
-        lines.append(f"{index:<8}{rows:>7}{got.iterations:>7}"
-                     f"{csr_us / 1e3:>9.3f}{dia_us / 1e3:>9.3f}{ratio:>9.3f}")
-        ratios["solve", index] = ratio
     record_table("cg_kernel", "\n".join(lines))
     # the kernel choice is a speed-up, never a slow-down, on the strips the
-    # Figure 7 workload solves
+    # Figure 7 workload multiplies
     assert ratios[96, 8, 0] < 1.0 and ratios[96, 8, 4] < 1.0
-    assert ratios["solve", 0] < 1.0 and ratios["solve", 4] < 1.0
 
 
 def test_direct_solve_superlu_vs_separable(record_table):
@@ -259,6 +242,139 @@ def test_strip_iteration_full_vs_coupled(record_table):
     record_table("strip_iteration", "\n".join(lines))
     # direct16's interior strips are where the saving is
     assert ratios[16384] < 1.0
+
+
+def _sparse_basis_cg(op):
+    """The sparse-basis arm on ``op``'s matrix: the hand-tuned loop
+    ``CgOperator.solve`` ran before it moved to the sine eigenbasis — its
+    own preallocated buffers and the DIA matvec kernel, bitwise
+    :func:`conjugate_gradient`.  ``solve(b, x0, tol, max_iter)`` returns
+    ``(x, iterations, converged)``."""
+    n, kernel = op.n, op.kernel
+    r, p, Ap, tmp = (np.empty(n) for _ in range(4))
+
+    def solve(b, x0=None, tol=1e-10, max_iter=None):
+        if max_iter is None:
+            max_iter = max(10 * n, 100)
+        x = np.zeros(n) if x0 is None else np.array(x0, dtype=float)
+        b_norm = math.sqrt(b.dot(b))
+        stop = tol * b_norm if b_norm > 0 else tol
+        Ap.fill(0.0)
+        kernel(x, Ap)
+        np.subtract(b, Ap, out=r)
+        rz = float(r.dot(r))
+        res = math.sqrt(rz)
+        np.copyto(p, r)
+        it = 0
+        while res > stop and it < max_iter:
+            Ap.fill(0.0)
+            kernel(p, Ap)
+            pAp = float(p.dot(Ap))
+            if pAp <= 0.0:
+                break
+            alpha = rz / pAp
+            np.multiply(p, alpha, out=tmp)
+            np.add(x, tmp, out=x)
+            np.multiply(Ap, alpha, out=tmp)
+            np.subtract(r, tmp, out=r)
+            rz_new = float(r.dot(r))
+            res = math.sqrt(rz_new)
+            beta = rz_new / rz if rz > 0 else 0.0
+            np.multiply(p, beta, out=p)
+            np.add(p, r, out=p)
+            rz = rz_new
+            it += 1
+        return x, it, res <= stop
+
+    return solve
+
+
+#: the strips whose inner CG the Figure 7 column and the small-block churn
+#: workload solve: (n, peers, block) of their edge and interior strips
+SPECTRAL_STRIPS = [(96, 8, 0), (96, 8, 4), (40, 10, 0), (40, 10, 5)]
+
+
+def test_spectral_cg_vs_sparse_basis(record_table):
+    """Sibling arms of one inner solve: ``CgOperator.solve`` in the strip's
+    sine eigenbasis against the sparse-basis DIA loop it replaced, on the
+    ledger's CG strips, cold and warm started; then every inner solve of
+    the quick ``fig7_column`` column (seed 0) run through both."""
+    from repro.exec import SweepEngine
+    from repro.experiments.figure7 import figure7_sweep
+    from repro.numerics import conjugate_gradient
+
+    lines = [f"Inner CG solves, sine eigenbasis vs sparse basis "
+             f"(nproc={os.cpu_count()}; medians of 15 back-to-back timeit "
+             "pairs)",
+             f"{'strip (n, peers, block)':<26}{'rows':>7}{'start':>6}"
+             f"{'iters':>8}{'sparse_us':>10}{'eigen_us':>9}{'ratio':>7}"
+             f"{'rel_dx':>9}"]
+    ratios = []
+    for n, peers, index in SPECTRAL_STRIPS:
+        blk = _strip(n, peers, index)
+        A, b = blk.A_local, blk.b_local
+        op = CgOperator(A)
+        sparse = _sparse_basis_cg(op)
+        warm = b / A.diagonal()
+        for start, x0 in (("cold", None), ("warm", warm)):
+            want = conjugate_gradient(A, b, x0=x0)
+            x, it, converged = sparse(b, x0=x0)
+            assert x.tobytes() == want.x.tobytes()
+            got = op.solve(b, x0=x0)
+            assert abs(got.iterations - it) <= 1
+            assert got.converged == converged
+            rel_dx = np.linalg.norm(got.x - x) / np.linalg.norm(x)
+            assert rel_dx <= 1e-10
+            sparse_us, eigen_us, ratio = _paired(
+                partial(sparse, b, x0), partial(op.solve, b, x0),
+                number=max(3, 20_000 // A.shape[0]))
+            ratios.append(ratio)
+            lines.append(f"{str((n, peers, index)):<26}{A.shape[0]:>7}"
+                         f"{start:>6}{f'{it}/{got.iterations}':>8}"
+                         f"{sparse_us:>10.1f}"
+                         f"{eigen_us:>9.1f}{ratio:>7.3f}{rel_dx:>9.1e}")
+
+    # replay: each solve the column asks for, through the sparse-basis arm
+    # as well; the run follows the eigenbasis arm's timeline
+    solve = CgOperator.solve
+    stats = {"solves": 0, "equal": 0, "max_gap": 0, "flips": 0,
+             "max_dx": 0.0}
+
+    def replayed(self, b, x0=None, tol=1e-10, max_iter=None):
+        got = solve(self, b, x0=x0, tol=tol, max_iter=max_iter)
+        x, it, converged = _sparse_basis_cg(self)(b, x0=x0, tol=tol,
+                                                  max_iter=max_iter)
+        stats["solves"] += 1
+        stats["equal"] += got.iterations == it
+        stats["max_gap"] = max(stats["max_gap"], abs(got.iterations - it))
+        stats["flips"] += got.converged != converged
+        scale = np.linalg.norm(x)
+        if scale:
+            stats["max_dx"] = max(stats["max_dx"],
+                                  np.linalg.norm(got.x - x) / scale)
+        return got
+
+    CgOperator.solve = replayed
+    try:
+        figure7_sweep(ns=(96,), disconnections=(0, 4), peers=8, repeats=1,
+                      base_seed=0, engine=SweepEngine(workers=1))
+    finally:
+        CgOperator.solve = solve
+    solves, equal = stats["solves"], stats["equal"]
+    lines += ["",
+              "Replay: every inner solve of quick fig7_column (n=96, 8 peers, "
+              "disconnections 0 and 4, seed 0) through both arms",
+              f"solves {solves}, equal iteration counts {equal} "
+              f"({equal / solves:.2%}), largest count gap "
+              f"{stats['max_gap']}, converged flips {stats['flips']}, "
+              f"largest relative dx {stats['max_dx']:.1e}"]
+    record_table("spectral_cg", "\n".join(lines))
+    assert solves > 1000
+    assert equal >= 0.995 * solves
+    assert stats["max_gap"] <= 1 and stats["flips"] == 0
+    assert stats["max_dx"] <= 1e-10
+    # a speed-up on every strip the two CG workloads solve
+    assert max(ratios) < 1.0
 
 
 @pytest.mark.benchmark(group="micro")

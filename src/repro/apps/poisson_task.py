@@ -16,7 +16,9 @@ Per asynchronous iteration the task:
    default; ``warm_start`` and ``inner_solver="direct"`` are opt-ins) —
    on the cluster compute plane's shared operator when ``ctx.compute``
    offers one — unless the request equals the last one, which the task
-   replays from its last-solve memo;
+   replays from its last-solve memo.  The CG runs in the strip's sine
+   eigenbasis and is charged the flops of the sparse CG the paper ran
+   (:mod:`repro.numerics.cg`);
 3. sends one grid line (``n`` components) to each neighbour — constant
    exchange volume regardless of the overlap;
 4. reports the max-norm relative distance between successive owned iterates.

@@ -7,43 +7,44 @@ time for a daemon's local solve — so a larger local block really does take
 proportionally longer simulated time, reproducing the paper's ratio (4)
 (compute-per-iteration / communication-per-iteration) mechanics.
 
-Two execution paths produce **bitwise-identical** results:
+:func:`conjugate_gradient` is the general allocating loop (any matrix,
+plus the Jacobi preconditioner, residual history and raise-on-failure
+options).  :class:`CgOperator` caches per-matrix state; its
+:meth:`CgOperator.solve` hands any matrix but a Poisson strip — none that
+an experiment reaches — to :func:`conjugate_gradient`, bit for bit.
 
-* :func:`conjugate_gradient` — the general allocating loop (any matrix,
-  no cached state, plus the Jacobi preconditioner, residual history and
-  raise-on-failure options; the reference :meth:`CgOperator.solve` is
-  tested against);
-* :class:`CgOperator` — per-matrix cached state (a prebound matvec kernel,
-  preallocated work vectors) whose unpreconditioned
-  :meth:`CgOperator.solve` runs the same arithmetic without per-call
-  allocations.  Identical floating point operations in identical order ⇒
-  identical iterates, iteration counts, residuals and flop charges —
-  simulated time cannot change.
+**Spectral CG.**  A Poisson strip is exactly ``A = c·(T_m ⊗ I_n + I_m ⊗
+T_n)`` with ``T_k = tridiag(-1, 2, -1)``: ``m`` grid lines of ``n`` points
+(:func:`strip_shape`).  The orthonormal DST-I matrix ``Q_k``
+(:func:`dst_matrix`; symmetric, its own inverse) diagonalises ``T_k``
+(Lynch, Rice & Thomas, 1964), and CG is invariant under an orthonormal
+change of basis.  So :meth:`CgOperator.solve` maps ``b̂ = Q_m·B·Q_n``
+(``B`` is ``b`` as ``m×n``; two GEMMs), runs the unchanged loop — stop
+rule ``tol·‖b‖``, ``max_iter``, ``pAp ≤ 0`` guard, ``rz``/``res``/``beta``
+recurrences — with ``Ap = λ ⊙ p``, and returns ``x = Q_m·(Λ⁻¹(b̂ −
+r̂))·Q_n``.  It agrees with :func:`conjugate_gradient` up to round-off:
+on the ledger's solves the iteration counts are equal but for a few
+±1 (a residual landing within round-off of the stop), no ``converged``
+flag differs and the relative ``Δx`` stays below 1e-10.  The flops
+charged stay :func:`cg_flops_estimate` of the sparse matrix: the
+simulator prices the method the paper ran, not the emulator's work.
 
-The operator's one kernel is picked by :func:`matvec_kernel` on its first
-multiply.  A canonical CSR matrix with few diagonals — every Poisson or
-heat strip is exactly 5-diagonal — is multiplied by scipy's DIA kernel on
-a diagonal-storage copy with ascending offsets: one vectorisable
-``y[i] += d[i] * x[i + k]`` loop per diagonal instead of CSR's serial
-per-row add chain, about 1.5× faster on the Figure 7 strips.  For finite
-``x`` it gives exactly CSR's bits: ``y`` starts at +0.0, each element adds
-its terms in CSR's sorted-column order, and a padding slot adds ±0.0,
-which leaves any such sum unchanged.  (An infinite or NaN ``x[j]`` meeting
-a padding slot gives NaN; CG's iterates are finite unless the solve has
-already overflowed.)  Any other matrix keeps the CSR kernel.
+:meth:`CgOperator.matvec` runs one kernel, picked by :func:`matvec_kernel`
+on the first multiply: scipy's DIA kernel on a diagonal-storage copy with
+ascending offsets for a canonical CSR matrix with few diagonals (every
+Poisson or heat strip is 5-diagonal), else CSR's.  For finite ``x`` DIA
+gives exactly CSR's bits: ``y`` starts at +0.0, each element adds its
+terms in CSR's sorted-column order, and a padding slot adds ±0.0.
 
 :meth:`CgOperator.solve_direct` is the opt-in exact solve for the one
 matrix family the direct inner solver meets: a strip of the 5-point Poisson
-operator, ``A = c·(T_m ⊗ I_n + I_m ⊗ T_n)`` with ``T_k = tridiag(-1, 2,
--1)``, ``m`` grid lines of ``n`` points.  It solves by fast
-diagonalization (Lynch, Rice & Thomas, 1964): the orthonormal DST-I matrix
-``Q`` (symmetric, its own inverse) diagonalises ``T_m``, so
+operator.  It diagonalises only the short axis, so
 
-1. ``Y = Q·B`` maps the strip's short axis to sine modes (one GEMM),
+1. ``Y = Q_m·B`` maps the strip's short axis to sine modes (one GEMM),
 2. the ``m`` decoupled SPD tridiagonals ``c·(μ_k I + T_n) y_k = Y_k`` are
    one LAPACK ``pttrs`` call over a cached ``pttrf`` factor of their
    concatenation (``2·m·n`` stored values), and
-3. ``X = Q·Y`` maps back (one more GEMM).
+3. ``X = Q_m·Y`` maps back (one more GEMM).
 
 The simulated cost of a solve prices the method, not the host's kernel:
 :func:`direct_flops_estimate` charges an FFT-based DST-I solve,
@@ -57,7 +58,7 @@ default and is excluded from bitwise comparisons.
 from __future__ import annotations
 
 import sys
-from functools import partial
+from functools import lru_cache, partial
 from math import log2 as _log2
 # IEEE 754 requires correctly-rounded sqrt, so math.sqrt and np.sqrt agree
 # bitwise on binary64 — and the math version skips the ufunc dispatch that
@@ -70,6 +71,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.errors import ConvergenceError
+from repro.util.caches import register_cache
 
 # scipy's C matvec kernels: y += A @ x without allocating
 from scipy.sparse._sparsetools import (
@@ -81,7 +83,7 @@ from scipy.sparse._sparsetools import (
 __all__ = ["CgResult", "conjugate_gradient", "cg_flops_estimate",
            "CgOperator", "block_operator", "csr_matvec_into",
            "matvec_kernel", "direct_flops_estimate", "StripFactor",
-           "strip_factor"]
+           "strip_factor", "strip_shape", "dst_matrix"]
 
 
 @dataclass
@@ -160,14 +162,10 @@ class StripFactor(NamedTuple):
     flops: float        #: :func:`direct_flops_estimate` of one solve
 
 
-def strip_factor(A: sp.csr_matrix) -> StripFactor:
-    """Factor ``A = c·(T_m ⊗ I_n + I_m ⊗ T_n)`` for fast diagonalization.
-
-    ``m``, ``n`` and ``c`` are read off ``A`` and the Kronecker sum they
-    define is compared with ``A`` exactly, on a canonical copy (``A`` may
-    be frozen, unsorted or hold explicit zeros); any other matrix raises
-    ``ValueError``.
-    """
+def strip_shape(A: sp.csr_matrix) -> tuple[int, int, float] | None:
+    """``(m, n, c)`` when ``A`` is exactly ``c·(T_m ⊗ I_n + I_m ⊗ T_n)``,
+    else ``None``: the Kronecker sum read off ``A`` is compared with a
+    canonical copy (``A`` may be frozen, unsorted or hold explicit zeros)."""
     canon = A.copy()
     canon.sum_duplicates()
     canon.eliminate_zeros()
@@ -178,34 +176,58 @@ def strip_factor(A: sp.csr_matrix) -> StripFactor:
     n = int(row0[2]) if row0.size == 3 else size
     m = size // n if n else 0
     c = float(canon.data[0]) / 4.0 if canon.nnz else 0.0
+    if m * n != size or not c > 0.0:
+        return None
 
     def tridiag(k):
         return sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(k, k))
 
-    same = m * n == size and c > 0.0
-    if same:
-        want = (c * (sp.kron(tridiag(m), sp.identity(n))
-                     + sp.kron(sp.identity(m), tridiag(n)))).tocsr()
-        same = (np.array_equal(canon.indptr, want.indptr)
-                and np.array_equal(canon.indices, want.indices)
-                and np.array_equal(canon.data, want.data))
-    if not same:
-        raise ValueError("CgOperator.solve_direct() needs a Poisson strip "
-                         "c·(T_m ⊗ I_n + I_m ⊗ T_n)")
+    want = (c * (sp.kron(tridiag(m), sp.identity(n))
+                 + sp.kron(sp.identity(m), tridiag(n)))).tocsr()
+    same = (np.array_equal(canon.indptr, want.indptr)
+            and np.array_equal(canon.indices, want.indices)
+            and np.array_equal(canon.data, want.data))
+    return (m, n, c) if same else None
 
-    from scipy.linalg import lapack
 
+@lru_cache(maxsize=None)
+def dst_matrix(m: int) -> np.ndarray:
+    """The ``m×m`` orthonormal DST-I matrix (symmetric, ``Q·Q = I``; it
+    diagonalises ``T_m``), cached per size and read-only."""
     k = np.arange(1, m + 1)
     # (j·k) is an exact integer product, so Q is exactly symmetric
     Q = np.sqrt(2.0 / (m + 1)) * np.sin(np.pi * np.outer(k, k) / (m + 1))
-    mu = 4.0 * np.sin(np.pi * k / (2.0 * (m + 1))) ** 2  # eigenvalues of T_m
-    d = np.repeat(c * (mu + 2.0), n)
-    e = np.full(size - 1, -c)
+    Q.flags.writeable = False
+    return Q
+
+
+register_cache(dst_matrix.cache_clear)
+
+
+def _sine_eigenvalues(m: int) -> np.ndarray:
+    """The eigenvalues of ``T_m``, in :func:`dst_matrix`'s mode order."""
+    k = np.arange(1, m + 1)
+    return 4.0 * np.sin(np.pi * k / (2.0 * (m + 1))) ** 2
+
+
+def strip_factor(A: sp.csr_matrix) -> StripFactor:
+    """Factor the Poisson strip ``A`` (see :func:`strip_shape`) for fast
+    diagonalization; any other matrix raises ``ValueError``."""
+    shape = strip_shape(A)
+    if shape is None:
+        raise ValueError("CgOperator.solve_direct() needs a Poisson strip "
+                         "c·(T_m ⊗ I_n + I_m ⊗ T_n)")
+    m, n, c = shape
+
+    from scipy.linalg import lapack
+
+    d = np.repeat(c * (_sine_eigenvalues(m) + 2.0), n)
+    e = np.full(m * n - 1, -c)
     e[n - 1::n] = 0.0  # mode k's last point does not couple to mode k+1's
     d, e, info = lapack.dpttrf(d, e)
     if info != 0:
         raise ValueError(f"pttrf failed (info={info})")
-    return StripFactor(m, n, Q, d, e, lapack.dpttrs,
+    return StripFactor(m, n, dst_matrix(m), d, e, lapack.dpttrs,
                        direct_flops_estimate(m, n))
 
 
@@ -309,22 +331,20 @@ class CgOperator:
     """Per-matrix cached solver state.
 
     Holds the matrix, its matvec kernel (chosen by :func:`matvec_kernel`
-    on the first multiply, so an operator that never multiplies — a
-    task solving on a cohort's shared operator — stores no DIA copy), the
-    lazily cached :class:`StripFactor` of :meth:`solve_direct`, and
-    preallocated work vectors, so repeated solves against the same matrix
-    allocate at most their output ``x`` (see :meth:`_free_slot`).
+    on the first multiply, so an operator that only solves — by CG or
+    directly — stores no DIA copy), the sine eigenbasis of a Poisson
+    strip (recognized on the first :meth:`solve`), the lazily cached
+    :class:`StripFactor` of :meth:`solve_direct`, and preallocated work
+    vectors, so repeated solves against the same matrix allocate at most
+    their output ``x`` (see :meth:`_free_slot`).
 
     The matrix is **symmetric by contract**: the class solves by CG, which
     requires it, and every block it serves is a strip of a symmetric
     operator.  :meth:`factorization` goes further and accepts only a
     Poisson strip (see :func:`strip_factor`).
 
-    The solve arithmetic replicates :func:`conjugate_gradient` operation by
-    operation (same kernels, same order), so results are bitwise identical
-    — callers may switch between the two freely without perturbing
-    simulated time.  Work buffers are scratch only: no state survives a
-    solve, so one operator may serve many tasks sequentially.
+    Work buffers are scratch only: no state survives a solve, so one
+    operator may serve many tasks sequentially.
     """
 
     def __init__(self, A: sp.spmatrix):
@@ -339,10 +359,11 @@ class CgOperator:
         self._p = np.empty(n)
         self._Ap = np.empty(n)
         self._tmp = np.empty(n)
+        self._basis: tuple | None = None  # :meth:`_eigenbasis`, on 1st solve
         self._factor: StripFactor | None = None
         self._kernel = None  # built by :attr:`kernel` on the first multiply
-        #: recycled solution buffers for ``x0 is None`` solves (see
-        #: :meth:`_free_slot`); bounded so escaped buffers cannot pile up
+        #: recycled solution buffers (see :meth:`_free_slot`); bounded so
+        #: escaped buffers cannot pile up
         self._x_pool: list[np.ndarray] = []
 
     # -- cached pieces -------------------------------------------------------
@@ -350,12 +371,22 @@ class CgOperator:
     @property
     def kernel(self):
         """The prebound ``kernel(x, y)``: ``y += A @ x`` (see
-        :func:`matvec_kernel`).  :meth:`solve` runs one multiply per
-        iteration on a small block, where re-fetching ``A.indptr`` etc.
-        through a wrapper costs as much as the multiply itself."""
+        :func:`matvec_kernel`)."""
         if self._kernel is None:
             self._kernel = matvec_kernel(self.A)
         return self._kernel
+
+    def _eigenbasis(self) -> tuple:
+        """``(Q_m, Q_n, λ, grid, b̂)`` and ``grid``-shaped views of ``tmp``,
+        ``b̂`` and ``Ap`` if ``A`` is a Poisson strip, else ``()``."""
+        shape = strip_shape(self.A)
+        if shape is None:
+            return ()
+        m, n, c = shape
+        lam = c * (_sine_eigenvalues(m)[:, None] + _sine_eigenvalues(n))
+        grid, bhat = (m, n), np.empty(self.n)
+        return (dst_matrix(m), dst_matrix(n), lam.ravel(), grid, bhat,
+                *(v.reshape(grid) for v in (self._tmp, bhat, self._Ap)))
 
     def factorization(self) -> StripFactor:
         """The cached :func:`strip_factor` of ``A`` (built on first use)."""
@@ -402,71 +433,68 @@ class CgOperator:
         tol: float = 1e-10,
         max_iter: int | None = None,
     ) -> CgResult:
-        """Unpreconditioned CG solve, bitwise-identical to
-        :func:`conjugate_gradient` with its defaults."""
+        """Unpreconditioned CG solve: in the sine eigenbasis on a Poisson
+        strip (see the module docstring), by :func:`conjugate_gradient`
+        with its defaults on any other matrix."""
+        basis = self._basis
+        if basis is None:
+            basis = self._basis = self._eigenbasis()
+        if not basis:
+            return conjugate_gradient(self.A, b, x0=x0, tol=tol,
+                                      max_iter=max_iter)
         n = self.n
         if b.shape != (n,):
             raise ValueError(f"b has shape {b.shape}, expected ({n},)")
         if max_iter is None:
             max_iter = max(10 * n, 100)
-
+        Qm, Qn, lam, grid, bhat, tmp2, bhat2, Ap2 = basis
+        r, p, Ap = self._r, self._p, self._Ap
+        # b̂ = Q_m·B·Q_n; np.dot dispatches faster than matmul on small strips
+        np.dot(Qm, b.reshape(grid), out=tmp2)
+        np.dot(tmp2, Qn, out=bhat2)
         if x0 is None:
-            x = self._free_slot()
-            x.fill(0.0)
+            np.copyto(r, bhat)
         else:
-            x = np.array(x0, dtype=float, copy=True)
-        if x.shape != (n,):
-            raise ValueError("x0 shape mismatch")
+            x0 = np.asarray(x0, dtype=float)
+            if x0.shape != (n,):
+                raise ValueError("x0 shape mismatch")
+            np.dot(Qm, x0.reshape(grid), out=tmp2)
+            np.dot(tmp2, Qn, out=Ap2)
+            np.multiply(lam, Ap, out=Ap)
+            np.subtract(bhat, Ap, out=r)
 
         b_norm = _sqrt(b.dot(b))
         stop = tol * b_norm if b_norm > 0 else tol
-
-        r, p, Ap, tmp = self._r, self._p, self._Ap, self._tmp
-        # inlined matvec (same zero fill, same kernel) — the method call is
-        # measurable at swarm scale, where blocks are ~100 rows and solves
-        # number 10^5
-        kernel = self.kernel
-        if x0 is None:
-            # r = b - A @ 0: elementwise b[i] - 0.0 == b[i] bitwise.
-            np.copyto(r, b)
-        else:
-            Ap.fill(0.0)
-            kernel(x, Ap)
-            np.subtract(b, Ap, out=r)
-
         rz = float(r.dot(r))
         res = _sqrt(rz)
         np.copyto(p, r)
 
         it = 0
         while res > stop and it < max_iter:
-            Ap.fill(0.0)
-            kernel(p, Ap)
+            np.multiply(lam, p, out=Ap)
             pAp = float(p.dot(Ap))
             if pAp <= 0.0:
                 break
             alpha = rz / pAp
-            # x += alpha * p ; r -= alpha * Ap  (via the scratch buffer)
-            np.multiply(p, alpha, out=tmp)
-            np.add(x, tmp, out=x)
-            np.multiply(Ap, alpha, out=tmp)
-            np.subtract(r, tmp, out=r)
+            # r -= alpha * Ap; x is not kept, it is Λ⁻¹(b̂ − r̂)
+            np.multiply(Ap, alpha, out=Ap)
+            np.subtract(r, Ap, out=r)
             rz_new = float(r.dot(r))
             res = _sqrt(rz_new)
             beta = rz_new / rz if rz > 0 else 0.0
-            # p = r + beta * p: scale-then-add, the reference's order
             np.multiply(p, beta, out=p)
             np.add(p, r, out=p)
             rz = rz_new
             it += 1
 
-        return CgResult(
-            x=x,
-            converged=res <= stop,
-            iterations=it,
-            residual_norm=res,
-            flops=cg_flops_estimate(self.nnz, n, it),
-        )
+        # x = Q_m·(Λ⁻¹(b̂ − r̂))·Q_n
+        np.subtract(bhat, r, out=Ap)
+        np.divide(Ap, lam, out=Ap)
+        np.dot(Qm, Ap2, out=tmp2)
+        x = self._free_slot()
+        np.dot(tmp2, Qn, out=x.reshape(grid))
+        return CgResult(x, res <= stop, it, res,
+                        cg_flops_estimate(self.nnz, n, it))
 
     def solve_direct(self, b: np.ndarray, tol: float = 1e-10) -> CgResult:
         """Exact solve by fast diagonalization (opt-in; see the module

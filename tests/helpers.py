@@ -5,6 +5,7 @@ from __future__ import annotations
 from typing import Any
 
 import numpy as np
+import scipy.sparse as sp
 
 from repro.churn import churn_plan
 from repro.faults import FaultInjector
@@ -121,3 +122,10 @@ def poisson_strip(n: int, nblocks: int, overlap: int,
     d = BlockDecomposition(prob.A, prob.b, nblocks=nblocks, line=n,
                            overlap=overlap)
     return d.blocks[nblocks // 2 if index is None else index]
+
+
+def shifted(A):
+    """``A + I/2`` in CSR: banded and SPD like a Poisson strip, but none —
+    a :class:`~repro.numerics.CgOperator` hands its solves to
+    :func:`~repro.numerics.conjugate_gradient`."""
+    return (A + 0.5 * sp.identity(A.shape[0])).tocsr()

@@ -243,7 +243,7 @@ def test_every_app_fragment_covers_owned_range(factory, params):
     "factory,digest",
     [
         (PoissonTask,
-         "aa68c91a185190eeb5db5e30cc1da14a4efb529d6c9d15f6921f96b314e41e4e"),
+         "1da8e6ad313dc1dbee18bf3e106c6e47c2fa12bd2a7fcecc915a3ae7f250052e"),
         (JacobiTask,
          "2f2c08fbd100c57e6a032c9149653d85f561458a3f626f92ffd3480e2b3ab13c"),
         (HeatTask,

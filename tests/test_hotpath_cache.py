@@ -29,7 +29,7 @@ from repro.rmi.runtime import RemoteObject
 from repro.rmi.stub import Stub
 from repro.util.caches import clear_caches
 from repro.util.serialization import _payload_size, measured_size
-from tests.helpers import poisson_strip
+from tests.helpers import poisson_strip, shifted
 from tests.oracles.split_reference import split_rows_reference
 
 
@@ -139,6 +139,11 @@ def _assert_same_result(res_a, res_b):
     assert res_a.residual_history == res_b.residual_history
 
 
+# A Poisson strip solves in its sine eigenbasis, equal to the reference
+# up to round-off (tests/test_numerics_cg.py); any other matrix solves by
+# the reference itself, which these pin bit for bit on shifted strips.
+
+
 @pytest.mark.parametrize("history", [False, True])
 def test_cg_operator_bitwise_cold_start(history):
     # the operator runs the plain path only; the reference keeping its
@@ -146,8 +151,9 @@ def test_cg_operator_bitwise_cold_start(history):
     prob = Poisson2D.manufactured(10)
     d = BlockDecomposition(prob.A, prob.b, nblocks=3, line=10, overlap=1)
     for blk in d.blocks:
-        op = CgOperator(blk.A_local)
-        ref = conjugate_gradient(blk.A_local, blk.b_local, tol=1e-8,
+        A = shifted(blk.A_local)
+        op = CgOperator(A)
+        ref = conjugate_gradient(A, blk.b_local, tol=1e-8,
                                  keep_history=history)
         got = op.solve(blk.b_local, tol=1e-8)
         if history:
@@ -162,24 +168,29 @@ def test_cg_operator_bitwise_warm_start_and_cap():
     blk = d.blocks[1]
     rng = np.random.default_rng(7)
     x0 = rng.standard_normal(blk.n_ext)
-    op = CgOperator(blk.A_local)
+    A = shifted(blk.A_local)
+    op = CgOperator(A)
     for max_iter in (3, None):
-        ref = conjugate_gradient(blk.A_local, blk.b_local, x0=x0,
+        ref = conjugate_gradient(A, blk.b_local, x0=x0,
                                  tol=1e-10, max_iter=max_iter)
         got = op.solve(blk.b_local, x0=x0, tol=1e-10, max_iter=max_iter)
         _assert_same_result(got, ref)
 
 
 def test_cg_operator_repeated_solves_stay_identical():
-    # Work buffers are scratch: a second solve must not see stale state.
+    # Work buffers are scratch: a second solve must not see stale state —
+    # on the eigenbasis path (a Poisson strip) and on the reference one
     prob = Poisson2D.manufactured(8)
-    A = prob.A
-    op = CgOperator(A)
-    ref = conjugate_gradient(A, prob.b, tol=1e-9)
-    first = op.solve(prob.b, tol=1e-9)
-    second = op.solve(prob.b, tol=1e-9)
-    _assert_same_result(first, ref)
-    _assert_same_result(second, ref)
+    for A in (prob.A, shifted(prob.A)):
+        op = CgOperator(A)
+        ref = CgOperator(A).solve(prob.b, tol=1e-9)
+        first = op.solve(prob.b, tol=1e-9)
+        # a warm start in between writes every work vector
+        op.solve(2.0 * prob.b, x0=np.ones(op.n), tol=1e-9)
+        second = op.solve(prob.b, tol=1e-9)
+        _assert_same_result(first, ref)
+        _assert_same_result(second, ref)
+    _assert_same_result(ref, conjugate_gradient(A, prob.b, tol=1e-9))
 
 
 def test_csr_matvec_into_matches_matmul():

@@ -3,7 +3,9 @@
 ``scipy.linalg``, ``scipy.sparse.linalg`` and ``scipy.fft`` are imported
 inside the first call that needs them (the direct solve's LAPACK factor,
 reference solves), never at module level, so a run that does not use them
-does not pay for them in its set-up time.
+does not pay for them in its set-up time — nor, for a CG run, whose inner
+solves map strips to their sine eigenbasis with cached GEMMs, in its
+memory.
 """
 
 import os
@@ -18,14 +20,30 @@ WORKLOAD_IMPORTS = ("repro.apps", "repro.exec", "repro.experiments.figure7",
                     "repro.experiments.config", "repro.numerics", "repro.p2p")
 
 
-def test_workload_imports_load_no_scipy_solver_module():
+def _run(code: str) -> str:
     src = Path(__file__).resolve().parents[1] / "src"
-    code = "".join(f"import {name}\n" for name in WORKLOAD_IMPORTS)
-    code += f"import sys\nprint([m for m in {LAZY!r} if m in sys.modules])"
     out = subprocess.run(
         [sys.executable, "-c", code],
         env={**os.environ, "PYTHONPATH": str(src),
              "PYTHONDONTWRITEBYTECODE": "1"},
         capture_output=True, text=True, check=True,
     )
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip()
+
+
+def test_workload_imports_load_no_scipy_solver_module():
+    code = "".join(f"import {name}\n" for name in WORKLOAD_IMPORTS)
+    code += f"import sys\nprint([m for m in {LAZY!r} if m in sys.modules])"
+    assert _run(code) == "[]"
+
+
+def test_a_cg_run_loads_no_scipy_solver_module():
+    code = ("import sys\n"
+            "from repro.exec import RunSpec\n"
+            "from repro.numerics.cg import dst_matrix\n"
+            "assert RunSpec(n=16, peers=2).run().converged\n"
+            "print(dst_matrix.cache_info().currsize, "
+            f"[m for m in {LAZY!r} if m in sys.modules])")
+    # the strips (12 lines of 16 points) solved in their eigenbasis: two
+    # cached DST-I sizes
+    assert _run(code) == "2 []"

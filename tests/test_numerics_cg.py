@@ -1,11 +1,16 @@
-"""The CG operator's matvec kernel choice.
+"""The CG operator's matvec kernel choice and its two solve paths.
 
 :func:`repro.numerics.cg.matvec_kernel` multiplies a canonical, banded CSR
 matrix through scipy's diagonal-storage (DIA) kernel and anything else
 through the CSR kernel.  The DIA kernel must produce, bit for bit, what
-``A @ x`` produces, on every strip the ledger solves; the fallbacks must
-keep solves bitwise-equal to :func:`conjugate_gradient`; and the DIA copy
-is built only by an operator that multiplies.
+``A @ x`` produces, on every strip the ledger solves, and the DIA copy is
+built only by an operator that multiplies.
+
+:meth:`CgOperator.solve` runs CG in the sine eigenbasis of a Poisson
+strip — equal to :func:`conjugate_gradient` in iteration count,
+convergence and flop charge, and in ``x`` up to round-off, on a fixed
+corpus — and hands any other matrix to :func:`conjugate_gradient`, bit for
+bit.
 """
 
 import numpy as np
@@ -23,9 +28,14 @@ from repro.numerics import (
     conjugate_gradient,
     shared_decomposition,
 )
-from repro.numerics.cg import matvec_kernel
+from repro.numerics.cg import (
+    cg_flops_estimate,
+    dst_matrix,
+    matvec_kernel,
+    strip_shape,
+)
 from repro.util.caches import clear_caches
-from tests.helpers import poisson_strip
+from tests.helpers import poisson_strip, shifted
 
 
 @pytest.fixture(autouse=True)
@@ -108,10 +118,13 @@ def _dense_spd(size: int) -> np.ndarray:
     return M @ M.T + size * np.eye(size)
 
 
+#: matrices the CSR kernel multiplies; none is a Poisson strip, so the
+#: operator solves them by :func:`conjugate_gradient`
 FALLBACKS = {
-    "unsorted-indices": lambda: _backwards(Poisson2D.manufactured(8).A.tocsr()),
+    "unsorted-indices": lambda: _backwards(
+        shifted(Poisson2D.manufactured(8).A)),
     "duplicate-entries": lambda: _duplicated_diagonal(
-        Poisson2D.manufactured(8).A.tocsr()),
+        shifted(Poisson2D.manufactured(8).A)),
     "dense-spd": lambda: _dense_spd(30),
 }
 
@@ -133,26 +146,33 @@ def test_fallbacks_keep_csr_and_stay_bitwise(name):
 
 
 def test_dia_solves_are_bitwise_conjugate_gradient():
-    blk = poisson_strip(96, 8, 6)
-    op = CgOperator(blk.A_local)
+    # a banded matrix that is no Poisson strip: multiplied through the DIA
+    # kernel, solved by the reference loop
+    A = shifted(poisson_strip(96, 8, 6).A_local)
+    op = CgOperator(A)
+    x = np.random.default_rng(2).standard_normal(op.n)
+    assert op.matvec(x, np.empty(op.n)).tobytes() == (A @ x).tobytes()
     assert op.kernel.func is dia_matvec
+    b = np.random.default_rng(3).standard_normal(op.n)
     x0 = np.random.default_rng(1).standard_normal(op.n)
     for kwargs in ({}, {"x0": x0}, {"max_iter": 5}):
-        got = op.solve(blk.b_local, tol=1e-10, **kwargs)
-        ref = conjugate_gradient(blk.A_local, blk.b_local, tol=1e-10,
-                                 **kwargs)
+        got = op.solve(b, tol=1e-10, **kwargs)
+        ref = conjugate_gradient(A, b, tol=1e-10, **kwargs)
         assert got.x.tobytes() == ref.x.tobytes()
         assert (got.iterations, got.residual_norm,
                 got.residual_history) == (ref.iterations, ref.residual_norm,
                                           ref.residual_history)
+    assert op._basis == ()
 
 
 def test_an_operator_that_never_multiplies_builds_no_dia_copy():
+    # neither solve path multiplies by A: only matvec builds the kernel
     blk = poisson_strip(96, 8, 6)
     op = CgOperator(blk.A_local)
     op.factorization()
-    assert op._kernel is None
     op.solve(blk.b_local)
+    assert op._kernel is None
+    op.matvec(blk.b_local, np.empty(op.n))
     assert op._kernel.func is dia_matvec
 
 
@@ -198,3 +218,95 @@ def test_kernel_builds_on_a_frozen_block_without_touching_it():
             A.data.tobytes()) == before
     assert CgOperator(S).factorization().n == 24
     assert S.indices.tobytes() == stored
+
+
+# ----------------------------------------------- spectral CG on strips
+
+
+def _start(kind: str, b: np.ndarray) -> tuple[np.ndarray, dict]:
+    """The rhs and solve options of one corpus case."""
+    rng = np.random.default_rng(b.size)
+    if kind == "cold":
+        return b, {}
+    if kind == "warm":
+        return b, {"x0": rng.standard_normal(b.size)}
+    if kind == "capped":
+        return b, {"max_iter": 5}
+    assert kind == "random-rhs"
+    return rng.standard_normal(b.size), {}
+
+
+#: (n, nblocks, overlap, block, start): edge and interior strips of the
+#: ledger's CG decompositions at their ``optimal_overlap`` (fig7_column
+#: quick and full, smallblock_churn quick and full), a one-line strip
+#: (m = 1) and a two-block split; cold, warm, capped and a random rhs
+SPECTRAL_CORPUS = [
+    (96, 8, 6, 4, "cold"), (96, 8, 6, 4, "warm"), (96, 8, 6, 4, "capped"),
+    (96, 8, 6, 0, "warm"), (96, 8, 6, 0, "capped"),
+    (96, 8, 6, 7, "random-rhs"), (128, 8, 8, 4, "cold"),
+    (40, 10, 2, 0, "cold"), (40, 10, 2, 0, "warm"), (40, 10, 2, 5, "cold"),
+    (64, 16, 2, 0, "cold"), (64, 16, 2, 8, "warm"),
+    (8, 8, 0, 3, "cold"), (8, 8, 0, 3, "warm"), (10, 2, 2, 1, "warm"),
+]
+
+
+@pytest.mark.parametrize("n,nblocks,overlap,index,start", SPECTRAL_CORPUS)
+def test_spectral_solves_match_conjugate_gradient(n, nblocks, overlap, index,
+                                                  start):
+    blk = poisson_strip(n, nblocks, overlap, index)
+    A = blk.A_local
+    b, kwargs = _start(start, blk.b_local)
+    op = CgOperator(A)
+    got = op.solve(b, **kwargs)
+    ref = conjugate_gradient(A, b, **kwargs)
+    assert len(op._basis) > 0  # the eigenbasis path ran
+    assert (got.iterations, got.converged, got.flops) == (
+        ref.iterations, ref.converged, ref.flops)
+    assert got.iterations > 0
+    assert (np.linalg.norm(got.x - ref.x)
+            <= 1e-12 * np.linalg.norm(ref.x))
+
+
+@pytest.mark.parametrize("index,tol", [(0, 1e-10), (7, 1e-10), (4, 1e-6)])
+def test_a_smooth_rhs_may_take_one_more_spectral_iteration(index, tol):
+    # The manufactured rhs is smooth: over half of its sine coefficients
+    # are below 2e-18 of the largest, but the forward map rounds each one
+    # by up to 2e-15 of it, and CG spends an iteration on that noise (with
+    # the coefficients computed in long double it stops with the
+    # reference).  The answers agree to well below the tolerance.
+    blk = poisson_strip(96, 8, 6, index)
+    got = CgOperator(blk.A_local).solve(blk.b_local, tol=tol)
+    ref = conjugate_gradient(blk.A_local, blk.b_local, tol=tol)
+    assert got.converged and ref.converged
+    assert got.iterations == ref.iterations + 1
+    assert got.flops == cg_flops_estimate(blk.A_local.nnz, blk.n_ext,
+                                          got.iterations)
+    assert (np.linalg.norm(got.x - ref.x)
+            <= 1e-2 * tol * np.linalg.norm(ref.x))
+
+
+def test_spectral_solves_read_unsorted_strips_and_keep_their_x():
+    S = poisson_strip(24, 4, 2).A_local.tocsr()
+    backwards = _backwards(S)
+    b = np.random.default_rng(4).standard_normal(S.shape[0])
+    op = CgOperator(backwards)
+    got = op.solve(b)
+    assert got.x.tobytes() == CgOperator(S).solve(b).x.tobytes()
+    assert not backwards.has_sorted_indices  # read, never sorted in place
+    # x is the caller's: the next solve writes a different buffer
+    kept = got.x.copy()
+    op.solve(2.0 * b)
+    assert got.x.tobytes() == kept.tobytes()
+
+
+def test_strip_shape_recognizes_only_exact_poisson_strips():
+    blk = poisson_strip(40, 10, 2, 0)
+    m, n, c = strip_shape(blk.A_local)
+    assert (m * n, n) == (blk.n_ext, 40) and c > 0.0
+    assert strip_shape(shifted(blk.A_local)) is None
+    assert strip_shape(sp.csr_matrix(np.eye(4))) is None
+    # the DST-I matrix is orthonormal, symmetric, cached and read-only
+    Q = dst_matrix(m)
+    assert Q is dst_matrix(m) and not Q.flags.writeable
+    assert np.array_equal(Q, Q.T)
+    assert np.allclose(Q @ Q, np.eye(m), atol=1e-14)
