@@ -10,7 +10,6 @@ messaging layer.
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.apps.strip import StripTask
 from repro.numerics.cg import matvec_kernel
@@ -39,6 +38,7 @@ class JacobiTask(StripTask):
         if cached is not None:
             self.inv_diag, self.R, self._r_kernel = cached
         else:
+            import scipy.sparse as sp
             diag = blk.A_local.diagonal()
             if (diag == 0).any():
                 raise ValueError("Jacobi needs a nonzero diagonal")

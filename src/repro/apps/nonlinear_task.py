@@ -19,7 +19,6 @@ damped Newton method; every Newton step is an SPD solve (Jacobian
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.apps.strip import StripTask
 from repro.numerics.cg import conjugate_gradient
@@ -44,6 +43,7 @@ def _manufactured_system(n: int, c: float):
 def nonlinear_reference(n: int, c: float, tol: float = 1e-12,
                         max_newton: int = 50) -> np.ndarray:
     """Sequential global Newton solve, for validation."""
+    import scipy.sparse as sp
     from scipy.sparse.linalg import spsolve
 
     A, b, _ = _manufactured_system(n, c)
@@ -85,6 +85,7 @@ class NonlinearPoissonTask(StripTask):
                           overlap=int(ctx.params.get("overlap", 0)))
 
     def _update(self, rhs: np.ndarray) -> tuple[np.ndarray, float, dict]:
+        import scipy.sparse as sp
         blk = self.blk
         x = self.x  # immutable: the first Newton step rebinds it
         flops = 2.0 * blk.B_coupling.nnz

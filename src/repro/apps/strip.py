@@ -32,16 +32,18 @@ see a later write.
 
 from __future__ import annotations
 
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.numerics.cg import csr_matvec_into
 from repro.numerics.poisson import Poisson2D
 from repro.numerics.residual import update_distance
 from repro.numerics.splitting import shared_decomposition
 from repro.p2p.task import IterationStep, Task, TaskContext
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 __all__ = ["StripTask"]
 
@@ -169,6 +171,7 @@ def _coupled_rows(blk) -> tuple[np.ndarray, sp.csr_matrix, np.ndarray]:
     """
     cached = blk.op_cache.get("coupled_rows")
     if cached is None:
+        import scipy.sparse as sp
         B = blk.B_coupling
         rows = np.flatnonzero(np.diff(B.indptr))
         indptr = np.concatenate((B.indptr[:1], B.indptr[rows + 1]))

@@ -28,18 +28,17 @@ plain-int counters (:attr:`SweepEngine.stats`).
 
 The pool uses the ``fork`` start method where available: children inherit
 the parent's interpreter state (import cost ≈ 0, identical
-``PYTHONHASHSEED``).  On platforms without ``fork`` the default method is
-used; determinism still holds because nothing in a run depends on hash
-randomization.
+``PYTHONHASHSEED``); the parent imports ``scipy.sparse`` right before it
+forks, so the workers share its pages instead of each loading it.  On
+platforms without ``fork`` the default method is used; determinism still
+holds because nothing in a run depends on hash randomization.
 """
 
 from __future__ import annotations
 
-from repro.errors import ConfigurationError
-import multiprocessing
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
+from repro.errors import ConfigurationError
 from repro.exec.cache import RunCache
 from repro.exec.spec import RunSpec
 
@@ -47,6 +46,8 @@ __all__ = ["SweepEngine"]
 
 
 def _pool_context():
+    import multiprocessing
+
     if "fork" in multiprocessing.get_all_start_methods():
         return multiprocessing.get_context("fork")
     return multiprocessing.get_context()
@@ -164,6 +165,10 @@ class SweepEngine:
             for key, spec in pending.items():
                 self._absorb(key, spec, spec.execute())
             return
+
+        from concurrent.futures import ProcessPoolExecutor
+
+        import scipy.sparse  # noqa: F401  (every forked worker needs it)
 
         from repro.experiments.driver import RunResult
 

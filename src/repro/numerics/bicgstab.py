@@ -10,11 +10,15 @@ flop accounting the simulator charges as compute time.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
-import scipy.sparse as sp
 
 from repro.errors import ConvergenceError
 from repro.numerics.cg import CgResult
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 __all__ = ["bicgstab", "bicgstab_flops_estimate"]
 
@@ -38,6 +42,7 @@ def bicgstab(
     solver so callers (tasks, the compute-cost model) are solver-agnostic.
     Convergence test: ``||r|| <= tol * ||b||``.
     """
+    import scipy.sparse as sp
     A = A.tocsr() if sp.issparse(A) else sp.csr_matrix(A)
     nrows = A.shape[0]
     if A.shape[0] != A.shape[1]:

@@ -65,20 +65,15 @@ from math import log2 as _log2
 # dominates scalar-sqrt cost in the per-iteration residual check
 from math import sqrt as _sqrt
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.errors import ConvergenceError
 from repro.util.caches import register_cache
 
-# scipy's C matvec kernels: y += A @ x without allocating
-from scipy.sparse._sparsetools import (
-    csr_has_canonical_format as _csr_has_canonical_format,
-    csr_matvec as _csr_matvec,
-    dia_matvec as _dia_matvec,
-)
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 __all__ = ["CgResult", "conjugate_gradient", "cg_flops_estimate",
            "CgOperator", "block_operator", "csr_matvec_into",
@@ -111,6 +106,20 @@ def direct_flops_estimate(m: int, n: int) -> float:
     return 2.0 * n * 2.5 * L * _log2(L) + 8.0 * m * n
 
 
+# scipy's C matvec kernels (y += A @ x without allocating), bound by the
+# first multiply: a run that builds no sparse matrix loads no scipy
+_csr_matvec = _dia_matvec = _csr_has_canonical_format = None
+
+
+def _bind_kernels() -> None:
+    global _csr_matvec, _dia_matvec, _csr_has_canonical_format
+    from scipy.sparse._sparsetools import (
+        csr_has_canonical_format as _csr_has_canonical_format,
+        csr_matvec as _csr_matvec,
+        dia_matvec as _dia_matvec,
+    )
+
+
 def csr_matvec_into(A: sp.csr_matrix, x: np.ndarray, out: np.ndarray) -> np.ndarray:
     """``out = A @ x`` without allocating, bitwise-identical to ``A @ x``.
 
@@ -118,6 +127,8 @@ def csr_matvec_into(A: sp.csr_matrix, x: np.ndarray, out: np.ndarray) -> np.ndar
     kernel; calling the kernel on a zeroed caller buffer performs the exact
     same floating-point operations.
     """
+    if _csr_matvec is None:
+        _bind_kernels()
     out[:] = 0.0
     _csr_matvec(A.shape[0], A.shape[1], A.indptr, A.indices, A.data, x, out)
     return out
@@ -136,6 +147,8 @@ def matvec_kernel(A: sp.csr_matrix):
     ``csr_matvec`` on ``A``'s own arrays.  ``A`` is only read, so a
     frozen (``writeable=False``) matrix is fine.
     """
+    if _csr_matvec is None:
+        _bind_kernels()
     n_row, n_col = A.shape
     indptr, indices = A.indptr, A.indices
     if _csr_has_canonical_format(n_row, indptr, indices):
@@ -178,6 +191,8 @@ def strip_shape(A: sp.csr_matrix) -> tuple[int, int, float] | None:
     c = float(canon.data[0]) / 4.0 if canon.nnz else 0.0
     if m * n != size or not c > 0.0:
         return None
+
+    import scipy.sparse as sp
 
     def tridiag(k):
         return sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(k, k))
@@ -257,6 +272,7 @@ def conjugate_gradient(
         Raise :class:`~repro.errors.ConvergenceError` instead of returning a
         non-converged result.
     """
+    import scipy.sparse as sp
     A = A.tocsr() if sp.issparse(A) else sp.csr_matrix(A)
     nrows = A.shape[0]
     if A.shape[0] != A.shape[1]:
@@ -348,6 +364,7 @@ class CgOperator:
     """
 
     def __init__(self, A: sp.spmatrix):
+        import scipy.sparse as sp
         A = A.tocsr() if sp.issparse(A) else sp.csr_matrix(A)
         if A.shape[0] != A.shape[1]:
             raise ValueError("A must be square")

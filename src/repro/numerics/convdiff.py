@@ -12,8 +12,12 @@ operator is genuinely nonsymmetric and needs BiCGSTAB rather than CG.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
-import scipy.sparse as sp
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 __all__ = ["convection_diffusion_matrix", "ConvectionDiffusion2D"]
 
@@ -51,6 +55,7 @@ def convection_diffusion_matrix(
     upper_y[mask] = 0.0
     lower_y[mask] = 0.0
 
+    import scipy.sparse as sp
     return sp.diags(
         [diag, upper_y, lower_y, upper_x, lower_x],
         [0, 1, -1, n, -n],

@@ -14,7 +14,6 @@ ablations); nothing in the runtime hot path calls them.
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
 
 __all__ = [
     "is_z_matrix",
@@ -28,6 +27,7 @@ __all__ = [
 
 
 def _as_dense(A) -> np.ndarray:
+    import scipy.sparse as sp
     if sp.issparse(A):
         return A.toarray()
     return np.asarray(A, dtype=float)
@@ -118,6 +118,7 @@ def spectral_radius(T, iterations: int = 5000, tol: float = 1e-12, seed: int = 0
     oscillate; the shift makes ``1 + ρ`` strictly dominant.  General sparse
     inputs fall back to ARPACK.
     """
+    import scipy.sparse as sp
     if not sp.issparse(T) and min(T.shape) <= 1500:
         return float(np.abs(np.linalg.eigvals(np.asarray(T, dtype=float))).max())
 
@@ -160,6 +161,7 @@ def spectral_radius(T, iterations: int = 5000, tol: float = 1e-12, seed: int = 0
 def async_convergence_radius(T) -> float:
     """``ρ(|T|)`` — the paper's sufficient condition for asynchronous
     convergence is that this is < 1 (§6)."""
+    import scipy.sparse as sp
     if sp.issparse(T):
         return spectral_radius(abs(T))
     return spectral_radius(np.abs(_as_dense(T)))

@@ -14,10 +14,12 @@ the paper (components per processor are a multiple of ``n``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
-import scipy.sparse as sp
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 __all__ = ["poisson_matrix", "poisson_rhs", "Poisson2D"]
 
@@ -31,6 +33,7 @@ def poisson_matrix(n: int, scaled: bool = True) -> sp.csr_matrix:
     """
     if n < 1:
         raise ValueError("grid size n must be >= 1")
+    import scipy.sparse as sp
     h2inv = (n + 1.0) ** 2 if scaled else 1.0
     main = 4.0 * np.ones(n * n)
     side = -1.0 * np.ones(n * n - 1)

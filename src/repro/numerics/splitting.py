@@ -29,11 +29,14 @@ mutating shared operators fails loudly instead of corrupting its siblings.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.util.caches import register_cache
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 __all__ = ["BlockInfo", "BlockDecomposition", "DecompositionCache",
            "DECOMPOSITION_CACHE", "shared_decomposition"]
@@ -296,6 +299,7 @@ def _split_rows(A: sp.csr_matrix, ext_s: int, ext_e: int):
     matrix is canonical, within-row column order is preserved and the
     results are canonical too.
     """
+    import scipy.sparse as sp
     indptr, indices, data = A.indptr, A.indices, A.data
     start, end = int(indptr[ext_s]), int(indptr[ext_e])
     cols = indices[start:end]

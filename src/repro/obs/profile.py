@@ -35,13 +35,14 @@ to an unprofiled one (cProfile only adds wall-clock overhead).
 
 from __future__ import annotations
 
-import cProfile
 import gc
-import pstats
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable
+from typing import TYPE_CHECKING, Any, Callable
+
+if TYPE_CHECKING:
+    import pstats
 
 __all__ = ["LAYERS", "ProfileReport", "profile_callable", "layer_of"]
 
@@ -205,6 +206,9 @@ def profile_callable(
     fn: Callable[[], Any], top_n: int = 10
 ) -> tuple[ProfileReport, Any]:
     """Run ``fn()`` under cProfile; returns ``(report, fn's return value)``."""
+    import cProfile
+    import pstats
+
     seconds = 0.0
     started = 0.0
     passes = [0, 0, 0]
