@@ -111,8 +111,10 @@ def _paired(base, arm, number: int, rounds: int = 15):
 
 def test_cg_kernel_dia_vs_csr(record_table):
     """CSR vs DIA sibling arms: scipy's two kernels on the ledger's strips
-    (``CgOperator.matvec``; its CG solves run in the strip's eigenbasis,
-    see ``test_spectral_cg_vs_sparse_basis``)."""
+    (``CgOperator.matvec``).  CG solves on a strip run in its eigenbasis and
+    multiply nothing (see ``test_spectral_cg_vs_sparse_basis``); the kernel
+    serves ``solve_direct``'s residual check (the ``direct16`` workload)
+    and the heat and Jacobi apps' steps."""
     lines = [f"CG matvec kernels, DIA vs CSR (nproc={os.cpu_count()}; "
              "medians of 15 back-to-back timeit pairs, y zeroed each call)",
              f"{'strip (n, peers, block)':<26}{'rows':>7}{'csr_us':>9}"
@@ -141,8 +143,8 @@ def test_cg_kernel_dia_vs_csr(record_table):
                          f"{csr_us:>9.2f}{dia_us:>9.2f}{ratio:>9.3f}")
 
     record_table("cg_kernel", "\n".join(lines))
-    # the kernel choice is a speed-up, never a slow-down, on the strips the
-    # Figure 7 workload multiplies
+    # the kernel choice is a speed-up, never a slow-down, on the (96, 8)
+    # strips
     assert ratios[96, 8, 0] < 1.0 and ratios[96, 8, 4] < 1.0
 
 

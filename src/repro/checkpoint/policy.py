@@ -29,7 +29,7 @@ per-run state object the Daemon drives.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING, Any, ClassVar
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
@@ -74,19 +74,6 @@ class BackupPolicy:
         # The guarding set is a pure function of (task_id, num_tasks,
         # count), and target_for_save re-derives it on every checkpoint:
         # cache per task (frozen dataclass, so plant via object.__setattr__)
-        object.__setattr__(self, "_peers_cache", {})
-
-    # The planted cache is derived state: pickling it would ship (and on
-    # round-trip, resurrect) a mutable dict that asdict/__eq__ already
-    # ignore.  Reduce to the declared fields and rebuild an empty cache on
-    # the other side, so policies transport losslessly through the RunCache
-    # and process-pool pipes.
-    def __getstate__(self) -> dict[str, Any]:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    def __setstate__(self, state: dict[str, Any]) -> None:
-        for name, value in state.items():
-            object.__setattr__(self, name, value)
         object.__setattr__(self, "_peers_cache", {})
 
     @property

@@ -13,7 +13,6 @@ into a :class:`~repro.faults.FaultPlan` for a
 from repro.churn.models import (
     ChurnEvent,
     ChurnModel,
-    NoChurn,
     PaperChurn,
     PoissonChurn,
     TraceChurn,
@@ -23,7 +22,6 @@ from repro.churn.models import (
 __all__ = [
     "ChurnEvent",
     "ChurnModel",
-    "NoChurn",
     "PaperChurn",
     "PoissonChurn",
     "TraceChurn",

@@ -17,7 +17,6 @@ from repro.util.rng import RngTree
 __all__ = [
     "ChurnEvent",
     "ChurnModel",
-    "NoChurn",
     "PaperChurn",
     "PoissonChurn",
     "TraceChurn",
@@ -47,13 +46,6 @@ class ChurnModel:
 
     def schedule(self, rng: RngTree, horizon: float) -> list[ChurnEvent]:
         raise NotImplementedError  # pragma: no cover
-
-
-class NoChurn(ChurnModel):
-    """The stable-network control (0 disconnections)."""
-
-    def schedule(self, rng: RngTree, horizon: float) -> list[ChurnEvent]:
-        return []
 
 
 @dataclass(frozen=True)

@@ -164,10 +164,6 @@ class Simulator:
         self._seq += 1
         heapq.heappush(self._heap, (self.now + delay, priority, self._seq, event))
 
-    def peek(self) -> float:
-        """Time of the next scheduled event, or +inf if the heap is empty."""
-        return self._heap[0][0] if self._heap else float("inf")
-
     def step(self) -> None:
         """Process exactly one event."""
         if not self._heap:

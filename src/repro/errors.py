@@ -47,10 +47,6 @@ class RemoteError(ReproError):
         self.cause = cause
 
 
-class ConvergenceError(ReproError):
-    """The iterative method failed to converge within the allowed budget."""
-
-
 class TaskError(ReproError):
     """A user Task implementation raised or violated the Task contract."""
 

@@ -158,9 +158,6 @@ class GossipAgent(RemoteObject):
         over a fresh object per version and do not mutate it afterwards."""
         return bool(self._merge(key, tuple(version), value))
 
-    def rumor(self, key: Any) -> tuple[tuple, Any] | None:
-        return self.rumors.get(key)
-
     def subscribe(self, key_prefix: tuple, callback: Callable) -> None:
         """``callback(key, version, value)`` on every merge whose key starts
         with ``key_prefix``."""

@@ -200,8 +200,7 @@ class PeerStore:
 
     # -- deterministic sampling ------------------------------------------------
 
-    def sample(self, rng: RngTree, k: int, exclude: Address | None = None,
-               stream: int = 0) -> list[PeerRecord]:
+    def sample(self, rng: RngTree, k: int, stream: int) -> list[PeerRecord]:
         """Up to ``k`` records: a uniform subset in a uniform order, drawn
         by ``rng.picks`` (``stream`` selects one of the node's draws).
 
@@ -210,8 +209,6 @@ class PeerStore:
         into the overlay's fanout pattern.
         """
         candidates = self.ordered()
-        if exclude is not None:
-            candidates = [r for r in candidates if r.address != exclude]
         if len(candidates) <= k:
             return list(candidates)
         return [candidates[i] for i in rng.picks(len(candidates), k, stream)]

@@ -44,10 +44,6 @@ class LatestValueChannel:
             value, self._value = self._value, None
             return (True, value)
 
-    def peek(self) -> tuple[bool, Any]:
-        with self._lock:
-            return (self._fresh, self._value)
-
 
 class MailboxSet:
     """One channel per (src, dst) pair of an n-task application."""
@@ -62,9 +58,6 @@ class MailboxSet:
             for d in range(num_tasks)
             if s != d
         }
-
-    def channel(self, src: int, dst: int) -> LatestValueChannel:
-        return self._channels[(src, dst)]
 
     def send(self, src: int, dst: int, value: Any) -> None:
         self._channels[(src, dst)].put(value)

@@ -44,6 +44,7 @@ class _JitterStream:
 
     __slots__ = ("generator", "low", "span", "_buf", "_pos")
 
+    #: draws per refill (:meth:`HeterogeneousLinkModel.delay` serves them)
     _BLOCK = 1024
 
     def __init__(self, rng: RngTree, jitter: float):
@@ -54,14 +55,6 @@ class _JitterStream:
         self.span = jitter - (-jitter)
         self._buf = None
         self._pos = 0
-
-    def factor(self) -> float:
-        buf, pos = self._buf, self._pos
-        if buf is None or pos == self._BLOCK:
-            buf = self._buf = self.generator.random(self._BLOCK)
-            pos = 0
-        self._pos = pos + 1
-        return 1.0 + (self.low + self.span * float(buf[pos]))
 
 
 @dataclass
@@ -74,33 +67,19 @@ class UniformLinkModel(LinkModel):
         One-way latency in seconds.
     bandwidth:
         Bytes per second.
-    jitter:
-        Fractional uniform jitter on the total delay; 0 disables it.
-    rng:
-        Required when ``jitter > 0``.
     """
 
     latency: float = 200e-6
     bandwidth: float = 125e6  # 1 Gbps in bytes/s
-    jitter: float = 0.0
-    rng: RngTree | None = None
 
     def __post_init__(self) -> None:
         if self.latency < 0 or self.bandwidth <= 0:
             raise ConfigurationError("latency must be >=0 and bandwidth >0")
-        if self.jitter and self.rng is None:
-            raise ConfigurationError("jitter requires an RngTree")
-        self._jitter_stream = (
-            _JitterStream(self.rng, self.jitter) if self.jitter else None
-        )
 
     def delay(self, src: Host, dst: Host, nbytes: int) -> float:
         if src is dst:
             return 1e-6  # loop-back
-        d = self.latency + nbytes / self.bandwidth
-        if self._jitter_stream is not None:
-            d *= self._jitter_stream.factor()
-        return d
+        return self.latency + nbytes / self.bandwidth
 
 
 @dataclass(frozen=True)
@@ -178,8 +157,8 @@ class HeterogeneousLinkModel(LinkModel):
         d = latency + nbytes / bandwidth
         js = self._jitter_stream
         if js is not None:
-            # inlined _JitterStream.factor() (bitwise-identical draws):
-            # one message-plane call frame saved per send
+            # the next buffered factor, inlined: one message-plane call
+            # frame saved per send
             buf, pos = js._buf, js._pos
             if buf is None or pos == js._BLOCK:
                 buf = js._buf = js.generator.random(js._BLOCK)

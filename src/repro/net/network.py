@@ -152,14 +152,6 @@ class Network:
         if tr.enabled:
             tr.emit(self.sim.now, "net", "fabric", "heal")
 
-    def reachable(self, a: str, b: str) -> bool:
-        """True when no partition separates hosts ``a`` and ``b``."""
-        if self._partition is None:
-            return True
-        ga = self._partition.get(a, -1)
-        gb = self._partition.get(b, -1)
-        return ga == gb
-
     # -- sending ----------------------------------------------------------------
 
     def send(
@@ -237,8 +229,8 @@ class Network:
         """
         self.in_flight -= 1
         src, dst = msg.src, msg.dst
-        # inlined self.reachable(): one method call per delivery adds up,
-        # and the common case is no partition at all
+        # hosts in different partition groups cannot talk (hosts named in
+        # no group share group -1); the common case is no partition at all
         part = self._partition
         if part is not None and part.get(src.host, -1) != part.get(dst.host, -1):
             self.dropped_partition += 1

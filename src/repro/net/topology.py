@@ -61,6 +61,13 @@ PAPER_MACHINE_CLASSES: tuple[MachineClass, ...] = (
 #: Super-Peers and the Spawner run on P4 2.40 GHz / 512 MB machines.
 PAPER_SUPERPEER_CLASS = MachineClass("p4-2400", speed=1.90, ram_mb=512)
 
+#: Fraction of daemon hosts on 1 Gbps Ethernet; the rest are on 100 Mbps
+#: (paper: "some machines ... 1Gbps ... others ... 100Mbps").
+FAST_NETWORK_FRACTION = 0.5
+
+#: Fractional uniform jitter on every link delay of a seeded testbed.
+LINK_JITTER = 0.05
+
 
 @dataclass
 class Testbed:
@@ -85,15 +92,15 @@ def build_testbed(
     n_daemons: int,
     n_superpeers: int = 3,
     rng: RngTree | None = None,
-    machine_classes: tuple[MachineClass, ...] = PAPER_MACHINE_CLASSES,
     homogeneous: bool = False,
-    fast_network_fraction: float = 0.5,
-    jitter: float = 0.05,
     link_scale: float = 1.0,
     loss_rate: float = 0.0,
     with_standby: bool = False,
 ) -> Testbed:
-    """Create a :class:`Testbed` with the paper's host population shape.
+    """Create a :class:`Testbed` with the paper's host population shape:
+    daemons drawn from :data:`PAPER_MACHINE_CLASSES`, a
+    :data:`FAST_NETWORK_FRACTION` of them on gigabit Ethernet, and every
+    link delay jittered by :data:`LINK_JITTER` when ``rng`` is given.
 
     Parameters
     ----------
@@ -105,11 +112,6 @@ def build_testbed(
     homogeneous:
         All daemons identical speed-1.0 on gigabit Ethernet (the control
         configuration used by ablations).
-    fast_network_fraction:
-        Fraction of daemon hosts on 1 Gbps Ethernet; the rest are on
-        100 Mbps (paper: "some machines ... 1Gbps ... others ... 100Mbps").
-    jitter:
-        Link-delay jitter fraction.
     link_scale:
         Multiplies latencies and divides bandwidths by this factor.  The
         experiment harness uses it to *preserve the paper's
@@ -138,7 +140,7 @@ def build_testbed(
     link_model = HeterogeneousLinkModel(
         classes=classes,
         default_class=classes[GIGABIT_ETHERNET.name],
-        jitter=jitter if link_rng is not None else 0.0,
+        jitter=LINK_JITTER if link_rng is not None else 0.0,
         rng=link_rng,
     )
     network = Network(
@@ -149,17 +151,17 @@ def build_testbed(
     )
     testbed = Testbed(sim=sim, network=network)
 
-    weights = [c.weight for c in machine_classes]
+    weights = [c.weight for c in PAPER_MACHINE_CLASSES]
     total_w = sum(weights)
 
     def pick_class(r: RngTree, i: int) -> MachineClass:
         u = r.child("class", i).uniform(0, total_w)
         acc = 0.0
-        for cls, w in zip(machine_classes, weights):
+        for cls, w in zip(PAPER_MACHINE_CLASSES, weights):
             acc += w
             if u <= acc:
                 return cls
-        return machine_classes[-1]
+        return PAPER_MACHINE_CLASSES[-1]
 
     for i in range(n_daemons):
         if homogeneous:
@@ -167,7 +169,7 @@ def build_testbed(
             net_tag = GIGABIT_ETHERNET.name
         else:
             cls = pick_class(rng, i)
-            fast = rng.child("net", i).uniform() < fast_network_fraction
+            fast = rng.child("net", i).uniform() < FAST_NETWORK_FRACTION
             net_tag = GIGABIT_ETHERNET.name if fast else FAST_ETHERNET.name
         host = network.new_host(
             f"daemon-host-{i}",

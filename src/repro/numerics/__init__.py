@@ -6,7 +6,7 @@ Implements §6 of the paper and the theory it leans on:
   Cartesian grid with Dirichlet boundary conditions (5-point stencil →
   ``A x = b`` with ``A`` a 5-diagonal M-matrix of size ``n² × n²``);
 * :mod:`~repro.numerics.matrix` — M-matrix and weak-regular-splitting
-  checks, iteration matrices, spectral radii (the asynchronous convergence
+  checks and spectral radii (the asynchronous convergence
   condition is ``ρ(|T|) < 1``);
 * :mod:`~repro.numerics.cg` — a from-scratch sparse Conjugate Gradient (the
   paper's inner solver), with iteration/flop accounting used by the
@@ -22,7 +22,6 @@ from repro.numerics.poisson import Poisson2D, poisson_matrix, poisson_rhs
 from repro.numerics.matrix import (
     is_m_matrix,
     is_weak_regular_splitting,
-    jacobi_iteration_matrix,
     spectral_radius,
     async_convergence_radius,
 )
@@ -44,7 +43,7 @@ from repro.numerics.jacobi import (
     block_jacobi,
     JacobiResult,
 )
-from repro.numerics.residual import relative_residual, update_distance
+from repro.numerics.residual import update_distance
 from repro.numerics.theory import AsyncCertificate, async_certificate
 
 __all__ = [
@@ -53,7 +52,6 @@ __all__ = [
     "poisson_rhs",
     "is_m_matrix",
     "is_weak_regular_splitting",
-    "jacobi_iteration_matrix",
     "spectral_radius",
     "async_convergence_radius",
     "conjugate_gradient",
@@ -68,7 +66,6 @@ __all__ = [
     "shared_decomposition",
     "block_jacobi",
     "JacobiResult",
-    "relative_residual",
     "update_distance",
     "AsyncCertificate",
     "async_certificate",

@@ -14,7 +14,6 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.errors import ConvergenceError
 from repro.numerics.cg import CgResult
 
 if TYPE_CHECKING:
@@ -31,16 +30,14 @@ def bicgstab_flops_estimate(nnz: int, nrows: int, iterations: int) -> float:
 def bicgstab(
     A: sp.spmatrix,
     b: np.ndarray,
-    x0: np.ndarray | None = None,
     tol: float = 1e-10,
-    max_iter: int | None = None,
-    raise_on_fail: bool = False,
 ) -> CgResult:
     """Solve ``A x = b`` for general nonsingular sparse ``A``.
 
     Returns the same :class:`~repro.numerics.cg.CgResult` record as the CG
     solver so callers (tasks, the compute-cost model) are solver-agnostic.
-    Convergence test: ``||r|| <= tol * ||b||``.
+    Convergence test: ``||r|| <= tol * ||b||``, from a zero start, within
+    ``max(20·n, 200)`` iterations.
     """
     import scipy.sparse as sp
     A = A.tocsr() if sp.issparse(A) else sp.csr_matrix(A)
@@ -50,12 +47,9 @@ def bicgstab(
     b = np.asarray(b, dtype=float)
     if b.shape != (nrows,):
         raise ValueError(f"b has shape {b.shape}, expected ({nrows},)")
-    if max_iter is None:
-        max_iter = max(20 * nrows, 200)
+    max_iter = max(20 * nrows, 200)
 
-    x = np.zeros(nrows) if x0 is None else np.array(x0, dtype=float, copy=True)
-    if x.shape != (nrows,):
-        raise ValueError("x0 shape mismatch")
+    x = np.zeros(nrows)
 
     b_norm = float(np.linalg.norm(b))
     stop = tol * b_norm if b_norm > 0 else tol
@@ -102,14 +96,9 @@ def bicgstab(
         rho = rho_new
         it += 1
 
-    converged = res <= stop
-    if not converged and raise_on_fail:
-        raise ConvergenceError(
-            f"BiCGSTAB did not converge in {it} iterations (residual {res:.3e})"
-        )
     return CgResult(
         x=x,
-        converged=converged,
+        converged=res <= stop,
         iterations=it,
         residual_norm=res,
         flops=bicgstab_flops_estimate(A.nnz, nrows, it),

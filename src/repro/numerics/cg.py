@@ -1,17 +1,16 @@
 """Sparse Conjugate Gradient — the paper's inner solver (§6), from scratch.
 
-Plain CG (optionally Jacobi-preconditioned) on a symmetric positive-definite
-sparse matrix.  Returns a :class:`CgResult` carrying the iteration count and
-an **estimated flop count**, which is what the simulator charges as compute
-time for a daemon's local solve — so a larger local block really does take
+Plain CG on a symmetric positive-definite sparse matrix.  Returns a
+:class:`CgResult` carrying the iteration count and an **estimated flop
+count**, which is what the simulator charges as compute time for a
+daemon's local solve — so a larger local block really does take
 proportionally longer simulated time, reproducing the paper's ratio (4)
 (compute-per-iteration / communication-per-iteration) mechanics.
 
-:func:`conjugate_gradient` is the general allocating loop (any matrix,
-plus the Jacobi preconditioner, residual history and raise-on-failure
-options).  :class:`CgOperator` caches per-matrix state; its
-:meth:`CgOperator.solve` hands any matrix but a Poisson strip — none that
-an experiment reaches — to :func:`conjugate_gradient`, bit for bit.
+:func:`conjugate_gradient` is the general allocating loop (any matrix).
+:class:`CgOperator` caches per-matrix state; its :meth:`CgOperator.solve`
+hands any matrix but a Poisson strip — none that an experiment reaches —
+to :func:`conjugate_gradient`, bit for bit.
 
 **Spectral CG.**  A Poisson strip is exactly ``A = c·(T_m ⊗ I_n + I_m ⊗
 T_n)`` with ``T_k = tridiag(-1, 2, -1)``: ``m`` grid lines of ``n`` points
@@ -64,13 +63,10 @@ from math import log2 as _log2
 # bitwise on binary64 — and the math version skips the ufunc dispatch that
 # dominates scalar-sqrt cost in the per-iteration residual check
 from math import sqrt as _sqrt
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
 import numpy as np
-
-from repro.errors import ConvergenceError
-from repro.util.caches import register_cache
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -90,7 +86,6 @@ class CgResult:
     iterations: int
     residual_norm: float
     flops: float
-    residual_history: list[float] = field(default_factory=list)
 
 
 def cg_flops_estimate(nnz: int, nrows: int, iterations: int) -> float:
@@ -216,9 +211,6 @@ def dst_matrix(m: int) -> np.ndarray:
     return Q
 
 
-register_cache(dst_matrix.cache_clear)
-
-
 def _sine_eigenvalues(m: int) -> np.ndarray:
     """The eigenvalues of ``T_m``, in :func:`dst_matrix`'s mode order."""
     k = np.arange(1, m + 1)
@@ -252,9 +244,6 @@ def conjugate_gradient(
     x0: np.ndarray | None = None,
     tol: float = 1e-10,
     max_iter: int | None = None,
-    jacobi_precondition: bool = False,
-    raise_on_fail: bool = False,
-    keep_history: bool = False,
 ) -> CgResult:
     """Solve ``A x = b`` for SPD sparse ``A``.
 
@@ -266,11 +255,6 @@ def conjugate_gradient(
         Warm start — the asynchronous outer iteration passes the previous
         local solution, which is why inner solves get cheap near the fixed
         point.
-    jacobi_precondition:
-        Divide by the diagonal — cheap and preserves the M-matrix structure.
-    raise_on_fail:
-        Raise :class:`~repro.errors.ConvergenceError` instead of returning a
-        non-converged result.
     """
     import scipy.sparse as sp
     A = A.tocsr() if sp.issparse(A) else sp.csr_matrix(A)
@@ -290,21 +274,10 @@ def conjugate_gradient(
     b_norm = float(np.linalg.norm(b))
     stop = tol * b_norm if b_norm > 0 else tol
 
-    if jacobi_precondition:
-        d = A.diagonal()
-        if (d <= 0).any():
-            raise ValueError("Jacobi preconditioner needs a positive diagonal")
-        inv_d = 1.0 / d
-        apply_m = lambda r: inv_d * r  # noqa: E731
-    else:
-        apply_m = lambda r: r  # noqa: E731
-
     r = b - A @ x
-    z = apply_m(r)
-    p = z.copy()
-    rz = float(r @ z)
+    p = r.copy()
+    rz = float(r @ r)
     res = float(np.linalg.norm(r))
-    history = [res] if keep_history else []
 
     it = 0
     while res > stop and it < max_iter:
@@ -312,34 +285,23 @@ def conjugate_gradient(
         pAp = float(p @ Ap)
         if pAp <= 0.0:
             # Not SPD along this direction: bail out rather than diverge.
-            if raise_on_fail:
-                raise ConvergenceError("CG breakdown: non-positive curvature")
             break
         alpha = rz / pAp
         x += alpha * p
         r -= alpha * Ap
         res = float(np.linalg.norm(r))
-        if keep_history:
-            history.append(res)
-        z = apply_m(r)
-        rz_new = float(r @ z)
+        rz_new = float(r @ r)
         beta = rz_new / rz if rz > 0 else 0.0
-        p = z + beta * p
+        p = r + beta * p
         rz = rz_new
         it += 1
 
-    converged = res <= stop
-    if not converged and raise_on_fail:
-        raise ConvergenceError(
-            f"CG did not converge in {max_iter} iterations (residual {res:.3e})"
-        )
     return CgResult(
         x=x,
-        converged=converged,
+        converged=res <= stop,
         iterations=it,
         residual_norm=res,
         flops=cg_flops_estimate(A.nnz, nrows, it),
-        residual_history=history,
     )
 
 

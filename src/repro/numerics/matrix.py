@@ -19,8 +19,6 @@ __all__ = [
     "is_z_matrix",
     "is_m_matrix",
     "is_weak_regular_splitting",
-    "jacobi_iteration_matrix",
-    "block_jacobi_iteration_matrix",
     "spectral_radius",
     "async_convergence_radius",
 ]
@@ -75,37 +73,6 @@ def is_weak_regular_splitting(A, M, tol: float = 1e-10) -> bool:
         return False
     T = Minv @ (Md - Ad)  # M^{-1} N
     return bool((T >= -tol).all())
-
-
-def jacobi_iteration_matrix(A) -> np.ndarray:
-    """Point-Jacobi iteration matrix ``T = I - D⁻¹ A`` (dense)."""
-    Ad = _as_dense(A)
-    d = np.diag(Ad)
-    if (d == 0).any():
-        raise ValueError("zero diagonal entry: Jacobi splitting undefined")
-    return np.eye(Ad.shape[0]) - Ad / d[:, None]
-
-
-def block_jacobi_iteration_matrix(A, blocks: list[np.ndarray]) -> np.ndarray:
-    """Block-Jacobi iteration matrix ``T = I - M⁻¹ A`` for a partition.
-
-    ``blocks`` is a list of index arrays covering ``range(n)`` disjointly
-    (no overlap here: the overlapped operator is not a single square matrix;
-    the overlapping variant is validated behaviourally in the solver tests).
-    """
-    Ad = _as_dense(A)
-    nrows = Ad.shape[0]
-    seen = np.zeros(nrows, dtype=bool)
-    M = np.zeros_like(Ad)
-    for idx in blocks:
-        idx = np.asarray(idx)
-        if seen[idx].any():
-            raise ValueError("blocks overlap")
-        seen[idx] = True
-        M[np.ix_(idx, idx)] = Ad[np.ix_(idx, idx)]
-    if not seen.all():
-        raise ValueError("blocks do not cover the matrix")
-    return np.eye(nrows) - np.linalg.solve(M, Ad)
 
 
 def spectral_radius(T, iterations: int = 5000, tol: float = 1e-12, seed: int = 0) -> float:

@@ -51,30 +51,16 @@ def poisson_matrix(n: int, scaled: bool = True) -> sp.csr_matrix:
 def poisson_rhs(
     n: int,
     f: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    boundary: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None,
 ) -> np.ndarray:
-    """Assemble the right-hand side for ``-Δu = f`` with Dirichlet data.
-
-    ``f(x, y)`` and ``boundary(x, y)`` are vectorized callables on grid
-    coordinate arrays.  Nonzero boundary values are folded into ``b`` via the
-    standard elimination of known unknowns.
+    """Assemble the right-hand side for ``-Δu = f`` with zero Dirichlet
+    data; ``f(x, y)`` is a vectorized callable on grid coordinate arrays.
     """
     if n < 1:
         raise ValueError("grid size n must be >= 1")
     h = 1.0 / (n + 1)
     xs = (np.arange(n) + 1) * h
     X, Y = np.meshgrid(xs, xs, indexing="ij")  # X: grid-row coordinate
-    b = f(X, Y).astype(float).reshape(n * n).copy()
-    if boundary is not None:
-        h2inv = 1.0 / (h * h)
-        edge = np.zeros((n, n))
-        zero, one = np.zeros(n), np.ones(n)
-        edge[0, :] += boundary(zero, xs)        # x = 0 side touches row 0
-        edge[-1, :] += boundary(one, xs)        # x = 1 side
-        edge[:, 0] += boundary(xs, zero)        # y = 0 side
-        edge[:, -1] += boundary(xs, one)        # y = 1 side
-        b += h2inv * edge.reshape(n * n)
-    return b
+    return f(X, Y).astype(float).reshape(n * n).copy()
 
 
 @dataclass
@@ -83,8 +69,7 @@ class Poisson2D:
 
     By default uses the *manufactured solution*
     ``u(x, y) = sin(πx) sin(πy)``, for which ``f = 2π² u``; the discrete
-    solution then differs from ``u`` only by the O(h²) truncation error,
-    which :meth:`discretization_error` reports.
+    solution then differs from ``u`` only by the O(h²) truncation error.
     """
 
     n: int
@@ -104,10 +89,10 @@ class Poisson2D:
         return cls(n=n, A=A, b=b, u_exact_grid=u(X, Y).reshape(n * n))
 
     @classmethod
-    def heat_plate(cls, n: int, source: float = 1.0) -> "Poisson2D":
-        """Constant heat source, cold walls — the physics motivation in §6."""
+    def heat_plate(cls, n: int) -> "Poisson2D":
+        """Unit heat source, cold walls — the physics motivation in §6."""
         A = poisson_matrix(n, scaled=True)
-        b = poisson_rhs(n, lambda x, y: np.full_like(x, source))
+        b = poisson_rhs(n, lambda x, y: np.full_like(x, 1.0))
         return cls(n=n, A=A, b=b)
 
     @property
@@ -124,9 +109,3 @@ class Poisson2D:
     def residual_norm(self, x: np.ndarray) -> float:
         r = self.b - self.A @ x
         return float(np.linalg.norm(r) / max(np.linalg.norm(self.b), 1e-300))
-
-    def discretization_error(self, x: np.ndarray) -> float:
-        """Max-norm distance to the continuous manufactured solution."""
-        if self.u_exact_grid is None:
-            raise ValueError("no manufactured solution attached")
-        return float(np.max(np.abs(x - self.u_exact_grid)))

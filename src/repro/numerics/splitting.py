@@ -33,8 +33,6 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.util.caches import register_cache
-
 if TYPE_CHECKING:
     import scipy.sparse as sp
 
@@ -263,30 +261,14 @@ class BlockDecomposition:
         """
         return int(sum(v.size for v in self.blocks[k].send_map.values()))
 
-    def local_rhs(
-        self, k: int, ext_values: np.ndarray, out: np.ndarray | None = None
-    ) -> np.ndarray:
-        """``b_ext - B @ ext_values`` for block ``k``.
-
-        With ``out`` the result is written into the given buffer (bitwise
-        identical to the allocating form); without it a fresh array is
-        returned, as before.
-        """
+    def local_rhs(self, k: int, ext_values: np.ndarray) -> np.ndarray:
+        """``b_ext - B @ ext_values`` for block ``k``, in a fresh array."""
         blk = self.blocks[k]
         if blk.ext_cols.size == 0:
-            if out is None:
-                return blk.b_local.copy()
-            np.copyto(out, blk.b_local)
-            return out
+            return blk.b_local.copy()
         if ext_values.shape != (blk.ext_cols.size,):
             raise ValueError("ext_values shape mismatch")
-        if out is None:
-            return blk.b_local - blk.B_coupling @ ext_values
-        from repro.numerics.cg import csr_matvec_into
-
-        csr_matvec_into(blk.B_coupling, ext_values, out)
-        np.subtract(blk.b_local, out, out=out)
-        return out
+        return blk.b_local - blk.B_coupling @ ext_values
 
 
 def _split_rows(A: sp.csr_matrix, ext_s: int, ext_e: int):
@@ -400,9 +382,8 @@ class DecompositionCache:
                 "misses": self.misses}
 
 
-#: The process-wide instance; cleared by ``repro.util.caches.clear_caches``.
+#: The process-wide instance.
 DECOMPOSITION_CACHE = DecompositionCache()
-register_cache(DECOMPOSITION_CACHE.clear)
 
 
 def shared_decomposition(

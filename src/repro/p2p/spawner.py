@@ -66,7 +66,10 @@ class Spawner(RemoteObject):
         self.config = config
         self.rng = rng
         self.telemetry = telemetry if telemetry is not None else RunTelemetry()
-        self.telemetry.launched_at = self.sim.now
+        if resume_from is None:
+            # the run's clock starts at the first launch; a takeover or a
+            # resume from stable storage carries it on
+            self.telemetry.launched_at = self.sim.now
         #: shared :class:`repro.checkpoint.FailureFeed`: every heartbeat
         #: eviction is recorded so adaptive checkpoint policies can track
         #: the observed failure inter-arrival time
@@ -133,8 +136,8 @@ class Spawner(RemoteObject):
         epoch: int,
         daemon_id: str,
         daemon_stub: Stub,
-        stable: bool | None = None,
-        register_version: int | None = None,
+        stable: bool,
+        register_version: int,
     ) -> None:
         """Liveness signal from a computing peer (§5.3).
 
@@ -173,8 +176,7 @@ class Spawner(RemoteObject):
             return
         self.last_seen[task_id] = self.sim.now
         self._trace("heartbeat", task=task_id, daemon=daemon_id)
-        if (register_version is not None
-                and register_version < self._last_broadcast_version
+        if (register_version < self._last_broadcast_version
                 and slot.daemon_stub is not None):
             self._trace("register_repair", task=task_id, daemon=daemon_id,
                         stale_version=register_version,
@@ -182,8 +184,7 @@ class Spawner(RemoteObject):
             self.runtime.oneway(
                 slot.daemon_stub, "update_register", self.register.snapshot()
             )
-        if stable is not None:
-            self.set_state(app_id, task_id, epoch, stable)
+        self.set_state(app_id, task_id, epoch, stable)
 
     @remote
     def set_state(self, app_id: str, task_id: int, epoch: int, stable: bool) -> None:

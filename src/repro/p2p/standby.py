@@ -225,8 +225,6 @@ class StandbySpawner(RemoteObject):
         reign = max(self.shadow_reign, self._last_beat_version[0]) + 2
         self._trace("takeover", reign=reign,
                     shadow_version=self.shadow_version)
-        launched_at = (self.telemetry.launched_at
-                       if self.telemetry is not None else None)
         spawner = Spawner(
             network=self.network,
             host=self.host,
@@ -240,10 +238,6 @@ class StandbySpawner(RemoteObject):
             reign=reign,
             failure_feed=self.failure_feed,
         )
-        if self.telemetry is not None and launched_at is not None:
-            # the application started when the PRIMARY launched it; the
-            # takeover must not reset the execution-time clock
-            self.telemetry.launched_at = launched_at
         spawner.attach_gossip(self.gossip)
         spawner.announce_takeover()
         self.spawner = spawner

@@ -97,10 +97,11 @@ class SuperPeer(RemoteObject):
         """Attach this Super-Peer under an interior Super-Peer one tier up."""
         self.parent_stub = parent
 
-    def adopt_child(self, sp_id: str, stub: Stub, idle: int = 0) -> None:
-        """Seed a child subtree's summary (cluster build / recovery);
-        the child's periodic :meth:`tier_summary` oneways keep it fresh."""
-        self.child_summaries[sp_id] = ChildSummary(sp_id, stub, idle, self.sim.now)
+    def adopt_child(self, sp_id: str, stub: Stub) -> None:
+        """Seed a child subtree's summary with no idle Daemons (cluster build
+        / recovery); the child's periodic :meth:`tier_summary` oneways keep
+        it fresh."""
+        self.child_summaries[sp_id] = ChildSummary(sp_id, stub, 0, self.sim.now)
 
     def subtree_idle(self) -> int:
         """Idle Daemons in this Super-Peer's whole subtree (register for a

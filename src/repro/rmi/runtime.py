@@ -34,7 +34,6 @@ from repro.rmi.invocation import (
     remote_method_table,
 )
 from repro.rmi.stub import Stub
-from repro.util.caches import register_cache
 from repro.util.serialization import measured_size, payload_size
 
 __all__ = ["RemoteObject", "RmiRuntime", "DEFAULT_CALL_TIMEOUT", "oneway_size"]
@@ -49,7 +48,6 @@ _ARG_DEPTH = 2
 #: measured size of an argument-less oneway envelope, per (object_name,
 #: method); process-wide because every runtime of a role sends the same few
 _shells: dict[tuple[str, str], int] = {}
-register_cache(_shells.clear)
 #: what a call's envelope adds to a oneway's, its ``reply_to`` aside (the
 #: id is pinned so that measuring draws none from the process's counter)
 _CALL_EXTRA = (
@@ -209,7 +207,7 @@ class RmiRuntime:
         return PreparedOneway(
             stub, msg, oneway_size(stub.object_name, method, args, kwargs))
 
-    def send_prepared(self, prepared: PreparedOneway, reliable: bool = False) -> None:
+    def send_prepared(self, prepared: PreparedOneway) -> None:
         """Fire-and-forget send of a :meth:`prepare_oneway` envelope."""
         self.oneways_sent += 1
         tr = self.sim.tracer
@@ -219,7 +217,7 @@ class RmiRuntime:
                     object=msg.object_name, method=msg.method,
                     dst=str(prepared.stub.address))
         self.network.send(self.address, prepared.stub.address, prepared.msg,
-                          prepared.size, reliable)
+                          prepared.size)
 
     def gather(self, calls: dict) -> Any:
         """Generator: await a dict of :meth:`call` events; returns

@@ -10,9 +10,9 @@ checkpoints, breaking rollback).
 exact types, caches ``dataclasses.fields`` per class, and memoizes the
 computed payload size per *instance* for frozen (immutable) dataclasses —
 stubs, addresses and checkpoint Backups are measured once and re-sent many
-times.  Anything else (subclasses, numpy scalars, ``nbytes`` carriers) falls
-through to :func:`_payload_size`, the plain ``isinstance`` cascade that defines
-the charge and that the tests hold the fast walk to, byte for byte.
+times.  Anything else (subclasses, numpy scalars, bytes, ``nbytes``
+carriers) takes a plain ``isinstance`` cascade at the end of the walk, which
+charges by the same rules.
 """
 
 from __future__ import annotations
@@ -24,10 +24,8 @@ from typing import Any
 
 import numpy as np
 
-from repro.util.caches import register_cache
-
 __all__ = ["measured_size", "payload_size", "clone_state",
-           "NDARRAY_HEADER_BYTES", "freeze_state", "frozen_view"]
+           "NDARRAY_HEADER_BYTES", "freeze_state"]
 
 # Fixed protocol overhead charged per message, in bytes.  Roughly a TCP/IP +
 # RMI envelope; the exact constant only shifts latency curves uniformly.
@@ -35,8 +33,7 @@ ENVELOPE_BYTES = 256
 
 #: Per-ndarray marshalling overhead charged on top of ``nbytes`` (dtype
 #: descriptor + shape/stride header, roughly what a real pickle frame
-#: costs).  Charged by :func:`payload_size` and :func:`_payload_size`
-#: only — a drift test pins both to it.
+#: costs).  Charged by :func:`payload_size` only — a drift test pins it.
 NDARRAY_HEADER_BYTES = 96
 
 #: instance attribute holding a frozen dataclass's memoized payload size
@@ -49,9 +46,6 @@ _frozen_by_class: dict[type, bool] = {}
 #: (``__slots__`` without ``__dict__``): recorded on the first failed
 #: plant so later walks skip both the memo probe and the raise/catch
 _unmemoizable: set[type] = set()
-register_cache(_fields_by_class.clear)
-register_cache(_frozen_by_class.clear)
-register_cache(_unmemoizable.clear)
 
 
 def measured_size(obj: Any) -> int:
@@ -62,44 +56,6 @@ def measured_size(obj: Any) -> int:
     calls this on every message send.
     """
     return ENVELOPE_BYTES + payload_size(obj, 0)
-
-
-def _payload_size(obj: Any, depth: int) -> int:
-    """The charge, defined: the ``isinstance`` cascade :func:`payload_size`
-    falls back to for types it does not dispatch on exactly."""
-    if obj is None:
-        return 1
-    if isinstance(obj, np.ndarray):
-        return int(obj.nbytes) + NDARRAY_HEADER_BYTES
-    if isinstance(obj, (bytes, bytearray, memoryview)):
-        return len(obj)
-    if isinstance(obj, str):
-        return len(obj.encode("utf-8", errors="replace"))
-    if isinstance(obj, (int, float, complex, bool, np.generic)):
-        return 8
-    if isinstance(obj, (list, tuple, set, frozenset)):
-        if depth > 6:  # deep structures: fall back to pickle below
-            return _pickle_size(obj)
-        return 16 + sum(_payload_size(x, depth + 1) for x in obj)
-    if isinstance(obj, dict):
-        if depth > 6:
-            return _pickle_size(obj)
-        return 16 + sum(
-            _payload_size(k, depth + 1) + _payload_size(v, depth + 1)
-            for k, v in obj.items()
-        )
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        # Message/stub dataclasses: traverse fields instead of pickling, so
-        # numpy payloads inside calls are charged at buffer size.
-        return 32 + sum(
-            _payload_size(getattr(obj, f.name), depth + 1)
-            for f in dataclasses.fields(obj)
-        )
-    # Objects exposing their own accounting (e.g. Backup) use it.
-    nbytes = getattr(obj, "nbytes", None)
-    if isinstance(nbytes, (int, np.integer)):
-        return int(nbytes)
-    return _pickle_size(obj)
 
 
 def _register_dataclass(cls: type) -> tuple[str, ...] | None:
@@ -118,12 +74,14 @@ def payload_size(obj: Any, depth: int) -> int:
     sits).  For senders that assemble an envelope's size from parts they
     measured earlier.
 
-    Exact-type dispatch, charging the same bytes as :func:`_payload_size`.
-    Frozen dataclasses are memoized per instance (their fields cannot be
-    rebound, and by convention their contents are immutable snapshots —
-    stubs, addresses, Backups).  Memoized sizes are computed with a fresh
-    depth budget; payloads never approach the depth-6 pickle fallback, so
-    the charge is identical to the reference walk.
+    Exact-type dispatch first, then an ``isinstance`` cascade for the rare
+    types (numpy scalars, bytes, subclasses, ``nbytes`` carriers, and a
+    pickle of anything else).  Frozen dataclasses are memoized per
+    instance (their fields cannot be rebound, and by convention their
+    contents are immutable snapshots — stubs, addresses, Backups).
+    Memoized sizes are computed with a fresh depth budget; payloads never
+    approach the depth-6 pickle fallback, so the charge does not depend on
+    where an instance sits.
     """
     if obj is None:
         return 1
@@ -182,9 +140,29 @@ def payload_size(obj: Any, depth: int) -> int:
         for nm in names:
             size += payload_size(getattr(obj, nm), d)
         return size
-    # Rare/odd types (numpy scalars, subclasses, nbytes-carriers, pickle
-    # fallback): defer to the reference cascade for identical charges.
-    return _payload_size(obj, depth)
+    # rare types: numpy scalars, bytes, subclasses, nbytes carriers
+    if isinstance(obj, np.ndarray):
+        return int(obj.nbytes) + NDARRAY_HEADER_BYTES
+    if isinstance(obj, (bytes, bytearray, memoryview)):
+        return len(obj)
+    if isinstance(obj, str):
+        return len(obj.encode("utf-8", errors="replace"))
+    if isinstance(obj, (int, float, complex, bool, np.generic)):
+        return 8
+    if isinstance(obj, (list, tuple, set, frozenset)):
+        if depth > 6:
+            return _pickle_size(obj)
+        return 16 + sum(payload_size(x, depth + 1) for x in obj)
+    if isinstance(obj, dict):
+        if depth > 6:
+            return _pickle_size(obj)
+        return 16 + sum(payload_size(k, depth + 1) + payload_size(v, depth + 1)
+                        for k, v in obj.items())
+    # Objects exposing their own accounting (e.g. Backup) use it.
+    nbytes = getattr(obj, "nbytes", None)
+    if isinstance(nbytes, (int, np.integer)):
+        return int(nbytes)
+    return _pickle_size(obj)
 
 
 def _pickle_size(obj: Any) -> int:
@@ -214,19 +192,6 @@ def freeze_state(state: Any) -> Any:
             freeze_state(v)
         return state
     return state
-
-
-def frozen_view(a: np.ndarray) -> np.ndarray:
-    """A read-only view of ``a`` (no data copy).
-
-    The boundary exchange ships these as message payloads:
-    receivers only ever *read* boundary values, and any code path that
-    tried to mutate one in place fails loudly instead of corrupting the
-    sender's state.
-    """
-    v = a[:]
-    v.flags.writeable = False
-    return v
 
 
 def clone_state(state: Any) -> Any:

@@ -13,12 +13,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.errors import ConvergenceError
 from repro.numerics.jacobi import JacobiResult, _solve_blocks_once
 from repro.numerics.splitting import BlockDecomposition
 from repro.util.rng import RngTree
 
-__all__ = ["chaotic_block_jacobi"]
+__all__ = ["ChaoticDivergence", "chaotic_block_jacobi"]
+
+
+class ChaoticDivergence(RuntimeError):
+    """The relaxation spent its step budget without converging."""
 
 
 def chaotic_block_jacobi(
@@ -26,7 +29,6 @@ def chaotic_block_jacobi(
     rng: RngTree,
     tol: float = 1e-8,
     max_steps: int = 100_000,
-    inner_tol: float = 1e-10,
     activation_probability: float = 0.6,
     max_delay: int = 3,
     raise_on_fail: bool = False,
@@ -66,7 +68,7 @@ def chaotic_block_jacobi(
             # each active block reads its own stale snapshot
             age = delay_rng.integers(0, min(max_delay, len(snapshots) - 1) + 1)
             snap = snapshots[-1 - age]
-            inner, flops = _solve_blocks_once(decomp, x_locals, [k], snap, inner_tol)
+            inner, flops = _solve_blocks_once(decomp, x_locals, [k], snap)
             inner_total += inner
             flops_total += flops
         x_now = decomp.assemble(x_locals)
@@ -86,7 +88,7 @@ def chaotic_block_jacobi(
                 residual_history=history,
             )
     if raise_on_fail:
-        raise ConvergenceError(f"chaotic relaxation: no convergence in {max_steps} steps")
+        raise ChaoticDivergence(f"chaotic relaxation: no convergence in {max_steps} steps")
     return JacobiResult(
         x=decomp.assemble(x_locals),
         converged=False,

@@ -8,7 +8,6 @@ routes, and the online adaptation of
 checkpoint-traffic savings).
 """
 
-import pickle
 from dataclasses import asdict
 
 import pytest
@@ -69,16 +68,6 @@ def test_runspec_roundtrips_policies():
 
 
 # ------------------------------------------- BackupPolicy _peers_cache fix
-
-
-def test_backup_policy_pickle_excludes_peers_cache():
-    pol = BackupPolicy(num_tasks=6, count=3, frequency=5)
-    pol.backup_peers(2)  # populate the planted cache
-    state = pol.__getstate__()
-    assert "_peers_cache" not in state
-    clone = pickle.loads(pickle.dumps(pol))
-    assert clone == pol
-    assert clone.backup_peers(2) == pol.backup_peers(2)
 
 
 def test_backup_policy_asdict_and_equality_ignore_cache():

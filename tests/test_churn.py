@@ -4,7 +4,6 @@ import pytest
 
 from repro.churn import (
     ChurnEvent,
-    NoChurn,
     PaperChurn,
     PoissonChurn,
     TraceChurn,
@@ -31,7 +30,7 @@ def test_churn_event_validation():
 
 
 def test_no_churn_is_empty():
-    assert NoChurn().schedule(RngTree(0), 100.0) == []
+    assert PaperChurn(0).schedule(RngTree(0), 100.0) == []
 
 
 def test_paper_churn_count_and_window():
@@ -182,7 +181,7 @@ def test_injector_requires_hosts():
     with pytest.raises(FaultError):
         churn_injector(sim, [], PaperChurn(1), RngTree(0), horizon=10.0)
     # an empty schedule asks nothing of the host pool and does nothing
-    inj = churn_injector(sim, [], NoChurn(), RngTree(0), horizon=10.0)
+    inj = churn_injector(sim, [], PaperChurn(0), RngTree(0), horizon=10.0)
     sim.run()
     assert inj.executed == [] and inj.skipped == 0
 

@@ -9,10 +9,9 @@ import pytest
 from repro.apps import PoissonTask
 from repro.compute import ComputePlane
 from repro.numerics import BlockDecomposition, CgOperator, Poisson2D
-from repro.util.caches import clear_caches
-from repro.util.serialization import (NDARRAY_HEADER_BYTES, _payload_size,
-                                      measured_size)
-from tests.helpers import strip_task
+from repro.util.serialization import NDARRAY_HEADER_BYTES, measured_size
+from tests.helpers import clear_caches, strip_task
+from tests.oracles.payload_reference import _payload_size
 
 
 @pytest.fixture(autouse=True)

@@ -5,7 +5,6 @@ import pytest
 import scipy.sparse as sp
 
 from repro.apps import make_convdiff_app
-from repro.errors import ConvergenceError
 from repro.numerics import BlockDecomposition, async_certificate
 from repro.numerics.bicgstab import bicgstab
 from repro.numerics.convdiff import (
@@ -51,13 +50,6 @@ def test_bicgstab_matches_cg_on_symmetric_system():
     assert np.allclose(bi.x, cg.x, atol=1e-7)
 
 
-def test_bicgstab_warm_start():
-    problem = ConvectionDiffusion2D(10, eps=0.5, wx=1.0)
-    ref = problem.solve_direct()
-    warm = bicgstab(problem.A, problem.b, x0=ref, tol=1e-10)
-    assert warm.converged and warm.iterations <= 1
-
-
 def test_bicgstab_zero_rhs():
     A = convection_diffusion_matrix(6, eps=1.0, wx=1.0)
     result = bicgstab(A, np.zeros(36), tol=1e-12)
@@ -67,17 +59,10 @@ def test_bicgstab_zero_rhs():
 
 def test_bicgstab_budget_and_validation():
     problem = ConvectionDiffusion2D(10, eps=0.05, wx=3.0, wy=2.0)
-    short = bicgstab(problem.A, problem.b, tol=1e-14, max_iter=2)
-    assert not short.converged
-    with pytest.raises(ConvergenceError):
-        bicgstab(problem.A, problem.b, tol=1e-14, max_iter=2,
-                 raise_on_fail=True)
     with pytest.raises(ValueError):
         bicgstab(problem.A, np.zeros(7))
     with pytest.raises(ValueError):
         bicgstab(sp.csr_matrix(np.ones((2, 3))), np.zeros(2))
-    with pytest.raises(ValueError):
-        bicgstab(problem.A, problem.b, x0=np.zeros(3))
 
 
 # ------------------------------------------------------------------- operator

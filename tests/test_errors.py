@@ -7,7 +7,6 @@ import pytest
 import repro.errors as errors
 from repro.errors import (
     ConfigurationError,
-    ConvergenceError,
     FaultError,
     HostDownError,
     NetworkError,
@@ -27,7 +26,7 @@ def test_every_library_exception_derives_from_reproerror():
 def test_subsystem_hierarchy():
     assert issubclass(HostDownError, NetworkError)
     for cls in (SimulationError, NetworkError, RemoteError,
-                ConvergenceError, TaskError, FaultError):
+                TaskError, FaultError):
         assert issubclass(cls, ReproError)
 
 

@@ -19,6 +19,7 @@ from repro.faults import (
     scenario_names,
     scenario_overrides,
 )
+from repro.net import Address
 from repro.p2p import build_cluster
 from repro.util.rng import RngTree
 
@@ -175,10 +176,19 @@ def test_partition_heals_automatically():
         time=0.05, groups=(("daemon-host-0",),), duration=0.05))
     FaultInjector(cluster.sim, plan, rng=RngTree(0).child("faults"),
                   cluster=cluster)
+    received = []
+    net.host("daemon-host-1").open_endpoint(9999, received.append)
+
+    def probe(tag):
+        net.send(Address("daemon-host-0", 1), Address("daemon-host-1", 9999),
+                 tag)
+
     cluster.sim.run(until=0.07)
-    assert not net.reachable("daemon-host-0", "daemon-host-1")
+    probe("cut")
     cluster.sim.run(until=0.2)
-    assert net.reachable("daemon-host-0", "daemon-host-1")
+    probe("healed")
+    cluster.sim.run(until=0.3)
+    assert received == ["healed"]
 
 
 def test_cancel_stops_pending_actions():

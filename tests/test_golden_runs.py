@@ -26,7 +26,7 @@ from repro.experiments.config import EXPERIMENT_LINK_SCALE, optimal_overlap
 from repro.faults import scenario
 from repro.numerics import Poisson2D
 from repro.p2p import P2PConfig, build_cluster, launch_application
-from repro.util.caches import clear_caches
+from tests.helpers import clear_caches
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "runs.json"
 

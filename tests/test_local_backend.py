@@ -25,14 +25,6 @@ def test_channel_last_write_wins():
     assert ch.puts == 2 and ch.overwrites == 1
 
 
-def test_channel_peek_does_not_consume():
-    ch = LatestValueChannel()
-    ch.put("x")
-    assert ch.peek() == (True, "x")
-    assert ch.take() == (True, "x")
-    assert ch.peek() == (False, None)
-
-
 def test_mailbox_set_collect():
     mb = MailboxSet(3)
     mb.send(0, 2, "a")
@@ -48,7 +40,7 @@ def test_mailbox_set_validation():
         MailboxSet(0)
     mb = MailboxSet(2)
     with pytest.raises(KeyError):
-        mb.channel(0, 0)  # no self-channel
+        mb.send(0, 0, "x")  # no self-channel
 
 
 def test_channel_thread_safety_under_contention():
@@ -64,10 +56,13 @@ def test_channel_thread_safety_under_contention():
         stop.set()
 
     def consumer():
-        while not stop.is_set() or ch.peek()[0]:
+        while True:
+            done = stop.is_set()  # read before take: no put can follow it
             fresh, v = ch.take()
             if fresh:
                 taken.append(v)
+            elif done:
+                return
 
     t1, t2 = threading.Thread(target=producer), threading.Thread(target=consumer)
     t1.start(); t2.start(); t1.join(); t2.join()

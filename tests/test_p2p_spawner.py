@@ -124,12 +124,15 @@ def test_spawner_epoch_filter_ignores_stale_messages():
     spawner.set_state("geo", 0, slot.epoch - 1, True)
     assert not spawner.tracker.states[0]
     seen = spawner.last_seen[0]
-    spawner.heartbeat_task("geo", 0, slot.epoch - 1, "zombie", slot.daemon_stub)
+    version = spawner.register.version
+    spawner.heartbeat_task("geo", 0, slot.epoch - 1, "zombie", slot.daemon_stub,
+                           False, version)
     # and one from the current epoch but wrong daemon id too
-    spawner.heartbeat_task("geo", 0, slot.epoch, "zombie", slot.daemon_stub)
+    spawner.heartbeat_task("geo", 0, slot.epoch, "zombie", slot.daemon_stub,
+                           False, version)
     assert spawner.last_seen[0] == seen
     spawner.heartbeat_task("geo", 0, slot.epoch, slot.daemon_id,
-                           slot.daemon_stub)
+                           slot.daemon_stub, False, version)
     assert spawner.last_seen[0] >= seen
 
 
@@ -151,7 +154,7 @@ def test_stale_beat_draws_one_fence_that_spares_a_reassigned_daemon():
     runner = daemon.runner
     assert runner is not None and runner.epoch == slot.epoch
     spawner.heartbeat_task("geo", 0, slot.epoch - 1, slot.daemon_id,
-                           slot.daemon_stub)
+                           slot.daemon_stub, False, spawner.register.version)
     assert tracer.count("p2p", "fence") == 1
     sim.run(until=sim.now + 1.0)
     assert tracer.count("p2p", "fence") == 1  # live beats draw none

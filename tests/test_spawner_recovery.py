@@ -103,6 +103,32 @@ def test_spawner_failure_and_resume_completes_application():
     assert store.load("p") is None
 
 
+def test_resumed_spawner_keeps_the_run_clock():
+    """Only the first launch stamps ``launched_at``: a Spawner resumed from
+    stable storage reports the run's execution time from the original
+    launch, not from its own boot."""
+    from repro.experiments.config import EXPERIMENT_CONFIG, EXPERIMENT_LINK_SCALE
+
+    cluster = build_cluster(n_daemons=8, n_superpeers=2, seed=3,
+                            config=EXPERIMENT_CONFIG,
+                            link_scale=EXPERIMENT_LINK_SCALE)
+    sim = cluster.sim
+    sim.run(until=0.05)
+    store = StableStore()
+    app = make_poisson_app("p", n=32, num_tasks=4)
+    launch_application(cluster, app, stable_store=store)
+    sim.run(until=0.3)
+    cluster.testbed.spawner_host.fail(cause="spawner-crash")
+    sim.run(until=0.8)
+    cluster.testbed.spawner_host.recover()
+    replacement = resume_application(cluster, app, store)
+    sim.run(until=replacement.done)
+    telemetry = cluster.telemetry
+    assert telemetry.launched_at == 0.05
+    assert telemetry.converged_at == sim.now > 0.8
+    assert replacement.execution_time == sim.now - 0.05
+
+
 def test_resumed_spawner_replaces_daemons_that_died_during_outage():
     """A computing daemon AND the spawner both fail; after resume the
     replacement spawner detects the silent slot and repairs it."""

@@ -23,10 +23,8 @@ from repro.churn import ChurnEvent, TraceChurn
 from repro.exec import RunSpec
 from repro.experiments.config import optimal_overlap
 from repro.numerics import CgOperator, Poisson2D
-from repro.util.caches import clear_caches
 from repro.util.rng import RngTree
-from repro.util.serialization import frozen_view
-from tests.helpers import churn_injector, strip_task
+from tests.helpers import churn_injector, clear_caches, strip_task
 from tests.oracles.solve_memo_reference import FullRhsMemo
 from tests.test_baselines import make_world
 
@@ -244,7 +242,7 @@ def test_pool_never_reuses_a_referenced_slot():
         return x
 
     ref = CgOperator(prob.A).solve(prob.b).x.tobytes()
-    payload = frozen_view(solve()[:8])          # an in-flight payload view
+    payload = solve()[:8]                       # an in-flight payload view
     backup = Backup(0, 1, {"x": solve()})       # a checkpoint of an iterate
     held = solve()
     # (ids, not the slots: a reference held here would pin every slot)

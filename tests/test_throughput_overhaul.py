@@ -227,17 +227,24 @@ def test_a_failed_host_drops_deliveries_to_its_closed_endpoint():
 
 
 def test_jitter_stream_bitwise_matches_scalar_draws():
-    """The block-buffered jitter factors must reproduce the exact scalar
-    ``uniform(low, high)`` sequence, across block boundaries."""
-    from repro.net.link import _JitterStream
+    """The link model's block-buffered jitter factors must reproduce the
+    exact scalar ``uniform(low, high)`` sequence, across block boundaries."""
+    from repro.des import Simulator
+    from repro.net import Host
+    from repro.net.link import GIGABIT_ETHERNET, HeterogeneousLinkModel, _JitterStream
     from repro.util.rng import RngTree
 
     jitter = 0.07
-    stream = _JitterStream(RngTree(123), jitter)
+    model = HeterogeneousLinkModel(jitter=jitter, rng=RngTree(123))
     scalar = RngTree(123)
+    sim = Simulator()
+    a, b = Host(sim, "a"), Host(sim, "b")
+    nbytes = 4096
+    base = (2 * GIGABIT_ETHERNET.latency) + nbytes / GIGABIT_ETHERNET.bandwidth
     n = _JitterStream._BLOCK * 2 + 17  # cross two refills
     for _ in range(n):
-        assert stream.factor() == 1.0 + scalar.uniform(-jitter, jitter)
+        assert model.delay(a, b, nbytes) == \
+            base * (1.0 + scalar.uniform(-jitter, jitter))
 
 
 def test_every_rmi_send_is_sized_as_the_reference_walk_charges(monkeypatch):
@@ -250,7 +257,8 @@ def test_every_rmi_send_is_sized_as_the_reference_walk_charges(monkeypatch):
     from repro.net.network import Network
     from repro.p2p import daemon
     from repro.rmi.invocation import CallMessage, OnewayMessage, ReplyMessage
-    from repro.util.serialization import ENVELOPE_BYTES, _payload_size
+    from repro.util.serialization import ENVELOPE_BYTES
+    from tests.oracles.payload_reference import _payload_size
 
     sized = set()
     send = Network.send
