@@ -2,8 +2,8 @@
 
 These are not from the paper; they characterise the simulator itself so
 experiment wall-times are explainable: DES event throughput, RMI round-trip
-cost, the inner CG solve and its matvec kernels, the direct inner solve,
-message-size accounting.
+cost, the inner CG solve and its matvec kernels, the coupled-row product,
+the direct inner solve, message-size accounting.
 """
 
 import math
@@ -168,7 +168,7 @@ def test_direct_solve_superlu_vs_separable(record_table):
             A, b = blk.A_local, blk.b_local
             rows = A.shape[0]
             op = CgOperator(A)
-            lu = splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A")
+            lu = splu(A.to_scipy().tocsc(), permc_spec="MMD_AT_PLUS_A")
             out = np.empty(rows)
 
             def superlu():
@@ -196,7 +196,6 @@ def test_strip_iteration_full_vs_coupled(record_table):
     iterate) against ``StripTask``'s boundary-sized path (rebuild the
     coupled rows, key on them, view the old iterate)."""
     from repro.apps import PoissonTask
-    from repro.numerics.cg import csr_matvec_into
     from repro.p2p import TaskContext
 
     lines = [f"Strip iteration plumbing around the solve, full strip vs "
@@ -221,7 +220,7 @@ def test_strip_iteration_full_vs_coupled(record_table):
             rows_key = task._assemble_rhs()[task._rows].tobytes()
 
             def full():
-                csr_matvec_into(blk.B_coupling, task.ext, rhs)
+                blk.B_coupling.matvec_into(task.ext, rhs)
                 np.subtract(blk.b_local, rhs, out=rhs)
                 assert rhs.tobytes() == full_key
                 replay = x.copy()
@@ -244,6 +243,50 @@ def test_strip_iteration_full_vs_coupled(record_table):
     record_table("strip_iteration", "\n".join(lines))
     # direct16's interior strips are where the saving is
     assert ratios[16384] < 1.0
+
+
+def test_coupled_rows_product_vs_scipy(record_table):
+    """The rhs update's product, two sibling arms on the ledger's CG
+    strips: the former ``csr_matvec_into`` — zero the buffer, then scipy's
+    ``csr_matvec`` on a scipy matrix's arrays — against
+    ``CsrMatrix.matvec_into``, on the coupled rows of each strip's
+    ``B_coupling``, the one multiply a Figure 7 iteration makes.  Both give
+    the same bytes."""
+    from repro.apps import PoissonTask
+    from repro.p2p import TaskContext
+
+    lines = [f"Coupled-row products, CsrMatrix vs scipy "
+             f"(nproc={os.cpu_count()}; medians of 15 back-to-back timeit "
+             "pairs)",
+             f"{'strip (n, peers, block)':<26}{'rows':>7}{'scipy_us':>10}"
+             f"{'repro_us':>10}{'ratio':>7}"]
+    ratios = {}
+    for n, peers in LEDGER_STRIPS:
+        for index in (0, peers // 2):
+            task = PoissonTask()
+            task.setup(TaskContext("bench", index, peers, {
+                "n": n, "overlap": optimal_overlap(n, peers)}))
+            B, ext = task._B_rows, task.ext
+            ext[:] = np.random.default_rng(n + index).standard_normal(ext.size)
+            S = B.to_scipy()
+            rows = B.shape[0]
+            y, out = np.empty(rows), np.empty(rows)
+
+            def scipy_arm():
+                y[:] = 0.0
+                csr_matvec(S.shape[0], S.shape[1], S.indptr, S.indices,
+                           S.data, ext, y)
+
+            scipy_arm()
+            assert B.matvec_into(ext, out).tobytes() == y.tobytes()
+            scipy_us, repro_us, ratio = _paired(
+                scipy_arm, partial(B.matvec_into, ext, out), number=20_000)
+            ratios[n, peers, index] = ratio
+            lines.append(f"{str((n, peers, index)):<26}{rows:>7}"
+                         f"{scipy_us:>10.2f}{repro_us:>10.2f}{ratio:>7.3f}")
+    record_table("coupled_rows", "\n".join(lines))
+    # never slower than scipy on fig7_column's strips
+    assert ratios[96, 8, 0] < 1.0 and ratios[96, 8, 4] < 1.0
 
 
 def _sparse_basis_cg(op):
@@ -317,7 +360,7 @@ def test_spectral_cg_vs_sparse_basis(record_table):
         A, b = blk.A_local, blk.b_local
         op = CgOperator(A)
         sparse = _sparse_basis_cg(op)
-        warm = b / A.diagonal()
+        warm = b / A.to_scipy().diagonal()
         for start, x0 in (("cold", None), ("warm", warm)):
             want = conjugate_gradient(A, b, x0=x0)
             x, it, converged = sparse(b, x0=x0)

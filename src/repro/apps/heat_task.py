@@ -43,7 +43,7 @@ class HeatTask(StripTask):
             raise ValueError("steps_per_iteration must be >= 1")
         decomp = self._setup_problem(ctx, "heat", "plate")
         # explicit stability: dt * max diag < 1  (diag = 4/h² everywhere)
-        self.dt = theta / float(decomp.A.diagonal().max())
+        self.dt = theta / float(decomp.A.to_scipy().diagonal().max())
         self._op = block_operator(self.blk)
         self._step_buf = np.empty(self.blk.n_ext)
 

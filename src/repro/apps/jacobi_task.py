@@ -13,6 +13,7 @@ import numpy as np
 
 from repro.apps.strip import StripTask
 from repro.numerics.cg import matvec_kernel
+from repro.numerics.csr import CsrMatrix
 from repro.p2p.messages import AppSpec
 from repro.p2p.task import TaskContext
 
@@ -39,15 +40,16 @@ class JacobiTask(StripTask):
             self.inv_diag, self.R, self._r_kernel = cached
         else:
             import scipy.sparse as sp
-            diag = blk.A_local.diagonal()
+            A = blk.A_local.to_scipy()
+            diag = A.diagonal()
             if (diag == 0).any():
                 raise ValueError("Jacobi needs a nonzero diagonal")
             self.inv_diag = 1.0 / diag
             #: local matrix without its diagonal (for x_new = D^{-1}(b - R x))
-            self.R = (blk.A_local - sp.diags(diag)).tocsr()
+            self.R = CsrMatrix.of(A - sp.diags(diag))
             self.inv_diag.flags.writeable = False
-            self.R.data.flags.writeable = False
-            #: ``y += R @ x``, the kernel choice CgOperator makes for A
+            #: ``R @ x`` into a zeroed buffer, the kernel choice CgOperator
+            #: makes for A
             self._r_kernel = matvec_kernel(self.R)
             blk.op_cache["jacobi"] = (self.inv_diag, self.R, self._r_kernel)
         self._sweep_buf = np.empty(blk.n_ext)

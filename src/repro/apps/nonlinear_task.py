@@ -52,7 +52,7 @@ def nonlinear_reference(n: int, c: float) -> np.ndarray:
         residual = A @ u + c * u**3 - b
         if np.linalg.norm(residual) <= 1e-12 * max(np.linalg.norm(b), 1e-300):
             break
-        J = (A + sp.diags(3.0 * c * u**2)).tocsc()
+        J = (A.to_scipy() + sp.diags(3.0 * c * u**2)).tocsc()
         u = u - spsolve(J, residual)
     return u
 
@@ -91,9 +91,8 @@ class NonlinearPoissonTask(StripTask):
         flops = 2.0 * blk.B_coupling.nnz
         for _ in range(self.newton_iters):
             residual = blk.A_local @ x + self.c * x**3 - rhs
-            jacobian = blk.A_local + sp.diags(3.0 * self.c * x**2)
-            step = conjugate_gradient(jacobian.tocsr(), residual,
-                                      tol=self.inner_tol)
+            jacobian = blk.A_local.to_scipy() + sp.diags(3.0 * self.c * x**2)
+            step = conjugate_gradient(jacobian, residual, tol=self.inner_tol)
             x = x - step.x
             flops += step.flops + 4.0 * blk.n_ext + 2.0 * blk.A_local.nnz
         return x, flops, {}

@@ -32,18 +32,15 @@ see a later write.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any
+from typing import Any
 
 import numpy as np
 
-from repro.numerics.cg import csr_matvec_into
+from repro.numerics.csr import CsrMatrix
 from repro.numerics.poisson import Poisson2D
 from repro.numerics.residual import update_distance
 from repro.numerics.splitting import shared_decomposition
 from repro.p2p.task import IterationStep, Task, TaskContext
-
-if TYPE_CHECKING:
-    import scipy.sparse as sp
 
 __all__ = ["StripTask"]
 
@@ -139,8 +136,7 @@ class StripTask(Task):
         """``b_local − B_coupling·ext``, byte for byte, rebuilding only the
         coupled rows; returns the frozen view of the rhs buffer."""
         if self._rows.size:
-            coupled = csr_matvec_into(self._B_rows, self.ext,
-                                      self._coupled_rhs)
+            coupled = self._B_rows.matvec_into(self.ext, self._coupled_rhs)
             np.subtract(self._b_rows, coupled, out=coupled)
             self._rhs[self._rows] = coupled
         return self._rhs_in
@@ -161,7 +157,7 @@ class StripTask(Task):
         return (blk.own_start, blk.owned_of(self.x).copy())
 
 
-def _coupled_rows(blk) -> tuple[np.ndarray, sp.csr_matrix, np.ndarray]:
+def _coupled_rows(blk) -> tuple[np.ndarray, CsrMatrix, np.ndarray]:
     """``(rows, B_coupling[rows], b_local[rows])`` for the local rows
     ``B_coupling`` reaches, cached on the shared block.
 
@@ -171,14 +167,13 @@ def _coupled_rows(blk) -> tuple[np.ndarray, sp.csr_matrix, np.ndarray]:
     """
     cached = blk.op_cache.get("coupled_rows")
     if cached is None:
-        import scipy.sparse as sp
         B = blk.B_coupling
         rows = np.flatnonzero(np.diff(B.indptr))
         indptr = np.concatenate((B.indptr[:1], B.indptr[rows + 1]))
-        B_rows = sp.csr_matrix((B.data, B.indices, indptr),
-                               shape=(rows.size, B.shape[1]))
+        B_rows = CsrMatrix(B.data, B.indices, indptr,
+                           (rows.size, B.shape[1]))
         b_rows = blk.b_local[rows]
-        for arr in (rows, indptr, b_rows):
+        for arr in (rows, b_rows):
             arr.flags.writeable = False
         cached = blk.op_cache["coupled_rows"] = (rows, B_rows, b_rows)
     return cached

@@ -28,10 +28,9 @@ plain-int counters (:attr:`SweepEngine.stats`).
 
 The pool uses the ``fork`` start method where available: children inherit
 the parent's interpreter state (import cost ≈ 0, identical
-``PYTHONHASHSEED``); the parent imports ``scipy.sparse`` right before it
-forks, so the workers share its pages instead of each loading it.  On
-platforms without ``fork`` the default method is used; determinism still
-holds because nothing in a run depends on hash randomization.
+``PYTHONHASHSEED``).  On platforms without ``fork`` the default method is
+used; determinism still holds because nothing in a run depends on hash
+randomization.
 """
 
 from __future__ import annotations
@@ -167,8 +166,6 @@ class SweepEngine:
             return
 
         from concurrent.futures import ProcessPoolExecutor
-
-        import scipy.sparse  # noqa: F401  (every forked worker needs it)
 
         from repro.experiments.driver import RunResult
 

@@ -2,6 +2,9 @@
 
 Implements §6 of the paper and the theory it leans on:
 
+* :mod:`~repro.numerics.csr` — :class:`~repro.numerics.csr.CsrMatrix`,
+  the substrate's one sparse matrix type (numpy only; scipy loads through
+  its ``to_scipy()`` where a scipy algorithm runs);
 * :mod:`~repro.numerics.poisson` — 2-D Poisson discretization on a uniform
   Cartesian grid with Dirichlet boundary conditions (5-point stencil →
   ``A x = b`` with ``A`` a 5-diagonal M-matrix of size ``n² × n²``);
@@ -18,7 +21,12 @@ Implements §6 of the paper and the theory it leans on:
   synchronous block-Jacobi, ground truth for the runtime tests.
 """
 
-from repro.numerics.poisson import Poisson2D, poisson_matrix, poisson_rhs
+from repro.numerics.poisson import (
+    Poisson2D,
+    five_point_matrix,
+    poisson_matrix,
+    poisson_rhs,
+)
 from repro.numerics.matrix import (
     is_m_matrix,
     is_weak_regular_splitting,
@@ -30,8 +38,8 @@ from repro.numerics.cg import (
     CgResult,
     CgOperator,
     block_operator,
-    csr_matvec_into,
 )
+from repro.numerics.csr import CsrMatrix
 from repro.numerics.splitting import (
     BlockDecomposition,
     BlockInfo,
@@ -48,6 +56,7 @@ from repro.numerics.theory import AsyncCertificate, async_certificate
 
 __all__ = [
     "Poisson2D",
+    "five_point_matrix",
     "poisson_matrix",
     "poisson_rhs",
     "is_m_matrix",
@@ -58,7 +67,7 @@ __all__ = [
     "CgResult",
     "CgOperator",
     "block_operator",
-    "csr_matvec_into",
+    "CsrMatrix",
     "BlockDecomposition",
     "BlockInfo",
     "DecompositionCache",

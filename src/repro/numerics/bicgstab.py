@@ -10,14 +10,10 @@ flop accounting the simulator charges as compute time.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
 import numpy as np
 
 from repro.numerics.cg import CgResult
-
-if TYPE_CHECKING:
-    import scipy.sparse as sp
+from repro.numerics.csr import CsrMatrix
 
 __all__ = ["bicgstab", "bicgstab_flops_estimate"]
 
@@ -28,19 +24,20 @@ def bicgstab_flops_estimate(nnz: int, nrows: int, iterations: int) -> float:
 
 
 def bicgstab(
-    A: sp.spmatrix,
+    A,
     b: np.ndarray,
     tol: float = 1e-10,
 ) -> CgResult:
-    """Solve ``A x = b`` for general nonsingular sparse ``A``.
+    """Solve ``A x = b`` for general nonsingular sparse ``A`` (any matrix
+    :meth:`CsrMatrix.of <repro.numerics.csr.CsrMatrix.of>` takes),
+    multiplying through scipy's CSR kernel.
 
     Returns the same :class:`~repro.numerics.cg.CgResult` record as the CG
     solver so callers (tasks, the compute-cost model) are solver-agnostic.
     Convergence test: ``||r|| <= tol * ||b||``, from a zero start, within
     ``max(20·n, 200)`` iterations.
     """
-    import scipy.sparse as sp
-    A = A.tocsr() if sp.issparse(A) else sp.csr_matrix(A)
+    A = CsrMatrix.of(A).to_scipy()
     nrows = A.shape[0]
     if A.shape[0] != A.shape[1]:
         raise ValueError("A must be square")

@@ -30,10 +30,17 @@ simulator prices the method the paper ran, not the emulator's work.
 
 :meth:`CgOperator.matvec` runs one kernel, picked by :func:`matvec_kernel`
 on the first multiply: scipy's DIA kernel on a diagonal-storage copy with
-ascending offsets for a canonical CSR matrix with few diagonals (every
-Poisson or heat strip is 5-diagonal), else CSR's.  For finite ``x`` DIA
+ascending offsets for a canonical matrix with few diagonals (every Poisson
+or heat strip is 5-diagonal), else the matrix's own
+:meth:`~repro.numerics.csr.CsrMatrix.matvec_into`.  For finite ``x`` DIA
 gives exactly CSR's bits: ``y`` starts at +0.0, each element adds its
 terms in CSR's sorted-column order, and a padding slot adds ±0.0.
+
+Matrices are :class:`~repro.numerics.csr.CsrMatrix` values; scipy loads
+only with the DIA kernel, the direct solve's LAPACK factor and
+:func:`conjugate_gradient` (all through
+:meth:`~repro.numerics.csr.CsrMatrix.to_scipy`), none of which a CG run on
+Poisson strips reaches.
 
 :meth:`CgOperator.solve_direct` is the opt-in exact solve for the one
 matrix family the direct inner solver meets: a strip of the 5-point Poisson
@@ -64,17 +71,17 @@ from math import log2 as _log2
 # dominates scalar-sqrt cost in the per-iteration residual check
 from math import sqrt as _sqrt
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-if TYPE_CHECKING:
-    import scipy.sparse as sp
+from repro.numerics.csr import CsrMatrix
+from repro.numerics.poisson import five_point_matrix
 
 __all__ = ["CgResult", "conjugate_gradient", "cg_flops_estimate",
-           "CgOperator", "block_operator", "csr_matvec_into",
-           "matvec_kernel", "direct_flops_estimate", "StripFactor",
-           "strip_factor", "strip_shape", "dst_matrix"]
+           "CgOperator", "block_operator", "matvec_kernel",
+           "direct_flops_estimate", "StripFactor", "strip_factor",
+           "strip_shape", "dst_matrix"]
 
 
 @dataclass
@@ -101,61 +108,36 @@ def direct_flops_estimate(m: int, n: int) -> float:
     return 2.0 * n * 2.5 * L * _log2(L) + 8.0 * m * n
 
 
-# scipy's C matvec kernels (y += A @ x without allocating), bound by the
-# first multiply: a run that builds no sparse matrix loads no scipy
-_csr_matvec = _dia_matvec = _csr_has_canonical_format = None
+def matvec_kernel(A: CsrMatrix):
+    """A prebound kernel ``kernel(x, y)`` that leaves ``A @ x`` in a zeroed
+    ``y``: exactly the bits ``A @ x`` gives, for finite ``x`` (see the
+    module docstring).
 
-
-def _bind_kernels() -> None:
-    global _csr_matvec, _dia_matvec, _csr_has_canonical_format
-    from scipy.sparse._sparsetools import (
-        csr_has_canonical_format as _csr_has_canonical_format,
-        csr_matvec as _csr_matvec,
-        dia_matvec as _dia_matvec,
-    )
-
-
-def csr_matvec_into(A: sp.csr_matrix, x: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """``out = A @ x`` without allocating, bitwise-identical to ``A @ x``.
-
-    scipy's ``@`` allocates a zero vector and accumulates with the same C
-    kernel; calling the kernel on a zeroed caller buffer performs the exact
-    same floating-point operations.
+    The kernel is scipy's ``dia_matvec``, which adds ``A @ x`` into ``y``,
+    on a diagonal-storage copy with ascending offsets when ``A`` is
+    canonical (sorted, duplicate-free column indices) and the copy stores
+    at most 1.5×nnz values — no more bytes than the CSR values and 32-bit
+    indices it stands in for, which admits banded matrices and rules out
+    dense ones.  Otherwise it is ``A``'s own
+    :meth:`~repro.numerics.csr.CsrMatrix.matvec_into`, which overwrites
+    ``y``.  ``A`` is only read.
     """
-    if _csr_matvec is None:
-        _bind_kernels()
-    out[:] = 0.0
-    _csr_matvec(A.shape[0], A.shape[1], A.indptr, A.indices, A.data, x, out)
-    return out
-
-
-def matvec_kernel(A: sp.csr_matrix):
-    """A prebound C kernel ``kernel(x, y)`` that adds ``A @ x`` into ``y``.
-
-    Called on a zeroed ``y`` it leaves there exactly the bits ``A @ x``
-    gives for finite ``x`` (see the module docstring).  The kernel is
-    scipy's ``dia_matvec`` on a diagonal-storage copy with ascending
-    offsets when ``A`` is canonical CSR (sorted, duplicate-free column
-    indices) and the copy stores at most 1.5×nnz values — no more bytes
-    than the CSR values and 32-bit indices it stands in for, which admits
-    banded matrices and rules out dense ones.  Otherwise it is
-    ``csr_matvec`` on ``A``'s own arrays.  ``A`` is only read, so a
-    frozen (``writeable=False``) matrix is fine.
-    """
-    if _csr_matvec is None:
-        _bind_kernels()
+    A = CsrMatrix.of(A)
     n_row, n_col = A.shape
-    indptr, indices = A.indptr, A.indices
-    if _csr_has_canonical_format(n_row, indptr, indices):
-        rows = np.repeat(np.arange(n_row, dtype=indices.dtype), np.diff(indptr))
+    indices = A.indices
+    if A.to_scipy().has_canonical_format:
+        rows = np.repeat(np.arange(n_row, dtype=indices.dtype),
+                         np.diff(A.indptr))
         offsets, diagonal = np.unique(indices - rows, return_inverse=True)
         if 2 * offsets.size * n_col <= 3 * A.nnz:
-            data = np.zeros((offsets.size, n_col), dtype=A.dtype)
+            from scipy.sparse._sparsetools import dia_matvec
+
+            data = np.zeros((offsets.size, n_col))
             data[diagonal, indices] = A.data
             data.flags.writeable = False  # shared, like the block it copies
-            return partial(_dia_matvec, n_row, n_col, offsets.size, n_col,
+            return partial(dia_matvec, n_row, n_col, offsets.size, n_col,
                            offsets, data)
-    return partial(_csr_matvec, n_row, n_col, indptr, indices, A.data)
+    return A.matvec_into
 
 
 class StripFactor(NamedTuple):
@@ -170,34 +152,49 @@ class StripFactor(NamedTuple):
     flops: float        #: :func:`direct_flops_estimate` of one solve
 
 
-def strip_shape(A: sp.csr_matrix) -> tuple[int, int, float] | None:
+def strip_shape(A: CsrMatrix) -> tuple[int, int, float] | None:
     """``(m, n, c)`` when ``A`` is exactly ``c·(T_m ⊗ I_n + I_m ⊗ T_n)``,
-    else ``None``: the Kronecker sum read off ``A`` is compared with a
-    canonical copy (``A`` may be frozen, unsorted or hold explicit zeros)."""
-    canon = A.copy()
-    canon.sum_duplicates()
-    canon.eliminate_zeros()
-    size = canon.shape[0]
+    the matrix :func:`~repro.numerics.poisson.five_point_matrix` builds,
+    else ``None``.  A matrix stored unsorted, with duplicate entries or
+    with explicit zeros is read through its canonical form."""
+    A = CsrMatrix.of(A)
+    return _read_strip(A) or _read_strip(_canonical(A))
+
+
+def _read_strip(A: CsrMatrix) -> tuple[int, int, float] | None:
+    """:func:`strip_shape` of a matrix as it is stored."""
+    size = A.shape[0]
     # row 0 couples to its right neighbour and to the point below it, at
     # column n; one line (or one-point lines) leaves only the first
-    row0 = canon.indices[canon.indptr[0]:canon.indptr[1]]
+    row0 = A.indices[A.indptr[0]:A.indptr[1]]
     n = int(row0[2]) if row0.size == 3 else size
     m = size // n if n else 0
-    c = float(canon.data[0]) / 4.0 if canon.nnz else 0.0
-    if m * n != size or not c > 0.0:
+    c = float(A.data[0]) / 4.0 if A.nnz else 0.0
+    if m * n != size or A.shape[1] != size or not c > 0.0:
         return None
-
-    import scipy.sparse as sp
-
-    def tridiag(k):
-        return sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(k, k))
-
-    want = (c * (sp.kron(tridiag(m), sp.identity(n))
-                 + sp.kron(sp.identity(m), tridiag(n)))).tocsr()
-    same = (np.array_equal(canon.indptr, want.indptr)
-            and np.array_equal(canon.indices, want.indices)
-            and np.array_equal(canon.data, want.data))
+    want = five_point_matrix(m, n, c)
+    same = (np.array_equal(A.indptr, want.indptr)
+            and np.array_equal(A.indices, want.indices)
+            and np.array_equal(A.data, want.data))
     return (m, n, c) if same else None
+
+
+def _canonical(A: CsrMatrix) -> CsrMatrix:
+    """``A`` with each row sorted by column, duplicates summed and zeros
+    dropped."""
+    n_row = A.shape[0]
+    rows = np.repeat(np.arange(n_row), np.diff(A.indptr))
+    order = np.lexsort((A.indices, rows))
+    rows, cols = rows[order], A.indices[order]
+    first = np.ones(rows.size, dtype=bool)
+    first[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
+    first = np.flatnonzero(first)
+    data = np.add.reduceat(A.data[order], first) if first.size else A.data
+    keep = data != 0.0
+    rows, cols, data = rows[first][keep], cols[first][keep], data[keep]
+    indptr = np.zeros(n_row + 1, dtype=A.indptr.dtype)
+    np.cumsum(np.bincount(rows, minlength=n_row), out=indptr[1:])
+    return CsrMatrix(data, cols, indptr, A.shape)
 
 
 @lru_cache(maxsize=None)
@@ -217,7 +214,7 @@ def _sine_eigenvalues(m: int) -> np.ndarray:
     return 4.0 * np.sin(np.pi * k / (2.0 * (m + 1))) ** 2
 
 
-def strip_factor(A: sp.csr_matrix) -> StripFactor:
+def strip_factor(A: CsrMatrix) -> StripFactor:
     """Factor the Poisson strip ``A`` (see :func:`strip_shape`) for fast
     diagonalization; any other matrix raises ``ValueError``."""
     shape = strip_shape(A)
@@ -239,13 +236,15 @@ def strip_factor(A: sp.csr_matrix) -> StripFactor:
 
 
 def conjugate_gradient(
-    A: sp.spmatrix,
+    A,
     b: np.ndarray,
     x0: np.ndarray | None = None,
     tol: float = 1e-10,
     max_iter: int | None = None,
 ) -> CgResult:
-    """Solve ``A x = b`` for SPD sparse ``A``.
+    """Solve ``A x = b`` for SPD sparse ``A`` (a
+    :class:`~repro.numerics.csr.CsrMatrix`, a scipy sparse matrix or a
+    dense array), multiplying through scipy's CSR kernel.
 
     Convergence test: ``||r|| <= tol * ||b||`` (or absolute when b = 0).
 
@@ -256,8 +255,7 @@ def conjugate_gradient(
         local solution, which is why inner solves get cheap near the fixed
         point.
     """
-    import scipy.sparse as sp
-    A = A.tocsr() if sp.issparse(A) else sp.csr_matrix(A)
+    A = CsrMatrix.of(A).to_scipy()
     nrows = A.shape[0]
     if A.shape[0] != A.shape[1]:
         raise ValueError("A must be square")
@@ -325,9 +323,8 @@ class CgOperator:
     operator may serve many tasks sequentially.
     """
 
-    def __init__(self, A: sp.spmatrix):
-        import scipy.sparse as sp
-        A = A.tocsr() if sp.issparse(A) else sp.csr_matrix(A)
+    def __init__(self, A: CsrMatrix):
+        A = CsrMatrix.of(A)
         if A.shape[0] != A.shape[1]:
             raise ValueError("A must be square")
         self.A = A
@@ -349,8 +346,8 @@ class CgOperator:
 
     @property
     def kernel(self):
-        """The prebound ``kernel(x, y)``: ``y += A @ x`` (see
-        :func:`matvec_kernel`)."""
+        """The prebound ``kernel(x, y)``: ``A @ x`` into a zeroed ``y``
+        (see :func:`matvec_kernel`)."""
         if self._kernel is None:
             self._kernel = matvec_kernel(self.A)
         return self._kernel

@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.numerics.csr import CsrMatrix
+
 __all__ = [
     "is_z_matrix",
     "is_m_matrix",
@@ -25,8 +27,7 @@ __all__ = [
 
 
 def _as_dense(A) -> np.ndarray:
-    import scipy.sparse as sp
-    if sp.issparse(A):
+    if hasattr(A, "toarray"):  # a CsrMatrix or a scipy sparse matrix
         return A.toarray()
     return np.asarray(A, dtype=float)
 
@@ -86,6 +87,8 @@ def spectral_radius(T, iterations: int = 5000, tol: float = 1e-12, seed: int = 0
     inputs fall back to ARPACK.
     """
     import scipy.sparse as sp
+    if isinstance(T, CsrMatrix):
+        T = T.to_scipy()
     if not sp.issparse(T) and min(T.shape) <= 1500:
         return float(np.abs(np.linalg.eigvals(np.asarray(T, dtype=float))).max())
 
@@ -129,6 +132,8 @@ def async_convergence_radius(T) -> float:
     """``ρ(|T|)`` — the paper's sufficient condition for asynchronous
     convergence is that this is < 1 (§6)."""
     import scipy.sparse as sp
+    if isinstance(T, CsrMatrix):
+        T = T.to_scipy()
     if sp.issparse(T):
         return spectral_radius(abs(T))
     return spectral_radius(np.abs(_as_dense(T)))

@@ -9,22 +9,61 @@ Unknowns are ordered row-major (grid row ``i``, column ``j`` → index
 ``i*n + j``), which makes the matrix 5-diagonal and makes a *horizontal
 strip* of the grid a contiguous index range — the decomposition unit used by
 the paper (components per processor are a multiple of ``n``).
+
+:func:`five_point_matrix` is the one builder of the stencil, for the
+global grid and for any strip of ``m`` lines of ``n`` points: it writes
+each of the five diagonals straight into the int32 column and float64
+value arrays of a :class:`~repro.numerics.csr.CsrMatrix`, in sorted
+column order, and loads no scipy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
+from typing import Callable
 
 import numpy as np
 
-if TYPE_CHECKING:
-    import scipy.sparse as sp
+from repro.numerics.csr import CsrMatrix
 
-__all__ = ["poisson_matrix", "poisson_rhs", "Poisson2D"]
+__all__ = ["five_point_matrix", "poisson_matrix", "poisson_rhs", "Poisson2D"]
 
 
-def poisson_matrix(n: int, scaled: bool = True) -> sp.csr_matrix:
+def five_point_matrix(m: int, n: int, c: float) -> CsrMatrix:
+    """``c·(T_m ⊗ I_n + I_m ⊗ T_n)`` with ``T_k = tridiag(-1, 2, -1)``: the
+    5-point stencil on ``m`` grid lines of ``n`` points, ``4c`` on the
+    diagonal and ``-c`` towards each of the (up to) four neighbours.
+
+    Row ``i·n + j`` stores its entries in column order — the line above,
+    the left point, itself, the right point, the line below — so the
+    matrix is canonical CSR.
+    """
+    size = m * n
+    grid = np.arange(size, dtype=np.int32).reshape(m, n)
+    counts = np.full((m, n), 5, dtype=np.int32)
+    counts[0] -= 1
+    counts[-1] -= 1
+    counts[:, 0] -= 1
+    counts[:, -1] -= 1
+    indptr = np.zeros(size + 1, dtype=np.int32)
+    np.cumsum(counts, out=indptr[1:])
+    indices = np.empty(indptr[-1], dtype=np.int32)
+    data = np.empty(indptr[-1])
+    # each row's next free entry, filled one diagonal at a time
+    slot = indptr[:-1].reshape(m, n).copy()
+    for rows, offset, value in ((np.s_[1:, :], -n, -1.0 * c),
+                                (np.s_[:, 1:], -1, -1.0 * c),
+                                (np.s_[:, :], 0, 4.0 * c),
+                                (np.s_[:, :-1], 1, -1.0 * c),
+                                (np.s_[:-1, :], n, -1.0 * c)):
+        at = slot[rows]
+        indices[at] = grid[rows] + offset
+        data[at] = value
+        slot[rows] += 1
+    return CsrMatrix(data, indices, indptr, (size, size))
+
+
+def poisson_matrix(n: int, scaled: bool = True) -> CsrMatrix:
     """The 5-point Laplacian on an ``n × n`` interior grid (size ``n² × n²``).
 
     ``scaled=True`` includes the ``1/h²`` factor (the physical operator);
@@ -33,19 +72,7 @@ def poisson_matrix(n: int, scaled: bool = True) -> sp.csr_matrix:
     """
     if n < 1:
         raise ValueError("grid size n must be >= 1")
-    import scipy.sparse as sp
-    h2inv = (n + 1.0) ** 2 if scaled else 1.0
-    main = 4.0 * np.ones(n * n)
-    side = -1.0 * np.ones(n * n - 1)
-    # no horizontal coupling across grid-row boundaries
-    side[np.arange(1, n * n) % n == 0] = 0.0
-    updown = -1.0 * np.ones(n * n - n)
-    A = sp.diags(
-        [main, side, side, updown, updown],
-        [0, 1, -1, n, -n],
-        format="csr",
-    )
-    return (A * h2inv).tocsr()
+    return five_point_matrix(n, n, (n + 1.0) ** 2 if scaled else 1.0)
 
 
 def poisson_rhs(
@@ -73,7 +100,7 @@ class Poisson2D:
     """
 
     n: int
-    A: sp.csr_matrix
+    A: CsrMatrix
     b: np.ndarray
     u_exact_grid: np.ndarray | None = None
 
@@ -104,7 +131,7 @@ class Poisson2D:
         """Reference solution via a sparse direct solve."""
         from scipy.sparse.linalg import spsolve
 
-        return spsolve(self.A.tocsc(), self.b)
+        return spsolve(self.A.to_scipy().tocsc(), self.b)
 
     def residual_norm(self, x: np.ndarray) -> float:
         r = self.b - self.A @ x

@@ -15,15 +15,18 @@ that carry nonzeros in its rows.  For the 5-point Laplacian these are the
 one grid line above and below; the machinery is generic, so other banded
 operators (e.g. the implicit heat-equation matrix) decompose identically.
 
-Each block's row range is sliced once and split into ``A_local`` /
-``B_coupling`` with vectorized index arithmetic on the raw CSR arrays — no
-per-block CSC conversion.
+The global matrix, every ``A_local`` and every ``B_coupling`` are
+:class:`~repro.numerics.csr.CsrMatrix` values: a scipy matrix handed in is
+canonicalized and wrapped once, at the constructor, and each block's row
+range is sliced once and split into ``A_local`` / ``B_coupling`` with
+vectorized index arithmetic on the raw CSR arrays, without scipy.
 
 Because every task of an application — and every churn replacement — derives
 the *same* decomposition from the application parameters,
 :func:`shared_decomposition` memoizes builds process-wide.  Cached
-decompositions are frozen (``writeable=False`` on every array) so a task
-mutating shared operators fails loudly instead of corrupting its siblings.
+decompositions are frozen (``writeable=False`` on every array; the
+matrices are read-only by construction) so a task mutating shared
+operators fails loudly instead of corrupting its siblings.
 """
 
 from __future__ import annotations
@@ -32,6 +35,8 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 import numpy as np
+
+from repro.numerics.csr import CsrMatrix
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -51,13 +56,13 @@ class BlockInfo:
     #: extended (computed) global range [ext_start, ext_end)
     ext_start: int
     ext_end: int
-    #: local sub-matrix A[ext, ext] (CSR)
-    A_local: sp.csr_matrix
+    #: local sub-matrix A[ext, ext]
+    A_local: CsrMatrix
     #: global column indices outside the extended range with nonzeros in
     #: this block's rows — the components that must come from neighbours
     ext_cols: np.ndarray
-    #: coupling matrix A[ext, ext_cols] (CSR): local_rhs = b_ext - B @ ext_vals
-    B_coupling: sp.csr_matrix
+    #: coupling matrix A[ext, ext_cols]: local_rhs = b_ext - B @ ext_vals
+    B_coupling: CsrMatrix
     #: local right-hand side b[ext]
     b_local: np.ndarray
     #: map neighbour block index -> (positions in ext_cols owned by them)
@@ -137,7 +142,8 @@ class BlockDecomposition:
     Parameters
     ----------
     A, b:
-        The global system (CSR / dense vector).
+        The global system: a :class:`~repro.numerics.csr.CsrMatrix` or a
+        scipy sparse matrix, and a dense vector.
     nblocks:
         Number of processors.
     line:
@@ -152,13 +158,19 @@ class BlockDecomposition:
 
     def __init__(
         self,
-        A: sp.spmatrix,
+        A: CsrMatrix | sp.spmatrix,
         b: np.ndarray,
         nblocks: int,
         line: int = 1,
         overlap: int = 0,
     ):
-        A = A.tocsr()
+        if not isinstance(A, CsrMatrix):
+            A = A.tocsr()
+            if not A.has_canonical_format:
+                # the split keeps sorted, duplicate-free rows canonical
+                A = A.copy()
+                A.sum_duplicates()
+            A = CsrMatrix.of(A)
         N = A.shape[0]
         if A.shape[0] != A.shape[1]:
             raise ValueError("A must be square")
@@ -172,10 +184,6 @@ class BlockDecomposition:
             raise ValueError(f"nblocks must be in [1, {nlines}]")
         if overlap < 0:
             raise ValueError("overlap must be >= 0")
-        if not A.has_canonical_format:
-            # The split assumes sorted, duplicate-free rows.
-            A = A.copy()
-            A.sum_duplicates()
 
         self.A = A
         self.b = b
@@ -271,17 +279,15 @@ class BlockDecomposition:
         return blk.b_local - blk.B_coupling @ ext_values
 
 
-def _split_rows(A: sp.csr_matrix, ext_s: int, ext_e: int):
+def _split_rows(A: CsrMatrix, ext_s: int, ext_e: int):
     """Split rows [ext_s, ext_e) into (A_local, ext_cols, B_coupling).
 
     Works directly on the CSR arrays: one boolean mask separates each
     stored entry into the diagonal block (columns inside the row range) and
-    the coupling block (columns outside), and both CSR matrices are built
-    with the raw ``(data, indices, indptr)`` constructor.  Since the parent
-    matrix is canonical, within-row column order is preserved and the
-    results are canonical too.
+    the coupling block (columns outside), each built from its raw
+    ``(data, indices, indptr)``.  Within-row column order is preserved, so
+    a canonical parent gives canonical blocks.
     """
-    import scipy.sparse as sp
     indptr, indices, data = A.indptr, A.indices, A.data
     start, end = int(indptr[ext_s]), int(indptr[ext_e])
     cols = indices[start:end]
@@ -295,11 +301,9 @@ def _split_rows(A: sp.csr_matrix, ext_s: int, ext_e: int):
     in_rows = row_ids[inside]
     indptr_in = np.zeros(nloc + 1, dtype=indptr.dtype)
     np.cumsum(np.bincount(in_rows, minlength=nloc), out=indptr_in[1:])
-    A_local = sp.csr_matrix(
-        (vals[inside], (cols[inside] - ext_s).astype(indptr.dtype, copy=False),
-         indptr_in),
-        shape=(nloc, nloc),
-    )
+    A_local = CsrMatrix(
+        vals[inside], (cols[inside] - ext_s).astype(indptr.dtype, copy=False),
+        indptr_in, (nloc, nloc))
 
     outside = ~inside
     out_cols_g = cols[outside]
@@ -307,12 +311,10 @@ def _split_rows(A: sp.csr_matrix, ext_s: int, ext_e: int):
     out_rows = row_ids[outside]
     indptr_out = np.zeros(nloc + 1, dtype=indptr.dtype)
     np.cumsum(np.bincount(out_rows, minlength=nloc), out=indptr_out[1:])
-    B_coupling = sp.csr_matrix(
-        (vals[outside],
-         np.searchsorted(ext_cols, out_cols_g).astype(indptr.dtype, copy=False),
-         indptr_out),
-        shape=(nloc, ext_cols.size),
-    )
+    B_coupling = CsrMatrix(
+        vals[outside],
+        np.searchsorted(ext_cols, out_cols_g).astype(indptr.dtype, copy=False),
+        indptr_out, (nloc, ext_cols.size))
     return A_local, ext_cols, B_coupling
 
 
@@ -323,19 +325,10 @@ def _freeze_array(a: np.ndarray) -> None:
     a.flags.writeable = False
 
 
-def _freeze_csr(m: sp.csr_matrix) -> None:
-    _freeze_array(m.data)
-    _freeze_array(m.indices)
-    _freeze_array(m.indptr)
-
-
 def freeze_decomposition(decomp: BlockDecomposition) -> BlockDecomposition:
     """Make every array of ``decomp`` read-only (shared-safe) and return it."""
-    _freeze_csr(decomp.A)
     _freeze_array(decomp.b)
     for blk in decomp.blocks:
-        _freeze_csr(blk.A_local)
-        _freeze_csr(blk.B_coupling)
         _freeze_array(blk.b_local)
         _freeze_array(blk.ext_cols)
         for mapping in (blk.ext_sources, blk.send_map, blk.send_local):

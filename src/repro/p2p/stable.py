@@ -27,7 +27,7 @@ progress, which is exactly why this recovery is cheap.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.p2p.messages import ApplicationRegister
 

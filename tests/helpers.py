@@ -143,4 +143,4 @@ def shifted(A):
     """``A + I/2`` in CSR: banded and SPD like a Poisson strip, but none —
     a :class:`~repro.numerics.CgOperator` hands its solves to
     :func:`~repro.numerics.conjugate_gradient`."""
-    return (A + 0.5 * sp.identity(A.shape[0])).tocsr()
+    return (A.to_scipy() + 0.5 * sp.identity(A.shape[0])).tocsr()

@@ -39,8 +39,8 @@ def _spd(n, seed=0):
 
 def test_cohorts_share_by_matrix_bytes():
     A, _ = _spd(8)
-    A_twin = A.copy()          # equal bytes, distinct object
-    B = (A * 2.0).tocsr()      # different matrix
+    A_twin = A.to_scipy().copy()  # equal bytes, distinct object
+    B = (A.to_scipy() * 2.0).tocsr()  # different matrix
     plane = ComputePlane()
     op1, op2, op3 = CgOperator(A), CgOperator(A_twin), CgOperator(B)
     assert plane.operator_for(op1) is op1

@@ -79,7 +79,7 @@ def test_convdiff_operator_structure():
     from repro.numerics import poisson_matrix
 
     D = convection_diffusion_matrix(5, eps=1.0)
-    assert abs(D - poisson_matrix(5, scaled=True)).nnz == 0
+    assert abs(D - poisson_matrix(5, scaled=True).to_scipy()).nnz == 0
 
 
 def test_convdiff_upwind_stays_m_matrix_at_high_peclet():

@@ -1,8 +1,6 @@
 """Advanced DES kernel scenarios: nested processes, canceled waiters,
 interrupt interplay with waiting."""
 
-import pytest
-
 from repro.des import Interrupt, Simulator
 from repro.errors import SimulationError
 

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.des import Simulator
-from repro.errors import SimulationError
 
 
 # ---------------------------------------------------------------- conditions

@@ -12,7 +12,6 @@ from repro.faults import (
     HealAction,
     MessageCorruption,
     PartitionAction,
-    RackFailure,
     SuperPeerCrash,
     action_from_dict,
     scenario,

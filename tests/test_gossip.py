@@ -17,7 +17,7 @@ from repro.faults import (
     scenario,
     scenario_overrides,
 )
-from repro.gossip import GossipAgent, PeerStore
+from repro.gossip import PeerStore
 from repro.net.address import Address
 from repro.obs import Tracer
 from repro.checkpoint import FixedPolicy

@@ -14,10 +14,10 @@ from repro.net.address import Address
 from repro.numerics import (
     BlockDecomposition,
     CgOperator,
+    CsrMatrix,
     Poisson2D,
     block_operator,
     conjugate_gradient,
-    csr_matvec_into,
     shared_decomposition,
 )
 from repro.numerics.cg import direct_flops_estimate
@@ -52,7 +52,7 @@ def _same_csr(a, b):
 
 def _assert_blocks_match_reference(decomp, A):
     """Every block's split equals the oracle's on the caller's matrix."""
-    A = A.tocsr()
+    A = CsrMatrix.of(A).to_scipy()
     for blk in decomp.blocks:
         A_local, ext_cols, B_coupling = split_rows_reference(
             A, decomp.N, blk.ext_start, blk.ext_end)
@@ -185,12 +185,12 @@ def test_cg_operator_repeated_solves_stay_identical():
     _assert_same_result(ref, conjugate_gradient(A, prob.b, tol=1e-9))
 
 
-def test_csr_matvec_into_matches_matmul():
+def test_matvec_into_matches_matmul():
     prob = Poisson2D.manufactured(9)
     rng = np.random.default_rng(0)
     x = rng.standard_normal(prob.size)
     out = np.empty(prob.size)
-    csr_matvec_into(prob.A, x, out)
+    prob.A.matvec_into(x, out)
     assert np.array_equal(out, prob.A @ x)
 
 
@@ -239,7 +239,7 @@ def test_factorization_accuracy_against_superlu(n, nblocks, overlap, index,
     def rel_residual(x):
         return np.linalg.norm(b - A @ x) / np.linalg.norm(b)
 
-    lu = splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A")
+    lu = splu(A.to_scipy().tocsc(), permc_spec="MMD_AT_PLUS_A")
     assert rel_residual(res.x) <= 10.0 * rel_residual(lu.solve(b))
 
 
@@ -248,21 +248,21 @@ def test_factorization_deterministic_across_operators():
     # independently over byte-equal matrices are interchangeable
     blk = poisson_strip(96, 8, 6)
     op_a = CgOperator(blk.A_local)
-    op_b = CgOperator(blk.A_local.copy())
+    op_b = CgOperator(blk.A_local.to_scipy().copy())
     rhs = np.random.default_rng(3).standard_normal(op_a.n)
     assert (op_a.solve_direct(rhs).x.tobytes()
             == op_b.solve_direct(rhs).x.tobytes())
 
 
 def test_factorization_refuses_unsymmetric_pattern():
-    A = Poisson2D.manufactured(6).A.tolil()
+    A = Poisson2D.manufactured(6).A.to_scipy().tolil()
     A[0, 17] = -1.0  # no matching (17, 0) entry
     op = CgOperator(A.tocsr())
     with pytest.raises(ValueError, match="Poisson strip"):
         op.factorization()
     # the check reads the matrix, not the storage order: a strip whose
     # CSR column indices are unsorted is accepted, and solves the same
-    S = Poisson2D.manufactured(6).A.tocsr()
+    S = Poisson2D.manufactured(6).A.to_scipy()
     indices, data = S.indices.copy(), S.data.copy()
     for lo, hi in zip(S.indptr[:-1], S.indptr[1:]):
         indices[lo:hi] = indices[lo:hi][::-1]
@@ -279,7 +279,7 @@ def test_factorization_refuses_unsymmetric_pattern():
                          ids=["off-diagonal", "diagonal"])
 def test_factorization_refuses_perturbed_strips(row, col):
     # one symmetric off-diagonal pair, or one diagonal entry, times 1 + 2⁻⁴⁰
-    A = poisson_strip(24, 4, 2).A_local.tolil()
+    A = poisson_strip(24, 4, 2).A_local.to_scipy().tolil()
     A[row, col] *= 1.0 + 2.0 ** -40
     A[col, row] = A[row, col]
     with pytest.raises(ValueError, match="Poisson strip"):
@@ -434,7 +434,7 @@ def test_concurrent_apps_get_isolated_cache_entries():
     d_poisson = shared_decomposition(("poisson", 8), _poisson_system(8),
                                      nblocks=2, line=8)
     prob = Poisson2D.manufactured(8)
-    A2 = (prob.A * 2.0).tocsr()
+    A2 = (prob.A.to_scipy() * 2.0).tocsr()
     d_other = shared_decomposition(("scaled", 8), lambda: (A2, prob.b),
                                    nblocks=2, line=8)
     assert d_other is not d_poisson

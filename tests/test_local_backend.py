@@ -1,13 +1,12 @@
 """Tests for the real threaded backend: channels + executor."""
 
-import numpy as np
 import pytest
 
 from repro.errors import TaskError
 from repro.local import LatestValueChannel, MailboxSet, ThreadedEngine
 from repro.apps import make_poisson_app
 from repro.numerics import Poisson2D
-from repro.p2p import AppSpec, IterationStep, Task
+from repro.p2p import AppSpec, Task
 
 from tests.helpers import assemble_strip_solution, make_geometric_app
 

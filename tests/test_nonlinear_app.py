@@ -51,7 +51,7 @@ def test_reference_with_zero_c_matches_linear_solve():
     from scipy.sparse.linalg import spsolve
 
     A, b, _ = _manufactured_system(8, c=0.0)
-    assert np.allclose(nonlinear_reference(8, c=0.0), spsolve(A.tocsc(), b),
+    assert np.allclose(nonlinear_reference(8, c=0.0), spsolve(A.to_scipy().tocsc(), b),
                        atol=1e-9)
 
 

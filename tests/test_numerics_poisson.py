@@ -43,7 +43,7 @@ def test_poisson_matrix_structure():
 
 
 def test_poisson_matrix_symmetry_and_scaling():
-    A = poisson_matrix(6, scaled=True)
+    A = poisson_matrix(6, scaled=True).to_scipy()
     assert (A - A.T).nnz == 0
     h2 = (6 + 1.0) ** 2
     assert A[0, 0] == pytest.approx(4.0 * h2)
@@ -107,7 +107,7 @@ def test_is_m_matrix_counterexamples():
 
 def test_jacobi_splitting_is_weak_regular_for_poisson():
     A = poisson_matrix(5, scaled=False)
-    M = sp.diags(A.diagonal()).toarray()
+    M = sp.diags(A.to_scipy().diagonal()).toarray()
     assert is_weak_regular_splitting(A, M)
 
 

@@ -12,7 +12,7 @@ from repro.obs import Tracer
 from repro.p2p import Daemon, P2PConfig, SuperPeer, build_cluster
 from repro.p2p.daemon import BACKUP_RAM_FRACTION, WHEEL_REAFFIRM_EVERY
 from repro.p2p.messages import ApplicationRegister
-from repro.rmi import RmiRuntime, Stub
+from repro.rmi import RmiRuntime
 from repro.util.rng import RngTree
 
 from tests.helpers import GeometricTask

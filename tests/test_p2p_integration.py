@@ -8,7 +8,6 @@ centralized convergence detection together.
 """
 
 import numpy as np
-import pytest
 
 from repro.apps import make_heat_app, make_jacobi_app, make_poisson_app
 from repro.checkpoint import FixedPolicy

@@ -5,7 +5,7 @@ import pytest
 
 from repro.checkpoint import FixedPolicy
 from repro.p2p import P2PConfig, build_cluster, launch_application
-from repro.p2p.messages import AppSpec, ApplicationRegister, TaskSlot
+from repro.p2p.messages import AppSpec, ApplicationRegister
 
 from tests.helpers import GeometricTask, make_geometric_app, run_until_done
 

@@ -1,12 +1,9 @@
 """Tests for the Super-Peer: registration, heartbeats, eviction, reservation
 with forwarding (paper §5.1–§5.3, Figures 1, 2, 4)."""
 
-import pytest
-
 from repro.des import Simulator
 from repro.net import Network, UniformLinkModel
 from repro.p2p import P2PConfig, SuperPeer
-from repro.p2p.superpeer import SUPERPEER_OBJECT
 from repro.rmi import RmiRuntime, Stub
 from repro.net.address import Address
 from repro.obs import Tracer

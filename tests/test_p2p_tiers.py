@@ -7,8 +7,6 @@ mid-tier Super-Peer crashes (plus recovery re-attachment), and the
 timer-wheel heartbeat path end to end.
 """
 
-import pytest
-
 from repro.p2p import P2PConfig, build_cluster
 from repro.p2p.cluster import tier_sizes
 from repro.rmi import RmiRuntime

@@ -1,6 +1,7 @@
-"""Everything under ``src/repro`` is reached from outside the tests.
+"""Everything under ``src/repro`` is reached from outside the tests, and
+every import is used.
 
-Two checks, both over parsed code rather than text:
+Three checks, all over parsed code rather than text:
 
 * **Reachability by reference.**  Lists every public top-level
   ``def``/``class`` and every public method of a top-level class, then
@@ -18,6 +19,12 @@ Two checks, both over parsed code rather than text:
   ``examples/``, ``ledger/`` and ``scripts/`` names a module or an
   attribute that exists, so a deletion cannot leave an import dangling
   on a path no test runs.
+* **Imports are used.**  Every name an ``import`` binds, in the same six
+  trees, is referred to in its own module: as an ``ast.Name`` (which
+  covers ``module.attr``), inside a quoted annotation, or as an
+  ``__all__`` entry (a re-export).  An import kept for its side effect
+  carries ``# noqa: F401`` on its line; ``from __future__`` imports are
+  directives, not names.
 """
 
 import ast
@@ -151,3 +158,56 @@ def test_every_repro_import_resolves():
             dangling.append(f"{site} from {module} import {name}")
     assert len(found) > 1000
     assert dangling == [], "\n".join(dangling)
+
+
+def _names_used(tree) -> set[str]:
+    """Names ``tree`` refers to: ``ast.Name`` ids, the names inside quoted
+    annotations and the entries of ``__all__``."""
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        annotation = (node.annotation if isinstance(node, (ast.arg,
+                                                           ast.AnnAssign))
+                      else node.returns if isinstance(
+                          node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                      else None)
+        if (isinstance(annotation, ast.Constant)
+                and isinstance(annotation.value, str)):
+            used.update(n.id for n in ast.walk(ast.parse(annotation.value,
+                                                         mode="eval"))
+                        if isinstance(n, ast.Name))
+    exported = _dunder_all_constants(tree)
+    used.update(node.value for node in ast.walk(tree) if id(node) in exported)
+    return used
+
+
+def unused_imports():
+    """``["file:line name"]`` for every imported name its module never
+    refers to."""
+    found = []
+    for path in python_files(IMPORTERS):
+        text = path.read_text()
+        lines = text.splitlines()
+        tree = ast.parse(text)
+        used = _names_used(tree)
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)) or (
+                    isinstance(node, ast.ImportFrom)
+                    and node.module == "__future__"):
+                continue
+            for alias in node.names:
+                name = alias.asname or (alias.name.partition(".")[0]
+                                        if isinstance(node, ast.Import)
+                                        else alias.name)
+                if name == "*" or name in used or any(
+                        "# noqa: F401" in lines[line - 1]
+                        for line in (node.lineno, alias.lineno)):
+                    continue
+                found.append(f"{path.relative_to(ROOT)}:{alias.lineno} "
+                             f"{name}")
+    return found
+
+
+def test_every_import_is_used():
+    assert unused_imports() == [], "\n".join(unused_imports())

@@ -10,7 +10,6 @@ it unchanged (same address), the convergence array refills from the
 heartbeat piggybacks, and the application completes correctly.
 """
 
-import numpy as np
 import pytest
 
 from repro.apps import make_poisson_app

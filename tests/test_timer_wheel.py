@@ -10,7 +10,7 @@ slot where the per-process reference pays one per timer.
 
 import pytest
 
-from repro.des import Simulator, TimerWheel
+from repro.des import Simulator
 from repro.errors import SimulationError
 
 WIDTH = 0.1
