@@ -14,6 +14,7 @@ import numpy as np
 from repro.apps.strip import StripTask
 from repro.numerics.bicgstab import bicgstab
 from repro.numerics.convdiff import ConvectionDiffusion2D
+from repro.numerics.splitting import shared_decomposition
 from repro.p2p.messages import AppSpec
 from repro.p2p.task import TaskContext
 
@@ -39,8 +40,10 @@ class ConvectionDiffusionTask(StripTask):
             problem = ConvectionDiffusion2D(n, eps=eps, wx=wx, wy=wy)
             return problem.A, problem.b
 
-        self._setup_strip(ctx, ("convdiff", n, eps, wx, wy), build_system,
-                          overlap=int(ctx.params.get("overlap", 0)))
+        self._setup_strip(ctx, shared_decomposition(
+            ("convdiff", n, eps, wx, wy), build_system,
+            nblocks=ctx.num_tasks, line=n,
+            overlap=int(ctx.params.get("overlap", 0))))
 
     def _update(self, rhs: np.ndarray) -> tuple[np.ndarray, float, dict]:
         blk = self.blk
@@ -56,15 +59,12 @@ def make_convdiff_app(
     eps: float = 1.0,
     wx: float = 1.0,
     wy: float = 0.5,
-    overlap: int = 0,
     convergence_threshold: float | None = None,
-    stability_window: int | None = None,
 ) -> AppSpec:
     return AppSpec(
         app_id=app_id,
         task_factory=ConvectionDiffusionTask,
         num_tasks=num_tasks,
-        params={"n": n, "eps": eps, "wx": wx, "wy": wy, "overlap": overlap},
+        params={"n": n, "eps": eps, "wx": wx, "wy": wy, "overlap": 0},
         convergence_threshold=convergence_threshold,
-        stability_window=stability_window,
     )

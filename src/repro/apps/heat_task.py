@@ -65,22 +65,11 @@ def make_heat_app(
     app_id: str,
     n: int,
     num_tasks: int,
-    theta: float = 0.9,
-    steps_per_iteration: int = 10,
-    problem: str = "plate",
-    convergence_threshold: float | None = None,
-    stability_window: int | None = None,
 ) -> AppSpec:
     return AppSpec(
         app_id=app_id,
         task_factory=HeatTask,
         num_tasks=num_tasks,
-        params={
-            "n": n,
-            "theta": theta,
-            "steps_per_iteration": steps_per_iteration,
-            "problem": problem,
-        },
-        convergence_threshold=convergence_threshold,
-        stability_window=stability_window,
+        params={"n": n, "theta": 0.9, "steps_per_iteration": 10,
+                "problem": "plate"},
     )

@@ -72,16 +72,10 @@ def make_jacobi_app(
     app_id: str,
     n: int,
     num_tasks: int,
-    sweeps: int = 1,
-    problem: str = "manufactured",
-    convergence_threshold: float | None = None,
-    stability_window: int | None = None,
 ) -> AppSpec:
     return AppSpec(
         app_id=app_id,
         task_factory=JacobiTask,
         num_tasks=num_tasks,
-        params={"n": n, "sweeps": sweeps, "problem": problem},
-        convergence_threshold=convergence_threshold,
-        stability_window=stability_window,
+        params={"n": n, "sweeps": 1, "problem": "manufactured"},
     )

@@ -23,6 +23,7 @@ import numpy as np
 from repro.apps.strip import StripTask
 from repro.numerics.cg import conjugate_gradient
 from repro.numerics.poisson import poisson_matrix
+from repro.numerics.splitting import shared_decomposition
 from repro.p2p.messages import AppSpec
 from repro.p2p.task import TaskContext
 
@@ -81,8 +82,10 @@ class NonlinearPoissonTask(StripTask):
             A, b, _ = _manufactured_system(n, c)
             return A, b
 
-        self._setup_strip(ctx, ("nonlinear-poisson", n, c), build_system,
-                          overlap=int(ctx.params.get("overlap", 0)))
+        self._setup_strip(ctx, shared_decomposition(
+            ("nonlinear-poisson", n, c), build_system,
+            nblocks=ctx.num_tasks, line=n,
+            overlap=int(ctx.params.get("overlap", 0))))
 
     def _update(self, rhs: np.ndarray) -> tuple[np.ndarray, float, dict]:
         import scipy.sparse as sp
@@ -103,17 +106,12 @@ def make_nonlinear_app(
     n: int,
     num_tasks: int,
     c: float = 1.0,
-    overlap: int = 0,
-    newton_iters: int = 3,
     convergence_threshold: float | None = None,
-    stability_window: int | None = None,
 ) -> AppSpec:
     return AppSpec(
         app_id=app_id,
         task_factory=NonlinearPoissonTask,
         num_tasks=num_tasks,
-        params={"n": n, "c": c, "overlap": overlap,
-                "newton_iters": newton_iters},
+        params={"n": n, "c": c, "overlap": 0, "newton_iters": 3},
         convergence_threshold=convergence_threshold,
-        stability_window=stability_window,
     )

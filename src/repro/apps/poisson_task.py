@@ -116,20 +116,18 @@ def make_poisson_app(
     n: int,
     num_tasks: int,
     overlap: int = 0,
-    problem: str = "manufactured",
     inner_tol: float = 1e-10,
     inner_max_iter: int | None = None,
     warm_start: bool = False,
     inner_solver: str = "cg",
     convergence_threshold: float | None = None,
-    stability_window: int | None = None,
     reject_corruption: bool = False,
 ) -> AppSpec:
     """Convenience AppSpec builder for the Poisson application."""
     params = {
         "n": n,
         "overlap": overlap,
-        "problem": problem,
+        "problem": "manufactured",
         "inner_tol": inner_tol,
         "inner_max_iter": inner_max_iter,
         "warm_start": warm_start,
@@ -146,5 +144,4 @@ def make_poisson_app(
         num_tasks=num_tasks,
         params=params,
         convergence_threshold=convergence_threshold,
-        stability_window=stability_window,
     )

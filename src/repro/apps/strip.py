@@ -36,10 +36,9 @@ from typing import Any
 
 import numpy as np
 
-from repro.numerics.csr import CsrMatrix
 from repro.numerics.poisson import Poisson2D
 from repro.numerics.residual import update_distance
-from repro.numerics.splitting import shared_decomposition
+from repro.numerics.splitting import BlockDecomposition, shared_decomposition
 from repro.p2p.task import IterationStep, Task, TaskContext
 
 __all__ = ["StripTask"]
@@ -51,6 +50,23 @@ PROBLEMS = {
 }
 
 
+def problem_decomposition(app: str, problem: str, n: int, nblocks: int,
+                          overlap: int) -> BlockDecomposition:
+    """The shared decomposition ``app``'s tasks iterate on: the named
+    ``problem`` (one of :data:`PROBLEMS`) on the ``n × n`` grid, split into
+    ``nblocks`` strips of whole lines with ``overlap``."""
+    build = PROBLEMS.get(problem)
+    if build is None:
+        raise ValueError(f"unknown problem {problem!r}")
+
+    def build_system():
+        prob = build(n)
+        return prob.A, prob.b
+
+    return shared_decomposition((app, problem, n), build_system,
+                                nblocks=nblocks, line=n, overlap=overlap)
+
+
 class StripTask(Task):
     """One row strip of a block decomposition, iterated asynchronously.
 
@@ -58,19 +74,13 @@ class StripTask(Task):
     :meth:`setup` and implement :meth:`_update`.
     """
 
-    def _setup_strip(self, ctx: TaskContext, key: tuple, build_system,
-                     overlap: int = 0):
-        """Adopt this task's block of the shared decomposition of
-        ``build_system()`` (memoized under ``key``); returns the
-        decomposition."""
-        n = int(ctx.params["n"])
-        decomp = shared_decomposition(key, build_system,
-                                      nblocks=ctx.num_tasks, line=n,
-                                      overlap=overlap)
+    def _setup_strip(self, ctx: TaskContext, decomp: BlockDecomposition):
+        """Adopt this task's block of the (shared) ``decomp``; returns
+        ``decomp``."""
         blk = self.blk = decomp.blocks[ctx.task_id]
         self.x = np.zeros(blk.n_ext)
         self.ext = np.zeros(blk.ext_cols.size)
-        self._rows, self._B_rows, self._b_rows = _coupled_rows(blk)
+        self._rows, self._B_rows, self._b_rows = blk.coupled_rows()
         #: the rhs buffer: uncoupled rows hold ``b_local`` for good
         self._rhs = blk.b_local.copy()
         #: what ``_update`` reads: a frozen view, so no update can write
@@ -86,18 +96,9 @@ class StripTask(Task):
                        overlap: int = 0):
         """:meth:`_setup_strip` on the system ``params["problem"]`` names
         (one of :data:`PROBLEMS`)."""
-        problem = ctx.params.get("problem", default)
-        build = PROBLEMS.get(problem)
-        if build is None:
-            raise ValueError(f"unknown problem {problem!r}")
-        n = int(ctx.params["n"])
-
-        def build_system():
-            prob = build(n)
-            return prob.A, prob.b
-
-        return self._setup_strip(ctx, (app, problem, n), build_system,
-                                 overlap)
+        return self._setup_strip(ctx, problem_decomposition(
+            app, ctx.params.get("problem", default), int(ctx.params["n"]),
+            ctx.num_tasks, overlap))
 
     # -- state ---------------------------------------------------------------
 
@@ -155,25 +156,3 @@ class StripTask(Task):
         """(global offset, owned values) — the harness stitches these."""
         blk = self.blk
         return (blk.own_start, blk.owned_of(self.x).copy())
-
-
-def _coupled_rows(blk) -> tuple[np.ndarray, CsrMatrix, np.ndarray]:
-    """``(rows, B_coupling[rows], b_local[rows])`` for the local rows
-    ``B_coupling`` reaches, cached on the shared block.
-
-    Every stored entry of ``B_coupling`` sits in one of these rows, so the
-    restriction keeps its data and column arrays as they are — same terms,
-    same order per row — and only drops the empty rows from ``indptr``.
-    """
-    cached = blk.op_cache.get("coupled_rows")
-    if cached is None:
-        B = blk.B_coupling
-        rows = np.flatnonzero(np.diff(B.indptr))
-        indptr = np.concatenate((B.indptr[:1], B.indptr[rows + 1]))
-        B_rows = CsrMatrix(B.data, B.indices, indptr,
-                           (rows.size, B.shape[1]))
-        b_rows = blk.b_local[rows]
-        for arr in (rows, b_rows):
-            arr.flags.writeable = False
-        cached = blk.op_cache["coupled_rows"] = (rows, B_rows, b_rows)
-    return cached

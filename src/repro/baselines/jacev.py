@@ -35,9 +35,7 @@ def build_centralized_cluster(
     n_daemons: int,
     seed: int = 0,
     config: P2PConfig | None = None,
-    homogeneous: bool = False,
     link_scale: float = 1.0,
-    checkpoint=None,
 ) -> Cluster:
     """Build a JaceV-style deployment: registry + Spawner on ONE machine.
 
@@ -56,12 +54,10 @@ def build_centralized_cluster(
         sim,
         n_daemons=n_daemons,
         n_superpeers=1,  # allocated but unused: the registry is colocated
-        rng=None if homogeneous else rng.child("testbed"),
-        homogeneous=homogeneous,
+        rng=rng.child("testbed"),
         link_scale=link_scale,
     )
-    cluster = Cluster(sim=sim, testbed=testbed, config=config, rng=rng,
-                      checkpoint=checkpoint)
+    cluster = Cluster(sim=sim, testbed=testbed, config=config, rng=rng)
 
     central_host = testbed.spawner_host
     server = SuperPeer(

@@ -33,6 +33,14 @@ from repro.util.serialization import clone_state, measured_size
 
 __all__ = ["SynchronousEngine", "SyncResult"]
 
+#: simulated seconds each superstep's barrier costs on top of its slowest
+#: task and its exchange
+BARRIER_OVERHEAD = 0.002
+#: how often a stalled superstep checks whether every host is back
+STALL_POLL = 0.5
+#: a run that has not converged after this many supersteps gives up
+MAX_SUPERSTEPS = 1_000_000
+
 
 @dataclass
 class SyncResult:
@@ -59,9 +67,6 @@ class SynchronousEngine:
         convergence_threshold: float = 1e-6,
         stability_window: int = 3,
         link_model: LinkModel | None = None,
-        barrier_overhead: float = 0.002,
-        stall_poll: float = 0.5,
-        max_supersteps: int = 1_000_000,
     ):
         if len(hosts) < app.num_tasks:
             raise ValueError("need one host per task")
@@ -74,9 +79,6 @@ class SynchronousEngine:
         self.threshold, self.window = app.convergence(
             convergence_threshold, stability_window)
         self.link_model = link_model or UniformLinkModel()
-        self.barrier_overhead = barrier_overhead
-        self.stall_poll = stall_poll
-        self.max_supersteps = max_supersteps
         self.result = SyncResult(converged=False, converged_at=None, supersteps=0)
         self.done = sim.event(name=f"sync:{app.app_id}:done")
         sim.process(self._run(), label=f"sync:{app.app_id}")
@@ -100,7 +102,7 @@ class SynchronousEngine:
         checkpoint_step = 0
         superstep = 0
 
-        while superstep < self.max_supersteps:
+        while superstep < MAX_SUPERSTEPS:
             stall = yield from self._wait_all_online()
             self.result.stall_time += stall
             fail_counts = [h.fail_count for h in self.hosts]
@@ -130,7 +132,7 @@ class SynchronousEngine:
                         comm,
                         self.link_model.delay(self.hosts[k], self.hosts[nb], bytes_out[k]),
                     )
-            yield self.sim.timeout(max(durations) + comm + self.barrier_overhead)
+            yield self.sim.timeout(max(durations) + comm + BARRIER_OVERHEAD)
 
             # did anyone die during the superstep? then its results are lost
             if any(
@@ -178,7 +180,7 @@ class SynchronousEngine:
         stall duration (the synchronous model's Achilles heel)."""
         start = self.sim.now
         while not all(h.online for h in self.hosts):
-            yield self.sim.timeout(self.stall_poll)
+            yield self.sim.timeout(STALL_POLL)
         return self.sim.now - start
 
     def _trace(self, kind: str, **attrs) -> None:

@@ -30,7 +30,8 @@ class Backup:
     state: Any
     app_id: str = ""
     created_at: float = 0.0
-    nbytes: int = field(default=0)
+    #: wire size of this Backup, computed below (not an argument)
+    nbytes: int = field(default=0, init=False)
 
     def __post_init__(self) -> None:
         if self.iteration < 0:

@@ -17,24 +17,19 @@ from __future__ import annotations
 __all__ = ["FailureFeed"]
 
 
+#: EWMA smoothing factor of the inter-arrival and checkpoint-size estimates
+#: (higher = more reactive)
+ALPHA = 0.3
+
+
 class FailureFeed:
     """EWMA estimator of Daemon failure inter-arrival time and checkpoint
-    cost.
+    cost, both smoothed by :data:`ALPHA`."""
 
-    Parameters
-    ----------
-    alpha:
-        EWMA smoothing factor for both the inter-arrival and the
-        checkpoint-size estimates (higher = more reactive).
-    """
-
-    __slots__ = ("alpha", "failures", "last_failure_at", "interval_ewma",
+    __slots__ = ("failures", "last_failure_at", "interval_ewma",
                  "bytes_ewma", "checkpoints_seen")
 
-    def __init__(self, alpha: float = 0.3):
-        if not 0.0 < alpha <= 1.0:
-            raise ValueError("alpha must be in (0, 1]")
-        self.alpha = alpha
+    def __init__(self):
         #: total failures observed (heartbeat evictions)
         self.failures = 0
         #: sim-time of the most recent failure (None until the first)
@@ -57,7 +52,7 @@ class FailureFeed:
                 if self.interval_ewma is None:
                     self.interval_ewma = gap
                 else:
-                    a = self.alpha
+                    a = ALPHA
                     self.interval_ewma = (1.0 - a) * self.interval_ewma + a * gap
         self.failures += 1
         self.last_failure_at = now
@@ -67,7 +62,7 @@ class FailureFeed:
         if self.bytes_ewma is None:
             self.bytes_ewma = float(nbytes)
         else:
-            a = self.alpha
+            a = ALPHA
             self.bytes_ewma = (1.0 - a) * self.bytes_ewma + a * float(nbytes)
         self.checkpoints_seen += 1
 

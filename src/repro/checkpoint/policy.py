@@ -32,6 +32,8 @@ import math
 from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING, Any, ClassVar
 
+from repro.checkpoint.feed import ALPHA
+
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
     from repro.checkpoint.feed import FailureFeed
 
@@ -42,6 +44,14 @@ __all__ = [
     "AdaptivePolicy",
     "policy_from_dict",
 ]
+
+#: :class:`AdaptivePolicy`'s cost model: the shortest checkpoint interval
+#: (iterations), the bandwidth a checkpoint ships over (bytes/s) and its
+#: fixed cost (s), and the rollback risk each extra replica covers
+MIN_FREQUENCY = 1
+LINK_BANDWIDTH = 12.5e6
+SAVE_OVERHEAD = 5e-4
+REPLICA_RISK = 0.5
 
 
 @dataclass(frozen=True)
@@ -237,10 +247,13 @@ class AdaptivePolicy(CheckpointPolicy):
     silence since the last failure), ``C`` the estimated per-checkpoint
     cost, and ``tau`` the EWMA iteration duration.  The first-order optimal
     checkpoint period is ``T_opt = sqrt(2·C·M)``; the interval (in
-    iterations) is ``clamp(round(T_opt / tau), min_frequency,
+    iterations) is ``clamp(round(T_opt / tau), MIN_FREQUENCY,
     max_frequency)``.  The replica count scales with the risk of losing an
     interval's work, ``risk = interval·tau / M``: one extra replica per
-    ``replica_risk`` units, capped at ``max_replicas``.
+    ``REPLICA_RISK`` units, capped at ``max_replicas``.  ``C`` prices the
+    EWMA checkpoint size over ``LINK_BANDWIDTH`` plus ``SAVE_OVERHEAD``;
+    ``tau`` is smoothed like the failure feed's estimates
+    (:data:`repro.checkpoint.feed.ALPHA`).
 
     Until the first observed failure there is no evidence to deviate from
     the configured ``frequency`` prior (one replica).  After a failure the
@@ -254,27 +267,18 @@ class AdaptivePolicy(CheckpointPolicy):
 
     count: int = 20
     frequency: int = 5
-    min_frequency: int = 1
     max_frequency: int = 40
     max_replicas: int = 3
-    alpha: float = 0.3
-    bandwidth: float = 12.5e6
-    overhead: float = 5e-4
-    replica_risk: float = 0.5
 
     def __post_init__(self) -> None:
         if self.count < 0:
             raise ValueError("count must be >= 0")
         if self.frequency < 1:
             raise ValueError("frequency must be >= 1")
-        if not 1 <= self.min_frequency <= self.max_frequency:
-            raise ValueError("need 1 <= min_frequency <= max_frequency")
+        if self.max_frequency < MIN_FREQUENCY:
+            raise ValueError("max_frequency must be >= 1")
         if self.max_replicas < 1:
             raise ValueError("max_replicas must be >= 1")
-        if not 0.0 < self.alpha <= 1.0:
-            raise ValueError("alpha must be in (0, 1]")
-        if self.bandwidth <= 0 or self.overhead < 0 or self.replica_risk <= 0:
-            raise ValueError("bandwidth/overhead/replica_risk out of range")
 
     def bind(self, num_tasks: int, feed: "FailureFeed | None" = None):
         ring = BackupPolicy(
@@ -320,7 +324,7 @@ class _AdaptiveState:
         return tuple(peers[(base + j) % len(peers)] for j in range(n))
 
     def on_iteration(self, now: float, duration: float) -> None:
-        a = self.spec.alpha
+        a = ALPHA
         if self.iter_ewma <= 0.0:
             self.iter_ewma = duration
         else:
@@ -352,13 +356,13 @@ class _AdaptiveState:
             # the *first* failure roll back a max-length interval)
             interval, replicas = spec.frequency, 1
         else:
-            cost = self.feed.checkpoint_cost(spec.bandwidth, spec.overhead)
+            cost = self.feed.checkpoint_cost(LINK_BANDWIDTH, SAVE_OVERHEAD)
             t_opt = math.sqrt(2.0 * cost * mtbf)
             k = int(round(t_opt / tau)) or 1
-            interval = max(spec.min_frequency, min(spec.max_frequency, k))
+            interval = max(MIN_FREQUENCY, min(spec.max_frequency, k))
             risk = (interval * tau) / mtbf
             replicas = max(1, min(spec.max_replicas,
-                                  1 + int(risk / spec.replica_risk)))
+                                  1 + int(risk / REPLICA_RISK)))
         if interval != self.interval or replicas != self.replicas:
             self.retunes += 1
         self.interval = interval

@@ -23,6 +23,13 @@ __all__ = [
     "churn_plan",
 ]
 
+#: :class:`PaperChurn` disconnects during this share of the horizon, the
+#: paper's "during the execution"
+CHURN_START = 0.05
+CHURN_END = 0.85
+#: mean seconds a :class:`PoissonChurn` victim stays down
+MEAN_DOWNTIME = 20.0
+
 
 @dataclass(frozen=True, order=True)
 class ChurnEvent:
@@ -51,7 +58,7 @@ class ChurnModel:
 @dataclass(frozen=True)
 class PaperChurn(ChurnModel):
     """The paper's protocol: ``n_disconnections`` at uniform-random times in
-    ``[start_fraction·horizon, end_fraction·horizon]``; each victim
+    ``[CHURN_START·horizon, CHURN_END·horizon]``; each victim
     reconnects ``reconnect_delay`` seconds later (paper: ≈20 s).
 
     Victims are chosen at fire time among currently-alive computing peers
@@ -60,22 +67,18 @@ class PaperChurn(ChurnModel):
 
     n_disconnections: int
     reconnect_delay: float = 20.0
-    start_fraction: float = 0.05
-    end_fraction: float = 0.85
 
     def __post_init__(self) -> None:
         if self.n_disconnections < 0:
             raise ConfigurationError("n_disconnections must be >= 0")
         if self.reconnect_delay <= 0:
             raise ConfigurationError("reconnect_delay must be positive")
-        if not 0.0 <= self.start_fraction < self.end_fraction <= 1.0:
-            raise ConfigurationError("need 0 <= start_fraction < end_fraction <= 1")
 
     def schedule(self, rng: RngTree, horizon: float) -> list[ChurnEvent]:
         if horizon <= 0:
             raise ConfigurationError("horizon must be positive")
-        lo = self.start_fraction * horizon
-        hi = self.end_fraction * horizon
+        lo = CHURN_START * horizon
+        hi = CHURN_END * horizon
         times = sorted(
             rng.child("times", i).uniform(lo, hi)
             for i in range(self.n_disconnections)
@@ -87,14 +90,13 @@ class PaperChurn(ChurnModel):
 class PoissonChurn(ChurnModel):
     """Memoryless arrivals: disconnections as a Poisson process of ``rate``
     events/second, each down for an exponential time of mean
-    ``mean_downtime`` (a common open-network churn model)."""
+    :data:`MEAN_DOWNTIME` (a common open-network churn model)."""
 
     rate: float
-    mean_downtime: float = 20.0
 
     def __post_init__(self) -> None:
-        if self.rate < 0 or self.mean_downtime <= 0:
-            raise ConfigurationError("rate must be >= 0, mean_downtime > 0")
+        if self.rate < 0:
+            raise ConfigurationError("rate must be >= 0")
 
     def schedule(self, rng: RngTree, horizon: float) -> list[ChurnEvent]:
         if horizon <= 0:
@@ -109,7 +111,7 @@ class PoissonChurn(ChurnModel):
             t += arrival.exponential(1.0 / self.rate)
             if t >= horizon:
                 return events
-            events.append(ChurnEvent(t, max(downtime.exponential(self.mean_downtime), 1e-3)))
+            events.append(ChurnEvent(t, max(downtime.exponential(MEAN_DOWNTIME), 1e-3)))
 
 
 @dataclass(frozen=True)

@@ -197,11 +197,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _policy_from(args):
-    """Build a CheckpointPolicy from the shared --checkpoint-* flags.
-
-    Returns None (the driver default) when no policy flag was given, so
-    the default path stays bit-identical to the historical runtime.
-    """
+    """Build a CheckpointPolicy from the shared --checkpoint-* flags; with
+    none given, the paper's ``FixedPolicy()``."""
     from repro.checkpoint import AdaptivePolicy, FixedPolicy
 
     tuning = {
@@ -216,9 +213,7 @@ def _policy_from(args):
         if args.max_frequency is not None:
             tuning["max_frequency"] = args.max_frequency
         return AdaptivePolicy(**tuning)
-    if args.checkpoint_policy == "fixed" or tuning:
-        return FixedPolicy(**tuning)
-    return None
+    return FixedPolicy(**tuning)
 
 
 def _engine_from(args) -> SweepEngine:

@@ -79,7 +79,7 @@ class Event:
         self.sim._enqueue(self, delay=0.0, priority=priority)
         return self
 
-    def fail(self, exc: BaseException, priority: int = NORMAL) -> "Event":
+    def fail(self, exc: BaseException) -> "Event":
         """Trigger the event with an exception (re-raised in the waiter)."""
         if self.triggered:
             raise SimulationError(f"event {self!r} already triggered")
@@ -87,7 +87,7 @@ class Event:
             raise TypeError("fail() needs an exception instance")
         self._value = exc
         self._ok = False
-        self.sim._enqueue(self, delay=0.0, priority=priority)
+        self.sim._enqueue(self, delay=0.0, priority=NORMAL)
         return self
 
     # -- kernel hooks --------------------------------------------------------
@@ -117,12 +117,12 @@ class Timeout(Event):
 
     __slots__ = ("delay",)
 
-    def __init__(self, sim: "Simulator", delay: float, value: Any = None):
+    def __init__(self, sim: "Simulator", delay: float):
         if delay < 0:
             raise SimulationError(f"negative timeout delay {delay}")
         super().__init__(sim)
         self.delay = float(delay)
-        self._value = value
+        self._value = None
         self._ok = True
         sim._enqueue(self, delay=self.delay, priority=NORMAL)
 

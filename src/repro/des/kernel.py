@@ -60,15 +60,13 @@ class ScheduledCall:
 class Simulator:
     """Discrete-event simulator.
 
+    An uncaught exception inside a process aborts :meth:`run` by re-raising
+    it — silent process crashes hide protocol bugs.  An unhandled
+    :class:`~repro.des.process.Interrupt` is *not* an error (it is the
+    normal way churn kills a peer).
+
     Parameters
     ----------
-    start:
-        Initial simulation time (seconds).
-    strict:
-        When True (default), an uncaught exception inside a process aborts
-        :meth:`run` by re-raising it — silent process crashes hide protocol
-        bugs.  Unhandled :class:`~repro.des.process.Interrupt` is *not* an
-        error (it is the normal way churn kills a peer).
     tracer:
         The observability trace bus (:mod:`repro.obs`).  Defaults to the
         no-op :data:`~repro.obs.trace.NULL_TRACER`; every layer built on
@@ -84,11 +82,8 @@ class Simulator:
     #: ``batched_columns``.
     batched_calls = 0
 
-    def __init__(
-        self, start: float = 0.0, strict: bool = True, tracer: Tracer | None = None
-    ):
-        self.now = float(start)
-        self.strict = strict
+    def __init__(self, tracer: Tracer | None = None):
+        self.now = 0.0
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self._heap: list[tuple[float, int, int, Event]] = []
         self._seq = 0
@@ -108,8 +103,8 @@ class Simulator:
     def event(self, name: str = "") -> Event:
         return Event(self, name=name)
 
-    def timeout(self, delay: float, value: Any = None) -> Timeout:
-        return Timeout(self, delay, value)
+    def timeout(self, delay: float) -> Timeout:
+        return Timeout(self, delay)
 
     def process(self, generator: Generator, label: str = "") -> Process:
         proc = Process(self, generator, label=label)
@@ -174,7 +169,7 @@ class Simulator:
         self.now = when
         event._run_callbacks()
         self.event_count += 1
-        if self.strict and self._crashed:
+        if self._crashed:
             self._raise_crashed()
 
     def run(self, until: float | Event | None = None) -> Any:
@@ -217,7 +212,6 @@ class Simulator:
         heap = self._heap
         pop = heapq.heappop
         crashed = self._crashed
-        strict = self.strict
         mask = _CREDIT_MASK
 
         if until is None:
@@ -228,7 +222,7 @@ class Simulator:
                 count = self.event_count = self.event_count + 1
                 if not count & mask:
                     self._credit_collector()
-                if strict and crashed:
+                if crashed:
                     self._raise_crashed()
             return None
 
@@ -247,7 +241,7 @@ class Simulator:
                 count = self.event_count = self.event_count + 1
                 if not count & mask:
                     self._credit_collector()
-                if strict and crashed:
+                if crashed:
                     self._raise_crashed()
             if not sentinel._ok:
                 raise sentinel._value
@@ -263,13 +257,13 @@ class Simulator:
             count = self.event_count = self.event_count + 1
             if not count & mask:
                 self._credit_collector()
-            if strict and crashed:
+            if crashed:
                 self._raise_crashed()
         self.now = deadline
         return None
 
     def _raise_crashed(self) -> None:
-        """Abort the run on the first strict-mode process crash."""
+        """Abort the run on the first process crash."""
         proc, exc = self._crashed[0]
         raise SimulationError(
             f"process {proc.name!r} crashed at t={self.now}: {exc!r}"

@@ -138,11 +138,8 @@ class Process(Event):
             return
         except BaseException as exc:
             sim._active_process = prev
-            if sim.strict:
-                self.fail(exc)
-                sim._crashed.append((self, exc))
-            else:
-                self.fail(exc)
+            self.fail(exc)
+            sim._crashed.append((self, exc))
             return
         sim._active_process = prev
 

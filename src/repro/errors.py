@@ -42,10 +42,6 @@ class RemoteError(ReproError):
     signal that a peer is unreachable.
     """
 
-    def __init__(self, message: str, cause: BaseException | None = None):
-        super().__init__(message)
-        self.cause = cause
-
 
 class TaskError(ReproError):
     """A user Task implementation raised or violated the Task contract."""

@@ -22,6 +22,9 @@ from repro.experiments.report import format_table
 from repro.numerics import BlockDecomposition, Poisson2D, block_jacobi
 from repro.p2p import build_cluster
 
+#: A4's Super-Peer count
+BOOTSTRAP_SUPERPEERS = 3
+
 __all__ = [
     "checkpoint_frequency_ablation",
     "backup_count_ablation",
@@ -125,7 +128,6 @@ def overlap_ablation(
     overlaps=(0, 1, 2, 3, 4),
     n: int = 64,
     peers: int = 8,
-    tol: float = 1e-6,
 ) -> AblationTable:
     """A3: sweeps drop with overlap while the exchanged volume is constant."""
     table = AblationTable(
@@ -137,7 +139,8 @@ def overlap_ablation(
     for o in overlaps:
         decomp = BlockDecomposition(prob.A, prob.b, nblocks=peers, line=n,
                                     overlap=o)
-        run = block_jacobi(decomp, tol=tol, max_outer=20_000)
+        run = block_jacobi(decomp, tol=EXPERIMENT_CONFIG.convergence_threshold,
+                           max_outer=20_000)
         table.rows.append([
             o,
             run.outer_iterations,
@@ -149,17 +152,17 @@ def overlap_ablation(
 
 def bootstrap_scaling(
     populations=(10, 25, 50, 100),
-    n_superpeers: int = 3,
     seed: int = 0,
 ) -> AblationTable:
-    """A4: time for the whole Daemon population to register, per size."""
+    """A4: time for the whole Daemon population to register, per size, with
+    :data:`BOOTSTRAP_SUPERPEERS` Super-Peers."""
     table = AblationTable(
-        title=f"A4: bootstrap scaling ({n_superpeers} super-peers)",
+        title=f"A4: bootstrap scaling ({BOOTSTRAP_SUPERPEERS} super-peers)",
         headers=["daemons", "all registered by", "per-SP max load"],
     )
     for pop in populations:
         cluster = build_cluster(
-            n_daemons=pop, n_superpeers=n_superpeers, seed=seed,
+            n_daemons=pop, n_superpeers=BOOTSTRAP_SUPERPEERS, seed=seed,
             config=EXPERIMENT_CONFIG, link_scale=EXPERIMENT_LINK_SCALE,
         )
         sim = cluster.sim

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from repro.apps import make_poisson_app
+from repro.apps.strip import problem_decomposition
 from repro.churn import PaperChurn, churn_plan
 from repro.errors import ConfigurationError
 from repro.exec.spec import RunSpec
@@ -246,7 +247,11 @@ def execute_spec(spec: RunSpec, tracer: Tracer | None = None) -> RunResult:
             offset, values = frag
             x[offset : offset + len(values)] = values
         if not missing:
-            residual = Poisson2D.manufactured(spec.n).residual_norm(x)
+            # the tasks just filled the decomposition memo: its global
+            # system is the one they solved
+            decomp = problem_decomposition("poisson", "manufactured", spec.n,
+                                           spec.peers, spec.overlap)
+            residual = Poisson2D(spec.n, decomp.A, decomp.b).residual_norm(x)
 
     telemetry = cluster.telemetry
     # Halts record each task's frontier, but a run that stops at convergence

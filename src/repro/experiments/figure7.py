@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from repro.exec import RunSpec, SweepEngine
 from repro.experiments.driver import RunResult
 from repro.experiments.report import format_table
-from repro.p2p.config import P2PConfig
 
 __all__ = ["Figure7Result", "figure7_sweep", "DEFAULT_NS", "DEFAULT_DISCONNECTIONS"]
 
@@ -72,7 +71,6 @@ def figure7_sweep(
     peers: int = 8,
     repeats: int = 2,
     base_seed: int = 0,
-    config: P2PConfig | None = None,
     horizon: float = 900.0,
     engine: SweepEngine | None = None,
     checkpoint=None,
@@ -108,7 +106,6 @@ def figure7_sweep(
             peers=peers,
             disconnections=d,
             seed=base_seed + 1000 * r,
-            config=config,
             horizon=horizon,
             collect=False,
             checkpoint=checkpoint,

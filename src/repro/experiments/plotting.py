@@ -77,7 +77,7 @@ def ascii_chart(
     return "\n".join(lines)
 
 
-def figure7_chart(result, width: int = 60, height: int = 16) -> str:
+def figure7_chart(result) -> str:
     """Figure 7 as the paper draws it: time vs problem size, one series
     per disconnection count."""
     series = {}
@@ -91,8 +91,8 @@ def figure7_chart(result, width: int = 60, height: int = 16) -> str:
             series[f"{d} disc"] = pts
     return ascii_chart(
         series,
-        width=width,
-        height=height,
+        width=60,
+        height=16,
         title="Execution time vs problem size (cf. paper Fig. 7)",
         x_label="size",
         y_label="time",

@@ -22,11 +22,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.exec import RunSpec, SweepEngine
-from repro.experiments.config import optimal_overlap
+from repro.experiments.config import EXPERIMENT_CONFIG, optimal_overlap
 from repro.experiments.report import format_table
 from repro.numerics import BlockDecomposition, Poisson2D, block_jacobi
 
 __all__ = ["RatioResult", "iterations_vs_n"]
+
+#: the threshold both arms converge to: the runtime's global one, and the
+#: synchronous reference's relative residual
+TOL = EXPERIMENT_CONFIG.convergence_threshold
 
 
 @dataclass
@@ -65,7 +69,6 @@ def iterations_vs_n(
     ns: tuple[int, ...] = (40, 64, 96, 128),
     peers: int = 8,
     seed: int = 0,
-    tol: float = 1e-6,
     horizon: float = 900.0,
     engine: SweepEngine | None = None,
     checkpoint=None,
@@ -75,7 +78,7 @@ def iterations_vs_n(
     runs = engine.map(
         RunSpec(
             n=n, peers=peers, seed=seed, overlap=optimal_overlap(n, peers),
-            convergence_threshold=tol, horizon=horizon, collect=False,
+            convergence_threshold=TOL, horizon=horizon, collect=False,
             checkpoint=checkpoint,
         )
         for n in ns
@@ -85,7 +88,7 @@ def iterations_vs_n(
         prob = Poisson2D.manufactured(n)
         decomp = BlockDecomposition(prob.A, prob.b, nblocks=peers, line=n,
                                     overlap=overlap)
-        sync = block_jacobi(decomp, tol=tol, max_outer=20_000)
+        sync = block_jacobi(decomp, tol=TOL, max_outer=20_000)
         inflation = (
             run.mean_iterations_per_task / sync.outer_iterations
             if sync.outer_iterations

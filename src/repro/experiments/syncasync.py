@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 from repro.apps import make_poisson_app
 from repro.baselines import SynchronousEngine
-from repro.checkpoint import FixedPolicy
+from repro.checkpoint import CheckpointPolicy, FixedPolicy
 from repro.churn import PaperChurn, churn_plan
 from repro.des import Simulator
 from repro.exec import RunSpec, SweepEngine
@@ -44,7 +44,6 @@ class SyncAsyncResult:
     sync_stall_time: float = 0.0
     sync_rollbacks: int = 0
     sync_lost_iterations: int = 0
-    async_recoveries: int = 0
     trace: tuple = field(default_factory=tuple)
 
     @property
@@ -71,7 +70,7 @@ def sync_vs_async(
     seed: int = 0,
     horizon: float = 900.0,
     engine: SweepEngine | None = None,
-    checkpoint=None,
+    checkpoint: CheckpointPolicy = FixedPolicy(),
 ) -> SyncAsyncResult:
     config = EXPERIMENT_CONFIG
     engine = engine if engine is not None else SweepEngine()
@@ -145,10 +144,9 @@ def sync_vs_async(
     fallback = [h for h in testbed2.daemon_hosts if h not in used_hosts]
     hosts2 = [h if h is not None else fallback.pop(0) for h in used_hosts]
 
-    # the sync baseline has no failure feed: a fixed-style policy maps to
-    # its coordinated-checkpoint cadence, anything else keeps the default
-    sync_frequency = getattr(checkpoint, "frequency", None) \
-        or FixedPolicy().frequency
+    # the sync baseline has no failure feed: it checkpoints at the policy's
+    # base cadence
+    sync_frequency = checkpoint.frequency
     engine = SynchronousEngine(
         sim2, hosts2, app,
         checkpoint_frequency=sync_frequency,
@@ -174,6 +172,5 @@ def sync_vs_async(
         sync_stall_time=sync.stall_time,
         sync_rollbacks=sync.rollbacks,
         sync_lost_iterations=sync.lost_iterations,
-        async_recoveries=len(cluster.telemetry.recoveries),
         trace=replay.actions,
     )

@@ -42,28 +42,23 @@ _MARKS = {
 }
 
 
-def event_timeline(
-    tracer: Tracer, kinds: tuple[tuple[str, str], ...] = NARRATIVE_KINDS
-) -> str:
+def event_timeline(tracer: Tracer) -> str:
     """Chronological text narrative of a run's protocol events."""
-    events = [e for e in tracer.events if (e.category, e.kind) in kinds]
+    events = [e for e in tracer.events
+              if (e.category, e.kind) in NARRATIVE_KINDS]
     if not events:
         return "(no protocol events recorded)"
     return "\n".join(str(e) for e in sorted(events, key=lambda e: e.time))
 
 
-def activity_chart(
-    tracer: Tracer,
-    width: int = 72,
-    until: float | None = None,
-) -> str:
-    """ASCII strip chart: one row per entity, one column per time bin."""
+def activity_chart(tracer: Tracer, width: int = 72) -> str:
+    """ASCII strip chart: one row per entity, one column per time bin, up
+    to the last charted event."""
     marked = [(e, _MARKS[kind]) for e in tracer.events
               if (kind := (e.category, e.kind)) in _MARKS]
     if not marked:
         return "(nothing to chart)"
-    horizon = until if until is not None else max(e.time for e, _ in marked)
-    horizon = max(horizon, 1e-9)
+    horizon = max(max(e.time for e, _ in marked), 1e-9)
     entities: dict[str, list[str]] = {}
     for event, mark in marked:
         key = event.attrs.get("host") or event.attrs.get("daemon") or event.entity

@@ -63,14 +63,12 @@ class FaultInjector:
         Seeded randomness for every open choice the plan leaves to fire
         time (victim picks, corruption draws).
     cluster:
-        A :class:`~repro.p2p.cluster.Cluster`; required for Super-Peer and
-        rack actions, and the default source of hosts/network.
+        A :class:`~repro.p2p.cluster.Cluster`; required for Super-Peer,
+        rack, Spawner, partition and corruption actions (its network is the
+        fabric they act on), and the default source of hosts.
     hosts:
         Candidate victims for daemon crashes (default: the cluster's
         daemon hosts).
-    network:
-        The message fabric, for partitions and corruption (default: the
-        cluster's network).
     entity:
         Entity tag of the ``faults/*`` trace events (``"churn"`` for the
         churn axis of a run).
@@ -88,7 +86,6 @@ class FaultInjector:
         rng: RngTree,
         cluster=None,
         hosts: list[Host] | None = None,
-        network=None,
         entity: str = "faults",
         victim_filter=None,
     ):
@@ -99,9 +96,7 @@ class FaultInjector:
         if hosts is None and cluster is not None:
             hosts = cluster.testbed.daemon_hosts
         self.hosts = list(hosts or ())
-        self.network = network if network is not None else (
-            cluster.network if cluster is not None else None
-        )
+        self.network = cluster.network if cluster is not None else None
         self.entity = entity
         self.victim_filter = victim_filter
         self._validate(plan)
@@ -118,18 +113,14 @@ class FaultInjector:
 
     def _validate(self, plan: FaultPlan) -> None:
         for action in plan.actions:
-            if isinstance(action, (SuperPeerCrash, RackFailure, SpawnerCrash)) \
-                    and self.cluster is None:
+            if isinstance(action, (SuperPeerCrash, RackFailure, SpawnerCrash,
+                                   PartitionAction, HealAction,
+                                   MessageCorruption)) and self.cluster is None:
                 raise FaultError(
                     f"{action.kind!r} actions require a cluster to act on"
                 )
             if isinstance(action, DaemonCrash) and not self.hosts:
                 raise FaultError("daemon_crash actions require victim hosts")
-            if (
-                isinstance(action, (PartitionAction, HealAction, MessageCorruption))
-                and self.network is None
-            ):
-                raise FaultError(f"{action.kind!r} actions require a network")
 
     # -- bookkeeping -----------------------------------------------------------
 

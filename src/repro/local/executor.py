@@ -26,6 +26,14 @@ from repro.util.timer import WallTimer
 
 __all__ = ["ThreadedEngine", "LocalResult"]
 
+#: convergence settings for an app that names none of its own
+CONVERGENCE_THRESHOLD = 1e-6
+STABILITY_WINDOW = 3
+#: a worker stops after this many iterations, converged or not
+MAX_ITERATIONS = 100_000
+#: seconds an asynchronous worker sleeps between iterations
+PACE_SLEEP = 1e-4
+
 
 @dataclass
 class LocalResult:
@@ -46,16 +54,8 @@ class LocalResult:
 class ThreadedEngine:
     """Run an AppSpec on real threads."""
 
-    def __init__(
-        self,
-        app: AppSpec,
-        mode: str = "async",
-        convergence_threshold: float = 1e-6,
-        stability_window: int = 3,
-        max_iterations: int = 100_000,
-        pace_sleep: float = 1e-4,
-    ):
-        """``pace_sleep`` briefly yields the GIL between iterations so the
+    def __init__(self, app: AppSpec, mode: str = "async"):
+        """``PACE_SLEEP`` briefly yields the GIL between iterations so the
         OS scheduler interleaves the workers; without it one thread can run
         a whole burst of iterations on stale data.  In asynchronous mode
         the stability detector is additionally fed only on iterations that
@@ -64,16 +64,10 @@ class ThreadedEngine:
         to exactly that on real thread schedulers)."""
         if mode not in ("async", "sync"):
             raise ValueError("mode must be 'async' or 'sync'")
-        if max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
-        if pace_sleep < 0:
-            raise ValueError("pace_sleep must be >= 0")
         self.app = app
         self.mode = mode
-        self.pace_sleep = pace_sleep
         self.threshold, self.window = app.convergence(
-            convergence_threshold, stability_window)
-        self.max_iterations = max_iterations
+            CONVERGENCE_THRESHOLD, STABILITY_WINDOW)
 
     def run(self) -> LocalResult:
         app = self.app
@@ -101,7 +95,7 @@ class ThreadedEngine:
                 task.setup(TaskContext(app.app_id, task_id, n, app.params))
                 task.load_state(task.initial_state())
                 detector = LocalConvergenceDetector(self.threshold, self.window)
-                while not stop.is_set() and iterations[task_id] < self.max_iterations:
+                while not stop.is_set() and iterations[task_id] < MAX_ITERATIONS:
                     inbox = mailboxes.collect(task_id)
                     step = task.iterate(inbox)
                     iterations[task_id] += 1
@@ -119,8 +113,8 @@ class ThreadedEngine:
                             barrier.wait(timeout=60.0)
                         except threading.BrokenBarrierError:
                             break
-                    elif self.pace_sleep:
-                        time.sleep(self.pace_sleep)
+                    else:
+                        time.sleep(PACE_SLEEP)
                 if barrier is not None:
                     # release any peer already parked at the barrier: we are
                     # leaving, so the superstep can never complete

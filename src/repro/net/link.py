@@ -57,29 +57,31 @@ class _JitterStream:
         self._pos = 0
 
 
+#: :class:`UniformLinkModel`'s bandwidth: 1 Gbps in bytes/s
+LAN_BANDWIDTH = 125e6
+
+
 @dataclass
 class UniformLinkModel(LinkModel):
-    """Same latency/bandwidth for every pair — a homogeneous LAN.
+    """Same latency for every pair, and :data:`LAN_BANDWIDTH` — a
+    homogeneous gigabit LAN.
 
     Parameters
     ----------
     latency:
         One-way latency in seconds.
-    bandwidth:
-        Bytes per second.
     """
 
     latency: float = 200e-6
-    bandwidth: float = 125e6  # 1 Gbps in bytes/s
 
     def __post_init__(self) -> None:
-        if self.latency < 0 or self.bandwidth <= 0:
-            raise ConfigurationError("latency must be >=0 and bandwidth >0")
+        if self.latency < 0:
+            raise ConfigurationError("latency must be >= 0")
 
     def delay(self, src: Host, dst: Host, nbytes: int) -> float:
         if src is dst:
             return 1e-6  # loop-back
-        return self.latency + nbytes / self.bandwidth
+        return self.latency + nbytes / LAN_BANDWIDTH
 
 
 @dataclass(frozen=True)

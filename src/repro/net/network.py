@@ -45,7 +45,6 @@ class Message:
     dst: Address
     payload: Any
     size: int
-    sent_at: float
     reliable: bool = False
     msg_id: int = field(default_factory=_msg_ids.__next__)
 
@@ -67,11 +66,6 @@ class Network:
         hosts (models the unreliable-channel assumption; default 0).
     rng:
         Required when ``loss_rate > 0``.
-    congestion:
-        Optional shared-medium model: a callable mapping the number of
-        *other* concurrently in-flight messages to a delay multiplier ≥ 1
-        (e.g. ``lambda n: 1 + 0.1 * n`` for a mildly contended switch).
-        Applied at send time to the whole transfer.
     """
 
     def __init__(
@@ -80,7 +74,6 @@ class Network:
         link_model: LinkModel | None = None,
         loss_rate: float = 0.0,
         rng: RngTree | None = None,
-        congestion=None,
     ):
         if not 0.0 <= loss_rate < 1.0:
             raise ConfigurationError("loss_rate must be in [0, 1)")
@@ -90,14 +83,11 @@ class Network:
         self.link_model = link_model or UniformLinkModel()
         self.loss_rate = loss_rate
         self.rng = rng
-        self.congestion = congestion
         #: optional in-transit tamper hook ``corruptor(msg) -> None``,
         #: invoked on every message that will actually be delivered (after
         #: partition/loss/liveness checks).  The fault plane installs one
         #: during a corruption window; it mutates ``msg.payload`` in place.
         self.corruptor = None
-        self.in_flight = 0
-        self.peak_in_flight = 0
         self.hosts: dict[str, Host] = {}
         self._partition: dict[str, int] | None = None
         # statistics
@@ -177,7 +167,7 @@ class Network:
             raise NetworkError(f"unknown host {src.host!r}") from None
         if not src_host.online:
             # A dead host cannot transmit: drop at the source.
-            msg = Message(src, dst, payload, size or 0, sim.now, reliable)
+            msg = Message(src, dst, payload, size or 0, reliable)
             self.dropped_dead += 1
             if tr.enabled:
                 tr.emit(sim.now, "net", "fabric", "drop",
@@ -186,7 +176,7 @@ class Network:
             return msg
         if size is None:
             size = measured_size(payload)
-        msg = Message(src, dst, payload, int(size), sim.now, reliable)
+        msg = Message(src, dst, payload, int(size), reliable)
         self.sent += 1
         self.bytes_sent += msg.size
         if tr.enabled:
@@ -203,14 +193,6 @@ class Network:
                         reason="no_such_host")
             return msg
         delay = self.link_model.delay(src_host, dst_host, msg.size)
-        if self.congestion is not None:
-            factor = float(self.congestion(self.in_flight))
-            if factor < 1.0:
-                raise NetworkError("congestion multiplier must be >= 1")
-            delay *= factor
-        self.in_flight += 1  # counted from send: later sends see this one
-        if self.in_flight > self.peak_in_flight:
-            self.peak_in_flight = self.in_flight
         # One *pooled* heap entry per transfer instead of a full delivery
         # process (init event + generator + completion event): same fire
         # time, same execution order among same-time deliveries (monotone
@@ -227,7 +209,6 @@ class Network:
         dropped one counts its arrival only.  The perf ledger's swarm step
         unit is that count.
         """
-        self.in_flight -= 1
         src, dst = msg.src, msg.dst
         # hosts in different partition groups cannot talk (hosts named in
         # no group share group -1); the common case is no partition at all

@@ -9,7 +9,7 @@ previous sweep.  Its chaotic (asynchronous) counterpart is a test oracle,
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,9 +30,7 @@ class JacobiResult:
     converged: bool
     outer_iterations: int
     residual_norm: float
-    inner_iterations_total: int = 0
     flops_total: float = 0.0
-    residual_history: list[float] = field(default_factory=list)
 
 
 def _solve_blocks_once(
@@ -40,9 +38,8 @@ def _solve_blocks_once(
     x_locals: list[np.ndarray],
     which: list[int],
     read_global: np.ndarray,
-) -> tuple[int, float]:
-    """In-place sub-iteration for the chosen blocks; returns (inner_its, flops)."""
-    inner = 0
+) -> float:
+    """In-place sub-iteration for the chosen blocks; returns its flops."""
     flops = 0.0
     for k in which:
         blk = decomp.blocks[k]
@@ -52,9 +49,8 @@ def _solve_blocks_once(
             blk.A_local, rhs, x0=x_locals[k], tol=INNER_TOL
         )
         x_locals[k] = result.x
-        inner += result.iterations
         flops += result.flops
-    return inner, flops
+    return flops
 
 
 def block_jacobi(
@@ -69,35 +65,27 @@ def block_jacobi(
     """
     x_locals = [np.zeros(blk.n_ext) for blk in decomp.blocks]
     b_norm = max(float(np.linalg.norm(decomp.b)), 1e-300)
-    history: list[float] = []
-    inner_total, flops_total = 0, 0.0
+    res, flops_total = float("inf"), 0.0
 
     for outer in range(1, max_outer + 1):
         x_global = decomp.assemble(x_locals)
-        inner, flops = _solve_blocks_once(
+        flops_total += _solve_blocks_once(
             decomp, x_locals, list(range(decomp.nblocks)), x_global
         )
-        inner_total += inner
-        flops_total += flops
         x_new = decomp.assemble(x_locals)
         res = float(np.linalg.norm(decomp.b - decomp.A @ x_new)) / b_norm
-        history.append(res)
         if res <= tol:
             return JacobiResult(
                 x=x_new,
                 converged=True,
                 outer_iterations=outer,
                 residual_norm=res,
-                inner_iterations_total=inner_total,
                 flops_total=flops_total,
-                residual_history=history,
             )
     return JacobiResult(
         x=decomp.assemble(x_locals),
         converged=False,
         outer_iterations=max_outer,
-        residual_norm=history[-1] if history else float("inf"),
-        inner_iterations_total=inner_total,
+        residual_norm=res,
         flops_total=flops_total,
-        residual_history=history,
     )

@@ -25,6 +25,14 @@ __all__ = [
     "async_convergence_radius",
 ]
 
+#: round-off allowance of the sign tests in :func:`is_m_matrix` and
+#: :func:`is_weak_regular_splitting`
+TOL = 1e-10
+#: the power method's iteration cap and relative stop rule in
+#: :func:`spectral_radius`
+POWER_ITERATIONS = 5000
+POWER_TOL = 1e-12
+
 
 def _as_dense(A) -> np.ndarray:
     if hasattr(A, "toarray"):  # a CsrMatrix or a scipy sparse matrix
@@ -39,7 +47,7 @@ def is_z_matrix(A, tol: float = 1e-12) -> bool:
     return bool((D <= tol).all())
 
 
-def is_m_matrix(A, tol: float = 1e-10) -> bool:
+def is_m_matrix(A) -> bool:
     """Nonsingular M-matrix test: Z-matrix with ``A⁻¹ ≥ 0``.
 
     Dense inverse — use on verification-sized problems only.
@@ -47,7 +55,7 @@ def is_m_matrix(A, tol: float = 1e-10) -> bool:
     D = _as_dense(A)
     if D.shape[0] != D.shape[1]:
         return False
-    if not is_z_matrix(D, tol):
+    if not is_z_matrix(D, TOL):
         return False
     if (np.diag(D) <= 0).any():
         return False
@@ -55,10 +63,10 @@ def is_m_matrix(A, tol: float = 1e-10) -> bool:
         inv = np.linalg.inv(D)
     except np.linalg.LinAlgError:
         return False
-    return bool((inv >= -tol).all())
+    return bool((inv >= -TOL).all())
 
 
-def is_weak_regular_splitting(A, M, tol: float = 1e-10) -> bool:
+def is_weak_regular_splitting(A, M) -> bool:
     """Check that ``A = M - N`` is a weak regular splitting.
 
     Requires ``M`` nonsingular, ``M⁻¹ ≥ 0`` and ``M⁻¹ N ≥ 0``.
@@ -70,13 +78,13 @@ def is_weak_regular_splitting(A, M, tol: float = 1e-10) -> bool:
         Minv = np.linalg.inv(Md)
     except np.linalg.LinAlgError:
         return False
-    if (Minv < -tol).any():
+    if (Minv < -TOL).any():
         return False
     T = Minv @ (Md - Ad)  # M^{-1} N
-    return bool((T >= -tol).all())
+    return bool((T >= -TOL).all())
 
 
-def spectral_radius(T, iterations: int = 5000, tol: float = 1e-12, seed: int = 0) -> float:
+def spectral_radius(T, seed: int = 0) -> float:
     """Spectral radius estimate.
 
     Dense inputs up to ~1500 unknowns use exact eigenvalues.  Larger or
@@ -108,21 +116,21 @@ def spectral_radius(T, iterations: int = 5000, tol: float = 1e-12, seed: int = 0
         # state, which would make the estimate depend on unrelated prior calls
         v0 = np.random.default_rng(seed).random(Ts.shape[0]) + 0.1
         vals = eigs(Ts, k=k, which="LM", return_eigenvectors=False,
-                    maxiter=iterations, v0=v0)
+                    maxiter=POWER_ITERATIONS, v0=v0)
         return float(np.abs(vals).max())
 
     rng = np.random.default_rng(seed)
     x = rng.random(Ts.shape[0]) + 0.1
     x /= np.linalg.norm(x)
     lam = 0.0
-    for _ in range(iterations):
+    for _ in range(POWER_ITERATIONS):
         y = Ts @ x + x  # (I + T) x : Perron root of I+T is 1 + rho(T)
         norm = np.linalg.norm(y)
         if norm == 0.0:
             return 0.0
         y /= norm
         new_lam = float(y @ (Ts @ y) + 1.0)
-        if abs(new_lam - lam) < tol * max(new_lam, 1.0):
+        if abs(new_lam - lam) < POWER_TOL * max(new_lam, 1.0):
             return max(new_lam - 1.0, 0.0)
         lam, x = new_lam, y
     return max(lam - 1.0, 0.0)

@@ -102,7 +102,6 @@ class Poisson2D:
     n: int
     A: CsrMatrix
     b: np.ndarray
-    u_exact_grid: np.ndarray | None = None
 
     @classmethod
     def manufactured(cls, n: int) -> "Poisson2D":
@@ -110,10 +109,7 @@ class Poisson2D:
         u = lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y)  # noqa: E731
         f = lambda x, y: 2.0 * np.pi**2 * u(x, y)  # noqa: E731
         b = poisson_rhs(n, f)  # u vanishes on the boundary
-        h = 1.0 / (n + 1)
-        xs = (np.arange(n) + 1) * h
-        X, Y = np.meshgrid(xs, xs, indexing="ij")
-        return cls(n=n, A=A, b=b, u_exact_grid=u(X, Y).reshape(n * n))
+        return cls(n=n, A=A, b=b)
 
     @classmethod
     def heat_plate(cls, n: int) -> "Poisson2D":

@@ -127,6 +127,30 @@ class BlockInfo:
         return {nb: self.values_to_send_view(x_local, nb)
                 for nb in self.send_map}
 
+    def coupled_rows(self) -> tuple[np.ndarray, CsrMatrix, np.ndarray]:
+        """``(rows, B_coupling[rows], b_local[rows])`` for the local rows
+        ``B_coupling`` reaches, cached in :attr:`op_cache`.
+
+        Only these rows of ``b_local − B_coupling·ext`` depend on ``ext``.
+        Every stored entry of ``B_coupling`` sits in one of them, so the
+        restriction keeps its data and column arrays as they are — same
+        terms, same order per row — and only drops the empty rows from
+        ``indptr``: its product is byte-identical to those rows of the full
+        one.
+        """
+        cached = self.op_cache.get("coupled_rows")
+        if cached is None:
+            B = self.B_coupling
+            rows = np.flatnonzero(np.diff(B.indptr))
+            indptr = np.concatenate((B.indptr[:1], B.indptr[rows + 1]))
+            B_rows = CsrMatrix(B.data, B.indices, indptr,
+                               (rows.size, B.shape[1]))
+            b_rows = self.b_local[rows]
+            for arr in (rows, b_rows):
+                arr.flags.writeable = False
+            cached = self.op_cache["coupled_rows"] = (rows, B_rows, b_rows)
+        return cached
+
     def _index_slices(self) -> None:
         """Precompute :attr:`send_slices` from :attr:`send_local`."""
         for nb, idx in self.send_local.items():
@@ -270,13 +294,18 @@ class BlockDecomposition:
         return int(sum(v.size for v in self.blocks[k].send_map.values()))
 
     def local_rhs(self, k: int, ext_values: np.ndarray) -> np.ndarray:
-        """``b_ext - B @ ext_values`` for block ``k``, in a fresh array."""
+        """``b_ext - B @ ext_values`` for block ``k``, in a fresh array,
+        byte for byte; only the coupled rows (:meth:`BlockInfo.coupled_rows`)
+        are computed, the others are ``b_ext``."""
         blk = self.blocks[k]
+        rhs = blk.b_local.copy()
         if blk.ext_cols.size == 0:
-            return blk.b_local.copy()
+            return rhs
         if ext_values.shape != (blk.ext_cols.size,):
             raise ValueError("ext_values shape mismatch")
-        return blk.b_local - blk.B_coupling @ ext_values
+        rows, B_rows, b_rows = blk.coupled_rows()
+        rhs[rows] = b_rows - B_rows @ ext_values
+        return rhs
 
 
 def _split_rows(A: CsrMatrix, ext_s: int, ext_e: int):

@@ -112,7 +112,7 @@ class ProfileReport:
             "collector": dict(self.collector),
         }
 
-    def to_text(self, top_n: int | None = None) -> str:
+    def to_text(self) -> str:
         lines = [
             f"profile: {self.total_time_s:.3f}s, {self.total_calls} calls",
             "",
@@ -138,7 +138,7 @@ class ProfileReport:
             )
         lines.append("")
         lines.append("top functions (cumulative):")
-        for row in self.top[: top_n or len(self.top)]:
+        for row in self.top:
             lines.append(
                 f"  {row['cumtime_s']:8.3f}s cum  {row['tottime_s']:8.3f}s excl"
                 f"  {row['ncalls']:>9}x  {row['function']}"

@@ -40,7 +40,7 @@ class JsonlTracer(Tracer):
     live file would exceed ``max_bytes`` it rotates to ``path.1``,
     ``path.2``, ... (chronological: segment 1 is oldest, the live file is
     newest).  An in-memory ring of the last ``tail_events`` events keeps
-    ``select``/``__iter__`` useful for reports without re-reading disk.
+    ``__iter__`` useful for reports without re-reading disk.
 
     Call :meth:`close` (or use the driver, which does) to flush the final
     batch; the sink is also safe to flush mid-run.

@@ -109,24 +109,6 @@ class Tracer:
             and (kind is None or knd == kind)
         )
 
-    def select(
-        self,
-        category: str | None = None,
-        kind: str | None = None,
-        entity: str | None = None,
-        since: float = float("-inf"),
-        until: float = float("inf"),
-    ) -> list[TraceEvent]:
-        """The buffered events matching every given filter."""
-        return [
-            e
-            for e in self.events
-            if (category is None or e.category == category)
-            and (kind is None or e.kind == kind)
-            and (entity is None or e.entity == entity)
-            and since <= e.time <= until
-        ]
-
     def close(self) -> None:
         """Release sink resources; a no-op for in-memory tracers.
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from repro.checkpoint import CheckpointPolicy, FailureFeed
+from repro.checkpoint import CheckpointPolicy, FailureFeed, FixedPolicy
 from repro.compute import ComputePlane
 from repro.errors import ConfigurationError, FaultError
 from repro.des import Simulator, TimerWheel, collector
@@ -82,8 +82,7 @@ class Cluster:
     #: Daemon incarnation offers it to its tasks as ``TaskContext.compute``
     compute: ComputePlane = field(default_factory=ComputePlane)
     #: cluster-wide checkpoint strategy handed to every Daemon incarnation
-    #: (None = the paper's fixed scheme, ``FixedPolicy()``)
-    checkpoint: CheckpointPolicy | None = None
+    checkpoint: CheckpointPolicy = FixedPolicy()
     #: shared failure/cost statistics: Spawner evictions write into it,
     #: adaptive checkpoint policies read from it
     failure_feed: FailureFeed = field(default_factory=FailureFeed)
@@ -215,11 +214,10 @@ def build_cluster(
     seed: int = 0,
     config: P2PConfig | None = None,
     homogeneous: bool = False,
-    sim: Simulator | None = None,
     link_scale: float = 1.0,
     loss_rate: float = 0.0,
     tracer=None,
-    checkpoint: CheckpointPolicy | None = None,
+    checkpoint: CheckpointPolicy = FixedPolicy(),
 ) -> Cluster:
     """Create a full deployment mirroring the paper's §7 testbed shape.
 
@@ -236,7 +234,7 @@ def build_cluster(
     """
     config = config or P2PConfig()
     rng = RngTree(seed)
-    sim = sim or Simulator()
+    sim = Simulator()
     if tracer is not None:
         sim.tracer = tracer
     sizes = tier_sizes(n_superpeers, config.superpeer_tiers,

@@ -22,7 +22,8 @@ import zlib
 from functools import partial
 from typing import Any, Sequence
 
-from repro.checkpoint import Backup, BackupStore, FixedPolicy, choose_latest
+from repro.checkpoint import (Backup, BackupStore, CheckpointPolicy,
+                              FailureFeed, choose_latest)
 from repro.convergence import LocalConvergenceDetector
 from repro.gossip import GossipAgent
 from repro.des import Event, Simulator, TimerWheel
@@ -82,7 +83,7 @@ class TaskRunner:
         restart: bool,
         convergence_threshold: float,
         stability_window: int,
-        telemetry: RunTelemetry | None,
+        telemetry: RunTelemetry,
     ):
         self.daemon = daemon
         self.sim = daemon.sim
@@ -100,10 +101,8 @@ class TaskRunner:
         #: announces a higher reign; lower-reign announcements are stale)
         self.leader_reign = 1
         self.telemetry = telemetry
-        # Bind the cluster's checkpoint strategy (default: the paper's
-        # fixed scheme) into this runner's mutable scheduling state.
-        policy_spec = daemon.checkpoint or FixedPolicy()
-        self.policy = policy_spec.bind(num_tasks, feed=daemon.failure_feed)
+        self.policy = daemon.checkpoint.bind(num_tasks,
+                                             feed=daemon.failure_feed)
         self.detector = LocalConvergenceDetector(
             threshold=convergence_threshold, stability_window=stability_window
         )
@@ -160,10 +159,9 @@ class TaskRunner:
                     break
                 self.iteration += 1
                 telemetry = self.telemetry
-                if telemetry is not None:
-                    telemetry.iterations[self.task_id] += 1
-                    if not fresh and self.num_tasks > 1:
-                        telemetry.useless_iterations[self.task_id] += 1
+                telemetry.iterations[self.task_id] += 1
+                if not fresh and self.num_tasks > 1:
+                    telemetry.useless_iterations[self.task_id] += 1
                 self.policy.on_iteration(self.sim.now, duration)
                 self._surface_rejections()
                 self._send_outgoing(step.outgoing)
@@ -206,8 +204,7 @@ class TaskRunner:
                 self.daemon._trace("checkpoint_rejected", task=self.task_id,
                                    iteration=backup.iteration,
                                    guardian=best_peer)
-                if self.telemetry is not None:
-                    self.telemetry.checkpoints_rejected += 1
+                self.telemetry.checkpoints_rejected += 1
                 backup = None
         if backup is not None:
             self.task.load_state(backup.restore())
@@ -220,10 +217,9 @@ class TaskRunner:
         self.policy.on_rollback(self.iteration)
         self.daemon._trace("recovery", task=self.task_id,
                            iteration=self.iteration, from_scratch=from_scratch)
-        if self.telemetry is not None:
-            self.telemetry.record_recovery(
-                self.sim.now, self.task_id, self.iteration, from_scratch
-            )
+        self.telemetry.record_recovery(
+            self.sim.now, self.task_id, self.iteration, from_scratch
+        )
 
     # -- per-iteration duties --------------------------------------------------------
 
@@ -241,8 +237,7 @@ class TaskRunner:
                 stub, "receive_data",
                 self.app_id, dst_task, self.task_id, self.epoch, payload,
             )
-            if self.telemetry is not None:
-                self.telemetry.data_messages_sent += 1
+            self.telemetry.data_messages_sent += 1
 
     def _surface_rejections(self) -> None:
         """Emit trace/metric deltas for boundary components the task's
@@ -254,8 +249,7 @@ class TaskRunner:
         self._rejected_seen = rejected
         self.daemon._trace("component_rejected", task=self.task_id,
                            iteration=self.iteration, count=delta)
-        if self.telemetry is not None:
-            self.telemetry.components_rejected += delta
+        self.telemetry.components_rejected += delta
 
     def _maybe_checkpoint(self) -> None:
         policy = self.policy
@@ -281,9 +275,8 @@ class TaskRunner:
             policy.on_checkpoint(backup.nbytes)
             self.daemon._trace("checkpoint_store", task=self.task_id,
                                iteration=self.iteration, guardian=target_task)
-            if self.telemetry is not None:
-                self.telemetry.checkpoints_sent += 1
-                self.telemetry.checkpoint_bytes += backup.nbytes
+            self.telemetry.checkpoints_sent += 1
+            self.telemetry.checkpoint_bytes += backup.nbytes
 
     def _report_convergence(self, distance: float) -> None:
         flipped = self.detector.update(distance)
@@ -304,8 +297,7 @@ class TaskRunner:
                 (self.epoch, self.detector.flips),
                 self.detector.stable,
             )
-        if self.telemetry is not None:
-            self.telemetry.convergence_messages += 1
+        self.telemetry.convergence_messages += 1
 
 
 class Daemon(RemoteObject):
@@ -320,10 +312,10 @@ class Daemon(RemoteObject):
         config: P2PConfig,
         rng: RngTree,
         wheel: TimerWheel,
-        telemetry: RunTelemetry | None = None,
+        telemetry: RunTelemetry,
+        checkpoint: CheckpointPolicy,
+        failure_feed: FailureFeed,
         compute=None,
-        checkpoint=None,
-        failure_feed=None,
     ):
         if not superpeer_addresses:
             raise ConfigurationError("a Daemon needs at least one Super-Peer address")
@@ -334,8 +326,8 @@ class Daemon(RemoteObject):
         #: every Daemon incarnation the same tuple
         self.superpeer_addresses = superpeer_addresses
         self.config = config
-        #: cluster-wide :class:`repro.checkpoint.CheckpointPolicy` (or None
-        #: for the paper's ``FixedPolicy()``) bound per task runner
+        #: cluster-wide :class:`repro.checkpoint.CheckpointPolicy`, bound per
+        #: task runner
         self.checkpoint = checkpoint
         #: shared :class:`repro.checkpoint.FailureFeed` adaptive policies read
         self.failure_feed = failure_feed
@@ -775,8 +767,7 @@ class Daemon(RemoteObject):
         if epoch < runner.register.slots[src_task].epoch:
             self._trace("zombie_data_dropped", task=dst_task, src=src_task,
                         epoch=epoch)
-            if self.telemetry is not None:
-                self.telemetry.zombie_data_dropped += 1
+            self.telemetry.zombie_data_dropped += 1
             return
         runner.deliver(src_task, payload)
 
@@ -818,12 +809,11 @@ class Daemon(RemoteObject):
             # keep the converged fragment so it can still be collected
             # after the runner has wound down
             self.final_fragments[app_id] = self.runner.task.solution_fragment()
-            if self.telemetry is not None:
-                # the converged frontier: iterations *kept* for this task —
-                # anything the app re-executed beyond the per-task frontier
-                # sum is wasted work (re-iterated after recoveries)
-                self.telemetry.frontier[self.runner.task_id] = (
-                    self.runner.iteration)
+            # the converged frontier: iterations *kept* for this task —
+            # anything the app re-executed beyond the per-task frontier sum
+            # is wasted work (re-iterated after recoveries)
+            self.telemetry.frontier[self.runner.task_id] = (
+                self.runner.iteration)
             self.runner.halted = True
         if self._backup_store is not None:
             self._backup_store.drop_app(app_id)

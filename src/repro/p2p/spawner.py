@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from typing import Any
 
+from repro.checkpoint import FailureFeed
 from repro.convergence import GlobalConvergenceTracker
 from repro.des import Simulator
 from repro.des.events import Event
@@ -42,11 +43,11 @@ class Spawner(RemoteObject):
         superpeer_addresses: list[Address],
         config: P2PConfig,
         rng: RngTree,
-        telemetry: RunTelemetry | None = None,
+        telemetry: RunTelemetry,
+        failure_feed: FailureFeed,
         stable_store=None,
         resume_from: ApplicationRegister | None = None,
         reign: int = 1,
-        failure_feed=None,
     ):
         """``stable_store`` persists the Application Register on every
         membership change (the §4.2 fault-tolerance direction);
@@ -65,7 +66,7 @@ class Spawner(RemoteObject):
         self.superpeer_addresses = list(superpeer_addresses)
         self.config = config
         self.rng = rng
-        self.telemetry = telemetry if telemetry is not None else RunTelemetry()
+        self.telemetry = telemetry
         if resume_from is None:
             # the run's clock starts at the first launch; a takeover or a
             # resume from stable storage carries it on
@@ -281,8 +282,7 @@ class Spawner(RemoteObject):
                 slot.daemon_stub = None
                 self.tracker.reset_task(slot.task_id)
                 self.failures_detected += 1
-                if self.failure_feed is not None:
-                    self.failure_feed.record_failure(self.sim.now)
+                self.failure_feed.record_failure(self.sim.now)
                 self.register.version += 1
                 self._changed_since_broadcast.add(slot.task_id)
                 changed = True

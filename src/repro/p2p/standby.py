@@ -5,8 +5,8 @@ Paper §4.2 leaves Spawner fault tolerance as future work; PR 7's
 disk after the machine returns).  This module adds the *warm* path: a
 standby process on a second machine that
 
-1. **shadows** the primary's recovery state — Application Register,
-   heartbeat-ledger ages and reign — by anti-entropy pulls
+1. **shadows** the primary's recovery state — Application Register and
+   reign — by anti-entropy pulls
    (:meth:`~repro.p2p.spawner.Spawner.fetch_shadow`) whenever the
    leadership beats it hears over gossip report a register version ahead
    of its shadow;
@@ -26,6 +26,7 @@ The failover state machine is documented in docs/gossip.md; the
 
 from __future__ import annotations
 
+from repro.checkpoint import FailureFeed
 from repro.des.events import Event
 from repro.errors import RemoteError
 from repro.gossip import GossipAgent
@@ -56,9 +57,9 @@ class StandbySpawner(RemoteObject):
         superpeer_addresses: list[Address],
         config: P2PConfig,
         rng: RngTree,
-        telemetry: RunTelemetry | None = None,
+        telemetry: RunTelemetry,
+        failure_feed: FailureFeed,
         stable_store=None,
-        failure_feed=None,
     ):
         self.sim = network.sim
         self.network = network
@@ -90,7 +91,6 @@ class StandbySpawner(RemoteObject):
 
         #: shadow of the primary's recovery state (anti-entropy pulls)
         self.shadow_register = None
-        self.shadow_ages: dict[int, float] = {}
         self.shadow_reign = 1
         self.shadow_version = -1
         #: highest-versioned register the leadership beats advertised
@@ -185,9 +185,9 @@ class StandbySpawner(RemoteObject):
             return  # the takeover probe, not the pull, decides death
         if shadow is None:
             return
-        register, ages, reign = shadow
+        # the heartbeat-ledger ages ride the reply but are not used
+        register, _ages, reign = shadow
         self.shadow_register = register
-        self.shadow_ages = dict(ages)
         self.shadow_reign = max(self.shadow_reign, reign)
         self.shadow_version = register.version
         self.shadow_pulls += 1

@@ -72,6 +72,18 @@ class IterationStep:
             raise ConfigurationError("local_distance must be >= 0")
 
 
+#: :class:`ComponentFilter` tuning: a component is implausible when its jump
+#: exceeds ``FLOOR + SAFETY`` times the source's reference jump scale, which
+#: decays by ``DECAY`` per message; ``PATIENCE`` partially rejected messages
+#: in a row force wholesale acceptance
+SAFETY = 25.0
+FLOOR = 1e-9
+DECAY = 0.95
+PATIENCE = 16
+#: :meth:`Task.state_plausible` refuses a state with a component beyond this
+PLAUSIBLE_CEILING = 1e8
+
+
 class ComponentFilter:
     """Contraction-bound plausibility filter for incoming boundary data
     (arXiv:2206.08479, "Modifying the Asynchronous Jacobi Method for Data
@@ -84,28 +96,20 @@ class ComponentFilter:
     decayed reference jump scale (the median of accepted component jumps —
     the corruption adversary perturbs individual components, and a median
     shrugs off the outlier it is trying to measure).  A component whose
-    jump exceeds ``floor + safety·reference`` is rejected and the last
+    jump exceeds ``FLOOR + SAFETY·reference`` is rejected and the last
     accepted value reused in its place.
 
     Two escape hatches keep the filter live rather than paranoid: a
     message whose components are *all* implausible is indistinguishable
     from a legitimate regime change (recovery rollback, new sub-problem)
-    and is accepted wholesale, and ``patience`` consecutive partially
+    and is accepted wholesale, and ``PATIENCE`` consecutive partially
     rejected messages from one source force wholesale acceptance so a
     drifting-but-honest neighbour can never be frozen out forever.
     """
 
-    __slots__ = ("safety", "floor", "decay", "patience", "rejected",
-                 "_last", "_ref", "_streak")
+    __slots__ = ("rejected", "_last", "_ref", "_streak")
 
-    def __init__(self, safety: float = 25.0, floor: float = 1e-9,
-                 decay: float = 0.95, patience: int = 16):
-        if safety <= 0 or floor < 0 or not 0.0 < decay <= 1.0 or patience < 1:
-            raise ConfigurationError("implausible ComponentFilter tuning")
-        self.safety = float(safety)
-        self.floor = float(floor)
-        self.decay = float(decay)
-        self.patience = int(patience)
+    def __init__(self):
         #: total components rejected so far (read by the task runner)
         self.rejected = 0
         self._last: dict[int, np.ndarray] = {}
@@ -128,11 +132,11 @@ class ComponentFilter:
         ref = self._ref.get(src_task)
         out = arr
         if ref is not None:
-            threshold = self.floor + self.safety * ref
+            threshold = FLOOR + SAFETY * ref
             bad = jump > threshold
             nbad = int(bad.sum())
             streak = self._streak.get(src_task, 0)
-            if 0 < nbad < arr.size and streak < self.patience:
+            if 0 < nbad < arr.size and streak < PATIENCE:
                 out = arr.copy()
                 out[bad] = last[bad]
                 self.rejected += nbad
@@ -143,7 +147,7 @@ class ComponentFilter:
                 # clean, wholesale-implausible, or patience exhausted:
                 # accept as-is and re-anchor the reference below
                 self._streak[src_task] = 0
-            ref = max(med, self.decay * ref)
+            ref = max(med, DECAY * ref)
         else:
             ref = med
         self._ref[src_task] = ref
@@ -163,9 +167,7 @@ class Task:
         self.ctx = ctx
         self._reject_filter: ComponentFilter | None = None
         if ctx.params.get("reject_corruption"):
-            self._reject_filter = ComponentFilter(
-                safety=float(ctx.params.get("reject_safety", 25.0)),
-            )
+            self._reject_filter = ComponentFilter()
 
     def initial_state(self) -> dict:
         """The state a brand-new task starts from (iteration 0)."""
@@ -208,17 +210,13 @@ class Task:
     def state_plausible(self, state: dict) -> bool:
         """Whether a checkpointed state passes the plausibility screen
         (finite, bounded) — used to refuse restoring corrupted Backups."""
-        ceiling = 1e8
-        ctx = getattr(self, "ctx", None)
-        if ctx is not None:
-            ceiling = float(ctx.params.get("reject_ceiling", ceiling))
         for value in state.values():
             arr = np.asarray(value)
             if arr.dtype.kind != "f" or arr.size == 0:
                 continue
             if not np.isfinite(arr).all():
                 return False
-            if float(np.abs(arr).max()) > ceiling:
+            if float(np.abs(arr).max()) > PLAUSIBLE_CEILING:
                 return False
         return True
 

@@ -5,7 +5,7 @@ entity's host whose handler dispatches every arriving message in its
 delivery event (the endpoint closes with the host, like a JVM on a
 powered-off PC), serves exported objects, and issues outgoing calls.  The
 runtime spawns nothing of its own: a call's deadline is one scheduled
-callback, and only generator handlers and :meth:`RmiRuntime.gather`'s
+callback, and only generator call handlers and :meth:`RmiRuntime.gather`'s
 waiters run as processes.
 
 Failure semantics (these are what the JaceP2P protocols rely on):
@@ -78,9 +78,11 @@ class RemoteObject:
     """Base class for objects exported through RMI.
 
     Subclasses mark exported methods with :func:`repro.rmi.remote`.  A method
-    may be a plain function (runs instantaneously at the server) or a
-    generator (runs as a process on the server's host and may ``yield``
-    simulation events — e.g. to charge compute time before answering).
+    may be a plain function (runs instantaneously at the server) or, when
+    invoked by a call, a generator (runs as a process on the server's host
+    and may ``yield`` simulation events — e.g. to charge compute time before
+    answering).  A oneway runs its method as a plain function: a generator
+    method invoked by a oneway never runs.
     """
 
 
@@ -338,22 +340,9 @@ class RmiRuntime:
     def _on_oneway(self, msg: OnewayMessage) -> None:
         try:
             fn = self._resolve(msg.object_name, msg.method)
-            outcome = fn(*msg.args, **msg.kwargs)
+            fn(*msg.args, **msg.kwargs)
         except Exception as exc:  # noqa: BLE001 - oneway errors never propagate
             self._oneway_error(msg.method, exc)
-            return
-        if outcome is not None and hasattr(outcome, "send") \
-                and hasattr(outcome, "throw"):
-            self.host.spawn(self._run_oneway_generator(outcome, msg.method),
-                            label=f"{self.name}:{msg.method}")
-        else:
-            self.served += 1
-
-    def _run_oneway_generator(self, gen, method: str):
-        try:
-            yield from gen
-        except Exception as exc:  # noqa: BLE001
-            self._oneway_error(method, exc)
             return
         self.served += 1
 

@@ -16,6 +16,14 @@ from repro.rmi import runtime as rmi_runtime
 from repro.util import serialization
 
 
+def select(tracer, category=None, kind=None, entity=None) -> list:
+    """The events ``tracer`` still holds that match every given filter."""
+    return [e for e in tracer
+            if (category is None or e.category == category)
+            and (kind is None or e.kind == kind)
+            and (entity is None or e.entity == entity)]
+
+
 def clear_caches() -> None:
     """Drop the six process-wide caches, so a test (or a timed run) starts
     cold whatever ran before it: shared block decompositions, the DST-I

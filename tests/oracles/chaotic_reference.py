@@ -49,10 +49,9 @@ def chaotic_block_jacobi(
 
     x_locals = [np.zeros(blk.n_ext) for blk in decomp.blocks]
     b_norm = max(float(np.linalg.norm(decomp.b)), 1e-300)
-    history: list[float] = []
     snapshots: list[np.ndarray] = [decomp.assemble(x_locals)]
     skipped = [0] * decomp.nblocks
-    inner_total, flops_total = 0, 0.0
+    res, flops_total = float("inf"), 0.0
     act_rng = rng.child("activate")
     delay_rng = rng.child("delay")
 
@@ -68,24 +67,19 @@ def chaotic_block_jacobi(
             # each active block reads its own stale snapshot
             age = delay_rng.integers(0, min(max_delay, len(snapshots) - 1) + 1)
             snap = snapshots[-1 - age]
-            inner, flops = _solve_blocks_once(decomp, x_locals, [k], snap)
-            inner_total += inner
-            flops_total += flops
+            flops_total += _solve_blocks_once(decomp, x_locals, [k], snap)
         x_now = decomp.assemble(x_locals)
         snapshots.append(x_now)
         if len(snapshots) > max_delay + 1:
             snapshots.pop(0)
         res = float(np.linalg.norm(decomp.b - decomp.A @ x_now)) / b_norm
-        history.append(res)
         if res <= tol:
             return JacobiResult(
                 x=x_now,
                 converged=True,
                 outer_iterations=step,
                 residual_norm=res,
-                inner_iterations_total=inner_total,
                 flops_total=flops_total,
-                residual_history=history,
             )
     if raise_on_fail:
         raise ChaoticDivergence(f"chaotic relaxation: no convergence in {max_steps} steps")
@@ -93,8 +87,6 @@ def chaotic_block_jacobi(
         x=decomp.assemble(x_locals),
         converged=False,
         outer_iterations=max_steps,
-        residual_norm=history[-1] if history else float("inf"),
-        inner_iterations_total=inner_total,
+        residual_norm=res,
         flops_total=flops_total,
-        residual_history=history,
     )

@@ -13,7 +13,6 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.numerics.matrix import _as_dense
-from repro.numerics.poisson import Poisson2D
 
 __all__ = ["jacobi_iteration_matrix", "block_jacobi_iteration_matrix",
            "relative_residual", "discretization_error"]
@@ -58,8 +57,11 @@ def relative_residual(A: sp.spmatrix, x: np.ndarray, b: np.ndarray) -> float:
     return r_norm / b_norm if b_norm > 0 else r_norm
 
 
-def discretization_error(prob: Poisson2D, x: np.ndarray) -> float:
-    """Max-norm distance to the continuous manufactured solution."""
-    if prob.u_exact_grid is None:
-        raise ValueError("no manufactured solution attached")
-    return float(np.max(np.abs(x - prob.u_exact_grid)))
+def discretization_error(n: int, x: np.ndarray) -> float:
+    """Max-norm distance of ``x`` on the ``n x n`` grid to the continuous
+    manufactured solution ``sin(πx) sin(πy)`` of
+    :meth:`repro.numerics.Poisson2D.manufactured`."""
+    xs = (np.arange(n) + 1) / (n + 1)
+    X, Y = np.meshgrid(xs, xs, indexing="ij")
+    u = np.sin(np.pi * X) * np.sin(np.pi * Y)
+    return float(np.max(np.abs(x - u.reshape(n * n))))

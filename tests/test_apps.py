@@ -163,8 +163,8 @@ def test_jacobi_task_validation():
 
 
 def test_make_jacobi_app():
-    app = make_jacobi_app("j", n=12, num_tasks=3, sweeps=4)
-    assert app.params["sweeps"] == 4
+    app = make_jacobi_app("j", n=12, num_tasks=3)
+    assert app.params == {"n": 12, "sweeps": 1, "problem": "manufactured"}
 
 
 # ------------------------------------------------------------------------ heat
@@ -199,8 +199,9 @@ def test_heat_task_validation():
 
 
 def test_make_heat_app():
-    app = make_heat_app("h", n=10, num_tasks=2, theta=0.5)
-    assert app.params["theta"] == 0.5
+    app = make_heat_app("h", n=10, num_tasks=2)
+    assert app.params == {"n": 10, "theta": 0.9, "steps_per_iteration": 10,
+                          "problem": "plate"}
 
 
 # ----------------------------------------------------- cross-app conventions

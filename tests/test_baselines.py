@@ -3,7 +3,7 @@
 import pytest
 
 from repro.apps import make_poisson_app
-from repro.baselines import SynchronousEngine
+from repro.baselines import SynchronousEngine, sync_engine
 from repro.churn import ChurnEvent, TraceChurn
 from repro.des import Simulator
 from repro.net import Network, UniformLinkModel
@@ -20,7 +20,7 @@ from tests.helpers import (
 
 def make_world(n_hosts):
     sim = Simulator()
-    net = Network(sim, link_model=UniformLinkModel(latency=1e-4, bandwidth=1e9))
+    net = Network(sim, link_model=UniformLinkModel(latency=1e-4))
     hosts = [net.new_host(f"h{i}", speed=1.0 + 0.2 * i) for i in range(n_hosts)]
     return sim, net, hosts
 
@@ -98,10 +98,11 @@ def test_sync_engine_validation():
         SynchronousEngine(sim, hosts + hosts, app, checkpoint_frequency=0)
 
 
-def test_sync_engine_max_supersteps_guard():
+def test_sync_engine_max_supersteps_guard(monkeypatch):
+    monkeypatch.setattr(sync_engine, "MAX_SUPERSTEPS", 5)
     sim, net, hosts = make_world(2)
     app = make_geometric_app(num_tasks=2, rate=0.999999, threshold=1e-15)
-    engine = SynchronousEngine(sim, hosts, app, max_supersteps=5)
+    engine = SynchronousEngine(sim, hosts, app)
     result = sim.run(until=engine.done)
     assert not result.converged
     assert result.supersteps == 5

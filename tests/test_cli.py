@@ -227,7 +227,7 @@ def test_policy_from_flags_builds_the_right_policy():
     from repro.cli import _policy_from
 
     parser = build_parser()
-    assert _policy_from(parser.parse_args(["run"])) is None
+    assert _policy_from(parser.parse_args(["run"])) == FixedPolicy()
     args = parser.parse_args(["run", "--checkpoint-policy", "fixed",
                               "--checkpoint-count", "7"])
     assert _policy_from(args) == FixedPolicy(count=7)

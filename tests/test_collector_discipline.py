@@ -99,7 +99,7 @@ def test_run_leaves_collector_as_found(caller_enabled, until):
 
 
 def crash_in_strict_mode():
-    sim = Simulator(strict=True)
+    sim = Simulator()
 
     def boom():
         yield sim.timeout(1.0)

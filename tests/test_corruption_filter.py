@@ -10,17 +10,15 @@ the solver without the filter and is survived with it.
 import numpy as np
 import pytest
 
-from repro.errors import ConfigurationError
 from repro.exec import RunSpec
 from repro.faults import scenario
 from repro.faults.scenarios import scenario_overrides
-from repro.p2p.task import ComponentFilter, Task, TaskContext
+from repro.p2p.task import PATIENCE, ComponentFilter, Task, TaskContext
 
 
-def make_task(reject=True, **params):
+def make_task(reject=True):
     t = Task()
-    if reject:
-        params["reject_corruption"] = True
+    params = {"reject_corruption": True} if reject else {}
     t.setup(TaskContext("app", 0, 2, params))
     return t
 
@@ -63,13 +61,13 @@ def test_filter_accepts_wholesale_regime_change():
 
 
 def test_filter_patience_prevents_permanent_freeze_out():
-    f = ComponentFilter(patience=3)
+    f = ComponentFilter()
     base = np.linspace(1.0, 2.0, 8)
     f.filter(1, base)
     f.filter(1, base * 0.95)
     drift = base.copy()
     drift[0] = 500.0
-    for _ in range(3):
+    for _ in range(PATIENCE):
         f.filter(1, drift)
     out = f.filter(1, drift)      # patience exhausted: accepted wholesale
     assert out[0] == 500.0
@@ -84,15 +82,6 @@ def test_filter_tracks_sources_independently():
     out = f.filter(2, np.ones(4) * 1e6)
     assert np.allclose(out, 1e6)
     assert f.rejected == 0
-
-
-def test_filter_validation():
-    with pytest.raises(ConfigurationError):
-        ComponentFilter(safety=0.0)
-    with pytest.raises(ConfigurationError):
-        ComponentFilter(decay=1.5)
-    with pytest.raises(ConfigurationError):
-        ComponentFilter(patience=0)
 
 
 # -------------------------------------------------------- unit: task hooks
@@ -122,9 +111,6 @@ def test_state_plausible_rejects_nan_and_blowup():
     assert t.state_plausible({"x": np.ones(4), "iteration": 3})
     assert not t.state_plausible({"x": np.array([1.0, np.nan])})
     assert not t.state_plausible({"x": np.array([1.0, 1e12])})
-    # ceiling is a parameter
-    loose = make_task(reject_ceiling=1e15)
-    assert loose.state_plausible({"x": np.array([1.0, 1e12])})
 
 
 # --------------------------------------------------- end-to-end acceptance

@@ -1,6 +1,8 @@
 """Advanced DES kernel scenarios: nested processes, canceled waiters,
 interrupt interplay with waiting."""
 
+import pytest
+
 from repro.des import Interrupt, Simulator
 from repro.errors import SimulationError
 
@@ -86,7 +88,7 @@ def test_event_processed_then_yielded_by_two_processes():
 
 
 def test_failed_event_rethrows_for_late_yielder():
-    sim = Simulator(strict=False)
+    sim = Simulator()
     gate = sim.event()
     gate.fail(ValueError("poisoned"))
 
@@ -106,7 +108,7 @@ def test_interrupting_a_just_finished_process_is_an_error():
     """FIFO at equal times: the sleeper's t=5 wake-up processes before the
     killer's t=5 turn, so by the time the killer acts its victim is dead —
     and interrupting a dead process is a programming error, loudly."""
-    sim = Simulator(strict=False)
+    sim = Simulator()
     outcome = []
 
     def sleeper(env):
@@ -123,10 +125,12 @@ def test_interrupting_a_just_finished_process_is_an_error():
         victim.interrupt()
 
     killer_proc = sim.process(killer(sim))
-    sim.run()
+    with pytest.raises(SimulationError, match="crashed") as crash:
+        sim.run()
     assert outcome == ["woke"]
     assert not killer_proc.ok
     assert isinstance(killer_proc.value, SimulationError)
+    assert crash.value.__cause__ is killer_proc.value
 
 
 def test_interrupt_beats_wakeup_when_scheduled_first():

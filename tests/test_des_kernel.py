@@ -25,18 +25,6 @@ def test_timeout_advances_clock():
     assert p.value == 2.5
 
 
-def test_timeout_value_passthrough():
-    sim = Simulator()
-
-    def proc(env):
-        got = yield env.timeout(1.0, value="payload")
-        return got
-
-    p = sim.process(proc(sim))
-    sim.run()
-    assert p.value == "payload"
-
-
 def test_negative_timeout_rejected():
     sim = Simulator()
     with pytest.raises(SimulationError):
@@ -203,7 +191,7 @@ def test_event_value_before_trigger_rejected():
 
 
 def test_process_crash_propagates_in_strict_mode():
-    sim = Simulator(strict=True)
+    sim = Simulator()
 
     def bad(env):
         yield env.timeout(1)
@@ -214,21 +202,8 @@ def test_process_crash_propagates_in_strict_mode():
         sim.run()
 
 
-def test_process_crash_tolerated_in_lenient_mode():
-    sim = Simulator(strict=False)
-
-    def bad(env):
-        yield env.timeout(1)
-        raise RuntimeError("kaboom")
-
-    p = sim.process(bad(sim))
-    sim.run()
-    assert not p.ok
-    assert isinstance(p.value, RuntimeError)
-
-
 def test_yielding_non_event_fails_process():
-    sim = Simulator(strict=False)
+    sim = Simulator()
 
     def bad(env):
         yield 17
@@ -261,7 +236,7 @@ def test_interrupt_wakes_sleeping_process():
 
 
 def test_unhandled_interrupt_terminates_process_cleanly():
-    sim = Simulator(strict=True)
+    sim = Simulator()
 
     def sleeper(env):
         yield env.timeout(100)
@@ -318,7 +293,7 @@ def test_interrupt_dead_process_rejected():
 
 
 def test_self_interrupt_rejected():
-    sim = Simulator(strict=False)
+    sim = Simulator()
 
     def suicidal(env, me):
         yield env.timeout(0)
@@ -327,7 +302,8 @@ def test_self_interrupt_rejected():
     holder = []
     p = sim.process(suicidal(sim, holder))
     holder.append(p)
-    sim.run()
+    with pytest.raises(SimulationError, match="crashed"):
+        sim.run()
     assert not p.ok
     assert isinstance(p.value, SimulationError)
 
@@ -353,15 +329,3 @@ def test_step_on_empty_schedule_rejected():
     sim = Simulator()
     with pytest.raises(SimulationError):
         sim.step()
-
-
-def test_nonzero_start_time():
-    sim = Simulator(start=100.0)
-
-    def proc(env):
-        yield env.timeout(1)
-        return env.now
-
-    p = sim.process(proc(sim))
-    sim.run()
-    assert p.value == 101.0

@@ -5,6 +5,13 @@ import pytest
 from repro.des import Simulator
 
 
+def later(env, delay, value):
+    """An event that succeeds with ``value`` ``delay`` seconds from now."""
+    event = env.event()
+    env.call_later(delay, event.succeed, value)
+    return event
+
+
 # ---------------------------------------------------------------- conditions
 
 
@@ -12,7 +19,7 @@ def test_all_of_waits_for_every_event():
     sim = Simulator()
 
     def proc(env):
-        t1, t2, t3 = env.timeout(1, "a"), env.timeout(2, "b"), env.timeout(3, "c")
+        t1, t2, t3 = later(env, 1, "a"), later(env, 2, "b"), later(env, 3, "c")
         result = yield env.all_of([t1, t2, t3])
         return (env.now, sorted(result.values()))
 
@@ -25,7 +32,7 @@ def test_any_of_fires_on_first():
     sim = Simulator()
 
     def proc(env):
-        t1, t2 = env.timeout(5, "slow"), env.timeout(1, "fast")
+        t1, t2 = later(env, 5, "slow"), later(env, 1, "fast")
         result = yield env.any_of([t1, t2])
         assert t2 in result and t1 not in result
         return (env.now, result[t2])
@@ -83,7 +90,7 @@ def test_condition_with_already_processed_events():
     sim = Simulator()
 
     def proc(env):
-        t = env.timeout(1, "early")
+        t = later(env, 1, "early")
         yield env.timeout(2)  # t is now processed
         result = yield env.all_of([t])
         return result[t]

@@ -40,8 +40,9 @@ def test_configuration_error_is_still_a_valueerror():
 
 def test_remote_error_carries_its_cause():
     inner = RuntimeError("boom")
-    err = RemoteError("call failed", cause=inner)
-    assert err.cause is inner
+    with pytest.raises(RemoteError) as caught:
+        raise RemoteError("call failed") from inner
+    assert caught.value.__cause__ is inner
 
 
 def test_api_misuse_raises_within_the_hierarchy():

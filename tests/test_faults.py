@@ -123,8 +123,7 @@ def test_injector_requires_context_for_actions():
     plan = FaultPlan.of(SuperPeerCrash(time=0.1))
     with pytest.raises(FaultError):
         FaultInjector(cluster.sim, plan, rng=RngTree(0),
-                      hosts=cluster.testbed.daemon_hosts,
-                      network=cluster.network)  # no cluster: SP unknown
+                      hosts=cluster.testbed.daemon_hosts)  # no cluster: SP unknown
 
 
 def test_injector_executes_and_records_daemon_crash():

@@ -31,7 +31,7 @@ from repro.p2p import (
 from repro.p2p.daemon import BOOTSTRAP_RETRY_JITTER
 from repro.util.rng import RngTree
 
-from tests.helpers import make_geometric_app, run_until_done
+from tests.helpers import make_geometric_app, run_until_done, select
 
 #: FAST-style timing (seconds-scale iterations) with the control plane on
 GOSSIP_FAST = P2PConfig(
@@ -263,7 +263,7 @@ def test_both_adoption_routes_trace_one_shape():
             **scenario_overrides("spawner-down")).run(tracer=gossiped)
     shapes = set()
     for tracer in (direct, gossiped):
-        for ev in tracer.select(kind="adopt_spawner"):
+        for ev in select(tracer, kind="adopt_spawner"):
             assert ev.attrs["reign"] > 1
             assert ev.attrs.get("via", "gossip") == "gossip"
             shapes.add(tuple(ev.attrs))

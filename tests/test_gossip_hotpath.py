@@ -199,8 +199,7 @@ rumor_maps = st.dictionaries(
 @contextlib.contextmanager
 def _agent_with_recorded_oneways():
     sim = Simulator()
-    net = Network(sim, link_model=UniformLinkModel(latency=1e-3,
-                                                   bandwidth=1e9))
+    net = Network(sim, link_model=UniformLinkModel(latency=1e-3))
     runtime = RmiRuntime(net, net.new_host(HERE.host), HERE.port)
     config = P2PConfig(gossip_enabled=True)
     with pytest.MonkeyPatch.context() as mp:

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.baselines import build_centralized_cluster
-from repro.checkpoint import FixedPolicy
 from repro.p2p import P2PConfig, build_cluster, launch_application
 
 from tests.helpers import make_geometric_app, run_until_done
@@ -16,11 +15,10 @@ FAST = P2PConfig(
     bootstrap_retry_delay=0.5,
     min_iteration_time=0.01,
 )
-CKPT = FixedPolicy(count=2, frequency=5)
 
 
 def test_centralized_cluster_runs_an_app():
-    cluster = build_centralized_cluster(n_daemons=5, seed=3, config=FAST, checkpoint=CKPT)
+    cluster = build_centralized_cluster(n_daemons=5, seed=3, config=FAST)
     spawner = launch_application(cluster, make_geometric_app(num_tasks=3))
     assert run_until_done(cluster, spawner, horizon=120.0)
     assert len(cluster.superpeers) == 1
@@ -31,11 +29,11 @@ def test_central_server_handles_every_heartbeat():
     """The §2.2 bottleneck: one server carries the whole population's
     registry traffic; the hybrid topology spreads it."""
     pop = 12
-    central = build_centralized_cluster(n_daemons=pop, seed=5, config=FAST, checkpoint=CKPT)
+    central = build_centralized_cluster(n_daemons=pop, seed=5, config=FAST)
     central.sim.run(until=10.0)
     central_load = central.superpeers[0].runtime.served
 
-    hybrid = build_cluster(n_daemons=pop, n_superpeers=3, seed=5, config=FAST, checkpoint=CKPT)
+    hybrid = build_cluster(n_daemons=pop, n_superpeers=3, seed=5, config=FAST)
     hybrid.sim.run(until=10.0)
     loads = [sp.runtime.served for sp in hybrid.superpeers]
     assert central.registered_daemons() == pop
@@ -48,7 +46,7 @@ def test_central_server_handles_every_heartbeat():
 def test_central_server_failure_kills_the_platform():
     """The single point of failure: after the central machine dies, the
     application can never finish and daemons cannot re-register."""
-    cluster = build_centralized_cluster(n_daemons=6, seed=7, config=FAST, checkpoint=CKPT)
+    cluster = build_centralized_cluster(n_daemons=6, seed=7, config=FAST)
     app = make_geometric_app(num_tasks=3, rate=0.9999, threshold=1e-12,
                              flops=3e6)
     spawner = launch_application(cluster, app)
@@ -73,7 +71,7 @@ def test_central_server_failure_kills_the_platform():
 def test_hybrid_topology_survives_what_kills_centralized():
     """Contrast case: the same failure pattern against JaceP2P's hybrid
     topology — another Super-Peer takes over (§5.3)."""
-    cluster = build_cluster(n_daemons=6, n_superpeers=3, seed=7, config=FAST, checkpoint=CKPT)
+    cluster = build_cluster(n_daemons=6, n_superpeers=3, seed=7, config=FAST)
     app = make_geometric_app(num_tasks=3)
     spawner = launch_application(cluster, app)
     sim = cluster.sim

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import TaskError
-from repro.local import LatestValueChannel, MailboxSet, ThreadedEngine
+from repro.local import LatestValueChannel, MailboxSet, ThreadedEngine, executor
 from repro.apps import make_poisson_app
 from repro.numerics import Poisson2D
 from repro.p2p import AppSpec, Task
@@ -116,9 +116,10 @@ def test_threaded_single_task():
     assert result.useless_iterations == {0: 0}  # solo task is never 'useless'
 
 
-def test_threaded_max_iterations_guard():
+def test_threaded_max_iterations_guard(monkeypatch):
+    monkeypatch.setattr(executor, "MAX_ITERATIONS", 50)
     app = make_geometric_app(num_tasks=2, rate=0.999999, threshold=1e-15)
-    result = ThreadedEngine(app, max_iterations=50).run()
+    result = ThreadedEngine(app).run()
     assert not result.converged
     assert all(c <= 50 for c in result.iterations.values())
 
@@ -149,5 +150,3 @@ def test_threaded_engine_validation():
     app = make_geometric_app()
     with pytest.raises(ValueError):
         ThreadedEngine(app, mode="chaos")
-    with pytest.raises(ValueError):
-        ThreadedEngine(app, max_iterations=0)

@@ -168,9 +168,8 @@ def test_block_jacobi_converges_to_direct_solution():
     assert result.converged
     ref = prob.solve_direct()
     assert np.allclose(result.x, ref, atol=1e-6)
-    assert result.inner_iterations_total > 0
     assert result.flops_total > 0
-    assert result.residual_history[-1] <= 1e-9
+    assert result.residual_norm <= 1e-9
 
 
 def test_block_jacobi_single_block_is_direct_solve():
@@ -208,8 +207,7 @@ def test_block_jacobi_budget_exhaustion():
     result = block_jacobi(d, tol=1e-12, max_outer=2)
     assert not result.converged
     assert result.outer_iterations == 2
-    assert len(result.residual_history) == 2
-    assert result.residual_norm == result.residual_history[-1] > 1e-12
+    assert result.residual_norm > 1e-12
 
 
 # ------------------------------------------------------------ chaotic jacobi
@@ -265,3 +263,39 @@ def test_chaotic_validation():
         chaotic_block_jacobi(d, rng=RngTree(0), max_delay=-1)
     with pytest.raises(ChaoticDivergence):
         chaotic_block_jacobi(d, rng=RngTree(0), tol=1e-14, max_steps=1, raise_on_fail=True)
+
+
+# ------------------------------------------------- local rhs, coupled rows
+
+
+def _app_systems():
+    """Every application's global system at n = 10: Poisson (also Jacobi's),
+    the heat plate, convection-diffusion and the nonlinear problem."""
+    from repro.apps.nonlinear_task import _manufactured_system
+    from repro.numerics.convdiff import ConvectionDiffusion2D
+
+    manufactured, plate = Poisson2D.manufactured(10), Poisson2D.heat_plate(10)
+    convdiff = ConvectionDiffusion2D(10)
+    A, b, _ = _manufactured_system(10, 1.0)
+    return {"poisson": (manufactured.A, manufactured.b),
+            "heat": (plate.A, plate.b),
+            "convdiff": (convdiff.A, convdiff.b),
+            "nonlinear": (A, b)}
+
+
+@pytest.mark.parametrize("overlap", [0, 1])
+@pytest.mark.parametrize("app", ["poisson", "heat", "convdiff", "nonlinear"])
+def test_local_rhs_is_the_full_product_byte_for_byte(app, overlap):
+    """Rebuilding only the coupled rows gives ``b_local - B_coupling @ ext``
+    bit for bit, signed zeros included."""
+    A, b = _app_systems()[app]
+    d = BlockDecomposition(A, b, nblocks=4, line=10, overlap=overlap)
+    rng = np.random.default_rng(11)
+    for k, blk in enumerate(d.blocks):
+        for trial in range(4):
+            ext = rng.standard_normal(blk.ext_cols.size)
+            if trial:
+                zeros = rng.random(ext.size) < 0.5
+                ext[zeros] = np.where(rng.random(zeros.sum()) < 0.5, 0.0, -0.0)
+            expected = blk.b_local - blk.B_coupling @ ext
+            assert d.local_rhs(k, ext).tobytes() == expected.tobytes()

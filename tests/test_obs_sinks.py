@@ -19,6 +19,8 @@ from repro.obs import (
     read_jsonl_trace,
 )
 
+from tests.helpers import select
+
 
 def fill(tracer, n, kind="k"):
     for i in range(n):
@@ -49,8 +51,8 @@ def test_ring_select_works_on_window():
     tr = Tracer(max_events=5)
     fill(tr, 8, kind="a")
     tr.emit(99.0, "cat", "x", "b")
-    assert [ev.kind for ev in tr.select(kind="b")] == ["b"]
-    assert len(list(tr.select(kind="a"))) == 4  # the 4 "a"s still in window
+    assert [ev.kind for ev in select(tr, kind="b")] == ["b"]
+    assert len(list(select(tr, kind="a"))) == 4  # the 4 "a"s still in window
 
 
 def test_ring_rejects_bad_capacity():

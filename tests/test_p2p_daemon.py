@@ -3,19 +3,19 @@ assignment, data exchange and backup service (paper §5.1, §5.3, §5.4)."""
 
 import pytest
 
-from repro.checkpoint import Backup
+from repro.checkpoint import Backup, FailureFeed, FixedPolicy
 from repro.des import Simulator
 from repro.errors import TaskError
 from repro.net import Address, Network, UniformLinkModel
 from repro.net.host import Host
-from repro.obs import Tracer
+from repro.obs import RunTelemetry, Tracer
 from repro.p2p import Daemon, P2PConfig, SuperPeer, build_cluster
 from repro.p2p.daemon import BACKUP_RAM_FRACTION, WHEEL_REAFFIRM_EVERY
 from repro.p2p.messages import ApplicationRegister
 from repro.rmi import RmiRuntime
 from repro.util.rng import RngTree
 
-from tests.helpers import GeometricTask
+from tests.helpers import GeometricTask, select
 
 
 CFG = P2PConfig(
@@ -28,10 +28,17 @@ CFG = P2PConfig(
 )
 
 
+def make_daemon(network, host, daemon_id, addresses, config, rng, wheel):
+    """A Daemon with its own run counters, the paper's checkpoint policy
+    and a failure feed, as a cluster would boot it."""
+    return Daemon(network, host, daemon_id, addresses, config, rng, wheel,
+                  RunTelemetry(), FixedPolicy(), FailureFeed())
+
+
 def make_world(n_superpeers=2, n_daemons=1, cfg=CFG):
     tracer = Tracer()
     sim = Simulator(tracer=tracer)
-    net = Network(sim, link_model=UniformLinkModel(latency=1e-4, bandwidth=1e9))
+    net = Network(sim, link_model=UniformLinkModel(latency=1e-4))
     sps = []
     for i in range(n_superpeers):
         host = net.new_host(f"sp-host-{i}")
@@ -45,7 +52,7 @@ def make_world(n_superpeers=2, n_daemons=1, cfg=CFG):
     for i in range(n_daemons):
         host = net.new_host(f"d-host-{i}")
         daemons.append(
-            Daemon(net, host, f"d{i}", addrs, cfg, RngTree(100 + i), wheel)
+            make_daemon(net, host, f"d{i}", addrs, cfg, RngTree(100 + i), wheel)
         )
     return sim, net, sps, daemons, tracer
 
@@ -66,16 +73,16 @@ def test_daemon_requires_superpeer_addresses():
     sim, net, sps, _, tracer = make_world(n_daemons=0)
     host = net.new_host("lonely")
     with pytest.raises(ValueError):
-        Daemon(net, host, "d", [], CFG, RngTree(0),
+        make_daemon(net, host, "d", [], CFG, RngTree(0),
                sim.timer_wheel(CFG.heartbeat_period))
 
 
 def test_daemon_bootstrap_retries_until_superpeer_appears():
     sim = Simulator()
-    net = Network(sim, link_model=UniformLinkModel(latency=1e-4, bandwidth=1e9))
+    net = Network(sim, link_model=UniformLinkModel(latency=1e-4))
     sp_addr = Address("sp-host-0", CFG.superpeer_port)
     host = net.new_host("d-host")
-    d = Daemon(net, host, "d0", [sp_addr], CFG, RngTree(1),
+    d = make_daemon(net, host, "d0", [sp_addr], CFG, RngTree(1),
                sim.timer_wheel(CFG.heartbeat_period))
     sim.run(until=5.0)
     assert not d.registered  # nothing to register with yet
@@ -117,7 +124,7 @@ def test_daemon_reboot_after_host_failure():
 
     def on_rec(host):
         reboots.append(
-            Daemon(net, host, "d0#2", [sp.stub.address for sp in sps], CFG,
+            make_daemon(net, host, "d0#2", [sp.stub.address for sp in sps], CFG,
                    RngTree(7), sim.timer_wheel(CFG.heartbeat_period))
         )
 
@@ -145,7 +152,7 @@ def test_a_host_failing_mid_registration_registers_only_its_reboot():
 
     def on_rec(host):
         reboots.append(
-            Daemon(net, host, "d0#2", [sp.stub.address], CFG, RngTree(7),
+            make_daemon(net, host, "d0#2", [sp.stub.address], CFG, RngTree(7),
                    sim.timer_wheel(CFG.heartbeat_period))
         )
 
@@ -158,8 +165,8 @@ def test_a_host_failing_mid_registration_registers_only_its_reboot():
     # past the dead incarnation's call deadline (t=2) and its eviction
     sim.run(until=5.0)
     assert not d.registered and d.sp_stub is None
-    assert tracer.select("p2p", "daemon_registered", entity="d0") == []
-    assert len(tracer.select("p2p", "daemon_registered", entity="d0#2")) == 1
+    assert select(tracer, "p2p", "daemon_registered", entity="d0") == []
+    assert len(select(tracer, "p2p", "daemon_registered", entity="d0#2")) == 1
     assert reboots[0].registered
     assert list(sp.register) == ["d0#2"]
 

@@ -7,6 +7,8 @@ checkpointing, failure detection, replacement, rollback recovery and
 centralized convergence detection together.
 """
 
+from dataclasses import replace
+
 import numpy as np
 
 from repro.apps import make_heat_app, make_jacobi_app, make_poisson_app
@@ -76,9 +78,8 @@ def test_poisson_app_with_overlap_converges():
 
 def test_jacobi_app_converges():
     cluster = build_cluster(n_daemons=4, n_superpeers=2, seed=7, config=FAST, checkpoint=CKPT)
-    app = make_jacobi_app(
-        "jac", n=10, num_tasks=3, sweeps=8, convergence_threshold=1e-9,
-    )
+    app = replace(make_jacobi_app("jac", n=10, num_tasks=3),
+                  convergence_threshold=1e-9)
     spawner = launch_application(cluster, app)
     assert run_until_done(cluster, spawner, horizon=900.0)
     frags = collect_solution(cluster, spawner)
@@ -88,10 +89,8 @@ def test_jacobi_app_converges():
 
 def test_heat_app_reaches_steady_state():
     cluster = build_cluster(n_daemons=4, n_superpeers=2, seed=8, config=FAST, checkpoint=CKPT)
-    app = make_heat_app(
-        "heat", n=10, num_tasks=3, steps_per_iteration=40,
-        convergence_threshold=1e-10,
-    )
+    app = replace(make_heat_app("heat", n=10, num_tasks=3),
+                  convergence_threshold=1e-10)
     spawner = launch_application(cluster, app)
     assert run_until_done(cluster, spawner, horizon=900.0)
     frags = collect_solution(cluster, spawner)
@@ -163,13 +162,13 @@ def test_churn_slows_execution_but_preserves_result():
         app = make_poisson_app("p", n=16, num_tasks=4, convergence_threshold=1e-8)
         spawner = launch_application(cluster, app)
         if n_disc:
-            # horizon sized so the churn window overlaps the calm run
-            # (~2 s now that a reserve sweep accumulates partial grants
-            # across Super-Peers instead of under-filling the slots)
-            model = PaperChurn(n_disc, reconnect_delay=5.0,
-                               start_fraction=0.1, end_fraction=0.5)
+            # horizon sized so the churn window (5 %..85 % of it) overlaps
+            # the calm run (~2 s now that a reserve sweep accumulates
+            # partial grants across Super-Peers instead of under-filling
+            # the slots)
+            model = PaperChurn(n_disc, reconnect_delay=5.0)
             churn_injector(cluster.sim, cluster.testbed.daemon_hosts, model,
-                           RngTree(7), horizon=5.0)
+                           RngTree(7), horizon=3.0)
         assert run_until_done(cluster, spawner, horizon=900.0)
         assert poisson_accuracy(cluster, spawner, 16) < 1e-5
         times[label] = spawner.execution_time

@@ -15,7 +15,7 @@ CFG = P2PConfig(heartbeat_period=0.5, heartbeat_timeout=2.0, monitor_period=0.5)
 def make_superpeers(n=2, cfg=CFG):
     tracer = Tracer()
     sim = Simulator(tracer=tracer)
-    net = Network(sim, link_model=UniformLinkModel(latency=1e-4, bandwidth=1e9))
+    net = Network(sim, link_model=UniformLinkModel(latency=1e-4))
     sps = []
     for i in range(n):
         host = net.new_host(f"sp-host-{i}")

@@ -17,6 +17,7 @@ from repro.obs import Tracer
 from repro.p2p import P2PConfig, build_cluster, launch_application
 
 from tests.helpers import (
+    select,
     assemble_strip_solution,
     collect_solution,
     run_until_done,
@@ -82,7 +83,7 @@ def test_partitioned_daemon_is_replaced_and_zombie_is_fenced(gossip):
     # told to stop within one heartbeat period of being heard again
     assert spawner.register.slot(1).daemon_id != zombie.daemon_id
     assert cluster.telemetry.zombie_data_dropped > 0
-    fenced = tracer.select("p2p", "fenced", entity=zombie.daemon_id)
+    fenced = select(tracer, "p2p", "fenced", entity=zombie.daemon_id)
     assert len(fenced) == 1 and fenced[0].attrs["task"] == 1
     assert fenced[0].time - healed_at <= FAST.heartbeat_period
 

@@ -142,10 +142,17 @@ class _Echo(RemoteObject):
         return self.value
 
 
+#: keyword names ``RmiRuntime.call`` and the served method bind themselves
+_CALL_PARAMETERS = {"self", "stub", "method", "timeout"}
+
+
 @COMMON
 @given(object_name=_names, method=_names,
        args=st.lists(_values, max_size=4).map(tuple),
-       kwargs=st.dictionaries(_texts, _values, max_size=2), value=_values)
+       kwargs=st.dictionaries(
+           _texts.filter(lambda key: key not in _CALL_PARAMETERS), _values,
+           max_size=2),
+       value=_values)
 def test_rmi_sizes_its_envelopes_as_measured_size_would(
         object_name, method, args, kwargs, value):
     assert oneway_size(object_name, method, args, kwargs) == measured_size(
@@ -305,18 +312,17 @@ def test_block_decomposition_invariants(n, nblocks, overlap):
 @COMMON
 @given(
     st.floats(min_value=0.0, max_value=0.1),
-    st.floats(min_value=1e3, max_value=1e9),
     st.integers(min_value=0, max_value=10_000_000),
     st.integers(min_value=0, max_value=10_000_000),
 )
-def test_link_delay_monotone_in_bytes(latency, bandwidth, b1, b2):
+def test_link_delay_monotone_in_bytes(latency, b1, b2):
     from repro.des import Simulator
     from repro.net.host import Host
     from repro.net.link import UniformLinkModel
 
     sim = Simulator()
     a, b = Host(sim, "a"), Host(sim, "b")
-    model = UniformLinkModel(latency=latency, bandwidth=bandwidth)
+    model = UniformLinkModel(latency=latency)
     lo, hi = sorted([b1, b2])
     assert model.delay(a, b, lo) <= model.delay(a, b, hi)
     assert model.delay(a, b, lo) >= latency

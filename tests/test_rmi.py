@@ -9,6 +9,8 @@ from repro.obs import Tracer
 from repro.rmi import RemoteObject, RmiRuntime, Stub, remote
 from repro.rmi.invocation import remote_method_table
 
+from tests.helpers import select
+
 
 class Calculator(RemoteObject):
     """Test service with plain, generator, stateful and failing methods."""
@@ -47,7 +49,7 @@ class Calculator(RemoteObject):
 
 def make_world(n_hosts=2, latency=1e-3):
     sim = Simulator()
-    net = Network(sim, link_model=UniformLinkModel(latency=latency, bandwidth=1e9))
+    net = Network(sim, link_model=UniformLinkModel(latency=latency))
     hosts = [net.new_host(f"h{i}") for i in range(n_hosts)]
     return sim, net, hosts
 
@@ -285,7 +287,7 @@ def test_unanswered_call_fails_at_its_deadline_and_spawns_nothing(monkeypatch):
     assert spawned == []
     assert server.served == 1  # the server answered, too late
     assert not client._pending
-    [timeout] = sim.tracer.select("rmi", "error", entity="client")
+    [timeout] = select(sim.tracer, "rmi", "error", entity="client")
     assert (timeout.time, timeout.attrs["reason"]) == (1.75, "timeout")
 
 
@@ -359,7 +361,7 @@ def test_reliable_traffic_exempt_from_random_loss():
     sim = Simulator()
     net = Network(
         sim,
-        link_model=UniformLinkModel(latency=1e-4, bandwidth=1e9),
+        link_model=UniformLinkModel(latency=1e-4),
         loss_rate=0.999999,  # effectively total loss for unreliable traffic
         rng=RngTree(0).child("loss"),
     )

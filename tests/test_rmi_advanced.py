@@ -35,20 +35,9 @@ class Forwarder(RemoteObject):
         return ("relayed", result)
 
 
-class SlowNotepad(RemoteObject):
-    def __init__(self, sim):
-        self.sim = sim
-        self.notes = []
-
-    @remote
-    def slow_note(self, tag):
-        yield self.sim.timeout(0.5)
-        self.notes.append((self.sim.now, tag))
-
-
 def make_world(n_hosts=3):
     sim = Simulator()
-    net = Network(sim, link_model=UniformLinkModel(latency=1e-4, bandwidth=1e9))
+    net = Network(sim, link_model=UniformLinkModel(latency=1e-4))
     hosts = [net.new_host(f"h{i}") for i in range(n_hosts)]
     return sim, net, hosts
 
@@ -111,18 +100,6 @@ def test_nested_call_failure_propagates_to_origin():
     kind, t = p.value
     assert kind == "failed-through"
     assert t == pytest.approx(1.0, abs=0.1)  # the middle tier's timeout
-
-
-def test_generator_oneway_runs_to_completion():
-    sim, net, (ha, hb, _) = make_world()
-    server = RmiRuntime(net, hb, 5000)
-    client = RmiRuntime(net, ha, 5000)
-    pad = SlowNotepad(sim)
-    stub = server.serve(pad, "pad")
-    client.oneway(stub, "slow_note", "async-side-effect")
-    sim.run(until=2.0)
-    assert len(pad.notes) == 1
-    assert pad.notes[0][0] == pytest.approx(0.5, abs=0.01)
 
 
 def test_many_interleaved_calls_resolve_to_right_callers():

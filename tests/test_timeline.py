@@ -65,9 +65,10 @@ def test_chart_respects_width_and_until():
     tracer = Tracer()
     tracer.emit(0.5, "p2p", "spawner:x", "slot_filled", daemon="d1")
     tracer.emit(9.5, "faults", "churn", "daemon_crash", host="d1")
-    chart = activity_chart(tracer, width=20, until=10.0)
+    chart = activity_chart(tracer, width=20)
     row = next(l for l in chart.splitlines() if l.startswith("d1"))
     cells = row.split("|")[1]
     assert len(cells) == 20
-    assert cells[1] == "A"   # t=0.5 of 10s -> bin 1
-    assert cells[19] == "x"  # t=9.5 -> last bin
+    assert cells[1] == "A"   # t=0.5 of 9.5s -> bin 1
+    assert cells[19] == "x"  # t=9.5: the chart ends at the last event
+    assert "9.50s" in chart
