@@ -27,9 +27,12 @@ AUDITED = {
     "repro.obs.trace": ["TraceEvent"],
     "repro.net.network": ["Message"],
     "repro.net.address": ["Address"],
-    # one per bound port: one per peer
-    "repro.net.host": ["Endpoint"],
+    # one per peer (an Endpoint: one per bound port)
+    "repro.net.host": ["Host", "Endpoint"],
     "repro.rmi.stub": ["Stub", "BoundStub"],
+    # one per peer
+    "repro.rmi.runtime": ["RmiRuntime"],
+    "repro.p2p.daemon": ["Daemon"],
     "repro.rmi.invocation": [
         "CallMessage", "ReplyMessage", "OnewayMessage", "PreparedOneway",
     ],

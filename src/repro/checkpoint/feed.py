@@ -27,7 +27,7 @@ class FailureFeed:
     cost, both smoothed by :data:`ALPHA`."""
 
     __slots__ = ("failures", "last_failure_at", "interval_ewma",
-                 "bytes_ewma", "checkpoints_seen")
+                 "bytes_ewma")
 
     def __init__(self):
         #: total failures observed (heartbeat evictions)
@@ -38,8 +38,6 @@ class FailureFeed:
         self.interval_ewma: float | None = None
         #: EWMA of checkpoint payload bytes (None until the first)
         self.bytes_ewma: float | None = None
-        #: total checkpoints whose size was recorded
-        self.checkpoints_seen = 0
 
     # -- recording ----------------------------------------------------------
 
@@ -64,7 +62,6 @@ class FailureFeed:
         else:
             a = ALPHA
             self.bytes_ewma = (1.0 - a) * self.bytes_ewma + a * float(nbytes)
-        self.checkpoints_seen += 1
 
     # -- estimates ----------------------------------------------------------
 

@@ -62,13 +62,12 @@ class Process(Event):
     Use :meth:`repro.des.kernel.Simulator.process` to create one.
     """
 
-    __slots__ = ("_generator", "_target", "label")
+    __slots__ = ("_generator", "_target")
 
     def __init__(self, sim: "Simulator", generator: Generator, label: str = ""):
         if not hasattr(generator, "throw"):
             raise SimulationError(f"process body must be a generator, got {generator!r}")
         super().__init__(sim, name=label or getattr(generator, "__name__", "process"))
-        self.label = label
         self._generator = generator
         self._target: Event | None = None
         _Initialize(sim, self)

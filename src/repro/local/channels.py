@@ -18,22 +18,17 @@ __all__ = ["LatestValueChannel", "MailboxSet"]
 class LatestValueChannel:
     """A single-slot overwrite-on-put channel."""
 
-    __slots__ = ("_lock", "_value", "_fresh", "puts", "overwrites")
+    __slots__ = ("_lock", "_value", "_fresh")
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._value: Any = None
         self._fresh = False
-        self.puts = 0
-        self.overwrites = 0
 
     def put(self, value: Any) -> None:
         with self._lock:
-            if self._fresh:
-                self.overwrites += 1
             self._value = value
             self._fresh = True
-            self.puts += 1
 
     def take(self) -> tuple[bool, Any]:
         """(fresh, value): pops the value if fresh, else (False, None)."""

@@ -56,6 +56,10 @@ class Endpoint:
 class Host:
     """One simulated machine."""
 
+    __slots__ = ("sim", "name", "speed", "ram_mb", "tags", "online",
+                 "endpoints", "_processes", "_on_recover", "fail_count",
+                 "recover_count")
+
     def __init__(
         self,
         sim: Simulator,
@@ -73,9 +77,10 @@ class Host:
         self.tags = tuple(tags)
         self.online = True
         self.endpoints: dict[int, Endpoint] = {}
-        #: live processes spawned here, in spawn order; each one leaves
+        #: live processes spawned here, in spawn order, made by the first
+        #: :meth:`spawn` (an idle Daemon's host runs none); each one leaves
         #: when it finishes (:meth:`_reap`)
-        self._processes: dict[Process, None] = {}
+        self._processes: dict[Process, None] | None = None
         self._on_recover: list[Callable[["Host"], None]] = []
         self.fail_count = 0
         self.recover_count = 0
@@ -100,12 +105,16 @@ class Host:
         if not self.online:
             raise HostDownError(f"host {self.name} is offline")
         proc = self.sim.process(generator, label=label or f"{self.name}:proc")
-        self._processes[proc] = None
+        procs = self._processes
+        if procs is None:
+            procs = self._processes = {}
+        procs[proc] = None
         proc.callbacks.append(self._reap)
         return proc
 
     def _reap(self, proc: Process) -> None:
-        self._processes.pop(proc, None)
+        if self._processes is not None:
+            self._processes.pop(proc, None)
 
     def compute(self, flops: float):
         """Event taking ``flops / (speed*BASE_FLOPS)`` simulated seconds.
@@ -136,7 +145,7 @@ class Host:
         tr = self.sim.tracer
         if tr.enabled:
             tr.emit(self.sim.now, "net", self.name, "host_fail", cause=str(cause))
-        procs, self._processes = self._processes, {}
+        procs, self._processes = self._processes or (), None
         for proc in procs:
             if proc.is_alive and proc is not self.sim.active_process:
                 proc.interrupt(cause=cause)

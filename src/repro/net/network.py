@@ -89,6 +89,9 @@ class Network:
         #: during a corruption window; it mutates ``msg.payload`` in place.
         self.corruptor = None
         self.hosts: dict[str, Host] = {}
+        #: the RMI layer's calls awaiting a reply, keyed by their
+        #: process-unique call id: one table for every runtime bound here
+        self.pending_calls: dict[int, Any] = {}
         self._partition: dict[str, int] | None = None
         # statistics
         self.sent = 0

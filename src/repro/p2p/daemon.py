@@ -20,7 +20,8 @@ from __future__ import annotations
 
 import zlib
 from functools import partial
-from typing import Any, Sequence
+from types import MappingProxyType
+from typing import Any, Mapping, Sequence
 
 from repro.checkpoint import (Backup, BackupStore, CheckpointPolicy,
                               FailureFeed, choose_latest)
@@ -64,6 +65,10 @@ BACKUP_RAM_FRACTION = 0.25
 #: beat is a call-based reaffirm (detects a dead Super-Peer), the rest are
 #: fire-and-forget oneways
 WHEEL_REAFFIRM_EVERY = 25
+
+#: what a Daemon that never halted a task holds as its final fragments:
+#: one shared empty read-only mapping, not an empty dict per Daemon
+_NO_FRAGMENTS: Mapping[str, Any] = MappingProxyType({})
 
 
 class TaskRunner:
@@ -303,6 +308,13 @@ class TaskRunner:
 class Daemon(RemoteObject):
     """One computing peer."""
 
+    __slots__ = ("sim", "host", "daemon_id", "superpeer_addresses", "config",
+                 "checkpoint", "failure_feed", "compute", "rng", "telemetry",
+                 "_backup_store", "final_fragments", "runner", "_resyncing",
+                 "sp_stub", "registered", "_retry_attempt", "runtime", "stub",
+                 "gossip", "_bootstrapping", "_sweep", "_candidate", "_beats",
+                 "_hb_prepared")
+
     def __init__(
         self,
         network: Network,
@@ -339,8 +351,9 @@ class Daemon(RemoteObject):
         self.telemetry = telemetry
         #: created by the first :meth:`store_backup` (see :attr:`backup_store`)
         self._backup_store: BackupStore | None = None
-        #: final solution fragments of halted apps (kept for collection)
-        self.final_fragments: dict[str, Any] = {}
+        #: final solution fragments of halted apps (kept for collection);
+        #: a dict from the first :meth:`halt` that keeps one
+        self.final_fragments: Mapping[str, Any] = _NO_FRAGMENTS
         self.runner: TaskRunner | None = None
         self._resyncing = False
         self.sp_stub: Stub | None = None
@@ -369,9 +382,11 @@ class Daemon(RemoteObject):
         # timer wheel (docs/scaling.md).  The reaffirm phase is hash-
         # staggered so the call-based beats don't all land on one slot.
         self._bootstrapping = False
-        #: the registration sweep in flight: the candidates not tried yet,
-        #: and the Super-Peer whose ``register_daemon`` answer is awaited
-        self._sweep = None
+        #: the registration sweep in flight, ``(seed, candidates, next
+        #: index)``: attempt ``i`` asks ``RngTree(seed).shuffled(
+        #: candidates)[i]``, a permutation replayed instead of kept; and
+        #: the Super-Peer whose ``register_daemon`` answer is awaited
+        self._sweep: tuple[int, Sequence[Address], int] | None = None
         self._candidate: Stub | None = None
         self._beats = zlib.crc32(daemon_id.encode()) % WHEEL_REAFFIRM_EVERY
         #: cached constant heartbeat envelope (rebuilt when the owning
@@ -413,19 +428,21 @@ class Daemon(RemoteObject):
         deterministic jitter (seeded per attempt), so a mass relocation
         after a Super-Peer outage does not hammer the survivors in
         lockstep."""
-        self._sweep = iter(self.rng.child("bootstrap", self.host.fail_count)
-                           .shuffled(self._superpeer_candidates()))
+        seed = self.rng.child("bootstrap", self.host.fail_count).seed
+        self._sweep = (seed, self._superpeer_candidates(), 0)
         self._try_next_superpeer()
 
     def _try_next_superpeer(self) -> None:
-        addr = next(self._sweep, None)
-        if addr is None:
+        seed, candidates, index = self._sweep
+        if index == len(candidates):
             # every candidate failed: the sweep ends after the backoff
             self.sim.call_later(self._retry_backoff(), self._end_sweep)
             return
         if self.runner is not None:
             self._end_sweep()  # got a task while bootstrapping: stop
             return
+        self._sweep = (seed, candidates, index + 1)
+        addr = RngTree(seed).shuffled(candidates)[index]
         candidate = self._candidate = Stub(SUPERPEER_OBJECT, addr)
         self.runtime.call(
             candidate, "register_daemon", self.daemon_id, self.stub,
@@ -808,6 +825,8 @@ class Daemon(RemoteObject):
         if self.runner is not None and self.runner.app_id == app_id:
             # keep the converged fragment so it can still be collected
             # after the runner has wound down
+            if self.final_fragments is _NO_FRAGMENTS:
+                self.final_fragments = {}
             self.final_fragments[app_id] = self.runner.task.solution_fragment()
             # the converged frontier: iterations *kept* for this task —
             # anything the app re-executed beyond the per-task frontier sum

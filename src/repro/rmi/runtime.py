@@ -85,9 +85,17 @@ class RemoteObject:
     method invoked by a oneway never runs.
     """
 
+    # empty, so that a subclass which declares ``__slots__`` carries no
+    # instance ``__dict__``
+    __slots__ = ()
+
 
 class RmiRuntime:
     """Binds one endpoint and carries all RMI traffic for an entity."""
+
+    __slots__ = ("network", "sim", "host", "name", "endpoint", "address",
+                 "call_timeout", "_objects", "_method_cache", "_pending",
+                 "calls_sent", "served", "oneways_sent", "oneway_errors")
 
     def __init__(
         self,
@@ -105,11 +113,15 @@ class RmiRuntime:
         self.address = self.endpoint.address
         self.call_timeout = call_timeout
         self._objects: dict[str, RemoteObject] = {}
-        #: resolved bound methods, keyed by (object_name, method); an
-        #: export is never withdrawn, so no entry goes stale.  Error paths
-        #: are never cached.
-        self._method_cache: dict[tuple[str, str], Any] = {}
-        self._pending: dict[int, Event] = {}
+        #: resolved bound methods, keyed by (object_name, method), made by
+        #: the first invocation served (most Daemons of a swarm only send);
+        #: an export is never withdrawn, so no entry goes stale.  Error
+        #: paths are never cached.
+        self._method_cache: dict[tuple[str, str], Any] | None = None
+        #: the network's one table of calls awaiting a reply:
+        #: ``call_id -> (issuing runtime, result event)``
+        self._pending: dict[int, tuple[RmiRuntime, Event]] = (
+            network.pending_calls)
         self.calls_sent = 0
         #: invocations handled without error, calls and oneways alike
         self.served = 0
@@ -146,7 +158,7 @@ class RmiRuntime:
         msg = CallMessage(stub.object_name, method, args, kwargs, reply_to=self.address)
         size = (oneway_size(stub.object_name, method, args, kwargs)
                 + _CALL_EXTRA + payload_size(self.address, 1))
-        self._pending[msg.call_id] = result
+        self._pending[msg.call_id] = (self, result)
         self.calls_sent += 1
         tr = self.sim.tracer
         if tr.enabled:
@@ -269,9 +281,15 @@ class RmiRuntime:
                         "rmi_unknown_message", type=type(payload).__name__)
 
     def _on_reply(self, reply: ReplyMessage) -> None:
-        event = self._pending.pop(reply.call_id, None)
-        if event is None or event.triggered:
-            return  # late reply after timeout: drop
+        entry = self._pending.get(reply.call_id)
+        if entry is None or entry[0] is not self:
+            # late reply after timeout, or one to a dead incarnation bound
+            # to this address (its call still times out): drop
+            return
+        del self._pending[reply.call_id]
+        event = entry[1]
+        if event.triggered:
+            return
         tr = self.sim.tracer
         if reply.ok:
             if tr.enabled:
@@ -289,7 +307,10 @@ class RmiRuntime:
             event.fail(exc)
 
     def _resolve(self, object_name: str, method: str):
-        fn = self._method_cache.get((object_name, method))
+        cache = self._method_cache
+        if cache is None:
+            cache = self._method_cache = {}
+        fn = cache.get((object_name, method))
         if fn is not None:
             return fn
         obj = self._objects.get(object_name)
@@ -298,7 +319,7 @@ class RmiRuntime:
         if method not in remote_method_table(type(obj)):
             raise RemoteError(f"{object_name}.{method} is not a remote method")
         fn = getattr(obj, method)
-        self._method_cache[(object_name, method)] = fn
+        cache[(object_name, method)] = fn
         return fn
 
     def _on_call(self, call: CallMessage) -> None:

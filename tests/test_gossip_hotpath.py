@@ -208,8 +208,10 @@ def _agent_with_recorded_oneways():
         mp.setattr(gossip_agent, "GOSSIP_EXCHANGE", 8)
         agent = GossipAgent(runtime, "moi-é", "daemon", config, RngTree(1))
         sent = []
-        runtime.oneway = lambda stub, method, *args, size=None: sent.append(
-            (stub.object_name, method, args, size))
+        # a slotted runtime takes no instance attribute: record on the class
+        mp.setattr(RmiRuntime, "oneway",
+                   lambda self, stub, method, *args, size=None: sent.append(
+                       (stub.object_name, method, args, size)))
         yield agent, sent
 
 

@@ -8,7 +8,8 @@ with numpy alone, and its inner CG solves map strips to their sine
 eigenbasis with cached GEMMs.  So a control-plane run — Daemons and
 Super-Peers that bootstrap, beat and gossip and never receive a task —
 and a CG run on Poisson strips, the perf ledger's quick ``fig7_column``
-and ``smallblock_churn`` workloads included, load no scipy module.  scipy
+and ``smallblock_churn`` workloads included, load no scipy module (nor
+``numpy.ma``, which ``np.unique`` would import).  scipy
 loads only where a scipy algorithm runs, on first use: the direct solve
 (its DIA residual kernel and LAPACK factor: ``scipy.sparse`` and
 ``scipy.linalg``), the nonlinear app's Jacobian algebra
@@ -104,8 +105,10 @@ def test_the_quick_cg_workloads_load_no_scipy():
             "for name in ('fig7_column', 'smallblock_churn'):\n"
             "    w = WORKLOADS[name]\n"
             "    stats = w.run(0, w.size(True), contextlib.nullcontext())\n"
-            "    print(name, stats['failed_ops'])\n" + SCIPY_LOADED)
-    assert _run(code) == "fig7_column 0\nsmallblock_churn 0\n[]"
+            "    print(name, stats['failed_ops'])\n" + SCIPY_LOADED + "\n"
+            "print('numpy.ma' in sys.modules)")
+    # np.unique imports numpy.ma; the decomposition sorts and masks instead
+    assert _run(code) == "fig7_column 0\nsmallblock_churn 0\n[]\nFalse"
 
 
 def test_scipy_loads_where_a_scipy_algorithm_runs():

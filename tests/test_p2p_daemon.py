@@ -12,7 +12,8 @@ from repro.obs import RunTelemetry, Tracer
 from repro.p2p import Daemon, P2PConfig, SuperPeer, build_cluster
 from repro.p2p.daemon import BACKUP_RAM_FRACTION, WHEEL_REAFFIRM_EVERY
 from repro.p2p.messages import ApplicationRegister
-from repro.rmi import RmiRuntime
+from repro.p2p.superpeer import SUPERPEER_OBJECT
+from repro.rmi import RemoteObject, RmiRuntime, remote
 from repro.util.rng import RngTree
 
 from tests.helpers import GeometricTask, select
@@ -212,6 +213,59 @@ def test_a_daemon_holds_no_backup_store_until_it_guards_a_backup():
     assert stored and len(d._backup_store) == 1
     assert d._backup_store.max_bytes == (
         d.host.ram_mb * 1024 * 1024 * BACKUP_RAM_FRACTION)
+
+
+class _Refuser(RemoteObject):
+    """A Super-Peer endpoint that answers every registration with no."""
+
+    @remote
+    def register_daemon(self, daemon_id, stub):
+        return False
+
+
+@pytest.mark.parametrize("gossip", [False, True])
+@pytest.mark.parametrize("k", [0, 1, 3])
+def test_a_failing_over_daemon_registers_with_the_kth_shuffled_candidate(
+        gossip, k):
+    """The sweep asks the candidates in the order of
+    ``RngTree(seed).shuffled(candidates)``: after its first ``k`` refuse
+    (answer no) or time out (no host at the address), the Daemon registers
+    with element ``k``.  With gossip on, the candidates are the seed list
+    plus the Super-Peers gossip knew when the sweep began; one learned
+    mid-sweep joins only the next sweep."""
+    cfg = CFG.with_(gossip_enabled=gossip)
+    tracer = Tracer()
+    sim = Simulator(tracer=tracer)
+    net = Network(sim, link_model=UniformLinkModel(latency=1e-4))
+    addrs = [Address(f"sp-host-{i}", cfg.superpeer_port) for i in range(6)]
+    seeds = addrs[:2] if gossip else addrs
+    rng = RngTree(100)
+    d = make_daemon(net, net.new_host("d-host"), "d0", tuple(seeds), cfg, rng,
+                    sim.timer_wheel(cfg.heartbeat_period))
+    if gossip:
+        for addr in addrs[2:]:
+            d.gossip._learn(addr.host, "superpeer", addr, heard=True)
+    candidates = list(d._superpeer_candidates())
+    assert candidates == addrs
+    order = RngTree(rng.child("bootstrap", 0).seed).shuffled(candidates)
+    for i, addr in enumerate(order):
+        if i < k and i % 2:
+            continue  # nothing listens there: the call times out
+        host = net.new_host(addr.host)
+        if i < k:
+            RmiRuntime(net, host, addr.port).serve(_Refuser(), SUPERPEER_OBJECT)
+        else:
+            SuperPeer(net, host, f"SP{i}", cfg)
+    if gossip:
+        late = Address("sp-host-late", cfg.superpeer_port)
+        SuperPeer(net, net.new_host(late.host), "SP-late", cfg)
+        sim.call_later(cfg.call_timeout / 2, lambda: d.gossip._learn(
+            late.host, "superpeer", late, heard=True))
+    sim.run(until=k * cfg.call_timeout + 1.0)
+    asked = [e.attrs["dst"] for e in select(tracer, "rmi", "call", entity="d0")
+             if e.attrs["method"] == "register_daemon"]
+    assert asked == [str(addr) for addr in order[:k + 1]]
+    assert d.registered and d.sp_stub.address == order[k]
 
 
 @pytest.mark.parametrize("gossip", [False, True])

@@ -33,7 +33,8 @@ Five checks, all over parsed code rather than text:
 * **Every attribute is read.**  Every public attribute of a public
   class (a record field, or an ``self.name = ...`` in a method) is read
   by the searched code as an attribute load or named as a string
-  constant, or appears in a code span of ``docs/api.md`` or
+  constant (a ``__slots__`` entry declares it, and does not count), or
+  appears in a code span of ``docs/api.md`` or
   ``docs/observability.md``.
 * **Imports resolve.**  Every ``from repro... import name``, at module
   level or inside a function, in ``src/``, ``tests/``, ``benchmarks/``,
@@ -129,14 +130,15 @@ def _docstrings(tree):
     return ids
 
 
-def _dunder_all_constants(tree):
-    """The ids of the string constants of every ``__all__`` assignment."""
+def _dunder_constants(tree, name):
+    """The ids of the string constants of every assignment to ``name``
+    (``__all__`` or ``__slots__``)."""
     ids = set()
     for node in ast.walk(tree):
         targets = (node.targets if isinstance(node, ast.Assign)
                    else [node.target] if isinstance(node, ast.AugAssign)
                    else [])
-        if any(isinstance(t, ast.Name) and t.id == "__all__" for t in targets):
+        if any(isinstance(t, ast.Name) and t.id == name for t in targets):
             ids.update(id(c) for c in ast.walk(node.value)
                        if isinstance(c, ast.Constant))
     return ids
@@ -155,7 +157,7 @@ def referenced_names():
     names = set()
     for path in python_files(SEARCHED):
         tree = ast.parse(path.read_text())
-        skipped = _docstrings(tree) | _dunder_all_constants(tree)
+        skipped = _docstrings(tree) | _dunder_constants(tree, "__all__")
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 names.add(node.id)
@@ -463,12 +465,14 @@ def attributes():
 
 
 def read_names():
-    """Attribute loads, non-docstring string constants and the identifiers
-    in the code spans of ``docs/api.md`` and ``docs/observability.md``."""
+    """Attribute loads, string constants (but docstrings and ``__slots__``
+    entries, which declare an attribute rather than read it) and the
+    identifiers in the code spans of ``docs/api.md`` and
+    ``docs/observability.md``."""
     names = set()
     for path in python_files(SEARCHED):
         tree = ast.parse(path.read_text())
-        skipped = _docstrings(tree)
+        skipped = _docstrings(tree) | _dunder_constants(tree, "__slots__")
         for node in ast.walk(tree):
             if isinstance(node, ast.Attribute) and isinstance(node.ctx,
                                                               ast.Load):
@@ -546,7 +550,7 @@ def _names_used(tree) -> set[str]:
             used.update(n.id for n in ast.walk(ast.parse(annotation.value,
                                                          mode="eval"))
                         if isinstance(n, ast.Name))
-    exported = _dunder_all_constants(tree)
+    exported = _dunder_constants(tree, "__all__")
     used.update(node.value for node in ast.walk(tree) if id(node) in exported)
     return used
 

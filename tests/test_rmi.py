@@ -260,6 +260,52 @@ def test_late_reply_after_timeout_is_dropped():
     assert not client._pending  # cleaned up
 
 
+def test_one_pending_table_drops_replies_no_live_call_awaits():
+    """Every runtime of a network parks its calls in the network's one
+    table, under process-unique call ids.  A reply that arrives after its
+    call timed out is dropped, and so is a reply that reaches a new
+    incarnation bound to the dead caller's address: the dead call still
+    fails at its own deadline, and the new incarnation's call succeeds."""
+    sim, net, (ha, hb) = make_world(latency=1.0)  # 2 s round trip
+    server = RmiRuntime(net, hb, 5000)
+    stub = server.serve(Calculator(), "calc")
+    old = RmiRuntime(net, ha, 5000, name="old")
+    assert old._pending is net.pending_calls is server._pending
+    outcomes = []
+
+    def record(tag, event):
+        event.callbacks.append(
+            lambda e: outcomes.append((tag, sim.now, e.ok, e.value)))
+
+    record("late", old.call(stub, "add", 1, 1, timeout=1.5))
+    record("dead", old.call(stub, "add", 2, 2, timeout=5.0))
+    assert len(net.pending_calls) == 2
+    reborn = []
+
+    def reboot():
+        ha.fail()
+        ha.recover()
+        new = RmiRuntime(net, ha, 5000, name="new")
+        reborn.append(new)
+        record("new", new.call(stub, "add", 3, 3, timeout=5.0))
+
+    sim.call_later(0.5, reboot)
+    sim.run(until=3.0)
+    # both of the old runtime's replies came back by t=2 and were dropped;
+    # the new incarnation got its own at t=2.5
+    assert server.served == 3
+    assert [(tag, ok) for tag, _, ok, _ in outcomes] == [
+        ("late", False), ("new", True)]
+    assert outcomes[1][3] == 6
+    [(call_id, (owner, _))] = net.pending_calls.items()
+    assert owner is old
+    sim.run()
+    tag, when, ok, error = outcomes[2]
+    assert (tag, when, ok) == ("dead", 5.0, False)
+    assert isinstance(error, RemoteError)
+    assert not net.pending_calls and not reborn[0]._pending
+
+
 def test_unanswered_call_fails_at_its_deadline_and_spawns_nothing(monkeypatch):
     """The deadline is a kernel timer, not a watchdog process: the call
     fails at exactly ``now + timeout``, and its reply, arriving later, is
