@@ -5,14 +5,15 @@ iterations are asynchronous, *any* set of local checkpoints is a consistent
 global state, so only the replacement peer rolls back — everyone else keeps
 computing.  The pieces:
 
-* :class:`Backup` — an immutable snapshot ``(task, iteration, state)``;
+* :class:`Backup` — an immutable snapshot ``(task, epoch, iteration,
+  state)``;
 * :class:`BackupStore` — the per-Daemon container holding the latest Backup
   received for each task it guards;
 * :class:`BackupPolicy` — who guards whom (a fixed neighbour set per task)
   and where each successive checkpoint goes (round-robin), plus the
   ``JaceSave`` frequency rule;
-* :func:`choose_latest` — the recovery rule: restart from the highest
-  iteration number found among the surviving backup-peers.
+* :func:`choose_latest` — the recovery rule: restart from the newest
+  ``(epoch, iteration)`` found among the surviving backup-peers.
 """
 
 from repro.checkpoint.backup import Backup

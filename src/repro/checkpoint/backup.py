@@ -13,7 +13,9 @@ __all__ = ["Backup"]
 
 @dataclass(frozen=True)
 class Backup:
-    """An immutable snapshot of a task's state at one iteration.
+    """An immutable snapshot of a task's state at one iteration of one
+    incarnation (``epoch``, the Register slot's epoch of the Daemon that
+    computed it).
 
     A Backup must never alias live task arrays, or later iterations would
     corrupt the checkpoint and rollback would silently resume from a
@@ -29,7 +31,7 @@ class Backup:
     iteration: int
     state: Any
     app_id: str = ""
-    created_at: float = 0.0
+    epoch: int = 0
     #: wire size of this Backup, computed below (not an argument)
     nbytes: int = field(default=0, init=False)
 
@@ -58,6 +60,7 @@ class Backup:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
-            f"<Backup task={self.task_id} iter={self.iteration} "
+            f"<Backup task={self.task_id} epoch={self.epoch} "
+            f"iter={self.iteration} "
             f"{self.nbytes}B app={self.app_id!r}>"
         )

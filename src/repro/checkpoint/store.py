@@ -4,8 +4,12 @@ Each Daemon guards the checkpoints of a fixed set of neighbour tasks
 (paper §5.4).  Per guarded task the store keeps only the **latest** Backup
 received — matching the paper's rotation, where "the Backup stored at
 iteration ite2 for task T2 would then replace that of iteration ite0".
-A stale Backup (lower iteration than what is already held) is rejected;
-this can happen when checkpoint messages are reordered in flight.
+Backups are ordered by ``(epoch, iteration)``: a replacement's Backup
+outranks every Backup of the incarnation it superseded, whatever their
+iterations.  A Backup that is not newer than the one held is rejected:
+from the same epoch it is a message reordered in flight, from an older
+epoch it is a *zombie save* — a replaced incarnation still computing
+(a partition zombie) that must not own its task's checkpoints.
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ class BackupStore:
         self.max_bytes = max_bytes
         self.saves_accepted = 0
         self.saves_rejected_stale = 0
+        self.saves_rejected_zombie = 0
         self.saves_rejected_capacity = 0
 
     @staticmethod
@@ -45,8 +50,12 @@ class BackupStore:
         the RAM budget would be exceeded."""
         key = self._key(backup.app_id, backup.task_id)
         held = self._backups.get(key)
-        if held is not None and held.iteration >= backup.iteration:
-            self.saves_rejected_stale += 1
+        if held is not None and (held.epoch, held.iteration) >= (
+                backup.epoch, backup.iteration):
+            if backup.epoch < held.epoch:
+                self.saves_rejected_zombie += 1
+            else:
+                self.saves_rejected_stale += 1
             return False
         occupied = self.total_bytes - (held.nbytes if held is not None else 0)
         if occupied + backup.nbytes > self.max_bytes:
@@ -56,16 +65,13 @@ class BackupStore:
         self.saves_accepted += 1
         return True
 
-    def iteration_of(self, app_id: str, task_id: int) -> int | None:
-        """Iteration number held for a task, or None."""
+    def version_of(self, app_id: str, task_id: int) -> tuple[int, int] | None:
+        """``(epoch, iteration)`` of the Backup held for a task, or None."""
         backup = self._backups.get(self._key(app_id, task_id))
-        return backup.iteration if backup is not None else None
+        return (backup.epoch, backup.iteration) if backup is not None else None
 
     def load(self, app_id: str, task_id: int) -> Backup | None:
         return self._backups.get(self._key(app_id, task_id))
-
-    def drop(self, app_id: str, task_id: int) -> None:
-        self._backups.pop(self._key(app_id, task_id), None)
 
     def drop_app(self, app_id: str) -> None:
         """Forget every checkpoint of a finished application."""

@@ -97,15 +97,6 @@ class RunSpec:
     standby: bool = False
     #: run with a worker-local tracer and ship the RunReport back
     traced: bool = False
-    #: trace sink for ``traced`` runs (docs/scaling.md): "memory" (a ring
-    #: of the newest events) or "jsonl" (spill every event to
-    #: ``trace_path``, memory stays bounded)
-    trace_sink: str = "memory"
-    #: the sink's in-memory bound, >= 1: ring size / JSONL tail size
-    #: (None = the sink's default)
-    trace_capacity: int | None = None
-    #: JSONL spill destination (required when ``trace_sink="jsonl"``)
-    trace_path: str | None = None
 
     # -- normalization --------------------------------------------------------
 
@@ -211,18 +202,12 @@ class RunSpec:
         return execute_spec(self, tracer=tracer)
 
     def execute(self):
-        """Run this spec honouring ``traced`` (the engine's unit of work).
-
-        ``trace_sink``/``trace_capacity``/``trace_path`` pick the sink the
-        worker builds (:func:`repro.obs.make_tracer`); the driver closes
-        it when the run ends, flushing any spill buffers.
-        """
+        """Run this spec honouring ``traced`` (the engine's unit of work):
+        a traced run records into the bounded in-memory :class:`Tracer`
+        ring."""
         tracer = None
         if self.traced:
-            from repro.obs import make_tracer
+            from repro.obs import Tracer
 
-            tracer = make_tracer(
-                self.trace_sink, capacity=self.trace_capacity,
-                path=self.trace_path,
-            )
+            tracer = Tracer()
         return self.run(tracer=tracer)

@@ -267,7 +267,6 @@ def execute_spec(spec: RunSpec, tracer: Tracer | None = None) -> RunResult:
         spawners.append(final)
     run_report = None
     if tracer is not None:
-        tracer.close()  # flush any streaming sink before reporting
         run_report = build_run_report(
             telemetry=telemetry,
             network=cluster.network,

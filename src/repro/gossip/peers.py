@@ -130,7 +130,10 @@ class PeerStore:
             if evicted is None:
                 self.rejections += 1
                 return None
-            self._remove(evicted)
+            del self._peers[evicted.address]
+            del self._by_role[evicted.role][evicted.address]
+            if evicted.fails:
+                self._failing -= 1
             self.evictions += 1
         record = PeerRecord(
             peer_id=peer_id, role=role, address=address,
@@ -164,13 +167,6 @@ class PeerStore:
         return max((r for r in tied if now - r.last_seen == staleness),
                    key=_KEY)
 
-    def _remove(self, record: PeerRecord) -> None:
-        del self._peers[record.address]
-        del self._by_role[record.role][record.address]
-        self._ordered = None
-        if record.fails:
-            self._failing -= 1
-
     # -- liveness feedback -----------------------------------------------------
 
     def _refresh(self, record: PeerRecord, now: float) -> None:
@@ -192,11 +188,6 @@ class PeerStore:
             if not record.fails:
                 self._failing += 1
             record.fails += 1
-
-    def drop(self, address: Address) -> None:
-        record = self._peers.get(address)
-        if record is not None:
-            self._remove(record)
 
     # -- deterministic sampling ------------------------------------------------
 

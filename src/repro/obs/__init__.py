@@ -24,7 +24,6 @@ Enable tracing on any run by handing the cluster a recording tracer::
 """
 
 from repro.obs.trace import NULL_TRACER, NullTracer, TraceEvent, Tracer
-from repro.obs.sinks import JsonlTracer, make_tracer, read_jsonl_trace
 from repro.obs.instruments import RecoveryRecord, RunTelemetry
 from repro.obs.exporters import (
     trace_to_chrome,
@@ -40,9 +39,6 @@ __all__ = [
     "Tracer",
     "NullTracer",
     "NULL_TRACER",
-    "JsonlTracer",
-    "make_tracer",
-    "read_jsonl_trace",
     "RunTelemetry",
     "RecoveryRecord",
     "trace_to_jsonl",

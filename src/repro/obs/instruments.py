@@ -42,6 +42,8 @@ class RunTelemetry:
         self.components_rejected = 0
         #: dependency messages refused from a superseded task epoch
         self.zombie_data_dropped = 0
+        #: Backups refused from a superseded task epoch
+        self.zombie_saves_dropped = 0
         #: local-stability flip messages sent
         self.convergence_messages = 0
         #: completed iterations per task, and those without fresh

@@ -109,13 +109,6 @@ class Tracer:
             and (kind is None or knd == kind)
         )
 
-    def close(self) -> None:
-        """Release sink resources; a no-op for in-memory tracers.
-
-        Streaming sinks (:mod:`repro.obs.sinks`) override this to flush
-        their final batch — callers can close any tracer unconditionally.
-        """
-
     def __iter__(self) -> Iterator[TraceEvent]:
         return iter(self.events)
 

@@ -186,7 +186,7 @@ class TaskRunner:
             if stub is None:
                 continue
             calls[peer_task] = runtime.call(
-                stub, "backup_iteration", self.app_id, self.task_id,
+                stub, "backup_version", self.app_id, self.task_id,
                 timeout=self.config.call_timeout,
             )
         offers = yield from runtime.gather(calls)
@@ -274,7 +274,7 @@ class TaskRunner:
                     iteration=self.iteration,
                     state=self.task.dump_state(),
                     app_id=self.app_id,
-                    created_at=self.sim.now,
+                    epoch=self.epoch,
                 )
             self.daemon.runtime.oneway(stub, "store_backup", backup)
             policy.on_checkpoint(backup.nbytes)
@@ -801,16 +801,25 @@ class Daemon(RemoteObject):
 
     @remote
     def store_backup(self, backup: Backup) -> bool:
-        """Guard a neighbour's checkpoint (§5.4)."""
-        saved = self.backup_store.save(backup)
+        """Guard a neighbour's checkpoint (§5.4).  A Backup from an epoch
+        older than the one held is a replaced incarnation still computing
+        (a partition zombie): it must not outrank its replacement's."""
+        store = self.backup_store
+        zombies = store.saves_rejected_zombie
+        saved = store.save(backup)
         self._trace("checkpoint_stored", task=backup.task_id,
-                    iteration=backup.iteration, saved=saved)
+                    iteration=backup.iteration, epoch=backup.epoch,
+                    saved=saved)
+        if store.saves_rejected_zombie != zombies:
+            self._trace("zombie_save_dropped", task=backup.task_id,
+                        iteration=backup.iteration, epoch=backup.epoch)
+            self.telemetry.zombie_saves_dropped += 1
         return saved
 
     @remote
-    def backup_iteration(self, app_id: str, task_id: int) -> int | None:
+    def backup_version(self, app_id: str, task_id: int) -> tuple[int, int] | None:
         store = self._backup_store
-        return store.iteration_of(app_id, task_id) if store is not None else None
+        return store.version_of(app_id, task_id) if store is not None else None
 
     @remote
     def load_backup(self, app_id: str, task_id: int) -> Backup | None:

@@ -460,11 +460,10 @@ class Spawner(RemoteObject):
     @remote
     def fetch_shadow(self, app_id: str):
         """Anti-entropy pull by the warm standby: the full recovery state
-        (register snapshot, heartbeat-ledger ages, reign) in one call."""
+        (register snapshot, reign) in one call."""
         if app_id != self.app.app_id:
             return None
-        ages = {t: self.sim.now - seen for t, seen in self.last_seen.items()}
-        return (self.register.snapshot(), ages, self.reign)
+        return (self.register.snapshot(), self.reign)
 
     @remote
     def reattach_task(

@@ -185,8 +185,7 @@ class StandbySpawner(RemoteObject):
             return  # the takeover probe, not the pull, decides death
         if shadow is None:
             return
-        # the heartbeat-ledger ages ride the reply but are not used
-        register, _ages, reign = shadow
+        register, reign = shadow
         self.shadow_register = register
         self.shadow_reign = max(self.shadow_reign, reign)
         self.shadow_version = register.version

@@ -127,9 +127,6 @@ class PeerStore:
         if record is not None:
             record.fails += 1
 
-    def drop(self, address: Address) -> None:
-        self._peers.pop(address, None)
-
     # -- deterministic sampling ------------------------------------------------
 
     def sample(self, rng: RngTree, k: int, exclude: Address | None = None,

@@ -29,6 +29,15 @@ def test_backup_size_accounting_tracks_payload():
     assert big.nbytes > small.nbytes
 
 
+def test_backup_epoch_costs_what_created_at_cost():
+    """``epoch`` took the 8 wire bytes of the float timestamp it replaced:
+    these sizes are the ones the timestamped Backup measured."""
+    state = {"x": np.arange(40.0), "iteration": 3}
+    assert Backup(0, 3, {"x": np.zeros(10)}, app_id="app", epoch=4).nbytes == 449
+    assert Backup(2, 12, state, app_id="a").nbytes == 706
+    assert Backup(2, 12, state, app_id="a", epoch=9).nbytes == 706
+
+
 def test_backup_negative_iteration_rejected():
     with pytest.raises(ValueError):
         Backup(0, -1, {})
@@ -41,7 +50,7 @@ def test_store_keeps_latest_version_per_task():
     store = BackupStore()
     assert store.save(Backup(2, 0, {"v": 0}, app_id="a"))
     assert store.save(Backup(2, 2, {"v": 2}, app_id="a"))
-    assert store.iteration_of("a", 2) == 2
+    assert store.version_of("a", 2) == (0, 2)
     assert store.load("a", 2).state == {"v": 2}
     assert len(store) == 1
     assert store.saves_accepted == 2
@@ -52,8 +61,26 @@ def test_store_rejects_stale_checkpoint():
     store.save(Backup(1, 5, {}, app_id="a"))
     assert not store.save(Backup(1, 3, {}, app_id="a"))  # reordered message
     assert not store.save(Backup(1, 5, {}, app_id="a"))  # duplicate
-    assert store.iteration_of("a", 1) == 5
+    assert store.version_of("a", 1) == (0, 5)
     assert store.saves_rejected_stale == 2
+    assert store.saves_rejected_zombie == 0
+
+
+def test_store_orders_by_epoch_then_iteration():
+    """A replaced incarnation still computing (a partition zombie) runs
+    ahead on frozen inputs: its saves must not outrank its replacement's,
+    and they are counted apart from same-epoch reorders."""
+    store = BackupStore()
+    assert store.save(Backup(1, 40, {"v": "live"}, app_id="a", epoch=2))
+    assert not store.save(Backup(1, 120, {"v": "zombie"}, app_id="a", epoch=1))
+    assert not store.save(Backup(1, 35, {}, app_id="a", epoch=2))  # reordered
+    assert store.version_of("a", 1) == (2, 40)
+    assert store.load("a", 1).state == {"v": "live"}
+    assert store.saves_rejected_zombie == 1
+    assert store.saves_rejected_stale == 1
+    # a newer incarnation wins at any iteration, a lower one included
+    assert store.save(Backup(1, 5, {}, app_id="a", epoch=3))
+    assert store.version_of("a", 1) == (3, 5)
 
 
 def test_store_separates_apps_and_tasks():
@@ -61,20 +88,19 @@ def test_store_separates_apps_and_tasks():
     store.save(Backup(1, 1, {}, app_id="a"))
     store.save(Backup(1, 9, {}, app_id="b"))
     store.save(Backup(2, 4, {}, app_id="a"))
-    assert store.iteration_of("a", 1) == 1
-    assert store.iteration_of("b", 1) == 9
-    assert store.iteration_of("a", 2) == 4
+    assert store.version_of("a", 1) == (0, 1)
+    assert store.version_of("b", 1) == (0, 9)
+    assert store.version_of("a", 2) == (0, 4)
     store.drop_app("a")
-    assert store.iteration_of("a", 1) is None
-    assert store.iteration_of("a", 2) is None
-    assert store.iteration_of("b", 1) == 9
+    assert store.version_of("a", 1) is None
+    assert store.version_of("a", 2) is None
+    assert store.version_of("b", 1) == (0, 9)
 
 
 def test_store_miss_returns_none():
     store = BackupStore()
-    assert store.iteration_of("a", 0) is None
+    assert store.version_of("a", 0) is None
     assert store.load("a", 0) is None
-    store.drop("a", 0)  # no-op
 
 
 def test_store_total_bytes():
@@ -149,15 +175,20 @@ def test_policy_validation():
 
 def test_choose_latest_picks_highest_iteration():
     # the paper's Figure 6: D2 holds iter 6, D4 holds iter 7 -> restart at 7
-    assert choose_latest({2: 6, 4: 7}) == 4
+    assert choose_latest({2: (0, 6), 4: (0, 7)}) == 4
+
+
+def test_choose_latest_prefers_the_newest_epoch():
+    # a superseded incarnation's Backup loses at any iteration
+    assert choose_latest({0: (1, 120), 2: (2, 40), 3: None}) == 2
 
 
 def test_choose_latest_ignores_unreachable_peers():
-    assert choose_latest({0: None, 1: 12, 2: None}) == 1
+    assert choose_latest({0: None, 1: (0, 12), 2: None}) == 1
 
 
 def test_choose_latest_tie_breaks_deterministically():
-    assert choose_latest({5: 8, 2: 8}) == 2
+    assert choose_latest({5: (1, 8), 2: (1, 8)}) == 2
 
 
 def test_choose_latest_nothing_recoverable():
@@ -175,7 +206,7 @@ def test_store_capacity_budget_rejects_oversize():
     assert store.save(small)
     assert not store.save(big)  # would blow the budget
     assert store.saves_rejected_capacity == 1
-    assert store.iteration_of("a", 1) is None
+    assert store.version_of("a", 1) is None
 
 
 def test_store_budget_replacement_does_not_double_count():
@@ -186,7 +217,7 @@ def test_store_budget_replacement_does_not_double_count():
     # the old copy is released in the same operation
     newer = Backup(0, 5, {"x": np.zeros(100)}, app_id="a")
     assert store.save(newer)
-    assert store.iteration_of("a", 0) == 5
+    assert store.version_of("a", 0) == (0, 5)
     # but a SECOND task's Backup does not fit alongside it
     other = Backup(1, 1, {"x": np.zeros(100)}, app_id="a")
     assert not store.save(other)

@@ -114,11 +114,6 @@ class StoresInLockstep(RuleBasedStateMachine):
         self.new.mark_alive(address, self.now)
         self.ref.mark_alive(address, self.now)
 
-    @rule(address=addresses)
-    def drop(self, address):
-        self.new.drop(address)
-        self.ref.drop(address)
-
     @rule(seed=st.integers(0, 2**16), k=st.integers(0, LIMIT + 1),
           stream=st.integers(0, 2))
     def sample(self, seed, k, stream):

@@ -165,6 +165,7 @@ def test_counts_agree_with_the_trace():
     assert len(t.recoveries) == tracer.count("p2p", "recovery") > 0
     assert t.checkpoints_rejected == tracer.count("p2p", "checkpoint_rejected")
     assert t.zombie_data_dropped == tracer.count("p2p", "zombie_data_dropped")
+    assert t.zombie_saves_dropped == tracer.count("p2p", "zombie_save_dropped")
     assert spawner.dwell_aborts == tracer.count("p2p", "spawner_dwell_aborted")
 
     entities = [*cluster.daemons.values(), *cluster.superpeers,

@@ -3,6 +3,8 @@
 import pytest
 
 from repro.des import Simulator
+from repro.errors import ConfigurationError
+from repro.exec import RunSpec
 from repro.obs import NULL_TRACER, NullTracer, TraceEvent, Tracer
 
 from tests.helpers import select
@@ -130,8 +132,6 @@ def test_identical_seeds_produce_identical_traces():
     (msg/call ids come from process-global counters, so the comparison
     projects them out; byte-identical dumps need a fresh interpreter.)
     """
-    from repro.exec import RunSpec
-
     def run():
         tr = Tracer()
         RunSpec(n=16, peers=2, seed=3).run(tracer=tr)
@@ -145,3 +145,60 @@ def test_tracer_accepts_any_attr_values(value):
     tr = Tracer()
     tr.emit(0.0, "test", "x", "weird", v=value)
     assert len(tr) == 1
+
+
+# -- the ring: the one sink -------------------------------------------------------
+
+
+def fill(tracer, n, kind="k"):
+    for i in range(n):
+        tracer.emit(float(i), "cat", f"e{i}", kind, i=i)
+
+
+def test_ring_keeps_newest_window():
+    tr = Tracer(max_events=10)
+    fill(tr, 25)
+    assert len(tr.events) == 10
+    assert [ev.time for ev in tr.events] == [float(t) for t in range(15, 25)]
+    assert tr.dropped == 15
+    # counts stay exact over the WHOLE run, not just the window
+    assert tr.counts[("cat", "k")] == 25
+
+
+def test_ring_under_capacity_drops_nothing():
+    tr = Tracer(max_events=10)
+    fill(tr, 7)
+    assert len(tr.events) == 7
+    assert tr.dropped == 0
+
+
+def test_ring_select_works_on_window():
+    tr = Tracer(max_events=5)
+    fill(tr, 8, kind="a")
+    tr.emit(99.0, "cat", "x", "b")
+    assert [ev.kind for ev in select(tr, kind="b")] == ["b"]
+    assert len(list(select(tr, kind="a"))) == 4  # the 4 "a"s still in window
+
+
+def test_ring_rejects_bad_capacity():
+    with pytest.raises(ConfigurationError):
+        Tracer(max_events=0)
+
+
+def test_runspec_traced_run_on_ring_sink(monkeypatch):
+    # a traced spec records into the ring; a 500-event window overflows on
+    # this run, and the report's counts survive it
+    rings = []
+
+    def small_ring():
+        rings.append(Tracer(max_events=500))
+        return rings[-1]
+
+    monkeypatch.setattr("repro.obs.Tracer", small_ring)
+    result = RunSpec(n=12, peers=2, traced=True).execute()
+    assert result.converged
+    report = result.run_report
+    assert report is not None
+    [ring] = rings
+    assert ring.dropped > 0
+    assert sum(report.event_counts.values()) == len(ring) + ring.dropped

@@ -199,7 +199,7 @@ def test_a_daemon_holds_no_backup_store_until_it_guards_a_backup():
 
     def script(env):
         # every reader treats the missing store as empty
-        missing = yield client.call(d.stub, "backup_iteration", "app", 3)
+        missing = yield client.call(d.stub, "backup_version", "app", 3)
         loaded = yield client.call(d.stub, "load_backup", "app", 3)
         yield client.call(d.stub, "halt", "app")
         before = d._backup_store
@@ -461,16 +461,38 @@ def test_backup_service_roundtrip():
 
     def script(env):
         stored = yield client.call(d.stub, "store_backup", backup)
-        it = yield client.call(d.stub, "backup_iteration", "app", 3)
-        missing = yield client.call(d.stub, "backup_iteration", "app", 4)
+        it = yield client.call(d.stub, "backup_version", "app", 3)
+        missing = yield client.call(d.stub, "backup_version", "app", 4)
         loaded = yield client.call(d.stub, "load_backup", "app", 3)
         return stored, it, missing, loaded
 
     p = sim.process(script(sim))
     sim.run(until=p)
     stored, it, missing, loaded = p.value
-    assert stored and it == 10 and missing is None
+    assert stored and it == (0, 10) and missing is None
     assert loaded.state == {"x": 0.5}
+
+
+def test_a_guardian_refuses_and_counts_a_superseded_epochs_save():
+    sim, net, sps, (d,), tracer = make_world()
+    client = RmiRuntime(net, net.new_host("saver"), 4995)
+    live = Backup(task_id=3, iteration=10, state={"x": 0.5}, app_id="app",
+                  epoch=2)
+    zombie = Backup(task_id=3, iteration=90, state={"x": 9.0}, app_id="app",
+                    epoch=1)
+
+    def script(env):
+        yield client.call(d.stub, "store_backup", live)
+        stored = yield client.call(d.stub, "store_backup", zombie)
+        version = yield client.call(d.stub, "backup_version", "app", 3)
+        return stored, version
+
+    p = sim.process(script(sim))
+    sim.run(until=p)
+    assert p.value == (False, (2, 10))
+    assert d.telemetry.zombie_saves_dropped == 1
+    [dropped] = select(tracer, "p2p", "zombie_save_dropped")
+    assert dropped.attrs == {"task": 3, "iteration": 90, "epoch": 1}
 
 
 def test_halt_drops_app_backups():
@@ -482,7 +504,7 @@ def test_halt_drops_app_backups():
             d.stub, "store_backup", Backup(1, 5, {"x": 1}, app_id="app")
         )
         yield client.call(d.stub, "halt", "app")
-        it = yield client.call(d.stub, "backup_iteration", "app", 1)
+        it = yield client.call(d.stub, "backup_version", "app", 1)
         return it
 
     p = sim.process(script(sim))

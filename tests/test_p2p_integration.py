@@ -218,7 +218,7 @@ def test_all_backups_lost_restarts_from_zero():
     assert not spawner.done.triggered
     assert spawner.tracker.stable_count == 0
     guardian = cluster.daemons[hosts_by_task[2]]
-    assert guardian.backup_store.iteration_of(app.app_id, 1) is not None
+    assert guardian.backup_store.version_of(app.app_id, 1) is not None
     host_map = {h.name: h for h in cluster.testbed.daemon_hosts}
     host_map[hosts_by_task[2]].fail(cause="test")  # backup-peer first
     host_map[hosts_by_task[1]].fail(cause="test")

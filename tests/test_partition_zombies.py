@@ -131,3 +131,53 @@ def test_partition_splitting_the_application_stalls_then_recovers():
     x = assemble_strip_solution(frags, n * n)
     assert Poisson2D.manufactured(n).residual_norm(x) < 1e-4
     assert spawner.replacements >= 2
+
+
+def test_a_second_failure_restores_the_replacements_backup():
+    """After the heal the zombie, running ahead on frozen inputs, keeps
+    saving Backups of higher iterations than its replacement's.  When the
+    replacement fails in turn, recovery must reload the replacement's own
+    Backup: the zombie's would roll the task *forward* onto a state built
+    on stale inputs, past anything the live lineage computed (§5.4)."""
+    n = 16
+    tracer = Tracer()
+    cluster = build_cluster(n_daemons=9, n_superpeers=2, seed=61, config=FAST,
+                            checkpoint=CKPT, tracer=tracer)
+    app = make_poisson_app("p", n=n, num_tasks=4, convergence_threshold=1e-8)
+    spawner = launch_application(cluster, app)
+    sim = cluster.sim
+    net = cluster.network
+    sim.run(until=1.0)
+    zombie_id = spawner.register.slot(1).daemon_id
+    zombie_host = zombie_id.rsplit("#", 1)[0]
+    net.partition([[zombie_host],
+                   [h.name for h in net.hosts.values() if h.name != zombie_host]])
+    while spawner.replacements == 0 and sim.now < 30.0:
+        sim.run(until=sim.now + 0.25)
+    replacement_id = spawner.register.slot(1).daemon_id
+    net.heal_partition()
+    sim.run(until=sim.now + 0.5)  # both incarnations save after the heal
+
+    def saved_by(daemon_id):
+        return {e.attrs["iteration"] for e in select(
+            tracer, "p2p", "checkpoint_store", entity=daemon_id)}
+
+    # what makes the order matter: the zombie has saved higher iterations
+    # than its replacement
+    assert max(saved_by(zombie_id)) > max(saved_by(replacement_id))
+    runner = cluster.daemons[replacement_id.rsplit("#", 1)[0]].runner
+    reached = runner.iteration
+    crashed_at = sim.now
+    runner.daemon.host.fail(cause="second failure")
+    while spawner.replacements < 2 and sim.now < 30.0:
+        sim.run(until=sim.now + 0.25)
+    assert spawner.replacements == 2
+    assert run_until_done(cluster, spawner, horizon=900.0)
+    [recovery] = [e for e in select(tracer, "p2p", "recovery")
+                  if e.time > crashed_at and e.attrs["task"] == 1]
+    assert not recovery.attrs["from_scratch"]
+    resumed = recovery.attrs["iteration"]
+    assert resumed in saved_by(replacement_id) and resumed <= reached
+    frags = collect_solution(cluster, spawner)
+    x = assemble_strip_solution(frags, n * n)
+    assert Poisson2D.manufactured(n).residual_norm(x) < 1e-6

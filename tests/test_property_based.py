@@ -207,7 +207,8 @@ def test_backup_policy_invariants(num_tasks, count, frequency):
 @given(
     st.dictionaries(
         st.integers(min_value=0, max_value=30),
-        st.one_of(st.none(), st.integers(min_value=0, max_value=1000)),
+        st.one_of(st.none(), st.tuples(st.integers(min_value=0, max_value=5),
+                                       st.integers(min_value=0, max_value=1000))),
         max_size=20,
     )
 )

@@ -8,12 +8,13 @@ Five checks, all over parsed code rather than text:
   collects the names that code under ``src/``, ``benchmarks/``,
   ``ledger/``, ``examples/`` and ``scripts/`` refers to: an
   ``ast.Name``, an ``ast.Attribute``, or a string constant that is not a
-  docstring (RMI method names travel as strings).  An identifier inside
-  a code span of ``docs/api.md`` counts too: documented API is
-  functionality.  A definition's own ``def``/``class``, ``__all__``
-  entries and import statements (so ``__init__`` re-exports) refer to
-  nothing.  A definition nobody refers to is code only a test reaches;
-  the list must stay empty.
+  docstring and names an ``@remote`` method (RMI method names travel as
+  strings; any other string, a trace kind say, refers to nothing).  An
+  identifier inside a code span of ``docs/api.md`` counts too:
+  documented API is functionality.  A definition's own
+  ``def``/``class``, ``__all__`` entries and import statements (so
+  ``__init__`` re-exports) refer to nothing.  A definition nobody
+  refers to is code only a test reaches; the list must stay empty.
 * **Every option has a caller.**  Every defaulted parameter of a public
   function, method or class (``__init__``) and every defaulted record
   field (a ``default_factory`` is state, not an option) is set by the
@@ -29,7 +30,7 @@ Five checks, all over parsed code rather than text:
   ``docs/api.md``, ``owner(..., name=value)`` in a code span sets it
   unless ``value`` restates the default.  An option no caller sets is a
   configuration only tests exercise; ``ALLOWED`` lists the few kept
-  on purpose.
+  on purpose, and each of its names must still be such a finding.
 * **Every attribute is read.**  Every public attribute of a public
   class (a record field, or an ``self.name = ...`` in a method) is read
   by the searched code as an attribute load or named as a string
@@ -74,23 +75,21 @@ ALLOWED = {
         "E2's lossy links, driven only by tests/test_message_loss.py",
     "RunSpec(n_superpeers=)":
         "the tiered_wheel golden run's four leaf Super-Peers",
-    "RunSpec(trace_sink=, trace_capacity=, trace_path=)":
-        "the JSONL spill sink a swarm-scale traced run needs",
-    "Backup.created_at":
-        "8 bytes of every Backup on the wire: dropping it moves every timeline",
 }
 
 
+def kept_findings(kept):
+    """The findings ``"owner(name=)"``/``"owner.name"`` one :data:`ALLOWED`
+    entry lists."""
+    owner, _, names = kept.partition("(")
+    if not names:
+        return [kept]
+    return [f"{owner}({name.strip()})" for name in names.rstrip(")").split(",")]
+
+
 def allowed(entry):
-    """Whether the finding ``"owner(name=)"``/``"owner.name"`` is listed in
-    :data:`ALLOWED`."""
-    for kept in ALLOWED:
-        owner, _, names = kept.partition("(")
-        if entry in (kept, *(f"{owner}({name.strip()})"
-                             for name in names.rstrip(")").split(",")
-                             if names)):
-            return True
-    return False
+    """Whether the finding ``entry`` is listed in :data:`ALLOWED`."""
+    return any(entry in kept_findings(kept) for kept in ALLOWED)
 
 
 def python_files(tops):
@@ -152,9 +151,18 @@ def code_spans(doc):
                               re.sub(r"```.*?```", "", text, flags=re.S))
 
 
+def remote_methods():
+    """The name of every ``@remote`` method under ``src/repro``."""
+    return {node.name for path in sorted(SRC.rglob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.FunctionDef)
+            and "remote" in _decorators(node)}
+
+
 def referenced_names():
     """Every name the searched code and ``docs/api.md`` refer to."""
     names = set()
+    remote = remote_methods()
     for path in python_files(SEARCHED):
         tree = ast.parse(path.read_text())
         skipped = _docstrings(tree) | _dunder_constants(tree, "__all__")
@@ -163,7 +171,7 @@ def referenced_names():
                 names.add(node.id)
             elif isinstance(node, ast.Attribute):
                 names.add(node.attr)
-            elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+            elif (isinstance(node, ast.Constant) and node.value in remote
                     and id(node) not in skipped):
                 names.add(node.value)
     for span in code_spans(API_DOC):
@@ -430,7 +438,7 @@ def unset_options():
 
 
 def test_every_option_is_set_outside_tests():
-    assert len(ALLOWED) <= 5
+    assert len(ALLOWED) <= 3
     unset = [entry for entry in unset_options()
              if not allowed(entry.split()[1])]
     assert unset == [], "\n".join(unset)
@@ -486,11 +494,27 @@ def read_names():
     return names
 
 
-def test_every_attribute_is_read_outside_tests():
+def unread_attributes():
+    """``["file:line owner.attr"]`` for every attribute nothing reads."""
     names = read_names()
-    unread = [f"{site} {owner}.{attr}" for owner, attr, site in attributes()
-              if attr not in names and not allowed(f"{owner}.{attr}")]
+    return [f"{site} {owner}.{attr}" for owner, attr, site in attributes()
+            if attr not in names]
+
+
+def test_every_attribute_is_read_outside_tests():
+    unread = [entry for entry in unread_attributes()
+              if not allowed(entry.split()[1])]
     assert unread == [], "\n".join(unread)
+
+
+def test_every_kept_exception_is_still_a_finding():
+    """An :data:`ALLOWED` name that the code no longer leaves unset or
+    unread excuses nothing: it goes with the code it excused."""
+    findings = {entry.split()[1]
+                for entry in unset_options() + unread_attributes()}
+    stale = [name for kept in ALLOWED for name in kept_findings(kept)
+             if name not in findings]
+    assert stale == [], "\n".join(stale)
 
 
 def repro_imports():
