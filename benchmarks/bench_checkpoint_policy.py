@@ -9,8 +9,8 @@ seconds so iterations and bytes share a unit:
     ``wasted_seconds = wasted_iterations · tau + checkpoint_bytes / B``
 
 where ``tau`` is the fixed arm's mean per-task iteration time for that
-scenario (both arms priced at the same work rate) and ``B`` is the
-adaptive policy's bandwidth estimate.  ``wasted_iterations`` is the
+scenario (both arms priced at the same work rate) and ``B`` is the link
+bandwidth the adaptive policy prices checkpoints at (``LINK_BANDWIDTH``).  ``wasted_iterations`` is the
 telemetry frontier deficit: iterations executed but re-executed after a
 rollback or restart-from-zero.
 
@@ -29,6 +29,7 @@ from __future__ import annotations
 import pytest
 
 from repro.checkpoint import AdaptivePolicy
+from repro.checkpoint.policy import LINK_BANDWIDTH
 from repro.exec import RunSpec
 from repro.faults import scenario
 from repro.faults.scenarios import scenario_names, scenario_overrides
@@ -51,7 +52,7 @@ def _run(name: str, policy):
 
 def _cost(result, tau: float) -> float:
     return (result.wasted_iterations * tau
-            + result.checkpoint_bytes / ADAPTIVE.bandwidth)
+            + result.checkpoint_bytes / LINK_BANDWIDTH)
 
 
 @pytest.mark.checkpoint_bench

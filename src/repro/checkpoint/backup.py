@@ -39,19 +39,8 @@ class Backup:
         if self.iteration < 0:
             raise ValueError("iteration must be >= 0")
         freeze_state(self.state)
-        # Backups are re-sent on every checkpoint transfer: pay the payload
-        # size walk once here rather than on each send.  One walk serves
-        # both the memo and the ``nbytes`` accounting: every field except
-        # ``state`` is a fixed-size scalar or this app's id string, so the
-        # state's charge falls out of the memo by subtraction (the memo is
-        # planted with the placeholder ``nbytes=0`` — an int charges 8
-        # bytes whatever its value, so the memo stays exact after the
-        # rebind below).
-        memo = payload_size(self, 0)  # plants the per-instance memo
-        shell = 32 + 8 + 8 + 8 + 8 + len(
-            self.app_id.encode("utf-8", errors="replace")
-        )
-        object.__setattr__(self, "nbytes", ENVELOPE_BYTES + memo - shell)
+        object.__setattr__(self, "nbytes",
+                           ENVELOPE_BYTES + payload_size(self.state, 1))
 
     def restore(self) -> Any:
         """A private *writable* copy of the stored state, safe to hand to

@@ -100,8 +100,7 @@ class GossipAgent(RemoteObject):
         self.probe_failures = 0
         #: the push envelope around an empty peer sample, without the rumor
         #: map: constant, because the agent's identity is
-        self._push_base = oneway_size(
-            GOSSIP_OBJECT, "push", (peer_id, role, self.address, []))
+        self._push_base = oneway_size((peer_id, role, self.address, []))
         self.stub = runtime.serve(self, GOSSIP_OBJECT)
         self._round_no = 0
         self.host.spawn(self._rounds(), label=f"gossip:{peer_id}")

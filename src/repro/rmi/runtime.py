@@ -41,36 +41,33 @@ __all__ = ["RemoteObject", "RmiRuntime", "DEFAULT_CALL_TIMEOUT", "oneway_size"]
 #: Simulated seconds an invocation waits for its reply before failing.
 DEFAULT_CALL_TIMEOUT = 10.0
 
-# The envelope charge is additive, so an envelope's size is a shell that
-# depends only on its object and method names, plus what each argument adds
-# where it sits: message -> args tuple / kwargs dict -> argument.
+# An envelope is framed as JRMP frames a Java RMI call: the target object
+# by a fixed-width ``ObjID`` (an 8-byte object number and a 14-byte UID)
+# and the method by its 64-bit hash, so its size is a constant shell plus
+# what each argument value adds where it sits (message -> args tuple /
+# kwargs dict -> argument).  Keyword names are free, as in a Java call.
 _ARG_DEPTH = 2
-#: measured size of an argument-less oneway envelope, per (object_name,
-#: method); process-wide because every runtime of a role sends the same few
-_shells: dict[tuple[str, str], int] = {}
+_UNNAMED_ONEWAY = measured_size(OnewayMessage("", "", (), {}))
+#: the bytes of an argument-less oneway envelope
+ONEWAY_SHELL = _UNNAMED_ONEWAY + (8 + 14) + 8
 #: what a call's envelope adds to a oneway's, its ``reply_to`` aside (the
 #: id is pinned so that measuring draws none from the process's counter)
 _CALL_EXTRA = (
     measured_size(CallMessage("", "", (), {}, reply_to=None, call_id=0))
-    - measured_size(OnewayMessage("", "", (), {})) - payload_size(None, 1))
+    - _UNNAMED_ONEWAY - payload_size(None, 1))
 #: a reply is a fixed shell around its value, one level down
 _REPLY_SHELL = measured_size(ReplyMessage(0, True, None)) - payload_size(None, 1)
 
 
-def oneway_size(object_name: str, method: str, args: tuple = (),
-                kwargs: dict | None = None) -> int:
-    """The bytes the network charges for one oneway invocation: exactly
-    :func:`~repro.util.serialization.measured_size` of its envelope."""
-    size = _shells.get((object_name, method))
-    if size is None:
-        size = _shells[object_name, method] = measured_size(
-            OnewayMessage(object_name, method, (), {}))
+def oneway_size(args: tuple = (), kwargs: dict | None = None) -> int:
+    """The bytes the network charges for one oneway invocation carrying
+    ``args`` and ``kwargs``, whatever its object and method are named."""
+    size = ONEWAY_SHELL
     for arg in args:
         size += payload_size(arg, _ARG_DEPTH)
     if kwargs:
-        for key, value in kwargs.items():
-            size += (payload_size(key, _ARG_DEPTH)
-                     + payload_size(value, _ARG_DEPTH))
+        for value in kwargs.values():
+            size += payload_size(value, _ARG_DEPTH)
     return size
 
 
@@ -156,8 +153,8 @@ class RmiRuntime:
         """
         result = self.sim.event()
         msg = CallMessage(stub.object_name, method, args, kwargs, reply_to=self.address)
-        size = (oneway_size(stub.object_name, method, args, kwargs)
-                + _CALL_EXTRA + payload_size(self.address, 1))
+        size = (oneway_size(args, kwargs) + _CALL_EXTRA
+                + payload_size(self.address, 1))
         self._pending[msg.call_id] = (self, result)
         self.calls_sent += 1
         tr = self.sim.tracer
@@ -196,7 +193,7 @@ class RmiRuntime:
         the sizing to this method.
         """
         if size is None:
-            size = oneway_size(stub.object_name, method, args, kwargs)
+            size = oneway_size(args, kwargs)
         self.oneways_sent += 1
         tr = self.sim.tracer
         if tr.enabled:
@@ -218,8 +215,7 @@ class RmiRuntime:
         number of times with byte-for-byte identical link charges.
         """
         msg = OnewayMessage(stub.object_name, method, args, kwargs)
-        return PreparedOneway(
-            stub, msg, oneway_size(stub.object_name, method, args, kwargs))
+        return PreparedOneway(stub, msg, oneway_size(args, kwargs))
 
     def send_prepared(self, prepared: PreparedOneway) -> None:
         """Fire-and-forget send of a :meth:`prepare_oneway` envelope."""

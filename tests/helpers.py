@@ -12,7 +12,6 @@ from repro.faults import FaultInjector
 from repro.numerics import DECOMPOSITION_CACHE, BlockDecomposition, Poisson2D
 from repro.numerics.cg import dst_matrix
 from repro.p2p import AppSpec, IterationStep, Task, TaskContext
-from repro.rmi import runtime as rmi_runtime
 from repro.util import serialization
 
 
@@ -25,12 +24,11 @@ def select(tracer, category=None, kind=None, entity=None) -> list:
 
 
 def clear_caches() -> None:
-    """Drop the six process-wide caches, so a test (or a timed run) starts
+    """Drop the five process-wide caches, so a test (or a timed run) starts
     cold whatever ran before it: shared block decompositions, the DST-I
-    matrices, RMI envelope shells and the size walk's per-class memos."""
+    matrices and the size walk's per-class memos."""
     DECOMPOSITION_CACHE.clear()
     dst_matrix.cache_clear()
-    rmi_runtime._shells.clear()
     serialization._fields_by_class.clear()
     serialization._frozen_by_class.clear()
     serialization._unmemoizable.clear()

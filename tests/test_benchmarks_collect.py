@@ -5,7 +5,9 @@ warning filters, and the benchmarks stay one system: ``BENCHMARK.json``
 Only ``bench_obs_overhead.py`` is in tier-1's ``testpaths``, so a benchmark
 whose module-level code trips ``filterwarnings = error:repro\\.`` (a
 deprecated in-tree API) or names something that no longer exists would
-otherwise stay uncollectable until a CI bench job runs it.  Collection
+otherwise stay uncollectable until a CI bench job runs it.  Nor may a
+benchmark body read ``NAME.attr`` off one of its module's globals when that
+attribute is gone: such a read only fails once the body runs.  Collection
 only: nothing is timed and nothing is written.
 """
 
@@ -30,6 +32,19 @@ def test_benchmark_module_imports(path):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     assert any(name.startswith("test_") for name in vars(module))
+    assert list(_unresolved_attribute_reads(module, path.read_text())) == []
+
+
+def _unresolved_attribute_reads(module, source):
+    """``line: NAME.attr`` for each read in ``source`` whose ``NAME`` is a
+    global of the imported ``module`` that has no attribute ``attr``."""
+    names = vars(module)
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+                and isinstance(node.value, ast.Name)
+                and node.value.id in names
+                and not hasattr(names[node.value.id], node.attr)):
+            yield f"{node.lineno}: {node.value.id}.{node.attr}"
 
 
 def test_benchmarks_have_no_knobs():

@@ -6,13 +6,14 @@ Four pins (docs/gossip.md, "Cost model"):
   it replaced (``tests/oracles/peerstore_reference.py``), driven in lockstep
   by generated operation sequences;
 * the push envelope size the agent assembles from memoized parts against
-  ``measured_size`` of the envelope it describes, and against the reference
-  walk ``_payload_size``;
+  the reference envelope rule ``envelope_size`` of the envelope it
+  describes;
 * two golden swarm runs, a steady one, and one with a crashed Super-Peer so
   probes fail and hearsay goes stale (the store's scanning path) — recorded
   on the commit before the indexed store landed, and once more when the
   per-round draw moved from ``shuffled`` to ``RngTree.picks`` (which picks
-  other targets, so every gossip timeline moved);
+  other targets, so every gossip timeline moved), and again when RMI
+  envelopes started naming objects and methods by fixed-width ids;
 * the draw itself costs what it picks: a gossip run builds
   ``numpy.random.Generator`` objects per agent, never per round.
 """
@@ -36,9 +37,8 @@ from repro.p2p import P2PConfig, build_cluster
 from repro.rmi import RmiRuntime
 from repro.rmi.invocation import OnewayMessage
 from repro.util.rng import RngTree
-from repro.util.serialization import ENVELOPE_BYTES, measured_size
 
-from tests.oracles.payload_reference import _payload_size
+from tests.oracles.payload_reference import envelope_size
 from tests.oracles.peerstore_reference import PeerStore as ReferenceStore
 
 COMMON = settings(
@@ -212,9 +212,8 @@ def _agent_with_recorded_oneways():
 
 def _assert_sizes_match_the_envelopes(sent):
     for object_name, method, args, size in sent:
-        envelope = OnewayMessage(object_name, method, args, {})
-        assert size == measured_size(envelope)
-        assert size == ENVELOPE_BYTES + _payload_size(envelope, depth=0)
+        assert size == envelope_size(
+            OnewayMessage(object_name, method, args, {}))
 
 
 @COMMON
@@ -274,31 +273,31 @@ def _golden_run(until, crash_at=None):
 
 def test_golden_steady_gossip_swarm():
     assert _golden_run(2.0) == {
-        "events": 25064,
+        "events": 25052,
         "network": {
-            "sent": 8051, "delivered": 7988,
-            "bytes_sent": 4610671, "bytes_delivered": 4579775,
+            "sent": 8050, "delivered": 7984,
+            "bytes_sent": 4721946, "bytes_delivered": 4688987,
             "dropped_dead": 0, "dropped_loss": 0,
             "dropped_partition": 0,
         },
         "pushes_sent": 3486,
-        "evictions": 3000,
-        "rejections": 707,
+        "evictions": 3055,
+        "rejections": 721,
     }
 
 
 def test_golden_gossip_swarm_with_a_crashed_superpeer():
     assert _golden_run(4.0, crash_at=0.5) == {
-        "events": 48497,
+        "events": 48476,
         "network": {
-            "sent": 15600, "delivered": 15196,
-            "bytes_sent": 8863436, "bytes_delivered": 8672020,
-            "dropped_dead": 337, "dropped_loss": 0,
+            "sent": 15594, "delivered": 15174,
+            "bytes_sent": 9077758, "bytes_delivered": 8871786,
+            "dropped_dead": 356, "dropped_loss": 0,
             "dropped_partition": 0,
         },
         "pushes_sent": 6866,
-        "evictions": 6414,
-        "rejections": 1214,
+        "evictions": 6415,
+        "rejections": 1308,
     }
 
 

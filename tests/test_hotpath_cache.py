@@ -23,7 +23,6 @@ from repro.numerics import (
 from repro.numerics.cg import direct_flops_estimate
 from repro.numerics.residual import update_distance
 from repro.numerics.splitting import DECOMPOSITION_CACHE
-from repro.rmi import runtime as rmi_runtime
 from repro.rmi.invocation import is_remote, remote_method_table
 from repro.rmi.runtime import RemoteObject
 from repro.rmi.stub import Stub
@@ -401,20 +400,16 @@ def _run(**kw):
 
 
 def test_run_bitwise_identical_cold_vs_warm_caches():
-    # the second run finds the decomposition, the block operators, their
-    # scratch vectors and the RMI envelope shells as the first run left them
+    # the second run finds the decomposition, the block operators and
+    # their scratch vectors as the first run left them
     kw = dict(n=16, peers=3, seed=11, convergence_threshold=1e-6)
-    shells = rmi_runtime._shells
-    assert not shells  # the fixture cleared them
     cold = _run(**kw)
     assert DECOMPOSITION_CACHE.misses == 1
-    assert shells
     warm = _run(**kw)
     assert DECOMPOSITION_CACHE.misses == 1
     assert cold.converged
     assert warm == cold
     clear_caches()
-    assert not shells
     assert _run(**kw) == cold
 
 

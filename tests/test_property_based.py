@@ -22,6 +22,7 @@ from repro.rmi import invocation
 from repro.rmi.invocation import CallMessage, OnewayMessage, ReplyMessage
 from repro.util.rng import RngTree, derive_seed
 from repro.util.serialization import clone_state, measured_size
+from tests.oracles.payload_reference import envelope_size
 
 COMMON = settings(
     max_examples=40,
@@ -155,8 +156,10 @@ _CALL_PARAMETERS = {"self", "stub", "method", "timeout"}
        value=_values)
 def test_rmi_sizes_its_envelopes_as_measured_size_would(
         object_name, method, args, kwargs, value):
-    assert oneway_size(object_name, method, args, kwargs) == measured_size(
+    assert oneway_size(args, kwargs) == envelope_size(
         OnewayMessage(object_name, method, args, kwargs))
+    # a keyword argument costs what the same value costs by position
+    assert oneway_size((), {"k": value}) == oneway_size((value,))
 
     sim = Simulator()
     net = Network(sim)
@@ -172,8 +175,8 @@ def test_rmi_sizes_its_envelopes_as_measured_size_would(
     call, reply = sent
     assert isinstance(call.payload, CallMessage)
     assert isinstance(reply.payload, ReplyMessage)
-    assert call.size == measured_size(call.payload)
-    assert reply.size == measured_size(reply.payload)
+    assert call.size == envelope_size(call.payload)
+    assert reply.size == envelope_size(reply.payload)
     # sizing a call measures a probe envelope: it must not draw an id
     assert call.payload.call_id == next_id + 1
 

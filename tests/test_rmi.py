@@ -468,3 +468,30 @@ def test_concurrent_calls_multiplex_on_one_runtime():
         sim.process(caller(sim, x))
     sim.run()
     assert sorted(results) == [0, 2, 4, 6, 8, 10, 12, 14]
+
+
+def test_renaming_a_remote_method_moves_no_simulated_byte(monkeypatch):
+    """A handler exported and called under a second, longer name leaves a
+    flat 16-peer run identical: the wire names an object and a method by
+    fixed-width ids, as JRMP does, so a rename costs no simulated byte."""
+    from repro.exec import RunSpec
+    from repro.p2p.daemon import Daemon
+    from repro.rmi import invocation
+
+    spec = RunSpec(n=16, peers=3, seed=7, disconnections=2)
+    baseline = spec.run()
+
+    renamed = "receive_data_from_a_neighbouring_task"
+    monkeypatch.setattr(Daemon, renamed, Daemon.receive_data, raising=False)
+    monkeypatch.setattr(invocation, "_remote_tables", {})
+    oneway, methods = RmiRuntime.oneway, set()
+
+    def renaming_oneway(self, stub, method, *args, **kwargs):
+        if method == "receive_data":
+            method = renamed
+        methods.add(method)
+        return oneway(self, stub, method, *args, **kwargs)
+
+    monkeypatch.setattr(RmiRuntime, "oneway", renaming_oneway)
+    assert spec.run() == baseline
+    assert renamed in methods and "receive_data" not in methods

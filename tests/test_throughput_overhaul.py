@@ -248,24 +248,24 @@ def test_jitter_stream_bitwise_matches_scalar_draws():
 
 
 def test_every_rmi_send_is_sized_as_the_reference_walk_charges(monkeypatch):
-    """The RMI layer sizes its own envelopes from a cached shell plus what
-    each argument adds (the gossip push alone hands it a size assembled
-    from parts): every call, oneway and reply reaching the network must
-    carry exactly the bytes the reference walk charges for it."""
+    """The RMI layer sizes its own envelopes from a constant shell plus
+    what each argument value adds (the gossip push alone hands it a size
+    assembled from parts): every call, oneway and reply reaching the
+    network must carry exactly the bytes the reference envelope rule
+    charges for it."""
     from repro.exec import RunSpec
     from repro.experiments.config import EXPERIMENT_CONFIG
     from repro.net.network import Network
     from repro.p2p import daemon
     from repro.rmi.invocation import CallMessage, OnewayMessage, ReplyMessage
-    from repro.util.serialization import ENVELOPE_BYTES
-    from tests.oracles.payload_reference import _payload_size
+    from tests.oracles.payload_reference import envelope_size
 
     sized = set()
     send = Network.send
 
     def checked_send(self, src, dst, payload, size=None, *args, **kwargs):
         assert isinstance(payload, (CallMessage, OnewayMessage, ReplyMessage))
-        assert size == ENVELOPE_BYTES + _payload_size(payload, depth=0)
+        assert size == envelope_size(payload)
         sized.add(getattr(payload, "method", "reply"))
         return send(self, src, dst, payload, size, *args, **kwargs)
 
