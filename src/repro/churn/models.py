@@ -79,9 +79,9 @@ class PaperChurn(ChurnModel):
             raise ConfigurationError("horizon must be positive")
         lo = CHURN_START * horizon
         hi = CHURN_END * horizon
+        node = rng.child("times")
         times = sorted(
-            rng.child("times", i).uniform(lo, hi)
-            for i in range(self.n_disconnections)
+            lo + (hi - lo) * node.unit(i) for i in range(self.n_disconnections)
         )
         return [ChurnEvent(t, self.reconnect_delay) for t in times]
 
@@ -130,8 +130,8 @@ def churn_plan(model: ChurnModel, rng: RngTree, horizon: float) -> FaultPlan:
 
     The schedule is drawn from ``rng.child("schedule")``; hand the same
     ``rng`` to the :class:`~repro.faults.FaultInjector` executing the plan
-    and unpinned victims come from ``rng.child("victim", <events so far>)``
-    — the two draws every seeded churn run was recorded with.
+    and unpinned victims come from ``rng.child("victim")`` on stream
+    ``<events so far>`` — the two draws a seeded churn run replays.
     """
     return FaultPlan(
         actions=tuple(

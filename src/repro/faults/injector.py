@@ -15,10 +15,10 @@ Design invariants:
   scenarios flow through the content-addressed run cache and the process
   pool without arms diverging.
 
-* **Churn compatibility** — victim selection for a
-  :class:`~repro.faults.actions.DaemonCrash` consumes
-  ``rng.child("victim", <events so far>)``, the draw every seeded churn
-  experiment was recorded with.
+* **Churn compatibility** — a :class:`~repro.faults.actions.DaemonCrash`
+  victim is ``rng.child("victim").picks(len(alive), 1, <events so far>)``
+  (a Super-Peer's likewise from ``"superpeer"``): one Generator-free draw
+  per event, so a seeded churn run replays its victims.
 
 * **Replayability** — everything the injector *actually did* (resolved
   victims, Super-Peer ids, group memberships) is recorded as
@@ -191,7 +191,7 @@ class FaultInjector:
         # Index = events so far: the draw every seeded churn run was
         # recorded with (see "Churn compatibility" above).
         index = len(self.executed) + self.skipped
-        return self.rng.child("victim", index).choice(alive)
+        return alive[self.rng.child("victim").picks(len(alive), 1, index)[0]]
 
     def _daemon_crash(self, action: DaemonCrash) -> None:
         victim = self._pick_victim(action.host)
@@ -219,7 +219,7 @@ class FaultInjector:
             sp = next((s for s in alive if s.sp_id == action.sp_id), None)
         elif alive:
             index = len(self.executed) + self.skipped
-            sp = self.rng.child("superpeer", index).choice(alive)
+            sp = alive[self.rng.child("superpeer").picks(len(alive), 1, index)[0]]
         else:
             sp = None
         if sp is None:

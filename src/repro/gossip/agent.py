@@ -195,7 +195,7 @@ class GossipAgent(RemoteObject):
         # deterministic phase stagger: agents created in the same instant
         # must not all fire their rounds on the same timestep forever
         yield self.sim.timeout(
-            self.rng.child("phase").uniform(0.0, self.config.gossip_period)
+            self.rng.child("phase").unit() * self.config.gossip_period
         )
         if self.seeds:
             yield from self._pull(self.seeds[0])

@@ -154,8 +154,8 @@ def build_testbed(
     weights = [c.weight for c in PAPER_MACHINE_CLASSES]
     total_w = sum(weights)
 
-    def pick_class(r: RngTree, i: int) -> MachineClass:
-        u = r.child("class", i).uniform(0, total_w)
+    def pick_class(u: float) -> MachineClass:
+        u *= total_w
         acc = 0.0
         for cls, w in zip(PAPER_MACHINE_CLASSES, weights):
             acc += w
@@ -163,13 +163,15 @@ def build_testbed(
                 return cls
         return PAPER_MACHINE_CLASSES[-1]
 
+    if not homogeneous:  # one stream per host of each node: no Generator
+        class_rng, net_rng = rng.child("class"), rng.child("net")
     for i in range(n_daemons):
         if homogeneous:
             cls = MachineClass("uniform", speed=1.0, ram_mb=512)
             net_tag = GIGABIT_ETHERNET.name
         else:
-            cls = pick_class(rng, i)
-            fast = rng.child("net", i).uniform() < FAST_NETWORK_FRACTION
+            cls = pick_class(class_rng.unit(i))
+            fast = net_rng.unit(i) < FAST_NETWORK_FRACTION
             net_tag = GIGABIT_ETHERNET.name if fast else FAST_ETHERNET.name
         host = network.new_host(
             f"daemon-host-{i}",

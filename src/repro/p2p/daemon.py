@@ -382,11 +382,11 @@ class Daemon(RemoteObject):
         # timer wheel (docs/scaling.md).  The reaffirm phase is hash-
         # staggered so the call-based beats don't all land on one slot.
         self._bootstrapping = False
-        #: the registration sweep in flight, ``(seed, candidates, next
-        #: index)``: attempt ``i`` asks ``RngTree(seed).shuffled(
-        #: candidates)[i]``, a permutation replayed instead of kept; and
-        #: the Super-Peer whose ``register_daemon`` answer is awaited
-        self._sweep: tuple[int, Sequence[Address], int] | None = None
+        #: the registration sweep in flight, ``(candidates, next index)``:
+        #: attempt ``i`` asks ``candidates[rng.picks(len(candidates), i + 1,
+        #: stream=fail_count)[i]]``, a permutation replayed instead of kept;
+        #: and the Super-Peer whose ``register_daemon`` answer is awaited
+        self._sweep: tuple[Sequence[Address], int] | None = None
         self._candidate: Stub | None = None
         self._beats = zlib.crc32(daemon_id.encode()) % WHEEL_REAFFIRM_EVERY
         #: cached constant heartbeat envelope (rebuilt when the owning
@@ -428,12 +428,11 @@ class Daemon(RemoteObject):
         deterministic jitter (seeded per attempt), so a mass relocation
         after a Super-Peer outage does not hammer the survivors in
         lockstep."""
-        seed = self.rng.child("bootstrap", self.host.fail_count).seed
-        self._sweep = (seed, self._superpeer_candidates(), 0)
+        self._sweep = (self._superpeer_candidates(), 0)
         self._try_next_superpeer()
 
     def _try_next_superpeer(self) -> None:
-        seed, candidates, index = self._sweep
+        candidates, index = self._sweep
         if index == len(candidates):
             # every candidate failed: the sweep ends after the backoff
             self.sim.call_later(self._retry_backoff(), self._end_sweep)
@@ -441,8 +440,9 @@ class Daemon(RemoteObject):
         if self.runner is not None:
             self._end_sweep()  # got a task while bootstrapping: stop
             return
-        self._sweep = (seed, candidates, index + 1)
-        addr = RngTree(seed).shuffled(candidates)[index]
+        self._sweep = (candidates, index + 1)
+        addr = candidates[self.rng.picks(len(candidates), index + 1,
+                                         stream=self.host.fail_count)[index]]
         candidate = self._candidate = Stub(SUPERPEER_OBJECT, addr)
         self.runtime.call(
             candidate, "register_daemon", self.daemon_id, self.stub,
@@ -501,7 +501,7 @@ class Daemon(RemoteObject):
             config.bootstrap_retry_delay * BOOTSTRAP_BACKOFF_FACTOR ** attempt,
             config.bootstrap_retry_max,
         )
-        draw = self.rng.child("backoff", self.host.fail_count, attempt).uniform()
+        draw = self.rng.child("backoff", self.host.fail_count).unit(attempt)
         delay *= 1.0 + BOOTSTRAP_RETRY_JITTER * draw
         self._trace("register_retry", attempt=attempt, delay=delay)
         return delay

@@ -340,11 +340,11 @@ class Spawner(RemoteObject):
         the sweep outright — the remainder is re-requested from the next
         contact instead of silently under-filling the slots."""
         self._reservations += 1
-        addresses = self.rng.child("reserve", self._reservations).shuffled(
-            self.superpeer_addresses
-        )
+        contacts = self.superpeer_addresses
+        order = self.rng.child("reserve").picks(
+            len(contacts), len(contacts), stream=self._reservations)
         pairs = []
-        for addr in addresses:
+        for addr in map(contacts.__getitem__, order):
             sp = Stub(SUPERPEER_OBJECT, addr)
             try:
                 # a forwarded request may walk the whole mesh — and, when

@@ -12,14 +12,14 @@ stream for the same root seed, regardless of the order in which other
 children were created.
 
 A node offers two kinds of draw.  The ``numpy`` ones (``generator``,
-``uniform``, ``integers``, ``exponential``, ``choice``, ``shuffled``) build
-a ``Generator`` on first use — about 20 µs — and are stateful: right for a
-node that is drawn from many times, or whose draws need ``numpy``'s
-distributions.  :meth:`RngTree.picks` is the Generator-free draw: a few
-distinct indices straight from the node's seed in pure Python integers,
-stateless, about 1 µs each.  Use it where a node is derived per decision
-and drawn from once (the gossip plane derives one per round); a throwaway
-``Generator`` there costs more than the decision it makes.
+``uniform``, ``integers``, ``exponential``) build a ``Generator`` on first
+use — about 20 µs — and are stateful: right for a long-lived node drawn
+from many times (link jitter, message loss, Poisson churn).
+:meth:`RngTree.picks` (distinct indices) and :meth:`RngTree.unit` (a float
+in ``[0, 1)``) are stateless, Generator-free, about 1 µs: a node drawn
+from once per decision uses them, the decision's index as ``stream``.
+``unit(s)`` is the first word ``picks(..., s)`` consumes, so one node
+never serves both on the same stream.
 """
 
 from __future__ import annotations
@@ -96,18 +96,6 @@ class RngTree:
     def exponential(self, mean: float) -> float:
         return float(self.generator.exponential(mean))
 
-    def choice(self, seq):
-        """Pick one element of a non-empty sequence."""
-        if len(seq) == 0:
-            raise ValueError("cannot choose from an empty sequence")
-        return seq[int(self.generator.integers(0, len(seq)))]
-
-    def shuffled(self, seq):
-        """Return a new list with the elements of ``seq`` shuffled."""
-        out = list(seq)
-        self.generator.shuffle(out)
-        return out
-
     def picks(self, m: int, k: int, stream: int = 0) -> list[int]:
         """``k`` distinct indices of ``range(m)``: a uniform ``k``-subset in
         uniform order, from no ``numpy`` object.
@@ -136,6 +124,16 @@ class RngTree:
             out.append(displaced.get(j, j))
             displaced[j] = displaced.get(i, i)
         return out
+
+    def unit(self, stream: int = 0) -> float:
+        """One float in ``[0, 1)`` from no ``numpy`` object: the top 53 bits
+        of the first SplitMix64 word of ``stream`` (the word ``picks`` on
+        that stream starts with).  Stateless, like :meth:`picks`."""
+        z = (self.seed ^ ((2 * stream + 1) * _GOLDEN & _MASK64)) + _GOLDEN
+        z &= _MASK64
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+        return ((z ^ (z >> 31)) >> 11) * 2.0 ** -53
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"RngTree(seed={self.seed}, path={'/'.join(map(str, self.path))!r})"

@@ -15,9 +15,15 @@ To regenerate after an *intended* change of simulated behaviour::
     PYTHONPATH=src python -m tests.test_golden_runs
 
 which prints every field that moved as ``old → new`` and leaves the file
-untouched when none did.
+untouched when none did.  The file's ``machine`` block says where it was
+recorded: the OpenBLAS kernel and thread count numpy runs with, and the
+numpy and scipy versions.  A mismatch names it beside the running one
+first, since a residual (and, through a BLAS-dependent solve, a timeline)
+may move with the BLAS build rather than with the code.
 """
 
+import ctypes
+import importlib.metadata
 import json
 import pathlib
 
@@ -34,6 +40,31 @@ from repro.p2p import P2PConfig, build_cluster, launch_application
 from tests.helpers import clear_caches
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "runs.json"
+
+
+def machine() -> dict:
+    """The BLAS and library versions this process computes with.
+
+    The kernel and thread count come from the OpenBLAS that numpy's wheel
+    bundles (``numpy.libs``), asked through its own exports; a numpy built
+    against another BLAS reports ``None`` for both."""
+    kernel = threads = None
+    libs = pathlib.Path(np.__file__).parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("libscipy_openblas*")):
+        blas = ctypes.CDLL(str(path))
+        blas.scipy_openblas_get_corename64_.restype = ctypes.c_char_p
+        kernel = blas.scipy_openblas_get_corename64_().decode()
+        threads = blas.scipy_openblas_get_num_threads64_()
+    return {"openblas_core": kernel, "openblas_threads": threads,
+            "numpy": np.__version__,
+            "scipy": importlib.metadata.version("scipy")}
+
+
+def _where(recorded: dict) -> str:
+    def spell(m):
+        return (f"OpenBLAS {m['openblas_core']} on {m['openblas_threads']} "
+                f"thread(s), numpy {m['numpy']}, scipy {m['scipy']}")
+    return f"recorded under {spell(recorded)}, running under {spell(machine())}"
 
 
 def _driver(**kw):
@@ -107,17 +138,20 @@ def _record(name):
 
 @pytest.mark.parametrize("name", RUNS)
 def test_golden_run(name):
-    expected = json.loads(GOLDEN.read_text())[name]
+    golden = json.loads(GOLDEN.read_text())
+    expected = golden[name]
     got = _record(name)
+    where = _where(golden["machine"])
     assert got.pop("residual") == pytest.approx(expected.pop("residual"),
-                                                rel=1e-9, abs=1e-12)
-    assert got == expected
+                                                rel=1e-9, abs=1e-12), where
+    assert got == expected, where
 
 
 def test_golden_runs_exercise_what_they_pin():
     golden = json.loads(GOLDEN.read_text())
-    assert set(golden) == set(RUNS)
-    assert all(run["converged"] for name, run in golden.items()
+    assert set(golden) == set(RUNS) | {"machine"}
+    assert set(golden["machine"]) == set(machine())
+    assert all(golden[name]["converged"] for name in RUNS
                if name != "direct")
     assert golden["churn"]["recoveries"] >= 1
     assert golden["dirty_channel"]["messages_corrupted"] > 0
@@ -165,9 +199,13 @@ def _moved(old, new, path=""):
 
 
 if __name__ == "__main__":
+    # the runs alone decide whether anything moved; the machine block is
+    # rewritten with them, so it names where the pinned values came from
+    golden = json.loads(GOLDEN.read_text())
     recorded = {name: _record(name) for name in RUNS}
-    moved = list(_moved(json.loads(GOLDEN.read_text()), recorded))
+    moved = list(_moved({k: v for k, v in golden.items() if k in RUNS},
+                        recorded))
     print("\n".join(moved) or f"{GOLDEN.name}: nothing moved")
     if moved:
-        GOLDEN.write_text(json.dumps(recorded, indent=2, sort_keys=True)
-                          + "\n")
+        GOLDEN.write_text(json.dumps({**recorded, "machine": machine()},
+                                     indent=2, sort_keys=True) + "\n")

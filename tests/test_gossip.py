@@ -321,7 +321,7 @@ def test_gossip_disabled_run_is_bitwise_identical_to_the_baseline():
     reproduces its pinned numbers exactly (re-pinned only when the
     runtime's own timeline moves on purpose)."""
     result = RunSpec(n=32, peers=4, seed=0).run()
-    assert result.simulated_time == 0.4048605581442913
-    assert result.total_iterations == 2072
-    assert result.residual == 2.625928562881451e-06
+    assert result.simulated_time == 0.37019461708706536
+    assert result.total_iterations == 1806
+    assert result.residual == 2.1172900266587384e-06
     assert result.takeovers == 0 and result.takeover_at is None

@@ -12,10 +12,12 @@ Four pins (docs/gossip.md, "Cost model"):
   probes fail and hearsay goes stale (the store's scanning path) — recorded
   on the commit before the indexed store landed, and once more when the
   per-round draw moved from ``shuffled`` to ``RngTree.picks`` (which picks
-  other targets, so every gossip timeline moved), and again when RMI
-  envelopes started naming objects and methods by fixed-width ids;
-* the draw itself costs what it picks: a gossip run builds
-  ``numpy.random.Generator`` objects per agent, never per round.
+  other targets, so every gossip timeline moved), again when RMI
+  envelopes started naming objects and methods by fixed-width ids, and
+  again when host classes, bootstrap picks and the phase stagger moved to
+  ``picks``/``unit``;
+* the draw itself costs what it picks: a running gossip swarm builds no
+  ``numpy.random.Generator`` at all, per agent or per round.
 """
 
 import contextlib
@@ -273,31 +275,31 @@ def _golden_run(until, crash_at=None):
 
 def test_golden_steady_gossip_swarm():
     assert _golden_run(2.0) == {
-        "events": 25052,
+        "events": 25061,
         "network": {
-            "sent": 8050, "delivered": 7984,
-            "bytes_sent": 4721946, "bytes_delivered": 4688987,
+            "sent": 8053, "delivered": 7986,
+            "bytes_sent": 4723350, "bytes_delivered": 4689484,
             "dropped_dead": 0, "dropped_loss": 0,
             "dropped_partition": 0,
         },
-        "pushes_sent": 3486,
-        "evictions": 3055,
-        "rejections": 721,
+        "pushes_sent": 3488,
+        "evictions": 3049,
+        "rejections": 666,
     }
 
 
 def test_golden_gossip_swarm_with_a_crashed_superpeer():
     assert _golden_run(4.0, crash_at=0.5) == {
-        "events": 48476,
+        "events": 48549,
         "network": {
-            "sent": 15594, "delivered": 15174,
-            "bytes_sent": 9077758, "bytes_delivered": 8871786,
-            "dropped_dead": 356, "dropped_loss": 0,
+            "sent": 15627, "delivered": 15213,
+            "bytes_sent": 9091505, "bytes_delivered": 8884351,
+            "dropped_dead": 353, "dropped_loss": 0,
             "dropped_partition": 0,
         },
-        "pushes_sent": 6866,
-        "evictions": 6415,
-        "rejections": 1308,
+        "pushes_sent": 6868,
+        "evictions": 6497,
+        "rejections": 1270,
     }
 
 
@@ -320,6 +322,7 @@ def test_a_gossip_run_builds_generators_per_agent_not_per_round(monkeypatch):
     monkeypatch.setattr(numpy.random, "default_rng", counting_default_rng)
     cluster.sim.run(until=1.0)
     assert sum(a._round_no for a in agents) >= len(agents)  # rounds did run
-    # one phase-stagger draw per agent, one bootstrap shuffle per Daemon:
-    # O(agents), where a Generator per draw would be three per agent per round
-    assert 0 < len(built) <= 3 * len(agents)
+    # the phase stagger, the bootstrap sweep and every round draw through
+    # ``unit``/``picks``: none builds a Generator, where one per draw would
+    # be three per agent per round
+    assert built == []

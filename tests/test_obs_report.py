@@ -64,7 +64,13 @@ def test_markdown_contains_tables():
 
 @pytest.fixture(scope="module")
 def churn_run():
-    """One traced churn run felling computing peers AND spare daemons."""
+    """One traced churn run felling computing peers AND spare daemons.
+
+    Seeded churn picks its victims among all the Daemons, so whether it
+    fells a computing one or a spare depends on the seed.  Two fault plans
+    force both mid-run, each a crash with a downtime: one of a computing
+    Daemon (a heartbeat miss, then a recovery) and one of a registered
+    spare (an eviction), whatever the seed draws."""
     from repro.apps import make_poisson_app
     from repro.churn import PaperChurn
     from repro.experiments.config import (
@@ -72,6 +78,7 @@ def churn_run():
         EXPERIMENT_LINK_SCALE,
         optimal_overlap,
     )
+    from repro.faults import DaemonCrash, FaultInjector, FaultPlan
     from repro.p2p import build_cluster, launch_application
     from repro.util.rng import RngTree
     from tests.helpers import churn_injector
@@ -90,9 +97,33 @@ def churn_run():
         PaperChurn(n_disconnections=4, reconnect_delay=1.0),
         RngTree(4).child("churn"), horizon=2.0,
     )
+
+    def computing(host):
+        daemon = cluster.daemons.get(host.name)
+        return daemon is not None and daemon.runner is not None
+
+    def spare(host):
+        daemon = cluster.daemons.get(host.name)
+        return (daemon is not None and daemon.registered
+                and daemon.runner is None)
+
+    crashes = [
+        FaultInjector(
+            cluster.sim, FaultPlan.of(DaemonCrash(time=0.3, downtime=1.0)),
+            rng=RngTree(4).child("faults", i), cluster=cluster,
+            victim_filter=victims)
+        for i, victims in enumerate((computing, spare))
+    ]
     sim = cluster.sim
     sim.run(until=sim.any_of([spawner.done, sim.timeout(900.0)]))
     assert spawner.done.triggered
+    # each forced crash had the consequence it was there for
+    worker, idle = (injector.executed[0].detail["host"] + "#1"
+                    for injector in crashes)
+    assert worker in {e.attrs["daemon"] for e in tracer
+                      if e.category == "p2p" and e.kind == "hb_miss"}
+    assert idle in {e.attrs["daemon"] for e in tracer
+                    if e.category == "p2p" and e.kind == "evict"}
     return cluster, spawner, tracer
 
 

@@ -227,8 +227,9 @@ class _Refuser(RemoteObject):
 @pytest.mark.parametrize("k", [0, 1, 3])
 def test_a_failing_over_daemon_registers_with_the_kth_shuffled_candidate(
         gossip, k):
-    """The sweep asks the candidates in the order of
-    ``RngTree(seed).shuffled(candidates)``: after its first ``k`` refuse
+    """The sweep asks the candidates in the order of the Daemon's
+    ``rng.picks(len(candidates), len(candidates), stream=fail_count)``, a
+    full shuffle replayed one prefix at a time: after its first ``k`` refuse
     (answer no) or time out (no host at the address), the Daemon registers
     with element ``k``.  With gossip on, the candidates are the seed list
     plus the Super-Peers gossip knew when the sweep began; one learned
@@ -247,7 +248,8 @@ def test_a_failing_over_daemon_registers_with_the_kth_shuffled_candidate(
             d.gossip._learn(addr.host, "superpeer", addr, heard=True)
     candidates = list(d._superpeer_candidates())
     assert candidates == addrs
-    order = RngTree(rng.child("bootstrap", 0).seed).shuffled(candidates)
+    order = [candidates[i] for i in rng.picks(6, 6, stream=0)]
+    assert order != candidates  # the order is not the list's own
     for i, addr in enumerate(order):
         if i < k and i % 2:
             continue  # nothing listens there: the call times out

@@ -54,13 +54,16 @@ def test_rng_tree_same_path_same_stream():
 
 
 def test_rng_tree_choice_and_shuffle():
+    """A choice is ``picks(m, 1)`` and a shuffle ``picks(m, m)``; neither
+    has a numpy spelling any more."""
     t = RngTree(1)
     seq = list(range(10))
-    assert t.child("c").choice(seq) in seq
-    shuffled = t.child("s").shuffled(seq)
+    [i] = t.child("c").picks(len(seq), 1)
+    assert seq[i] in seq
+    shuffled = [seq[i] for i in t.child("s").picks(len(seq), len(seq))]
     assert sorted(shuffled) == seq
     with pytest.raises(ValueError):
-        t.choice([])
+        t.picks(0, 1)
     with pytest.raises(ValueError):
         t.child()
 
@@ -144,6 +147,77 @@ def test_reference_splitmix64_matches_the_published_vectors():
 def test_picks_equal_a_full_fisher_yates_prefix(seed, m, k, stream):
     k = min(k, m)
     assert RngTree(seed).picks(m, k, stream) == picks_reference(seed, m, k, stream)
+
+
+# ----------------------------------------------------------------- rng: unit
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**63 - 1), stream=st.integers(0, 10**6))
+def test_unit_is_a_pure_function_of_seed_and_stream_in_the_unit_interval(
+        seed, stream):
+    u = RngTree(seed).unit(stream)
+    assert 0.0 <= u < 1.0
+    assert RngTree(seed).unit(stream) == u
+    # the top 53 bits of the word picks(..., stream) starts with
+    word = next(splitmix64(seed ^ ((2 * stream + 1) * 0x9E3779B97F4A7C15
+                                   & (2**64 - 1))))
+    assert u == (word >> 11) / 2**53
+
+
+def test_unit_streams_and_nodes_are_independent():
+    """10,000 draws: uniform in mean and deciles, and neither neighbouring
+    streams of one node nor the same stream of two sibling nodes correlate
+    past 5 sigma of r (0.01 each); a shared or shifted counter gives r near
+    1."""
+    a, b = RngTree(2006).child("a"), RngTree(2006).child("b")
+    xs = np.array([a.unit(s) for s in range(10_001)])
+    ys = np.array([b.unit(s) for s in range(10_000)])
+    assert len(set(xs)) == len(xs)
+    assert abs(xs.mean() - 0.5) < 0.01
+    deciles = np.bincount((xs * 10).astype(int), minlength=10)
+    assert np.all(np.abs(deciles - 1000) < 150)
+    assert abs(np.corrcoef(xs[:-1], xs[1:])[0, 1]) < 0.05
+    assert abs(np.corrcoef(xs[:-1], ys)[0, 1]) < 0.05
+
+
+def test_testbed_class_and_nic_fractions_follow_the_paper():
+    from repro.des import Simulator
+    from repro.net.topology import (
+        FAST_NETWORK_FRACTION,
+        GIGABIT_ETHERNET,
+        PAPER_MACHINE_CLASSES,
+        build_testbed,
+    )
+
+    n = 10_000
+    testbed = build_testbed(Simulator(), n, rng=RngTree(3))
+    tags = Counter(tag for h in testbed.daemon_hosts for tag in h.tags)
+    total_w = sum(c.weight for c in PAPER_MACHINE_CLASSES)
+    for cls in PAPER_MACHINE_CLASSES:
+        assert abs(tags[cls.name] / n - cls.weight / total_w) < 0.02, cls
+    assert abs(tags[GIGABIT_ETHERNET.name] / n - FAST_NETWORK_FRACTION) < 0.02
+
+
+def test_a_cluster_builds_one_generator_for_its_link_jitter(monkeypatch):
+    """Host classes, NICs and the bootstrap storm draw through ``unit`` and
+    ``picks``: 1,000 Daemons build the link-jitter stream's Generator and
+    nothing else, through their first registration sweep."""
+    from repro.p2p import build_cluster
+
+    built = []
+    default_rng = np.random.default_rng
+
+    def counting_default_rng(seed):
+        built.append(seed)
+        return default_rng(seed)
+
+    monkeypatch.setattr(np.random, "default_rng", counting_default_rng)
+    cluster = build_cluster(n_daemons=1000, n_superpeers=8, seed=0)
+    assert len(built) <= 1
+    cluster.sim.run(until=0.5)
+    assert sum(d.registered for d in cluster.daemons.values()) == 1000
+    assert len(built) <= 1
 
 
 # -------------------------------------------------------------- serialization
