@@ -42,6 +42,8 @@ AUDITED = {
     "repro.gossip.peers": ["PeerRecord"],
     # one per registered Daemon per leaf Super-Peer
     "repro.p2p.superpeer": ["DaemonRecord"],
+    # one per task runner, touched every iteration
+    "repro.checkpoint.policy": ["CheckpointSchedule"],
 }
 
 

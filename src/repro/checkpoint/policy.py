@@ -1,35 +1,34 @@
-"""Checkpoint strategy layer: placement rings and scheduling policies.
+"""Checkpoint strategy layer: the guardian ring, the policies and the one
+schedule they bind to.
 
 Paper §5.4: "During the whole execution of an application, a peer always
 saves its current Task object on the same set of neighbors (in a round-robin
 fashion)" and the experiments use "20 backup-peers ... for each task".
 
-Two layers live here:
-
-* :class:`BackupPolicy` — the placement *ring*: which task indices guard a
-  task, and where the ``save_index``-th checkpoint lands (round-robin).
-  Identifying backup-peers by **task index** (not daemon identity) is what
-  makes the set stable across replacements: the checkpoint goes to whichever
-  Daemon currently runs the guarding task.
-* :class:`CheckpointPolicy` and its implementations — the *strategy*:
-  per-iteration decisions of whether to checkpoint now and to how many
-  peers.  :class:`FixedPolicy` reproduces the paper's fixed
-  "every ``frequency`` iterations, one guardian per save" scheme bit-for-bit;
+* :func:`guardians` — the placement *ring*: which task indices guard a
+  task, nearest first.  Identifying backup-peers by **task index** (not
+  daemon identity) is what makes the set stable across replacements: the
+  checkpoint goes to whichever Daemon currently runs the guarding task.
+* :class:`CheckpointPolicy` and its implementations — the *strategy*, a
+  frozen value object: ``count`` guardians, a save every ``frequency``
+  iterations.  :class:`FixedPolicy` is the paper's scheme;
   :class:`AdaptivePolicy` re-tunes interval and replica count online from
   observed failure inter-arrival times and measured checkpoint cost
   (arXiv:0711.3949's first-order model, ``T_opt = sqrt(2·C·M)``).
+* :class:`CheckpointSchedule` — what :meth:`CheckpointPolicy.bind` returns
+  per task runner, for both policies.  Bound without failure evidence (no
+  :class:`~repro.checkpoint.feed.FailureFeed`, as :class:`FixedPolicy`
+  always is) it never re-tunes, and is the paper's fixed schedule.
 
-Policies are frozen dataclasses that ride inside
-:class:`~repro.exec.spec.RunSpec` — they serialize through
-:meth:`CheckpointPolicy.to_dict` / :func:`policy_from_dict` and are *bound*
-per task runner via :meth:`CheckpointPolicy.bind`, which returns the mutable
-per-run state object the Daemon drives.
+Policies ride inside :class:`~repro.exec.spec.RunSpec` — they serialize
+through :meth:`CheckpointPolicy.to_dict` / :func:`policy_from_dict`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
+from functools import lru_cache
 from typing import TYPE_CHECKING, Any, ClassVar
 
 from repro.checkpoint.feed import ALPHA
@@ -38,8 +37,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
     from repro.checkpoint.feed import FailureFeed
 
 __all__ = [
-    "BackupPolicy",
+    "guardians",
     "CheckpointPolicy",
+    "CheckpointSchedule",
     "FixedPolicy",
     "AdaptivePolicy",
     "policy_from_dict",
@@ -54,84 +54,31 @@ SAVE_OVERHEAD = 5e-4
 REPLICA_RISK = 0.5
 
 
-@dataclass(frozen=True)
-class BackupPolicy:
-    """Placement and frequency rules for one application.
+@lru_cache(maxsize=None)
+def guardians(task_id: int, num_tasks: int, count: int) -> tuple[int, ...]:
+    """The fixed set of task indices guarding ``task_id``.
 
-    Parameters
-    ----------
-    num_tasks:
-        Total tasks in the application.
-    count:
-        Number of backup-peers guarding each task (clamped to
-        ``num_tasks - 1``; paper default 20).
-    frequency:
-        Checkpoint every ``frequency`` iterations — the ``JaceSave``
-        setting (paper experiments: 5).
+    ``min(count, num_tasks - 1)`` of them, ordered by proximity,
+    alternating successor/predecessor: ``(k+1, k-1, k+2, k-2, ...)`` (mod
+    ``num_tasks``), self excluded.  A pure function of its arguments, asked
+    on every save, so cached.
     """
-
-    num_tasks: int
-    count: int = 20
-    frequency: int = 5
-
-    def __post_init__(self) -> None:
-        if self.num_tasks < 1:
-            raise ValueError("num_tasks must be >= 1")
-        if self.count < 0:
-            raise ValueError("count must be >= 0")
-        if self.frequency < 1:
-            raise ValueError("frequency must be >= 1")
-        # The guarding set is a pure function of (task_id, num_tasks,
-        # count), and target_for_save re-derives it on every checkpoint:
-        # cache per task (frozen dataclass, so plant via object.__setattr__)
-        object.__setattr__(self, "_peers_cache", {})
-
-    @property
-    def effective_count(self) -> int:
-        return min(self.count, self.num_tasks - 1)
-
-    def backup_peers(self, task_id: int) -> list[int]:
-        """The fixed set of task indices guarding ``task_id``.
-
-        Ordered by proximity, alternating successor/predecessor:
-        ``[k+1, k-1, k+2, k-2, ...]`` (mod num_tasks), self excluded.
-        """
-        return list(self._cached_peers(task_id))
-
-    def _cached_peers(self, task_id: int) -> tuple[int, ...]:
-        cached = self._peers_cache.get(task_id)
-        if cached is not None:
-            return cached
-        if not 0 <= task_id < self.num_tasks:
-            raise ValueError(f"task_id {task_id} out of range")
-        peers: list[int] = []
-        offset = 1
-        while len(peers) < self.effective_count:
-            for candidate in (task_id + offset, task_id - offset):
-                c = candidate % self.num_tasks
-                if c != task_id and c not in peers:
-                    peers.append(c)
-                if len(peers) >= self.effective_count:
-                    break
-            offset += 1
-        self._peers_cache[task_id] = cached = tuple(peers)
-        return cached
-
-    def target_for_save(self, task_id: int, save_index: int) -> int | None:
-        """Which backup-peer receives the ``save_index``-th checkpoint
-        (round-robin over the fixed set); None when nobody guards us."""
-        peers = self._cached_peers(task_id)
-        if not peers:
-            return None
-        return peers[save_index % len(peers)]
-
-    def checkpoint_due(self, iteration: int) -> bool:
-        """True on iterations 1·f, 2·f, ... (never at iteration 0)."""
-        return iteration > 0 and iteration % self.frequency == 0
-
-
-# --------------------------------------------------------------------------
-# strategy layer
+    if num_tasks < 1:
+        raise ValueError("num_tasks must be >= 1")
+    if count < 0:
+        raise ValueError("count must be >= 0")
+    if not 0 <= task_id < num_tasks:
+        raise ValueError(f"task_id {task_id} out of range")
+    want = min(count, num_tasks - 1)
+    peers: list[int] = []
+    offset = 1
+    while len(peers) < want:
+        for c in ((task_id + offset) % num_tasks,
+                  (task_id - offset) % num_tasks):
+            if len(peers) < want and c not in peers:
+                peers.append(c)
+        offset += 1
+    return tuple(peers)
 
 
 _POLICY_KINDS: dict[str, type["CheckpointPolicy"]] = {}
@@ -157,41 +104,24 @@ class CheckpointPolicy:
     """Strategy deciding, per task and per iteration, whether to checkpoint
     now and to how many backup peers.
 
+    Parameters
+    ----------
+    count:
+        Number of backup-peers guarding each task (clamped to
+        ``num_tasks - 1``; paper default 20).
+    frequency:
+        Checkpoint every ``frequency`` iterations — the ``JaceSave``
+        setting (paper experiments: 5); :class:`AdaptivePolicy`'s prior.
+
     Subclasses are frozen dataclasses carrying only tuning constants; the
-    mutable per-run machinery lives in the *bound state* returned by
-    :meth:`bind`.  The bound-state protocol the Daemon drives:
-
-    * ``checkpoint_due(iteration, now) -> bool``
-    * ``begin_save(task_id, iteration) -> tuple[int, ...]`` — the guardian
-      task indices for this save (advances the round-robin cursor)
-    * ``on_iteration(now, duration)`` — one finished iteration
-    * ``on_checkpoint(nbytes)`` — one shipped checkpoint payload
-    * ``on_rollback(iteration)`` — resume point after a recovery
-    * ``backup_peers(task_id) -> list[int]`` and the ``ring`` attribute —
-      the underlying placement :class:`BackupPolicy`
+    mutable per-run machinery is the :class:`CheckpointSchedule` returned
+    by :meth:`bind`.
     """
-
-    kind: ClassVar[str] = ""
-
-    def to_dict(self) -> dict[str, Any]:
-        return {"kind": type(self).kind, **asdict(self)}
-
-    def bind(self, num_tasks: int, feed: "FailureFeed | None" = None):
-        """Create the mutable per-runner state driving one task's saves."""
-        raise NotImplementedError
-
-
-@_register
-@dataclass(frozen=True)
-class FixedPolicy(CheckpointPolicy):
-    """The paper's scheme: every ``frequency`` iterations, round-robin one
-    checkpoint across ``count`` guardians.  Bit-for-bit identical to the
-    pre-strategy ``BackupPolicy`` path."""
-
-    kind: ClassVar[str] = "fixed"
 
     count: int = 20
     frequency: int = 5
+
+    kind: ClassVar[str] = ""
 
     def __post_init__(self) -> None:
         if self.count < 0:
@@ -199,43 +129,32 @@ class FixedPolicy(CheckpointPolicy):
         if self.frequency < 1:
             raise ValueError("frequency must be >= 1")
 
-    def bind(self, num_tasks: int, feed: "FailureFeed | None" = None):
-        ring = BackupPolicy(
-            num_tasks=num_tasks, count=self.count, frequency=self.frequency
-        )
-        return _FixedState(ring)
+    def to_dict(self) -> dict[str, Any]:
+        return {"kind": type(self).kind, **asdict(self)}
+
+    def bind(self, num_tasks: int,
+             feed: "FailureFeed | None" = None) -> "CheckpointSchedule":
+        """Create the mutable per-runner schedule driving one task's saves,
+        re-tuned from ``feed`` when there is one."""
+        return CheckpointSchedule(self, num_tasks, feed)
 
 
-class _FixedState:
-    """Bound :class:`FixedPolicy`: a thin shim over the placement ring."""
+@_register
+@dataclass(frozen=True)
+class FixedPolicy(CheckpointPolicy):
+    """The paper's scheme: every ``frequency`` iterations, round-robin one
+    checkpoint across ``count`` guardians.
 
-    __slots__ = ("ring", "save_count")
+    Bound with no failure evidence, so its schedule never re-tunes;
+    ``tests/test_checkpoint_policy.py`` holds it, step for step, to the
+    paper's modulo-``frequency`` path in
+    ``tests/oracles/fixed_checkpoint_reference.py``."""
 
-    def __init__(self, ring: BackupPolicy):
-        self.ring = ring
-        self.save_count = 0
+    kind: ClassVar[str] = "fixed"
 
-    def checkpoint_due(self, iteration: int, now: float) -> bool:
-        return self.ring.checkpoint_due(iteration)
-
-    def begin_save(self, task_id: int, iteration: int) -> tuple[int, ...]:
-        target = self.ring.target_for_save(task_id, self.save_count)
-        self.save_count += 1
-        return () if target is None else (target,)
-
-    def on_iteration(self, now: float, duration: float) -> None:
-        pass
-
-    def on_checkpoint(self, nbytes: int) -> None:
-        pass
-
-    def on_rollback(self, iteration: int) -> None:
-        # replay the fixed schedule up to the resume point, so the
-        # round-robin cursor lands exactly where the lost incarnation's was
-        self.save_count = iteration // self.ring.frequency
-
-    def backup_peers(self, task_id: int) -> list[int]:
-        return self.ring.backup_peers(task_id)
+    def bind(self, num_tasks: int,
+             feed: "FailureFeed | None" = None) -> "CheckpointSchedule":
+        return CheckpointSchedule(self, num_tasks, None)
 
 
 @_register
@@ -265,38 +184,41 @@ class AdaptivePolicy(CheckpointPolicy):
 
     kind: ClassVar[str] = "adaptive"
 
-    count: int = 20
-    frequency: int = 5
     max_frequency: int = 40
     max_replicas: int = 3
 
     def __post_init__(self) -> None:
-        if self.count < 0:
-            raise ValueError("count must be >= 0")
-        if self.frequency < 1:
-            raise ValueError("frequency must be >= 1")
+        super().__post_init__()
         if self.max_frequency < MIN_FREQUENCY:
             raise ValueError("max_frequency must be >= 1")
         if self.max_replicas < 1:
             raise ValueError("max_replicas must be >= 1")
 
-    def bind(self, num_tasks: int, feed: "FailureFeed | None" = None):
-        ring = BackupPolicy(
-            num_tasks=num_tasks, count=self.count, frequency=self.frequency
-        )
-        return _AdaptiveState(self, ring, feed)
 
+class CheckpointSchedule:
+    """One task runner's checkpoint schedule, bound from a policy.
 
-class _AdaptiveState:
-    """Bound :class:`AdaptivePolicy`: per-runner tuner state."""
+    A save is due once ``interval`` iterations have passed since the last
+    one, and goes to ``replicas`` consecutive round-robin slots of the
+    task's :func:`guardians` ring.  With a ``feed``, every finished
+    iteration re-tunes ``interval`` and ``replicas`` by
+    :class:`AdaptivePolicy`'s law.  Without one they stay ``frequency`` and
+    1, and this is the paper's fixed schedule: due on every multiple of
+    ``frequency``, the ``s``-th save to ring slot ``s mod len(ring)``.
+    That holds because a rollback only ever resumes at 0 or at an
+    iteration a schedule saved at (a restored Backup's), so every save and
+    every resume point is a multiple of ``frequency``, and
+    :meth:`on_rollback`'s ``iteration // interval`` puts the cursor where
+    the lost incarnation's was.
+    """
 
-    __slots__ = ("spec", "ring", "feed", "interval", "replicas",
+    __slots__ = ("spec", "num_tasks", "feed", "interval", "replicas",
                  "save_count", "last_save_iteration", "iter_ewma", "retunes")
 
-    def __init__(self, spec: AdaptivePolicy, ring: BackupPolicy,
+    def __init__(self, spec: CheckpointPolicy, num_tasks: int,
                  feed: "FailureFeed | None"):
         self.spec = spec
-        self.ring = ring
+        self.num_tasks = num_tasks
         self.feed = feed
         self.interval = spec.frequency
         self.replicas = 1
@@ -306,24 +228,25 @@ class _AdaptiveState:
         #: interval re-tunes that changed the schedule (for tests/traces)
         self.retunes = 0
 
-    def checkpoint_due(self, iteration: int, now: float) -> bool:
-        if iteration <= 0:
-            return False
+    def checkpoint_due(self, iteration: int) -> bool:
+        """Checkpoint after this iteration?"""
         return iteration - self.last_save_iteration >= self.interval
 
     def begin_save(self, task_id: int, iteration: int) -> tuple[int, ...]:
+        """The guardian task indices for this save; advances the cursor."""
         self.last_save_iteration = iteration
-        peers = self.ring._cached_peers(task_id)
-        if not peers:
-            self.save_count += 1
-            return ()
+        peers = self.backup_peers(task_id)
         n = min(self.replicas, len(peers))
         base = self.save_count
-        self.save_count += n
+        self.save_count = base + n
         # n consecutive round-robin slots are distinct whenever n <= len
         return tuple(peers[(base + j) % len(peers)] for j in range(n))
 
     def on_iteration(self, now: float, duration: float) -> None:
+        """One finished iteration: feeds the iteration-time EWMA and
+        re-tunes, when there is failure evidence to tune from."""
+        if self.feed is None:
+            return
         a = ALPHA
         if self.iter_ewma <= 0.0:
             self.iter_ewma = duration
@@ -332,15 +255,17 @@ class _AdaptiveState:
         self._retune(now)
 
     def on_checkpoint(self, nbytes: int) -> None:
+        """One shipped checkpoint payload."""
         if self.feed is not None:
             self.feed.record_checkpoint(nbytes)
 
     def on_rollback(self, iteration: int) -> None:
+        """Resume after a recovery restored ``iteration``."""
         self.last_save_iteration = iteration
-        self.save_count = iteration // max(1, self.interval)
+        self.save_count = iteration // self.interval
 
-    def backup_peers(self, task_id: int) -> list[int]:
-        return self.ring.backup_peers(task_id)
+    def backup_peers(self, task_id: int) -> tuple[int, ...]:
+        return guardians(task_id, self.num_tasks, self.spec.count)
 
     # -- the adaptation law --------------------------------------------------
 
@@ -349,7 +274,7 @@ class _AdaptiveState:
         tau = self.iter_ewma
         if tau <= 0.0:
             return
-        mtbf = self.feed.mtbf(now) if self.feed is not None else None
+        mtbf = self.feed.mtbf(now)
         if mtbf is None:
             # no failure observed yet: no evidence to deviate from the
             # configured prior (jumping to max_frequency here would make

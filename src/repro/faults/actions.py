@@ -169,8 +169,8 @@ class MessageCorruption(FaultAction):
 class RackFailure(FaultAction):
     """Correlated crash: a victim peer plus the guardians of its checkpoints.
 
-    The victim's task names its backup-peers through the §5.4
-    :class:`~repro.checkpoint.policy.BackupPolicy`; every Daemon currently
+    The victim's task names its backup-peers through the §5.4 guardian
+    ring (:func:`~repro.checkpoint.policy.guardians`); every Daemon currently
     running one of those tasks is powered off in the same instant as the
     victim.  With every Backup of the victim's task gone, recovery must
     restart from iteration 0 — the worst case of Fig. 6.

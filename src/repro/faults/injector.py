@@ -381,14 +381,6 @@ class FaultInjector:
 
     # -- replay -------------------------------------------------------------------
 
-    @property
-    def counts(self) -> dict[str, int]:
-        """Executed-action tally by kind."""
-        out: dict[str, int] = {}
-        for rec in self.executed:
-            out[rec.kind] = out.get(rec.kind, 0) + 1
-        return out
-
     def executed_plan(self) -> FaultPlan:
         """The plan that would replay what actually happened.
 

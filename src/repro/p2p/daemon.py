@@ -258,7 +258,7 @@ class TaskRunner:
 
     def _maybe_checkpoint(self) -> None:
         policy = self.policy
-        if not policy.checkpoint_due(self.iteration, self.sim.now):
+        if not policy.checkpoint_due(self.iteration):
             return
         targets = policy.begin_save(self.task_id, self.iteration)
         if not targets:

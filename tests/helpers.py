@@ -7,6 +7,7 @@ from typing import Any
 import numpy as np
 import scipy.sparse as sp
 
+from repro.checkpoint import guardians
 from repro.churn import churn_plan
 from repro.faults import FaultInjector
 from repro.numerics import DECOMPOSITION_CACHE, BlockDecomposition, Poisson2D
@@ -24,14 +25,15 @@ def select(tracer, category=None, kind=None, entity=None) -> list:
 
 
 def clear_caches() -> None:
-    """Drop the five process-wide caches, so a test (or a timed run) starts
+    """Drop the six process-wide caches, so a test (or a timed run) starts
     cold whatever ran before it: shared block decompositions, the DST-I
-    matrices and the size walk's per-class memos."""
+    matrices, the size walk's per-class memos and the guardian rings."""
     DECOMPOSITION_CACHE.clear()
     dst_matrix.cache_clear()
     serialization._fields_by_class.clear()
     serialization._frozen_by_class.clear()
     serialization._unmemoizable.clear()
+    guardians.cache_clear()
 
 
 class GeometricTask(Task):

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.checkpoint import Backup, BackupPolicy, BackupStore, choose_latest
+from repro.checkpoint import (Backup, BackupStore, FixedPolicy, choose_latest,
+                              guardians)
 
 
 # --------------------------------------------------------------------- backup
@@ -115,59 +116,59 @@ def test_store_total_bytes():
 
 def test_policy_left_right_neighbours_for_count_two():
     """count=2 reproduces the paper's Figure 5 example exactly."""
-    policy = BackupPolicy(num_tasks=4, count=2)
-    assert set(policy.backup_peers(1)) == {0, 2}
-    assert set(policy.backup_peers(2)) == {1, 3}
+    assert set(guardians(1, 4, 2)) == {0, 2}
+    assert set(guardians(2, 4, 2)) == {1, 3}
     # wrap-around at the ends
-    assert set(policy.backup_peers(0)) == {1, 3}
-    assert set(policy.backup_peers(3)) == {2, 0}
+    assert set(guardians(0, 4, 2)) == {1, 3}
+    assert set(guardians(3, 4, 2)) == {2, 0}
 
 
 def test_policy_round_robin_alternates_targets():
     """Figure 5: T2's even-iteration saves go to one side, odd to the other."""
-    policy = BackupPolicy(num_tasks=4, count=2)
-    targets = [policy.target_for_save(1, i) for i in range(4)]
-    assert targets == [2, 0, 2, 0]
+    schedule = FixedPolicy(count=2, frequency=1).bind(num_tasks=4)
+    targets = [schedule.begin_save(1, i) for i in range(1, 5)]
+    assert targets == [(2,), (0,), (2,), (0,)]
 
 
 def test_policy_count_clamped_to_population():
-    policy = BackupPolicy(num_tasks=5, count=20)
-    peers = policy.backup_peers(2)
+    peers = guardians(2, 5, 20)
     assert len(peers) == 4
     assert sorted(peers) == [0, 1, 3, 4]
 
 
 def test_policy_peers_never_include_self_and_are_unique():
-    policy = BackupPolicy(num_tasks=9, count=6)
     for k in range(9):
-        peers = policy.backup_peers(k)
+        peers = guardians(k, 9, 6)
         assert k not in peers
         assert len(set(peers)) == len(peers) == 6
 
 
 def test_policy_single_task_has_no_peers():
-    policy = BackupPolicy(num_tasks=1, count=20)
-    assert policy.backup_peers(0) == []
-    assert policy.target_for_save(0, 0) is None
+    assert guardians(0, 1, 20) == ()
+    assert FixedPolicy(count=20).bind(num_tasks=1).begin_save(0, 5) == ()
 
 
 def test_policy_checkpoint_frequency():
-    policy = BackupPolicy(num_tasks=2, count=1, frequency=5)
-    due = [i for i in range(21) if policy.checkpoint_due(i)]
+    schedule = FixedPolicy(count=1, frequency=5).bind(num_tasks=2)
+    due = []
+    for i in range(21):
+        if schedule.checkpoint_due(i):
+            due.append(i)
+            schedule.begin_save(0, i)
     assert due == [5, 10, 15, 20]
-    every = BackupPolicy(num_tasks=2, count=1, frequency=1)
+    every = FixedPolicy(count=1, frequency=1).bind(num_tasks=2)
     assert every.checkpoint_due(1) and not every.checkpoint_due(0)
 
 
 def test_policy_validation():
     with pytest.raises(ValueError):
-        BackupPolicy(num_tasks=0)
+        guardians(0, 0, 20)
     with pytest.raises(ValueError):
-        BackupPolicy(num_tasks=2, count=-1)
+        guardians(0, 2, -1)
     with pytest.raises(ValueError):
-        BackupPolicy(num_tasks=2, frequency=0)
+        FixedPolicy(frequency=0)
     with pytest.raises(ValueError):
-        BackupPolicy(num_tasks=3).backup_peers(3)
+        guardians(3, 3, 20)
 
 
 # ------------------------------------------------------------------- recovery

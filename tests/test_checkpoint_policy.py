@@ -3,23 +3,28 @@
 Covers the :class:`CheckpointPolicy` protocol: serialization round-trips,
 canonicalization (``checkpoint=None`` and an explicit default policy build
 the same normalized spec and cache key), bitwise identity of the two
-routes, and the online adaptation of
-:class:`AdaptivePolicy` (deterministic replay, churn-driven re-tuning,
-checkpoint-traffic savings).
+routes, the bound :class:`FixedPolicy` schedule against the paper's fixed
+path (``tests/oracles/fixed_checkpoint_reference.py``), and the online
+adaptation of :class:`AdaptivePolicy` (deterministic replay, churn-driven
+re-tuning, checkpoint-traffic savings).
 """
 
 from dataclasses import asdict
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from repro.checkpoint import (
     AdaptivePolicy,
-    BackupPolicy,
     FailureFeed,
     FixedPolicy,
+    guardians,
     policy_from_dict,
 )
 from repro.exec import RunSpec
+from tests.oracles.fixed_checkpoint_reference import (FixedCheckpointReference,
+                                                      reference_ring)
 
 
 # ------------------------------------------------------------- serialization
@@ -51,6 +56,10 @@ def test_policy_validation():
     with pytest.raises(ValueError):
         FixedPolicy(count=-1)
     with pytest.raises(ValueError):
+        AdaptivePolicy(frequency=0)
+    with pytest.raises(ValueError):
+        AdaptivePolicy(count=-1)
+    with pytest.raises(ValueError):
         AdaptivePolicy(max_frequency=0)
     with pytest.raises(ValueError):
         AdaptivePolicy(max_replicas=0)
@@ -63,16 +72,20 @@ def test_runspec_roundtrips_policies():
         assert RunSpec.from_dict(spec.to_dict()) == spec
 
 
-# ------------------------------------------- BackupPolicy _peers_cache fix
+# ----------------------------------------------------- the guardian ring
 
 
-def test_backup_policy_asdict_and_equality_ignore_cache():
-    warm = BackupPolicy(num_tasks=6, count=3, frequency=5)
-    warm.backup_peers(0)
-    cold = BackupPolicy(num_tasks=6, count=3, frequency=5)
-    assert warm == cold
-    assert asdict(warm) == asdict(cold)
-    assert "_peers_cache" not in asdict(warm)
+def test_guardian_ring_is_cached_outside_the_policies():
+    """Binding and saving leave a policy's fields, equality and dict form
+    untouched: the ring is cached by :func:`guardians`, as an immutable
+    tuple every caller shares."""
+    pol = FixedPolicy(count=3)
+    pol.bind(num_tasks=6).begin_save(0, 5)
+    assert pol == FixedPolicy(count=3)
+    assert asdict(pol) == {"count": 3, "frequency": 5}
+    ring = guardians(0, 6, 3)
+    assert isinstance(ring, tuple)
+    assert guardians(0, 6, 3) is ring
 
 
 # ------------------------------------------------- canonicalization / keys
@@ -137,9 +150,9 @@ def test_failure_feed_checkpoint_cost_tracks_bytes():
 
 def test_fixed_state_round_robins_one_guardian_per_save():
     state = FixedPolicy(count=2, frequency=5).bind(num_tasks=4)
-    assert not state.checkpoint_due(0, now=0.0)
-    assert state.checkpoint_due(5, now=0.0)
-    ring = state.ring.backup_peers(0)
+    assert not state.checkpoint_due(0)
+    assert state.checkpoint_due(5)
+    ring = guardians(0, 4, 2)
     targets = [state.begin_save(0, it)[0] for it in (5, 10, 15, 20)]
     assert targets == [ring[0], ring[1], ring[0], ring[1]]
 
@@ -150,6 +163,57 @@ def test_fixed_state_rollback_resets_cursor():
         state.begin_save(0, it)
     state.on_rollback(5)
     assert state.save_count == 1
+
+
+# A run of iterations, or a rollback to 0 or to an iteration saved at
+# before (the only resume points a recovery can restore): ("iterate", n)
+# or ("rollback", index into the saved iterations).
+_SCHEDULE_OPS = st.lists(
+    st.tuples(st.sampled_from(["iterate", "rollback"]),
+              st.integers(min_value=0, max_value=12)),
+    max_size=12,
+)
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(num_tasks=st.integers(min_value=1, max_value=10),
+       count=st.integers(min_value=0, max_value=6),
+       frequency=st.integers(min_value=1, max_value=5),
+       task=st.integers(min_value=0, max_value=9),
+       ops=_SCHEDULE_OPS)
+# two saves, then a resume at the first: the cursor must step back
+@example(num_tasks=4, count=2, frequency=1, task=1,
+         ops=[("iterate", 2), ("rollback", 1), ("iterate", 1)])
+def test_fixed_schedule_matches_the_paper_reference(num_tasks, count,
+                                                    frequency, task, ops):
+    """``FixedPolicy`` binds the one schedule with no failure evidence:
+    through any run of iterations and rollbacks it takes the same
+    ``(due, targets)`` decisions as the paper's fixed path."""
+    task %= num_tasks
+    assert guardians(task, num_tasks, count) == tuple(
+        reference_ring(task, num_tasks, count))
+    state = FixedPolicy(count=count, frequency=frequency).bind(num_tasks)
+    oracle = FixedCheckpointReference(task, num_tasks, count, frequency)
+    iteration, saved = 0, [0]
+    got, want = [], []
+    for op, arg in ops:
+        if op == "rollback":
+            iteration = saved[arg % len(saved)]
+            state.on_rollback(iteration)
+            oracle.rollback(iteration)
+            continue
+        for _ in range(arg):
+            iteration += 1
+            state.on_iteration(now=iteration * 0.01, duration=0.01)
+            due = state.checkpoint_due(iteration)
+            got.append((iteration, due,
+                        state.begin_save(task, iteration) if due else ()))
+            due = oracle.due(iteration)
+            want.append((iteration, due, oracle.save() if due else ()))
+            if due:
+                saved.append(iteration)
+    assert got == want
 
 
 def test_adaptive_state_holds_prior_until_evidence():
@@ -192,7 +256,7 @@ def test_adaptive_begin_save_fans_out_replicas():
     targets = state.begin_save(0, 5)
     assert len(targets) == 3
     assert len(set(targets)) == 3  # consecutive ring slots are distinct
-    assert set(targets) <= set(state.ring.backup_peers(0))
+    assert set(targets) <= set(guardians(0, 8, 4))
 
 
 # ------------------------------------------------------- end-to-end adaptive

@@ -288,7 +288,7 @@ def test_spawner_flap_keeps_exactly_one_leader():
     # the flap resurrected the host but no second Spawner was resumed:
     # only the original launch is registered with the cluster
     assert len(cluster.spawners) == 1
-    assert inj.counts == {"spawner_crash": 1}
+    assert [r.kind for r in inj.executed] == ["spawner_crash"]
     assert standby.active_reign > primary.reign
 
 

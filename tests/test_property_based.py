@@ -8,7 +8,7 @@ import scipy.sparse as sp
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.checkpoint import Backup, BackupPolicy, choose_latest
+from repro.checkpoint import Backup, FixedPolicy, choose_latest, guardians
 from repro.convergence import LocalConvergenceDetector
 from repro.des import Simulator
 from repro.net import Address, Network
@@ -191,18 +191,24 @@ def test_rmi_sizes_its_envelopes_as_measured_size_would(
     st.integers(min_value=1, max_value=20),
 )
 def test_backup_policy_invariants(num_tasks, count, frequency):
-    policy = BackupPolicy(num_tasks=num_tasks, count=count, frequency=frequency)
+    policy = FixedPolicy(count=count, frequency=frequency)
     for task_id in range(num_tasks):
-        peers = policy.backup_peers(task_id)
+        peers = guardians(task_id, num_tasks, count)
         assert task_id not in peers
-        assert len(peers) == len(set(peers)) == policy.effective_count
+        assert len(peers) == len(set(peers)) == min(count, num_tasks - 1)
         assert all(0 <= p < num_tasks for p in peers)
         # round-robin covers every guardian exactly once per cycle
-        if peers:
-            cycle = [policy.target_for_save(task_id, i) for i in range(len(peers))]
-            assert sorted(cycle) == sorted(peers)
+        schedule = policy.bind(num_tasks)
+        cycle = [t for i in range(len(peers))
+                 for t in schedule.begin_save(task_id, i)]
+        assert sorted(cycle) == sorted(peers)
     # checkpoint_due fires exactly on multiples of frequency (except 0)
-    due = [i for i in range(frequency * 3 + 1) if policy.checkpoint_due(i)]
+    schedule = policy.bind(num_tasks)
+    due = []
+    for i in range(frequency * 3 + 1):
+        if schedule.checkpoint_due(i):
+            due.append(i)
+            schedule.begin_save(0, i)
     assert due == [frequency, 2 * frequency, 3 * frequency]
 
 
