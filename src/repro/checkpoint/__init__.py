@@ -10,30 +10,23 @@ computing.  The pieces:
 * :class:`BackupStore` — the per-Daemon container holding the latest Backup
   received for each task it guards;
 * :func:`guardians` — who guards whom: a fixed neighbour set per task;
-* :class:`FixedPolicy` (the paper's ``JaceSave`` every ``frequency``
-  iterations) and :class:`AdaptivePolicy` (re-tuned from a
-  :class:`FailureFeed`) — both bind to one
-  :class:`~repro.checkpoint.policy.CheckpointSchedule`, which sends each
-  successive checkpoint round-robin around the guardians;
+* :class:`FixedPolicy` — the paper's ``JaceSave`` every ``frequency``
+  iterations; it binds to one
+  :class:`~repro.checkpoint.policy.CheckpointSchedule` per task runner,
+  which sends each successive checkpoint round-robin around the guardians;
 * :func:`choose_latest` — the recovery rule: restart from the newest
   ``(epoch, iteration)`` found among the surviving backup-peers.
 """
 
 from repro.checkpoint.backup import Backup
 from repro.checkpoint.store import BackupStore
-from repro.checkpoint.policy import (AdaptivePolicy, CheckpointPolicy,
-                                     FixedPolicy, guardians, policy_from_dict)
-from repro.checkpoint.feed import FailureFeed
+from repro.checkpoint.policy import FixedPolicy, guardians
 from repro.checkpoint.recovery import choose_latest
 
 __all__ = [
     "Backup",
     "BackupStore",
     "guardians",
-    "CheckpointPolicy",
     "FixedPolicy",
-    "AdaptivePolicy",
-    "FailureFeed",
-    "policy_from_dict",
     "choose_latest",
 ]

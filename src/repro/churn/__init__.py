@@ -3,7 +3,6 @@
 The paper's experiment: "The peers are randomly disconnected during the
 execution, and they are reconnected about 20 seconds later", with 0–50
 disconnections per run.  :class:`PaperChurn` reproduces exactly that;
-:class:`PoissonChurn` provides an open-ended arrival-process alternative;
 :class:`TraceChurn` replays a recorded schedule so baselines face the
 *identical* failure pattern.  :func:`churn_plan` turns any model's schedule
 into a :class:`~repro.faults.FaultPlan` for a
@@ -14,7 +13,6 @@ from repro.churn.models import (
     ChurnEvent,
     ChurnModel,
     PaperChurn,
-    PoissonChurn,
     TraceChurn,
     churn_plan,
 )
@@ -23,7 +21,6 @@ __all__ = [
     "ChurnEvent",
     "ChurnModel",
     "PaperChurn",
-    "PoissonChurn",
     "TraceChurn",
     "churn_plan",
 ]

@@ -18,7 +18,6 @@ __all__ = [
     "ChurnEvent",
     "ChurnModel",
     "PaperChurn",
-    "PoissonChurn",
     "TraceChurn",
     "churn_plan",
 ]
@@ -27,8 +26,6 @@ __all__ = [
 #: paper's "during the execution"
 CHURN_START = 0.05
 CHURN_END = 0.85
-#: mean seconds a :class:`PoissonChurn` victim stays down
-MEAN_DOWNTIME = 20.0
 
 
 @dataclass(frozen=True, order=True)
@@ -84,34 +81,6 @@ class PaperChurn(ChurnModel):
             lo + (hi - lo) * node.unit(i) for i in range(self.n_disconnections)
         )
         return [ChurnEvent(t, self.reconnect_delay) for t in times]
-
-
-@dataclass(frozen=True)
-class PoissonChurn(ChurnModel):
-    """Memoryless arrivals: disconnections as a Poisson process of ``rate``
-    events/second, each down for an exponential time of mean
-    :data:`MEAN_DOWNTIME` (a common open-network churn model)."""
-
-    rate: float
-
-    def __post_init__(self) -> None:
-        if self.rate < 0:
-            raise ConfigurationError("rate must be >= 0")
-
-    def schedule(self, rng: RngTree, horizon: float) -> list[ChurnEvent]:
-        if horizon <= 0:
-            raise ConfigurationError("horizon must be positive")
-        events: list[ChurnEvent] = []
-        t = 0.0
-        arrival = rng.child("arrivals")
-        downtime = rng.child("downtimes")
-        if self.rate == 0:
-            return events
-        while True:
-            t += arrival.exponential(1.0 / self.rate)
-            if t >= horizon:
-                return events
-            events.append(ChurnEvent(t, max(downtime.exponential(MEAN_DOWNTIME), 1e-3)))
 
 
 @dataclass(frozen=True)

@@ -74,20 +74,11 @@ def build_parser() -> argparse.ArgumentParser:
     # checkpoint-strategy flags shared by the run-shaped subcommands
     policy_flags = argparse.ArgumentParser(add_help=False)
     policy_flags.add_argument(
-        "--checkpoint-policy", choices=["fixed", "adaptive"], default=None,
-        help="checkpoint strategy (default: the paper's fixed policy)")
-    policy_flags.add_argument(
         "--checkpoint-count", type=int, default=None, metavar="N",
         help="backup-peer ring size (default 20, the paper's value)")
     policy_flags.add_argument(
         "--checkpoint-frequency", type=int, default=None, metavar="K",
-        help="checkpoint every K iterations (fixed; adaptive prior)")
-    policy_flags.add_argument(
-        "--max-replicas", type=int, default=None, metavar="R",
-        help="adaptive only: max checkpoint copies per save (default 3)")
-    policy_flags.add_argument(
-        "--max-frequency", type=int, default=None, metavar="K",
-        help="adaptive only: interval ceiling in iterations (default 40)")
+        help="checkpoint every K iterations (default 5, the paper's value)")
 
     run = sub.add_parser("run", parents=[exec_flags, policy_flags],
                          help="one Poisson execution on the P2P runtime")
@@ -197,9 +188,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _policy_from(args):
-    """Build a CheckpointPolicy from the shared --checkpoint-* flags; with
-    none given, the paper's ``FixedPolicy()``."""
-    from repro.checkpoint import AdaptivePolicy, FixedPolicy
+    """Build the checkpoint policy from the shared --checkpoint-* flags;
+    with none given, the paper's ``FixedPolicy()``."""
+    from repro.checkpoint import FixedPolicy
 
     tuning = {
         k: v for k, v in (
@@ -207,12 +198,6 @@ def _policy_from(args):
             ("frequency", args.checkpoint_frequency),
         ) if v is not None
     }
-    if args.checkpoint_policy == "adaptive":
-        if args.max_replicas is not None:
-            tuning["max_replicas"] = args.max_replicas
-        if args.max_frequency is not None:
-            tuning["max_frequency"] = args.max_frequency
-        return AdaptivePolicy(**tuning)
     return FixedPolicy(**tuning)
 
 

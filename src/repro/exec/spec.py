@@ -27,8 +27,7 @@ import json
 import pathlib
 from dataclasses import asdict, dataclass, fields, replace
 
-from repro.checkpoint.policy import (CheckpointPolicy, FixedPolicy,
-                                     policy_from_dict)
+from repro.checkpoint.policy import FixedPolicy
 from repro.faults.plan import FaultPlan
 from repro.p2p.config import P2PConfig
 
@@ -82,10 +81,10 @@ class RunSpec:
     #: scheduled fault scenario (:class:`repro.faults.FaultPlan`) executed
     #: alongside the run; seeded from ``seed`` like everything else
     faults: FaultPlan | None = None
-    #: checkpoint strategy (:class:`repro.checkpoint.CheckpointPolicy`);
+    #: checkpoint strategy (:class:`repro.checkpoint.FixedPolicy`);
     #: None resolves to the paper's :class:`~repro.checkpoint.FixedPolicy`
     #: (20 guardians, every 5 iterations) at normalization
-    checkpoint: CheckpointPolicy | None = None
+    checkpoint: FixedPolicy | None = None
     #: screen incoming boundary components (and restored Backups) with the
     #: contraction-bound corruption filter (arXiv:2206.08479)
     reject_corruption: bool = False
@@ -154,10 +153,6 @@ class RunSpec:
         # asdict() loses the actions' class identity (their ``kind`` tag is
         # a ClassVar); FaultPlan.to_dict keeps it.
         out["faults"] = self.faults.to_dict() if self.faults is not None else None
-        # same story for policies: keep the registry tag
-        out["checkpoint"] = (
-            self.checkpoint.to_dict() if self.checkpoint is not None else None
-        )
         return out
 
     @classmethod
@@ -168,7 +163,7 @@ class RunSpec:
         if data.get("faults") is not None:
             data["faults"] = FaultPlan.from_dict(data["faults"])
         if data.get("checkpoint") is not None:
-            data["checkpoint"] = policy_from_dict(data["checkpoint"])
+            data["checkpoint"] = FixedPolicy(**data["checkpoint"])
         known = {f.name for f in fields(cls)}
         return cls(**{k: v for k, v in data.items() if k in known})
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 from repro.apps import make_poisson_app
 from repro.baselines import SynchronousEngine
-from repro.checkpoint import CheckpointPolicy, FixedPolicy
+from repro.checkpoint import FixedPolicy
 from repro.churn import PaperChurn, churn_plan
 from repro.des import Simulator
 from repro.exec import RunSpec, SweepEngine
@@ -70,7 +70,7 @@ def sync_vs_async(
     seed: int = 0,
     horizon: float = 900.0,
     engine: SweepEngine | None = None,
-    checkpoint: CheckpointPolicy = FixedPolicy(),
+    checkpoint: FixedPolicy = FixedPolicy(),
 ) -> SyncAsyncResult:
     config = EXPERIMENT_CONFIG
     engine = engine if engine is not None else SweepEngine()
@@ -144,12 +144,9 @@ def sync_vs_async(
     fallback = [h for h in testbed2.daemon_hosts if h not in used_hosts]
     hosts2 = [h if h is not None else fallback.pop(0) for h in used_hosts]
 
-    # the sync baseline has no failure feed: it checkpoints at the policy's
-    # base cadence
-    sync_frequency = checkpoint.frequency
     engine = SynchronousEngine(
         sim2, hosts2, app,
-        checkpoint_frequency=sync_frequency,
+        checkpoint_frequency=checkpoint.frequency,
         convergence_threshold=config.convergence_threshold,
         stability_window=config.stability_window,
         link_model=testbed2.network.link_model,

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from repro.checkpoint import CheckpointPolicy, FailureFeed, FixedPolicy
+from repro.checkpoint import FixedPolicy
 from repro.compute import ComputePlane
 from repro.errors import ConfigurationError, FaultError
 from repro.des import Simulator, TimerWheel, collector
@@ -82,10 +82,7 @@ class Cluster:
     #: Daemon incarnation offers it to its tasks as ``TaskContext.compute``
     compute: ComputePlane = field(default_factory=ComputePlane)
     #: cluster-wide checkpoint strategy handed to every Daemon incarnation
-    checkpoint: CheckpointPolicy = FixedPolicy()
-    #: shared failure/cost statistics: Spawner evictions write into it,
-    #: adaptive checkpoint policies read from it
-    failure_feed: FailureFeed = field(default_factory=FailureFeed)
+    checkpoint: FixedPolicy = FixedPolicy()
     #: the bootstrap roster every Daemon incarnation holds (one tuple,
     #: never copied per Daemon), fixed by the first :meth:`boot_daemon`
     daemon_roster: tuple[Address, ...] = ()
@@ -152,7 +149,6 @@ class Cluster:
             wheel=self.wheel,
             compute=self.compute,
             checkpoint=self.checkpoint,
-            failure_feed=self.failure_feed,
         )
         self.daemons[host.name] = daemon
         return daemon
@@ -217,7 +213,7 @@ def build_cluster(
     link_scale: float = 1.0,
     loss_rate: float = 0.0,
     tracer=None,
-    checkpoint: CheckpointPolicy = FixedPolicy(),
+    checkpoint: FixedPolicy = FixedPolicy(),
 ) -> Cluster:
     """Create a full deployment mirroring the paper's §7 testbed shape.
 
@@ -359,7 +355,6 @@ def launch_application(
         rng=cluster.rng.child("spawner", app.app_id),
         telemetry=cluster.telemetry if index == 0 else RunTelemetry(),
         stable_store=stable_store,
-        failure_feed=cluster.failure_feed,
     )
     cluster.spawners.append(spawner)
     cluster.apps.append(app)
@@ -398,7 +393,6 @@ def launch_standby(
         rng=cluster.rng.child("standby", app.app_id),
         telemetry=primary.telemetry,
         stable_store=stable_store,
-        failure_feed=cluster.failure_feed,
     )
     cluster.standby = standby
     return standby
@@ -435,7 +429,6 @@ def resume_application(
         stable_store=stable_store,
         resume_from=snapshot.register,
         reign=snapshot.reign + 1,
-        failure_feed=cluster.failure_feed,
     )
     cluster.spawners.append(spawner)
     if cluster.config.gossip_enabled:

@@ -23,8 +23,7 @@ from functools import partial
 from types import MappingProxyType
 from typing import Any, Mapping, Sequence
 
-from repro.checkpoint import (Backup, BackupStore, CheckpointPolicy,
-                              FailureFeed, choose_latest)
+from repro.checkpoint import Backup, BackupStore, FixedPolicy, choose_latest
 from repro.convergence import LocalConvergenceDetector
 from repro.gossip import GossipAgent
 from repro.des import Event, Simulator, TimerWheel
@@ -106,8 +105,7 @@ class TaskRunner:
         #: announces a higher reign; lower-reign announcements are stale)
         self.leader_reign = 1
         self.telemetry = telemetry
-        self.policy = daemon.checkpoint.bind(num_tasks,
-                                             feed=daemon.failure_feed)
+        self.policy = daemon.checkpoint.bind(num_tasks)
         self.detector = LocalConvergenceDetector(
             threshold=convergence_threshold, stability_window=stability_window
         )
@@ -167,7 +165,6 @@ class TaskRunner:
                 telemetry.iterations[self.task_id] += 1
                 if not fresh and self.num_tasks > 1:
                     telemetry.useless_iterations[self.task_id] += 1
-                self.policy.on_iteration(self.sim.now, duration)
                 self._surface_rejections()
                 self._send_outgoing(step.outgoing)
                 self._maybe_checkpoint()
@@ -262,26 +259,23 @@ class TaskRunner:
             return
         targets = policy.begin_save(self.task_id, self.iteration)
         if not targets:
-            return
-        backup = None
-        for target_task in targets:
-            stub = self.register.stub_of(target_task)
-            if stub is None:
-                continue  # guardian unassigned right now: replica skipped
-            if backup is None:
-                backup = Backup(
-                    task_id=self.task_id,
-                    iteration=self.iteration,
-                    state=self.task.dump_state(),
-                    app_id=self.app_id,
-                    epoch=self.epoch,
-                )
-            self.daemon.runtime.oneway(stub, "store_backup", backup)
-            policy.on_checkpoint(backup.nbytes)
-            self.daemon._trace("checkpoint_store", task=self.task_id,
-                               iteration=self.iteration, guardian=target_task)
-            self.telemetry.checkpoints_sent += 1
-            self.telemetry.checkpoint_bytes += backup.nbytes
+            return  # nobody guards this task
+        [guardian] = targets
+        stub = self.register.stub_of(guardian)
+        if stub is None:
+            return  # guardian unassigned right now: save skipped
+        backup = Backup(
+            task_id=self.task_id,
+            iteration=self.iteration,
+            state=self.task.dump_state(),
+            app_id=self.app_id,
+            epoch=self.epoch,
+        )
+        self.daemon.runtime.oneway(stub, "store_backup", backup)
+        self.daemon._trace("checkpoint_store", task=self.task_id,
+                           iteration=self.iteration, guardian=guardian)
+        self.telemetry.checkpoints_sent += 1
+        self.telemetry.checkpoint_bytes += backup.nbytes
 
     def _report_convergence(self, distance: float) -> None:
         flipped = self.detector.update(distance)
@@ -309,7 +303,7 @@ class Daemon(RemoteObject):
     """One computing peer."""
 
     __slots__ = ("sim", "host", "daemon_id", "superpeer_addresses", "config",
-                 "checkpoint", "failure_feed", "compute", "rng", "telemetry",
+                 "checkpoint", "compute", "rng", "telemetry",
                  "_backup_store", "final_fragments", "runner", "_resyncing",
                  "sp_stub", "registered", "_retry_attempt", "runtime", "stub",
                  "gossip", "_bootstrapping", "_sweep", "_candidate", "_beats",
@@ -325,8 +319,7 @@ class Daemon(RemoteObject):
         rng: RngTree,
         wheel: TimerWheel,
         telemetry: RunTelemetry,
-        checkpoint: CheckpointPolicy,
-        failure_feed: FailureFeed,
+        checkpoint: FixedPolicy,
         compute=None,
     ):
         if not superpeer_addresses:
@@ -338,11 +331,9 @@ class Daemon(RemoteObject):
         #: every Daemon incarnation the same tuple
         self.superpeer_addresses = superpeer_addresses
         self.config = config
-        #: cluster-wide :class:`repro.checkpoint.CheckpointPolicy`, bound per
+        #: cluster-wide :class:`repro.checkpoint.FixedPolicy`, bound per
         #: task runner
         self.checkpoint = checkpoint
-        #: shared :class:`repro.checkpoint.FailureFeed` adaptive policies read
-        self.failure_feed = failure_feed
         #: cluster-wide :class:`repro.compute.ComputePlane` (or None): the
         #: shared operators and solve memo, offered to every task it runs
         #: as ``TaskContext.compute``

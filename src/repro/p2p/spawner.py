@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.checkpoint import FailureFeed
 from repro.convergence import GlobalConvergenceTracker
 from repro.des import Simulator
 from repro.des.events import Event
@@ -44,7 +43,6 @@ class Spawner(RemoteObject):
         config: P2PConfig,
         rng: RngTree,
         telemetry: RunTelemetry,
-        failure_feed: FailureFeed,
         stable_store=None,
         resume_from: ApplicationRegister | None = None,
         reign: int = 1,
@@ -71,10 +69,6 @@ class Spawner(RemoteObject):
             # the run's clock starts at the first launch; a takeover or a
             # resume from stable storage carries it on
             self.telemetry.launched_at = self.sim.now
-        #: shared :class:`repro.checkpoint.FailureFeed`: every heartbeat
-        #: eviction is recorded so adaptive checkpoint policies can track
-        #: the observed failure inter-arrival time
-        self.failure_feed = failure_feed
 
         self.stable_store = stable_store
         self.resumed = resume_from is not None
@@ -282,7 +276,6 @@ class Spawner(RemoteObject):
                 slot.daemon_stub = None
                 self.tracker.reset_task(slot.task_id)
                 self.failures_detected += 1
-                self.failure_feed.record_failure(self.sim.now)
                 self.register.version += 1
                 self._changed_since_broadcast.add(slot.task_id)
                 changed = True

@@ -26,7 +26,6 @@ The failover state machine is documented in docs/gossip.md; the
 
 from __future__ import annotations
 
-from repro.checkpoint import FailureFeed
 from repro.des.events import Event
 from repro.errors import RemoteError
 from repro.gossip import GossipAgent
@@ -58,7 +57,6 @@ class StandbySpawner(RemoteObject):
         config: P2PConfig,
         rng: RngTree,
         telemetry: RunTelemetry,
-        failure_feed: FailureFeed,
         stable_store=None,
     ):
         self.sim = network.sim
@@ -71,7 +69,6 @@ class StandbySpawner(RemoteObject):
         self.rng = rng
         self.telemetry = telemetry
         self.stable_store = stable_store
-        self.failure_feed = failure_feed
 
         self.runtime = RmiRuntime(
             network, host, config.standby_port,
@@ -235,7 +232,6 @@ class StandbySpawner(RemoteObject):
             stable_store=self.stable_store,
             resume_from=self.shadow_register,
             reign=reign,
-            failure_feed=self.failure_feed,
         )
         spawner.attach_gossip(self.gossip)
         spawner.announce_takeover()

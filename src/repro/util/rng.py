@@ -12,9 +12,9 @@ stream for the same root seed, regardless of the order in which other
 children were created.
 
 A node offers two kinds of draw.  The ``numpy`` ones (``generator``,
-``uniform``, ``integers``, ``exponential``) build a ``Generator`` on first
-use — about 20 µs — and are stateful: right for a long-lived node drawn
-from many times (link jitter, message loss, Poisson churn).
+``uniform``, ``integers``) build a ``Generator`` on first use — about
+20 µs — and are stateful: right for a long-lived node drawn from many
+times (link jitter, message loss).
 :meth:`RngTree.picks` (distinct indices) and :meth:`RngTree.unit` (a float
 in ``[0, 1)``) are stateless, Generator-free, about 1 µs: a node drawn
 from once per decision uses them, the decision's index as ``stream``.
@@ -92,9 +92,6 @@ class RngTree:
     def integers(self, low: int, high: int) -> int:
         """Draw one integer in ``[low, high)``."""
         return int(self.generator.integers(low, high))
-
-    def exponential(self, mean: float) -> float:
-        return float(self.generator.exponential(mean))
 
     def picks(self, m: int, k: int, stream: int = 0) -> list[int]:
         """``k`` distinct indices of ``range(m)``: a uniform ``k``-subset in

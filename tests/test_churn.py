@@ -5,7 +5,6 @@ import pytest
 from repro.churn import (
     ChurnEvent,
     PaperChurn,
-    PoissonChurn,
     TraceChurn,
     churn_plan,
 )
@@ -56,19 +55,6 @@ def test_paper_churn_validation():
         PaperChurn(1, reconnect_delay=0)
     with pytest.raises(ValueError):
         PaperChurn(1).schedule(RngTree(0), horizon=0.0)
-
-
-def test_poisson_churn_rate_scaling():
-    slow = PoissonChurn(rate=0.01).schedule(RngTree(2), 10_000.0)
-    fast = PoissonChurn(rate=0.1).schedule(RngTree(2), 10_000.0)
-    assert len(fast) > len(slow) > 0
-    assert all(0 <= e.time < 10_000 for e in fast)
-    assert PoissonChurn(rate=0.0).schedule(RngTree(2), 100.0) == []
-
-
-def test_poisson_churn_validation():
-    with pytest.raises(ValueError):
-        PoissonChurn(rate=-1)
 
 
 def test_trace_churn_replays_sorted():

@@ -203,7 +203,7 @@ def test_cli_faults_rejects_unknown_scenario():
 
 
 def test_every_run_subcommand_shares_the_policy_flags():
-    """--checkpoint-policy and its tuning flags are one parent parser."""
+    """--checkpoint-count and --checkpoint-frequency are one parent parser."""
     parser = build_parser()
     cases = [
         ["run", "--n", "24"],
@@ -214,35 +214,30 @@ def test_every_run_subcommand_shares_the_policy_flags():
     ]
     for base in cases:
         args = parser.parse_args(
-            base + ["--checkpoint-policy", "adaptive", "--max-replicas", "2",
-                    "--checkpoint-frequency", "3"]
+            base + ["--checkpoint-count", "2", "--checkpoint-frequency", "3"]
         )
-        assert args.checkpoint_policy == "adaptive"
-        assert args.max_replicas == 2
+        assert args.checkpoint_count == 2
         assert args.checkpoint_frequency == 3
 
 
 def test_policy_from_flags_builds_the_right_policy():
-    from repro.checkpoint import AdaptivePolicy, FixedPolicy
+    from repro.checkpoint import FixedPolicy
     from repro.cli import _policy_from
 
     parser = build_parser()
     assert _policy_from(parser.parse_args(["run"])) == FixedPolicy()
-    args = parser.parse_args(["run", "--checkpoint-policy", "fixed",
-                              "--checkpoint-count", "7"])
+    args = parser.parse_args(["run", "--checkpoint-count", "7"])
     assert _policy_from(args) == FixedPolicy(count=7)
-    # tuning flags alone imply the fixed policy
     args = parser.parse_args(["run", "--checkpoint-frequency", "3"])
     assert _policy_from(args) == FixedPolicy(frequency=3)
-    args = parser.parse_args(["run", "--checkpoint-policy", "adaptive",
-                              "--max-replicas", "2", "--max-frequency", "16"])
-    assert _policy_from(args) == AdaptivePolicy(max_replicas=2,
-                                                max_frequency=16)
+    args = parser.parse_args(["run", "--checkpoint-count", "7",
+                              "--checkpoint-frequency", "3"])
+    assert _policy_from(args) == FixedPolicy(count=7, frequency=3)
 
 
-def test_cli_run_with_adaptive_policy(capsys):
+def test_cli_run_with_checkpoint_flags(capsys):
     rc = main(["run", "--n", "24", "--peers", "3", "--no-cache",
-               "--checkpoint-policy", "adaptive"])
+               "--checkpoint-count", "4", "--checkpoint-frequency", "30"])
     out = capsys.readouterr().out
     assert rc == 0
     assert "single run" in out

@@ -3,7 +3,7 @@ assignment, data exchange and backup service (paper §5.1, §5.3, §5.4)."""
 
 import pytest
 
-from repro.checkpoint import Backup, FailureFeed, FixedPolicy
+from repro.checkpoint import Backup, FixedPolicy
 from repro.des import Simulator
 from repro.errors import TaskError
 from repro.net import Address, Network, UniformLinkModel
@@ -30,10 +30,10 @@ CFG = P2PConfig(
 
 
 def make_daemon(network, host, daemon_id, addresses, config, rng, wheel):
-    """A Daemon with its own run counters, the paper's checkpoint policy
-    and a failure feed, as a cluster would boot it."""
+    """A Daemon with its own run counters and the paper's checkpoint
+    policy, as a cluster would boot it."""
     return Daemon(network, host, daemon_id, addresses, config, rng, wheel,
-                  RunTelemetry(), FixedPolicy(), FailureFeed())
+                  RunTelemetry(), FixedPolicy())
 
 
 def make_world(n_superpeers=2, n_daemons=1, cfg=CFG):

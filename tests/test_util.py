@@ -68,11 +68,6 @@ def test_rng_tree_choice_and_shuffle():
         t.child()
 
 
-def test_rng_exponential_positive():
-    t = RngTree(3)
-    assert all(t.exponential(5.0) > 0 for _ in range(20))
-
-
 # ---------------------------------------------------------------- rng: picks
 
 
