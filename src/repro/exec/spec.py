@@ -92,7 +92,7 @@ class RunSpec:
     #: discovery, decentralized convergence cross-check, gossip traces
     gossip: bool = False
     #: run a warm-standby Spawner shadowing the primary (implies gossip);
-    #: the ``spawner-down`` / ``standby-flap`` scenarios need this
+    #: the ``spawner-down`` scenario needs this
     standby: bool = False
     #: run with a worker-local tracer and ship the RunReport back
     traced: bool = False
@@ -148,8 +148,6 @@ class RunSpec:
     def to_dict(self) -> dict:
         """JSON-ready field dump (``config`` flattened to its fields)."""
         out = asdict(self)
-        if self.config is not None:
-            out["config"] = asdict(self.config)
         # asdict() loses the actions' class identity (their ``kind`` tag is
         # a ClassVar); FaultPlan.to_dict keeps it.
         out["faults"] = self.faults.to_dict() if self.faults is not None else None

@@ -23,12 +23,7 @@ from repro.exec.spec import RunSpec
 from repro.faults import FaultInjector
 from repro.numerics import Poisson2D
 from repro.obs import RunReport, Tracer, build_run_report
-from repro.p2p import (
-    StableStore,
-    build_cluster,
-    launch_application,
-    launch_standby,
-)
+from repro.p2p import build_cluster, launch_application, launch_standby
 from repro.util.rng import RngTree
 
 __all__ = ["RunResult", "execute_spec", "RUN_COUNTER"]
@@ -179,12 +174,10 @@ def execute_spec(spec: RunSpec, tracer: Tracer | None = None) -> RunResult:
         inner_max_iter=spec.inner_max_iter,
         reject_corruption=spec.reject_corruption,
     )
-    stable_store = StableStore() if spec.standby else None
-    spawner = launch_application(cluster, app, stable_store=stable_store)
+    spawner = launch_application(cluster, app)
     standby = None
     if spec.standby:
-        standby = launch_standby(cluster, app, spawner,
-                                 stable_store=stable_store)
+        standby = launch_standby(cluster, app, spawner)
 
     def computing(host) -> bool:
         daemon = cluster.daemons.get(host.name)

@@ -18,10 +18,9 @@ JaceP2P deployment, at a given simulated time:
 * :class:`RackFailure` — a correlated failure: a victim peer *and* the
   backup-peers guarding its checkpoints go down together, stressing §5.4's
   multi-backup strategy at its weakest point;
-* :class:`SpawnerCrash` — the "one stable entity" itself dies (§4.2's
-  future-work direction): with a warm standby the run fails over mid-run
-  (docs/gossip.md); with a ``downtime`` the machine also returns later and
-  must either resume from stable storage or abdicate to a promoted standby.
+* :class:`SpawnerCrash` — the "one stable entity" itself dies for good
+  (§4.2's future-work direction): with a warm standby the run fails over
+  mid-run (docs/gossip.md).
 
 Actions are frozen, hashable and JSON-round-trippable (``to_dict`` /
 :func:`action_from_dict`), so a :class:`~repro.faults.plan.FaultPlan` can
@@ -188,24 +187,17 @@ class RackFailure(FaultAction):
 
 @dataclass(frozen=True)
 class SpawnerCrash(FaultAction):
-    """Kill the Spawner machine — the system's single stable entity (§4.2).
+    """Kill the Spawner machine for good — the system's single stable
+    entity (§4.2).
 
     Computing Daemons keep iterating (asynchronous tasks need no Spawner
     to make progress); a warm :class:`~repro.p2p.standby.StandbySpawner`
     detects the leadership-beat silence over gossip and takes over the
-    run.  With a ``downtime`` the machine later recovers and either
-    resumes from stable storage or — if a standby already promoted under
-    a higher reign — abdicates, keeping exactly one leader.
-    ``downtime=None`` leaves it down for good.
+    run.  The machine never returns: no peer's disk is stable, so there
+    is nothing for it to resume from.
     """
 
-    downtime: float | None = None
     kind: ClassVar[str] = "spawner_crash"
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        if self.downtime is not None and self.downtime <= 0:
-            raise ConfigurationError("downtime must be positive (or None)")
 
 
 _ACTION_TYPES: dict[str, type[FaultAction]] = {

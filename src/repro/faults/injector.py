@@ -346,38 +346,7 @@ class FaultInjector:
             self._skip(action, "no alive spawner host")
             return
         host.fail(cause="spawner_fault")
-        self._record(action, host=host.name, downtime=action.downtime)
-        if action.downtime is not None:
-            self.sim.process(self._resurrect_spawner(host, action.downtime),
-                             label="fault-spawner-resurrect")
-
-    def _resurrect_spawner(self, host: Host, downtime: float):
-        """Recover the spawner machine; per application, either resume from
-        stable storage or abdicate to an already-promoted standby whose
-        reign outranks the snapshot's (exactly-one-leader fencing)."""
-        from repro.p2p.cluster import resume_application
-
-        yield self.sim.timeout(downtime)
-        if host.online:
-            return
-        host.recover()
-        store = self.cluster.stable_store
-        standby = self.cluster.standby
-        for app in self.cluster.apps:
-            snap = store.load(app.app_id) if store is not None else None
-            if snap is None:
-                continue  # converged (snapshot forgotten) or never persisted
-            # >= not >: the promoted standby persists snapshots under its
-            # OWN reign, so a tie means the snapshot is the standby's — a
-            # live promoted leader always beats its own stored state
-            if (standby is not None and standby.promoted
-                    and standby.active_reign >= snap.reign):
-                self._trace("spawner_abdicated", app=app.app_id,
-                            standby_reign=standby.active_reign,
-                            snapshot_reign=snap.reign)
-                continue
-            spawner = resume_application(self.cluster, app, store)
-            self._trace("spawner_resumed", app=app.app_id, reign=spawner.reign)
+        self._record(action, host=host.name)
 
     # -- replay -------------------------------------------------------------------
 
@@ -415,7 +384,6 @@ class FaultInjector:
                     actions.append(DaemonCrash(time=rec.time, host=name,
                                                downtime=rec.detail.get("downtime")))
             elif rec.kind == "spawner_crash":
-                actions.append(SpawnerCrash(time=rec.time,
-                                            downtime=rec.detail.get("downtime")))
+                actions.append(SpawnerCrash(time=rec.time))
         return FaultPlan(actions=tuple(actions),
                          name=f"{self.plan.name or 'plan'}@executed")

@@ -106,15 +106,6 @@ SCENARIOS: dict[str, tuple[str, FaultPlan]] = {
             name="spawner-down",
         ),
     ),
-    "standby-flap": (
-        "the Spawner dies AND resurrects from stable storage after the "
-        "standby already promoted: the resurrected primary must abdicate "
-        "to the higher reign — exactly one leader survives the flap",
-        FaultPlan.of(
-            SpawnerCrash(time=0.08, downtime=1.0),
-            name="standby-flap",
-        ),
-    ),
     "discovery-storm": (
         "both seed Super-Peers die while computing peers churn: rebooting "
         "Daemons must discover surviving entry points over gossip (no "
@@ -144,10 +135,9 @@ SCENARIOS: dict[str, tuple[str, FaultPlan]] = {
 #: ``faults run`` applies these automatically (``spawner-down`` without a
 #: standby would simply never converge).
 SCENARIO_REQUIRES: dict[str, dict[str, bool]] = {
-    "spawner-down": {"gossip": True, "standby": True},
-    "standby-flap": {"gossip": True, "standby": True},
-    "discovery-storm": {"gossip": True},
-    "poisoned-channel": {"reject_corruption": True},
+    "spawner-down": dict(gossip=True, standby=True),
+    "discovery-storm": dict(gossip=True),
+    "poisoned-channel": dict(reject_corruption=True),
 }
 
 

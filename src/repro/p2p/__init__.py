@@ -30,15 +30,10 @@ from repro.p2p.cluster import (
     build_cluster,
     launch_application,
     launch_standby,
-    resume_application,
 )
-from repro.p2p.stable import SpawnerSnapshot, StableStore
 from repro.p2p.standby import StandbySpawner
 
 __all__ = [
-    "resume_application",
-    "SpawnerSnapshot",
-    "StableStore",
     "StandbySpawner",
     "launch_standby",
     "P2PConfig",

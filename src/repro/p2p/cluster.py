@@ -72,12 +72,6 @@ class Cluster:
     sp_parent: dict[str, str] = field(default_factory=dict)
     #: hierarchy plan: parent -> children
     sp_children: dict[str, list[str]] = field(default_factory=dict)
-    #: applications launched on this cluster (in launch order)
-    apps: list[AppSpec] = field(default_factory=list)
-    #: the §4.2 stable storage, when the run uses one
-    stable_store: object | None = None
-    #: the warm-standby Spawner, when ``config.standby_enabled``
-    standby: StandbySpawner | None = None
     #: cluster-wide compute plane (wall-clock only, never DES): every
     #: Daemon incarnation offers it to its tasks as ``TaskContext.compute``
     compute: ComputePlane = field(default_factory=ComputePlane)
@@ -331,18 +325,14 @@ def _attach_spawner_gossip(cluster: Cluster, spawner: Spawner) -> GossipAgent:
     return agent
 
 
-def launch_application(
-    cluster: Cluster,
-    app: AppSpec,
-    stable_store=None,
-) -> Spawner:
+def launch_application(cluster: Cluster, app: AppSpec) -> Spawner:
     """Start a Spawner for ``app`` on the testbed's spawner host.
 
     Each application gets its own Spawner port so several can run
     concurrently (§4.2).  The Spawner's maintenance loop retries
     reservation until enough Daemons have bootstrapped, so launching at
-    t=0 is safe.  Pass a :class:`~repro.p2p.stable.StableStore` to enable
-    the §4.2 fault-tolerance extension (see :func:`resume_application`).
+    t=0 is safe.  Spawner fault tolerance (§4.2's future work) is the warm
+    standby of :func:`launch_standby`.
     """
     index = len(cluster.spawners)
     config = cluster.config.with_(spawner_port=cluster.config.spawner_port + index)
@@ -354,23 +344,14 @@ def launch_application(
         config=config,
         rng=cluster.rng.child("spawner", app.app_id),
         telemetry=cluster.telemetry if index == 0 else RunTelemetry(),
-        stable_store=stable_store,
     )
     cluster.spawners.append(spawner)
-    cluster.apps.append(app)
-    if stable_store is not None:
-        cluster.stable_store = stable_store
     if cluster.config.gossip_enabled:
         _attach_spawner_gossip(cluster, spawner)
     return spawner
 
 
-def launch_standby(
-    cluster: Cluster,
-    app: AppSpec,
-    primary: Spawner,
-    stable_store=None,
-) -> StandbySpawner:
+def launch_standby(cluster: Cluster, app: AppSpec, primary: Spawner) -> StandbySpawner:
     """Start the warm-standby Spawner for ``app`` on the standby host.
 
     The standby shadows ``primary`` by gossip leadership beats plus
@@ -383,7 +364,7 @@ def launch_standby(
         raise ConfigurationError(
             "the testbed has no standby host (set standby_enabled)"
         )
-    standby = StandbySpawner(
+    return StandbySpawner(
         network=cluster.network,
         host=host,
         app=app,
@@ -392,45 +373,5 @@ def launch_standby(
         config=primary.config,
         rng=cluster.rng.child("standby", app.app_id),
         telemetry=primary.telemetry,
-        stable_store=stable_store,
     )
-    cluster.standby = standby
-    return standby
 
-
-def resume_application(
-    cluster: Cluster,
-    app: AppSpec,
-    stable_store,
-) -> Spawner:
-    """Boot a replacement Spawner from stable storage (§4.2 future work).
-
-    Call after the spawner host has recovered from a failure: the new
-    Spawner binds the SAME port (the computing Daemons' spawner stub is
-    address-based, so their heartbeats reach the replacement unchanged),
-    adopts the persisted Application Register with its epochs, grants the
-    survivors a heartbeat grace period, and relearns the convergence array
-    from the heartbeat piggybacks.  Returns the new Spawner; drive the
-    simulation against ITS ``done`` event.
-    """
-    snapshot = stable_store.load(app.app_id)
-    if snapshot is None:
-        raise ConfigurationError(f"no stable snapshot for application {app.app_id!r}")
-    config = cluster.config.with_(spawner_port=snapshot.spawner_port)
-    spawner = Spawner(
-        network=cluster.network,
-        host=cluster.testbed.spawner_host,
-        app=app,
-        superpeer_addresses=cluster.superpeer_addresses,
-        config=config,
-        rng=cluster.rng.child("spawner-resume", app.app_id,
-                              snapshot.register.version),
-        telemetry=cluster.telemetry,
-        stable_store=stable_store,
-        resume_from=snapshot.register,
-        reign=snapshot.reign + 1,
-    )
-    cluster.spawners.append(spawner)
-    if cluster.config.gossip_enabled:
-        _attach_spawner_gossip(cluster, spawner)
-    return spawner

@@ -624,9 +624,9 @@ class Daemon(RemoteObject):
         reports at a new Spawner incarnation.
 
         Reign fencing keeps exactly one leader authoritative: a lower (or
-        equal) reign is a stale incumbent — e.g. the original primary
-        resurrecting after a standby already took over — and is refused,
-        so its announcements can never steal the computation back."""
+        equal) reign is stale — e.g. an announcement that arrives after
+        the runner already adopted the same leader over gossip — and is
+        refused, so no announcement can move the computation backwards."""
         runner = self.runner
         if runner is None or runner.app_id != app_id:
             return False

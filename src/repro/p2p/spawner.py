@@ -43,18 +43,16 @@ class Spawner(RemoteObject):
         config: P2PConfig,
         rng: RngTree,
         telemetry: RunTelemetry,
-        stable_store=None,
         resume_from: ApplicationRegister | None = None,
         reign: int = 1,
     ):
-        """``stable_store`` persists the Application Register on every
-        membership change (the §4.2 fault-tolerance direction);
-        ``resume_from`` boots this Spawner as the *replacement* of a failed
-        one, adopting its register (epochs intact) instead of starting from
-        empty slots.  ``reign`` is the leadership-fencing number: every
-        takeover (standby promotion or stable-storage resume) runs under a
-        strictly higher reign, and Daemons refuse adoption announcements
-        that do not advance it — the exactly-one-leader guarantee."""
+        """``resume_from`` boots this Spawner as the *replacement* of a
+        failed one — the promoted warm standby's
+        (:mod:`repro.p2p.standby`) — adopting the shadowed register (epochs
+        intact) instead of starting from empty slots.  ``reign`` is the
+        leadership-fencing number: a takeover runs under a strictly higher
+        reign, and Daemons refuse adoption announcements that do not
+        advance it — the exactly-one-leader guarantee."""
         if not superpeer_addresses:
             raise ConfigurationError("the Spawner needs at least one Super-Peer address")
         self.sim: Simulator = network.sim
@@ -66,11 +64,10 @@ class Spawner(RemoteObject):
         self.rng = rng
         self.telemetry = telemetry
         if resume_from is None:
-            # the run's clock starts at the first launch; a takeover or a
-            # resume from stable storage carries it on
+            # the run's clock starts at the first launch; a takeover
+            # carries it on
             self.telemetry.launched_at = self.sim.now
 
-        self.stable_store = stable_store
         self.resumed = resume_from is not None
         if resume_from is not None:
             if (resume_from.app_id != app.app_id
@@ -244,7 +241,6 @@ class Spawner(RemoteObject):
             # announce the takeover: surviving daemons adopt the new
             # register version and resume heartbeating us
             self._broadcast_register()
-            self._persist()
         while not self.done.triggered:
             self._publish_leadership()
             changed = self._detect_failures()
@@ -256,7 +252,6 @@ class Spawner(RemoteObject):
                 changed |= yield from self._fill_slots(unassigned)
             if changed:
                 self._broadcast_register()
-                self._persist()
                 # beat again so the standby's shadow learns the new
                 # register version within a gossip round, not a monitor one
                 self._publish_leadership()
@@ -391,14 +386,6 @@ class Spawner(RemoteObject):
         self._last_broadcast_version = self.register.version
         self._changed_since_broadcast.clear()
         self.register_broadcasts += 1
-
-    def _persist(self) -> None:
-        """Write the recovery-critical state to stable storage (§4.2)."""
-        if self.stable_store is not None:
-            self.stable_store.save(
-                self.app.app_id, self.register, self.config.spawner_port,
-                self.sim.now, reign=self.reign,
-            )
 
     @remote
     def fetch_register(self, app_id: str) -> ApplicationRegister | None:
@@ -535,8 +522,6 @@ class Spawner(RemoteObject):
     def _finish(self) -> None:
         if self.done.triggered:
             return
-        if self.stable_store is not None:
-            self.stable_store.forget(self.app.app_id)
         self.telemetry.converged_at = self.sim.now
         self._trace("converged", iterations=self.telemetry.total_iterations)
         for slot in self.register.slots:

@@ -1,9 +1,7 @@
 """The warm-standby Spawner — epidemic failover for the one stable entity.
 
-Paper §4.2 leaves Spawner fault tolerance as future work; PR 7's
-:mod:`repro.p2p.stable` answered it with *cold* recovery (resume from
-disk after the machine returns).  This module adds the *warm* path: a
-standby process on a second machine that
+Paper §4.2 leaves Spawner fault tolerance as future work.  This module
+answers it with a warm standby process on a second machine that
 
 1. **shadows** the primary's recovery state — Application Register and
    reign — by anti-entropy pulls
@@ -20,8 +18,10 @@ standby process on a second machine that
    adopted a higher reign — the exactly-one-leader guarantee), and the
    application converges without restarting.
 
-The failover state machine is documented in docs/gossip.md; the
-``spawner-down`` and ``standby-flap`` fault scenarios exercise it.
+There is no cold resume from disk: no peer's disk is stable, so the case
+to survive is a Spawner machine that never returns (the ``spawner-down``
+fault scenario).  The failover state machine is documented in
+docs/gossip.md.
 """
 
 from __future__ import annotations
@@ -57,7 +57,6 @@ class StandbySpawner(RemoteObject):
         config: P2PConfig,
         rng: RngTree,
         telemetry: RunTelemetry,
-        stable_store=None,
     ):
         self.sim = network.sim
         self.network = network
@@ -68,7 +67,6 @@ class StandbySpawner(RemoteObject):
         self.config = config
         self.rng = rng
         self.telemetry = telemetry
-        self.stable_store = stable_store
 
         self.runtime = RmiRuntime(
             network, host, config.standby_port,
@@ -158,9 +156,10 @@ class StandbySpawner(RemoteObject):
             if (self.sim.now - self._last_beat_at
                     > self.config.standby_takeover_timeout):
                 dead = yield from self._probe_primary()
-                # a flapping primary may have resurrected (and resumed
-                # beating) while the probe was in flight — promote only if
-                # the leadership silence persisted through the probe
+                # a failed ping alone is not death: a live primary whose
+                # direct path dropped the probe still beats over gossip —
+                # promote only if the leadership silence persisted through
+                # the probe
                 if dead and (self.sim.now - self._last_beat_at
                              > self.config.standby_takeover_timeout):
                     self._promote()
@@ -209,16 +208,11 @@ class StandbySpawner(RemoteObject):
 
     def _promote(self) -> None:
         """Boot a real Spawner from the shadow under a fenced, strictly
-        higher reign.
-
-        The bid is ``max(shadow, beats) + 2``: a cold resume from stable
-        storage bids ``snapshot_reign + 1``, so the +2 guarantees a
-        flapping primary that resurrects concurrently can never TIE the
-        promoted standby — ties would let adoption order pick different
-        leaders on different peers."""
+        higher reign: ``max(shadow, beats) + 1``, above every reign the
+        standby has seen, so Daemons adopt it and refuse the old one."""
         self.promoted = True
         self.takeover_at = self.sim.now
-        reign = max(self.shadow_reign, self._last_beat_version[0]) + 2
+        reign = max(self.shadow_reign, self._last_beat_version[0]) + 1
         self._trace("takeover", reign=reign,
                     shadow_version=self.shadow_version)
         spawner = Spawner(
@@ -229,7 +223,6 @@ class StandbySpawner(RemoteObject):
             config=self.config,
             rng=self.rng.child("promote", reign),
             telemetry=self.telemetry,
-            stable_store=self.stable_store,
             resume_from=self.shadow_register,
             reign=reign,
         )
@@ -244,10 +237,6 @@ class StandbySpawner(RemoteObject):
         if not self.done.triggered:
             self.done.succeed({"converged_at": self.sim.now})
 
-    @property
-    def active_reign(self) -> int:
-        return self.spawner.reign if self.spawner is not None else self.shadow_reign
-
     # -- observability ----------------------------------------------------------
 
     def _trace(self, kind: str, **attrs) -> None:
@@ -258,4 +247,4 @@ class StandbySpawner(RemoteObject):
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"<StandbySpawner {self.app.app_id} promoted={self.promoted} "
-                f"shadow_v={self.shadow_version} reign={self.active_reign}>")
+                f"shadow_v={self.shadow_version} reign={self.shadow_reign}>")

@@ -15,7 +15,7 @@ def quoted_block(doc: str, heading: str) -> list[str]:
 
 def recorded_table(text: str) -> list[str]:
     """The header, rule and rows of the first table in a results file."""
-    lines = text.splitlines()
+    lines = text.splitlines() + [""]
     start = next(i for i, line in enumerate(lines)
                  if line.lstrip().startswith("n |"))
     return lines[start:lines.index("", start)]
@@ -25,3 +25,9 @@ def test_figure7_table_matches_the_recorded_results():
     doc = (ROOT / "EXPERIMENTS.md").read_text()
     recorded = (ROOT / "benchmarks" / "results" / "figure7.txt").read_text()
     assert quoted_block(doc, "Figure 7") == recorded_table(recorded)
+
+
+def test_iterations_table_matches_the_recorded_results():
+    doc = (ROOT / "EXPERIMENTS.md").read_text()
+    recorded = (ROOT / "benchmarks" / "results" / "iterations_vs_n.txt").read_text()
+    assert quoted_block(doc, "Claim C1") == recorded_table(recorded)

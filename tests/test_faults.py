@@ -84,11 +84,11 @@ def test_plans_compose_with_add():
 
 def test_scenario_catalogue():
     assert set(scenario_names()) == set(SCENARIOS)
-    # all ten scenarios, including the control-plane trio added with the
+    # all nine scenarios, including the control-plane pair added with the
     # gossip failover work and the corruption-filter acceptance scenario
-    assert {"spawner-down", "standby-flap", "discovery-storm",
+    assert {"spawner-down", "discovery-storm",
             "poisoned-channel"} <= set(SCENARIOS)
-    assert len(SCENARIOS) == 10
+    assert len(SCENARIOS) == 9
     for name in scenario_names():
         plan = scenario(name)
         assert len(plan) >= 1

@@ -23,7 +23,6 @@ from repro.obs import Tracer
 from repro.checkpoint import FixedPolicy
 from repro.p2p import (
     P2PConfig,
-    StableStore,
     build_cluster,
     launch_application,
     launch_standby,
@@ -175,9 +174,8 @@ def test_spawner_crash_promotes_standby_and_run_converges():
     cluster = build_cluster(n_daemons=6, n_superpeers=2, seed=4,
                             config=GOSSIP_FAST, checkpoint=CKPT)
     app = _slow_app()
-    store = StableStore()
-    primary = launch_application(cluster, app, stable_store=store)
-    standby = launch_standby(cluster, app, primary, stable_store=store)
+    primary = launch_application(cluster, app)
+    standby = launch_standby(cluster, app, primary)
     FaultInjector(cluster.sim, FaultPlan.of(SpawnerCrash(time=2.0)),
                   rng=RngTree(1).child("faults"), cluster=cluster)
     sim = cluster.sim
@@ -198,9 +196,8 @@ def test_spawner_crash_replay_is_pinned_and_bit_identical():
         cluster = build_cluster(n_daemons=6, n_superpeers=2, seed=4,
                                 config=GOSSIP_FAST, checkpoint=CKPT)
         app = _slow_app()
-        store = StableStore()
-        primary = launch_application(cluster, app, stable_store=store)
-        standby = launch_standby(cluster, app, primary, stable_store=store)
+        primary = launch_application(cluster, app)
+        standby = launch_standby(cluster, app, primary)
         inj = FaultInjector(cluster.sim, FaultPlan.of(SpawnerCrash(time=2.0)),
                             rng=RngTree(1).child("faults"), cluster=cluster)
         sim = cluster.sim
@@ -211,7 +208,7 @@ def test_spawner_crash_replay_is_pinned_and_bit_identical():
     replay = inj_a.executed_plan()
     (action,) = replay.schedule()
     assert isinstance(action, SpawnerCrash)
-    assert action.time == 2.0 and action.downtime is None
+    assert action == SpawnerCrash(time=2.0)
     inj_b, standby_b = run_once()
     assert inj_b.executed_plan() == replay
     assert standby_b.takeover_at == standby_a.takeover_at
@@ -226,9 +223,8 @@ def test_ghost_runners_reattach_to_the_promoted_spawner():
     cluster = build_cluster(n_daemons=6, n_superpeers=2, seed=4,
                             config=GOSSIP_FAST, checkpoint=CKPT)
     app = _slow_app()
-    store = StableStore()
-    primary = launch_application(cluster, app, stable_store=store)
-    standby = launch_standby(cluster, app, primary, stable_store=store)
+    primary = launch_application(cluster, app)
+    standby = launch_standby(cluster, app, primary)
     FaultInjector(cluster.sim, FaultPlan.of(SpawnerCrash(time=2.0)),
                   rng=RngTree(1).child("faults"), cluster=cluster)
     sim = cluster.sim
@@ -250,9 +246,8 @@ def test_both_adoption_routes_trace_one_shape():
                             config=GOSSIP_FAST, checkpoint=CKPT,
                             tracer=direct)
     app = _slow_app()
-    store = StableStore()
-    primary = launch_application(cluster, app, stable_store=store)
-    standby = launch_standby(cluster, app, primary, stable_store=store)
+    primary = launch_application(cluster, app)
+    standby = launch_standby(cluster, app, primary)
     FaultInjector(cluster.sim, FaultPlan.of(SpawnerCrash(time=2.0)),
                   rng=RngTree(1).child("faults"), cluster=cluster)
     sim = cluster.sim
@@ -270,42 +265,22 @@ def test_both_adoption_routes_trace_one_shape():
     assert shapes == {("reign", "spawner"), ("reign", "spawner", "via")}
 
 
-def test_spawner_flap_keeps_exactly_one_leader():
-    """The resurrected primary must abdicate to the promoted standby."""
-    cluster = build_cluster(n_daemons=6, n_superpeers=2, seed=4,
-                            config=GOSSIP_FAST, checkpoint=CKPT)
-    app = _slow_app()
-    store = StableStore()
-    primary = launch_application(cluster, app, stable_store=store)
-    standby = launch_standby(cluster, app, primary, stable_store=store)
-    inj = FaultInjector(
-        cluster.sim,
-        FaultPlan.of(SpawnerCrash(time=2.0, downtime=8.0)),
-        rng=RngTree(1).child("faults"), cluster=cluster)
-    sim = cluster.sim
-    sim.run(until=sim.any_of([standby.done, sim.timeout(300.0)]))
-    assert standby.promoted and standby.done.triggered
-    # the flap resurrected the host but no second Spawner was resumed:
-    # only the original launch is registered with the cluster
-    assert len(cluster.spawners) == 1
-    assert [r.kind for r in inj.executed] == ["spawner_crash"]
-    assert standby.active_reign > primary.reign
-
-
 # -- RunSpec surface + bitwise identity ---------------------------------------
 
 
 def test_gossip_scenarios_round_trip_and_spawner_crash_validates():
-    for name in ("spawner-down", "standby-flap", "discovery-storm"):
+    for name in ("spawner-down", "discovery-storm"):
         plan = scenario(name)
         assert FaultPlan.from_dict(plan.to_dict()) == plan
-    clone = FaultPlan.from_dict(
-        FaultPlan.of(SpawnerCrash(time=0.1, downtime=0.5)).to_dict())
+    clone = FaultPlan.from_dict(FaultPlan.of(SpawnerCrash(time=0.1)).to_dict())
     (action,) = clone.schedule()
-    assert isinstance(action, SpawnerCrash)
-    assert action.downtime == 0.5
-    with pytest.raises(Exception):
-        SpawnerCrash(time=0.1, downtime=0.0)
+    assert action == SpawnerCrash(time=0.1)
+    # the Spawner machine never returns: a downtime is an unknown field
+    with pytest.raises(ValueError, match="unknown field.*downtime"):
+        FaultPlan.from_dict({"actions": [
+            {"kind": "spawner_crash", "time": 0.1, "downtime": 0.5}]})
+    with pytest.raises(ValueError):
+        SpawnerCrash(time=-0.1)
 
 
 def test_runspec_carries_gossip_flags_through_dict():
