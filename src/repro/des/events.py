@@ -76,7 +76,7 @@ class Event:
             raise SimulationError(f"event {self!r} already triggered")
         self._value = value
         self._ok = True
-        self.sim._enqueue(self, delay=0.0, priority=priority)
+        self.sim.push(self, delay=0.0, priority=priority)
         return self
 
     def fail(self, exc: BaseException) -> "Event":
@@ -87,7 +87,7 @@ class Event:
             raise TypeError("fail() needs an exception instance")
         self._value = exc
         self._ok = False
-        self.sim._enqueue(self, delay=0.0, priority=NORMAL)
+        self.sim.push(self, delay=0.0, priority=NORMAL)
         return self
 
     # -- kernel hooks --------------------------------------------------------
@@ -124,7 +124,7 @@ class Timeout(Event):
         self.delay = float(delay)
         self._value = None
         self._ok = True
-        sim._enqueue(self, delay=self.delay, priority=NORMAL)
+        sim.push(self, delay=self.delay, priority=NORMAL)
 
     def _label(self) -> str:
         return f"timeout({self.delay})"

@@ -24,14 +24,15 @@ _CREDIT_MASK = collector.YOUNG_STRIDE - 1
 
 
 class ScheduledCall:
-    """A bare scheduled callback: the fire-once / no-waiters fast lane.
+    """A bare scheduled callback: the fire-once / no-waiters lane.
 
-    The dominant kernel citizens at swarm scale are one-shot deferred
-    calls that nothing ever waits on (message deliveries, timer-wheel
-    slots).  A full :class:`~repro.des.events.Timeout` pays for machinery
-    they never use — a callbacks list, a value slot, a closure per call.
-    A ``ScheduledCall`` is just ``(fn, args)``, duck-typing the one kernel
-    hook (``_run_callbacks``) the event loop invokes.
+    One-shot deferred calls that nothing ever waits on (RMI call
+    deadlines, timer-wheel slots, a bootstrap sweep's retry backoff) need
+    none of a :class:`~repro.des.events.Timeout`'s machinery — a callbacks
+    list, a value slot, a closure per call.  A ``ScheduledCall`` is just
+    ``(fn, args)``, duck-typing the one kernel hook (``_run_callbacks``)
+    the event loop invokes.  A message in flight is not one: the
+    :class:`~repro.net.network.Message` is its own heap entry.
 
     Entries come from (and return to) the simulator's free list: every
     entry is recycled the moment it fires, so nothing outside the kernel
@@ -85,7 +86,7 @@ class Simulator:
     def __init__(self, tracer: Tracer | None = None):
         self.now = 0.0
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        self._heap: list[tuple[float, int, int, Event]] = []
+        self._heap: list[tuple[float, int, int, Any]] = []
         self._seq = 0
         self._active_process: Process | None = None
         self._crashed: list[tuple[Process, BaseException]] = []
@@ -117,16 +118,14 @@ class Simulator:
         """Schedule a bare callback ``fn(*args)`` after ``delay`` seconds.
 
         A lightweight alternative to spawning a :class:`Process` for
-        straight-line deferred work (a message delivery, a timer-wheel
-        slot): one heap entry from the free-list pool, no generator, no
-        initialize/completion events.  The callback runs with ``now``
-        advanced to the fire time, exactly like a process resumed by a
-        :class:`Timeout` of the same delay.  Nothing is returned: the call
-        cannot be cancelled or waited on — use :meth:`timeout` when a
-        process must wait.
+        straight-line deferred work (an RMI call deadline, a timer-wheel
+        slot): one heap entry from the free-list pool, pushed by
+        :meth:`push`, no generator, no initialize/completion events.  The
+        callback runs with ``now`` advanced to the fire time, exactly like
+        a process resumed by a :class:`Timeout` of the same delay.  Nothing
+        is returned: the call cannot be cancelled or waited on — use
+        :meth:`timeout` when a process must wait.
         """
-        if delay < 0:
-            raise SimulationError(f"cannot schedule into the past (delay={delay})")
         pool = self._call_pool
         if pool:
             call = pool.pop()
@@ -134,8 +133,7 @@ class Simulator:
             call.args = args
         else:
             call = ScheduledCall(self, fn, args)
-        self._seq += 1
-        heapq.heappush(self._heap, (self.now + delay, NORMAL, self._seq, call))
+        self.push(call, delay, NORMAL)
 
     def timer_wheel(self, slot_width: float) -> "TimerWheel":
         """Create a :class:`TimerWheel` with slots of ``slot_width`` seconds."""
@@ -153,11 +151,15 @@ class Simulator:
 
     # -- scheduling -------------------------------------------------------------
 
-    def _enqueue(self, event: Event, delay: float, priority: int) -> None:
+    def push(self, entry: Any, delay: float, priority: int) -> None:
+        """Put ``entry`` on the heap, due ``delay`` seconds from now: the one
+        way onto it.  ``entry`` is anything with a ``_run_callbacks()``
+        hook: an :class:`Event`, a :class:`ScheduledCall` or a
+        :class:`~repro.net.network.Message` in flight."""
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
         self._seq += 1
-        heapq.heappush(self._heap, (self.now + delay, priority, self._seq, event))
+        heapq.heappush(self._heap, (self.now + delay, priority, self._seq, entry))
 
     def step(self) -> None:
         """Process exactly one event."""

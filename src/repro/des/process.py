@@ -53,7 +53,7 @@ class _Initialize(Event):
         self._value = None
         self._ok = True
         self.callbacks.append(process._resume)
-        sim._enqueue(self, delay=0.0, priority=URGENT)
+        sim.push(self, delay=0.0, priority=URGENT)
 
 
 class Process(Event):
@@ -96,7 +96,7 @@ class Process(Event):
         failure._ok = False
         failure._value = Interrupt(cause)
         failure.callbacks.append(self._resume)
-        self.sim._enqueue(failure, delay=0.0, priority=URGENT)
+        self.sim.push(failure, delay=0.0, priority=URGENT)
 
     # -- kernel machinery ------------------------------------------------------
 
@@ -133,7 +133,7 @@ class Process(Event):
             sim._active_process = prev
             self._value = exc
             self._ok = True
-            self.sim._enqueue(self, delay=0.0, priority=URGENT)
+            self.sim.push(self, delay=0.0, priority=URGENT)
             return
         except BaseException as exc:
             sim._active_process = prev
@@ -160,7 +160,7 @@ class Process(Event):
             relay._ok = next_ev._ok
             relay._value = next_ev._value
             relay.callbacks.append(self._resume)
-            self.sim._enqueue(relay, delay=0.0, priority=URGENT)
+            self.sim.push(relay, delay=0.0, priority=URGENT)
             self._target = relay
         else:
             next_ev.callbacks.append(self._resume)

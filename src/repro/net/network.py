@@ -1,8 +1,9 @@
 """The message delivery engine.
 
-:meth:`Network.send` is fire-and-forget: it charges the link delay, and at
-the arrival instant :meth:`Network._deliver` hands the payload to the
-destination endpoint's handler — *unless* the destination host is offline,
+:meth:`Network.send` is fire-and-forget: it charges the link delay and
+puts the :class:`Message` itself on the kernel's heap, and at the arrival
+instant :meth:`Network._deliver` hands the payload to the destination
+endpoint's handler — *unless* the destination host is offline,
 the endpoint is gone, a partition separates the pair or random loss takes
 it, in which case the message is silently dropped and counted.  This is
 exactly the paper's §5.3 semantics: "the message is simply lost if the
@@ -19,6 +20,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.des import Simulator
+from repro.des.events import NORMAL
 from repro.errors import ConfigurationError, NetworkError
 from repro.net.address import Address
 from repro.net.host import Host
@@ -39,14 +41,22 @@ class Message:
     from random in-transit loss — TCP retransmits — though still dropped by
     dead hosts and partitions.  Unreliable messages model the asynchronous
     oneway channel the paper's model tolerates losing (§5.3).
+
+    A message in flight is its own kernel heap entry: at the arrival
+    instant the event loop calls :meth:`_run_callbacks`, which completes
+    the transfer on ``network``.
     """
 
     src: Address
     dst: Address
     payload: Any
     size: int
+    network: Network
     reliable: bool = False
     msg_id: int = field(default_factory=_msg_ids.__next__)
+
+    def _run_callbacks(self) -> None:
+        self.network._deliver(self)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<Message #{self.msg_id} {self.src}->{self.dst} {self.size}B>"
@@ -170,7 +180,7 @@ class Network:
             raise NetworkError(f"unknown host {src.host!r}") from None
         if not src_host.online:
             # A dead host cannot transmit: drop at the source.
-            msg = Message(src, dst, payload, size or 0, reliable)
+            msg = Message(src, dst, payload, size or 0, self, reliable)
             self.dropped_dead += 1
             if tr.enabled:
                 tr.emit(sim.now, "net", "fabric", "drop",
@@ -179,7 +189,7 @@ class Network:
             return msg
         if size is None:
             size = measured_size(payload)
-        msg = Message(src, dst, payload, int(size), reliable)
+        msg = Message(src, dst, payload, int(size), self, reliable)
         self.sent += 1
         self.bytes_sent += msg.size
         if tr.enabled:
@@ -196,15 +206,15 @@ class Network:
                         reason="no_such_host")
             return msg
         delay = self.link_model.delay(src_host, dst_host, msg.size)
-        # One *pooled* heap entry per transfer instead of a full delivery
-        # process (init event + generator + completion event): same fire
-        # time, same execution order among same-time deliveries (monotone
-        # sequence numbers), a fraction of the kernel work per message.
-        sim.call_later(delay, self._deliver, msg)
+        # The message is its own heap entry, under the NORMAL priority and
+        # the next sequence number like any callback scheduled now, so
+        # same-time events run in the order they were scheduled.
+        sim.push(msg, delay, NORMAL)
         return msg
 
     def _deliver(self, msg: Message) -> None:
-        """Complete one transfer at send time + link delay: drop it, or
+        """Complete one transfer at send time + link delay (the event loop
+        reaches it through :meth:`Message._run_callbacks`): drop it, or
         call the destination endpoint's handler with its payload.
 
         A delivered message counts two kernel events in ``event_count``,

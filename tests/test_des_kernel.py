@@ -329,3 +329,31 @@ def test_step_on_empty_schedule_rejected():
     sim = Simulator()
     with pytest.raises(SimulationError):
         sim.step()
+
+
+@pytest.mark.parametrize("delivery_first", [True, False])
+def test_a_delivery_and_a_call_due_together_run_in_scheduling_order(delivery_first):
+    """A message in flight and a ``call_later`` callback share one sequence
+    counter, so at the same instant they run in the order they were
+    scheduled, whichever came first."""
+    from repro.net import Address, Network, UniformLinkModel
+
+    sim = Simulator()
+    net = Network(sim, link_model=UniformLinkModel(latency=1e-3))
+    a, b = net.new_host("a"), net.new_host("b")
+    order = []
+    b.open_endpoint(9, lambda payload: order.append((sim.now, payload)))
+    delay = net.link_model.delay(a, b, 64)
+
+    def send():
+        net.send(Address("a", 1), Address("b", 9), "delivery", size=64)
+
+    def call_later():
+        sim.call_later(delay, lambda: order.append((sim.now, "call")))
+
+    for schedule in ((send, call_later) if delivery_first else (call_later, send)):
+        schedule()
+    sim.run()
+    expected = ["delivery", "call"] if delivery_first else ["call", "delivery"]
+    assert order == [(delay, name) for name in expected]
+    assert sim.event_count == 3  # the delivery's arrival and dispatch, the call

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.des import Simulator, Interrupt
+from repro.des.events import NORMAL
 from repro.errors import HostDownError, NetworkError
 from repro.net import (
     Address,
@@ -14,6 +15,7 @@ from repro.net import (
 )
 from repro.net.host import BASE_FLOPS
 from repro.net.link import FAST_ETHERNET, GIGABIT_ETHERNET
+from repro.obs import Tracer
 from repro.util.rng import RngTree
 
 
@@ -358,6 +360,61 @@ def test_network_stats_bytes_accounting():
     st = net.stats()
     assert st["bytes_sent"] >= 1000
     assert st["bytes_delivered"] == st["bytes_sent"]
+
+
+def test_a_message_in_flight_is_its_own_heap_entry():
+    """``send`` puts the returned Message itself on the kernel's heap, under
+    the ``(arrival time, NORMAL, seq)`` key; no delivery draws on the
+    kernel's pooled callback lane."""
+    sim, net, a, b = _net_pair()
+    received = []
+    b.open_endpoint(4000, received.append)
+    msg = net.send(Address("a", 1), Address("b", 4000), "first", size=100)
+    (entry,) = sim._heap
+    assert entry[3] is msg
+    assert entry[:2] == (net.link_model.delay(a, b, 100), NORMAL)
+    for i in range(1000):
+        net.send(Address("a", 1), Address("b", 4000), i, size=100)
+    assert len(sim._heap) == 1001
+    sim.run()
+    assert received == ["first", *range(1000)]
+    assert net.delivered == 1001
+    assert sim._call_pool == []
+
+
+@pytest.mark.parametrize("fault, counter, reason", [
+    ("partition", "dropped_partition", "partition"),
+    ("host_fail", "dropped_dead", "dst_dead"),
+    ("endpoint_close", "dropped_dead", "no_endpoint"),
+])
+def test_a_fault_after_the_send_drops_the_message_at_arrival(fault, counter, reason):
+    """Reachability is decided when the message arrives, not when it is
+    sent: a fault that lands while it is in flight drops it, counted once
+    and as one kernel event."""
+    tracer = Tracer()
+    sim = Simulator(tracer=tracer)
+    net = Network(sim, link_model=UniformLinkModel(latency=1e-3))
+    a, b = net.new_host("a"), net.new_host("b")
+    received = []
+    ep = b.open_endpoint(4000, received.append)
+    msg = net.send(Address("a", 1), Address("b", 4000), "x")
+    if fault == "partition":
+        net.partition([["a"], ["b"]])
+    elif fault == "host_fail":
+        b.fail()
+    else:
+        ep.close()
+    assert len(sim._heap) == 1 and net.dropped_dead + net.dropped_partition == 0
+    sim.run()
+    assert received == []
+    assert net.sent == 1 and net.delivered == 0
+    assert getattr(net, counter) == 1
+    assert net.dropped_dead + net.dropped_partition + net.dropped_loss == 1
+    assert sim.event_count == 1
+    (drop,) = [e for e in tracer if e.kind == "drop"]
+    assert drop.time == net.link_model.delay(a, b, msg.size)
+    assert drop.attrs["reason"] == reason
+    assert drop.attrs["msg_id"] == msg.msg_id
 
 
 # --------------------------------------------------------------------- testbed
